@@ -10,13 +10,24 @@ current gamma, then gamma = alpha + sum of weight * phi. The per-document
 bound is non-decreasing under these updates; the training objective (document
 bounds plus a smoothing prior on the topic-term table) is non-decreasing
 across EM iterations.
+
+Inference is batched, as in the minibatch E-step of Hoffman, Blei & Bach
+("Online Learning for Latent Dirichlet Allocation", NIPS 2010): documents are
+laid out as CSR entries, gamma is a documents x topics matrix and phi lives on
+the entries. Each sweep updates every document still moving; a document
+leaves the batch once its own mean absolute gamma change drops below the
+tolerance or it reaches the sweep cap. ``train_lda`` and
+``extract_posteriors`` run this over blocks of at most ``_BLOCK_CELLS``
+entries x topics, so working memory does not grow with the corpus.
+``infer_document`` is the single-document form of the same sweep and the
+only one that records the bound after every sweep.
 """
 
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln
 
 from .docmodel import WeightedDocument
 from .errors import FormatError, ValidationError
@@ -24,6 +35,11 @@ from .errors import FormatError, ValidationError
 LDA_MAGIC = b"ALDA"
 LDA_VERSION = 1
 _LDA_HEADER = struct.Struct("<4sIII")
+
+# Entries x topics in one inference block. A sweep keeps a few arrays of this
+# many float64 values live (16 MiB each); a longer document gets a block of
+# its own.
+_BLOCK_CELLS = 1 << 21
 
 
 @dataclass
@@ -41,12 +57,19 @@ class LdaConfig:
 
 @dataclass
 class LdaModel:
+    """Topic model; training fills ``bound_history``, ``n_iterations`` and
+    ``doc_sweeps`` (sweeps per training document in the final E-step, 0 for
+    an empty document)."""
+
     n_topics: int
     vocab_size: int
     alpha: np.ndarray = field(compare=False)
     log_beta: np.ndarray = field(compare=False)
     bound_history: list[float] = field(default_factory=list)
     n_iterations: int = 0
+    doc_sweeps: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64), compare=False
+    )
 
 
 @dataclass
@@ -69,14 +92,133 @@ class PosteriorVector:
     gamma: np.ndarray = field(compare=False)
 
 
-def _doc_arrays(doc: WeightedDocument, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    terms = np.array([t for t, _, _ in doc.entries], dtype=np.int64)
-    weights = np.array([w for _, _, w in doc.entries], dtype=np.float64)
-    if terms.size and (terms[0] < 0 or terms[-1] >= vocab_size):
-        raise ValidationError(
-            f"document '{doc.utt_id}' has terms outside vocabulary size {vocab_size}"
+@dataclass
+class _Batch:
+    """Documents as CSR entries: document d owns entries indptr[d]:indptr[d+1]."""
+
+    indptr: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_docs(cls, docs: list[WeightedDocument], vocab_size: int) -> "_Batch":
+        lengths = np.fromiter((len(d.entries) for d in docs), np.int64, len(docs))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        nnz = int(indptr[-1])
+        terms = np.fromiter((t for d in docs for t, _, _ in d.entries), np.int64, nnz)
+        weights = np.fromiter(
+            (w for d in docs for _, _, w in d.entries), np.float64, nnz
         )
-    return terms, weights
+        bad = np.flatnonzero((terms < 0) | (terms >= vocab_size))
+        if bad.size:
+            doc = docs[int(np.searchsorted(indptr, bad[0], side="right")) - 1]
+            raise ValidationError(
+                f"document '{doc.utt_id}' has terms outside vocabulary size {vocab_size}"
+            )
+        return cls(indptr, terms, weights)
+
+    def initial_gamma(self, alpha: np.ndarray) -> np.ndarray:
+        """alpha plus each document's total weight spread evenly over topics."""
+        totals = np.bincount(
+            self.owners(), weights=self.weights, minlength=self.indptr.size - 1
+        )
+        return alpha + totals[:, None] / alpha.size
+
+    def owners(self) -> np.ndarray:
+        """Document index of every entry."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+    def blocks(self, n_topics: int):
+        """Yield (document slice, sub-batch) with at most ``_BLOCK_CELLS``
+        entries x topics per block, except for a single longer document."""
+        cap = max(_BLOCK_CELLS // n_topics, 1)
+        n_docs = self.indptr.size - 1
+        lo = 0
+        while lo < n_docs:
+            hi = int(np.searchsorted(self.indptr, self.indptr[lo] + cap, side="right")) - 1
+            hi = max(hi, lo + 1)
+            a, b = self.indptr[lo], self.indptr[hi]
+            yield slice(lo, hi), _Batch(
+                self.indptr[lo:hi + 1] - a, self.terms[a:b], self.weights[a:b]
+            )
+            lo = hi
+
+
+def _sweep(alpha, gamma, log_beta_entries, weights, starts, owner):
+    """One coordinate-ascent update of a batch of non-empty documents.
+
+    ``gamma`` is (documents, topics); entry rows are grouped by document,
+    ``starts`` holds each document's first entry and ``owner`` each entry's
+    document. Returns the new gamma and log phi on the entries.
+    """
+    log_phi = log_beta_entries + digamma(gamma)[owner]
+    shift = log_phi.max(axis=1, keepdims=True)
+    log_phi -= np.log(np.exp(log_phi - shift).sum(axis=1, keepdims=True)) + shift
+    phi = np.exp(log_phi)
+    return alpha + np.add.reduceat(weights[:, None] * phi, starts, axis=0), log_phi
+
+
+def _infer_block(alpha, gamma, log_beta_entries, batch: _Batch, tol, max_iters,
+                 on_sweep=None):
+    """Sweep each non-empty document until its own mean absolute gamma change
+    is below ``tol`` or it has had ``max_iters`` sweeps.
+
+    ``gamma`` (documents, topics) is updated in place; rows of empty documents
+    are left alone. ``on_sweep(gamma, log_phi)`` sees the moving documents
+    after every sweep. Returns the sweeps per document and log phi on every
+    entry from its document's last sweep.
+    """
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    lengths = np.diff(batch.indptr)
+    sweeps = np.zeros(lengths.size, dtype=np.int64)
+    log_phi_out = np.empty(log_beta_entries.shape)
+    # Documents still moving, and the block positions of their entries; lb and
+    # weights are compacted to those entries whenever a document leaves.
+    active = np.flatnonzero(lengths)
+    entries = np.arange(batch.terms.size)
+    lb, weights = log_beta_entries, batch.weights
+    while active.size:
+        lens = lengths[active]
+        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
+        owner = np.repeat(np.arange(active.size), lens)
+        old = gamma[active]
+        new, log_phi = _sweep(alpha, old, lb, weights, starts, owner)
+        if on_sweep is not None:
+            on_sweep(new, log_phi)
+        gamma[active] = new
+        sweeps[active] += 1
+        done = (np.abs(new - old).mean(axis=1) < tol) | (sweeps[active] >= max_iters)
+        if done.any():
+            leaving = np.repeat(done, lens)
+            log_phi_out[entries[leaving]] = log_phi[leaving]
+            staying = ~leaving
+            active, entries = active[~done], entries[staying]
+            lb, weights = lb[staying], weights[staying]
+    return sweeps, log_phi_out
+
+
+def _doc_bounds(alpha, gamma, log_beta_entries, batch: _Batch, log_phi) -> np.ndarray:
+    """Bound of every document of the batch at (gamma, phi = exp(log_phi)).
+
+    For an empty document with gamma = alpha the Dirichlet terms cancel and
+    the bound is exactly zero.
+    """
+    elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
+    p_theta = (
+        gammaln(alpha.sum()) - gammaln(alpha).sum()
+        + ((alpha - 1.0) * elog_theta).sum(axis=1)
+    )
+    q_theta = (
+        gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1)
+        + ((gamma - 1.0) * elog_theta).sum(axis=1)
+    )
+    owner = batch.owners()
+    per_entry = (
+        batch.weights[:, None] * np.exp(log_phi)
+        * (elog_theta[owner] + log_beta_entries - log_phi)
+    ).sum(axis=1)
+    return p_theta - q_theta + np.bincount(owner, weights=per_entry, minlength=len(gamma))
 
 
 def elbo(model: LdaModel, doc: WeightedDocument, state: InferenceState) -> float:
@@ -85,23 +227,11 @@ def elbo(model: LdaModel, doc: WeightedDocument, state: InferenceState) -> float
     For an empty document with gamma = alpha the Dirichlet terms cancel and
     the bound is exactly zero.
     """
-    terms, weights = _doc_arrays(doc, model.vocab_size)
-    alpha, gamma, phi = model.alpha, state.gamma, state.phi
-    elog_theta = digamma(gamma) - digamma(gamma.sum())
-    p_theta = (
-        gammaln(alpha.sum()) - gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
-    )
-    q_theta = (
-        gammaln(gamma.sum()) - gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
-    )
-    bound = p_theta - q_theta
-    if terms.size:
-        bound += float(
-            np.sum(weights[:, None] * phi * (
-                elog_theta[None, :] + model.log_beta[:, terms].T - np.log(phi)
-            ))
-        )
-    return float(bound)
+    batch = _Batch.from_docs([doc], model.vocab_size)
+    return float(_doc_bounds(
+        model.alpha, state.gamma[None, :], model.log_beta.T[batch.terms], batch,
+        np.log(state.phi),
+    )[0])
 
 
 def infer_document(
@@ -115,37 +245,28 @@ def infer_document(
 
     Stops when the mean absolute gamma change drops below ``tol`` or after
     ``max_iters`` sweeps. ``init_gamma`` warm-starts gamma; the default start
-    spreads the document's total weight evenly across topics.
+    spreads the document's total weight evenly across topics. This is the
+    single-document form of the batched E-step; it also records the bound
+    after every sweep.
     """
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    terms, weights = _doc_arrays(doc, model.vocab_size)
-    k = model.n_topics
-    if terms.size == 0:
-        state = InferenceState(
-            gamma=model.alpha.copy(), phi=np.zeros((0, k)), elbo_history=[]
-        )
-        state.elbo_history.append(elbo(model, doc, state))
-        return state
-
-    if init_gamma is None:
-        gamma = model.alpha + weights.sum() / k
-    else:
-        gamma = np.asarray(init_gamma, dtype=np.float64).copy()
-    log_beta_doc = model.log_beta[:, terms].T  # (distinct terms, topics)
+    batch = _Batch.from_docs([doc], model.vocab_size)
+    gamma = batch.initial_gamma(model.alpha)
+    if init_gamma is not None and batch.terms.size:
+        gamma[0] = init_gamma
+    log_beta_entries = model.log_beta.T[batch.terms]
     history: list[float] = []
-    for _ in range(max_iters):
-        log_phi = digamma(gamma)[None, :] + log_beta_doc
-        log_phi -= logsumexp(log_phi, axis=1)[:, None]
-        phi = np.exp(log_phi)
-        new_gamma = model.alpha + weights @ phi
-        state = InferenceState(gamma=new_gamma, phi=phi, elbo_history=history)
-        history.append(elbo(model, doc, state))
-        delta = float(np.mean(np.abs(new_gamma - gamma)))
-        gamma = new_gamma
-        if delta < tol:
-            break
-    return state
+
+    def record(new_gamma, log_phi):
+        history.append(float(
+            _doc_bounds(model.alpha, new_gamma, log_beta_entries, batch, log_phi)[0]
+        ))
+
+    _, log_phi = _infer_block(
+        model.alpha, gamma, log_beta_entries, batch, tol, max_iters, on_sweep=record
+    )
+    if not history:  # empty document: no sweep; at gamma = alpha the bound is 0
+        history.append(0.0)
+    return InferenceState(gamma=gamma[0], phi=np.exp(log_phi), elbo_history=history)
 
 
 def train_lda(
@@ -159,9 +280,10 @@ def train_lda(
 
     The recorded objective is the sum of document bounds plus
     ``eta * sum(log_beta)``, the smoothing prior matching the M-step's
-    additive ``eta``; it is non-decreasing across iterations. Deterministic
-    given the seed. ``init_beta`` overrides the seeded random initialization
-    with an explicit non-negative table (rows are normalized).
+    additive ``eta``; it is non-decreasing across iterations. Gamma is
+    warm-started from the previous EM iteration. Deterministic given the
+    seed. ``init_beta`` overrides the seeded random initialization with an
+    explicit non-negative table (rows are normalized).
     """
     config = config or LdaConfig()
     docs = list(docs)
@@ -171,7 +293,7 @@ def train_lda(
         raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
     if not any(doc.entries for doc in docs):
         raise ValidationError("cannot train on an all-empty corpus")
-    parsed = [_doc_arrays(doc, vocab_size) for doc in docs]
+    batch = _Batch.from_docs(docs, vocab_size)
 
     alpha_val = config.alpha if config.alpha is not None else 50.0 / n_topics
     if alpha_val <= 0:
@@ -192,21 +314,24 @@ def train_lda(
     model = LdaModel(
         n_topics=n_topics, vocab_size=vocab_size, alpha=alpha, log_beta=log_beta
     )
-    warm: list[np.ndarray | None] = [None] * len(docs)
+    gamma = batch.initial_gamma(alpha)
+    sweeps = np.zeros(len(docs), dtype=np.int64)
     history: list[float] = []
     iterations = 0
     for it in range(config.em_max_iterations):
         ss = np.zeros((n_topics, vocab_size))
+        log_beta_t = np.ascontiguousarray(model.log_beta.T)
         total = 0.0
-        for i, (doc, (terms, weights)) in enumerate(zip(docs, parsed)):
-            state = infer_document(
-                model, doc, tol=config.doc_tol, max_iters=config.doc_max_iterations,
-                init_gamma=warm[i],
+        for rows, block in batch.blocks(n_topics):
+            log_beta_entries = log_beta_t[block.terms]
+            sweeps[rows], log_phi = _infer_block(
+                alpha, gamma[rows], log_beta_entries, block,
+                config.doc_tol, config.doc_max_iterations,
             )
-            warm[i] = state.gamma
-            total += state.elbo_history[-1]
-            if terms.size:
-                np.add.at(ss.T, terms, weights[:, None] * state.phi)
+            total += float(
+                _doc_bounds(alpha, gamma[rows], log_beta_entries, block, log_phi).sum()
+            )
+            np.add.at(ss.T, block.terms, block.weights[:, None] * np.exp(log_phi))
         total += config.eta * float(model.log_beta.sum())
         history.append(total)
         iterations = it + 1
@@ -221,17 +346,26 @@ def train_lda(
 
     model.bound_history = history
     model.n_iterations = iterations
+    model.doc_sweeps = sweeps
     return model
 
 
 def extract_posteriors(
     model: LdaModel, docs, tol: float = 1e-4, max_iters: int = 100
-) -> list[PosteriorVector]:
-    """Converged gamma per document, in input order."""
-    return [
-        PosteriorVector(doc.utt_id, infer_document(model, doc, tol, max_iters).gamma)
-        for doc in docs
-    ]
+) -> tuple[list[PosteriorVector], np.ndarray]:
+    """Converged gamma per document, in input order, and the sweeps each
+    document took (0 for an empty one, whose gamma is alpha)."""
+    docs = list(docs)
+    batch = _Batch.from_docs(docs, model.vocab_size)
+    gamma = batch.initial_gamma(model.alpha)
+    sweeps = np.zeros(len(docs), dtype=np.int64)
+    log_beta_t = np.ascontiguousarray(model.log_beta.T)
+    for rows, block in batch.blocks(model.n_topics):
+        sweeps[rows], _ = _infer_block(
+            model.alpha, gamma[rows], log_beta_t[block.terms], block, tol, max_iters
+        )
+    posteriors = [PosteriorVector(doc.utt_id, gamma[i]) for i, doc in enumerate(docs)]
+    return posteriors, sweeps
 
 
 # ---------------------------------------------------------------------------

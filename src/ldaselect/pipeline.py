@@ -45,6 +45,17 @@ def stage_order(text_enabled: bool) -> list[str]:
     return stages + ["report"]
 
 
+def _log_sweeps(stage: str, which: str, sweeps: np.ndarray, max_iters: int) -> None:
+    """Report documents that hit the inference sweep cap (a warning) and
+    empty documents, whose posterior is the prior alpha."""
+    capped = int(np.count_nonzero(sweeps >= max_iters))
+    log.log(
+        logging.WARNING if capped else logging.INFO,
+        "stage %s: %d of %d %s documents hit doc_max_iterations=%d; %d empty",
+        stage, capped, sweeps.size, which, max_iters, int(np.count_nonzero(sweeps == 0)),
+    )
+
+
 def write_selection_manifest(
     result: SelectionResult, pool_manifest: corpus.Manifest, path
 ) -> None:
@@ -324,6 +335,7 @@ class Runner:
             model = lda.train_lda(
                 docs, params.n_topics, vocab_size_fn(), config=params.lda_config()
             )
+            _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
             lda.save_lda(model, out_model)
 
         self._run_stage(
@@ -355,9 +367,10 @@ class Runner:
                 docs = docmodel.read_weighted(
                     self._artifact(f"{prefix}weighted_{which}.tsv")
                 )
-                posts = lda.extract_posteriors(
+                posts, sweeps = lda.extract_posteriors(
                     model, docs, tol=params.doc_tol, max_iters=params.doc_max_iterations
                 )
+                _log_sweeps(name, which, sweeps, params.doc_max_iterations)
                 lda.write_posteriors(posts, out)
 
         self._run_stage(

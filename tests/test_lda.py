@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldaselect import lda as lda_module
 from ldaselect.docmodel import WeightedDocument
 from ldaselect.errors import FormatError, ValidationError
 from ldaselect.lda import (
@@ -228,8 +231,8 @@ def test_vocabulary_permutation_equivariance():
     m = train_lda(docs, k, v, config, init_beta=init)
     m_p = train_lda(docs_p, k, v, config, init_beta=init_p)
     assert np.allclose(m_p.log_beta[:, perm], m.log_beta, rtol=1e-10, atol=1e-12)
-    g = extract_posteriors(m, docs)
-    g_p = extract_posteriors(m_p, docs_p)
+    g, _ = extract_posteriors(m, docs)
+    g_p, _ = extract_posteriors(m_p, docs_p)
     for a, b in zip(g, g_p):
         assert np.allclose(a.gamma, b.gamma, rtol=1e-10)
 
@@ -244,12 +247,161 @@ def test_extract_posteriors_alignment_and_purity():
     docs.append(WeightedDocument("empty"))
     docs.append(WeightedDocument("dup", list(docs[0].entries)))
     model = train_lda(docs, 3, 8, LdaConfig(seed=1))
-    posts = extract_posteriors(model, docs)
+    posts, sweeps = extract_posteriors(model, docs)
+    assert sweeps[6] == 0 and np.all(sweeps[:6] >= 1)
     assert [p.utt_id for p in posts] == [d.utt_id for d in docs]
     assert np.array_equal(posts[6].gamma, model.alpha)
     assert np.array_equal(posts[7].gamma, posts[0].gamma)
     for p in posts:
         assert p.gamma.sum() >= model.alpha.sum() - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batched inference against the single-document form
+
+
+def _reference_train(docs, k, v, config, init_beta):
+    """Variational EM as one infer_document call per document per iteration."""
+    model = LdaModel(
+        n_topics=k, vocab_size=v, alpha=np.full(k, config.alpha),
+        log_beta=np.log(init_beta / init_beta.sum(axis=1, keepdims=True)),
+    )
+    warm = [None] * len(docs)
+    history = []
+    for it in range(config.em_max_iterations):
+        ss = np.zeros((k, v))
+        total = 0.0
+        sweeps = []
+        for i, doc in enumerate(docs):
+            state = infer_document(
+                model, doc, config.doc_tol, config.doc_max_iterations, init_gamma=warm[i]
+            )
+            warm[i] = state.gamma
+            total += state.elbo_history[-1]
+            sweeps.append(len(state.elbo_history) if doc.entries else 0)
+            if doc.entries:
+                terms = [t for t, _, _ in doc.entries]
+                weights = np.array([w for _, _, w in doc.entries])
+                np.add.at(ss.T, terms, weights[:, None] * state.phi)
+        total += config.eta * float(model.log_beta.sum())
+        history.append(total)
+        if len(history) >= 2:
+            if (history[-1] - history[-2]) / max(abs(history[-2]), 1e-12) < config.em_tol:
+                break
+        if it == config.em_max_iterations - 1:
+            break
+        ss += config.eta
+        model.log_beta = np.log(ss / ss.sum(axis=1, keepdims=True))
+    return history, model.log_beta, sweeps
+
+
+@st.composite
+def _batch_cases(draw):
+    k = draw(st.integers(1, 6))
+    v = draw(st.integers(1, 30))
+    docs = []
+    for i in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["empty", "single", "some", "long"]))
+        if kind == "empty":
+            terms = []
+        elif kind == "single":
+            terms = [draw(st.integers(0, v - 1))]
+        elif kind == "long":
+            terms = list(range(v))
+        else:
+            terms = sorted(draw(st.sets(st.integers(0, v - 1), min_size=1)))
+        entries = [(t, 1, draw(st.floats(0.05, 5.0))) for t in terms]
+        docs.append(WeightedDocument(f"d{i}", entries))
+    return dict(
+        k=k, v=v, docs=docs,
+        seed=draw(st.integers(0, 2**16)),
+        max_iters=draw(st.integers(1, 8)),
+        tol=draw(st.sampled_from([1e-2, 1e-4, 1e-6])),
+        # A few entries per block at most, so the documents span several.
+        block_cells=draw(st.integers(1, 3 * k * v)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_cases())
+def test_batched_inference_matches_per_document_loop(case):
+    k, v, docs = case["k"], case["v"], case["docs"]
+    tol, max_iters = case["tol"], case["max_iters"]
+    rng = np.random.default_rng(case["seed"])
+    model = _random_model(rng, k, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lda_module, "_BLOCK_CELLS", case["block_cells"])
+        posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
+        states = [infer_document(model, d, tol=tol, max_iters=max_iters) for d in docs]
+        np.testing.assert_allclose(
+            np.array([p.gamma for p in posts]), np.array([s.gamma for s in states]),
+            rtol=1e-10, atol=0,
+        )
+        assert sweeps.tolist() == [
+            len(s.elbo_history) if d.entries else 0 for s, d in zip(states, docs)
+        ]
+
+        config = LdaConfig(
+            seed=case["seed"], em_max_iterations=4, doc_tol=tol,
+            doc_max_iterations=max_iters, alpha=0.5,
+        )
+        init_beta = rng.random((k, v)) + 0.05
+        if not any(d.entries for d in docs):
+            with pytest.raises(ValidationError):
+                train_lda(docs, k, v, config, init_beta=init_beta)
+            return
+        model = train_lda(docs, k, v, config, init_beta=init_beta)
+    history, log_beta, ref_sweeps = _reference_train(docs, k, v, config, init_beta)
+    np.testing.assert_allclose(model.bound_history, history, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.log_beta, log_beta, rtol=0, atol=1e-12)
+    assert model.doc_sweeps.tolist() == ref_sweeps
+
+
+def test_batched_validation_names_document():
+    rng = np.random.default_rng(15)
+    model = _random_model(rng, 2, 4)
+    docs = [
+        WeightedDocument("ok", [(0, 1, 1.0)]),
+        WeightedDocument("oov", [(1, 1, 1.0), (4, 1, 1.0)]),
+    ]
+    with pytest.raises(ValidationError) as exc:
+        extract_posteriors(model, docs)
+    assert "'oov'" in str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        train_lda(docs, 2, 4)
+    assert "'oov'" in str(exc.value)
+    with pytest.raises(ValidationError):
+        extract_posteriors(model, docs[:1], max_iters=0)
+    with pytest.raises(ValidationError) as exc:
+        train_lda([WeightedDocument("a"), WeightedDocument("b")], 2, 4)
+    assert "all-empty" in str(exc.value)
+
+
+def test_batched_empty_documents_keep_alpha(monkeypatch):
+    rng = np.random.default_rng(16)
+    monkeypatch.setattr(lda_module, "_BLOCK_CELLS", 4)
+    docs = [
+        WeightedDocument("e0"),
+        _random_doc(rng, 9, uid="a"),
+        WeightedDocument("e1"),
+        _random_doc(rng, 9, uid="b"),
+        WeightedDocument("e2"),
+    ]
+    model = train_lda(docs, 3, 9, LdaConfig(seed=3, alpha=0.7))
+    assert model.doc_sweeps[[0, 2, 4]].tolist() == [0, 0, 0]
+    posts, sweeps = extract_posteriors(model, docs)
+    for i in (0, 2, 4):
+        assert np.array_equal(posts[i].gamma, model.alpha)
+        assert sweeps[i] == 0
+    assert sweeps[1] >= 1 and sweeps[3] >= 1
+
+
+def test_extract_posteriors_caps_sweeps():
+    rng = np.random.default_rng(17)
+    model = _random_model(rng, 4, 10)
+    docs = [_random_doc(rng, 10, uid=f"d{i}") for i in range(8)]
+    _, sweeps = extract_posteriors(model, docs, tol=1e-12, max_iters=3)
+    assert sweeps.tolist() == [3] * 8
 
 
 # ---------------------------------------------------------------------------

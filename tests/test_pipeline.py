@@ -1,4 +1,6 @@
 import json
+import logging
+import shutil
 
 import pytest
 
@@ -223,3 +225,37 @@ def test_cluster_count_clamped_to_vectors(tmp_path, corpus_dir):
     meta = json.loads((tmp_path / "work" / "centroids.meta.json").read_text())
     assert len(meta["cluster_sizes"]) == 8
     assert sum(meta["cluster_sizes"]) == 8
+
+
+def test_capped_and_empty_inference_documents_are_logged(tmp_path, corpus_dir, caplog):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    pool = read_manifest(tmp_path / "corpus" / "pool" / "pool.tsv")
+    blank = next(iter(pool))
+    (pool.base_dir / blank.transcript_path).write_text("", encoding="utf-8")
+    config = _config(tmp_path / "corpus", tmp_path / "work", text=True)
+    config.lda.doc_max_iterations = 1
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        run_pipeline(config)
+    lines = {
+        r.getMessage(): r.levelno
+        for r in caplog.records
+        if "doc_max_iterations" in r.getMessage()
+    }
+    expected = {
+        "stage train-lda: 8 of 8 training documents hit doc_max_iterations=1; 0 empty",
+        "stage posteriors: 24 of 24 pool documents hit doc_max_iterations=1; 0 empty",
+        "stage posteriors: 8 of 8 dev documents hit doc_max_iterations=1; 0 empty",
+        "stage text-train-lda: 8 of 8 training documents hit doc_max_iterations=1; 0 empty",
+        "stage text-posteriors: 23 of 24 pool documents hit doc_max_iterations=1; 1 empty",
+        "stage text-posteriors: 8 of 8 dev documents hit doc_max_iterations=1; 0 empty",
+    }
+    assert set(lines) == expected
+    assert set(lines.values()) == {logging.WARNING}
+
+    caplog.clear()
+    config.lda.doc_max_iterations = 100
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        run_pipeline(config, stages=["posteriors"])
+    (record,) = [r for r in caplog.records if "pool documents" in r.getMessage()]
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith("stage posteriors: 0 of 24 pool documents")
