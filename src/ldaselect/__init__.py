@@ -25,16 +25,16 @@ from .corpus import (
 )
 from .docmodel import (
     CorpusStats,
+    DocBatch,
     TextVocab,
-    WeightedDocument,
+    bag_of_words,
     build_text_vocab,
     compute_stats,
+    tfidf,
     tokenize_transcript,
-    weigh_document,
 )
 from .errors import FormatError, LdaSelectError, StageError, ValidationError
 from .gmm import (
-    AcousticDocument,
     GmmConfig,
     GmmModel,
     gmm_posteriors,
@@ -48,7 +48,7 @@ from .lda import (
     InferenceState,
     LdaConfig,
     LdaModel,
-    PosteriorVector,
+    Posteriors,
     elbo,
     extract_posteriors,
     infer_document,
@@ -68,9 +68,9 @@ from .selection import (
 )
 
 __all__ = [
-    "AcousticDocument",
     "CompositionReport",
     "CorpusStats",
+    "DocBatch",
     "DomainSpec",
     "FormatError",
     "GmmConfig",
@@ -83,7 +83,7 @@ __all__ = [
     "Manifest",
     "PipelineConfig",
     "PipelineResult",
-    "PosteriorVector",
+    "Posteriors",
     "SelectionConfig",
     "SelectionResult",
     "StageError",
@@ -91,7 +91,7 @@ __all__ = [
     "TextVocab",
     "Utterance",
     "ValidationError",
-    "WeightedDocument",
+    "bag_of_words",
     "build_text_vocab",
     "compare",
     "compute_stats",
@@ -116,13 +116,13 @@ __all__ = [
     "save_lda",
     "select",
     "sweep_lambda",
+    "tfidf",
     "tokenize_transcript",
     "train_gmm",
     "train_kmeans",
     "train_lda",
     "union_combine",
     "validate_config",
-    "weigh_document",
     "write_features",
     "write_manifest",
 ]

@@ -15,33 +15,18 @@ from .config import PipelineConfig, load_config, validate_config
 from .corpus import make_separated_spec, generate_synthetic_corpus, read_manifest
 from .errors import LdaSelectError, ValidationError
 from .pipeline import (
-    Runner, WorkDirLock, composition_report, run_pipeline, sweep_lambda,
-    write_selection_manifest,
+    ACOUSTIC_STAGES, WorkDirLock, run_pipeline, sweep_lambda, write_selection_manifest,
 )
-from .report import compare, render_comparison, render_report, write_report_tsv
+from .report import compare, render_comparison, render_report, report, write_report_tsv
 from .selection import random_select, read_audit, union_combine, write_audit
 
 log = logging.getLogger(__name__)
-
-STAGE_COMMANDS = {
-    "train-gmm": "train-gmm",
-    "quantize": "quantize",
-    "tfidf": "tfidf",
-    "train-lda": "train-lda",
-    "posteriors": "posteriors",
-    "cluster": "cluster",
-    "select": "select",
-}
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="pipeline config file (sectioned key = value)")
     sub.add_argument("--seed", type=int, help="override every stage seed")
     sub.add_argument("--work-dir", help="override paths.work_dir from the config")
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker thread budget (reserved; stages currently run single-threaded)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--fps", type=float, default=100.0)
     synth.add_argument("--seed", type=int, default=0)
 
-    for name in STAGE_COMMANDS:
+    for name in ACOUSTIC_STAGES:
         sub = subs.add_parser(name, help=f"run the {name} stage")
         _common_flags(sub)
         if name == "select":
@@ -140,8 +125,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
         config.quantizer.seed = args.seed
         config.lda.seed = args.seed
         config.cluster.seed = args.seed
-    if getattr(args, "threads", 1) is not None and args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     return config
 
 
@@ -190,7 +173,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_stage(args, stage: str) -> int:
+def _cmd_stage(args) -> int:
+    stage = args.command
     config = _load_pipeline_config(args)
     if stage == "select":
         if getattr(args, "lam", None) is not None:
@@ -220,32 +204,39 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_random_select(args) -> int:
+def _load_pool(args):
+    """The validated config and its pool manifest."""
     config = _load_pipeline_config(args)
     validate_config(config)
-    pool = read_manifest(config.paths.pool_manifest, role="pool")
-    result = random_select(pool, args.budget_hours, args.seed or 0)
+    return config, read_manifest(config.paths.pool_manifest, role="pool")
+
+
+def _write_selection(config, pool, result, out_prefix: str) -> Path:
+    """Audit and manifest of ``result`` in the locked work dir; returns the
+    manifest path."""
     work = Path(config.paths.work_dir)
     work.mkdir(parents=True, exist_ok=True)
     with WorkDirLock(work):
-        write_audit(result, work / f"{args.out_prefix}.audit.tsv")
-        write_selection_manifest(result, pool, work / f"{args.out_prefix}.tsv")
+        write_audit(result, work / f"{out_prefix}.audit.tsv")
+        write_selection_manifest(result, pool, work / f"{out_prefix}.tsv")
+    return work / f"{out_prefix}.tsv"
+
+
+def _cmd_random_select(args) -> int:
+    config, pool = _load_pool(args)
+    result = random_select(pool, args.budget_hours, args.seed or 0)
+    out = _write_selection(config, pool, result, args.out_prefix)
     print(
         f"selected {len(result.selected)} utterances, {result.total_hours:.3f} h "
-        f"-> {work / (args.out_prefix + '.tsv')}"
+        f"-> {out}"
     )
     return 0
 
 
 def _cmd_combine(args) -> int:
-    config = _load_pipeline_config(args)
-    validate_config(config)
-    pool = read_manifest(config.paths.pool_manifest, role="pool")
+    config, pool = _load_pool(args)
     result = union_combine(read_audit(args.a), read_audit(args.b), pool)
-    work = Path(config.paths.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    write_audit(result, work / f"{args.out_prefix}.audit.tsv")
-    write_selection_manifest(result, pool, work / f"{args.out_prefix}.tsv")
+    _write_selection(config, pool, result, args.out_prefix)
     print(
         f"combined selection: {len(result.selected)} utterances, "
         f"{result.total_hours:.3f} h"
@@ -254,11 +245,9 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = _load_pipeline_config(args)
-    validate_config(config)
-    pool = read_manifest(config.paths.pool_manifest, role="pool")
+    config, pool = _load_pool(args)
     audit = args.audit or str(Path(config.paths.work_dir) / "selection.audit.tsv")
-    rep = composition_report(audit, pool)
+    rep = report(read_audit(audit), pool)
     print(render_report(rep), end="")
     if args.out_tsv:
         write_report_tsv(rep, args.out_tsv)
@@ -266,9 +255,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_pipeline_config(args)
-    validate_config(config)
-    pool = read_manifest(config.paths.pool_manifest, role="pool")
+    config, pool = _load_pool(args)
     target = args.target_domain or config.report.target_domain
     if not target:
         raise ValidationError(
@@ -284,6 +271,18 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# Every other command is a stage of ACOUSTIC_STAGES, run by _cmd_stage.
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "run": _cmd_run,
+    "sweep-lambda": _cmd_sweep,
+    "random-select": _cmd_random_select,
+    "combine": _cmd_combine,
+    "report": _cmd_report,
+    "compare": _cmd_compare,
+}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
@@ -291,30 +290,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command in STAGE_COMMANDS:
-            return _cmd_stage(args, STAGE_COMMANDS[args.command])
-        if args.command == "sweep-lambda":
-            return _cmd_sweep(args)
-        if args.command == "random-select":
-            return _cmd_random_select(args)
-        if args.command == "combine":
-            return _cmd_combine(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise ValidationError(f"unknown command '{args.command}'")
+        return _COMMANDS.get(args.command, _cmd_stage)(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LdaSelectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LdaSelectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,9 @@ Every hyperparameter of the full-scale recipe is surfaced with its default
 """
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ValidationError
 from .gmm import GmmConfig
@@ -44,7 +45,7 @@ class QuantizerConfig:
 
 @dataclass
 class DocModelConfig:
-    idf_source: str = "union"
+    idf_source: str = "dev+pool"
     text_vocab_cap: int = 2048
 
 
@@ -78,15 +79,6 @@ class ClusterConfig:
 
 
 @dataclass
-class SelectParams:
-    threshold: float = 0.2
-    max_hours: float | None = None
-
-    def selection_config(self) -> SelectionConfig:
-        return SelectionConfig(threshold=self.threshold, max_hours=self.max_hours)
-
-
-@dataclass
 class TextConfig:
     enabled: bool = False
     n_topics: int | None = None  # None: same as the acoustic topic count
@@ -105,53 +97,32 @@ class PipelineConfig:
     docmodel: DocModelConfig = field(default_factory=DocModelConfig)
     lda: LdaParams = field(default_factory=LdaParams)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    selection: SelectParams = field(default_factory=SelectParams)
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
     text: TextConfig = field(default_factory=TextConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "quantizer": QuantizerConfig,
-    "docmodel": DocModelConfig,
-    "lda": LdaParams,
-    "cluster": ClusterConfig,
-    "selection": SelectParams,
-    "text": TextConfig,
-    "report": ReportConfig,
-}
-
 # Config keys whose name differs from the dataclass field.
 _KEY_ALIASES = {("selection", "lambda"): "threshold", ("text", "lambda"): "threshold"}
 
-_OPTIONAL_FLOATS = {
-    ("lda", "alpha"), ("selection", "max_hours"), ("text", "threshold"),
-}
-_OPTIONAL_INTS = {("text", "n_topics")}
-_OPTIONAL_STRS = {("report", "target_domain")}
 
-
-def _convert(section: str, name: str, text: str, current):
-    key = (section, name)
+def _convert(hint, text: str):
+    """``text`` as a value of the field type ``hint``; an empty value of an
+    optional (``X | None``) field is None."""
     text = text.strip()
-    if key in _OPTIONAL_STRS:
-        return text or None
-    if key in _OPTIONAL_FLOATS:
-        return float(text) if text else None
-    if key in _OPTIONAL_INTS:
-        return int(text) if text else None
-    if isinstance(current, bool):
+    args = get_args(hint)
+    if type(None) in args:
+        if not text:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if hint is bool:
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: '{text}'")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    return text
+    return hint(text)
 
 
 def load_config(path) -> PipelineConfig:
@@ -165,19 +136,20 @@ def load_config(path) -> PipelineConfig:
     except configparser.Error as exc:
         raise ValidationError(f"cannot parse config file: {exc}") from None
     config = PipelineConfig()
+    sections = {f.name for f in fields(config)}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ValidationError(f"{path}: unknown config section [{section}]")
         target = getattr(config, section)
-        known = {f.name for f in fields(target)}
+        hints = get_type_hints(type(target))
         for name, text in parser.items(section):
             field_name = _KEY_ALIASES.get((section, name), name)
-            if field_name not in known:
+            if field_name not in hints:
                 raise ValidationError(
                     f"{path}: unknown key '{name}' in section [{section}]"
                 )
             try:
-                value = _convert(section, field_name, text, getattr(target, field_name))
+                value = _convert(hints[field_name], text)
             except ValueError:
                 raise ValidationError(
                     f"{path}: bad value for {section}.{name}: '{text}'"
@@ -200,10 +172,9 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
             f"quantizer.train_source must be one of {SOURCES}, got '{q.train_source}'"
         )
     d = config.docmodel
-    if d.idf_source not in SOURCES + ("union",):
+    if d.idf_source not in SOURCES:
         raise ValidationError(
-            f"docmodel.idf_source must be one of {SOURCES + ('union',)}, "
-            f"got '{d.idf_source}'"
+            f"docmodel.idf_source must be one of {SOURCES}, got '{d.idf_source}'"
         )
     if d.text_vocab_cap < 1:
         raise ValidationError("docmodel.text_vocab_cap must be >= 1")
@@ -223,7 +194,7 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     c = config.cluster
     if c.n_clusters < 1 or c.max_iterations < 1:
         raise ValidationError("cluster.n_clusters and max_iterations must be >= 1")
-    validate_selection_config(config.selection.selection_config())
+    validate_selection_config(config.selection)
     t = config.text
     if t.n_topics is not None and t.n_topics < 1:
         raise ValidationError("text.n_topics must be >= 1")
@@ -242,16 +213,12 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
 
 def text_lda_params(config: PipelineConfig) -> LdaParams:
     """Text-path topic-model settings: acoustic settings with overrides."""
-    params = LdaParams(**{f.name: getattr(config.lda, f.name) for f in fields(LdaParams)})
-    if config.text.n_topics is not None:
-        params.n_topics = config.text.n_topics
-    return params
+    if config.text.n_topics is None:
+        return config.lda
+    return replace(config.lda, n_topics=config.text.n_topics)
 
 
-def text_select_params(config: PipelineConfig) -> SelectParams:
-    params = SelectParams(
-        threshold=config.selection.threshold, max_hours=config.selection.max_hours
-    )
-    if config.text.threshold is not None:
-        params.threshold = config.text.threshold
-    return params
+def text_select_params(config: PipelineConfig) -> SelectionConfig:
+    if config.text.threshold is None:
+        return config.selection
+    return replace(config.selection, threshold=config.text.threshold)

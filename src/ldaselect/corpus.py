@@ -167,7 +167,8 @@ def _validate_feature_files(manifest: Manifest) -> None:
         p = resolve_path(utt.feature_path, manifest.base_dir)
         if not p.is_file():
             raise FormatError(f"missing feature file for utterance '{utt.id}': {p}")
-        n, d = _read_feature_header(p)
+        with open(p, "rb") as fh:
+            n, d = _feature_header(fh.read(_FEATURE_HEADER.size), p)
         if (n, d) != (utt.num_frames, utt.frame_dim):
             raise FormatError(
                 f"feature file {p} header {n}x{d} does not match manifest "
@@ -219,12 +220,11 @@ def write_features(matrix, path) -> None:
         fh.write(arr.astype("<f4").tobytes(order="C"))
 
 
-def _read_feature_header(path: Path) -> tuple[int, int]:
-    with open(path, "rb") as fh:
-        head = fh.read(_FEATURE_HEADER.size)
-    if len(head) < _FEATURE_HEADER.size:
+def _feature_header(data: bytes, path) -> tuple[int, int]:
+    """(frames, dim) from the start of a feature file's bytes."""
+    if len(data) < _FEATURE_HEADER.size:
         raise FormatError(f"{path}: truncated feature header")
-    magic, version, n, d = _FEATURE_HEADER.unpack(head)
+    magic, version, n, d = _FEATURE_HEADER.unpack_from(data)
     if magic != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
     if version != FEATURE_VERSION:
@@ -236,13 +236,7 @@ def read_feature_file(path) -> np.ndarray:
     """Read a binary feature file into a float32 array of shape (frames, dim)."""
     path = Path(path)
     data = path.read_bytes()
-    if len(data) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated feature header")
-    magic, version, n, d = _FEATURE_HEADER.unpack_from(data)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature format version {version}")
+    n, d = _feature_header(data, path)
     if d < 1:
         raise FormatError(f"{path}: frame_dim must be >= 1, got {d}")
     expected = _FEATURE_HEADER.size + 4 * n * d

@@ -1,5 +1,9 @@
 """Bag-of-words documents with tf-idf weights, for tokens or transcripts.
 
+A corpus is one :class:`DocBatch`: CSR entries (term, count, weight) per
+document. ``bag_of_words`` counts token sequences, ``compute_stats`` takes
+document frequencies over bags, and ``tfidf`` weighs a bag against them.
+
 tf(v, doc) is the raw count divided by document length; idf uses the smoothed
 form log((1 + D) / (1 + df(v))) + 1, which is always >= 1, so every present
 term keeps a positive weight.
@@ -15,26 +19,65 @@ from .errors import FormatError, ValidationError
 
 
 @dataclass
+class DocBatch:
+    """Documents as CSR entries: document d owns entries indptr[d]:indptr[d+1],
+    terms strictly ascending within a document. A plain bag of words has
+    weight = count."""
+
+    ids: list[str]
+    indptr: np.ndarray = field(compare=False)
+    terms: np.ndarray = field(compare=False)
+    counts: np.ndarray = field(compare=False)
+    weights: np.ndarray = field(compare=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "DocBatch":
+        """The documents ``rows`` (a non-negative index or a unit-step slice)."""
+        if not isinstance(rows, slice):
+            rows = slice(rows, rows + 1)
+        lo, hi, _ = rows.indices(len(self))
+        hi = max(hi, lo)
+        a, b = self.indptr[lo], self.indptr[hi]
+        return DocBatch(
+            self.ids[lo:hi], self.indptr[lo:hi + 1] - a, self.terms[a:b],
+            self.counts[a:b], self.weights[a:b],
+        )
+
+    def owners(self) -> np.ndarray:
+        """Document index of every entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def check_vocab(self, vocab_size: int) -> None:
+        """Reject terms outside ``[0, vocab_size)``, naming the first document."""
+        bad = np.flatnonzero((self.terms < 0) | (self.terms >= vocab_size))
+        if bad.size:
+            doc = self.ids[int(np.searchsorted(self.indptr, bad[0], side="right")) - 1]
+            raise ValidationError(
+                f"document '{doc}' has terms outside vocabulary size {vocab_size}"
+            )
+
+    @classmethod
+    def concat(cls, batches) -> "DocBatch":
+        """The documents of every batch, in order."""
+        batches = list(batches)
+        offsets = np.cumsum([0] + [b.terms.size for b in batches])
+        return cls(
+            [i for b in batches for i in b.ids],
+            np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(batches, offsets)]),
+            *(np.concatenate([getattr(b, f) for b in batches])
+              for f in ("terms", "counts", "weights")),
+        )
+
+
+@dataclass
 class CorpusStats:
     """Document-frequency table over a fixed vocabulary."""
 
     vocab_size: int
     doc_count: int
     doc_freq: np.ndarray = field(compare=False)
-
-
-@dataclass
-class WeightedDocument:
-    """Sparse tf-idf document: (term, count, weight) with terms ascending."""
-
-    utt_id: str
-    entries: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.entries)
-
-    def length(self) -> int:
-        return sum(c for _, c, _ in self.entries)
 
 
 @dataclass
@@ -50,66 +93,72 @@ class TextVocab:
         return token in self.ids
 
 
-def compute_stats(docs, vocab_size: int) -> CorpusStats:
-    """Count, per term, the number of documents containing it."""
+def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
+    """Distinct terms of each token sequence with their counts, terms
+    ascending; the weight of every entry is its count."""
+    if vocab_size < 1:
+        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
+    ids = list(ids)
+    docs = [np.asarray(t, dtype=np.int64) for t in token_docs]
+    if len(docs) != len(ids):
+        raise ValidationError(f"{len(ids)} document ids for {len(docs)} documents")
+    lengths = np.fromiter((d.size for d in docs), np.int64, len(docs))
+    flat = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
+    owner = np.repeat(np.arange(len(docs)), lengths)
+    bad = np.flatnonzero((flat < 0) | (flat >= vocab_size))
+    if bad.size:
+        raise ValidationError(
+            f"token {flat[bad[0]]} of document '{ids[owner[bad[0]]]}' out of range "
+            f"for vocabulary size {vocab_size}"
+        )
+    keys, counts = np.unique(owner * vocab_size + flat, return_counts=True)
+    doc, terms = np.divmod(keys, vocab_size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(docs)))))
+    return DocBatch(ids, indptr, terms, counts, counts.astype(np.float64))
+
+
+def compute_stats(bags, vocab_size: int) -> CorpusStats:
+    """Count, per term, the number of documents of ``bags`` containing it."""
     if vocab_size < 1:
         raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
     doc_freq = np.zeros(vocab_size, dtype=np.int64)
     doc_count = 0
-    for doc in docs:
-        doc_count += 1
-        distinct = set(doc)
-        for t in distinct:
-            if not 0 <= t < vocab_size:
-                raise ValidationError(
-                    f"token {t} out of range for vocabulary size {vocab_size}"
-                )
-            doc_freq[t] += 1
+    for bag in bags:
+        bag.check_vocab(vocab_size)
+        doc_count += len(bag)
+        doc_freq += np.bincount(bag.terms, minlength=vocab_size)
     return CorpusStats(vocab_size=vocab_size, doc_count=doc_count, doc_freq=doc_freq)
 
 
-def idf(term: int, stats: CorpusStats) -> float:
-    return math.log((1 + stats.doc_count) / (1 + int(stats.doc_freq[term]))) + 1.0
-
-
-def weigh_document(doc, stats: CorpusStats, utt_id: str = "") -> WeightedDocument:
-    """tf-idf entries for the distinct terms of ``doc``, terms ascending."""
-    if stats.doc_count < 1:
+def tfidf(bag: DocBatch, stats: CorpusStats) -> DocBatch:
+    """``bag`` with every weight set to count / document length * idf(term)."""
+    bag.check_vocab(stats.vocab_size)
+    if bag.terms.size and stats.doc_count < 1:
         raise ValidationError("corpus statistics cover zero documents")
-    tokens = list(doc)
-    counts = Counter(tokens)
-    length = len(tokens)
-    entries = []
-    for term in sorted(counts):
-        if not 0 <= term < stats.vocab_size:
-            raise ValidationError(
-                f"token {term} out of range for vocabulary size {stats.vocab_size}"
-            )
-        c = counts[term]
-        entries.append((term, c, (c / length) * idf(term, stats)))
-    return WeightedDocument(utt_id=utt_id, entries=entries)
+    # math.log, one vocabulary entry at a time: np.log differs from it in the
+    # last bit on some inputs.
+    idf = np.array([
+        math.log((1 + stats.doc_count) / (1 + df)) + 1.0 for df in stats.doc_freq.tolist()
+    ])
+    total = np.concatenate(([0], np.cumsum(bag.counts)))
+    lengths = (total[bag.indptr[1:]] - total[bag.indptr[:-1]])[bag.owners()]
+    return DocBatch(
+        bag.ids, bag.indptr, bag.terms, bag.counts,
+        (bag.counts / lengths) * idf[bag.terms],
+    )
 
 
 _STRIP = ".,;:!?\"'()[]{}<>`"
 
 
-def tokenize_transcript(text: str, vocab: TextVocab) -> list[int]:
-    """Lowercase, whitespace-split, strip edge punctuation, drop OOV tokens."""
-    out = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP)
-        if tok and tok in vocab.ids:
-            out.append(vocab.ids[tok])
-    return out
-
-
 def normalize_tokens(text: str) -> list[str]:
-    toks = []
-    for raw in text.lower().split():
-        tok = raw.strip(_STRIP)
-        if tok:
-            toks.append(tok)
-    return toks
+    """Lowercase, whitespace-split, strip edge punctuation, drop empty tokens."""
+    return [tok for tok in (raw.strip(_STRIP) for raw in text.lower().split()) if tok]
+
+
+def tokenize_transcript(text: str, vocab: TextVocab) -> list[int]:
+    """Token ids of the normalized tokens of ``text``; OOV tokens are dropped."""
+    return [vocab.ids[tok] for tok in normalize_tokens(text) if tok in vocab.ids]
 
 
 def build_text_vocab(transcripts, cap: int) -> TextVocab:
@@ -127,16 +176,23 @@ def build_text_vocab(transcripts, cap: int) -> TextVocab:
 # Weighted-corpus text format
 
 
-def write_weighted(docs, path) -> None:
+def write_weighted(docs: DocBatch, path) -> None:
     """Per line: ``id <TAB> term:count:weight,...`` with 9-digit weights."""
+    terms, counts, weights = docs.terms.tolist(), docs.counts.tolist(), docs.weights.tolist()
+    bounds = docs.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            body = ",".join(f"{t}:{c}:{w:.9g}" for t, c, w in doc.entries)
-            fh.write(doc.utt_id + "\t" + body + "\n")
+        for d, utt_id in enumerate(docs.ids):
+            body = ",".join(
+                f"{terms[e]}:{counts[e]}:{weights[e]:.9g}"
+                for e in range(bounds[d], bounds[d + 1])
+            )
+            fh.write(utt_id + "\t" + body + "\n")
 
 
-def read_weighted(path) -> list[WeightedDocument]:
-    docs = []
+def read_weighted(path) -> DocBatch:
+    ids: list[str] = []
+    indptr = [0]
+    entries: list[tuple[int, int, float]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -145,7 +201,6 @@ def read_weighted(path) -> list[WeightedDocument]:
             fields = line.split("\t")
             if len(fields) > 2 or not fields[0]:
                 raise FormatError(f"{path}:{lineno}: malformed weighted-corpus line")
-            entries: list[tuple[int, int, float]] = []
             body = fields[1] if len(fields) == 2 else ""
             if body:
                 prev = -1
@@ -171,5 +226,10 @@ def read_weighted(path) -> list[WeightedDocument]:
                         )
                     entries.append((term, count, weight))
                     prev = term
-            docs.append(WeightedDocument(utt_id=fields[0], entries=entries))
-    return docs
+            ids.append(fields[0])
+            indptr.append(len(entries))
+    terms, counts, weights = zip(*entries) if entries else ((), (), ())
+    return DocBatch(
+        ids, np.array(indptr, dtype=np.int64), np.array(terms, dtype=np.int64),
+        np.array(counts, dtype=np.int64), np.array(weights, dtype=np.float64),
+    )

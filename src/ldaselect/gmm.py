@@ -7,6 +7,7 @@ a token sequence over an N-symbol vocabulary.
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -46,14 +47,6 @@ class GmmModel:
     @property
     def frame_dim(self) -> int:
         return self.means.shape[1]
-
-
-@dataclass
-class AcousticDocument:
-    """An utterance rendered as its token sequence."""
-
-    utt_id: str
-    tokens: list[int]
 
 
 def _log_joint(weights, means, variances, X) -> np.ndarray:
@@ -152,7 +145,7 @@ def gmm_posteriors(model: GmmModel, frame) -> np.ndarray:
     return np.exp(lj - logsumexp(lj))
 
 
-def quantize(model: GmmModel, matrix, utt_id: str) -> AcousticDocument:
+def quantize(model: GmmModel, matrix) -> np.ndarray:
     """Token per frame: the highest-posterior component, ties to lowest index."""
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.frame_dim):
@@ -161,9 +154,8 @@ def quantize(model: GmmModel, matrix, utt_id: str) -> AcousticDocument:
             f"{model.frame_dim}"
         )
     if X.shape[0] == 0:
-        return AcousticDocument(utt_id, [])
-    lj = _log_joint(model.weights, model.means, model.variances, X)
-    return AcousticDocument(utt_id, np.argmax(lj, axis=1).tolist())
+        return np.zeros(0, dtype=np.int64)
+    return np.argmax(_log_joint(model.weights, model.means, model.variances, X), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def save_gmm(model: GmmModel, path) -> None:
 
 
 def load_gmm(path) -> GmmModel:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     if len(data) < _GMM_HEADER.size:
         raise FormatError(f"{path}: truncated mixture model header")
     magic, version, n, d = _GMM_HEADER.unpack_from(data)
@@ -217,15 +209,16 @@ def load_gmm(path) -> GmmModel:
 # Quantized-corpus text format
 
 
-def write_quantized(docs, path) -> None:
+def write_quantized(ids, token_docs, path) -> None:
     """One tab-separated line per document: id, then space-joined tokens."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(doc.utt_id + "\t" + " ".join(str(t) for t in doc.tokens) + "\n")
+        for utt_id, tokens in zip(ids, token_docs):
+            fh.write(utt_id + "\t" + " ".join(map(str, np.asarray(tokens).tolist())) + "\n")
 
 
-def read_quantized(path) -> list[AcousticDocument]:
-    docs = []
+def read_quantized(path) -> tuple[list[str], list[list[int]]]:
+    """Document ids and token sequences, in file order."""
+    ids, docs = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -241,5 +234,6 @@ def read_quantized(path) -> list[AcousticDocument]:
                 raise FormatError(f"{path}:{lineno}: non-integer token") from None
             if any(t < 0 for t in tokens):
                 raise FormatError(f"{path}:{lineno}: negative token")
-            docs.append(AcousticDocument(fields[0], tokens))
-    return docs
+            ids.append(fields[0])
+            docs.append(tokens)
+    return ids, docs

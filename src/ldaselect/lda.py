@@ -12,9 +12,9 @@ bounds plus a smoothing prior on the topic-term table) is non-decreasing
 across EM iterations.
 
 Inference is batched, as in the minibatch E-step of Hoffman, Blei & Bach
-("Online Learning for Latent Dirichlet Allocation", NIPS 2010): documents are
-laid out as CSR entries, gamma is a documents x topics matrix and phi lives on
-the entries. Each sweep updates every document still moving; a document
+("Online Learning for Latent Dirichlet Allocation", NIPS 2010): documents
+arrive as a CSR ``DocBatch``, gamma is a documents x topics matrix and phi
+lives on the entries. Each sweep updates every document still moving; a document
 leaves the batch once its own mean absolute gamma change drops below the
 tolerance or it reaches the sweep cap. ``train_lda`` and
 ``extract_posteriors`` run this over blocks of at most ``_BLOCK_CELLS``
@@ -25,11 +25,12 @@ only one that records the bound after every sweep.
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .docmodel import WeightedDocument
+from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
 
 LDA_MAGIC = b"ALDA"
@@ -87,61 +88,33 @@ class InferenceState:
 
 
 @dataclass
-class PosteriorVector:
-    utt_id: str
+class Posteriors:
+    """Topic posteriors of a document collection: row i of ``gamma`` belongs
+    to ``ids[i]``."""
+
+    ids: list[str]
     gamma: np.ndarray = field(compare=False)
 
+    def __len__(self) -> int:
+        return len(self.ids)
 
-@dataclass
-class _Batch:
-    """Documents as CSR entries: document d owns entries indptr[d]:indptr[d+1]."""
 
-    indptr: np.ndarray
-    terms: np.ndarray
-    weights: np.ndarray
+def _initial_gamma(alpha: np.ndarray, docs: DocBatch) -> np.ndarray:
+    """alpha plus each document's total weight spread evenly over topics."""
+    totals = np.bincount(docs.owners(), weights=docs.weights, minlength=len(docs))
+    return alpha + totals[:, None] / alpha.size
 
-    @classmethod
-    def from_docs(cls, docs: list[WeightedDocument], vocab_size: int) -> "_Batch":
-        lengths = np.fromiter((len(d.entries) for d in docs), np.int64, len(docs))
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
-        nnz = int(indptr[-1])
-        terms = np.fromiter((t for d in docs for t, _, _ in d.entries), np.int64, nnz)
-        weights = np.fromiter(
-            (w for d in docs for _, _, w in d.entries), np.float64, nnz
-        )
-        bad = np.flatnonzero((terms < 0) | (terms >= vocab_size))
-        if bad.size:
-            doc = docs[int(np.searchsorted(indptr, bad[0], side="right")) - 1]
-            raise ValidationError(
-                f"document '{doc.utt_id}' has terms outside vocabulary size {vocab_size}"
-            )
-        return cls(indptr, terms, weights)
 
-    def initial_gamma(self, alpha: np.ndarray) -> np.ndarray:
-        """alpha plus each document's total weight spread evenly over topics."""
-        totals = np.bincount(
-            self.owners(), weights=self.weights, minlength=self.indptr.size - 1
-        )
-        return alpha + totals[:, None] / alpha.size
-
-    def owners(self) -> np.ndarray:
-        """Document index of every entry."""
-        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-
-    def blocks(self, n_topics: int):
-        """Yield (document slice, sub-batch) with at most ``_BLOCK_CELLS``
-        entries x topics per block, except for a single longer document."""
-        cap = max(_BLOCK_CELLS // n_topics, 1)
-        n_docs = self.indptr.size - 1
-        lo = 0
-        while lo < n_docs:
-            hi = int(np.searchsorted(self.indptr, self.indptr[lo] + cap, side="right")) - 1
-            hi = max(hi, lo + 1)
-            a, b = self.indptr[lo], self.indptr[hi]
-            yield slice(lo, hi), _Batch(
-                self.indptr[lo:hi + 1] - a, self.terms[a:b], self.weights[a:b]
-            )
-            lo = hi
+def _blocks(docs: DocBatch, n_topics: int):
+    """Yield (document slice, sub-batch) with at most ``_BLOCK_CELLS``
+    entries x topics per block, except for a single longer document."""
+    cap = max(_BLOCK_CELLS // n_topics, 1)
+    lo = 0
+    while lo < len(docs):
+        hi = int(np.searchsorted(docs.indptr, docs.indptr[lo] + cap, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield slice(lo, hi), docs[lo:hi]
+        lo = hi
 
 
 def _sweep(alpha, gamma, log_beta_entries, weights, starts, owner):
@@ -158,7 +131,7 @@ def _sweep(alpha, gamma, log_beta_entries, weights, starts, owner):
     return alpha + np.add.reduceat(weights[:, None] * phi, starts, axis=0), log_phi
 
 
-def _infer_block(alpha, gamma, log_beta_entries, batch: _Batch, tol, max_iters,
+def _infer_block(alpha, gamma, log_beta_entries, batch: DocBatch, tol, max_iters,
                  on_sweep=None):
     """Sweep each non-empty document until its own mean absolute gamma change
     is below ``tol`` or it has had ``max_iters`` sweeps.
@@ -198,7 +171,7 @@ def _infer_block(alpha, gamma, log_beta_entries, batch: _Batch, tol, max_iters,
     return sweeps, log_phi_out
 
 
-def _doc_bounds(alpha, gamma, log_beta_entries, batch: _Batch, log_phi) -> np.ndarray:
+def _doc_bounds(alpha, gamma, log_beta_entries, batch: DocBatch, log_phi) -> np.ndarray:
     """Bound of every document of the batch at (gamma, phi = exp(log_phi)).
 
     For an empty document with gamma = alpha the Dirichlet terms cancel and
@@ -221,27 +194,34 @@ def _doc_bounds(alpha, gamma, log_beta_entries, batch: _Batch, log_phi) -> np.nd
     return p_theta - q_theta + np.bincount(owner, weights=per_entry, minlength=len(gamma))
 
 
-def elbo(model: LdaModel, doc: WeightedDocument, state: InferenceState) -> float:
-    """Variational lower bound for one document at the given state.
+def _check_single(doc: DocBatch, vocab_size: int) -> None:
+    if len(doc) != 1:
+        raise ValidationError(f"expected a single document, got {len(doc)}")
+    doc.check_vocab(vocab_size)
+
+
+def elbo(model: LdaModel, doc: DocBatch, state: InferenceState) -> float:
+    """Variational lower bound for a one-document batch at the given state.
 
     For an empty document with gamma = alpha the Dirichlet terms cancel and
     the bound is exactly zero.
     """
-    batch = _Batch.from_docs([doc], model.vocab_size)
+    _check_single(doc, model.vocab_size)
     return float(_doc_bounds(
-        model.alpha, state.gamma[None, :], model.log_beta.T[batch.terms], batch,
+        model.alpha, state.gamma[None, :], model.log_beta.T[doc.terms], doc,
         np.log(state.phi),
     )[0])
 
 
 def infer_document(
     model: LdaModel,
-    doc: WeightedDocument,
+    doc: DocBatch,
     tol: float = 1e-4,
     max_iters: int = 100,
     init_gamma=None,
 ) -> InferenceState:
-    """Coordinate ascent on (phi, gamma) until gamma stabilizes.
+    """Coordinate ascent on (phi, gamma) of a one-document batch until gamma
+    stabilizes.
 
     Stops when the mean absolute gamma change drops below ``tol`` or after
     ``max_iters`` sweeps. ``init_gamma`` warm-starts gamma; the default start
@@ -249,20 +229,20 @@ def infer_document(
     single-document form of the batched E-step; it also records the bound
     after every sweep.
     """
-    batch = _Batch.from_docs([doc], model.vocab_size)
-    gamma = batch.initial_gamma(model.alpha)
-    if init_gamma is not None and batch.terms.size:
+    _check_single(doc, model.vocab_size)
+    gamma = _initial_gamma(model.alpha, doc)
+    if init_gamma is not None and doc.terms.size:
         gamma[0] = init_gamma
-    log_beta_entries = model.log_beta.T[batch.terms]
+    log_beta_entries = model.log_beta.T[doc.terms]
     history: list[float] = []
 
     def record(new_gamma, log_phi):
         history.append(float(
-            _doc_bounds(model.alpha, new_gamma, log_beta_entries, batch, log_phi)[0]
+            _doc_bounds(model.alpha, new_gamma, log_beta_entries, doc, log_phi)[0]
         ))
 
     _, log_phi = _infer_block(
-        model.alpha, gamma, log_beta_entries, batch, tol, max_iters, on_sweep=record
+        model.alpha, gamma, log_beta_entries, doc, tol, max_iters, on_sweep=record
     )
     if not history:  # empty document: no sweep; at gamma = alpha the bound is 0
         history.append(0.0)
@@ -270,7 +250,7 @@ def infer_document(
 
 
 def train_lda(
-    docs,
+    docs: DocBatch,
     n_topics: int,
     vocab_size: int,
     config: LdaConfig | None = None,
@@ -286,14 +266,13 @@ def train_lda(
     explicit non-negative table (rows are normalized).
     """
     config = config or LdaConfig()
-    docs = list(docs)
     if n_topics < 1:
         raise ValidationError(f"n_topics must be >= 1, got {n_topics}")
     if vocab_size < 1:
         raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
-    if not any(doc.entries for doc in docs):
+    docs.check_vocab(vocab_size)
+    if not docs.terms.size:
         raise ValidationError("cannot train on an all-empty corpus")
-    batch = _Batch.from_docs(docs, vocab_size)
 
     alpha_val = config.alpha if config.alpha is not None else 50.0 / n_topics
     if alpha_val <= 0:
@@ -314,7 +293,7 @@ def train_lda(
     model = LdaModel(
         n_topics=n_topics, vocab_size=vocab_size, alpha=alpha, log_beta=log_beta
     )
-    gamma = batch.initial_gamma(alpha)
+    gamma = _initial_gamma(alpha, docs)
     sweeps = np.zeros(len(docs), dtype=np.int64)
     history: list[float] = []
     iterations = 0
@@ -322,7 +301,7 @@ def train_lda(
         ss = np.zeros((n_topics, vocab_size))
         log_beta_t = np.ascontiguousarray(model.log_beta.T)
         total = 0.0
-        for rows, block in batch.blocks(n_topics):
+        for rows, block in _blocks(docs, n_topics):
             log_beta_entries = log_beta_t[block.terms]
             sweeps[rows], log_phi = _infer_block(
                 alpha, gamma[rows], log_beta_entries, block,
@@ -351,21 +330,19 @@ def train_lda(
 
 
 def extract_posteriors(
-    model: LdaModel, docs, tol: float = 1e-4, max_iters: int = 100
-) -> tuple[list[PosteriorVector], np.ndarray]:
+    model: LdaModel, docs: DocBatch, tol: float = 1e-4, max_iters: int = 100
+) -> tuple[Posteriors, np.ndarray]:
     """Converged gamma per document, in input order, and the sweeps each
     document took (0 for an empty one, whose gamma is alpha)."""
-    docs = list(docs)
-    batch = _Batch.from_docs(docs, model.vocab_size)
-    gamma = batch.initial_gamma(model.alpha)
+    docs.check_vocab(model.vocab_size)
+    gamma = _initial_gamma(model.alpha, docs)
     sweeps = np.zeros(len(docs), dtype=np.int64)
     log_beta_t = np.ascontiguousarray(model.log_beta.T)
-    for rows, block in batch.blocks(model.n_topics):
+    for rows, block in _blocks(docs, model.n_topics):
         sweeps[rows], _ = _infer_block(
             model.alpha, gamma[rows], log_beta_t[block.terms], block, tol, max_iters
         )
-    posteriors = [PosteriorVector(doc.utt_id, gamma[i]) for i, doc in enumerate(docs)]
-    return posteriors, sweeps
+    return Posteriors(list(docs.ids), gamma), sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +358,7 @@ def save_lda(model: LdaModel, path) -> None:
 
 
 def load_lda(path) -> LdaModel:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     if len(data) < _LDA_HEADER.size:
         raise FormatError(f"{path}: truncated topic model header")
     magic, version, k, v = _LDA_HEADER.unpack_from(data)
@@ -412,15 +389,16 @@ def load_lda(path) -> LdaModel:
 # Posterior text format
 
 
-def write_posteriors(posteriors, path) -> None:
+def write_posteriors(posteriors: Posteriors, path) -> None:
     """Per line: ``id <TAB> g1 g2 ... gK`` with 9 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        for p in posteriors:
-            fh.write(p.utt_id + "\t" + " ".join(f"{g:.9g}" for g in p.gamma) + "\n")
+        for utt_id, row in zip(posteriors.ids, posteriors.gamma.tolist()):
+            fh.write(utt_id + "\t" + " ".join(f"{g:.9g}" for g in row) + "\n")
 
 
-def read_posteriors(path) -> list[PosteriorVector]:
-    out: list[PosteriorVector] = []
+def read_posteriors(path) -> Posteriors:
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
     k = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -444,5 +422,6 @@ def read_posteriors(path) -> list[PosteriorVector]:
                 raise FormatError(
                     f"{path}:{lineno}: expected {k} values, got {gamma.size}"
                 )
-            out.append(PosteriorVector(fields[0], gamma))
-    return out
+            ids.append(fields[0])
+            rows.append(gamma)
+    return Posteriors(ids, np.array(rows) if rows else np.zeros((0, 0)))

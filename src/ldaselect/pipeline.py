@@ -22,7 +22,7 @@ from .config import (
 )
 from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
-from .report import CompositionReport, render_report, report, write_report_tsv
+from .report import render_report, report, write_report_tsv
 from .selection import (
     SelectionResult, centroid_id, read_audit, select, union_combine, write_audit,
 )
@@ -39,10 +39,12 @@ TEXT_STAGES = [
 
 
 def stage_order(text_enabled: bool) -> list[str]:
-    stages = list(ACOUSTIC_STAGES)
-    if text_enabled:
-        stages += TEXT_STAGES
-    return stages + ["report"]
+    return ACOUSTIC_STAGES + (TEXT_STAGES if text_enabled else []) + ["report"]
+
+
+def _twin(stage: str, text: bool) -> tuple[str, str]:
+    """Name and artifact prefix of an acoustic stage or of its text twin."""
+    return (f"text-{stage}", "text_") if text else (stage, "")
 
 
 def _log_sweeps(stage: str, which: str, sweeps: np.ndarray, max_iters: int) -> None:
@@ -133,22 +135,27 @@ class Runner:
                 log.warning("ignoring corrupt cache file %s", self.cache_path)
         self.skipped: dict[str, bool] = {}
         self.artifacts: dict[str, Path] = {}
-        self.pool = corpus.read_manifest(config.paths.pool_manifest, role="pool")
-        self.dev = corpus.read_manifest(config.paths.dev_manifest, role="dev")
+        self.manifests = {
+            "dev": corpus.read_manifest(config.paths.dev_manifest, role="dev"),
+            "pool": corpus.read_manifest(config.paths.pool_manifest, role="pool"),
+        }
+        self.pool = self.manifests["pool"]
         self._digests: dict = {}
 
     # -- caching machinery ------------------------------------------------
+
+    @staticmethod
+    def _sources(spec: str) -> list[str]:
+        """The corpora a ``dev``/``pool``/``dev+pool`` setting names, dev first."""
+        return [which for which in ("dev", "pool") if which in spec.split("+")]
 
     def _digest_manifest(self, which: str, transcripts: bool = False) -> str:
         memo = (which, transcripts)
         if memo in self._digests:
             return self._digests[memo]
-        manifest = self.pool if which == "pool" else self.dev
+        manifest = self.manifests[which]
         h = hashlib.sha256()
-        h.update(Path(
-            self.config.paths.pool_manifest if which == "pool"
-            else self.config.paths.dev_manifest
-        ).read_bytes())
+        h.update(Path(getattr(self.config.paths, f"{which}_manifest")).read_bytes())
         for utt in manifest:
             h.update(utt.id.encode())
             if transcripts:
@@ -170,15 +177,19 @@ class Runner:
     def _artifact(self, name: str) -> Path:
         return self.work / name
 
-    def _require(self, stage: str, *names: str) -> None:
-        for name in names:
-            if not self._artifact(name).is_file():
-                raise StageError(
-                    stage, f"missing input artifact '{name}'; run earlier stages first"
-                )
-
-    def _run_stage(self, name: str, key_parts: list, outputs: list[str], fn) -> None:
+    def _run_stage(
+        self, name: str, inputs: list[str], key_parts: list, outputs: list[str], fn
+    ) -> None:
+        """Run ``fn(*output paths)`` unless the cached key of the stage's input
+        artifacts, ``key_parts`` and output names matches."""
         h = hashlib.sha256(name.encode())
+        for art in inputs:
+            path = self._artifact(art)
+            if not path.is_file():
+                raise StageError(
+                    name, f"missing input artifact '{art}'; run earlier stages first"
+                )
+            h.update(path.read_bytes())
         for part in key_parts:
             if isinstance(part, Path):
                 h.update(part.read_bytes())
@@ -212,29 +223,14 @@ class Runner:
 
     # -- acoustic stages --------------------------------------------------
 
-    def _sources(self, spec: str) -> list[corpus.Manifest]:
-        out = []
-        if spec in ("dev", "dev+pool"):
-            out.append(self.dev)
-        if spec in ("pool", "dev+pool"):
-            out.append(self.pool)
-        return out
-
-    def _source_digests(self, spec: str, transcripts: bool = False) -> list[str]:
-        out = []
-        if spec in ("dev", "dev+pool", "union"):
-            out.append(self._digest_manifest("dev", transcripts))
-        if spec in ("pool", "dev+pool", "union"):
-            out.append(self._digest_manifest("pool", transcripts))
-        return out
-
     def stage_train_gmm(self) -> None:
         q = self.config.quantizer
 
         def fn(out_model: Path) -> None:
             mats = []
             dim = None
-            for manifest in self._sources(q.train_source):
+            for which in self._sources(q.train_source):
+                manifest = self.manifests[which]
                 for utt in manifest:
                     if dim is None:
                         dim = utt.frame_dim
@@ -257,109 +253,87 @@ class Runner:
             gmm.save_gmm(model, out_model)
 
         self._run_stage(
-            "train-gmm",
-            [repr(q)] + self._source_digests(q.train_source),
+            "train-gmm", [],
+            [repr(q)] + [self._digest_manifest(w) for w in self._sources(q.train_source)],
             ["gmm.agmm"],
             fn,
         )
 
     def stage_quantize(self) -> None:
-        self._require("quantize", "gmm.agmm")
-
         def fn(out_pool: Path, out_dev: Path) -> None:
             model = gmm.load_gmm(self._artifact("gmm.agmm"))
-            for manifest, out in ((self.pool, out_pool), (self.dev, out_dev)):
-                docs = [
-                    gmm.quantize(
-                        model, corpus.read_features(utt, manifest.base_dir), utt.id
-                    )
+            for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
+                tokens = [
+                    gmm.quantize(model, corpus.read_features(utt, manifest.base_dir))
                     for utt in manifest
                 ]
-                gmm.write_quantized(docs, out)
+                gmm.write_quantized(manifest.ids(), tokens, out)
 
         self._run_stage(
-            "quantize",
-            [self._artifact("gmm.agmm")]
-            + self._source_digests("dev+pool"),
+            "quantize", ["gmm.agmm"],
+            [self._digest_manifest(w) for w in self._sources("dev+pool")],
             ["quantized_pool.tsv", "quantized_dev.tsv"],
             fn,
         )
 
+    def _write_tfidf(self, tokens: dict, vocab_size: int, out_pool: Path, out_dev: Path):
+        """Weighted documents from ``tokens[which] = (ids, token sequences)``,
+        with idf over the configured ``docmodel.idf_source`` corpora."""
+        bags = {
+            which: docmodel.bag_of_words(*tokens[which], vocab_size)
+            for which in ("dev", "pool")
+        }
+        stats = docmodel.compute_stats(
+            [bags[w] for w in self._sources(self.config.docmodel.idf_source)], vocab_size
+        )
+        for which, out in (("pool", out_pool), ("dev", out_dev)):
+            docmodel.write_weighted(docmodel.tfidf(bags[which], stats), out)
+
     def stage_tfidf(self) -> None:
-        self._require("tfidf", "quantized_pool.tsv", "quantized_dev.tsv")
-        d = self.config.docmodel
         vocab_size = self.config.quantizer.n_components
 
         def fn(out_pool: Path, out_dev: Path) -> None:
-            pool_docs = gmm.read_quantized(self._artifact("quantized_pool.tsv"))
-            dev_docs = gmm.read_quantized(self._artifact("quantized_dev.tsv"))
-            stats_docs = {
-                "union": dev_docs + pool_docs,
-                "dev+pool": dev_docs + pool_docs,
-                "pool": pool_docs,
-                "dev": dev_docs,
-            }[d.idf_source]
-            stats = docmodel.compute_stats(
-                (doc.tokens for doc in stats_docs), vocab_size
-            )
-            for docs, out in ((pool_docs, out_pool), (dev_docs, out_dev)):
-                weighted = [
-                    docmodel.weigh_document(doc.tokens, stats, utt_id=doc.utt_id)
-                    if doc.tokens
-                    else docmodel.WeightedDocument(utt_id=doc.utt_id)
-                    for doc in docs
-                ]
-                docmodel.write_weighted(weighted, out)
+            tokens = {
+                which: gmm.read_quantized(self._artifact(f"quantized_{which}.tsv"))
+                for which in ("dev", "pool")
+            }
+            self._write_tfidf(tokens, vocab_size, out_pool, out_dev)
 
         self._run_stage(
-            "tfidf",
-            [
-                self._artifact("quantized_pool.tsv"),
-                self._artifact("quantized_dev.tsv"),
-                d.idf_source,
-                vocab_size,
-            ],
+            "tfidf", ["quantized_pool.tsv", "quantized_dev.tsv"],
+            [self.config.docmodel.idf_source, vocab_size],
             ["weighted_pool.tsv", "weighted_dev.tsv"],
             fn,
         )
 
-    def _train_lda_stage(self, name: str, prefix: str, params, vocab_size_fn) -> None:
-        self._require(name, f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv")
+    def stage_train_lda(self, text: bool = False) -> None:
+        name, prefix = _twin("train-lda", text)
+        params = text_lda_params(self.config) if text else self.config.lda
 
         def fn(out_model: Path) -> None:
-            docs: list[docmodel.WeightedDocument] = []
-            if params.train_source in ("dev", "dev+pool"):
-                docs += docmodel.read_weighted(self._artifact(f"{prefix}weighted_dev.tsv"))
-            if params.train_source in ("pool", "dev+pool"):
-                docs += docmodel.read_weighted(self._artifact(f"{prefix}weighted_pool.tsv"))
+            docs = docmodel.DocBatch.concat(
+                docmodel.read_weighted(self._artifact(f"{prefix}weighted_{which}.tsv"))
+                for which in self._sources(params.train_source)
+            )
+            vocab_size = (
+                self._text_vocab_size() if text else self.config.quantizer.n_components
+            )
             model = lda.train_lda(
-                docs, params.n_topics, vocab_size_fn(), config=params.lda_config()
+                docs, params.n_topics, vocab_size, config=params.lda_config()
             )
             _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
             lda.save_lda(model, out_model)
 
         self._run_stage(
-            name,
-            [
-                self._artifact(f"{prefix}weighted_pool.tsv"),
-                self._artifact(f"{prefix}weighted_dev.tsv"),
-                repr(params),
-            ],
+            name, [f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"],
+            [repr(params)],
             [f"{prefix}lda.alda"],
             fn,
         )
 
-    def stage_train_lda(self) -> None:
-        self._train_lda_stage(
-            "train-lda", "", self.config.lda,
-            lambda: self.config.quantizer.n_components,
-        )
-
-    def _posteriors_stage(self, name: str, prefix: str, params) -> None:
-        self._require(
-            name, f"{prefix}lda.alda",
-            f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv",
-        )
+    def stage_posteriors(self, text: bool = False) -> None:
+        name, prefix = _twin("posteriors", text)
+        params = self.config.lda
 
         def fn(out_pool: Path, out_dev: Path) -> None:
             model = lda.load_lda(self._artifact(f"{prefix}lda.alda"))
@@ -375,29 +349,20 @@ class Runner:
 
         self._run_stage(
             name,
-            [
-                self._artifact(f"{prefix}lda.alda"),
-                self._artifact(f"{prefix}weighted_pool.tsv"),
-                self._artifact(f"{prefix}weighted_dev.tsv"),
-                params.doc_tol,
-                params.doc_max_iterations,
-            ],
+            [f"{prefix}lda.alda", f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"],
+            [params.doc_tol, params.doc_max_iterations],
             [f"{prefix}post_pool.tsv", f"{prefix}post_dev.tsv"],
             fn,
         )
 
-    def stage_posteriors(self) -> None:
-        self._posteriors_stage("posteriors", "", self.config.lda)
-
-    def _cluster_stage(self, name: str, prefix: str) -> None:
-        self._require(name, f"{prefix}post_dev.tsv")
+    def stage_cluster(self, text: bool = False) -> None:
+        name, prefix = _twin("cluster", text)
         c = self.config.cluster
 
         def fn(out_centroids: Path, out_meta: Path) -> None:
-            posts = lda.read_posteriors(self._artifact(f"{prefix}post_dev.tsv"))
-            if not posts:
+            X = lda.read_posteriors(self._artifact(f"{prefix}post_dev.tsv")).gamma
+            if not len(X):
                 raise ValidationError("no posterior vectors to cluster")
-            X = np.stack([p.gamma for p in posts])
             if c.spherical:
                 X = X / np.linalg.norm(X, axis=1, keepdims=True)
             n_clusters = c.n_clusters
@@ -411,10 +376,7 @@ class Runner:
                 normalize_centroids=c.spherical,
             )
             lda.write_posteriors(
-                [
-                    lda.PosteriorVector(centroid_id(i), km.centroids[i])
-                    for i in range(n_clusters)
-                ],
+                lda.Posteriors([centroid_id(i) for i in range(n_clusters)], km.centroids),
                 out_centroids,
             )
             sizes = np.bincount(km.assignments, minlength=n_clusters).tolist()
@@ -433,60 +395,42 @@ class Runner:
             )
 
         self._run_stage(
-            name,
-            [self._artifact(f"{prefix}post_dev.tsv"), repr(c)],
+            name, [f"{prefix}post_dev.tsv"], [repr(c)],
             [f"{prefix}centroids.tsv", f"{prefix}centroids.meta.json"],
             fn,
         )
 
-    def stage_cluster(self) -> None:
-        self._cluster_stage("cluster", "")
-
-    def _select_stage(self, name: str, prefix: str, params, out_prefix: str) -> None:
-        self._require(name, f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv")
+    def stage_select(self, text: bool = False) -> None:
+        name, prefix = _twin("select", text)
+        params = text_select_params(self.config) if text else self.config.selection
+        if text:
+            out_prefix = "selection_text"
+        else:
+            out_prefix = "selection_acoustic" if self.config.text.enabled else "selection"
 
         def fn(out_audit: Path, out_manifest: Path) -> None:
             posts = lda.read_posteriors(self._artifact(f"{prefix}post_pool.tsv"))
             cents = lda.read_posteriors(self._artifact(f"{prefix}centroids.tsv"))
-            result = select(
-                posts, self.pool, np.stack([c.gamma for c in cents]),
-                params.selection_config(),
-            )
+            result = select(posts, self.pool, cents.gamma, params)
             write_audit(result, out_audit)
-            self._write_selection_manifest(result, out_manifest)
+            write_selection_manifest(result, self.pool, out_manifest)
 
         self._run_stage(
-            name,
-            [
-                self._artifact(f"{prefix}post_pool.tsv"),
-                self._artifact(f"{prefix}centroids.tsv"),
-                Path(self.config.paths.pool_manifest),
-                repr(params),
-            ],
+            name, [f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv"],
+            [Path(self.config.paths.pool_manifest), repr(params)],
             [f"{out_prefix}.audit.tsv", f"{out_prefix}.tsv"],
             fn,
         )
 
-    def stage_select(self) -> None:
-        out = "selection_acoustic" if self.config.text.enabled else "selection"
-        self._select_stage("select", "", self.config.selection, out)
-
-    def _write_selection_manifest(self, result: SelectionResult, path: Path) -> None:
-        write_selection_manifest(result, self.pool, path)
-
-    # -- text stages ------------------------------------------------------
+    # -- text-only stages -------------------------------------------------
 
     def stage_text_tfidf(self) -> None:
         d = self.config.docmodel
 
         def fn(out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
             texts = {
-                "dev": [
-                    corpus.read_transcript(u, self.dev.base_dir) for u in self.dev
-                ],
-                "pool": [
-                    corpus.read_transcript(u, self.pool.base_dir) for u in self.pool
-                ],
+                which: [corpus.read_transcript(u, m.base_dir) for u in m]
+                for which, m in self.manifests.items()
             }
             vocab = docmodel.build_text_vocab(
                 texts["dev"] + texts["pool"], d.text_vocab_cap
@@ -498,34 +442,19 @@ class Runner:
             with open(out_vocab, "w", encoding="utf-8") as fh:
                 for tok, i in sorted(vocab.ids.items(), key=lambda kv: kv[1]):
                     fh.write(f"{tok}\t{i}\n")
-            token_docs = {
-                which: [
-                    docmodel.tokenize_transcript(text, vocab) for text in texts[which]
-                ]
+            tokens = {
+                which: (
+                    self.manifests[which].ids(),
+                    [docmodel.tokenize_transcript(text, vocab) for text in texts[which]],
+                )
                 for which in ("dev", "pool")
             }
-            stats_docs = {
-                "union": token_docs["dev"] + token_docs["pool"],
-                "dev+pool": token_docs["dev"] + token_docs["pool"],
-                "pool": token_docs["pool"],
-                "dev": token_docs["dev"],
-            }[d.idf_source]
-            stats = docmodel.compute_stats(stats_docs, len(vocab))
-            for which, manifest, out in (
-                ("pool", self.pool, out_pool), ("dev", self.dev, out_dev)
-            ):
-                weighted = [
-                    docmodel.weigh_document(tokens, stats, utt_id=utt.id)
-                    if tokens
-                    else docmodel.WeightedDocument(utt_id=utt.id)
-                    for utt, tokens in zip(manifest, token_docs[which])
-                ]
-                docmodel.write_weighted(weighted, out)
+            self._write_tfidf(tokens, len(vocab), out_pool, out_dev)
 
         self._run_stage(
-            "text-tfidf",
+            "text-tfidf", [],
             [d.text_vocab_cap, d.idf_source]
-            + self._source_digests("dev+pool", transcripts=True),
+            + [self._digest_manifest(w, transcripts=True) for w in self._sources("dev+pool")],
             ["text_vocab.tsv", "text_weighted_pool.tsv", "text_weighted_dev.tsv"],
             fn,
         )
@@ -534,49 +463,22 @@ class Runner:
         with open(self._artifact("text_vocab.tsv"), encoding="utf-8") as fh:
             return sum(1 for line in fh if line.strip())
 
-    def stage_text_train_lda(self) -> None:
-        self._train_lda_stage(
-            "text-train-lda", "text_", text_lda_params(self.config),
-            self._text_vocab_size,
-        )
-
-    def stage_text_posteriors(self) -> None:
-        self._posteriors_stage("text-posteriors", "text_", self.config.lda)
-
-    def stage_text_cluster(self) -> None:
-        self._cluster_stage("text-cluster", "text_")
-
-    def stage_text_select(self) -> None:
-        self._select_stage(
-            "text-select", "text_", text_select_params(self.config), "selection_text"
-        )
-
     def stage_combine(self) -> None:
-        self._require(
-            "combine", "selection_acoustic.audit.tsv", "selection_text.audit.tsv"
-        )
-
         def fn(out_audit: Path, out_manifest: Path) -> None:
             a = read_audit(self._artifact("selection_acoustic.audit.tsv"))
             b = read_audit(self._artifact("selection_text.audit.tsv"))
             result = union_combine(a, b, self.pool)
             write_audit(result, out_audit)
-            self._write_selection_manifest(result, out_manifest)
+            write_selection_manifest(result, self.pool, out_manifest)
 
         self._run_stage(
-            "combine",
-            [
-                self._artifact("selection_acoustic.audit.tsv"),
-                self._artifact("selection_text.audit.tsv"),
-                Path(self.config.paths.pool_manifest),
-            ],
+            "combine", ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
+            [Path(self.config.paths.pool_manifest)],
             ["selection.audit.tsv", "selection.tsv"],
             fn,
         )
 
     def stage_report(self) -> None:
-        self._require("report", "selection.audit.tsv")
-
         def fn(out_tsv: Path, out_txt: Path) -> None:
             result = read_audit(self._artifact("selection.audit.tsv"))
             rep = report(result, self.pool)
@@ -584,46 +486,36 @@ class Runner:
             out_txt.write_text(render_report(rep), encoding="utf-8")
 
         self._run_stage(
-            "report",
-            [
-                self._artifact("selection.audit.tsv"),
-                Path(self.config.paths.pool_manifest),
-            ],
+            "report", ["selection.audit.tsv"],
+            [Path(self.config.paths.pool_manifest)],
             ["report.tsv", "report.txt"],
             fn,
         )
 
     # -- driver -----------------------------------------------------------
 
-    _STAGE_FNS = {
-        "train-gmm": stage_train_gmm,
-        "quantize": stage_quantize,
-        "tfidf": stage_tfidf,
-        "train-lda": stage_train_lda,
-        "posteriors": stage_posteriors,
-        "cluster": stage_cluster,
-        "select": stage_select,
-        "text-tfidf": stage_text_tfidf,
-        "text-train-lda": stage_text_train_lda,
-        "text-posteriors": stage_text_posteriors,
-        "text-cluster": stage_text_cluster,
-        "text-select": stage_text_select,
-        "combine": stage_combine,
-        "report": stage_report,
-    }
+    def run_stage(self, name: str) -> None:
+        """Run (or cache-skip) one stage of ``stage_order(True)`` by name. A
+        ``text-`` stage without a method of its own is its acoustic twin over
+        the ``text_`` artifacts."""
+        method = getattr(self, "stage_" + name.replace("-", "_"), None)
+        if method is None:
+            getattr(self, "stage_" + name.removeprefix("text-").replace("-", "_"))(text=True)
+        else:
+            method()
 
     def run(self, stages: list[str] | None = None) -> PipelineResult:
         order = stage_order(self.config.text.enabled)
         if stages is None:
             stages = order
         else:
-            unknown = [s for s in stages if s not in self._STAGE_FNS]
+            unknown = [s for s in stages if s not in stage_order(True)]
             if unknown:
                 raise ValidationError(f"unknown stages: {unknown}")
             stages = [s for s in order if s in stages]
         with WorkDirLock(self.work):
             for name in stages:
-                self._STAGE_FNS[name](self)
+                self.run_stage(name)
         audit = self._artifact("selection.audit.tsv")
         selection = read_audit(audit) if audit.is_file() else SelectionResult()
         return PipelineResult(
@@ -647,21 +539,20 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
         if not 0.0 < lam <= 1.0:
             raise ValidationError(f"distance threshold must be in (0, 1], got {lam}")
     runner = Runner(config)
-    prefix = stage_order(False)[:-1]
     with WorkDirLock(runner.work):
-        for name in prefix[:-1]:  # everything up to and including cluster
-            runner._STAGE_FNS[name](runner)
+        for name in ACOUSTIC_STAGES[:-1]:  # everything up to and including cluster
+            runner.run_stage(name)
         posts = lda.read_posteriors(runner._artifact("post_pool.tsv"))
-        cents = lda.read_posteriors(runner._artifact("centroids.tsv"))
-        cent_matrix = np.stack([c.gamma for c in cents])
+        cents = lda.read_posteriors(runner._artifact("centroids.tsv")).gamma
         rows = []
         for lam in lambdas:
-            params = replace(config.selection, threshold=lam)
-            result = select(posts, runner.pool, cent_matrix, params.selection_config())
+            result = select(
+                posts, runner.pool, cents, replace(config.selection, threshold=lam)
+            )
             tag = f"{lam:.9g}".replace(".", "p")
             write_audit(result, runner._artifact(f"selection_lambda_{tag}.audit.tsv"))
-            runner._write_selection_manifest(
-                result, runner._artifact(f"selection_lambda_{tag}.tsv")
+            write_selection_manifest(
+                result, runner.pool, runner._artifact(f"selection_lambda_{tag}.tsv")
             )
             rep = report(result, runner.pool)
             write_report_tsv(rep, runner._artifact(f"report_lambda_{tag}.tsv"))
@@ -682,8 +573,3 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
                     f"\t{r['percent']:.9g}\t{r['passes']}\n"
                 )
     return rows
-
-
-def composition_report(audit_path, pool_manifest) -> CompositionReport:
-    """Report for an existing audit file against a pool manifest."""
-    return report(read_audit(audit_path), pool_manifest)

@@ -78,9 +78,16 @@ def render_report(rep: CompositionReport) -> str:
             f"{rep.total_percent:.1f}",
         )
     )
+    return _table(headers, body)
+
+
+def _table(headers, body) -> str:
+    """Header line, then rows with the first column left-aligned and the rest
+    right-aligned."""
+    n = len(headers)
     widths = [
         max(len(headers[i]), max((len(row[i]) for row in body), default=0))
-        for i in range(4)
+        for i in range(n)
     ]
     lines = [
         "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()
@@ -88,7 +95,7 @@ def render_report(rep: CompositionReport) -> str:
     for row in body:
         lines.append(
             row[0].ljust(widths[0]) + "  "
-            + "  ".join(row[i].rjust(widths[i]) for i in range(1, 4))
+            + "  ".join(row[i].rjust(widths[i]) for i in range(1, n))
         )
     return "\n".join(lines) + "\n"
 
@@ -164,15 +171,4 @@ def render_comparison(rows: list[ComparisonRow], target_domain: str) -> str:
          f"{r.enrichment:.3f}")
         for r in rows
     ]
-    widths = [
-        max(len(headers[i]), max((len(row[i]) for row in body), default=0))
-        for i in range(5)
-    ]
-    lines = [f"target domain: {target_domain}"]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-    for row in body:
-        lines.append(
-            row[0].ljust(widths[0]) + "  "
-            + "  ".join(row[i].rjust(widths[i]) for i in range(1, 5))
-        )
-    return "\n".join(lines) + "\n"
+    return f"target domain: {target_domain}\n" + _table(headers, body)

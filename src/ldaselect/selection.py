@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import Manifest
 from .errors import FormatError, ValidationError
+from .lda import Posteriors
 
 
 @dataclass
@@ -22,13 +23,10 @@ class SelectionConfig:
     """Threshold and budget for :func:`select`.
 
     ``threshold`` is the maximum admissible cosine distance, in (0, 1].
-    ``centroid_order`` pins the pass order; only ordering by centroid id is
-    supported.
     """
 
-    threshold: float
+    threshold: float = 0.2
     max_hours: float | None = None
-    centroid_order: str = "id"
 
 
 @dataclass
@@ -88,14 +86,11 @@ def validate_selection_config(config: SelectionConfig) -> None:
         )
     if config.max_hours is not None and config.max_hours <= 0:
         raise ValidationError(f"hour budget must be positive, got {config.max_hours}")
-    if config.centroid_order != "id":
-        raise ValidationError(
-            f"unsupported centroid order '{config.centroid_order}'"
-        )
 
 
 def select(
-    pool_posteriors, pool_manifest: Manifest, centroids, config: SelectionConfig
+    pool_posteriors: Posteriors, pool_manifest: Manifest, centroids,
+    config: SelectionConfig,
 ) -> SelectionResult:
     """Run the greedy pass loop over the pool.
 
@@ -104,33 +99,29 @@ def select(
     """
     validate_selection_config(config)
     cents = _centroid_matrix(centroids)
-    posts = list(pool_posteriors)
-    ids = [p.utt_id for p in posts]
+    ids = pool_posteriors.ids
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate utterance ids in pool posteriors")
     if set(ids) != set(pool_manifest.ids()):
         raise ValidationError("pool posteriors do not match the pool manifest ids")
     durations = pool_manifest.by_id()
-    m = len(posts)
+    m = len(ids)
+    if m == 0:
+        return SelectionResult()
 
-    gammas = np.stack([np.asarray(p.gamma, dtype=np.float64) for p in posts]) if m else (
-        np.zeros((0, cents.shape[1]))
-    )
-    if m and gammas.shape[1] != cents.shape[1]:
+    gammas = np.asarray(pool_posteriors.gamma, dtype=np.float64)
+    if gammas.shape[1] != cents.shape[1]:
         raise ValidationError(
             f"posterior dimension {gammas.shape[1]} does not match centroid "
             f"dimension {cents.shape[1]}"
         )
-    if m and np.any(np.linalg.norm(gammas, axis=1) == 0.0):
+    if np.any(np.linalg.norm(gammas, axis=1) == 0.0):
         raise ValidationError("pool posteriors must be nonzero vectors")
 
     # Full centroid-to-pool distance table; passes only mask columns.
-    if m:
-        cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
-        gn = gammas / np.linalg.norm(gammas, axis=1, keepdims=True)
-        dist = np.clip(1.0 - cn @ gn.T, 0.0, 2.0)
-    else:
-        dist = np.zeros((cents.shape[0], 0))
+    cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
+    gn = gammas / np.linalg.norm(gammas, axis=1, keepdims=True)
+    dist = np.clip(1.0 - cn @ gn.T, 0.0, 2.0)
     lex_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
 
     alive = np.ones(m, dtype=bool)

@@ -88,6 +88,27 @@ def ref_doc_freq(docs, vocab_size):
     return df
 
 
+def ref_tfidf(docs, stats_docs, vocab_size):
+    """tf-idf entries of each token list in ``docs``, one document at a time.
+
+    Document frequencies and the document count come from ``stats_docs``.
+    Per document: ``[(term, count, weight), ...]`` with terms ascending and
+    weight = count / length * (log((1 + D) / (1 + df)) + 1).
+    """
+    df = ref_doc_freq(stats_docs, vocab_size)
+    n_docs = len(stats_docs)
+    out = []
+    for doc in docs:
+        counts: dict[int, int] = {}
+        for term in doc:
+            counts[term] = counts.get(term, 0) + 1
+        out.append([
+            (t, c, (c / len(doc)) * (math.log((1 + n_docs) / (1 + df[t])) + 1.0))
+            for t, c in sorted(counts.items())
+        ])
+    return out
+
+
 def ref_top_tokens(texts, cap):
     """Top-cap normalized tokens by (frequency desc, token asc)."""
     strip = ".,;:!?\"'()[]{}<>`"

@@ -20,7 +20,7 @@ from ldaselect.corpus import (
     write_features,
     write_manifest,
 )
-from ldaselect.docmodel import WeightedDocument, read_weighted, write_weighted
+from ldaselect.docmodel import DocBatch, read_weighted, write_weighted
 from ldaselect.errors import FormatError
 from ldaselect.gmm import (
     GmmConfig,
@@ -54,6 +54,7 @@ from ldaselect.selection import (
     union_combine,
 )
 
+from batches import batch, doc as one_doc, entries as doc_entries
 from reference import (
     best_topic_matching,
     ref_best_two_partition,
@@ -74,7 +75,7 @@ def _random_model(rng, k, v):
 def _random_doc(rng, v, uid="d"):
     n_terms = int(rng.integers(2, min(v, 8) + 1))
     terms = sorted(rng.choice(v, size=n_terms, replace=False).tolist())
-    return WeightedDocument(
+    return one_doc(
         uid, [(int(t), int(rng.integers(1, 5)), float(rng.uniform(0.1, 3.0))) for t in terms]
     )
 
@@ -84,9 +85,9 @@ def _pool_instance(rng, m, c, dim=3):
     gammas = {uid: (rng.random(dim) + 0.05).tolist() for uid in ids}
     durations = {uid: float(rng.uniform(5.0, 30.0)) for uid in ids}
     cents = rng.random((c, dim)) + 0.05
-    from ldaselect.lda import PosteriorVector
+    from ldaselect.lda import Posteriors
 
-    posts = [PosteriorVector(uid, np.array(gammas[uid])) for uid in ids]
+    posts = Posteriors(ids, np.array([gammas[uid] for uid in ids]))
     manifest = Manifest(
         utterances=[
             Utterance(uid, f"{uid}.aldf", 10, dim, durations[uid], "pool")
@@ -128,9 +129,9 @@ def e2e(tmp_path_factory):
     work = root / "work"
     posts = read_posteriors(work / "post_pool.tsv")
     cents = read_posteriors(work / "centroids.tsv")
-    cmat = np.stack([c.gamma for c in cents])
+    cmat = cents.gamma
     cmat /= np.linalg.norm(cmat, axis=1, keepdims=True)
-    gmat = np.stack([p.gamma for p in posts])
+    gmat = posts.gamma
     gmat /= np.linalg.norm(gmat, axis=1, keepdims=True)
     min_dist = np.sort((1.0 - cmat @ gmat.T).min(axis=0))
     # Split exactly a fifth of the pool off: threshold between ranks 200 and 201.
@@ -164,11 +165,11 @@ def test_topic_recovery_and_monotone_bound():
     for i in range(300):
         counts = rng.multinomial(60, true_beta[int(rng.integers(k))])
         docs.append(
-            WeightedDocument(
+            (
                 f"d{i}", [(t, int(c), float(c)) for t, c in enumerate(counts) if c]
             )
         )
-    model = train_lda(docs, k, v, LdaConfig(seed=0))
+    model = train_lda(batch(docs), k, v, LdaConfig(seed=0))
     h = model.bound_history
     assert all(
         h[i + 1] >= h[i] - 1e-6 * max(abs(h[i]), 1.0) for i in range(len(h) - 1)
@@ -185,7 +186,7 @@ def test_variational_fixed_point():
         model = _random_model(rng, int(rng.integers(1, 7)), int(rng.integers(4, 16)))
         doc = _random_doc(rng, model.vocab_size)
         state = infer_document(model, doc)
-        weights = np.array([w for _, _, w in doc.entries])
+        weights = doc.weights
         residual = state.gamma - model.alpha - weights @ state.phi
         assert np.max(np.abs(residual)) < 1e-8
         assert np.max(np.abs(state.phi.sum(axis=1) - 1.0)) < 1e-9
@@ -201,7 +202,7 @@ def test_bound_matches_oracle():
         ours = elbo(model, doc, state)
         ref = ref_elbo(
             model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
-            doc.entries, model.log_beta.tolist(),
+            doc_entries(doc), model.log_beta.tolist(),
         )
         assert ours == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
@@ -240,7 +241,7 @@ def test_quantizer_consistency():
     train = rng.normal(0.0, 3.0, size=(2000, 4))
     model = train_gmm(train, 8, GmmConfig(seed=1, max_iterations=15))
     frames = rng.uniform(-8.0, 8.0, size=(1000, 4))
-    tokens = quantize(model, frames, "probe").tokens
+    tokens = quantize(model, frames).tolist()
     posts = np.stack([gmm_posteriors(model, f) for f in frames])
     assert np.max(np.abs(posts.sum(axis=1) - 1.0)) < 1e-9
     assert tokens == np.argmax(posts, axis=1).tolist()
@@ -250,7 +251,7 @@ def test_quantizer_consistency():
         means=model.means,
         variances=model.variances,
     )
-    assert quantize(scaled, frames, "probe").tokens == tokens
+    assert quantize(scaled, frames).tolist() == tokens
 
 
 @pytest.mark.acceptance(6, "greedy selection matches reference transcription")
@@ -281,7 +282,7 @@ def test_threshold_boundaries():
         assert sorted(full.ids()) == sorted(manifest.ids())
         assert full.passes == math.ceil(m / c)
 
-        gmat = np.stack([p.gamma for p in posts])
+        gmat = posts.gamma.copy()
         gmat /= np.linalg.norm(gmat, axis=1, keepdims=True)
         cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
         global_min = float((1.0 - cn @ gmat.T).min())
@@ -457,7 +458,7 @@ def test_formats_round_trip_and_corruptions(tmp_path):
     assert np.array_equal(g2.means, gmm_model.means)
     assert np.array_equal(g2.variances, gmm_model.variances)
 
-    docs = [_random_doc(rng, 6, uid=f"d{i}") for i in range(8)]
+    docs = DocBatch.concat(_random_doc(rng, 6, uid=f"d{i}") for i in range(8))
     lda_model = train_lda(docs, 2, 6, LdaConfig(seed=0))
     lp = tmp_path / "m.alda"
     save_lda(lda_model, lp)
@@ -468,9 +469,9 @@ def test_formats_round_trip_and_corruptions(tmp_path):
     wp = tmp_path / "w.tsv"
     write_weighted(docs, wp)
     wback = read_weighted(wp)
-    assert [d.utt_id for d in wback] == [d.utt_id for d in docs]
-    assert [[e[0] for e in d.entries] for d in wback] == [
-        [e[0] for e in d.entries] for d in docs
+    assert wback.ids == docs.ids
+    assert [[e[0] for e in doc_entries(wback, i)] for i in range(len(wback))] == [
+        [e[0] for e in doc_entries(docs, i)] for i in range(len(docs))
     ]
 
     feat_bytes = first_bytes

@@ -176,6 +176,20 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
     assert set(combined.ids()) == set(greedy.ids()) | set(rand.ids())
 
 
+def test_combine_respects_work_dir_lock(config_path, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path)]) == 0
+    work = tmp_path / "work"
+    (work / ".lock").write_text("12345\n", encoding="utf-8")
+    capsys.readouterr()
+    audit = str(work / "selection.audit.tsv")
+    assert main(
+        ["combine", "--config", str(config_path), "--a", audit, "--b", audit,
+         "--out-prefix", "locked"]
+    ) == 2
+    assert "locked" in capsys.readouterr().err
+    assert not list(work.glob("locked*"))
+
+
 def test_sweep_lambda_command(config_path, tmp_path, capsys):
     assert main(
         ["sweep-lambda", "--config", str(config_path), "--lambdas", "0.1,1.0"]

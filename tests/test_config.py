@@ -83,7 +83,7 @@ def test_defaults_match_full_scale_recipe():
     assert config.lda.alpha is None
     assert config.quantizer.train_source == "dev+pool"
     assert config.lda.train_source == "dev"
-    assert config.docmodel.idf_source == "union"
+    assert config.docmodel.idf_source == "dev+pool"
     assert config.text.enabled is False
     validate_config(config, check_paths=False)
 
@@ -156,6 +156,14 @@ def test_optional_fields_blank_means_none(tmp_path):
     assert config.text.n_topics is None
     assert config.text.threshold is None
     assert config.report.target_domain is None
+
+
+def test_union_idf_source_rejected_naming_dev_plus_pool():
+    config = PipelineConfig()
+    config.docmodel.idf_source = "union"
+    with pytest.raises(ValidationError) as exc:
+        validate_config(config, check_paths=False)
+    assert "dev+pool" in str(exc.value)
 
 
 def test_validate_ranges():

@@ -1,21 +1,37 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldaselect.docmodel import (
+    DocBatch,
     TextVocab,
-    WeightedDocument,
+    bag_of_words,
     build_text_vocab,
     compute_stats,
     read_weighted,
+    tfidf,
     tokenize_transcript,
-    weigh_document,
     write_weighted,
 )
 from ldaselect.errors import FormatError, ValidationError
 
-from reference import ref_doc_freq, ref_top_tokens
+from batches import entries
+from reference import ref_doc_freq, ref_tfidf, ref_top_tokens
+
+
+def _bag(token_docs, vocab_size, prefix="d"):
+    return bag_of_words(
+        [f"{prefix}{i}" for i in range(len(token_docs))], token_docs, vocab_size
+    )
+
+
+def _stats(token_docs, vocab_size):
+    return compute_stats([_bag(token_docs, vocab_size)], vocab_size)
+
+
+def _weigh(tokens, stats, utt_id="d0"):
+    return tfidf(bag_of_words([utt_id], [tokens], stats.vocab_size), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +39,7 @@ from reference import ref_doc_freq, ref_top_tokens
 
 
 def test_doc_freq_direct_count():
-    stats = compute_stats([[5, 5, 1], [5], [2, 5]], vocab_size=8)
+    stats = _stats([[5, 5, 1], [5], [2, 5]], vocab_size=8)
     assert stats.doc_count == 3
     assert stats.doc_freq[5] == 3
     assert stats.doc_freq[1] == 1
@@ -44,15 +60,18 @@ def test_doc_freq_matches_brute_force():
             rng.integers(0, v, size=rng.integers(0, 15)).tolist()
             for _ in range(int(rng.integers(1, 12)))
         ]
-        stats = compute_stats(docs, v)
+        stats = _stats(docs, v)
         assert stats.doc_freq.tolist() == ref_doc_freq(docs, v)
 
 
 def test_stats_token_out_of_range():
     with pytest.raises(ValidationError):
-        compute_stats([[0, 3]], vocab_size=3)
+        _stats([[0, 3]], vocab_size=3)
     with pytest.raises(ValidationError):
-        compute_stats([[-1]], vocab_size=3)
+        _stats([[-1]], vocab_size=3)
+    with pytest.raises(ValidationError) as exc:
+        compute_stats([_bag([[0], [0, 3]], 4)], vocab_size=3)
+    assert "'d1'" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -61,25 +80,25 @@ def test_stats_token_out_of_range():
 
 def test_uniform_presence_idf_is_one():
     docs = [[0, 1], [1, 0], [0, 1, 1]]
-    stats = compute_stats(docs, 2)
-    doc = weigh_document([1, 1, 0], stats)
+    stats = _stats(docs, 2)
+    doc = _weigh([1, 1, 0], stats)
     # every term is in every document: idf = log((1+D)/(1+D)) + 1 = 1
-    by_term = {t: (c, w) for t, c, w in doc.entries}
+    by_term = {t: (c, w) for t, c, w in entries(doc)}
     assert by_term[0] == (1, pytest.approx(1 / 3))
     assert by_term[1] == (2, pytest.approx(2 / 3))
 
 
 def test_empty_document():
-    stats = compute_stats([[0]], 2)
-    assert weigh_document([], stats).entries == []
+    stats = _stats([[0]], 2)
+    assert entries(_weigh([], stats)) == []
 
 
 def test_hand_computed_weights_frozen():
     """doc [2,2,7] with D=2, df[2]=1, df[7]=2, against hand-derived constants."""
-    stats = compute_stats([[2, 2, 7], [7]], vocab_size=8)
-    doc = weigh_document([2, 2, 7], stats)
-    assert [(t, c) for t, c, _ in doc.entries] == [(2, 2), (7, 1)]
-    weights = {t: w for t, _, w in doc.entries}
+    stats = _stats([[2, 2, 7], [7]], vocab_size=8)
+    doc = _weigh([2, 2, 7], stats)
+    assert [(t, c) for t, c, _ in entries(doc)] == [(2, 2), (7, 1)]
+    weights = {t: w for t, _, w in entries(doc)}
     # tf(2) = 2/3, idf(2) = log(3/2) + 1; tf(7) = 1/3, idf(7) = log(3/3) + 1
     assert weights[2] == pytest.approx(0.9369767387387763, abs=1e-15)
     assert weights[7] == pytest.approx(0.3333333333333333, abs=1e-15)
@@ -90,33 +109,33 @@ def test_counts_sum_to_length_and_weights_positive():
     for trial in range(10):
         v = 12
         docs = [rng.integers(0, v, size=rng.integers(1, 30)).tolist() for _ in range(6)]
-        stats = compute_stats(docs, v)
+        stats = _stats(docs, v)
         for tokens in docs:
-            doc = weigh_document(tokens, stats)
-            assert doc.length() == len(tokens)
-            terms = [t for t, _, _ in doc.entries]
+            doc = _weigh(tokens, stats)
+            assert sum(c for _, c, _ in entries(doc)) == len(tokens)
+            terms = [t for t, _, _ in entries(doc)]
             assert terms == sorted(set(tokens))
-            assert all(w > 0 for _, _, w in doc.entries)
+            assert all(w > 0 for _, _, w in entries(doc))
 
 
 def test_repeating_document_scales_counts_not_weights():
-    stats = compute_stats([[0, 1, 1], [2]], 3)
-    single = weigh_document([0, 1, 1], stats)
-    tripled = weigh_document([0, 1, 1] * 3, stats)
-    assert [(t, c) for t, c, _ in tripled.entries] == [
-        (t, 3 * c) for t, c, _ in single.entries
+    stats = _stats([[0, 1, 1], [2]], 3)
+    single = _weigh([0, 1, 1], stats)
+    tripled = _weigh([0, 1, 1] * 3, stats)
+    assert [(t, c) for t, c, _ in entries(tripled)] == [
+        (t, 3 * c) for t, c, _ in entries(single)
     ]
-    for (_, _, w1), (_, _, w3) in zip(single.entries, tripled.entries):
+    for (_, _, w1), (_, _, w3) in zip(entries(single), entries(tripled)):
         assert w3 == pytest.approx(w1, rel=1e-12)
 
 
 def test_weigh_errors():
     stats = compute_stats([], 3)
     with pytest.raises(ValidationError):
-        weigh_document([0], stats)  # zero documents
-    stats = compute_stats([[0]], 3)
+        _weigh([0], stats)  # zero documents
+    stats = _stats([[0]], 3)
     with pytest.raises(ValidationError):
-        weigh_document([3], stats)
+        _weigh([3], stats)
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +185,16 @@ def test_vocab_cap_validation():
 
 
 def test_weighted_round_trip(tmp_path):
-    stats = compute_stats([[0, 1, 1], [2, 0]], 3)
-    docs = [
-        weigh_document([0, 1, 1], stats, utt_id="u1"),
-        WeightedDocument(utt_id="empty"),
-        weigh_document([2], stats, utt_id="u2"),
-    ]
+    stats = _stats([[0, 1, 1], [2, 0]], 3)
+    docs = tfidf(bag_of_words(["u1", "empty", "u2"], [[0, 1, 1], [], [2]], 3), stats)
     p = tmp_path / "w.tsv"
     write_weighted(docs, p)
     back = read_weighted(p)
-    assert [d.utt_id for d in back] == ["u1", "empty", "u2"]
-    for orig, rt in zip(docs, back):
-        assert [(t, c) for t, c, _ in rt.entries] == [(t, c) for t, c, _ in orig.entries]
-        for (_, _, w1), (_, _, w2) in zip(orig.entries, rt.entries):
+    assert back.ids == ["u1", "empty", "u2"]
+    for i in range(len(docs)):
+        orig, rt = entries(docs, i), entries(back, i)
+        assert [(t, c) for t, c, _ in rt] == [(t, c) for t, c, _ in orig]
+        for (_, _, w1), (_, _, w2) in zip(orig, rt):
             assert w2 == pytest.approx(w1, rel=1e-8)
 
 
@@ -197,3 +213,58 @@ def test_weighted_malformed_lines(tmp_path):
     p.write_text("u\t0:1:nan\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_weighted(p)
+
+
+# ---------------------------------------------------------------------------
+# Bags of words and the tf-idf path against the per-document oracle
+
+
+def test_bag_of_words_counts_and_layout():
+    bag = bag_of_words(["a", "empty", "b"], [[3, 1, 3, 3], [], [0]], 4)
+    assert bag.ids == ["a", "empty", "b"]
+    assert bag.indptr.tolist() == [0, 2, 2, 3]
+    assert [entries(bag, i) for i in range(3)] == [
+        [(1, 1, 1.0), (3, 3, 3.0)], [], [(0, 1, 1.0)],
+    ]
+    with pytest.raises(ValidationError) as exc:
+        bag_of_words(["ok", "oov"], [[0], [1, 4]], 4)
+    assert "'oov'" in str(exc.value)
+    with pytest.raises(ValidationError):
+        bag_of_words(["a"], [[0], [1]], 4)
+
+
+def test_doc_batch_slicing_and_concat():
+    bag = bag_of_words(["a", "b", "c"], [[0, 0], [], [2, 1]], 3)
+    assert entries(bag[2]) == entries(bag, 2)
+    assert bag[1:].ids == ["b", "c"]
+    assert bag[1:].indptr.tolist() == [0, 0, 2]
+    joined = DocBatch.concat([bag[2], bag[:2]])
+    assert joined.ids == ["c", "a", "b"]
+    assert [entries(joined, i) for i in range(3)] == [
+        entries(bag, 2), entries(bag, 0), entries(bag, 1)
+    ]
+
+
+_token_docs = st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dev=_token_docs, pool=_token_docs,
+    source=st.sampled_from(["dev", "pool", "dev+pool"]),
+    extra_vocab=st.integers(0, 3),
+)
+# D = 20, df = 19: np.log(21 / 20) can differ from math.log(21 / 20) in the last
+# bit (it does with numpy 2.4 on x86-64), so this case catches an np.log idf.
+@example(dev=[[0, 0, 1]] * 19 + [[2]], pool=[[1]], source="dev", extra_vocab=0)
+def test_tfidf_path_equals_per_document_oracle(dev, pool, source, extra_vocab):
+    vocab_size = 12 + extra_vocab
+    corpora = {"dev": dev, "pool": pool}
+    bags = {w: _bag(docs, vocab_size, prefix=w) for w, docs in corpora.items()}
+    stats_docs = {"dev": dev, "pool": pool, "dev+pool": dev + pool}[source]
+    stats = compute_stats([bags[w] for w in source.split("+")], vocab_size)
+    for which, docs in corpora.items():
+        weighted = tfidf(bags[which], stats)
+        assert [entries(weighted, i) for i in range(len(docs))] == ref_tfidf(
+            docs, stats_docs, vocab_size
+        )

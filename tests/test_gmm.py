@@ -126,8 +126,8 @@ def test_posterior_sums_and_argmax_consistency():
         rng.random((4, 3)) + 0.5,
     )
     frames = rng.standard_normal((200, 3)) * 3
-    doc = quantize(model, frames, "u")
-    for t, frame in zip(doc.tokens, frames):
+    tokens = quantize(model, frames)
+    for t, frame in zip(tokens, frames):
         post = gmm_posteriors(model, frame)
         assert post.sum() == pytest.approx(1.0, abs=1e-9)
         assert t == int(np.argmax(post))
@@ -139,23 +139,21 @@ def test_argmax_invariant_to_weight_rescale():
     means = rng.standard_normal((3, 2)) * 4
     variances = rng.random((3, 2)) + 0.5
     frames = rng.standard_normal((100, 2)) * 4
-    base = quantize(_model(weights, means, variances), frames, "u").tokens
-    scaled = quantize(_model(weights * 7.3, means, variances), frames, "u").tokens
+    base = quantize(_model(weights, means, variances), frames).tolist()
+    scaled = quantize(_model(weights * 7.3, means, variances), frames).tolist()
     assert base == scaled
 
 
 def test_quantize_single_component_and_empty():
     model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    doc = quantize(model, np.zeros((5, 2)), "five")
-    assert doc.tokens == [0, 0, 0, 0, 0]
-    assert quantize(model, np.zeros((0, 2)), "none").tokens == []
+    assert quantize(model, np.zeros((5, 2))).tolist() == [0, 0, 0, 0, 0]
+    assert quantize(model, np.zeros((0, 2))).tolist() == []
 
 
 def test_quantize_alternating_far_components():
     model = _model([0.5, 0.5], [[-50.0], [50.0]], [[1.0], [1.0]])
     frames = np.array([[-50.0], [50.0], [-49.0], [51.0]])
-    doc = quantize(model, frames, "alt")
-    assert doc.tokens == [0, 1, 0, 1]
+    assert quantize(model, frames).tolist() == [0, 1, 0, 1]
 
 
 def test_dimension_mismatch_errors():
@@ -163,7 +161,7 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ValidationError):
         gmm_posteriors(model, [1.0, 2.0, 3.0])
     with pytest.raises(ValidationError):
-        quantize(model, np.zeros((4, 3)), "u")
+        quantize(model, np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +215,14 @@ def test_model_file_corruptions(tmp_path):
 
 
 def test_quantized_corpus_round_trip(tmp_path):
-    docs = [
-        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((3, 1)), "a"),
-        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((0, 1)), "empty"),
+    tokens = [
+        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((3, 1))),
+        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((0, 1))),
     ]
     p = tmp_path / "q.tsv"
-    write_quantized(docs, p)
-    back = read_quantized(p)
-    assert [(d.utt_id, d.tokens) for d in back] == [("a", [0, 0, 0]), ("empty", [])]
+    write_quantized(["a", "empty"], tokens, p)
+    ids, back = read_quantized(p)
+    assert list(zip(ids, back)) == [("a", [0, 0, 0]), ("empty", [])]
 
 
 def test_quantized_corpus_malformed(tmp_path):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldaselect import lda as lda_module
-from ldaselect.docmodel import WeightedDocument
+from ldaselect.docmodel import DocBatch
 from ldaselect.errors import FormatError, ValidationError
 from ldaselect.lda import (
     LdaConfig,
     LdaModel,
-    PosteriorVector,
+    Posteriors,
     elbo,
     extract_posteriors,
     infer_document,
@@ -20,6 +20,7 @@ from ldaselect.lda import (
     write_posteriors,
 )
 
+from batches import batch, doc as one_doc, entries as doc_entries
 from reference import best_topic_matching, ref_elbo
 
 
@@ -36,13 +37,13 @@ def _random_doc(rng, v, uid="d"):
     entries = [
         (int(t), int(rng.integers(1, 5)), float(rng.uniform(0.1, 3.0))) for t in terms
     ]
-    return WeightedDocument(utt_id=uid, entries=entries)
+    return one_doc(uid, entries)
 
 
 def _count_doc(rng, beta_row, length, uid):
     counts = rng.multinomial(length, beta_row)
     entries = [(v, int(c), float(c)) for v, c in enumerate(counts) if c]
-    return WeightedDocument(utt_id=uid, entries=entries)
+    return one_doc(uid, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def _count_doc(rng, beta_row, length, uid):
 def test_empty_document_gamma_equals_alpha():
     rng = np.random.default_rng(0)
     model = _random_model(rng, 3, 5)
-    state = infer_document(model, WeightedDocument(utt_id="e"))
+    state = infer_document(model, one_doc("e"))
     assert np.array_equal(state.gamma, model.alpha)
     assert state.phi.shape == (0, 3)
     assert state.elbo_history == [0.0]
@@ -63,7 +64,7 @@ def test_single_topic_closed_form():
     model = _random_model(rng, 1, 6)
     doc = _random_doc(rng, 6)
     state = infer_document(model, doc)
-    total = sum(w for _, _, w in doc.entries)
+    total = sum(w for _, _, w in doc_entries(doc))
     assert state.gamma[0] == pytest.approx(model.alpha[0] + total, rel=1e-12)
     assert np.allclose(state.phi, 1.0)
 
@@ -74,7 +75,7 @@ def test_fixed_point_identity_and_phi_rows():
         model = _random_model(rng, int(rng.integers(2, 6)), int(rng.integers(6, 15)))
         doc = _random_doc(rng, model.vocab_size)
         state = infer_document(model, doc)
-        weights = np.array([w for _, _, w in doc.entries])
+        weights = doc.weights
         residual = state.gamma - model.alpha - weights @ state.phi
         assert np.max(np.abs(residual)) < 1e-9
         assert np.allclose(state.phi.sum(axis=1), 1.0, atol=1e-9)
@@ -84,7 +85,7 @@ def test_hand_set_beta_elbo_trace_monotone():
     alpha = np.array([0.7, 1.3])
     beta = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
     model = LdaModel(n_topics=2, vocab_size=3, alpha=alpha, log_beta=np.log(beta))
-    doc = WeightedDocument("d", [(0, 2, 1.1), (2, 1, 0.4)])
+    doc = one_doc("d", [(0, 2, 1.1), (2, 1, 0.4)])
     state = infer_document(model, doc)
     h = state.elbo_history
     assert len(h) >= 2
@@ -97,9 +98,9 @@ def test_infer_validation():
     rng = np.random.default_rng(3)
     model = _random_model(rng, 2, 4)
     with pytest.raises(ValidationError):
-        infer_document(model, WeightedDocument("d", [(4, 1, 1.0)]))
+        infer_document(model, one_doc("d", [(4, 1, 1.0)]))
     with pytest.raises(ValidationError):
-        infer_document(model, WeightedDocument("d", [(0, 1, 1.0)]), max_iters=0)
+        infer_document(model, one_doc("d", [(0, 1, 1.0)]), max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def test_infer_validation():
 def test_elbo_empty_doc_exact_zero():
     rng = np.random.default_rng(4)
     model = _random_model(rng, 4, 5)
-    doc = WeightedDocument("e")
+    doc = one_doc("e")
     state = infer_document(model, doc)
     assert elbo(model, doc, state) == 0.0
 
@@ -134,7 +135,7 @@ def test_elbo_matches_independent_oracle():
         ours = elbo(model, doc, state)
         ref = ref_elbo(
             model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
-            doc.entries, model.log_beta.tolist(),
+            doc_entries(doc), model.log_beta.tolist(),
         )
         assert ours == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
@@ -149,10 +150,10 @@ def test_recovers_disjoint_topics():
     true_beta = np.zeros((k, v))
     for i in range(k):
         true_beta[i, i * 10:(i + 1) * 10] = 0.1
-    docs = [
+    docs = DocBatch.concat(
         _count_doc(rng, true_beta[int(rng.integers(k))], 60, f"d{i}")
         for i in range(150)
-    ]
+    )
     model = train_lda(docs, k, v, LdaConfig(seed=0))
     h = model.bound_history
     assert all(h[i + 1] >= h[i] - 1e-6 * abs(h[i]) for i in range(len(h) - 1))
@@ -163,12 +164,12 @@ def test_recovers_disjoint_topics():
 def test_single_topic_beta_closed_form():
     rng = np.random.default_rng(8)
     v = 9
-    docs = [_random_doc(rng, v, uid=f"d{i}") for i in range(12)]
+    docs = DocBatch.concat(_random_doc(rng, v, uid=f"d{i}") for i in range(12))
     config = LdaConfig(seed=0, eta=0.01)
     model = train_lda(docs, 1, v, config)
     ss = np.zeros(v)
-    for doc in docs:
-        for t, _, w in doc.entries:
+    for i in range(len(docs)):
+        for t, _, w in doc_entries(docs, i):
             ss[t] += w
     expected = (ss + config.eta) / (ss + config.eta).sum()
     assert np.allclose(np.exp(model.log_beta[0]), expected, rtol=1e-10)
@@ -176,7 +177,7 @@ def test_single_topic_beta_closed_form():
 
 def test_training_determinism_bitwise():
     rng = np.random.default_rng(9)
-    docs = [_random_doc(rng, 12, uid=f"d{i}") for i in range(20)]
+    docs = DocBatch.concat(_random_doc(rng, 12, uid=f"d{i}") for i in range(20))
     m1 = train_lda(docs, 3, 12, LdaConfig(seed=5))
     m2 = train_lda(docs, 3, 12, LdaConfig(seed=5))
     assert np.array_equal(m1.log_beta, m2.log_beta)
@@ -187,9 +188,9 @@ def test_bound_monotone_on_random_corpora():
     rng = np.random.default_rng(10)
     for trial in range(5):
         v = int(rng.integers(8, 20))
-        docs = [
+        docs = DocBatch.concat(
             _random_doc(rng, v, uid=f"d{i}") for i in range(int(rng.integers(5, 25)))
-        ]
+        )
         model = train_lda(docs, int(rng.integers(2, 5)), v, LdaConfig(seed=trial))
         h = model.bound_history
         assert all(
@@ -200,11 +201,11 @@ def test_bound_monotone_on_random_corpora():
 
 def test_all_empty_corpus_rejected():
     with pytest.raises(ValidationError):
-        train_lda([WeightedDocument("a"), WeightedDocument("b")], 2, 5)
+        train_lda(batch([("a", []), ("b", [])]), 2, 5)
 
 
 def test_alpha_default_and_override():
-    docs = [WeightedDocument("d", [(0, 1, 1.0)])]
+    docs = one_doc("d", [(0, 1, 1.0)])
     model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1))
     assert np.allclose(model.alpha, 50.0 / 4)
     model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1, alpha=0.3))
@@ -216,14 +217,15 @@ def test_alpha_default_and_override():
 def test_vocabulary_permutation_equivariance():
     rng = np.random.default_rng(11)
     v, k = 10, 3
-    docs = [_random_doc(rng, v, uid=f"d{i}") for i in range(15)]
+    docs = DocBatch.concat(_random_doc(rng, v, uid=f"d{i}") for i in range(15))
     perm = rng.permutation(v)
     docs_p = []
-    for doc in docs:
+    for i, uid in enumerate(docs.ids):
         entries = sorted(
-            ((int(perm[t]), c, w) for t, c, w in doc.entries), key=lambda e: e[0]
+            ((int(perm[t]), c, w) for t, c, w in doc_entries(docs, i)), key=lambda e: e[0]
         )
-        docs_p.append(WeightedDocument(doc.utt_id, entries))
+        docs_p.append((uid, entries))
+    docs_p = batch(docs_p)
     init = rng.random((k, v)) + 0.05
     init_p = np.empty_like(init)
     init_p[:, perm] = init
@@ -233,8 +235,8 @@ def test_vocabulary_permutation_equivariance():
     assert np.allclose(m_p.log_beta[:, perm], m.log_beta, rtol=1e-10, atol=1e-12)
     g, _ = extract_posteriors(m, docs)
     g_p, _ = extract_posteriors(m_p, docs_p)
-    for a, b in zip(g, g_p):
-        assert np.allclose(a.gamma, b.gamma, rtol=1e-10)
+    for a, b in zip(g.gamma, g_p.gamma):
+        assert np.allclose(a, b, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +246,17 @@ def test_vocabulary_permutation_equivariance():
 def test_extract_posteriors_alignment_and_purity():
     rng = np.random.default_rng(12)
     docs = [_random_doc(rng, 8, uid=f"d{i}") for i in range(6)]
-    docs.append(WeightedDocument("empty"))
-    docs.append(WeightedDocument("dup", list(docs[0].entries)))
+    docs.append(one_doc("empty"))
+    docs.append(one_doc("dup", doc_entries(docs[0])))
+    docs = DocBatch.concat(docs)
     model = train_lda(docs, 3, 8, LdaConfig(seed=1))
     posts, sweeps = extract_posteriors(model, docs)
     assert sweeps[6] == 0 and np.all(sweeps[:6] >= 1)
-    assert [p.utt_id for p in posts] == [d.utt_id for d in docs]
-    assert np.array_equal(posts[6].gamma, model.alpha)
-    assert np.array_equal(posts[7].gamma, posts[0].gamma)
-    for p in posts:
-        assert p.gamma.sum() >= model.alpha.sum() - 1e-12
+    assert posts.ids == docs.ids
+    assert np.array_equal(posts.gamma[6], model.alpha)
+    assert np.array_equal(posts.gamma[7], posts.gamma[0])
+    for gamma in posts.gamma:
+        assert gamma.sum() >= model.alpha.sum() - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +275,17 @@ def _reference_train(docs, k, v, config, init_beta):
         ss = np.zeros((k, v))
         total = 0.0
         sweeps = []
-        for i, doc in enumerate(docs):
+        for i in range(len(docs)):
+            doc = docs[i]
             state = infer_document(
                 model, doc, config.doc_tol, config.doc_max_iterations, init_gamma=warm[i]
             )
             warm[i] = state.gamma
             total += state.elbo_history[-1]
-            sweeps.append(len(state.elbo_history) if doc.entries else 0)
-            if doc.entries:
-                terms = [t for t, _, _ in doc.entries]
-                weights = np.array([w for _, _, w in doc.entries])
+            sweeps.append(len(state.elbo_history) if doc.terms.size else 0)
+            if doc.terms.size:
+                terms = doc.terms
+                weights = doc.weights
                 np.add.at(ss.T, terms, weights[:, None] * state.phi)
         total += config.eta * float(model.log_beta.sum())
         history.append(total)
@@ -311,9 +315,9 @@ def _batch_cases(draw):
         else:
             terms = sorted(draw(st.sets(st.integers(0, v - 1), min_size=1)))
         entries = [(t, 1, draw(st.floats(0.05, 5.0))) for t in terms]
-        docs.append(WeightedDocument(f"d{i}", entries))
+        docs.append((f"d{i}", entries))
     return dict(
-        k=k, v=v, docs=docs,
+        k=k, v=v, docs=batch(docs),
         seed=draw(st.integers(0, 2**16)),
         max_iters=draw(st.integers(1, 8)),
         tol=draw(st.sampled_from([1e-2, 1e-4, 1e-6])),
@@ -332,13 +336,17 @@ def test_batched_inference_matches_per_document_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lda_module, "_BLOCK_CELLS", case["block_cells"])
         posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
-        states = [infer_document(model, d, tol=tol, max_iters=max_iters) for d in docs]
+        states = [
+            infer_document(model, docs[i], tol=tol, max_iters=max_iters)
+            for i in range(len(docs))
+        ]
         np.testing.assert_allclose(
-            np.array([p.gamma for p in posts]), np.array([s.gamma for s in states]),
+            posts.gamma, np.array([s.gamma for s in states]),
             rtol=1e-10, atol=0,
         )
         assert sweeps.tolist() == [
-            len(s.elbo_history) if d.entries else 0 for s, d in zip(states, docs)
+            len(s.elbo_history) if n else 0
+            for s, n in zip(states, np.diff(docs.indptr))
         ]
 
         config = LdaConfig(
@@ -346,7 +354,7 @@ def test_batched_inference_matches_per_document_loop(case):
             doc_max_iterations=max_iters, alpha=0.5,
         )
         init_beta = rng.random((k, v)) + 0.05
-        if not any(d.entries for d in docs):
+        if not docs.terms.size:
             with pytest.raises(ValidationError):
                 train_lda(docs, k, v, config, init_beta=init_beta)
             return
@@ -360,10 +368,10 @@ def test_batched_inference_matches_per_document_loop(case):
 def test_batched_validation_names_document():
     rng = np.random.default_rng(15)
     model = _random_model(rng, 2, 4)
-    docs = [
-        WeightedDocument("ok", [(0, 1, 1.0)]),
-        WeightedDocument("oov", [(1, 1, 1.0), (4, 1, 1.0)]),
-    ]
+    docs = batch([
+        ("ok", [(0, 1, 1.0)]),
+        ("oov", [(1, 1, 1.0), (4, 1, 1.0)]),
+    ])
     with pytest.raises(ValidationError) as exc:
         extract_posteriors(model, docs)
     assert "'oov'" in str(exc.value)
@@ -373,25 +381,25 @@ def test_batched_validation_names_document():
     with pytest.raises(ValidationError):
         extract_posteriors(model, docs[:1], max_iters=0)
     with pytest.raises(ValidationError) as exc:
-        train_lda([WeightedDocument("a"), WeightedDocument("b")], 2, 4)
+        train_lda(batch([("a", []), ("b", [])]), 2, 4)
     assert "all-empty" in str(exc.value)
 
 
 def test_batched_empty_documents_keep_alpha(monkeypatch):
     rng = np.random.default_rng(16)
     monkeypatch.setattr(lda_module, "_BLOCK_CELLS", 4)
-    docs = [
-        WeightedDocument("e0"),
+    docs = DocBatch.concat([
+        one_doc("e0"),
         _random_doc(rng, 9, uid="a"),
-        WeightedDocument("e1"),
+        one_doc("e1"),
         _random_doc(rng, 9, uid="b"),
-        WeightedDocument("e2"),
-    ]
+        one_doc("e2"),
+    ])
     model = train_lda(docs, 3, 9, LdaConfig(seed=3, alpha=0.7))
     assert model.doc_sweeps[[0, 2, 4]].tolist() == [0, 0, 0]
     posts, sweeps = extract_posteriors(model, docs)
     for i in (0, 2, 4):
-        assert np.array_equal(posts[i].gamma, model.alpha)
+        assert np.array_equal(posts.gamma[i], model.alpha)
         assert sweeps[i] == 0
     assert sweeps[1] >= 1 and sweeps[3] >= 1
 
@@ -399,7 +407,7 @@ def test_batched_empty_documents_keep_alpha(monkeypatch):
 def test_extract_posteriors_caps_sweeps():
     rng = np.random.default_rng(17)
     model = _random_model(rng, 4, 10)
-    docs = [_random_doc(rng, 10, uid=f"d{i}") for i in range(8)]
+    docs = DocBatch.concat(_random_doc(rng, 10, uid=f"d{i}") for i in range(8))
     _, sweeps = extract_posteriors(model, docs, tol=1e-12, max_iters=3)
     assert sweeps.tolist() == [3] * 8
 
@@ -410,7 +418,7 @@ def test_extract_posteriors_caps_sweeps():
 
 def test_model_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    docs = [_random_doc(rng, 7, uid=f"d{i}") for i in range(10)]
+    docs = DocBatch.concat(_random_doc(rng, 7, uid=f"d{i}") for i in range(10))
     model = train_lda(docs, 2, 7, LdaConfig(seed=2))
     p = tmp_path / "m.alda"
     save_lda(model, p)
@@ -422,7 +430,7 @@ def test_model_round_trip_bit_exact(tmp_path):
 
 def test_model_file_corruptions(tmp_path):
     rng = np.random.default_rng(14)
-    docs = [_random_doc(rng, 5, uid=f"d{i}") for i in range(5)]
+    docs = DocBatch.concat(_random_doc(rng, 5, uid=f"d{i}") for i in range(5))
     model = train_lda(docs, 2, 5, LdaConfig(seed=0))
     p = tmp_path / "m.alda"
     save_lda(model, p)
@@ -456,16 +464,13 @@ def test_model_file_corruptions(tmp_path):
 
 
 def test_posterior_file_round_trip(tmp_path):
-    posts = [
-        PosteriorVector("a", np.array([1.5, 2.5])),
-        PosteriorVector("b", np.array([0.25, 17.0])),
-    ]
+    posts = Posteriors(["a", "b"], np.array([[1.5, 2.5], [0.25, 17.0]]))
     p = tmp_path / "g.tsv"
     write_posteriors(posts, p)
     back = read_posteriors(p)
-    assert [b.utt_id for b in back] == ["a", "b"]
-    for orig, rt in zip(posts, back):
-        assert np.allclose(rt.gamma, orig.gamma, rtol=1e-8)
+    assert back.ids == ["a", "b"]
+    for orig, rt in zip(posts.gamma, back.gamma):
+        assert np.allclose(rt, orig, rtol=1e-8)
 
 
 def test_posterior_file_malformed(tmp_path):

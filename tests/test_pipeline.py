@@ -15,11 +15,11 @@ from ldaselect.corpus import (
 from ldaselect.errors import StageError, ValidationError
 from ldaselect.pipeline import (
     Runner,
-    composition_report,
     run_pipeline,
     stage_order,
     sweep_lambda,
 )
+from ldaselect.report import report
 from ldaselect.selection import read_audit
 
 ACOUSTIC_ARTIFACTS = [
@@ -207,7 +207,7 @@ def test_composition_report_from_audit(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
     pool = read_manifest(config.paths.pool_manifest)
-    rep = composition_report(tmp_path / "work" / "selection.audit.tsv", pool)
+    rep = report(read_audit(tmp_path / "work" / "selection.audit.tsv"), pool)
     audit = read_audit(tmp_path / "work" / "selection.audit.tsv")
     assert rep.total_selected_hours == pytest.approx(audit.total_hours, abs=1e-9)
     assert {r.domain_tag for r in rep.rows} == {"domain0", "domain1"}

@@ -5,7 +5,7 @@ import pytest
 
 from ldaselect.corpus import Manifest, Utterance
 from ldaselect.errors import FormatError, ValidationError
-from ldaselect.lda import PosteriorVector
+from ldaselect.lda import Posteriors
 from ldaselect.selection import (
     SelectionConfig,
     SelectionResult,
@@ -34,7 +34,7 @@ def _instance(rng, m, c, dim):
     gammas = {uid: (rng.random(dim) + 0.05).tolist() for uid in ids}
     durations = {uid: float(rng.uniform(5.0, 30.0)) for uid in ids}
     cents = rng.random((c, dim)) + 0.05
-    posts = [PosteriorVector(uid, np.array(gammas[uid])) for uid in ids]
+    posts = Posteriors(ids, np.array([gammas[uid] for uid in ids]))
     manifest = _manifest([(uid, durations[uid]) for uid in ids])
     return gammas, durations, cents, posts, manifest
 
@@ -87,7 +87,7 @@ def test_permissive_threshold_takes_whole_pool():
 
 
 def test_threshold_below_reach_selects_nothing():
-    posts = [PosteriorVector("a", np.array([1.0, 0.0]))]
+    posts = Posteriors(["a"], np.array([[1.0, 0.0]]))
     manifest = _manifest([("a", 10.0)])
     cents = np.array([[0.0, 1.0]])  # distance exactly 1.0 from the pool vector
     result = select(posts, manifest, cents, SelectionConfig(threshold=0.5))
@@ -156,7 +156,7 @@ def test_budget_is_a_hard_stop():
 def test_exact_distance_tie_breaks_to_smaller_id():
     # Two utterances with bitwise-identical vectors tie exactly.
     g = np.array([2.0, 1.0])
-    posts = [PosteriorVector("zz", g.copy()), PosteriorVector("aa", g.copy())]
+    posts = Posteriors(["zz", "aa"], np.array([g, g]))
     manifest = _manifest([("zz", 10.0), ("aa", 10.0)])
     cents = np.array([[1.0, 1.0]])
     result = select(posts, manifest, cents, SelectionConfig(threshold=1.0))
@@ -166,7 +166,7 @@ def test_exact_distance_tie_breaks_to_smaller_id():
 
 def test_select_input_validation():
     g = np.array([1.0, 1.0])
-    posts = [PosteriorVector("a", g)]
+    posts = Posteriors(["a"], g[None, :])
     manifest = _manifest([("a", 10.0)])
     cents = np.array([[1.0, 0.5]])
     config = SelectionConfig(threshold=0.5)
@@ -177,18 +177,13 @@ def test_select_input_validation():
     with pytest.raises(ValidationError):
         select(posts, manifest, cents, SelectionConfig(threshold=0.5, max_hours=0.0))
     with pytest.raises(ValidationError):
-        select(
-            posts, manifest, cents,
-            SelectionConfig(threshold=0.5, centroid_order="size"),
-        )
+        select(Posteriors(["b"], g[None, :]), manifest, cents, config)
     with pytest.raises(ValidationError):
-        select([PosteriorVector("b", g)], manifest, cents, config)
+        select(Posteriors(["a", "a"], np.array([g, g])), manifest, cents, config)
     with pytest.raises(ValidationError):
-        select(posts + [PosteriorVector("a", g)], manifest, cents, config)
+        select(Posteriors(["a"], np.array([[1.0, 1.0, 1.0]])), manifest, cents, config)
     with pytest.raises(ValidationError):
-        select([PosteriorVector("a", np.array([1.0, 1.0, 1.0]))], manifest, cents, config)
-    with pytest.raises(ValidationError):
-        select([PosteriorVector("a", np.zeros(2))], manifest, cents, config)
+        select(Posteriors(["a"], np.zeros((1, 2))), manifest, cents, config)
     with pytest.raises(ValidationError):
         select(posts, manifest, np.zeros((0, 2)), config)
 
