@@ -267,6 +267,37 @@ def read_features(utt: Utterance, base_dir: Path | None = None) -> np.ndarray:
     return arr
 
 
+def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.ndarray:
+    """Float32 frames of the manifests' utterances, in manifest order.
+
+    Past ``max_frames`` frames in all, ``max_frames`` of them are drawn
+    uniformly without replacement and kept in order. The draw uses the
+    manifests' ``num_frames``, so only files that hold a drawn frame are read.
+    """
+    utts = [(utt, manifest.base_dir) for manifest in manifests for utt in manifest]
+    dim = utts[0][0].frame_dim if utts else 0
+    for utt, _ in utts:
+        if utt.frame_dim != dim:
+            raise ValidationError(
+                f"frame_dim mismatch: '{utt.id}' has {utt.frame_dim}, expected {dim}"
+            )
+    starts = np.cumsum([0] + [utt.num_frames for utt, _ in utts])
+    total = int(starts[-1])
+    if total == 0:
+        raise ValidationError("no training frames available")
+    if total > max_frames:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(total, size=max_frames, replace=False))
+    else:
+        keep = np.arange(total)
+    X = np.empty((keep.size, dim), dtype=np.float32)
+    bounds = np.searchsorted(keep, starts)
+    for (utt, base_dir), start, lo, hi in zip(utts, starts, bounds, bounds[1:]):
+        if hi > lo:
+            X[lo:hi] = read_features(utt, base_dir)[keep[lo:hi] - start]
+    return X
+
+
 def read_transcript(utt: Utterance, base_dir: Path | None = None) -> str:
     """Load an utterance's transcript text; empty string when none is listed."""
     if not utt.transcript_path:

@@ -21,6 +21,10 @@ _GMM_HEADER = struct.Struct("<4sIII")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Frames x components cells per E-step block: each block's float64 arrays
+# take 512 KB however many frames EM trains on.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass
 class GmmConfig:
@@ -43,6 +47,7 @@ class GmmModel:
     var_floor: np.ndarray | None = field(default=None, compare=False)
     loglik_history: list[float] = field(default_factory=list)
     n_iterations: int = 0
+    converged: bool = False
 
     @property
     def frame_dim(self) -> int:
@@ -62,6 +67,30 @@ def _log_joint(weights, means, variances, X) -> np.ndarray:
     return const[None, :] - 0.5 * quad
 
 
+def _accumulate_stats(weights, means, variances, X, X2, rows):
+    """Log-likelihood of ``X`` and the zeroth-, first- and second-order
+    statistics ``sum_t r_tn``, ``sum_t r_tn x_t`` and ``sum_t r_tn x_t^2``,
+    accumulated over blocks of ``rows`` frames (``X2`` is ``X * X``)."""
+    n_components, d = means.shape
+    loglik = 0.0
+    nk = np.zeros(n_components)
+    sx = np.zeros((n_components, d))
+    sx2 = np.zeros((n_components, d))
+    for start in range(0, X.shape[0], rows):
+        xb = X[start:start + rows]
+        resp = _log_joint(weights, means, variances, xb)
+        top = resp.max(axis=1, keepdims=True)
+        resp -= top
+        np.exp(resp, out=resp)
+        total = resp.sum(axis=1, keepdims=True)
+        resp /= total
+        loglik += float(top.sum() + np.log(total).sum())
+        nk += resp.sum(axis=0)
+        sx += resp.T @ xb
+        sx2 += resp.T @ X2[start:start + rows]
+    return loglik, nk, sx, sx2
+
+
 def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> GmmModel:
     """Fit a diagonal-covariance mixture by EM.
 
@@ -69,7 +98,10 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     at ``var_floor_scale`` times the global per-dimension variance. The
     recorded log-likelihood trace is non-decreasing up to floating-point
     tolerance; training stops when the relative improvement drops below
-    ``tol`` or after ``max_iterations``.
+    ``tol`` (``converged``) or after ``max_iterations``. The E-step walks the
+    frames in blocks of ``_BLOCK_CELLS // n_components`` rows and sums the
+    statistics over blocks, so memory beyond the frames and their squares
+    does not grow with the number of frames.
     """
     config = config or GmmConfig()
     X = np.asarray(frames, dtype=np.float64)
@@ -97,24 +129,25 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
+    X2 = X * X
+    rows = max(1, _BLOCK_CELLS // n_components)
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
     iterations = 0
+    converged = False
     for _ in range(config.max_iterations):
-        lj = _log_joint(weights, means, variances, X)
-        norm = logsumexp(lj, axis=1)
-        history.append(float(norm.sum()))
+        loglik, nk, sx, sx2 = _accumulate_stats(weights, means, variances, X, X2, rows)
+        history.append(loglik)
         iterations += 1
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
             if (cur - prev) / max(abs(prev), 1.0) < config.tol:
+                converged = True
                 break
-        resp = np.exp(lj - norm[:, None])
-        nk = resp.sum(axis=0)
         nk = np.maximum(nk, 1e-300)
         weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        ex2 = (resp.T @ (X * X)) / nk[:, None]
+        means = sx / nk[:, None]
+        ex2 = sx2 / nk[:, None]
         variances = ex2 - means * means
         hit = variances < floor[None, :]
         variances = np.maximum(variances, floor[None, :])
@@ -131,6 +164,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     return GmmModel(
         n_components=n_components, weights=weights, means=means, variances=variances,
         var_floor=floor, loglik_history=history, n_iterations=iterations,
+        converged=converged,
     )
 
 

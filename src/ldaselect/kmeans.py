@@ -32,6 +32,17 @@ def _row_hash_order(X: np.ndarray) -> np.ndarray:
     )
 
 
+def _sq_dists(columns: np.ndarray, row: int, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Squared distances from row ``row`` to every row, summed one feature
+    column of ``columns`` (the transposed rows) at a time into ``out``."""
+    out.fill(0.0)
+    for col in columns:
+        np.subtract(col, col[row], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return out
+
+
 def kmeans_pp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """K-means++ seed rows: first uniform, then D^2-weighted draws.
 
@@ -41,16 +52,19 @@ def kmeans_pp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     n = X.shape[0]
     if k > n:
         raise ValidationError(f"cannot seed {k} centroids from {n} rows")
+    columns = np.ascontiguousarray(X.T)
+    dist = np.empty(n)
+    diff = np.empty(n)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = int(rng.integers(n))
-    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dists(columns, chosen[0], dist, diff).copy()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             chosen[j] = int(rng.integers(n))
         else:
             chosen[j] = int(rng.choice(n, p=d2 / total))
-        d2 = np.minimum(d2, np.sum((X - X[chosen[j]]) ** 2, axis=1))
+        np.minimum(d2, _sq_dists(columns, chosen[j], dist, diff), out=d2)
     return chosen
 
 

@@ -206,6 +206,10 @@ class Runner:
             self.skipped[name] = True
             return
         log.info("stage %s: running", name)
+        # ``fn`` rewrites the outputs in place: forget the old key first, so a
+        # run that fails part-way can never be skipped under it later.
+        if self.cache.pop(name, None) is not None:
+            self._save_cache()
         try:
             fn(*out_paths)
         except StageError:
@@ -217,6 +221,9 @@ class Runner:
                 raise StageError(name, f"stage did not produce expected output {p}")
         self.skipped[name] = False
         self.cache[name] = {"key": key, "outputs": outputs}
+        self._save_cache()
+
+    def _save_cache(self) -> None:
         self.cache_path.write_text(
             json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -227,29 +234,20 @@ class Runner:
         q = self.config.quantizer
 
         def fn(out_model: Path) -> None:
-            mats = []
-            dim = None
-            for which in self._sources(q.train_source):
-                manifest = self.manifests[which]
-                for utt in manifest:
-                    if dim is None:
-                        dim = utt.frame_dim
-                    elif utt.frame_dim != dim:
-                        raise ValidationError(
-                            f"frame_dim mismatch: '{utt.id}' has {utt.frame_dim}, "
-                            f"expected {dim}"
-                        )
-                    mats.append(corpus.read_features(utt, manifest.base_dir))
-            if not mats:
-                raise ValidationError("no training frames available")
-            X = np.concatenate([m for m in mats if m.shape[0] > 0], axis=0)
-            if X.shape[0] > q.max_train_frames:
-                rng = np.random.default_rng(q.seed)
-                keep = np.sort(
-                    rng.choice(X.shape[0], size=q.max_train_frames, replace=False)
-                )
-                X = X[keep]
+            X = corpus.sample_frames(
+                [self.manifests[w] for w in self._sources(q.train_source)],
+                q.max_train_frames, q.seed,
+            )
             model = gmm.train_gmm(X, q.n_components, q.gmm_config())
+            h = model.loglik_history
+            log.log(
+                logging.INFO if model.converged else logging.WARNING,
+                "stage train-gmm: EM %s after %d iterations (max_iterations=%d) on "
+                "%d frames; log-likelihood %.9g -> %.9g; smallest component weight %.3g",
+                "converged" if model.converged else "hit max_iterations",
+                model.n_iterations, q.max_iterations, X.shape[0], h[0], h[-1],
+                float(model.weights.min()),
+            )
             gmm.save_gmm(model, out_model)
 
         self._run_stage(

@@ -1,13 +1,16 @@
 """Independent reference implementations used as oracles by the test suite.
 
-Everything here is deliberately written in plain Python (math / mpmath, no
-numpy, no package internals) so results come from a second, unoptimized code
-path.
+Everything here uses no package internals, so results come from a second,
+unoptimized code path. Most oracles are plain Python (math / mpmath); the
+mixture-training oracles are whole-array numpy transcriptions of the
+full-batch code that the blocked kernels replaced.
 """
 
 import math
 
 import mpmath
+import numpy as np
+from scipy.special import logsumexp
 
 mpmath.mp.dps = 40
 
@@ -167,3 +170,65 @@ def best_topic_matching(true_beta, learned_beta):
         worst = min(cos(true_beta[i], learned_beta[perm[i]]) for i in range(k))
         best = max(best, worst)
     return best
+
+
+def ref_kmeans_pp_indices(X, k, rng):
+    """K-means++ seeding with whole-row distance reductions."""
+    n = X.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = int(rng.integers(n))
+    d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            chosen[j] = int(rng.integers(n))
+        else:
+            chosen[j] = int(rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, np.sum((X - X[chosen[j]]) ** 2, axis=1))
+    return chosen
+
+
+def ref_train_gmm(
+    X, n_components, *, seed, max_iterations, tol, var_floor_scale, init_subsample,
+    collapse_patience,
+):
+    """Full-batch diagonal-covariance EM over every frame at once.
+
+    Returns ``(weights, means, variances, loglik_history, n_iterations)``;
+    raises ``ValueError`` when a component collapses below the variance floor
+    for ``collapse_patience`` consecutive iterations.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    global_var = X.var(axis=0)
+    floor = var_floor_scale * global_var
+    floor[floor <= 0] = floor[floor > 0].min()
+    rng = np.random.default_rng(seed)
+    sub = X
+    if n > init_subsample:
+        sub = X[rng.choice(n, size=init_subsample, replace=False)]
+    means = sub[ref_kmeans_pp_indices(sub, n_components, rng)].copy()
+    variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
+    weights = np.full(n_components, 1.0 / n_components)
+    history = []
+    collapsed_runs = np.zeros(n_components, dtype=np.int64)
+    for _ in range(max_iterations):
+        inv = 1.0 / variances
+        const = np.log(weights) - 0.5 * (d * math.log(2.0 * math.pi) + np.log(variances).sum(1))
+        quad = (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(1)
+        lj = const[None, :] - 0.5 * quad
+        norm = logsumexp(lj, axis=1)
+        history.append(float(norm.sum()))
+        if len(history) >= 2 and (history[-1] - history[-2]) / max(abs(history[-2]), 1.0) < tol:
+            break
+        resp = np.exp(lj - norm[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-300)
+        weights = nk / n
+        means = (resp.T @ X) / nk[:, None]
+        variances = (resp.T @ (X * X)) / nk[:, None] - means * means
+        hit = variances < floor[None, :]
+        variances = np.maximum(variances, floor[None, :])
+        collapsed_runs = np.where(hit.all(axis=1), collapsed_runs + 1, 0)
+        if np.any(collapsed_runs >= collapse_patience):
+            raise ValueError("component collapsed below the variance floor")
+    return weights, means, variances, history, len(history)

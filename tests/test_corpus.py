@@ -12,9 +12,11 @@ from ldaselect.corpus import (
     read_features,
     read_manifest,
     read_transcript,
+    sample_frames,
     write_features,
     write_manifest,
 )
+from ldaselect import corpus as corpus_module
 from ldaselect.errors import FormatError, ValidationError
 
 
@@ -214,6 +216,62 @@ def test_validate_features_flag(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_manifest(p, validate_features=True)
     assert "missing feature file" in str(exc.value)
+
+
+def _frames_corpus(tmp_path, lengths_by_role, dim=3):
+    """Manifests whose utterances hold random frames of the given lengths."""
+    rng = np.random.default_rng(20)
+    manifests = []
+    for role, lengths in lengths_by_role:
+        utts = []
+        for i, n in enumerate(lengths):
+            name = f"{role}{i}.aldf"
+            write_features(rng.standard_normal((n, dim)), tmp_path / name)
+            utts.append(Utterance(f"{role}{i}", name, n, dim, n / 100, "x"))
+        manifests.append(Manifest(utts, role=role, base_dir=tmp_path))
+    return manifests
+
+
+def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
+    manifests = _frames_corpus(tmp_path, [("dev", [4, 0, 6]), ("pool", [5, 3, 0, 7])])
+    full = np.concatenate([
+        read_features(u, m.base_dir) for m in manifests for u in m if u.num_frames
+    ])
+    assert full.shape[0] == 25
+    owners = np.repeat(
+        [u.id for m in manifests for u in m], [u.num_frames for m in manifests for u in m]
+    )
+    real_read = corpus_module.read_features
+    read = []
+
+    def counting_read(utt, base_dir=None):
+        read.append(utt.id)
+        return real_read(utt, base_dir)
+
+    monkeypatch.setattr(corpus_module, "read_features", counting_read)
+    for max_frames, seed in [(1, 0), (2, 3), (7, 1), (24, 5), (25, 0), (40, 2)]:
+        keep = np.arange(25)
+        if full.shape[0] > max_frames:
+            keep = np.sort(
+                np.random.default_rng(seed).choice(25, size=max_frames, replace=False)
+            )
+        read.clear()
+        X = sample_frames(manifests, max_frames, seed)
+        assert X.dtype == full.dtype
+        assert np.array_equal(X, full[keep])
+        assert read == list(dict.fromkeys(owners[keep]))
+
+
+def test_sample_frames_errors(tmp_path):
+    (empty,) = _frames_corpus(tmp_path, [("pool", [0, 0])])
+    with pytest.raises(ValidationError, match="no training frames"):
+        sample_frames([empty], 10, 0)
+    with pytest.raises(ValidationError, match="no training frames"):
+        sample_frames([Manifest([])], 10, 0)
+    dev, pool = _frames_corpus(tmp_path, [("dev", [2, 0]), ("pool", [3])])
+    pool.utterances.append(Utterance("wide", "pool0.aldf", 3, 4, 0.03, "x"))
+    with pytest.raises(ValidationError, match="frame_dim mismatch: 'wide' has 4, expected 3"):
+        sample_frames([dev, pool], 10, 0)
 
 
 # ---------------------------------------------------------------------------

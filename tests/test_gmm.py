@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldaselect import gmm as gmm_module
 from ldaselect.errors import FormatError, ValidationError
 from ldaselect.gmm import (
     GmmConfig,
@@ -15,6 +20,8 @@ from ldaselect.gmm import (
     train_gmm,
     write_quantized,
 )
+
+from reference import ref_train_gmm
 
 
 def _model(weights, means, variances):
@@ -89,6 +96,75 @@ def test_training_errors():
         train_gmm(np.array([[np.inf, 0.0]]), 1)
     with pytest.raises(ValidationError):
         train_gmm(np.ones((10, 2)) * np.arange(10)[:, None], 0)
+
+
+@st.composite
+def _em_cases(draw):
+    n_components = draw(st.integers(1, 4))
+    rows = draw(st.integers(2, 7))
+    # n is never a multiple of the block, so every E-step ends on a short block.
+    n = rows * draw(st.integers(n_components, 8)) + draw(st.integers(1, rows - 1))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Offset clusters keep means and variances away from zero, where a
+    # relative tolerance would measure cancellation instead of the kernels.
+    centers = rng.uniform(3.0, 8.0, size=(draw(st.integers(1, 3)), d))
+    X = centers[rng.integers(len(centers), size=n)] + rng.standard_normal((n, d))
+    config = GmmConfig(
+        seed=draw(st.integers(0, 2**16)),
+        max_iterations=draw(st.integers(1, 8)),
+        tol=draw(st.sampled_from([1e-3, 1e-5, 1e-8])),
+        init_subsample=draw(st.integers(n_components, n + 5)),
+    )
+    return X, n_components, rows, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_em_cases())
+def test_blocked_em_matches_full_batch_reference(case):
+    X, n_components, rows, config = case
+    try:
+        expected = ref_train_gmm(X, n_components, **dataclasses.asdict(config))
+    except ValueError:
+        expected = None
+    for block_rows in (1, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gmm_module, "_BLOCK_CELLS", block_rows * n_components)
+            if expected is None:
+                with pytest.raises(ValidationError, match="collapsed"):
+                    train_gmm(X, n_components, config)
+                continue
+            model = train_gmm(X, n_components, config)
+        weights, means, variances, history, n_iterations = expected
+        assert model.n_iterations == n_iterations
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(model.means, means, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(model.variances, variances, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(model.loglik_history, history, rtol=1e-10, atol=0)
+
+
+def test_em_memory_stays_below_frames_by_components():
+    """The E-step works in blocks: its peak is far below one frames x
+    components float64 array (tracemalloc sees numpy's allocations)."""
+    n, n_components = 40_000, 256
+    X = np.random.default_rng(9).standard_normal((n, 4))
+    config = GmmConfig(seed=0, max_iterations=2, init_subsample=2_000)
+    tracemalloc.start()
+    try:
+        train_gmm(X, n_components, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n_components * 8 / 4
+
+
+def test_converged_flag_tells_tol_stop_from_cap():
+    rng = np.random.default_rng(10)
+    X = np.vstack([rng.standard_normal((300, 2)) - 6, rng.standard_normal((300, 2)) + 6])
+    converged = train_gmm(X, 2, GmmConfig(seed=0, max_iterations=100))
+    assert converged.converged and converged.n_iterations < 100
+    capped = train_gmm(X, 2, GmmConfig(seed=0, max_iterations=1))
+    assert not capped.converged and capped.n_iterations == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldaselect.errors import ValidationError
 from ldaselect.kmeans import kmeans_pp_indices, train_kmeans
 
-from reference import ref_best_two_partition
+from reference import ref_best_two_partition, ref_kmeans_pp_indices
 
 
 def test_each_vector_its_own_centroid():
@@ -107,3 +109,25 @@ def test_seeding_indices_cover_spread_points():
         idx = kmeans_pp_indices(X, 3, np.random.default_rng(seed))
         owners = {int(i) // 8 for i in idx}
         assert owners == {0, 1, 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    d=st.integers(1, 6),
+    distinct=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_kmeans_pp_indices_match_row_reduction_reference(n, d, distinct, seed, data):
+    """Integer-valued rows make every squared-distance sum exact in any
+    order, so the column-wise kernel must pick exactly the reference's rows
+    and leave the generator in the same state."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-20, 21, size=(min(distinct, n), d)).astype(np.float64)
+    X = base[rng.integers(len(base), size=n)]  # duplicate rows when distinct < n
+    k = data.draw(st.sampled_from([1, n, max(1, n // 2)]))
+    got_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = kmeans_pp_indices(X, k, got_rng)
+    assert got.tolist() == ref_kmeans_pp_indices(X, k, ref_rng).tolist()
+    assert got_rng.integers(2**62) == ref_rng.integers(2**62)

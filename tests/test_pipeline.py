@@ -1,18 +1,22 @@
 import json
 import logging
 import shutil
+from dataclasses import replace
 
 import pytest
 
+from ldaselect import pipeline as pipeline_module
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
     generate_synthetic_corpus,
     make_separated_spec,
     read_features,
     read_manifest,
+    sample_frames,
     write_features,
 )
 from ldaselect.errors import StageError, ValidationError
+from ldaselect.gmm import train_gmm
 from ldaselect.pipeline import (
     Runner,
     run_pipeline,
@@ -259,3 +263,60 @@ def test_capped_and_empty_inference_documents_are_logged(tmp_path, corpus_dir, c
     (record,) = [r for r in caplog.records if "pool documents" in r.getMessage()]
     assert record.levelno == logging.INFO
     assert record.getMessage().startswith("stage posteriors: 0 of 24 pool documents")
+
+
+def test_gmm_training_trace_is_logged(tmp_path, corpus_dir, caplog):
+    config = _config(corpus_dir, tmp_path / "work")
+    X = sample_frames(
+        [read_manifest(config.paths.dev_manifest), read_manifest(config.paths.pool_manifest)],
+        config.quantizer.max_train_frames, config.quantizer.seed,
+    )
+    for max_iterations, level, outcome in [
+        (1, logging.WARNING, "hit max_iterations"),
+        (200, logging.INFO, "converged"),
+    ]:
+        config.quantizer.max_iterations = max_iterations
+        model = train_gmm(X, 2, config.quantizer.gmm_config())
+        h = model.loglik_history
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+            run_pipeline(config, stages=["train-gmm"])
+        (record,) = [r for r in caplog.records if "EM" in r.getMessage()]
+        assert record.levelno == level
+        assert record.getMessage() == (
+            f"stage train-gmm: EM {outcome} after {model.n_iterations} iterations "
+            f"(max_iterations={max_iterations}) on {X.shape[0]} frames; "
+            f"log-likelihood {h[0]:.9g} -> {h[-1]:.9g}; "
+            f"smallest component weight {model.weights.min():.3g}"
+        )
+    assert model.n_iterations < 200
+
+
+def test_failed_stage_is_not_skipped_under_its_old_key(tmp_path, corpus_dir):
+    """A select that fails after rewriting its audit must not leave the old
+    cache entry pointing at that audit. (Every pool utterance of this corpus
+    lies within any threshold of a centroid, so an hour budget makes the
+    original selection differ from the failed one's.)"""
+    config = _config(corpus_dir, tmp_path / "work")
+    config.selection.threshold = 0.2
+    config.selection.max_hours = read_manifest(config.paths.pool_manifest).total_hours() / 2
+    run_pipeline(config)
+    audit = tmp_path / "work" / "selection.audit.tsv"
+    good = audit.read_bytes()
+
+    def fail(*args):
+        raise OSError("injected failure after the audit was written")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline_module, "write_selection_manifest", fail)
+        budgeted = config.selection
+        config.selection = replace(budgeted, threshold=0.9, max_hours=None)
+        with pytest.raises(StageError, match="injected"):
+            run_pipeline(config, stages=["select"])
+    assert audit.read_bytes() != good  # the failed run did rewrite the audit
+
+    config.selection = budgeted
+    result = run_pipeline(config)
+    assert result.skipped["select"] is False
+    assert result.skipped["cluster"] is True
+    assert audit.read_bytes() == good
