@@ -38,6 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "--log-level", default="INFO", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="least severe log message to show (default: INFO)",
+    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     synth = subs.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -284,11 +288,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("ldaselect").setLevel(args.log_level)
     try:
         return _COMMANDS.get(args.command, _cmd_stage)(args)
     except ValidationError as exc:

@@ -24,7 +24,8 @@ from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
 from .report import render_report, report, write_report_tsv
 from .selection import (
-    SelectionResult, centroid_id, read_audit, select, union_combine, write_audit,
+    SelectionResult, centroid_id, rank_pool, read_audit, select, union_combine,
+    validate_selection_config, write_audit,
 )
 
 log = logging.getLogger(__name__)
@@ -58,22 +59,32 @@ def _log_sweeps(stage: str, which: str, sweeps: np.ndarray, max_iters: int) -> N
     )
 
 
-def write_selection_manifest(
-    result: SelectionResult, pool_manifest: corpus.Manifest, path
-) -> None:
-    """Manifest of the selected utterances, reusable as a training manifest.
+def _log_selection(label: str, result: SelectionResult, pool_size: int) -> None:
+    log.info(
+        "%s: %d of %d pool utterances selected (%.6g h) in %d passes; stopped by %s",
+        label, len(result.selected), pool_size, result.total_hours, result.passes,
+        result.stop_reason,
+    )
 
-    Paths are made absolute so the manifest is valid from any directory.
-    """
-    by_id = pool_manifest.by_id()
-    base = pool_manifest.base_dir
-    utts = []
-    for s in result.selected:
-        if s.utt_id not in by_id:
-            raise ValidationError(f"utterance '{s.utt_id}' is not in the pool manifest")
-        u = by_id[s.utt_id]
-        utts.append(
-            replace(
+
+class _SelectionManifests:
+    """Writes selection manifests of one pool. Paths are made absolute so a
+    manifest is valid from any directory; each pool utterance is resolved
+    once, when first selected, however many selections are written."""
+
+    def __init__(self, pool_manifest: corpus.Manifest):
+        self.pool = pool_manifest
+        self.by_id = pool_manifest.by_id()
+        self.absolute: dict[str, corpus.Utterance] = {}
+
+    def _resolve(self, utt_id: str) -> corpus.Utterance:
+        u = self.absolute.get(utt_id)
+        if u is None:
+            if utt_id not in self.by_id:
+                raise ValidationError(f"utterance '{utt_id}' is not in the pool manifest")
+            u = self.by_id[utt_id]
+            base = self.pool.base_dir
+            u = self.absolute[utt_id] = replace(
                 u,
                 feature_path=str(corpus.resolve_path(u.feature_path, base)),
                 transcript_path=(
@@ -81,10 +92,23 @@ def write_selection_manifest(
                     if u.transcript_path else None
                 ),
             )
+        return u
+
+    def write(self, result: SelectionResult, path) -> None:
+        utts = [self._resolve(s.utt_id) for s in result.selected]
+        corpus.write_manifest(
+            corpus.Manifest(utts, role="pool", fps=self.pool.fps), path
         )
-    corpus.write_manifest(
-        corpus.Manifest(utts, role="pool", fps=pool_manifest.fps), path
-    )
+
+
+def write_selection_manifest(
+    result: SelectionResult, pool_manifest: corpus.Manifest, path
+) -> None:
+    """Manifest of the selected utterances, reusable as a training manifest.
+
+    Paths are made absolute so the manifest is valid from any directory.
+    """
+    _SelectionManifests(pool_manifest).write(result, path)
 
 
 @dataclass
@@ -224,9 +248,17 @@ class Runner:
         self._save_cache()
 
     def _save_cache(self) -> None:
-        self.cache_path.write_text(
+        """Replace ``cache.json`` atomically: a crash leaves the old file or
+        the new one, never a truncated one."""
+        tmp = self.cache_path.with_name(self.cache_path.name + ".tmp")
+        tmp.write_text(
             json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+        try:
+            os.replace(tmp, self.cache_path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
     # -- acoustic stages --------------------------------------------------
 
@@ -410,6 +442,7 @@ class Runner:
             posts = lda.read_posteriors(self._artifact(f"{prefix}post_pool.tsv"))
             cents = lda.read_posteriors(self._artifact(f"{prefix}centroids.tsv"))
             result = select(posts, self.pool, cents.gamma, params)
+            _log_selection(f"stage {name}", result, len(self.pool))
             write_audit(result, out_audit)
             write_selection_manifest(result, self.pool, out_manifest)
 
@@ -527,31 +560,43 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> Pip
     return Runner(config).run(stages)
 
 
+def _lambda_tag(lam: float) -> str:
+    return f"{lam:.9g}".replace(".", "p")
+
+
 def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
     """Re-run selection and report across thresholds against cached artifacts.
 
-    The expensive stages run (or cache-skip) once; each threshold then gets
-    its own selection audit, manifest and report files, named by value.
+    The expensive stages run (or cache-skip) once and the pool is ranked once;
+    each threshold then gets its own selection audit, manifest and report
+    files, named by value.
     """
+    by_tag: dict[str, list[float]] = {}
     for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise ValidationError(f"distance threshold must be in (0, 1], got {lam}")
+        validate_selection_config(replace(config.selection, threshold=lam))
+        by_tag.setdefault(_lambda_tag(lam), []).append(lam)
+    clashes = [
+        f"{', '.join(map(repr, v))} (tag {t})" for t, v in by_tag.items() if len(v) > 1
+    ]
+    if clashes:
+        raise ValidationError(
+            "thresholds would overwrite each other's sweep files: " + "; ".join(clashes)
+        )
     runner = Runner(config)
     with WorkDirLock(runner.work):
         for name in ACOUSTIC_STAGES[:-1]:  # everything up to and including cluster
             runner.run_stage(name)
         posts = lda.read_posteriors(runner._artifact("post_pool.tsv"))
         cents = lda.read_posteriors(runner._artifact("centroids.tsv")).gamma
+        ranking = rank_pool(posts, runner.pool, cents)
+        manifests = _SelectionManifests(runner.pool)
         rows = []
         for lam in lambdas:
-            result = select(
-                posts, runner.pool, cents, replace(config.selection, threshold=lam)
-            )
-            tag = f"{lam:.9g}".replace(".", "p")
+            result = ranking.select(replace(config.selection, threshold=lam))
+            _log_selection(f"sweep lambda={lam:.9g}", result, len(runner.pool))
+            tag = _lambda_tag(lam)
             write_audit(result, runner._artifact(f"selection_lambda_{tag}.audit.tsv"))
-            write_selection_manifest(
-                result, runner.pool, runner._artifact(f"selection_lambda_{tag}.tsv")
-            )
+            manifests.write(result, runner._artifact(f"selection_lambda_{tag}.tsv"))
             rep = report(result, runner.pool)
             write_report_tsv(rep, runner._artifact(f"report_lambda_{tag}.tsv"))
             rows.append(

@@ -6,6 +6,10 @@ provided that distance is below the threshold; claimed utterances leave the
 pool immediately, so later centroids in the same pass see the reduced pool.
 Passes repeat until one selects nothing or the pool empties. An optional hour
 budget is a hard stop checked before each addition.
+
+The pool is ranked once per centroid (:func:`rank_pool`); a selection then
+walks each centroid's candidates below the threshold with a forward-only
+pointer (:meth:`Ranking.select`), so thresholds can be swept over one ranking.
 """
 
 import math
@@ -42,6 +46,9 @@ class SelectionResult:
     selected: list[SelectedUtterance] = field(default_factory=list)
     total_hours: float = 0.0
     passes: int = 0
+    # Why the greedy loop ended: "threshold" (a pass selected nothing),
+    # "budget" or "pool" (pool exhausted). Not part of the audit file.
+    stop_reason: str | None = field(default=None, compare=False)
 
     def ids(self) -> list[str]:
         return [s.utt_id for s in self.selected]
@@ -98,6 +105,80 @@ def select(
     utterance id. The recorded pass index counts passes from 1.
     """
     validate_selection_config(config)
+    return rank_pool(pool_posteriors, pool_manifest, centroids).select(config)
+
+
+@dataclass
+class Ranking:
+    """Every pool utterance ranked for every centroid, threshold-free.
+
+    Row ``c`` of ``order`` holds pool column indices nearest first, exact
+    distance ties toward the smaller utterance id; the same row of ``dists``
+    holds their distances, so it ascends. One ranking serves any number of
+    thresholds and budgets.
+    """
+
+    ids: list[str]
+    hours: list[float]
+    order: np.ndarray
+    dists: np.ndarray
+
+    def select(self, config: SelectionConfig) -> SelectionResult:
+        """The greedy pass loop of :func:`select` under ``config``.
+
+        Each centroid's candidate list is its row cut at the first distance
+        not below the threshold. A centroid keeps a pointer into its list and,
+        on its turn, moves it past utterances already taken and claims the
+        next one. Pointers only move forward, so a whole selection takes
+        O(candidate entries) steps.
+        """
+        validate_selection_config(config)
+        ends = [int(np.searchsorted(d, config.threshold, side="left")) for d in self.dists]
+        names = [centroid_id(c) for c in range(len(ends))]
+        # Memoryviews index the rows as Python ints and floats without a copy.
+        rows = [memoryview(row) for row in self.order]
+        dists = [memoryview(d) for d in self.dists]
+        pointers = [0] * len(ends)
+        taken = bytearray(len(self.ids))
+        remaining = len(self.ids)
+        result = SelectionResult(stop_reason="pool")
+        while remaining:
+            result.passes += 1
+            count = 0
+            for c, end in enumerate(ends):
+                if not remaining:
+                    break
+                row, p = rows[c], pointers[c]
+                while p < end and taken[row[p]]:
+                    p += 1
+                pointers[c] = p
+                if p == end:
+                    continue
+                pick = row[p]
+                dur_h = self.hours[pick]
+                if (
+                    config.max_hours is not None
+                    and result.total_hours + dur_h > config.max_hours + 1e-9
+                ):
+                    result.stop_reason = "budget"
+                    return result
+                taken[pick] = 1
+                remaining -= 1
+                result.selected.append(
+                    SelectedUtterance(self.ids[pick], names[c], dists[c][p], result.passes)
+                )
+                result.total_hours += dur_h
+                count += 1
+            if count == 0:
+                result.stop_reason = "threshold"
+                break
+        return result
+
+
+def rank_pool(
+    pool_posteriors: Posteriors, pool_manifest: Manifest, centroids
+) -> Ranking:
+    """Validate the selection inputs and rank the pool for every centroid."""
     cents = _centroid_matrix(centroids)
     ids = pool_posteriors.ids
     if len(set(ids)) != len(ids):
@@ -105,9 +186,11 @@ def select(
     if set(ids) != set(pool_manifest.ids()):
         raise ValidationError("pool posteriors do not match the pool manifest ids")
     durations = pool_manifest.by_id()
+    hours = [durations[uid].duration_s / 3600.0 for uid in ids]
     m = len(ids)
     if m == 0:
-        return SelectionResult()
+        empty = np.empty((cents.shape[0], 0))
+        return Ranking([], [], empty.astype(np.intp), empty)
 
     gammas = np.asarray(pool_posteriors.gamma, dtype=np.float64)
     if gammas.shape[1] != cents.shape[1]:
@@ -115,45 +198,20 @@ def select(
             f"posterior dimension {gammas.shape[1]} does not match centroid "
             f"dimension {cents.shape[1]}"
         )
+    if not np.all(np.isfinite(gammas)):
+        raise ValidationError("pool posteriors contain NaN or Inf")
     if np.any(np.linalg.norm(gammas, axis=1) == 0.0):
         raise ValidationError("pool posteriors must be nonzero vectors")
 
-    # Full centroid-to-pool distance table; passes only mask columns.
     cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
     gn = gammas / np.linalg.norm(gammas, axis=1, keepdims=True)
-    dist = np.clip(1.0 - cn @ gn.T, 0.0, 2.0)
+    dists = np.clip(1.0 - cn @ gn.T, 0.0, 2.0)
     lex_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
-
-    alive = np.ones(m, dtype=bool)
-    result = SelectionResult()
-    while alive.any():
-        result.passes += 1
-        count = 0
-        for c in range(cents.shape[0]):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            d = dist[c, idx]
-            dmin = d.min()
-            if dmin >= config.threshold:
-                continue
-            cand = idx[d == dmin]
-            pick = cand[np.argmin(lex_rank[cand])]
-            dur_h = durations[ids[pick]].duration_s / 3600.0
-            if (
-                config.max_hours is not None
-                and result.total_hours + dur_h > config.max_hours + 1e-9
-            ):
-                return result
-            alive[pick] = False
-            result.selected.append(
-                SelectedUtterance(ids[pick], centroid_id(c), float(dmin), result.passes)
-            )
-            result.total_hours += dur_h
-            count += 1
-        if count == 0:
-            break
-    return result
+    order = np.empty(dists.shape, dtype=np.intp)
+    for c, row in enumerate(dists):
+        order[c] = np.lexsort((lex_rank, row))
+        row[:] = row[order[c]]
+    return Ranking(list(ids), hours, order, dists)
 
 
 def union_combine(

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from ldaselect.cli import main
@@ -205,6 +207,25 @@ def test_sweep_lambda_command(config_path, tmp_path, capsys):
     assert main(
         ["sweep-lambda", "--config", str(config_path), "--lambdas", ""]
     ) == 1
+
+
+def test_log_level_option(config_path, caplog):
+    def stage_lines():
+        return [
+            r for r in caplog.records
+            if r.name.startswith("ldaselect") and r.getMessage().startswith("stage ")
+        ]
+
+    caplog.set_level(logging.DEBUG)
+    assert main(["--log-level", "WARNING", "run", "--config", str(config_path)]) == 0
+    assert stage_lines() == []
+    caplog.clear()
+    assert main(["run", "--config", str(config_path)]) == 0  # default INFO
+    lines = stage_lines()
+    assert "stage select: skipped (cached)" in [r.getMessage() for r in lines]
+    assert {r.levelno for r in lines} == {logging.INFO}
+    with pytest.raises(SystemExit):
+        main(["--log-level", "LOUD", "run", "--config", str(config_path)])
 
 
 def test_version_and_bad_command():

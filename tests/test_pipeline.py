@@ -8,23 +8,31 @@ import pytest
 from ldaselect import pipeline as pipeline_module
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
+    Manifest,
+    Utterance,
     generate_synthetic_corpus,
     make_separated_spec,
     read_features,
     read_manifest,
+    resolve_path,
     sample_frames,
     write_features,
+    write_manifest,
 )
 from ldaselect.errors import StageError, ValidationError
 from ldaselect.gmm import train_gmm
+from ldaselect.lda import read_posteriors
 from ldaselect.pipeline import (
     Runner,
     run_pipeline,
     stage_order,
     sweep_lambda,
+    write_selection_manifest,
 )
 from ldaselect.report import report
-from ldaselect.selection import read_audit
+from ldaselect.selection import (
+    SelectedUtterance, SelectionResult, read_audit, select, write_audit,
+)
 
 ACOUSTIC_ARTIFACTS = [
     "gmm.agmm", "quantized_pool.tsv", "quantized_dev.tsv",
@@ -205,6 +213,155 @@ def test_sweep_lambda(tmp_path, corpus_dir):
     assert len(summary) == 4
     with pytest.raises(ValidationError):
         sweep_lambda(config, [0.0])
+
+
+def _one_domain_dev_config(corpus_dir, tmp_path) -> PipelineConfig:
+    """The pool's two domains against a dev set and one centroid from the
+    first domain alone, so a tight threshold leaves the other domain out."""
+    dev_spec = make_separated_spec(1, 4, frames_range=(30, 50), role="dev", id_prefix="dev_")
+    generate_synthetic_corpus(dev_spec, seed=12, out_dir=tmp_path / "dev")
+    config = _config(corpus_dir, tmp_path / "work")
+    config.paths.dev_manifest = str(tmp_path / "dev" / "dev.tsv")
+    config.cluster.n_clusters = 1
+    return config
+
+
+def test_sweep_audits_equal_separate_selects(tmp_path, corpus_dir):
+    """Each threshold of a sweep over one ranking selects exactly what its own
+    ``select`` call does, budgeted or not."""
+    work = tmp_path / "work"
+    config = _one_domain_dev_config(corpus_dir, tmp_path)
+    pool = read_manifest(config.paths.pool_manifest)
+    lambdas = [1e-12, 0.05, 0.3, 0.6, 1.0]
+    for budget in (None, pool.total_hours() / 3):
+        config.selection.max_hours = budget
+        sweep_lambda(config, lambdas)
+        posts = read_posteriors(work / "post_pool.tsv")
+        cents = read_posteriors(work / "centroids.tsv").gamma
+        for lam in lambdas:
+            tag = f"{lam:.9g}".replace(".", "p")
+            alone = select(posts, pool, cents, replace(config.selection, threshold=lam))
+            write_audit(alone, tmp_path / "alone.audit.tsv")
+            write_selection_manifest(alone, pool, tmp_path / "alone.tsv")
+            assert (work / f"selection_lambda_{tag}.audit.tsv").read_bytes() == (
+                tmp_path / "alone.audit.tsv"
+            ).read_bytes()
+            assert (work / f"selection_lambda_{tag}.tsv").read_bytes() == (
+                tmp_path / "alone.tsv"
+            ).read_bytes()
+
+
+def test_sweep_rejects_colliding_and_out_of_range_thresholds(tmp_path, corpus_dir):
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    with pytest.raises(ValidationError, match=r"0\.1, 0\.1000000001 \(tag 0p1\)"):
+        sweep_lambda(config, [0.1, 0.5, 0.1000000001])
+    with pytest.raises(ValidationError, match=r"0\.2, 0\.2 \(tag 0p2\)"):
+        sweep_lambda(config, [0.2, 0.2])
+    for bad in (0.0, 1.5):
+        with pytest.raises(
+            ValidationError, match=rf"distance threshold must be in \(0, 1\], got {bad}"
+        ):
+            sweep_lambda(config, [0.5, bad])
+    assert not work.exists()
+
+
+def test_selection_stop_reasons_are_logged(tmp_path, corpus_dir, caplog):
+    """Threshold, budget and pool stops, from the select stage and the sweep."""
+    config = _one_domain_dev_config(corpus_dir, tmp_path)
+    pool = read_manifest(config.paths.pool_manifest)
+    config.selection.max_hours = pool.total_hours() / 4
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        result = run_pipeline(config).selection
+        sweep_lambda(replace(config, selection=replace(config.selection, max_hours=None)),
+                     [0.5, 1.0])
+    lines = [r.getMessage() for r in caplog.records if "stopped by" in r.getMessage()]
+    assert lines[0] == (
+        f"stage select: {len(result.selected)} of 24 pool utterances selected "
+        f"({result.total_hours:.6g} h) in {result.passes} passes; stopped by budget"
+    )
+    assert lines[1].startswith("sweep lambda=0.5: 12 of 24 pool utterances selected")
+    assert lines[1].endswith("stopped by threshold")
+    assert lines[2].startswith("sweep lambda=1: 24 of 24 pool utterances selected")
+    assert lines[2].endswith("in 24 passes; stopped by pool")
+    assert len(lines) == 3
+
+
+def test_selection_manifest_equals_per_utterance_resolution(tmp_path):
+    """Selection manifests hold the same paths the old per-utterance
+    ``resolve_path`` calls gave: absolute paths, ``..`` relative paths and
+    utterances without a transcript."""
+    corpus = tmp_path / "corpus" / "pool"
+    corpus.mkdir(parents=True)
+    utts = [
+        Utterance("a", str(tmp_path / "abs" / "a.aldf"), 10, 2, 1.5, "d0",
+                  str(tmp_path / "abs" / "a.txt")),
+        Utterance("b", "../shared/b.aldf", 10, 2, 2.5, "d1", "../shared/./b.txt"),
+        Utterance("c", "feats//c.aldf", 10, 2, 3.0, "d0"),
+        Utterance("d", "./d.aldf", 10, 2, 4.25, "d1", "d.txt"),
+    ]
+    write_manifest(Manifest(utts, fps=50.0), corpus / "pool.tsv")
+    pool = read_manifest(corpus / "pool.tsv")
+
+    def old_style(result, path):
+        by_id = pool.by_id()
+        write_manifest(
+            Manifest(
+                [
+                    replace(
+                        by_id[s.utt_id],
+                        feature_path=str(resolve_path(by_id[s.utt_id].feature_path,
+                                                      pool.base_dir)),
+                        transcript_path=(
+                            str(resolve_path(by_id[s.utt_id].transcript_path,
+                                             pool.base_dir))
+                            if by_id[s.utt_id].transcript_path else None
+                        ),
+                    )
+                    for s in result.selected
+                ],
+                role="pool", fps=pool.fps,
+            ),
+            path,
+        )
+
+    writer = pipeline_module._SelectionManifests(pool)
+    for order in (["d", "b", "a", "c"], ["c", "a"], ["b", "d", "c", "a"]):
+        result = SelectionResult(
+            [SelectedUtterance(uid, "centroid_0000", 0.1, 1) for uid in order]
+        )
+        old_style(result, tmp_path / "old.tsv")
+        write_selection_manifest(result, pool, tmp_path / "new.tsv")
+        writer.write(result, tmp_path / "reused.tsv")
+        expected = (tmp_path / "old.tsv").read_bytes()
+        assert (tmp_path / "new.tsv").read_bytes() == expected
+        assert (tmp_path / "reused.tsv").read_bytes() == expected
+    assert str(tmp_path / "corpus" / "pool" / ".." / "shared" / "b.aldf") in expected.decode()
+    with pytest.raises(ValidationError, match="ghost"):
+        write_selection_manifest(
+            SelectionResult([SelectedUtterance("ghost", "centroid_0000", 0.1, 1)]),
+            pool, tmp_path / "bad.tsv",
+        )
+
+
+def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    run_pipeline(config, stages=["train-gmm"])
+    before = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+
+    def fail(src, dst):
+        raise OSError("injected failure while replacing the cache file")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline_module.os, "replace", fail)
+        with pytest.raises(OSError, match="injected"):
+            run_pipeline(config, stages=["quantize"])
+    assert json.loads((work / "cache.json").read_text(encoding="utf-8")) == before
+    assert list(before) == ["train-gmm"]
+    assert not list(work.glob("cache.json.*"))
+    result = run_pipeline(config, stages=["train-gmm", "quantize"])
+    assert result.skipped == {"train-gmm": True, "quantize": False}
 
 
 def test_composition_report_from_audit(tmp_path, corpus_dir):

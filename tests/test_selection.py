@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldaselect.corpus import Manifest, Utterance
 from ldaselect.errors import FormatError, ValidationError
@@ -13,6 +15,7 @@ from ldaselect.selection import (
     centroid_id,
     cosine_distance,
     random_select,
+    rank_pool,
     read_audit,
     select,
     union_combine,
@@ -162,6 +165,106 @@ def test_exact_distance_tie_breaks_to_smaller_id():
     result = select(posts, manifest, cents, SelectionConfig(threshold=1.0))
     assert result.ids() == ["aa", "zz"]
     assert result.passes == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 14),
+    c=st.integers(1, 6),
+    dim=st.integers(2, 5),
+    duplicated=st.booleans(),
+    lam_kind=st.sampled_from(["uniform", "attained", "one"]),
+    budget_share=st.one_of(st.none(), st.floats(0.05, 1.2)),
+)
+def test_select_matches_oracle_property(
+    seed, m, c, dim, duplicated, lam_kind, budget_share
+):
+    """``select`` equals the step-by-step oracle, including exact ties, a
+    threshold equal to an attained distance, budgets, C > m and m = 1."""
+    rng = np.random.default_rng(seed)
+    # Column i holds the i-th largest id, so exact ties break against the
+    # column order.
+    ids = [f"u{m - 1 - i:03d}" for i in range(m)]
+    rows = rng.random((m, dim)) + 0.05
+    if duplicated:
+        # Copies of a few rows tie exactly. With a single centroid numpy's
+        # matrix-vector product can round copies apart, so ties need C >= 2.
+        rows = rows[rng.integers(0, max(1, m // 2), size=m)]
+        c = max(c, 2)
+    cents = rng.random((c, dim)) + 0.05
+    durations = {uid: float(rng.uniform(5.0, 30.0)) for uid in ids}
+    gammas = {uid: row.tolist() for uid, row in zip(ids, rows)}
+    posts = Posteriors(ids, rows)
+    manifest = _manifest([(uid, durations[uid]) for uid in ids])
+
+    if lam_kind == "one":
+        lam = 1.0
+    elif lam_kind == "uniform":
+        lam = float(rng.uniform(0.01, 1.0))
+    else:
+        # A distance both the table and the oracle compute to the same value.
+        cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
+        gn = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        table = np.clip(1.0 - cn @ gn.T, 0.0, 2.0)
+        same = [
+            float(table[ci, j]) for ci in range(c) for j in range(m)
+            if table[ci, j] == ref_cosine_distance(cents[ci].tolist(), gammas[ids[j]])
+            and 0.0 < table[ci, j] <= 1.0
+        ]
+        lam = same[int(rng.integers(len(same)))] if same else 1.0
+    budget = None
+    if budget_share is not None:
+        budget = budget_share * sum(durations.values()) / 3600.0
+
+    result = select(
+        posts, manifest, cents, SelectionConfig(threshold=lam, max_hours=budget)
+    )
+    ref_sel, ref_passes, ref_total = ref_select(gammas, durations, cents.tolist(), lam, budget)
+    assert [(s.utt_id, s.centroid, s.pass_index) for s in result.selected] == [
+        (uid, centroid_id(ci), p) for uid, ci, _, p in ref_sel
+    ]
+    for s, (_, _, d, _) in zip(result.selected, ref_sel):
+        assert s.distance == pytest.approx(d, abs=1e-12)
+        assert s.distance < lam
+    assert result.passes == ref_passes
+    assert result.total_hours == pytest.approx(ref_total, abs=1e-12)
+
+    unbudgeted, _, _ = ref_select(gammas, durations, cents.tolist(), lam)
+    if len(ref_sel) < len(unbudgeted):
+        assert result.stop_reason == "budget"
+    elif len(ref_sel) == m:
+        assert result.stop_reason == "pool"
+    else:
+        assert result.stop_reason == "threshold"
+
+
+def test_ranking_is_reused_across_thresholds_and_budgets():
+    rng = np.random.default_rng(5)
+    _, _, cents, posts, manifest = _instance(rng, 30, 4, 3)
+    ranking = rank_pool(posts, manifest, cents)
+    for lam in (0.02, 0.1, 0.3, 1.0):
+        for budget in (None, 0.02):
+            config = SelectionConfig(threshold=lam, max_hours=budget)
+            assert ranking.select(config) == select(posts, manifest, cents, config)
+    with pytest.raises(ValidationError):
+        ranking.select(SelectionConfig(threshold=1.5))
+
+
+def test_non_finite_pool_posteriors_rejected():
+    manifest = _manifest([("a", 10.0)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            select(
+                Posteriors(["a"], np.array([[bad, 1.0]])), manifest,
+                np.array([[1.0, 0.5]]), SelectionConfig(threshold=0.5),
+            )
+
+
+def test_empty_pool_stops_by_pool():
+    posts = Posteriors([], np.zeros((0, 2)))
+    result = select(posts, _manifest([]), np.array([[1.0, 0.0]]), SelectionConfig())
+    assert (result.selected, result.passes, result.stop_reason) == ([], 0, "pool")
 
 
 def test_select_input_validation():
