@@ -26,21 +26,10 @@ class PathsConfig:
 
 
 @dataclass
-class QuantizerConfig:
+class QuantizerConfig(GmmConfig):
     n_components: int = 1024
-    seed: int = 0
-    max_iterations: int = 50
-    tol: float = 1e-5
-    var_floor_scale: float = 1e-3
-    init_subsample: int = 200_000
     max_train_frames: int = 1_000_000
     train_source: str = "dev+pool"
-
-    def gmm_config(self) -> GmmConfig:
-        return GmmConfig(
-            seed=self.seed, max_iterations=self.max_iterations, tol=self.tol,
-            var_floor_scale=self.var_floor_scale, init_subsample=self.init_subsample,
-        )
 
 
 @dataclass
@@ -50,24 +39,9 @@ class DocModelConfig:
 
 
 @dataclass
-class LdaParams:
+class LdaParams(LdaConfig):
     n_topics: int = 2048
-    seed: int = 0
-    em_tol: float = 1e-5
-    em_max_iterations: int = 60
-    doc_tol: float = 1e-4
-    doc_max_iterations: int = 100
-    eta: float = 1e-2
-    alpha: float | None = None
     train_source: str = "dev"
-
-    def lda_config(self) -> LdaConfig:
-        return LdaConfig(
-            seed=self.seed, em_tol=self.em_tol,
-            em_max_iterations=self.em_max_iterations, doc_tol=self.doc_tol,
-            doc_max_iterations=self.doc_max_iterations, eta=self.eta,
-            alpha=self.alpha,
-        )
 
 
 @dataclass

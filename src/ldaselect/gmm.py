@@ -25,6 +25,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # take 512 KB however many frames EM trains on.
 _BLOCK_CELLS = 1 << 16
 
+# Consecutive iterations a component may sit below the variance floor in
+# every dimension before training is abandoned as degenerate.
+_COLLAPSE_PATIENCE = 3
+
 
 @dataclass
 class GmmConfig:
@@ -35,7 +39,6 @@ class GmmConfig:
     tol: float = 1e-5
     var_floor_scale: float = 1e-3
     init_subsample: int = 200_000
-    collapse_patience: int = 3
 
 
 @dataclass
@@ -153,11 +156,11 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
         variances = np.maximum(variances, floor[None, :])
         fully_collapsed = hit.all(axis=1)
         collapsed_runs = np.where(fully_collapsed, collapsed_runs + 1, 0)
-        if np.any(collapsed_runs >= config.collapse_patience):
+        if np.any(collapsed_runs >= _COLLAPSE_PATIENCE):
             bad = int(np.argmax(collapsed_runs))
             raise ValidationError(
                 f"component {bad} collapsed below the variance floor for "
-                f"{config.collapse_patience} consecutive iterations; "
+                f"{_COLLAPSE_PATIENCE} consecutive iterations; "
                 "input data is degenerate for this component count"
             )
 
@@ -237,37 +240,3 @@ def load_gmm(path) -> GmmModel:
     if np.any(variances <= 0):
         raise FormatError(f"{path}: variances must be positive")
     return GmmModel(n_components=n, weights=weights, means=means, variances=variances)
-
-
-# ---------------------------------------------------------------------------
-# Quantized-corpus text format
-
-
-def write_quantized(ids, token_docs, path) -> None:
-    """One tab-separated line per document: id, then space-joined tokens."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, tokens in zip(ids, token_docs):
-            fh.write(utt_id + "\t" + " ".join(map(str, np.asarray(tokens).tolist())) + "\n")
-
-
-def read_quantized(path) -> tuple[list[str], list[list[int]]]:
-    """Document ids and token sequences, in file order."""
-    ids, docs = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) > 2 or not fields[0]:
-                raise FormatError(f"{path}:{lineno}: malformed quantized-corpus line")
-            toks = fields[1].split() if len(fields) == 2 else []
-            try:
-                tokens = [int(t) for t in toks]
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer token") from None
-            if any(t < 0 for t in tokens):
-                raise FormatError(f"{path}:{lineno}: negative token")
-            ids.append(fields[0])
-            docs.append(tokens)
-    return ids, docs

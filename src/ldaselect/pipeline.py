@@ -270,7 +270,7 @@ class Runner:
                 [self.manifests[w] for w in self._sources(q.train_source)],
                 q.max_train_frames, q.seed,
             )
-            model = gmm.train_gmm(X, q.n_components, q.gmm_config())
+            model = gmm.train_gmm(X, q.n_components, q)
             h = model.loglik_history
             log.log(
                 logging.INFO if model.converged else logging.WARNING,
@@ -297,22 +297,20 @@ class Runner:
                     gmm.quantize(model, corpus.read_features(utt, manifest.base_dir))
                     for utt in manifest
                 ]
-                gmm.write_quantized(manifest.ids(), tokens, out)
+                docmodel.write_weighted(
+                    docmodel.bag_of_words(manifest.ids(), tokens, model.n_components), out
+                )
 
         self._run_stage(
             "quantize", ["gmm.agmm"],
             [self._digest_manifest(w) for w in self._sources("dev+pool")],
-            ["quantized_pool.tsv", "quantized_dev.tsv"],
+            ["bags_pool.tsv", "bags_dev.tsv"],
             fn,
         )
 
-    def _write_tfidf(self, tokens: dict, vocab_size: int, out_pool: Path, out_dev: Path):
-        """Weighted documents from ``tokens[which] = (ids, token sequences)``,
+    def _write_tfidf(self, bags: dict, vocab_size: int, out_pool: Path, out_dev: Path):
+        """Weighted documents from the bags ``bags["dev"]`` and ``bags["pool"]``,
         with idf over the configured ``docmodel.idf_source`` corpora."""
-        bags = {
-            which: docmodel.bag_of_words(*tokens[which], vocab_size)
-            for which in ("dev", "pool")
-        }
         stats = docmodel.compute_stats(
             [bags[w] for w in self._sources(self.config.docmodel.idf_source)], vocab_size
         )
@@ -323,14 +321,14 @@ class Runner:
         vocab_size = self.config.quantizer.n_components
 
         def fn(out_pool: Path, out_dev: Path) -> None:
-            tokens = {
-                which: gmm.read_quantized(self._artifact(f"quantized_{which}.tsv"))
+            bags = {
+                which: docmodel.read_weighted(self._artifact(f"bags_{which}.tsv"))
                 for which in ("dev", "pool")
             }
-            self._write_tfidf(tokens, vocab_size, out_pool, out_dev)
+            self._write_tfidf(bags, vocab_size, out_pool, out_dev)
 
         self._run_stage(
-            "tfidf", ["quantized_pool.tsv", "quantized_dev.tsv"],
+            "tfidf", ["bags_pool.tsv", "bags_dev.tsv"],
             [self.config.docmodel.idf_source, vocab_size],
             ["weighted_pool.tsv", "weighted_dev.tsv"],
             fn,
@@ -348,14 +346,14 @@ class Runner:
             vocab_size = (
                 self._text_vocab_size() if text else self.config.quantizer.n_components
             )
-            model = lda.train_lda(
-                docs, params.n_topics, vocab_size, config=params.lda_config()
-            )
+            model = lda.train_lda(docs, params.n_topics, vocab_size, config=params)
             _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
             lda.save_lda(model, out_model)
 
         self._run_stage(
-            name, [f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"],
+            name,
+            [f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"]
+            + (["text_vocab.tsv"] if text else []),
             [repr(params)],
             [f"{prefix}lda.alda"],
             fn,
@@ -473,14 +471,15 @@ class Runner:
             with open(out_vocab, "w", encoding="utf-8") as fh:
                 for tok, i in sorted(vocab.ids.items(), key=lambda kv: kv[1]):
                     fh.write(f"{tok}\t{i}\n")
-            tokens = {
-                which: (
+            bags = {
+                which: docmodel.bag_of_words(
                     self.manifests[which].ids(),
                     [docmodel.tokenize_transcript(text, vocab) for text in texts[which]],
+                    len(vocab),
                 )
                 for which in ("dev", "pool")
             }
-            self._write_tfidf(tokens, len(vocab), out_pool, out_dev)
+            self._write_tfidf(bags, len(vocab), out_pool, out_dev)
 
         self._run_stage(
             "text-tfidf", [],
@@ -543,6 +542,9 @@ class Runner:
             unknown = [s for s in stages if s not in stage_order(True)]
             if unknown:
                 raise ValidationError(f"unknown stages: {unknown}")
+            off = [s for s in stages if s not in order]
+            if off:
+                raise ValidationError(f"stages {off} run only with [text] enabled = true")
             stages = [s for s in order if s in stages]
         with WorkDirLock(self.work):
             for name in stages:

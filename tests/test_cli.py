@@ -97,6 +97,10 @@ def test_exit_code_one_for_config_errors(corpus_dir, tmp_path, capsys):
     cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "zero.cfg",
                         extra="max_hours = -1\n")
     assert main(["run", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+    cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "acoustic.cfg")
+    assert main(["run", "--config", str(cfg), "--stages", "text-tfidf,text-select"]) == 1
+    assert "[text] enabled" in capsys.readouterr().err
 
 
 def test_exit_code_two_for_missing_artifacts(config_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from ldaselect.config import (
@@ -95,11 +97,21 @@ def test_full_file_round_trip(tmp_path):
     assert config.paths.pool_manifest == str(pool)
     assert config.quantizer.n_components == 8
     assert config.quantizer.seed == 3
+    assert config.quantizer.max_iterations == 12
     assert config.quantizer.tol == pytest.approx(1e-4)
+    assert config.quantizer.var_floor_scale == pytest.approx(1e-2)
+    assert config.quantizer.init_subsample == 5000
+    assert config.quantizer.max_train_frames == 20000
     assert config.quantizer.train_source == "dev"
     assert config.docmodel.idf_source == "pool"
     assert config.docmodel.text_vocab_cap == 64
     assert config.lda.n_topics == 4
+    assert config.lda.seed == 9
+    assert config.lda.em_tol == pytest.approx(1e-6)
+    assert config.lda.em_max_iterations == 25
+    assert config.lda.doc_tol == pytest.approx(1e-5)
+    assert config.lda.doc_max_iterations == 40
+    assert config.lda.eta == pytest.approx(0.02)
     assert config.lda.alpha == pytest.approx(0.1)
     assert config.lda.train_source == "dev+pool"
     assert config.cluster.spherical is True
@@ -128,6 +140,38 @@ def test_unknown_section_and_key_rejected(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_config(path)
     assert "n_topicz" in str(exc.value)
+
+
+SECTION_KEYS = {
+    "paths": {"pool_manifest", "dev_manifest", "work_dir"},
+    "quantizer": {
+        "n_components", "seed", "max_iterations", "tol", "var_floor_scale",
+        "init_subsample", "max_train_frames", "train_source",
+    },
+    "docmodel": {"idf_source", "text_vocab_cap"},
+    "lda": {
+        "n_topics", "seed", "em_tol", "em_max_iterations", "doc_tol",
+        "doc_max_iterations", "eta", "alpha", "train_source",
+    },
+    "cluster": {"n_clusters", "seed", "max_iterations", "spherical"},
+    "selection": {"threshold", "max_hours"},
+    "text": {"enabled", "n_topics", "threshold"},
+    "report": {"target_domain"},
+}
+
+
+def test_each_section_accepts_exactly_its_keys(tmp_path):
+    config = PipelineConfig()
+    assert {f.name for f in fields(config)} == set(SECTION_KEYS)
+    for section, keys in SECTION_KEYS.items():
+        assert {f.name for f in fields(getattr(config, section))} == keys, section
+    # FULL sets every key of every section.
+    pool, dev, work = _write_inputs(tmp_path)
+    load_config(_write_config(tmp_path, FULL.format(pool=pool, dev=dev, work=work)))
+    for section in ("quantizer", "lda"):
+        path = _write_config(tmp_path, f"[{section}]\ncollapse_patience = 3\n")
+        with pytest.raises(ValidationError, match="unknown key 'collapse_patience'"):
+            load_config(path)
 
 
 def test_bad_values_rejected(tmp_path):

@@ -213,6 +213,12 @@ def test_weighted_malformed_lines(tmp_path):
     p.write_text("u\t0:1:nan\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_weighted(p)
+    # Token bags use this format too: a second tab field, a negative term and
+    # a non-integer term are malformed there as well.
+    for body in ("u\t0:1:1\textra\n", "u\t-1:1:1\n", "u\tx:1:1\n"):
+        p.write_text(body, encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_weighted(p)
 
 
 # ---------------------------------------------------------------------------

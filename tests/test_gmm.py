@@ -15,10 +15,8 @@ from ldaselect.gmm import (
     gmm_posteriors,
     load_gmm,
     quantize,
-    read_quantized,
     save_gmm,
     train_gmm,
-    write_quantized,
 )
 
 from reference import ref_train_gmm
@@ -124,7 +122,9 @@ def _em_cases(draw):
 def test_blocked_em_matches_full_batch_reference(case):
     X, n_components, rows, config = case
     try:
-        expected = ref_train_gmm(X, n_components, **dataclasses.asdict(config))
+        expected = ref_train_gmm(
+            X, n_components, **dataclasses.asdict(config), collapse_patience=3
+        )
     except ValueError:
         expected = None
     for block_rows in (1, rows):
@@ -289,26 +289,3 @@ def test_model_file_corruptions(tmp_path):
     with pytest.raises(FormatError):
         load_gmm(p)
 
-
-def test_quantized_corpus_round_trip(tmp_path):
-    tokens = [
-        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((3, 1))),
-        quantize(_model([1.0], [[0.0]], [[1.0]]), np.zeros((0, 1))),
-    ]
-    p = tmp_path / "q.tsv"
-    write_quantized(["a", "empty"], tokens, p)
-    ids, back = read_quantized(p)
-    assert list(zip(ids, back)) == [("a", [0, 0, 0]), ("empty", [])]
-
-
-def test_quantized_corpus_malformed(tmp_path):
-    p = tmp_path / "q.tsv"
-    p.write_text("a\t1 2 x\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_quantized(p)
-    p.write_text("a\t1\textra\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_quantized(p)
-    p.write_text("a\t-1\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_quantized(p)

@@ -3,6 +3,7 @@ import logging
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ldaselect import pipeline as pipeline_module
@@ -19,9 +20,10 @@ from ldaselect.corpus import (
     write_features,
     write_manifest,
 )
+from ldaselect.docmodel import bag_of_words, read_weighted
 from ldaselect.errors import StageError, ValidationError
-from ldaselect.gmm import train_gmm
-from ldaselect.lda import read_posteriors
+from ldaselect.gmm import load_gmm, quantize, train_gmm
+from ldaselect.lda import load_lda, read_posteriors
 from ldaselect.pipeline import (
     Runner,
     run_pipeline,
@@ -30,12 +32,14 @@ from ldaselect.pipeline import (
     write_selection_manifest,
 )
 from ldaselect.report import report
+
+from batches import entries
 from ldaselect.selection import (
     SelectedUtterance, SelectionResult, read_audit, select, write_audit,
 )
 
 ACOUSTIC_ARTIFACTS = [
-    "gmm.agmm", "quantized_pool.tsv", "quantized_dev.tsv",
+    "gmm.agmm", "bags_pool.tsv", "bags_dev.tsv",
     "weighted_pool.tsv", "weighted_dev.tsv", "lda.alda",
     "post_pool.tsv", "post_dev.tsv", "centroids.tsv", "centroids.meta.json",
     "selection.audit.tsv", "selection.tsv", "report.tsv", "report.txt",
@@ -177,6 +181,56 @@ def test_stage_subset_and_missing_inputs(tmp_path, corpus_dir):
     assert (tmp_path / "work" / "gmm.agmm").is_file()
     result = run_pipeline(config, stages=["quantize", "tfidf"])
     assert list(result.skipped) == ["quantize", "tfidf"]
+
+
+def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
+    """Each ``bags_*.tsv`` holds ``bag_of_words`` over the utterances' frame
+    tokens; a zero-frame utterance is an empty document line."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    pool_path = tmp_path / "corpus" / "pool" / "pool.tsv"
+    pool = read_manifest(pool_path)
+    dim = pool.utterances[0].frame_dim
+    write_features(np.zeros((0, dim)), tmp_path / "corpus" / "pool" / "silent.aldf")
+    pool.utterances.insert(1, Utterance("silent", "silent.aldf", 0, dim, 0.5, "domain0"))
+    write_manifest(pool, pool_path)
+    config = _config(tmp_path / "corpus", tmp_path / "work")
+    run_pipeline(config, stages=["train-gmm", "quantize"])
+    work = tmp_path / "work"
+    model = load_gmm(work / "gmm.agmm")
+    for which in ("pool", "dev"):
+        manifest = read_manifest(getattr(config.paths, f"{which}_manifest"))
+        expected = bag_of_words(
+            manifest.ids(),
+            [quantize(model, read_features(u, manifest.base_dir)) for u in manifest],
+            model.n_components,
+        )
+        bags = read_weighted(work / f"bags_{which}.tsv")
+        assert bags.ids == expected.ids
+        for i in range(len(expected)):
+            assert entries(bags, i) == entries(expected, i), (which, i)
+    assert "silent\t\n" in (work / "bags_pool.tsv").read_text(encoding="utf-8")
+
+
+def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
+    config = _config(corpus_dir, tmp_path / "work")
+    with pytest.raises(
+        ValidationError, match=r"\['text-tfidf', 'text-select'\].*\[text\] enabled"
+    ):
+        run_pipeline(config, stages=["text-tfidf", "text-select"])
+    assert not (tmp_path / "work" / "text_vocab.tsv").exists()
+
+
+def test_text_vocabulary_is_an_input_of_text_train_lda(tmp_path, corpus_dir):
+    config = _config(corpus_dir, tmp_path / "work", text=True)
+    run_pipeline(config, stages=["text-tfidf", "text-train-lda"])
+    vocab = tmp_path / "work" / "text_vocab.tsv"
+    size = len(vocab.read_text(encoding="utf-8").splitlines())
+    assert load_lda(tmp_path / "work" / "text_lda.alda").vocab_size == size
+    with open(vocab, "a", encoding="utf-8") as fh:
+        fh.write(f"extra\t{size}\n")
+    result = run_pipeline(config, stages=["text-train-lda"])
+    assert result.skipped == {"text-train-lda": False}
+    assert load_lda(tmp_path / "work" / "text_lda.alda").vocab_size == size + 1
 
 
 def test_text_path_produces_union_selection(tmp_path, corpus_dir):
@@ -433,7 +487,7 @@ def test_gmm_training_trace_is_logged(tmp_path, corpus_dir, caplog):
         (200, logging.INFO, "converged"),
     ]:
         config.quantizer.max_iterations = max_iterations
-        model = train_gmm(X, 2, config.quantizer.gmm_config())
+        model = train_gmm(X, 2, config.quantizer)
         h = model.loglik_history
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
