@@ -11,14 +11,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, load_config, validate_config
-from .corpus import make_separated_spec, generate_synthetic_corpus, read_manifest
+from .config import PipelineConfig, load_config
+from .corpus import make_separated_spec, generate_synthetic_corpus
 from .errors import LdaSelectError, ValidationError
-from .pipeline import (
-    ACOUSTIC_STAGES, WorkDirLock, run_pipeline, sweep_lambda, write_selection_manifest,
-)
+from .pipeline import ACOUSTIC_STAGES, Runner, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
-from .selection import random_select, read_audit, union_combine, write_audit
+from .selection import random_select, read_audit, union_combine
 
 log = logging.getLogger(__name__)
 
@@ -171,8 +169,8 @@ def _cmd_run(args) -> int:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     result = run_pipeline(config, stages)
     _print_stage_summary(result)
-    report_txt = result.artifacts.get("report.txt")
-    if report_txt and report_txt.is_file():
+    report_txt = Path(config.paths.work_dir) / "report.txt"
+    if "report" in result.skipped and report_txt.is_file():
         print(report_txt.read_text(encoding="utf-8"), end="")
     return 0
 
@@ -208,28 +206,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _load_pool(args):
-    """The validated config and its pool manifest."""
-    config = _load_pipeline_config(args)
-    validate_config(config)
-    return config, read_manifest(config.paths.pool_manifest, role="pool")
-
-
-def _write_selection(config, pool, result, out_prefix: str) -> Path:
-    """Audit and manifest of ``result`` in the locked work dir; returns the
+def _write_selection(runner: Runner, result, out_prefix: str) -> Path:
+    """Audit and manifest of ``result`` in the runner's work dir; returns the
     manifest path."""
-    work = Path(config.paths.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    with WorkDirLock(work):
-        write_audit(result, work / f"{out_prefix}.audit.tsv")
-        write_selection_manifest(result, pool, work / f"{out_prefix}.tsv")
-    return work / f"{out_prefix}.tsv"
+    manifest = runner.work / f"{out_prefix}.tsv"
+    with runner.owned():
+        runner.write_selection(result, runner.work / f"{out_prefix}.audit.tsv", manifest)
+    return manifest
 
 
 def _cmd_random_select(args) -> int:
-    config, pool = _load_pool(args)
-    result = random_select(pool, args.budget_hours, args.seed or 0)
-    out = _write_selection(config, pool, result, args.out_prefix)
+    runner = Runner(_load_pipeline_config(args))
+    result = random_select(runner.pool, args.budget_hours, args.seed or 0)
+    out = _write_selection(runner, result, args.out_prefix)
     print(
         f"selected {len(result.selected)} utterances, {result.total_hours:.3f} h "
         f"-> {out}"
@@ -238,9 +227,9 @@ def _cmd_random_select(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    config, pool = _load_pool(args)
-    result = union_combine(read_audit(args.a), read_audit(args.b), pool)
-    _write_selection(config, pool, result, args.out_prefix)
+    runner = Runner(_load_pipeline_config(args))
+    result = union_combine(read_audit(args.a), read_audit(args.b), runner.pool)
+    _write_selection(runner, result, args.out_prefix)
     print(
         f"combined selection: {len(result.selected)} utterances, "
         f"{result.total_hours:.3f} h"
@@ -249,7 +238,8 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config, pool = _load_pool(args)
+    config = _load_pipeline_config(args)
+    pool = Runner(config).pool
     audit = args.audit or str(Path(config.paths.work_dir) / "selection.audit.tsv")
     rep = report(read_audit(audit), pool)
     print(render_report(rep), end="")
@@ -259,7 +249,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config, pool = _load_pool(args)
+    config = _load_pipeline_config(args)
+    pool = Runner(config).pool
     target = args.target_domain or config.report.target_domain
     if not target:
         raise ValidationError(

@@ -11,7 +11,9 @@ import hashlib
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -101,45 +103,10 @@ class _SelectionManifests:
         )
 
 
-def write_selection_manifest(
-    result: SelectionResult, pool_manifest: corpus.Manifest, path
-) -> None:
-    """Manifest of the selected utterances, reusable as a training manifest.
-
-    Paths are made absolute so the manifest is valid from any directory.
-    """
-    _SelectionManifests(pool_manifest).write(result, path)
-
-
 @dataclass
 class PipelineResult:
     selection: SelectionResult
-    artifacts: dict[str, Path] = field(default_factory=dict)
     skipped: dict[str, bool] = field(default_factory=dict)
-
-
-class WorkDirLock:
-    """Exclusive ownership of a work directory via an O_EXCL lock file."""
-
-    def __init__(self, work_dir):
-        self.path = Path(work_dir) / ".lock"
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageError(
-                "lock",
-                f"work dir is locked ({self.path}); remove the stale lock file "
-                "if no other run is active",
-            ) from None
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        return False
 
 
 class Runner:
@@ -149,22 +116,53 @@ class Runner:
         validate_config(config)
         self.config = config
         self.work = Path(config.paths.work_dir)
-        self.work.mkdir(parents=True, exist_ok=True)
         self.cache_path = self.work / "cache.json"
-        self.cache: dict = {}
-        if self.cache_path.is_file():
-            try:
-                self.cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError:
-                log.warning("ignoring corrupt cache file %s", self.cache_path)
-        self.skipped: dict[str, bool] = {}
-        self.artifacts: dict[str, Path] = {}
         self.manifests = {
             "dev": corpus.read_manifest(config.paths.dev_manifest, role="dev"),
             "pool": corpus.read_manifest(config.paths.pool_manifest, role="pool"),
         }
         self.pool = self.manifests["pool"]
-        self._digests: dict = {}
+
+    @contextmanager
+    def owned(self):
+        """Exclusive use of the work dir: create it, take its O_EXCL ``.lock``
+        file and only then read ``cache.json``, so no other run can change the
+        cache between the read and this run's stages. Every stage and
+        selection write happens inside; the lock goes on exit."""
+        self.work.mkdir(parents=True, exist_ok=True)
+        lock = self.work / ".lock"
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise StageError(
+                "lock",
+                f"work dir is locked ({lock}); remove the stale lock file "
+                "if no other run is active",
+            ) from None
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(f"{os.getpid()}\n")
+            self.cache: dict = {}
+            if self.cache_path.is_file():
+                try:
+                    self.cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
+                except json.JSONDecodeError:
+                    log.warning("ignoring corrupt cache file %s", self.cache_path)
+            self.skipped: dict[str, bool] = {}
+            self._digests: dict = {}
+            yield
+        finally:
+            lock.unlink(missing_ok=True)
+
+    @cached_property
+    def _selection_manifests(self) -> _SelectionManifests:
+        return _SelectionManifests(self.pool)
+
+    def write_selection(self, result: SelectionResult, audit: Path, manifest: Path) -> None:
+        """Write ``result``'s audit and its selection manifest, a manifest of
+        the selected utterances reusable as a training manifest."""
+        write_audit(result, audit)
+        self._selection_manifests.write(result, manifest)
 
     # -- caching machinery ------------------------------------------------
 
@@ -222,8 +220,6 @@ class Runner:
         h.update(repr(outputs).encode())
         key = h.hexdigest()
         out_paths = [self._artifact(o) for o in outputs]
-        for o, p in zip(outputs, out_paths):
-            self.artifacts[o] = p
         entry = self.cache.get(name)
         if entry and entry.get("key") == key and all(p.is_file() for p in out_paths):
             log.info("stage %s: skipped (cached)", name)
@@ -441,8 +437,7 @@ class Runner:
             cents = lda.read_posteriors(self._artifact(f"{prefix}centroids.tsv"))
             result = select(posts, self.pool, cents.gamma, params)
             _log_selection(f"stage {name}", result, len(self.pool))
-            write_audit(result, out_audit)
-            write_selection_manifest(result, self.pool, out_manifest)
+            self.write_selection(result, out_audit, out_manifest)
 
         self._run_stage(
             name, [f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv"],
@@ -497,9 +492,7 @@ class Runner:
         def fn(out_audit: Path, out_manifest: Path) -> None:
             a = read_audit(self._artifact("selection_acoustic.audit.tsv"))
             b = read_audit(self._artifact("selection_text.audit.tsv"))
-            result = union_combine(a, b, self.pool)
-            write_audit(result, out_audit)
-            write_selection_manifest(result, self.pool, out_manifest)
+            self.write_selection(union_combine(a, b, self.pool), out_audit, out_manifest)
 
         self._run_stage(
             "combine", ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
@@ -525,9 +518,9 @@ class Runner:
     # -- driver -----------------------------------------------------------
 
     def run_stage(self, name: str) -> None:
-        """Run (or cache-skip) one stage of ``stage_order(True)`` by name. A
-        ``text-`` stage without a method of its own is its acoustic twin over
-        the ``text_`` artifacts."""
+        """Run (or cache-skip) one stage of ``stage_order(True)`` by name, inside
+        ``owned()``. A ``text-`` stage without a method of its own is its
+        acoustic twin over the ``text_`` artifacts."""
         method = getattr(self, "stage_" + name.replace("-", "_"), None)
         if method is None:
             getattr(self, "stage_" + name.removeprefix("text-").replace("-", "_"))(text=True)
@@ -546,15 +539,12 @@ class Runner:
             if off:
                 raise ValidationError(f"stages {off} run only with [text] enabled = true")
             stages = [s for s in order if s in stages]
-        with WorkDirLock(self.work):
+        with self.owned():
             for name in stages:
                 self.run_stage(name)
-        audit = self._artifact("selection.audit.tsv")
-        selection = read_audit(audit) if audit.is_file() else SelectionResult()
-        return PipelineResult(
-            selection=selection, artifacts=dict(self.artifacts),
-            skipped=dict(self.skipped),
-        )
+            audit = self._artifact("selection.audit.tsv")
+            selection = read_audit(audit) if audit.is_file() else SelectionResult()
+        return PipelineResult(selection=selection, skipped=dict(self.skipped))
 
 
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> PipelineResult:
@@ -585,20 +575,21 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
             "thresholds would overwrite each other's sweep files: " + "; ".join(clashes)
         )
     runner = Runner(config)
-    with WorkDirLock(runner.work):
+    with runner.owned():
         for name in ACOUSTIC_STAGES[:-1]:  # everything up to and including cluster
             runner.run_stage(name)
         posts = lda.read_posteriors(runner._artifact("post_pool.tsv"))
         cents = lda.read_posteriors(runner._artifact("centroids.tsv")).gamma
         ranking = rank_pool(posts, runner.pool, cents)
-        manifests = _SelectionManifests(runner.pool)
         rows = []
         for lam in lambdas:
             result = ranking.select(replace(config.selection, threshold=lam))
             _log_selection(f"sweep lambda={lam:.9g}", result, len(runner.pool))
             tag = _lambda_tag(lam)
-            write_audit(result, runner._artifact(f"selection_lambda_{tag}.audit.tsv"))
-            manifests.write(result, runner._artifact(f"selection_lambda_{tag}.tsv"))
+            runner.write_selection(
+                result, runner._artifact(f"selection_lambda_{tag}.audit.tsv"),
+                runner._artifact(f"selection_lambda_{tag}.tsv"),
+            )
             rep = report(result, runner.pool)
             write_report_tsv(rep, runner._artifact(f"report_lambda_{tag}.tsv"))
             rows.append(

@@ -205,11 +205,11 @@ def rank_pool(
 
     cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
     gn = gammas / np.linalg.norm(gammas, axis=1, keepdims=True)
-    # A single centroid makes ``cn @ gn.T`` a matrix-vector product, which
-    # can round equal posterior rows an ulp apart; the first row of a two-row
-    # product keeps their distances, and so their id tie-break, exact.
-    sims = (np.vstack([cn, cn]) @ gn.T)[:1] if len(cn) == 1 else cn @ gn.T
-    dists = np.clip(1.0 - sims, 0.0, 2.0)
+    # BLAS can round equal posterior rows an ulp apart (by their position in
+    # the product); giving every column that of the first row equal to it
+    # keeps their distances, and so their id tie-break, exact.
+    _, first, same = np.unique(gn, axis=0, return_index=True, return_inverse=True)
+    dists = np.clip(1.0 - (cn @ gn.T)[:, first[same]], 0.0, 2.0)
     lex_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
     order = np.empty(dists.shape, dtype=np.intp)
     for c, row in enumerate(dists):

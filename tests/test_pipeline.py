@@ -29,7 +29,6 @@ from ldaselect.pipeline import (
     run_pipeline,
     stage_order,
     sweep_lambda,
-    write_selection_manifest,
 )
 from ldaselect.report import report
 
@@ -134,6 +133,76 @@ def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
     assert result.skipped["quantize"] is False
 
 
+# The work-dir artifacts each stage reads (text path on).
+STAGE_INPUTS = {
+    "train-gmm": [],
+    "quantize": ["gmm.agmm"],
+    "tfidf": ["bags_pool.tsv", "bags_dev.tsv"],
+    "train-lda": ["weighted_pool.tsv", "weighted_dev.tsv"],
+    "posteriors": ["lda.alda", "weighted_pool.tsv", "weighted_dev.tsv"],
+    "cluster": ["post_dev.tsv"],
+    "select": ["post_pool.tsv", "centroids.tsv"],
+    "text-tfidf": [],
+    "text-train-lda": ["text_weighted_pool.tsv", "text_weighted_dev.tsv", "text_vocab.tsv"],
+    "text-posteriors": ["text_lda.alda", "text_weighted_pool.tsv", "text_weighted_dev.tsv"],
+    "text-cluster": ["text_post_dev.tsv"],
+    "text-select": ["text_post_pool.tsv", "text_centroids.tsv"],
+    "combine": ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
+    "report": ["selection.audit.tsv"],
+}
+MANIFEST_READERS = {"train-gmm", "quantize", "text-tfidf"}
+
+
+def _edit(kind, root, work):
+    """(file, byte offset, stages that read the file) of one edit per kind of
+    input; flipping the offset's lowest bit keeps the file valid."""
+    first = read_manifest(root / "pool" / "pool.tsv").utterances[0]
+    if kind == "feature":  # a mantissa bit of the last float32 value
+        return root / "pool" / first.feature_path, -2, {"train-gmm", "quantize"}
+    if kind == "transcript":  # last digit of the first word
+        path = root / "pool" / first.transcript_path
+        return path, path.read_bytes().index(b" ") - 1, {"text-tfidf"}
+    if kind.endswith("manifest"):  # a domain tag: domain0 -> domain1
+        which = kind.split()[0]
+        path = root / which / f"{which}.tsv"
+        readers = MANIFEST_READERS | (
+            {"select", "text-select", "combine", "report"} if which == "pool" else set()
+        )
+        return path, path.read_bytes().index(b"\tdomain0\t") + 7, readers
+    path = work / "post_dev.tsv"  # leading digit of the first value
+    return path, path.read_bytes().index(b"\t") + 1, {"cluster"}
+
+
+@pytest.mark.parametrize(
+    "kind", ["feature", "transcript", "pool manifest", "dev manifest", "artifact"]
+)
+def test_one_byte_edit_reruns_exactly_its_readers_and_their_dependents(
+    kind, tmp_path, corpus_dir
+):
+    """The stages that read the edited file rerun, and so does every stage
+    whose input artifacts changed as a result; every other stage is skipped."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    work = tmp_path / "work"
+    config = _config(tmp_path / "corpus", work, text=True)
+    run_pipeline(config)
+    path, at, readers = _edit(kind, tmp_path / "corpus", work)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    data = bytearray(path.read_bytes())
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
+    result = run_pipeline(config)
+    after = {p.name: p.read_bytes() for p in work.iterdir()}
+    expected = readers | {
+        stage for stage, inputs in STAGE_INPUTS.items()
+        if any(before[a] != after[a] for a in inputs)
+    }
+    ran = {stage for stage, skipped in result.skipped.items() if not skipped}
+    if kind == "artifact":
+        # Whether the producer notices its edited output is open (ROADMAP item 3).
+        ran.discard("posteriors")
+    assert ran == expected
+
+
 def test_config_change_invalidates_only_downstream(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     full = run_pipeline(config)
@@ -153,6 +222,44 @@ def test_validation_errors_precede_work_dir_creation(tmp_path, corpus_dir):
     with pytest.raises(ValidationError):
         run_pipeline(config)
     assert not work.exists()
+
+
+def test_rejected_stage_names_leave_no_work_dir(tmp_path, corpus_dir):
+    work = tmp_path / "never_created"
+    config = _config(corpus_dir, work)
+    for stages in (["no-such-stage"], ["text-tfidf"]):
+        with pytest.raises(ValidationError):
+            run_pipeline(config, stages)
+        assert not work.exists()
+
+
+def test_runner_construction_touches_no_file(tmp_path, corpus_dir):
+    work = tmp_path / "work"
+    Runner(_config(corpus_dir, work))
+    assert not work.exists()
+    run_pipeline(_config(corpus_dir, work), stages=["train-gmm"])
+    listing = sorted(work.iterdir())
+    Runner(_config(corpus_dir, work))
+    assert sorted(work.iterdir()) == listing
+
+
+def test_cache_is_read_when_the_run_starts(tmp_path, corpus_dir):
+    """A runner built before another run rewrote the work dir reads that run's
+    cache entries, not the ones on disk when it was built: its audit equals a
+    fresh run's under its own config."""
+    x = _config(corpus_dir, tmp_path / "work")
+    y = _config(corpus_dir, tmp_path / "work")
+    y.cluster.n_clusters = 1
+    run_pipeline(x)
+    runner = Runner(x)
+    run_pipeline(y)
+    runner.run()
+    run_pipeline(_config(corpus_dir, tmp_path / "fresh"))
+    audit = (tmp_path / "work" / "selection.audit.tsv").read_bytes()
+    fresh = (tmp_path / "fresh" / "selection.audit.tsv").read_bytes()
+    assert audit == fresh
+    run_pipeline(y)
+    assert (tmp_path / "work" / "selection.audit.tsv").read_bytes() != fresh
 
 
 def test_lock_conflict_and_release(tmp_path, corpus_dir):
@@ -296,7 +403,7 @@ def test_sweep_audits_equal_separate_selects(tmp_path, corpus_dir):
             tag = f"{lam:.9g}".replace(".", "p")
             alone = select(posts, pool, cents, replace(config.selection, threshold=lam))
             write_audit(alone, tmp_path / "alone.audit.tsv")
-            write_selection_manifest(alone, pool, tmp_path / "alone.tsv")
+            pipeline_module._SelectionManifests(pool).write(alone, tmp_path / "alone.tsv")
             assert (work / f"selection_lambda_{tag}.audit.tsv").read_bytes() == (
                 tmp_path / "alone.audit.tsv"
             ).read_bytes()
@@ -385,16 +492,16 @@ def test_selection_manifest_equals_per_utterance_resolution(tmp_path):
             [SelectedUtterance(uid, "centroid_0000", 0.1, 1) for uid in order]
         )
         old_style(result, tmp_path / "old.tsv")
-        write_selection_manifest(result, pool, tmp_path / "new.tsv")
+        pipeline_module._SelectionManifests(pool).write(result, tmp_path / "new.tsv")
         writer.write(result, tmp_path / "reused.tsv")
         expected = (tmp_path / "old.tsv").read_bytes()
         assert (tmp_path / "new.tsv").read_bytes() == expected
         assert (tmp_path / "reused.tsv").read_bytes() == expected
     assert str(tmp_path / "corpus" / "pool" / ".." / "shared" / "b.aldf") in expected.decode()
     with pytest.raises(ValidationError, match="ghost"):
-        write_selection_manifest(
+        pipeline_module._SelectionManifests(pool).write(
             SelectionResult([SelectedUtterance("ghost", "centroid_0000", 0.1, 1)]),
-            pool, tmp_path / "bad.tsv",
+            tmp_path / "bad.tsv",
         )
 
 
@@ -519,7 +626,7 @@ def test_failed_stage_is_not_skipped_under_its_old_key(tmp_path, corpus_dir):
         raise OSError("injected failure after the audit was written")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline_module, "write_selection_manifest", fail)
+        mp.setattr(pipeline_module._SelectionManifests, "write", fail)
         budgeted = config.selection
         config.selection = replace(budgeted, threshold=0.9, max_hours=None)
         with pytest.raises(StageError, match="injected"):

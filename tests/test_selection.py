@@ -181,14 +181,32 @@ def test_one_centroid_ties_between_equal_rows_break_to_smaller_id():
     assert len({s.distance for s in result.selected}) == 1
 
 
+def test_equal_rows_tie_by_id_at_the_long_utts_shape():
+    # 300 pool rows, 16 topics, 24 centroids (the long-utts benchmark shape),
+    # five rows equal: the matrix product (OpenBLAS, x86-64) rounds some of
+    # their distances an ulp apart unless equal rows share one column.
+    rng = np.random.default_rng(11)
+    m = 300
+    ids = [f"u{m - 1 - i:03d}" for i in range(m)]
+    rows = rng.random((m, 16)) + 0.05
+    equal = rng.choice(m, 5, replace=False)
+    rows[equal] = rows[equal[0]]
+    cents = rng.random((24, 16)) + 0.05
+    ranking = rank_pool(Posteriors(ids, rows), _manifest([(u, 10.0) for u in ids]), cents)
+    group = set(equal.tolist())
+    for order, dists in zip(ranking.order, ranking.dists):
+        at = [p for p, col in enumerate(order) if col in group]
+        assert at == list(range(at[0], at[0] + 5))
+        assert len(set(dists[at].tolist())) == 1
+        assert [ids[order[p]] for p in at] == sorted(ids[col] for col in group)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 14),
     c=st.integers(1, 6),
-    # From dimension 32 up, OpenBLAS's GEMM rounds equal rows apart for any
-    # C; ties there are open (ROADMAP item 3).
-    dim=st.integers(2, 12),
+    dim=st.integers(2, 64),
     duplicated=st.booleans(),
     lam_kind=st.sampled_from(["uniform", "attained", "one"]),
     budget_share=st.one_of(st.none(), st.floats(0.05, 1.2)),
