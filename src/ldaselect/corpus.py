@@ -15,6 +15,7 @@ num_frames (u64), frame_dim (u32), then num_frames x frame_dim float32 values
 in row-major order, no padding.
 """
 
+import io
 import re
 import struct
 from dataclasses import dataclass, field
@@ -87,33 +88,41 @@ def read_manifest(path, role: str = "pool", validate_features: bool = False) -> 
     path = Path(path)
     if role not in ROLES:
         raise ValidationError(f"manifest role must be one of {ROLES}, got '{role}'")
-    fps = 100.0
-    utterances: list[Utterance] = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                m = _FPS_RE.match(line.strip())
-                if m:
-                    fps = _parse_float(m.group(1), path, lineno, "fps")
-                    if fps <= 0:
-                        raise FormatError(f"{path}:{lineno}: fps must be positive")
-                continue
-            utt = _parse_manifest_line(line, path, lineno, fps)
-            if utt.id in seen:
-                raise FormatError(
-                    f"{path}: duplicate utterance id '{utt.id}' "
-                    f"(lines {seen[utt.id]} and {lineno})"
-                )
-            seen[utt.id] = lineno
-            utterances.append(utt)
-    manifest = Manifest(utterances, role=role, fps=fps, base_dir=path.parent)
+    manifest = parse_manifest(path.read_bytes(), path, role)
     if validate_features:
         _validate_feature_files(manifest)
     return manifest
+
+
+def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
+    """Parse the bytes ``data`` of the manifest file ``path`` (which names it in
+    errors and resolves its relative feature paths), as :func:`read_manifest`
+    does: a caller that hashes the bytes it parsed keys exactly this manifest."""
+    path = Path(path)
+    fps = 100.0
+    utterances: list[Utterance] = []
+    seen: dict[str, int] = {}
+    lines = io.StringIO(data.decode("utf-8"), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            m = _FPS_RE.match(line.strip())
+            if m:
+                fps = _parse_float(m.group(1), path, lineno, "fps")
+                if fps <= 0:
+                    raise FormatError(f"{path}:{lineno}: fps must be positive")
+            continue
+        utt = _parse_manifest_line(line, path, lineno, fps)
+        if utt.id in seen:
+            raise FormatError(
+                f"{path}: duplicate utterance id '{utt.id}' "
+                f"(lines {seen[utt.id]} and {lineno})"
+            )
+        seen[utt.id] = lineno
+        utterances.append(utt)
+    return Manifest(utterances, role=role, fps=fps, base_dir=path.parent)
 
 
 def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utterance:

@@ -21,7 +21,7 @@ _GMM_HEADER = struct.Struct("<4sIII")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Frames x components cells per E-step block: each block's float64 arrays
+# Components x frame-column cells per E-step block: each block's float64 arrays
 # take 512 KB however many frames EM trains on.
 _BLOCK_CELLS = 1 << 16
 
@@ -57,41 +57,51 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _log_joint(weights, means, variances, X) -> np.ndarray:
-    """(frames, components) matrix of log w_n + log N(x | mu_n, diag var_n)."""
-    # sum_d [log(2 pi var) + (x-mu)^2/var] expanded so the frame loop vectorizes
+def _frame_rows(frames: np.ndarray) -> np.ndarray:
+    """(2d+1, n) float64 rows of an (n, d) frame matrix: x^2, then x, then a
+    row of ones. Float32 frames are cast exactly."""
+    n, d = frames.shape
+    Z = np.empty((2 * d + 1, n))
+    x = Z[d:2 * d]
+    x[...] = frames.T
+    np.multiply(x, x, out=Z[:d])
+    Z[2 * d] = 1.0
+    return Z
+
+
+def _coefficients(weights, means, variances) -> np.ndarray:
+    """(components, 2d+1) rows ``[-1/(2 var), mu/var, c]`` that take the frame
+    rows of :func:`_frame_rows` to log w_n + log N(x | mu_n, diag var_n): the
+    quadratic sum_d [log(2 pi var) + (x-mu)^2/var] expanded in x^2, x and 1."""
     inv = 1.0 / variances
     const = np.log(weights) - 0.5 * (
         means.shape[1] * LOG_2PI + np.sum(np.log(variances), axis=1)
+        + np.sum(means * means * inv, axis=1)
     )
-    quad = (
-        (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + np.sum(means * means * inv, axis=1)
-    )
-    return const[None, :] - 0.5 * quad
+    return np.hstack([-0.5 * inv, means * inv, const[:, None]])
 
 
-def _accumulate_stats(weights, means, variances, X, X2, rows):
-    """Log-likelihood of ``X`` and the zeroth-, first- and second-order
-    statistics ``sum_t r_tn``, ``sum_t r_tn x_t`` and ``sum_t r_tn x_t^2``,
-    accumulated over blocks of ``rows`` frames (``X2`` is ``X * X``)."""
-    n_components, d = means.shape
+def _log_joint(weights, means, variances, Z) -> np.ndarray:
+    """(components, frames) log-joint of the frame rows ``Z``."""
+    return _coefficients(weights, means, variances) @ Z
+
+
+def _accumulate_stats(coef, Z, cols):
+    """Log-likelihood of the frame rows ``Z`` under the mixture ``coef`` and
+    the statistics ``[sum_t r_tn x_t^2, sum_t r_tn x_t, sum_t r_tn]`` as one
+    (components, 2d+1) matrix, accumulated over blocks of ``cols`` columns."""
+    stats = np.zeros((coef.shape[0], Z.shape[0]))
     loglik = 0.0
-    nk = np.zeros(n_components)
-    sx = np.zeros((n_components, d))
-    sx2 = np.zeros((n_components, d))
-    for start in range(0, X.shape[0], rows):
-        xb = X[start:start + rows]
-        resp = _log_joint(weights, means, variances, xb)
-        top = resp.max(axis=1, keepdims=True)
+    for start in range(0, Z.shape[1], cols):
+        zb = Z[:, start:start + cols]
+        resp = coef @ zb
+        top = resp.max(axis=0)
         resp -= top
         np.exp(resp, out=resp)
-        total = resp.sum(axis=1, keepdims=True)
-        resp /= total
+        total = resp.sum(axis=0)
         loglik += float(top.sum() + np.log(total).sum())
-        nk += resp.sum(axis=0)
-        sx += resp.T @ xb
-        sx2 += resp.T @ X2[start:start + rows]
-    return loglik, nk, sx, sx2
+        stats += resp @ (zb / total).T
+    return loglik, stats
 
 
 def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> GmmModel:
@@ -101,24 +111,31 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     at ``var_floor_scale`` times the global per-dimension variance. The
     recorded log-likelihood trace is non-decreasing up to floating-point
     tolerance; training stops when the relative improvement drops below
-    ``tol`` (``converged``) or after ``max_iterations``. The E-step walks the
-    frames in blocks of ``_BLOCK_CELLS // n_components`` rows and sums the
-    statistics over blocks, so memory beyond the frames and their squares
-    does not grow with the number of frames.
+    ``tol`` (``converged``) or after ``max_iterations``.
+
+    The frames are held once more, as the (2d+1) float64 rows of
+    :func:`_frame_rows` (x^2, x, ones), with components as rows and frames as
+    columns. The E-step walks them in blocks of ``_BLOCK_CELLS //
+    n_components`` columns: one product gives a block's log-joint and one
+    more all three statistics, so memory beyond those rows does not grow
+    with the number of frames.
     """
     config = config or GmmConfig()
-    X = np.asarray(frames, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError(f"frame collection must be 2-D, got shape {X.shape}")
-    n, d = X.shape
+    frames = np.asarray(frames)
+    if frames.ndim != 2:
+        raise ValidationError(f"frame collection must be 2-D, got shape {frames.shape}")
+    n, d = frames.shape
     if n_components < 1:
         raise ValidationError(f"n_components must be >= 1, got {n_components}")
     if n < n_components:
         raise ValidationError(f"too few frames: {n} frames for {n_components} components")
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(frames)):
         raise ValidationError("frame collection contains NaN or Inf")
 
-    global_var = X.var(axis=0)
+    Z = _frame_rows(frames)
+    # (n, d) view of the x rows: k-means++ reads its transpose without a copy.
+    X = Z[d:2 * d].T
+    global_var = np.array([row.var() for row in Z[d:2 * d]])
     if not np.any(global_var > 0):
         raise ValidationError("degenerate input: all frames are identical")
     floor = config.var_floor_scale * global_var
@@ -132,14 +149,15 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
-    X2 = X * X
-    rows = max(1, _BLOCK_CELLS // n_components)
+    cols = max(1, _BLOCK_CELLS // n_components)
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
     iterations = 0
     converged = False
     for _ in range(config.max_iterations):
-        loglik, nk, sx, sx2 = _accumulate_stats(weights, means, variances, X, X2, rows)
+        loglik, stats = _accumulate_stats(
+            _coefficients(weights, means, variances), Z, cols
+        )
         history.append(loglik)
         iterations += 1
         if len(history) >= 2:
@@ -147,10 +165,10 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
             if (cur - prev) / max(abs(prev), 1.0) < config.tol:
                 converged = True
                 break
-        nk = np.maximum(nk, 1e-300)
+        nk = np.maximum(stats[:, 2 * d], 1e-300)
         weights = nk / n
-        means = sx / nk[:, None]
-        ex2 = sx2 / nk[:, None]
+        means = stats[:, d:2 * d] / nk[:, None]
+        ex2 = stats[:, :d] / nk[:, None]
         variances = ex2 - means * means
         hit = variances < floor[None, :]
         variances = np.maximum(variances, floor[None, :])
@@ -173,18 +191,19 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
 
 def gmm_posteriors(model: GmmModel, frame) -> np.ndarray:
     """Per-component posterior for one frame, computed in log-space."""
-    x = np.asarray(frame, dtype=np.float64)
+    x = np.asarray(frame)
     if x.ndim != 1 or x.shape[0] != model.frame_dim:
         raise ValidationError(
             f"frame has shape {x.shape}, model expects dimension {model.frame_dim}"
         )
-    lj = _log_joint(model.weights, model.means, model.variances, x[None, :])[0]
+    Z = _frame_rows(x[None, :])
+    lj = _log_joint(model.weights, model.means, model.variances, Z)[:, 0]
     return np.exp(lj - logsumexp(lj))
 
 
 def quantize(model: GmmModel, matrix) -> np.ndarray:
     """Token per frame: the highest-posterior component, ties to lowest index."""
-    X = np.asarray(matrix, dtype=np.float64)
+    X = np.asarray(matrix)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.frame_dim):
         raise ValidationError(
             f"feature matrix shape {X.shape} does not match model dimension "
@@ -192,7 +211,8 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.argmax(_log_joint(model.weights, model.means, model.variances, X), axis=1)
+    lj = _log_joint(model.weights, model.means, model.variances, _frame_rows(X))
+    return np.argmax(lj, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,11 @@ def kmeans_pp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         if total <= 0:
             chosen[j] = int(rng.integers(n))
         else:
-            chosen[j] = int(rng.choice(n, p=d2 / total))
+            # rng.choice(n, p=d2 / total) as numpy computes it, without its
+            # O(n) checks of p: the same index and the same generator state.
+            cdf = np.cumsum(np.divide(d2, total, out=diff), out=diff)
+            cdf /= cdf[-1]
+            chosen[j] = int(cdf.searchsorted(rng.random(), side="right"))
         np.minimum(d2, _sq_dists(columns, chosen[j], dist, diff), out=d2)
     return chosen
 

@@ -117,10 +117,17 @@ class Runner:
         self.config = config
         self.work = Path(config.paths.work_dir)
         self.cache_path = self.work / "cache.json"
-        self.manifests = {
-            "dev": corpus.read_manifest(config.paths.dev_manifest, role="dev"),
-            "pool": corpus.read_manifest(config.paths.pool_manifest, role="pool"),
-        }
+        # Each manifest is read once: the stage keys hash the very bytes that
+        # were parsed, so a manifest edited after this point cannot get the
+        # old manifest's results cached under its new contents.
+        self.manifest_bytes: dict[str, bytes] = {}
+        self.manifests: dict[str, corpus.Manifest] = {}
+        for which in ("dev", "pool"):
+            path = Path(getattr(config.paths, f"{which}_manifest"))
+            self.manifest_bytes[which] = path.read_bytes()
+            self.manifests[which] = corpus.parse_manifest(
+                self.manifest_bytes[which], path, role=which
+            )
         self.pool = self.manifests["pool"]
 
     @contextmanager
@@ -177,7 +184,7 @@ class Runner:
             return self._digests[memo]
         manifest = self.manifests[which]
         h = hashlib.sha256()
-        h.update(Path(getattr(self.config.paths, f"{which}_manifest")).read_bytes())
+        h.update(self.manifest_bytes[which])
         for utt in manifest:
             h.update(utt.id.encode())
             if transcripts:
@@ -213,8 +220,8 @@ class Runner:
                 )
             h.update(path.read_bytes())
         for part in key_parts:
-            if isinstance(part, Path):
-                h.update(part.read_bytes())
+            if isinstance(part, bytes):
+                h.update(part)
             else:
                 h.update(str(part).encode())
         h.update(repr(outputs).encode())
@@ -441,7 +448,7 @@ class Runner:
 
         self._run_stage(
             name, [f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv"],
-            [Path(self.config.paths.pool_manifest), repr(params)],
+            [self.manifest_bytes["pool"], repr(params)],
             [f"{out_prefix}.audit.tsv", f"{out_prefix}.tsv"],
             fn,
         )
@@ -496,7 +503,7 @@ class Runner:
 
         self._run_stage(
             "combine", ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
-            [Path(self.config.paths.pool_manifest)],
+            [self.manifest_bytes["pool"]],
             ["selection.audit.tsv", "selection.tsv"],
             fn,
         )
@@ -510,7 +517,7 @@ class Runner:
 
         self._run_stage(
             "report", ["selection.audit.tsv"],
-            [Path(self.config.paths.pool_manifest)],
+            [self.manifest_bytes["pool"]],
             ["report.tsv", "report.txt"],
             fn,
         )

@@ -188,6 +188,22 @@ def ref_kmeans_pp_indices(X, k, rng):
     return chosen
 
 
+def ref_log_joint(weights, means, variances, X):
+    """(components, frames) matrix of log w_n + log N(x_t | mu_n, diag var_n),
+    one component, frame and dimension at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(weights), X.shape[0]))
+    for n in range(len(weights)):
+        for t in range(X.shape[0]):
+            acc = math.log(float(weights[n]))
+            for j in range(X.shape[1]):
+                var = float(variances[n, j])
+                diff = float(X[t, j]) - float(means[n, j])
+                acc -= 0.5 * (math.log(2.0 * math.pi * var) + diff * diff / var)
+            out[n, t] = acc
+    return out
+
+
 def ref_train_gmm(
     X, n_components, *, seed, max_iterations, tol, var_floor_scale, init_subsample,
     collapse_patience,

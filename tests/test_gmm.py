@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ldaselect import gmm as gmm_module
 from ldaselect.errors import FormatError, ValidationError
@@ -19,7 +20,7 @@ from ldaselect.gmm import (
     train_gmm,
 )
 
-from reference import ref_train_gmm
+from reference import ref_log_joint, ref_train_gmm
 
 
 def _model(weights, means, variances):
@@ -102,12 +103,13 @@ def _em_cases(draw):
     rows = draw(st.integers(2, 7))
     # n is never a multiple of the block, so every E-step ends on a short block.
     n = rows * draw(st.integers(n_components, 8)) + draw(st.integers(1, rows - 1))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     # Offset clusters keep means and variances away from zero, where a
     # relative tolerance would measure cancellation instead of the kernels.
     centers = rng.uniform(3.0, 8.0, size=(draw(st.integers(1, 3)), d))
     X = centers[rng.integers(len(centers), size=n)] + rng.standard_normal((n, d))
+    X = X.astype(draw(st.sampled_from([np.float32, np.float64])))
     config = GmmConfig(
         seed=draw(st.integers(0, 2**16)),
         max_iterations=draw(st.integers(1, 8)),
@@ -171,6 +173,36 @@ def test_converged_flag_tells_tol_stop_from_cap():
 # Posteriors and quantization
 
 
+@st.composite
+def _mixtures(draw):
+    """A mixture with offset means and variances in [0.5, 2] and frames near
+    its means (one frame in some cases, as ``gmm_posteriors`` passes)."""
+    n_components = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 13))
+    n = draw(st.one_of(st.just(1), st.integers(2, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weights = rng.dirichlet(np.ones(n_components))
+    means = rng.uniform(3.0, 8.0, size=(n_components, d))
+    variances = rng.uniform(0.5, 2.0, size=(n_components, d))
+    X = means[rng.integers(n_components, size=n)] + rng.standard_normal((n, d))
+    X = X.astype(draw(st.sampled_from([np.float32, np.float64])))
+    return weights, means, variances, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixtures())
+def test_log_joint_matches_per_dimension_reference(case):
+    weights, means, variances, X = case
+    expected = ref_log_joint(weights, means, variances, X)
+    got = gmm_module._log_joint(weights, means, variances, gmm_module._frame_rows(X))
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+    post = gmm_posteriors(_model(weights, means, variances), X[0])
+    np.testing.assert_allclose(
+        post, np.exp(expected[:, 0] - logsumexp(expected[:, 0])), rtol=1e-9, atol=1e-300
+    )
+
+
 def test_posterior_single_component():
     model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     post = gmm_posteriors(model, [3.0, -1.0])
@@ -224,6 +256,31 @@ def test_quantize_single_component_and_empty():
     model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     assert quantize(model, np.zeros((5, 2))).tolist() == [0, 0, 0, 0, 0]
     assert quantize(model, np.zeros((0, 2))).tolist() == []
+
+
+def test_quantize_float32_matches_its_float64_cast():
+    rng = np.random.default_rng(11)
+    model = _model(
+        rng.dirichlet(np.ones(8)), rng.standard_normal((8, 13)) * 2,
+        rng.random((8, 13)) + 0.5,
+    )
+    frames = (rng.standard_normal((500, 13)) * 2).astype(np.float32)
+    tokens = quantize(model, frames)
+    assert tokens.tolist() == quantize(model, frames.astype(np.float64)).tolist()
+    assert len(set(tokens.tolist())) > 1
+
+
+def test_quantize_identical_components_tie_to_lowest_index():
+    rng = np.random.default_rng(12)
+    means = rng.standard_normal((3, 4))
+    variances = rng.random((3, 4)) + 0.5
+    means[2], variances[2] = means[1], variances[1]
+    model = _model([0.2, 0.4, 0.4], means, variances)
+    # Frames at component 1/2's mean, where component 0 cannot win.
+    frames = means[1] + 0.01 * rng.standard_normal((50, 4))
+    assert quantize(model, frames).tolist() == [1] * 50
+    model = _model([1 / 3] * 3, np.tile(means[1], (3, 1)), np.tile(variances[1], (3, 1)))
+    assert quantize(model, frames).tolist() == [0] * 50
 
 
 def test_quantize_alternating_far_components():

@@ -262,6 +262,30 @@ def test_cache_is_read_when_the_run_starts(tmp_path, corpus_dir):
     assert (tmp_path / "work" / "selection.audit.tsv").read_bytes() != fresh
 
 
+def test_keys_hash_the_manifest_bytes_the_runner_parsed(tmp_path, corpus_dir):
+    """A pool manifest edited between building a runner and running it: the
+    runner's results are keyed by the manifest it parsed, so a later run on the
+    edited file recomputes and its audit equals a fresh run's."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    pool_tsv = tmp_path / "corpus" / "pool" / "pool.tsv"
+    config = _config(tmp_path / "corpus", tmp_path / "work")
+    first = run_pipeline(config).selection.ids()[0]
+    runner = Runner(config)
+    lines = pool_tsv.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        fields = line.split("\t")
+        if fields[0] == first:
+            fields[4] = repr(float(fields[4]) * 20)
+            lines[i] = "\t".join(fields)
+    pool_tsv.write_text("".join(lines), encoding="utf-8")
+    runner.run()
+    rerun = run_pipeline(config)
+    assert not rerun.skipped["select"]
+    run_pipeline(_config(tmp_path / "corpus", tmp_path / "fresh"))
+    audit = (tmp_path / "work" / "selection.audit.tsv").read_bytes()
+    assert audit == (tmp_path / "fresh" / "selection.audit.tsv").read_bytes()
+
+
 def test_lock_conflict_and_release(tmp_path, corpus_dir):
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
