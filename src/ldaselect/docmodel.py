@@ -49,13 +49,17 @@ class DocBatch:
         """Document index of every entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def doc_of(self, entry: int) -> str:
+        """Id of the document owning ``entry``."""
+        return self.ids[int(np.searchsorted(self.indptr, entry, side="right")) - 1]
+
     def check_vocab(self, vocab_size: int) -> None:
         """Reject terms outside ``[0, vocab_size)``, naming the first document."""
         bad = np.flatnonzero((self.terms < 0) | (self.terms >= vocab_size))
         if bad.size:
-            doc = self.ids[int(np.searchsorted(self.indptr, bad[0], side="right")) - 1]
             raise ValidationError(
-                f"document '{doc}' has terms outside vocabulary size {vocab_size}"
+                f"document '{self.doc_of(bad[0])}' has terms outside vocabulary "
+                f"size {vocab_size}"
             )
 
     @classmethod

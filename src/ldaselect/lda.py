@@ -13,19 +13,25 @@ across EM iterations.
 
 Inference is batched, as in the minibatch E-step of Hoffman, Blei & Bach
 ("Online Learning for Latent Dirichlet Allocation", NIPS 2010): documents
-arrive as a CSR ``DocBatch``, gamma is a documents x topics matrix and phi
-lives on the entries. Each sweep updates every document still moving; a document
-leaves the batch once its own mean absolute gamma change drops below the
-tolerance or it reaches the sweep cap. ``train_lda`` and
-``extract_posteriors`` run this over blocks of at most ``_BLOCK_CELLS``
-entries x topics, so working memory does not grow with the corpus.
-``infer_document`` is the single-document form of the same sweep and the
-only one that records the bound after every sweep.
+arrive as a CSR ``DocBatch`` and gamma is a documents x topics matrix. A
+sweep never forms phi. With E = exp(E[log theta]) scaled to a row maximum of
+1 and B = beta scaled to a column maximum of 1, it takes phinorm from
+P = E @ B, writes S = weight / phinorm into P's buffer and sets
+gamma = alpha + E * (S @ B.T); training accumulates the expected counts
+B * (E.T @ S) and a bound that needs only gamma and phinorm. Each sweep
+updates every document still moving; a document leaves the batch once its
+own mean absolute gamma change drops below the tolerance or it reaches the
+sweep cap. ``train_lda`` and ``extract_posteriors`` run this over blocks of
+at most ``_BLOCK_CELLS // max(topics, vocabulary)`` documents, so working
+memory does not grow with the corpus. ``infer_document`` is the
+single-document form of the same sweep over the document's own terms; it is
+the one that forms phi and records the bound after every sweep.
 """
 
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -37,10 +43,17 @@ LDA_MAGIC = b"ALDA"
 LDA_VERSION = 1
 _LDA_HEADER = struct.Struct("<4sIII")
 
-# Entries x topics in one inference block. A sweep keeps a few arrays of this
-# many float64 values live (16 MiB each); a longer document gets a block of
-# its own.
+# Documents x max(topics, vocabulary) in one inference block. A sweep keeps
+# one documents x vocabulary float64 array live (P, then S in its buffer),
+# and a few documents x topics ones (gamma before and after, digamma, E,
+# S @ B.T), each at most 16 MiB; a block holds at least one document.
 _BLOCK_CELLS = 1 << 21
+
+# An entry whose phinorm is below this takes its phi in log space: w /
+# phinorm could overflow, and a sum that small has lost precision. phinorm is
+# at least B at the document's leading topic, so only a term given under
+# 1e-200 of its largest probability by that topic gets here.
+_MIN_PHINORM = 1e-200
 
 
 @dataclass
@@ -105,93 +118,166 @@ def _initial_gamma(alpha: np.ndarray, docs: DocBatch) -> np.ndarray:
     return alpha + totals[:, None] / alpha.size
 
 
-def _blocks(docs: DocBatch, n_topics: int):
-    """Yield (document slice, sub-batch) with at most ``_BLOCK_CELLS``
-    entries x topics per block, except for a single longer document."""
-    cap = max(_BLOCK_CELLS // n_topics, 1)
-    lo = 0
-    while lo < len(docs):
-        hi = int(np.searchsorted(docs.indptr, docs.indptr[lo] + cap, side="right")) - 1
-        hi = max(hi, lo + 1)
-        yield slice(lo, hi), docs[lo:hi]
-        lo = hi
+class _Topics(NamedTuple):
+    """The topic-term table as a sweep reads it: ``log_beta`` (topics x
+    terms), ``exp`` = B = exp(log_beta - shift) and ``shift``, each column's
+    max."""
+
+    log_beta: np.ndarray
+    exp: np.ndarray
+    shift: np.ndarray
 
 
-def _sweep(alpha, gamma, log_beta_entries, weights, starts, owner):
-    """One coordinate-ascent update of a batch of non-empty documents.
+def _topics(log_beta: np.ndarray, docs: DocBatch) -> _Topics:
+    """The table for sweeps over ``docs``.
 
-    ``gamma`` is (documents, topics); entry rows are grouped by document,
-    ``starts`` holds each document's first entry and ``owner`` each entry's
-    document. Returns the new gamma and log phi on the entries.
+    A term with zero probability under every topic has no responsibilities:
+    a document using one is rejected, and the B column of an unused one is 0.
     """
-    log_phi = log_beta_entries + digamma(gamma)[owner]
-    shift = log_phi.max(axis=1, keepdims=True)
-    log_phi -= np.log(np.exp(log_phi - shift).sum(axis=1, keepdims=True)) + shift
-    phi = np.exp(log_phi)
-    return alpha + np.add.reduceat(weights[:, None] * phi, starts, axis=0), log_phi
+    shift = log_beta.max(axis=0)
+    dead = np.isneginf(shift)
+    if dead.any():
+        used = np.flatnonzero(dead[docs.terms])
+        if used.size:
+            raise ValidationError(
+                f"document '{docs.doc_of(used[0])}' has a term with zero "
+                "probability under every topic"
+            )
+        shift[dead] = 0.0
+    return _Topics(log_beta, np.exp(log_beta - shift), shift)
 
 
-def _infer_block(alpha, gamma, log_beta_entries, batch: DocBatch, tol, max_iters,
-                 on_sweep=None):
+def _row_sums(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``n_rows`` rows by ``index``."""
+    k = values.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+
+
+def _blocks(docs: DocBatch, width: int):
+    """Yield (document slice, sub-batch) of at most ``_BLOCK_CELLS // width``
+    documents, and at least one."""
+    cap = max(_BLOCK_CELLS // width, 1)
+    for lo in range(0, len(docs), cap):
+        yield slice(lo, lo + cap), docs[lo:lo + cap]
+
+
+class _Sweep:
+    """One coordinate-ascent update of the moving documents of a block.
+
+    With E = exp(digamma(gamma0) - row max) (documents x topics), the phi of
+    entry e (document d, term t) is E[d] * B[:, t] / P[d, t], where P = E @ B
+    and the two shifts cancel. The new gamma is alpha + E * (S @ B.T), where S
+    holds w_e / P[d, t] at each entry and 0 elsewhere; S is written into P's
+    buffer ``buf``. An entry whose phinorm P[d, t] falls below
+    ``_MIN_PHINORM`` is left out of S and takes its phi in log space.
+
+    ``own``, ``terms`` and ``weights`` give each entry's row, term and weight.
+    ``s`` (S) is valid until the next sweep reuses ``buf``.
+    """
+
+    def __init__(self, alpha, gamma0, topics: _Topics, own, terms, weights, buf):
+        self.alpha, self.gamma0, self.topics = alpha, gamma0, topics
+        self.own, self.terms, self.weights = own, terms, weights
+        self.dig = digamma(gamma0)
+        self.row_shift = self.dig.max(axis=1)
+        self.e = self.dig - self.row_shift[:, None]
+        np.exp(self.e, out=self.e)
+        self.s = np.matmul(self.e, topics.exp, out=buf)
+        phinorm = self.s[own, terms]
+        self.small = np.flatnonzero(phinorm < _MIN_PHINORM)
+        phinorm[self.small] = np.inf  # their S entries become 0
+        self.phinorm = phinorm
+        self.s.fill(0.0)
+        self.s[own, terms] = weights / phinorm
+        self.gamma = alpha + self.e * (self.s @ topics.exp.T)
+        # Log-space phi and log normalizer of the small entries.
+        log_phi = self.dig[own[self.small]] + topics.log_beta.T[terms[self.small]]
+        top = log_phi.max(axis=1, keepdims=True)
+        phi = np.exp(log_phi - top)
+        norm = phi.sum(axis=1, keepdims=True)
+        self.phi_small = phi / norm
+        self.log_z_small = (np.log(norm) + top)[:, 0]
+        if self.small.size:
+            self.gamma += _row_sums(
+                own[self.small], weights[self.small, None] * self.phi_small, len(gamma0)
+            )
+
+    def bounds(self, rows) -> np.ndarray:
+        """Bound of the documents ``rows`` at the new gamma and this sweep's phi.
+
+        With Z_e = sum_k exp(digamma(gamma0_k) + log_beta[k, t]), the
+        normalizer of entry e's phi, the phi terms of the bound cancel to
+        Dirichlet terms(gamma1) - sum_k (gamma1_k - alpha_k) digamma(gamma0_k)
+        + sum_e w_e log Z_e; log Z_e = log P[d, t] + both shifts.
+        """
+        alpha, shift = self.alpha, self.topics.shift
+        log_z = np.log(self.phinorm) + self.row_shift[self.own] + shift[self.terms]
+        log_z[self.small] = self.log_z_small
+        w_log_z = np.bincount(self.own, weights=self.weights * log_z, minlength=len(self.e))
+        g1 = self.gamma[rows]
+        return (
+            gammaln(alpha.sum()) - gammaln(alpha).sum()
+            - gammaln(g1.sum(axis=1)) + gammaln(g1).sum(axis=1)
+            - ((g1 - alpha) * self.dig[rows]).sum(axis=1) + w_log_z[rows]
+        )
+
+    def add_stats(self, ss, rows) -> None:
+        """Add the expected topic-term counts, sum of w * phi, of the
+        documents ``rows`` (a mask) to ``ss``: B * (E.T @ S), plus their
+        log-space entries."""
+        counts = self.e[rows].T @ self.s[rows]
+        counts *= self.topics.exp
+        ss += counts
+        mine = rows[self.own[self.small]]
+        if mine.any():
+            entries = self.small[mine]
+            ss += _row_sums(
+                self.terms[entries], self.weights[entries, None] * self.phi_small[mine],
+                ss.shape[1],
+            ).T
+
+    def phi(self) -> np.ndarray:
+        """phi on every entry, entries x topics."""
+        phi = self.e[self.own] * self.topics.exp.T[self.terms] / self.phinorm[:, None]
+        phi[self.small] = self.phi_small
+        return phi
+
+
+def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
+                 on_sweep=None) -> np.ndarray:
     """Sweep each non-empty document until its own mean absolute gamma change
     is below ``tol`` or it has had ``max_iters`` sweeps.
 
     ``gamma`` (documents, topics) is updated in place; rows of empty documents
-    are left alone. ``on_sweep(gamma, log_phi)`` sees the moving documents
-    after every sweep. Returns the sweeps per document and log phi on every
-    entry from its document's last sweep.
+    are left alone. ``on_sweep(sweep, done)`` sees every sweep of the moving
+    documents and the mask of those leaving after it. Returns the sweeps per
+    document.
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     lengths = np.diff(batch.indptr)
     sweeps = np.zeros(lengths.size, dtype=np.int64)
-    log_phi_out = np.empty(log_beta_entries.shape)
-    # Documents still moving, and the block positions of their entries; lb and
-    # weights are compacted to those entries whenever a document leaves.
+    # Documents still moving; terms and weights are compacted to their
+    # entries whenever a document leaves.
     active = np.flatnonzero(lengths)
-    entries = np.arange(batch.terms.size)
-    lb, weights = log_beta_entries, batch.weights
+    terms, weights = batch.terms, batch.weights
+    buf = np.empty((active.size, topics.exp.shape[1]))
     while active.size:
         lens = lengths[active]
-        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
-        owner = np.repeat(np.arange(active.size), lens)
-        old = gamma[active]
-        new, log_phi = _sweep(alpha, old, lb, weights, starts, owner)
-        if on_sweep is not None:
-            on_sweep(new, log_phi)
-        gamma[active] = new
+        own = np.repeat(np.arange(active.size), lens)
+        sweep = _Sweep(alpha, gamma[active], topics, own, terms, weights, buf[:active.size])
+        gamma[active] = sweep.gamma
         sweeps[active] += 1
-        done = (np.abs(new - old).mean(axis=1) < tol) | (sweeps[active] >= max_iters)
+        done = (np.abs(sweep.gamma - sweep.gamma0).mean(axis=1) < tol) | (
+            sweeps[active] >= max_iters
+        )
+        if on_sweep is not None:
+            on_sweep(sweep, done)
         if done.any():
-            leaving = np.repeat(done, lens)
-            log_phi_out[entries[leaving]] = log_phi[leaving]
-            staying = ~leaving
-            active, entries = active[~done], entries[staying]
-            lb, weights = lb[staying], weights[staying]
-    return sweeps, log_phi_out
-
-
-def _doc_bounds(alpha, gamma, log_beta_entries, batch: DocBatch, log_phi) -> np.ndarray:
-    """Bound of every document of the batch at (gamma, phi = exp(log_phi)).
-
-    For an empty document with gamma = alpha the Dirichlet terms cancel and
-    the bound is exactly zero.
-    """
-    elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
-    p_theta = (
-        gammaln(alpha.sum()) - gammaln(alpha).sum()
-        + ((alpha - 1.0) * elog_theta).sum(axis=1)
-    )
-    q_theta = (
-        gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1)
-        + ((gamma - 1.0) * elog_theta).sum(axis=1)
-    )
-    owner = batch.owners()
-    per_entry = (
-        batch.weights[:, None] * np.exp(log_phi)
-        * (elog_theta[owner] + log_beta_entries - log_phi)
-    ).sum(axis=1)
-    return p_theta - q_theta + np.bincount(owner, weights=per_entry, minlength=len(gamma))
+            staying = ~np.repeat(done, lens)
+            active, terms, weights = active[~done], terms[staying], weights[staying]
+    return sweeps
 
 
 def _check_single(doc: DocBatch, vocab_size: int) -> None:
@@ -201,16 +287,21 @@ def _check_single(doc: DocBatch, vocab_size: int) -> None:
 
 
 def elbo(model: LdaModel, doc: DocBatch, state: InferenceState) -> float:
-    """Variational lower bound for a one-document batch at the given state.
+    """Variational lower bound for a one-document batch at the given state,
+    from its explicit phi.
 
     For an empty document with gamma = alpha the Dirichlet terms cancel and
     the bound is exactly zero.
     """
     _check_single(doc, model.vocab_size)
-    return float(_doc_bounds(
-        model.alpha, state.gamma[None, :], model.log_beta.T[doc.terms], doc,
-        np.log(state.phi),
-    )[0])
+    alpha, gamma, phi = model.alpha, state.gamma, state.phi
+    elog_theta = digamma(gamma) - digamma(gamma.sum())
+    p_theta = gammaln(alpha.sum()) - gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
+    q_theta = gammaln(gamma.sum()) - gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
+    log_beta = model.log_beta.T[doc.terms]
+    return float(p_theta - q_theta + (
+        doc.weights[:, None] * phi * (elog_theta + log_beta - np.log(phi))
+    ).sum())
 
 
 def infer_document(
@@ -226,27 +317,31 @@ def infer_document(
     Stops when the mean absolute gamma change drops below ``tol`` or after
     ``max_iters`` sweeps. ``init_gamma`` warm-starts gamma; the default start
     spreads the document's total weight evenly across topics. This is the
-    single-document form of the batched E-step; it also records the bound
-    after every sweep.
+    single-document form of the batched E-step, over the document's own
+    columns of the topic-term table; it also records the bound after every
+    sweep.
     """
     _check_single(doc, model.vocab_size)
     gamma = _initial_gamma(model.alpha, doc)
     if init_gamma is not None and doc.terms.size:
         gamma[0] = init_gamma
-    log_beta_entries = model.log_beta.T[doc.terms]
-    history: list[float] = []
-
-    def record(new_gamma, log_phi):
-        history.append(float(
-            _doc_bounds(model.alpha, new_gamma, log_beta_entries, doc, log_phi)[0]
-        ))
-
-    _, log_phi = _infer_block(
-        model.alpha, gamma, log_beta_entries, doc, tol, max_iters, on_sweep=record
+    own_terms = DocBatch(
+        doc.ids, doc.indptr, np.arange(doc.terms.size), doc.counts, doc.weights
     )
+    topics = _topics(model.log_beta[:, doc.terms], own_terms)
+    history: list[float] = []
+    phi = np.zeros((0, model.n_topics))
+
+    def record(sweep, done):
+        nonlocal phi
+        history.append(float(sweep.bounds([0])[0]))
+        if done[0]:
+            phi = sweep.phi()
+
+    _infer_block(model.alpha, gamma, topics, own_terms, tol, max_iters, on_sweep=record)
     if not history:  # empty document: no sweep; at gamma = alpha the bound is 0
         history.append(0.0)
-    return InferenceState(gamma=gamma[0], phi=np.exp(log_phi), elbo_history=history)
+    return InferenceState(gamma=gamma[0], phi=phi, elbo_history=history)
 
 
 def train_lda(
@@ -263,7 +358,8 @@ def train_lda(
     additive ``eta``; it is non-decreasing across iterations. Gamma is
     warm-started from the previous EM iteration. Deterministic given the
     seed. ``init_beta`` overrides the seeded random initialization with an
-    explicit non-negative table (rows are normalized).
+    explicit non-negative table (rows are normalized) in which every term has
+    a positive entry.
     """
     config = config or LdaConfig()
     if n_topics < 1:
@@ -288,7 +384,13 @@ def train_lda(
             raw.sum(axis=1) <= 0
         ):
             raise ValidationError("init_beta must be non-negative with positive row sums")
-    log_beta = np.log(raw / raw.sum(axis=1, keepdims=True))
+        dead = np.flatnonzero(raw.max(axis=0) <= 0)
+        if dead.size:
+            raise ValidationError(
+                f"init_beta gives term {dead[0]} zero probability under every topic"
+            )
+    with np.errstate(divide="ignore"):  # zero entries are allowed: log 0 = -inf
+        log_beta = np.log(raw / raw.sum(axis=1, keepdims=True))
 
     model = LdaModel(
         n_topics=n_topics, vocab_size=vocab_size, alpha=alpha, log_beta=log_beta
@@ -298,21 +400,22 @@ def train_lda(
     history: list[float] = []
     iterations = 0
     for it in range(config.em_max_iterations):
+        topics = _topics(model.log_beta, docs)
+        # Each document adds its bound and expected counts from its last sweep.
+        bounds: list[float] = []
         ss = np.zeros((n_topics, vocab_size))
-        log_beta_t = np.ascontiguousarray(model.log_beta.T)
-        total = 0.0
-        for rows, block in _blocks(docs, n_topics):
-            log_beta_entries = log_beta_t[block.terms]
-            sweeps[rows], log_phi = _infer_block(
-                alpha, gamma[rows], log_beta_entries, block,
-                config.doc_tol, config.doc_max_iterations,
+
+        def collect(sweep, done):
+            if done.any():
+                bounds.append(float(sweep.bounds(done).sum()))
+                sweep.add_stats(ss, done)
+
+        for rows, block in _blocks(docs, max(n_topics, vocab_size)):
+            sweeps[rows] = _infer_block(
+                alpha, gamma[rows], topics, block,
+                config.doc_tol, config.doc_max_iterations, on_sweep=collect,
             )
-            total += float(
-                _doc_bounds(alpha, gamma[rows], log_beta_entries, block, log_phi).sum()
-            )
-            np.add.at(ss.T, block.terms, block.weights[:, None] * np.exp(log_phi))
-        total += config.eta * float(model.log_beta.sum())
-        history.append(total)
+        history.append(sum(bounds) + config.eta * float(model.log_beta.sum()))
         iterations = it + 1
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
@@ -335,13 +438,11 @@ def extract_posteriors(
     """Converged gamma per document, in input order, and the sweeps each
     document took (0 for an empty one, whose gamma is alpha)."""
     docs.check_vocab(model.vocab_size)
+    topics = _topics(model.log_beta, docs)
     gamma = _initial_gamma(model.alpha, docs)
     sweeps = np.zeros(len(docs), dtype=np.int64)
-    log_beta_t = np.ascontiguousarray(model.log_beta.T)
-    for rows, block in _blocks(docs, model.n_topics):
-        sweeps[rows], _ = _infer_block(
-            model.alpha, gamma[rows], log_beta_t[block.terms], block, tol, max_iters
-        )
+    for rows, block in _blocks(docs, max(model.n_topics, model.vocab_size)):
+        sweeps[rows] = _infer_block(model.alpha, gamma[rows], topics, block, tol, max_iters)
     return Posteriors(list(docs.ids), gamma), sweeps
 
 
@@ -379,6 +480,9 @@ def load_lda(path) -> LdaModel:
         raise FormatError(f"{path}: alpha must be positive and finite")
     if np.any(np.isnan(log_beta)) or np.any(log_beta > 0):
         raise FormatError(f"{path}: log_beta entries must be finite log-probabilities")
+    dead = np.flatnonzero(np.isneginf(log_beta).all(axis=0))
+    if dead.size:
+        raise FormatError(f"{path}: term {dead[0]} has zero probability under every topic")
     row_sums = np.exp(log_beta).sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-8):
         raise FormatError(f"{path}: topic rows must sum to 1")

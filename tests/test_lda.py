@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +417,153 @@ def test_extract_posteriors_caps_sweeps():
     assert sweeps.tolist() == [3] * 8
 
 
+@pytest.mark.parametrize("k, v", [(256, 8), (8, 512)])
+def test_wide_shapes_match_per_document_loop(k, v):
+    """Blocks sized by max(K, V) at K >> V and V >> K, several per corpus."""
+    rng = np.random.default_rng(k * 1000 + v)
+    docs = [("empty", []), ("single", [(v - 1, 1, 2.5)]), ("all", [
+        (t, 1, float(rng.uniform(0.1, 3.0))) for t in range(v)
+    ])]
+    for i in range(6):
+        terms = np.sort(rng.choice(v, size=int(rng.integers(1, 9)), replace=False))
+        docs.append((f"d{i}", [(int(t), 1, float(rng.uniform(0.1, 3.0))) for t in terms]))
+    docs = batch(docs)
+    model = _random_model(rng, k, v)
+    tol, max_iters = 1e-4, 6
+    init_beta = rng.random((k, v)) + 0.05
+    config = LdaConfig(
+        seed=1, em_max_iterations=3, doc_tol=tol, doc_max_iterations=max_iters,
+        alpha=0.5,
+    )
+    block_sizes = []
+
+    def spy(alpha, gamma, *args, **kwargs):
+        block_sizes.append(len(gamma))
+        return infer_block(alpha, gamma, *args, **kwargs)
+
+    infer_block = lda_module._infer_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lda_module, "_BLOCK_CELLS", 2 * max(k, v))  # two documents a block
+        mp.setattr(lda_module, "_infer_block", spy)
+        posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
+        assert block_sizes == [2, 2, 2, 2, 1]
+        trained = train_lda(docs, k, v, config, init_beta=init_beta)
+    states = [infer_document(model, docs[i], tol, max_iters) for i in range(len(docs))]
+    np.testing.assert_allclose(
+        posts.gamma, np.array([s.gamma for s in states]), rtol=1e-10, atol=0
+    )
+    assert sweeps.tolist() == [0] + [len(s.elbo_history) for s in states[1:]]
+    history, log_beta, ref_sweeps = _reference_train(docs, k, v, config, init_beta)
+    np.testing.assert_allclose(trained.bound_history, history, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(trained.log_beta, log_beta, rtol=0, atol=1e-12)
+    assert trained.doc_sweeps.tolist() == ref_sweeps
+
+
+def test_sweep_bound_equals_explicit_phi_bound():
+    """The bound recorded per sweep, computed without phi, equals ``elbo`` at
+    the returned state and the term-by-term oracle."""
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        k = int(rng.integers(2, 6))
+        model = _random_model(rng, k, int(rng.integers(4, 12)))
+        doc = _random_doc(rng, model.vocab_size)
+        state = infer_document(model, doc, tol=1e-3, max_iters=int(rng.integers(1, 6)))
+        ref = ref_elbo(
+            model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
+            doc_entries(doc), model.log_beta.tolist(),
+        )
+        assert state.elbo_history[-1] == pytest.approx(elbo(model, doc, state), rel=1e-10)
+        assert state.elbo_history[-1] == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+
+def _dead_term_model():
+    """K=2, V=3; term 2 has zero probability under both topics."""
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(np.array([[0.5, 0.5, 0.0], [0.7, 0.3, 0.0]]))
+    return LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 0.5), log_beta=log_beta)
+
+
+def test_inference_rejects_document_using_a_term_no_topic_emits():
+    model = _dead_term_model()
+    docs = batch([("a", [(0, 1, 1.0)]), ("b", [(1, 1, 1.0), (2, 1, 2.0)])])
+    with pytest.raises(ValidationError) as exc:
+        extract_posteriors(model, docs)
+    assert "'b'" in str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        infer_document(model, docs[1])
+    assert "'b'" in str(exc.value)
+    # Documents that do not use the term are inferred as usual.
+    posts, _ = extract_posteriors(model, docs[:1])
+    state = infer_document(model, docs[0])
+    assert np.all(np.isfinite(posts.gamma)) and np.array_equal(posts.gamma[0], state.gamma)
+
+
+def test_init_beta_with_a_zero_column_rejected():
+    docs = batch([("a", [(0, 1, 1.0), (1, 1, 1.0)])])
+    init_beta = np.array([[0.5, 0.5, 0.0], [0.7, 0.3, 0.0]])
+    with pytest.raises(ValidationError) as exc:
+        train_lda(docs, 2, 3, LdaConfig(seed=0), init_beta=init_beta)
+    assert "term 2" in str(exc.value)
+
+
+def test_underflowing_phinorm_takes_the_log_space_path():
+    """With alpha = 1e-3 the second topic's exp(E[log theta]) underflows, and
+    term 2 has probability only under it, so its phinorm is exactly 0."""
+    beta = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    doc = one_doc("u", [(0, 1, 50.0), (1, 1, 50.0), (2, 1, 1e-6)])
+    with np.errstate(divide="ignore"):
+        model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3),
+                         log_beta=np.log(beta))
+    config = LdaConfig(alpha=1e-3, eta=0.01, em_max_iterations=2, em_tol=-np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        posts, sweeps = extract_posteriors(model, doc)
+        state = infer_document(model, doc)
+        trained = train_lda(doc, 2, 3, config, init_beta=beta)
+    expected = np.array([100.001, 0.001001])
+    np.testing.assert_allclose(posts.gamma[0], expected, rtol=1e-10)
+    np.testing.assert_allclose(state.gamma, expected, rtol=1e-10)
+    assert sweeps.tolist() == [len(state.elbo_history)] == [2]
+    np.testing.assert_array_equal(state.phi, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.all(np.isfinite(state.elbo_history))
+    # The expected counts of the first E-step: terms 0 and 1 in topic 0, term 2
+    # (from its log-space phi) in topic 1.
+    ss = np.array([[50.0, 50.0, 0.0], [0.0, 0.0, 1e-6]]) + config.eta
+    np.testing.assert_allclose(
+        trained.log_beta, np.log(ss / ss.sum(axis=1, keepdims=True)), rtol=1e-10
+    )
+    # The first objective has the prior's eta * log 0; the document bounds are
+    # finite, so it is -inf and not NaN.
+    assert trained.bound_history[0] == -np.inf and np.isfinite(trained.bound_history[1])
+
+
+def test_subnormal_phinorm_takes_the_log_space_path():
+    """Warm-started with the second topic collapsed, term 2's phinorm is the
+    subnormal 1e-310, and 50 / phinorm would overflow."""
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(np.array([[0.5, 0.5, 1e-310], [0.0, 0.0, 1.0]]))
+    model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3), log_beta=log_beta)
+    doc = one_doc("u", [(0, 1, 50.0), (1, 1, 50.0), (2, 1, 50.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = infer_document(model, doc, init_gamma=np.array([150.0, 1e-3]))
+    np.testing.assert_allclose(state.gamma, [150.001, 0.001], rtol=1e-10)
+    assert np.all(np.isfinite(state.elbo_history))
+
+
+def test_import_loads_no_scipy_sparse():
+    """The package must not pull in scipy.sparse: it adds resident memory to
+    every process, including those that do no topic inference."""
+    src = Path(lda_module.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ldaselect; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -461,6 +613,14 @@ def test_model_file_corruptions(tmp_path):
     p.write_bytes(bytes(bad))
     with pytest.raises(FormatError):
         load_lda(p)
+
+
+def test_load_rejects_a_term_no_topic_emits(tmp_path):
+    p = tmp_path / "m.alda"
+    save_lda(_dead_term_model(), p)
+    with pytest.raises(FormatError) as exc:
+        load_lda(p)
+    assert "term 2" in str(exc.value)
 
 
 def test_posterior_file_round_trip(tmp_path):
