@@ -16,6 +16,7 @@ in row-major order, no padding.
 """
 
 import io
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -37,8 +38,10 @@ class Utterance:
     """One selectable unit of speech data.
 
     ``feature_path`` and ``transcript_path`` are stored exactly as written in
-    the manifest; relative paths are resolved against the manifest's directory
-    when the files are opened.
+    the manifest. ``feature_file`` and ``transcript_file`` are where the files
+    are opened: :func:`parse_manifest` resolves relative paths once, against
+    the manifest's directory made absolute. An utterance built in code opens
+    its paths as written. They take no part in equality.
     """
 
     id: str
@@ -48,6 +51,14 @@ class Utterance:
     duration_s: float
     domain_tag: str
     transcript_path: str | None = None
+    feature_file: str = field(default="", compare=False, repr=False)
+    transcript_file: str | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.feature_file:
+            self.feature_file = self.feature_path
+        if self.transcript_file is None:
+            self.transcript_file = self.transcript_path
 
 
 @dataclass
@@ -57,7 +68,6 @@ class Manifest:
     utterances: list[Utterance] = field(default_factory=list)
     role: str = "pool"
     fps: float = 100.0
-    base_dir: Path | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -78,27 +88,25 @@ class Manifest:
 _FPS_RE = re.compile(r"#\s*fps=([0-9.eE+\-]+)\s*$")
 
 
-def read_manifest(path, role: str = "pool", validate_features: bool = False) -> Manifest:
+def read_manifest(path, role: str = "pool") -> Manifest:
     """Parse a manifest file, preserving line order.
 
     Duplicate ids and malformed lines are rejected with the offending line
-    numbers. With ``validate_features`` every referenced feature file must
-    exist and its header must match the manifest's frame counts.
+    numbers. Feature files are checked when they are read.
     """
     path = Path(path)
     if role not in ROLES:
         raise ValidationError(f"manifest role must be one of {ROLES}, got '{role}'")
-    manifest = parse_manifest(path.read_bytes(), path, role)
-    if validate_features:
-        _validate_feature_files(manifest)
-    return manifest
+    return parse_manifest(path.read_bytes(), path, role)
 
 
 def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
     """Parse the bytes ``data`` of the manifest file ``path`` (which names it in
-    errors and resolves its relative feature paths), as :func:`read_manifest`
-    does: a caller that hashes the bytes it parsed keys exactly this manifest."""
+    errors), as :func:`read_manifest` does: a caller that hashes the bytes it
+    parsed keys exactly this manifest. Relative feature and transcript paths
+    resolve here, once, against the manifest's directory made absolute."""
     path = Path(path)
+    base = path.parent.absolute()
     fps = 100.0
     utterances: list[Utterance] = []
     seen: dict[str, int] = {}
@@ -115,6 +123,9 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
                     raise FormatError(f"{path}:{lineno}: fps must be positive")
             continue
         utt = _parse_manifest_line(line, path, lineno, fps)
+        utt.feature_file = str(base / utt.feature_path)
+        if utt.transcript_path:
+            utt.transcript_file = str(base / utt.transcript_path)
         if utt.id in seen:
             raise FormatError(
                 f"{path}: duplicate utterance id '{utt.id}' "
@@ -122,7 +133,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
             )
         seen[utt.id] = lineno
         utterances.append(utt)
-    return Manifest(utterances, role=role, fps=fps, base_dir=path.parent)
+    return Manifest(utterances, role=role, fps=fps)
 
 
 def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utterance:
@@ -171,20 +182,6 @@ def _parse_float(text: str, path: Path, lineno: int, name: str) -> float:
         raise FormatError(f"{path}:{lineno}: {name} is not a number: '{text}'") from None
 
 
-def _validate_feature_files(manifest: Manifest) -> None:
-    for utt in manifest:
-        p = resolve_path(utt.feature_path, manifest.base_dir)
-        if not p.is_file():
-            raise FormatError(f"missing feature file for utterance '{utt.id}': {p}")
-        with open(p, "rb") as fh:
-            n, d = _feature_header(fh.read(_FEATURE_HEADER.size), p)
-        if (n, d) != (utt.num_frames, utt.frame_dim):
-            raise FormatError(
-                f"feature file {p} header {n}x{d} does not match manifest "
-                f"{utt.num_frames}x{utt.frame_dim} for utterance '{utt.id}'"
-            )
-
-
 def write_manifest(manifest: Manifest, path) -> None:
     """Write a manifest readable back by :func:`read_manifest`."""
     path = Path(path)
@@ -202,13 +199,6 @@ def write_manifest(manifest: Manifest, path) -> None:
             fields.append(u.transcript_path)
         lines.append("\t".join(fields))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def resolve_path(path_str: str, base_dir: Path | None) -> Path:
-    p = Path(path_str)
-    if not p.is_absolute() and base_dir is not None:
-        p = Path(base_dir) / p
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +233,8 @@ def _feature_header(data: bytes, path) -> tuple[int, int]:
 
 def read_feature_file(path) -> np.ndarray:
     """Read a binary feature file into a float32 array of shape (frames, dim)."""
-    path = Path(path)
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     n, d = _feature_header(data, path)
     if d < 1:
         raise FormatError(f"{path}: frame_dim must be >= 1, got {d}")
@@ -264,9 +254,9 @@ def read_feature_file(path) -> np.ndarray:
     return arr
 
 
-def read_features(utt: Utterance, base_dir: Path | None = None) -> np.ndarray:
+def read_features(utt: Utterance) -> np.ndarray:
     """Load an utterance's features, cross-checking the manifest's shape."""
-    p = resolve_path(utt.feature_path, base_dir)
+    p = utt.feature_file
     arr = read_feature_file(p)
     if arr.shape != (utt.num_frames, utt.frame_dim):
         raise FormatError(
@@ -283,14 +273,14 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
     uniformly without replacement and kept in order. The draw uses the
     manifests' ``num_frames``, so only files that hold a drawn frame are read.
     """
-    utts = [(utt, manifest.base_dir) for manifest in manifests for utt in manifest]
-    dim = utts[0][0].frame_dim if utts else 0
-    for utt, _ in utts:
+    utts = [utt for manifest in manifests for utt in manifest]
+    dim = utts[0].frame_dim if utts else 0
+    for utt in utts:
         if utt.frame_dim != dim:
             raise ValidationError(
                 f"frame_dim mismatch: '{utt.id}' has {utt.frame_dim}, expected {dim}"
             )
-    starts = np.cumsum([0] + [utt.num_frames for utt, _ in utts])
+    starts = np.cumsum([0] + [utt.num_frames for utt in utts])
     total = int(starts[-1])
     if total == 0:
         raise ValidationError("no training frames available")
@@ -301,20 +291,21 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
         keep = np.arange(total)
     X = np.empty((keep.size, dim), dtype=np.float32)
     bounds = np.searchsorted(keep, starts)
-    for (utt, base_dir), start, lo, hi in zip(utts, starts, bounds, bounds[1:]):
+    for utt, start, lo, hi in zip(utts, starts, bounds, bounds[1:]):
         if hi > lo:
-            X[lo:hi] = read_features(utt, base_dir)[keep[lo:hi] - start]
+            X[lo:hi] = read_features(utt)[keep[lo:hi] - start]
     return X
 
 
-def read_transcript(utt: Utterance, base_dir: Path | None = None) -> str:
+def read_transcript(utt: Utterance) -> str:
     """Load an utterance's transcript text; empty string when none is listed."""
-    if not utt.transcript_path:
+    p = utt.transcript_file
+    if not p:
         return ""
-    p = resolve_path(utt.transcript_path, base_dir)
-    if not p.is_file():
+    if not os.path.isfile(p):
         raise FormatError(f"missing transcript file for utterance '{utt.id}': {p}")
-    return p.read_text(encoding="utf-8")
+    with open(p, encoding="utf-8") as fh:
+        return fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +388,8 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
     """Generate feature files, optional transcripts and a manifest.
 
     Deterministic given (spec, seed): a second run produces byte-identical
-    files. Every utterance's domain_tag records the generating domain.
+    files. Every utterance's domain_tag records the generating domain. Returns
+    the manifest as read back from its file.
     """
     validate_synth_spec(spec)
     out_dir = Path(out_dir)
@@ -441,9 +433,9 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
                     dom.tag, rel_txt,
                 )
             )
-    manifest = Manifest(utterances, role=spec.role, fps=spec.fps, base_dir=out_dir)
-    write_manifest(manifest, out_dir / (spec.manifest_name or f"{spec.role}.tsv"))
-    return manifest
+    path = out_dir / (spec.manifest_name or f"{spec.role}.tsv")
+    write_manifest(Manifest(utterances, role=spec.role, fps=spec.fps), path)
+    return read_manifest(path, role=spec.role)
 
 
 def make_separated_spec(

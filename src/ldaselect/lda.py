@@ -291,16 +291,19 @@ def elbo(model: LdaModel, doc: DocBatch, state: InferenceState) -> float:
     from its explicit phi.
 
     For an empty document with gamma = alpha the Dirichlet terms cancel and
-    the bound is exactly zero.
+    the bound is exactly zero. Entries where phi is exactly 0 add nothing, as
+    0 log 0 = 0 (also where log beta is -inf).
     """
     _check_single(doc, model.vocab_size)
     alpha, gamma, phi = model.alpha, state.gamma, state.phi
     elog_theta = digamma(gamma) - digamma(gamma.sum())
     p_theta = gammaln(alpha.sum()) - gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
     q_theta = gammaln(gamma.sum()) - gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
-    log_beta = model.log_beta.T[doc.terms]
+    rows, topics = np.nonzero(phi)
+    p = phi[rows, topics]
+    log_beta = model.log_beta[topics, doc.terms[rows]]
     return float(p_theta - q_theta + (
-        doc.weights[:, None] * phi * (elog_theta + log_beta - np.log(phi))
+        doc.weights[rows] * p * (elog_theta[topics] + log_beta - np.log(p))
     ).sum())
 
 

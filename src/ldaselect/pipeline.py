@@ -13,7 +13,6 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,40 +66,6 @@ def _log_selection(label: str, result: SelectionResult, pool_size: int) -> None:
         label, len(result.selected), pool_size, result.total_hours, result.passes,
         result.stop_reason,
     )
-
-
-class _SelectionManifests:
-    """Writes selection manifests of one pool. Paths are made absolute so a
-    manifest is valid from any directory; each pool utterance is resolved
-    once, when first selected, however many selections are written."""
-
-    def __init__(self, pool_manifest: corpus.Manifest):
-        self.pool = pool_manifest
-        self.by_id = pool_manifest.by_id()
-        self.absolute: dict[str, corpus.Utterance] = {}
-
-    def _resolve(self, utt_id: str) -> corpus.Utterance:
-        u = self.absolute.get(utt_id)
-        if u is None:
-            if utt_id not in self.by_id:
-                raise ValidationError(f"utterance '{utt_id}' is not in the pool manifest")
-            u = self.by_id[utt_id]
-            base = self.pool.base_dir
-            u = self.absolute[utt_id] = replace(
-                u,
-                feature_path=str(corpus.resolve_path(u.feature_path, base)),
-                transcript_path=(
-                    str(corpus.resolve_path(u.transcript_path, base))
-                    if u.transcript_path else None
-                ),
-            )
-        return u
-
-    def write(self, result: SelectionResult, path) -> None:
-        utts = [self._resolve(s.utt_id) for s in result.selected]
-        corpus.write_manifest(
-            corpus.Manifest(utts, role="pool", fps=self.pool.fps), path
-        )
 
 
 @dataclass
@@ -161,15 +126,23 @@ class Runner:
         finally:
             lock.unlink(missing_ok=True)
 
-    @cached_property
-    def _selection_manifests(self) -> _SelectionManifests:
-        return _SelectionManifests(self.pool)
-
     def write_selection(self, result: SelectionResult, audit: Path, manifest: Path) -> None:
         """Write ``result``'s audit and its selection manifest, a manifest of
-        the selected utterances reusable as a training manifest."""
+        the selected utterances reusable as a training manifest. It lists the
+        paths the pool manifest resolved to, absolute where the pool's were
+        relative, so it is valid from any directory."""
         write_audit(result, audit)
-        self._selection_manifests.write(result, manifest)
+        by_id = self.pool.by_id()
+        utts = []
+        for s in result.selected:
+            u = by_id.get(s.utt_id)
+            if u is None:
+                raise ValidationError(f"utterance '{s.utt_id}' is not in the pool manifest")
+            utts.append(corpus.Utterance(
+                u.id, u.feature_file, u.num_frames, u.frame_dim, u.duration_s,
+                u.domain_tag, u.transcript_file,
+            ))
+        corpus.write_manifest(corpus.Manifest(utts, fps=self.pool.fps), manifest)
 
     # -- caching machinery ------------------------------------------------
 
@@ -182,23 +155,16 @@ class Runner:
         memo = (which, transcripts)
         if memo in self._digests:
             return self._digests[memo]
-        manifest = self.manifests[which]
         h = hashlib.sha256()
         h.update(self.manifest_bytes[which])
-        for utt in manifest:
+        for utt in self.manifests[which]:
             h.update(utt.id.encode())
-            if transcripts:
-                if utt.transcript_path:
-                    p = corpus.resolve_path(utt.transcript_path, manifest.base_dir)
-                    if p.is_file():
-                        h.update(p.read_bytes())
-            else:
-                p = corpus.resolve_path(utt.feature_path, manifest.base_dir)
-                if not p.is_file():
-                    raise StageError(
-                        "inputs", f"missing feature file for '{utt.id}': {p}"
-                    )
-                h.update(p.read_bytes())
+            p = utt.transcript_file if transcripts else utt.feature_file
+            if p and os.path.isfile(p):
+                with open(p, "rb") as fh:
+                    h.update(fh.read())
+            elif not transcripts:
+                raise StageError("inputs", f"missing feature file for '{utt.id}': {p}")
         digest = h.hexdigest()
         self._digests[memo] = digest
         return digest
@@ -297,7 +263,7 @@ class Runner:
             model = gmm.load_gmm(self._artifact("gmm.agmm"))
             for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
                 tokens = [
-                    gmm.quantize(model, corpus.read_features(utt, manifest.base_dir))
+                    gmm.quantize(model, corpus.read_features(utt))
                     for utt in manifest
                 ]
                 docmodel.write_weighted(
@@ -460,7 +426,7 @@ class Runner:
 
         def fn(out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
             texts = {
-                which: [corpus.read_transcript(u, m.base_dir) for u in m]
+                which: [corpus.read_transcript(u) for u in m]
                 for which, m in self.manifests.items()
             }
             vocab = docmodel.build_text_vocab(

@@ -112,6 +112,29 @@ def test_manifest_round_trip_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_manifest_paths_resolve_once_against_its_absolute_directory(tmp_path, monkeypatch):
+    """Relative paths resolve against the manifest's directory made absolute,
+    even when the manifest is named relative to the working directory;
+    absolute paths stay as written. The paths as written are kept."""
+    (tmp_path / "corpus").mkdir()
+    _write(
+        tmp_path / "corpus" / "m.tsv",
+        f"a\tfeat/a.aldf\t1\t1\t0.01\tx\t../t/a.txt\n"
+        f"b\t{tmp_path}/b.aldf\t1\t1\t0.01\tx\n",
+    )
+    monkeypatch.chdir(tmp_path)
+    a, b = read_manifest("corpus/m.tsv")
+    assert (a.feature_path, a.transcript_path) == ("feat/a.aldf", "../t/a.txt")
+    assert a.feature_file == str(tmp_path / "corpus" / "feat" / "a.aldf")
+    assert a.transcript_file == str(tmp_path / "corpus" / ".." / "t" / "a.txt")
+    assert b.feature_file == b.feature_path == str(tmp_path / "b.aldf")
+    assert b.transcript_file is None
+    # Built in code, an utterance opens its paths as written; equality and
+    # the written manifest ignore where the files resolved to.
+    assert a == Utterance("a", "feat/a.aldf", 1, 1, 0.01, "x", "../t/a.txt")
+    assert Utterance("c", "c.aldf", 1, 1, 0.01, "x", "c.txt").transcript_file == "c.txt"
+
+
 # ---------------------------------------------------------------------------
 # Feature files
 
@@ -201,21 +224,12 @@ def test_write_features_unwritable_path(tmp_path):
 def test_read_features_shape_cross_check(tmp_path):
     p = tmp_path / "f.aldf"
     write_features(np.ones((5, 2)), p)
-    utt = Utterance("u", "f.aldf", 6, 2, 0.06, "x")
+    utt = Utterance("u", str(p), 6, 2, 0.06, "x")
     with pytest.raises(FormatError) as exc:
-        read_features(utt, tmp_path)
+        read_features(utt)
     assert "does not match manifest" in str(exc.value)
-    utt = Utterance("u", "f.aldf", 5, 2, 0.05, "x")
-    assert read_features(utt, tmp_path).shape == (5, 2)
-
-
-def test_validate_features_flag(tmp_path):
-    p = tmp_path / "m.tsv"
-    _write(p, "a\tmissing.aldf\t5\t2\t0.05\tx\n")
-    read_manifest(p)  # lazy by default
-    with pytest.raises(FormatError) as exc:
-        read_manifest(p, validate_features=True)
-    assert "missing feature file" in str(exc.value)
+    utt = Utterance("u", str(p), 5, 2, 0.05, "x")
+    assert read_features(utt).shape == (5, 2)
 
 
 def _frames_corpus(tmp_path, lengths_by_role, dim=3):
@@ -225,17 +239,17 @@ def _frames_corpus(tmp_path, lengths_by_role, dim=3):
     for role, lengths in lengths_by_role:
         utts = []
         for i, n in enumerate(lengths):
-            name = f"{role}{i}.aldf"
-            write_features(rng.standard_normal((n, dim)), tmp_path / name)
-            utts.append(Utterance(f"{role}{i}", name, n, dim, n / 100, "x"))
-        manifests.append(Manifest(utts, role=role, base_dir=tmp_path))
+            path = tmp_path / f"{role}{i}.aldf"
+            write_features(rng.standard_normal((n, dim)), path)
+            utts.append(Utterance(f"{role}{i}", str(path), n, dim, n / 100, "x"))
+        manifests.append(Manifest(utts, role=role))
     return manifests
 
 
 def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
     manifests = _frames_corpus(tmp_path, [("dev", [4, 0, 6]), ("pool", [5, 3, 0, 7])])
     full = np.concatenate([
-        read_features(u, m.base_dir) for m in manifests for u in m if u.num_frames
+        read_features(u) for m in manifests for u in m if u.num_frames
     ])
     assert full.shape[0] == 25
     owners = np.repeat(
@@ -244,9 +258,9 @@ def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
     real_read = corpus_module.read_features
     read = []
 
-    def counting_read(utt, base_dir=None):
+    def counting_read(utt):
         read.append(utt.id)
-        return real_read(utt, base_dir)
+        return real_read(utt)
 
     monkeypatch.setattr(corpus_module, "read_features", counting_read)
     for max_frames, seed in [(1, 0), (2, 3), (7, 1), (24, 5), (25, 0), (40, 2)]:
@@ -269,7 +283,7 @@ def test_sample_frames_errors(tmp_path):
     with pytest.raises(ValidationError, match="no training frames"):
         sample_frames([Manifest([])], 10, 0)
     dev, pool = _frames_corpus(tmp_path, [("dev", [2, 0]), ("pool", [3])])
-    pool.utterances.append(Utterance("wide", "pool0.aldf", 3, 4, 0.03, "x"))
+    pool.utterances.append(Utterance("wide", str(tmp_path / "pool0.aldf"), 3, 4, 0.03, "x"))
     with pytest.raises(ValidationError, match="frame_dim mismatch: 'wide' has 4, expected 3"):
         sample_frames([dev, pool], 10, 0)
 
@@ -291,7 +305,7 @@ def test_synthetic_shapes(tmp_path):
     assert len(m) == 3
     for utt in m:
         assert utt.num_frames == 10
-        assert read_features(utt, m.base_dir).shape == (10, 2)
+        assert read_features(utt).shape == (10, 2)
     assert (tmp_path / "pool.tsv").is_file()
 
 
@@ -323,7 +337,7 @@ def test_synthetic_sample_means_match_generator(tmp_path):
     m = generate_synthetic_corpus(spec, seed=2, out_dir=tmp_path)
     for tag, mean in (("d0", -10.0), ("d1", 10.0)):
         frames = np.concatenate(
-            [read_features(u, m.base_dir) for u in m if u.domain_tag == tag]
+            [read_features(u) for u in m if u.domain_tag == tag]
         )
         assert np.all(np.abs(frames.mean(axis=0) - mean) < 0.5)
 
@@ -333,7 +347,7 @@ def test_synthetic_transcripts_and_durations(tmp_path):
     m = generate_synthetic_corpus(spec, seed=1, out_dir=tmp_path)
     for utt in m:
         assert utt.duration_s == pytest.approx(utt.num_frames / 50.0)
-        text = read_transcript(utt, m.base_dir)
+        text = read_transcript(utt)
         assert text.strip()
         prefix = "d0" if utt.domain_tag == "domain0" else "d1"
         assert all(w.startswith(prefix) for w in text.split())
@@ -357,7 +371,7 @@ def test_synthetic_validation_errors(tmp_path):
 
 
 def test_read_transcript_missing(tmp_path):
-    utt = Utterance("u", "f.aldf", 1, 1, 0.01, "x", "gone.txt")
+    utt = Utterance("u", "f.aldf", 1, 1, 0.01, "x", str(tmp_path / "gone.txt"))
     with pytest.raises(FormatError):
-        read_transcript(utt, tmp_path)
-    assert read_transcript(Utterance("u", "f.aldf", 1, 1, 0.01, "x"), tmp_path) == ""
+        read_transcript(utt)
+    assert read_transcript(Utterance("u", "f.aldf", 1, 1, 0.01, "x")) == ""

@@ -526,6 +526,10 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     assert sweeps.tolist() == [len(state.elbo_history)] == [2]
     np.testing.assert_array_equal(state.phi, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.all(np.isfinite(state.elbo_history))
+    # The explicit-phi bound takes its 0 log 0 and 0 * log beta = -inf terms as 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert elbo(model, doc, state) == pytest.approx(state.elbo_history[-1], rel=1e-10)
     # The expected counts of the first E-step: terms 0 and 1 in topic 0, term 2
     # (from its log-space phi) in topic 1.
     ss = np.array([[50.0, 50.0, 0.0], [0.0, 0.0, 1e-6]]) + config.eta

@@ -15,7 +15,7 @@ from ldaselect.corpus import (
     make_separated_spec,
     read_features,
     read_manifest,
-    resolve_path,
+    read_transcript,
     sample_frames,
     write_features,
     write_manifest,
@@ -34,7 +34,7 @@ from ldaselect.report import report
 
 from batches import entries
 from ldaselect.selection import (
-    SelectedUtterance, SelectionResult, read_audit, select, write_audit,
+    SelectedUtterance, SelectionResult, random_select, read_audit, select,
 )
 
 ACOUSTIC_ARTIFACTS = [
@@ -92,7 +92,7 @@ def test_full_acoustic_run(tmp_path, corpus_dir):
     # The selection manifest is itself a loadable manifest of selected files.
     sel_manifest = read_manifest(tmp_path / "work" / "selection.tsv")
     assert sel_manifest.ids() == result.selection.ids()
-    read_features(sel_manifest.utterances[0], sel_manifest.base_dir)
+    read_features(sel_manifest.utterances[0])
     assert not (tmp_path / "work" / ".lock").exists()
 
 
@@ -126,7 +126,7 @@ def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
 
     manifest = read_manifest(config.paths.pool_manifest)
     victim = manifest.utterances[0]
-    frames = read_features(victim, manifest.base_dir)
+    frames = read_features(victim)
     write_features(frames + 0.25, local / "pool" / victim.feature_path)
     result = run_pipeline(config)
     assert result.skipped["train-gmm"] is False
@@ -332,7 +332,7 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
         manifest = read_manifest(getattr(config.paths, f"{which}_manifest"))
         expected = bag_of_words(
             manifest.ids(),
-            [quantize(model, read_features(u, manifest.base_dir)) for u in manifest],
+            [quantize(model, read_features(u)) for u in manifest],
             model.n_components,
         )
         bags = read_weighted(work / f"bags_{which}.tsv")
@@ -417,6 +417,7 @@ def test_sweep_audits_equal_separate_selects(tmp_path, corpus_dir):
     work = tmp_path / "work"
     config = _one_domain_dev_config(corpus_dir, tmp_path)
     pool = read_manifest(config.paths.pool_manifest)
+    runner = Runner(config)
     lambdas = [1e-12, 0.05, 0.3, 0.6, 1.0]
     for budget in (None, pool.total_hours() / 3):
         config.selection.max_hours = budget
@@ -426,8 +427,9 @@ def test_sweep_audits_equal_separate_selects(tmp_path, corpus_dir):
         for lam in lambdas:
             tag = f"{lam:.9g}".replace(".", "p")
             alone = select(posts, pool, cents, replace(config.selection, threshold=lam))
-            write_audit(alone, tmp_path / "alone.audit.tsv")
-            pipeline_module._SelectionManifests(pool).write(alone, tmp_path / "alone.tsv")
+            runner.write_selection(
+                alone, tmp_path / "alone.audit.tsv", tmp_path / "alone.tsv"
+            )
             assert (work / f"selection_lambda_{tag}.audit.tsv").read_bytes() == (
                 tmp_path / "alone.audit.tsv"
             ).read_bytes()
@@ -473,9 +475,10 @@ def test_selection_stop_reasons_are_logged(tmp_path, corpus_dir, caplog):
 
 
 def test_selection_manifest_equals_per_utterance_resolution(tmp_path):
-    """Selection manifests hold the same paths the old per-utterance
-    ``resolve_path`` calls gave: absolute paths, ``..`` relative paths and
-    utterances without a transcript."""
+    """Selection manifests hold the paths the pool manifest named, resolved
+    against its directory: absolute paths as written, ``..``, ``./`` and
+    ``//`` relative paths joined to it, and utterances without a transcript.
+    A runner that writes many selections writes each as a fresh one does."""
     corpus = tmp_path / "corpus" / "pool"
     corpus.mkdir(parents=True)
     utts = [
@@ -486,47 +489,74 @@ def test_selection_manifest_equals_per_utterance_resolution(tmp_path):
         Utterance("d", "./d.aldf", 10, 2, 4.25, "d1", "d.txt"),
     ]
     write_manifest(Manifest(utts, fps=50.0), corpus / "pool.tsv")
-    pool = read_manifest(corpus / "pool.tsv")
+    config = PipelineConfig()
+    config.paths.pool_manifest = config.paths.dev_manifest = str(corpus / "pool.tsv")
+    config.paths.work_dir = str(tmp_path / "work")
+
+    def resolved(p):
+        return p if p.startswith("/") else str(corpus / p)
 
     def old_style(result, path):
-        by_id = pool.by_id()
+        by_id = {u.id: u for u in utts}
         write_manifest(
             Manifest(
                 [
                     replace(
                         by_id[s.utt_id],
-                        feature_path=str(resolve_path(by_id[s.utt_id].feature_path,
-                                                      pool.base_dir)),
+                        feature_path=resolved(by_id[s.utt_id].feature_path),
                         transcript_path=(
-                            str(resolve_path(by_id[s.utt_id].transcript_path,
-                                             pool.base_dir))
+                            resolved(by_id[s.utt_id].transcript_path)
                             if by_id[s.utt_id].transcript_path else None
                         ),
                     )
                     for s in result.selected
                 ],
-                role="pool", fps=pool.fps,
+                role="pool", fps=50.0,
             ),
             path,
         )
 
-    writer = pipeline_module._SelectionManifests(pool)
+    writer = Runner(config)
     for order in (["d", "b", "a", "c"], ["c", "a"], ["b", "d", "c", "a"]):
         result = SelectionResult(
             [SelectedUtterance(uid, "centroid_0000", 0.1, 1) for uid in order]
         )
         old_style(result, tmp_path / "old.tsv")
-        pipeline_module._SelectionManifests(pool).write(result, tmp_path / "new.tsv")
-        writer.write(result, tmp_path / "reused.tsv")
+        Runner(config).write_selection(result, tmp_path / "new.audit", tmp_path / "new.tsv")
+        writer.write_selection(result, tmp_path / "reused.audit", tmp_path / "reused.tsv")
         expected = (tmp_path / "old.tsv").read_bytes()
         assert (tmp_path / "new.tsv").read_bytes() == expected
         assert (tmp_path / "reused.tsv").read_bytes() == expected
     assert str(tmp_path / "corpus" / "pool" / ".." / "shared" / "b.aldf") in expected.decode()
+    assert str(tmp_path / "corpus" / "pool" / "feats" / "c.aldf") in expected.decode()
     with pytest.raises(ValidationError, match="ghost"):
-        pipeline_module._SelectionManifests(pool).write(
+        writer.write_selection(
             SelectionResult([SelectedUtterance("ghost", "centroid_0000", 0.1, 1)]),
-            tmp_path / "bad.tsv",
+            tmp_path / "bad.audit", tmp_path / "bad.tsv",
         )
+
+
+def test_selection_from_cwd_relative_manifests_reads_from_anywhere(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """With the manifests named relative to the working directory, the
+    selection manifest still names files that open from another directory."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    config = _config(corpus_dir, "work")
+    config.paths.pool_manifest = "corpus/pool/pool.tsv"
+    config.paths.dev_manifest = "corpus/dev/dev.tsv"
+    runner = Runner(config)
+    result = random_select(runner.pool, runner.pool.total_hours() / 2, 0)
+    with runner.owned():
+        runner.write_selection(result, runner.work / "r.audit.tsv", runner.work / "r.tsv")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    selected = read_manifest(tmp_path / "work" / "r.tsv")
+    assert selected.ids() == result.ids() != []
+    for utt in selected:
+        assert read_features(utt).shape == (utt.num_frames, utt.frame_dim)
+        assert read_transcript(utt).strip()
 
 
 def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
@@ -577,7 +607,8 @@ def test_capped_and_empty_inference_documents_are_logged(tmp_path, corpus_dir, c
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     pool = read_manifest(tmp_path / "corpus" / "pool" / "pool.tsv")
     blank = next(iter(pool))
-    (pool.base_dir / blank.transcript_path).write_text("", encoding="utf-8")
+    with open(blank.transcript_file, "w", encoding="utf-8"):
+        pass
     config = _config(tmp_path / "corpus", tmp_path / "work", text=True)
     config.lda.doc_max_iterations = 1
     with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
@@ -650,7 +681,7 @@ def test_failed_stage_is_not_skipped_under_its_old_key(tmp_path, corpus_dir):
         raise OSError("injected failure after the audit was written")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline_module._SelectionManifests, "write", fail)
+        mp.setattr(pipeline_module.corpus, "write_manifest", fail)
         budgeted = config.selection
         config.selection = replace(budgeted, threshold=0.9, max_hours=None)
         with pytest.raises(StageError, match="injected"):
