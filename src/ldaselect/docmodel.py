@@ -7,11 +7,18 @@ document frequencies over bags, and ``tfidf`` weighs a bag against them.
 tf(v, doc) is the raw count divided by document length; idf uses the smoothed
 form log((1 + D) / (1 + df(v))) + 1, which is always >= 1, so every present
 term keeps a positive weight.
+
+Between stages a batch lives in one binary ``.adoc`` container
+(``save_docs``/``load_docs``), token bags and weighted documents alike. The
+reader takes the arrays with ``np.frombuffer`` and checks them vectorized;
+weights are stored to nine significant digits.
 """
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -177,63 +184,122 @@ def build_text_vocab(transcripts, cap: int) -> TextVocab:
 
 
 # ---------------------------------------------------------------------------
-# Weighted-corpus text format
+# Document container (.adoc): token bags and weighted documents alike
+
+DOCS_MAGIC = b"ADOC"
+DOCS_VERSION = 1
+# magic, version, document count, entry count, id bytes
+_DOCS_HEADER = struct.Struct("<4sIQQQ")
+# Terms and counts are 32-bit: the cache hashes every container in full.
+_INDPTR, _INT32, _WEIGHT = np.dtype("<i8"), np.dtype("<i4"), np.dtype("<f8")
+
+# 10**k for k = 0..22, every one exact in float64.
+_POW10 = 10.0 ** np.arange(23)
 
 
-def write_weighted(docs: DocBatch, path) -> None:
-    """Per line: ``id <TAB> term:count:weight,...`` with 9-digit weights."""
-    terms, counts, weights = docs.terms.tolist(), docs.counts.tolist(), docs.weights.tolist()
-    bounds = docs.indptr.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        for d, utt_id in enumerate(docs.ids):
-            body = ",".join(
-                f"{terms[e]}:{counts[e]}:{weights[e]:.9g}"
-                for e in range(bounds[d], bounds[d + 1])
-            )
-            fh.write(utt_id + "\t" + body + "\n")
+def _nine_digits(w: np.ndarray) -> np.ndarray:
+    """``float(f"{x:.9g}")`` of every x in ``w``.
+
+    For 0 < x and |k| <= 22, y = x * 10**k (or x / 10**-k) is one correctly
+    rounded operation on exact operands. The halves m + 0.5 and the bounds
+    1e8 and 1e9 are doubles, so rounding never carries y across one: where
+    y lies in [1e8, 1e9) and is not a half, d = rint(y) holds the nine digits.
+    d / 10**k (or d * 10**-k) is then again one correctly rounded operation,
+    which is what parsing the digits gives (Clinger's fast path). Zeros,
+    halves, the far exponents and any y that ``log10`` put out of range (it
+    can be one off next to a power of ten) go through the string.
+    """
+    out = np.empty_like(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 8 - np.floor(np.log10(w))
+    fast = np.flatnonzero((w > 0) & (np.abs(k) <= 22))
+    x, k = w[fast], k[fast].astype(np.int64)
+    scale, up = _POW10[np.abs(k)], k >= 0
+    y = np.where(up, x * scale, x / scale)
+    d = np.rint(y)
+    out[fast] = np.where(up, d / scale, d * scale)
+    exact = (y >= 1e8) & (y < 1e9) & (y - np.floor(y) != 0.5)
+    slow = np.ones(w.size, dtype=bool)
+    slow[fast[exact]] = False
+    slow = np.flatnonzero(slow)
+    out[slow] = [float(f"{v:.9g}") for v in w[slow].tolist()]
+    return out
 
 
-def read_weighted(path) -> DocBatch:
-    ids: list[str] = []
-    indptr = [0]
-    entries: list[tuple[int, int, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) > 2 or not fields[0]:
-                raise FormatError(f"{path}:{lineno}: malformed weighted-corpus line")
-            body = fields[1] if len(fields) == 2 else ""
-            if body:
-                prev = -1
-                for item in body.split(","):
-                    parts = item.split(":")
-                    if len(parts) != 3:
-                        raise FormatError(
-                            f"{path}:{lineno}: malformed entry '{item}'"
-                        )
-                    try:
-                        term, count, weight = int(parts[0]), int(parts[1]), float(parts[2])
-                    except ValueError:
-                        raise FormatError(
-                            f"{path}:{lineno}: malformed entry '{item}'"
-                        ) from None
-                    if term <= prev:
-                        raise FormatError(
-                            f"{path}:{lineno}: terms must be strictly ascending"
-                        )
-                    if count < 1 or weight < 0 or not math.isfinite(weight):
-                        raise FormatError(
-                            f"{path}:{lineno}: invalid count or weight in '{item}'"
-                        )
-                    entries.append((term, count, weight))
-                    prev = term
-            ids.append(fields[0])
-            indptr.append(len(entries))
-    terms, counts, weights = zip(*entries) if entries else ((), (), ())
-    return DocBatch(
-        ids, np.array(indptr, dtype=np.int64), np.array(terms, dtype=np.int64),
-        np.array(counts, dtype=np.int64), np.array(weights, dtype=np.float64),
-    )
+def _int32(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as little-endian int32, refusing any that would wrap."""
+    narrow = values.astype(_INT32)
+    if not np.array_equal(narrow, values):
+        raise ValidationError(f"document {what} do not fit in 32 bits")
+    return narrow
+
+
+def save_docs(docs: DocBatch, path) -> None:
+    """Write ``docs`` as an ``.adoc`` container, little-endian: the header,
+    the ids in UTF-8 each ended by a newline, then ``indptr`` (int64),
+    ``terms`` and ``counts`` (int32) and ``weights`` (float64). Weights are
+    stored to nine significant digits, ``float(f"{x:.9g}")``."""
+    if any(not i or "\n" in i for i in docs.ids):
+        raise ValidationError("document ids must be non-empty and hold no newline")
+    ids = "".join(i + "\n" for i in docs.ids).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_DOCS_HEADER.pack(
+            DOCS_MAGIC, DOCS_VERSION, len(docs), docs.terms.size, len(ids)
+        ))
+        fh.write(ids)
+        fh.write(np.asarray(docs.indptr, dtype=_INDPTR).tobytes())
+        fh.write(_int32(docs.terms, "terms").tobytes())
+        fh.write(_int32(docs.counts, "counts").tobytes())
+        fh.write(_nine_digits(np.asarray(docs.weights, dtype=_WEIGHT)).tobytes())
+
+
+def load_docs(path) -> DocBatch:
+    """Read an ``.adoc`` container, checking its magic, version, exact size,
+    layout (``indptr`` rising from 0 to the entry count, one non-empty id per
+    document) and entries (terms non-negative and strictly ascending within a
+    document, counts >= 1, weights finite and >= 0)."""
+    data = Path(path).read_bytes()
+    if len(data) < _DOCS_HEADER.size:
+        raise FormatError(f"{path}: truncated document container header")
+    magic, version, n, nnz, id_bytes = _DOCS_HEADER.unpack_from(data)
+    if magic != DOCS_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {DOCS_MAGIC!r}")
+    if version != DOCS_VERSION:
+        raise FormatError(f"{path}: unsupported document container version {version}")
+    expected = _DOCS_HEADER.size + id_bytes + 8 * (n + 1) + 16 * nnz
+    if len(data) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
+    off = _DOCS_HEADER.size
+    try:
+        ids = data[off:off + id_bytes].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: document ids are not UTF-8") from None
+    if ids.pop() != "" or len(ids) != n:
+        raise FormatError(f"{path}: expected {n} newline-ended document ids")
+    if "" in ids:
+        raise FormatError(f"{path}: empty document id")
+    off += id_bytes
+    indptr = np.frombuffer(data, _INDPTR, n + 1, off).astype(np.int64)
+    off += 8 * (n + 1)
+    terms, counts = np.frombuffer(data, _INT32, 2 * nnz, off).astype(np.int64).reshape(2, nnz)
+    off += 8 * nnz
+    weights = np.frombuffer(data, _WEIGHT, nnz, off).astype(np.float64)
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise FormatError(f"{path}: document offsets must rise from 0 to {nnz} entries")
+    docs = DocBatch(ids, indptr, terms, counts, weights)
+    # Each entry's predecessor within its document; -1 where a document starts.
+    prev = np.empty_like(terms)
+    prev[1:] = terms[:-1]
+    prev[indptr[:-1][indptr[:-1] < nnz]] = -1
+    bad = np.flatnonzero(terms <= prev)
+    if bad.size:
+        raise FormatError(
+            f"{path}: document '{docs.doc_of(bad[0])}': terms must be non-negative "
+            "and strictly ascending"
+        )
+    bad = np.flatnonzero((counts < 1) | ~(np.isfinite(weights) & (weights >= 0)))
+    if bad.size:
+        raise FormatError(
+            f"{path}: document '{docs.doc_of(bad[0])}': invalid count or weight"
+        )
+    return docs

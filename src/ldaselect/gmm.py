@@ -81,6 +81,17 @@ def _coefficients(weights, means, variances) -> np.ndarray:
     return np.hstack([-0.5 * inv, means * inv, const[:, None]])
 
 
+def _model_coefficients(model: GmmModel) -> np.ndarray:
+    """:func:`_coefficients` of ``model``, kept on the model with the arrays
+    it was computed from: assigning new weights, means or variances recomputes
+    it (an edit made in place to one of those arrays is not seen)."""
+    params = (model.weights, model.means, model.variances)
+    cached = getattr(model, "_coef", None)
+    if cached is None or any(a is not b for a, b in zip(cached[0], params)):
+        cached = model._coef = (params, _coefficients(*params))
+    return cached[1]
+
+
 def _log_joint(weights, means, variances, Z) -> np.ndarray:
     """(components, frames) log-joint of the frame rows ``Z``."""
     return _coefficients(weights, means, variances) @ Z
@@ -211,8 +222,7 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    lj = _log_joint(model.weights, model.means, model.variances, _frame_rows(X))
-    return np.argmax(lj, axis=0)
+    return np.argmax(_model_coefficients(model) @ _frame_rows(X), axis=0)
 
 
 # ---------------------------------------------------------------------------

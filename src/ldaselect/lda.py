@@ -498,14 +498,33 @@ def load_lda(path) -> LdaModel:
 
 def write_posteriors(posteriors: Posteriors, path) -> None:
     """Per line: ``id <TAB> g1 g2 ... gK`` with 9 significant digits."""
+    row_format = " ".join(["%.9g"] * posteriors.gamma.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for utt_id, row in zip(posteriors.ids, posteriors.gamma.tolist()):
-            fh.write(utt_id + "\t" + " ".join(f"{g:.9g}" for g in row) + "\n")
+            fh.write(utt_id + "\t" + row_format % tuple(row))
+
+
+def _stacked(path, rows: list[np.ndarray], linenos: list[int]) -> np.ndarray:
+    """``rows`` as one matrix. All values are checked at once; the error names
+    the first line holding one that is not positive and finite."""
+    gamma = np.array(rows) if rows else np.zeros((0, 0))
+    bad = np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0)).all(axis=1))
+    if bad.size:
+        raise FormatError(
+            f"{path}:{linenos[bad[0]]}: posterior values must be positive and finite"
+        )
+    return gamma
 
 
 def read_posteriors(path) -> Posteriors:
     ids: list[str] = []
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
+
+    def error(lineno: int, message: str) -> FormatError:
+        _stacked(path, rows, linenos)  # a bad value on an earlier line comes first
+        return FormatError(f"{path}:{lineno}: {message}")
+
     k = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -514,21 +533,18 @@ def read_posteriors(path) -> Posteriors:
                 continue
             fields = line.split("\t")
             if len(fields) != 2 or not fields[0]:
-                raise FormatError(f"{path}:{lineno}: malformed posterior line")
+                raise error(lineno, "malformed posterior line")
             try:
-                gamma = np.array([float(x) for x in fields[1].split()], dtype=np.float64)
+                gamma = np.array(fields[1].split(), dtype=np.float64)
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric posterior value") from None
-            if gamma.size == 0 or not np.all(np.isfinite(gamma)) or np.any(gamma <= 0):
-                raise FormatError(
-                    f"{path}:{lineno}: posterior values must be positive and finite"
-                )
+                raise error(lineno, "non-numeric posterior value") from None
+            if gamma.size == 0:
+                raise error(lineno, "posterior values must be positive and finite")
             if k is None:
                 k = gamma.size
             elif gamma.size != k:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {k} values, got {gamma.size}"
-                )
+                raise error(lineno, f"expected {k} values, got {gamma.size}")
             ids.append(fields[0])
             rows.append(gamma)
-    return Posteriors(ids, np.array(rows) if rows else np.zeros((0, 0)))
+            linenos.append(lineno)
+    return Posteriors(ids, _stacked(path, rows, linenos))

@@ -266,14 +266,14 @@ class Runner:
                     gmm.quantize(model, corpus.read_features(utt))
                     for utt in manifest
                 ]
-                docmodel.write_weighted(
+                docmodel.save_docs(
                     docmodel.bag_of_words(manifest.ids(), tokens, model.n_components), out
                 )
 
         self._run_stage(
             "quantize", ["gmm.agmm"],
             [self._digest_manifest(w) for w in self._sources("dev+pool")],
-            ["bags_pool.tsv", "bags_dev.tsv"],
+            ["bags_pool.adoc", "bags_dev.adoc"],
             fn,
         )
 
@@ -284,22 +284,22 @@ class Runner:
             [bags[w] for w in self._sources(self.config.docmodel.idf_source)], vocab_size
         )
         for which, out in (("pool", out_pool), ("dev", out_dev)):
-            docmodel.write_weighted(docmodel.tfidf(bags[which], stats), out)
+            docmodel.save_docs(docmodel.tfidf(bags[which], stats), out)
 
     def stage_tfidf(self) -> None:
         vocab_size = self.config.quantizer.n_components
 
         def fn(out_pool: Path, out_dev: Path) -> None:
             bags = {
-                which: docmodel.read_weighted(self._artifact(f"bags_{which}.tsv"))
+                which: docmodel.load_docs(self._artifact(f"bags_{which}.adoc"))
                 for which in ("dev", "pool")
             }
             self._write_tfidf(bags, vocab_size, out_pool, out_dev)
 
         self._run_stage(
-            "tfidf", ["bags_pool.tsv", "bags_dev.tsv"],
+            "tfidf", ["bags_pool.adoc", "bags_dev.adoc"],
             [self.config.docmodel.idf_source, vocab_size],
-            ["weighted_pool.tsv", "weighted_dev.tsv"],
+            ["weighted_pool.adoc", "weighted_dev.adoc"],
             fn,
         )
 
@@ -309,7 +309,7 @@ class Runner:
 
         def fn(out_model: Path) -> None:
             docs = docmodel.DocBatch.concat(
-                docmodel.read_weighted(self._artifact(f"{prefix}weighted_{which}.tsv"))
+                docmodel.load_docs(self._artifact(f"{prefix}weighted_{which}.adoc"))
                 for which in self._sources(params.train_source)
             )
             vocab_size = (
@@ -321,7 +321,7 @@ class Runner:
 
         self._run_stage(
             name,
-            [f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"]
+            [f"{prefix}weighted_pool.adoc", f"{prefix}weighted_dev.adoc"]
             + (["text_vocab.tsv"] if text else []),
             [repr(params)],
             [f"{prefix}lda.alda"],
@@ -335,8 +335,8 @@ class Runner:
         def fn(out_pool: Path, out_dev: Path) -> None:
             model = lda.load_lda(self._artifact(f"{prefix}lda.alda"))
             for which, out in (("pool", out_pool), ("dev", out_dev)):
-                docs = docmodel.read_weighted(
-                    self._artifact(f"{prefix}weighted_{which}.tsv")
+                docs = docmodel.load_docs(
+                    self._artifact(f"{prefix}weighted_{which}.adoc")
                 )
                 posts, sweeps = lda.extract_posteriors(
                     model, docs, tol=params.doc_tol, max_iters=params.doc_max_iterations
@@ -346,7 +346,7 @@ class Runner:
 
         self._run_stage(
             name,
-            [f"{prefix}lda.alda", f"{prefix}weighted_pool.tsv", f"{prefix}weighted_dev.tsv"],
+            [f"{prefix}lda.alda", f"{prefix}weighted_pool.adoc", f"{prefix}weighted_dev.adoc"],
             [params.doc_tol, params.doc_max_iterations],
             [f"{prefix}post_pool.tsv", f"{prefix}post_dev.tsv"],
             fn,
@@ -453,7 +453,7 @@ class Runner:
             "text-tfidf", [],
             [d.text_vocab_cap, d.idf_source]
             + [self._digest_manifest(w, transcripts=True) for w in self._sources("dev+pool")],
-            ["text_vocab.tsv", "text_weighted_pool.tsv", "text_weighted_dev.tsv"],
+            ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
             fn,
         )
 

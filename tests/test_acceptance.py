@@ -20,7 +20,7 @@ from ldaselect.corpus import (
     write_features,
     write_manifest,
 )
-from ldaselect.docmodel import DocBatch, read_weighted, write_weighted
+from ldaselect.docmodel import DocBatch, load_docs, save_docs
 from ldaselect.errors import FormatError
 from ldaselect.gmm import (
     GmmConfig,
@@ -466,12 +466,13 @@ def test_formats_round_trip_and_corruptions(tmp_path):
     assert np.array_equal(l2.alpha, lda_model.alpha)
     assert np.array_equal(l2.log_beta, lda_model.log_beta)
 
-    wp = tmp_path / "w.tsv"
-    write_weighted(docs, wp)
-    wback = read_weighted(wp)
+    wp = tmp_path / "w.adoc"
+    save_docs(docs, wp)
+    wback = load_docs(wp)
     assert wback.ids == docs.ids
-    assert [[e[0] for e in doc_entries(wback, i)] for i in range(len(wback))] == [
-        [e[0] for e in doc_entries(docs, i)] for i in range(len(docs))
+    assert [doc_entries(wback, i) for i in range(len(wback))] == [
+        [(t, c, float(f"{w:.9g}")) for t, c, w in doc_entries(docs, i)]
+        for i in range(len(docs))
     ]
 
     feat_bytes = first_bytes
@@ -514,9 +515,14 @@ def test_formats_round_trip_and_corruptions(tmp_path):
         read_manifest(man)
     assert "duplicate" in str(exc.value)
 
-    wp.write_text("d0\t3:1:0.5,2:1:0.5\n", encoding="utf-8")
+    save_docs(batch([("d0", [(3, 1, 0.5), (2, 1, 0.5)])]), wp)
     with pytest.raises(FormatError):
-        read_weighted(wp)
+        load_docs(wp)
+    doc_bytes = wp.read_bytes()
+    for corrupt in (b"XDOC" + doc_bytes[4:], doc_bytes[:-1], doc_bytes + b"\x00"):
+        wp.write_bytes(corrupt)
+        with pytest.raises(FormatError):
+            load_docs(wp)
 
     pp = tmp_path / "p.tsv"
     pp.write_text("a\t1.0 2.0\nb\t1.0\n", encoding="utf-8")

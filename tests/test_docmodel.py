@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ldaselect.docmodel import (
@@ -9,14 +11,14 @@ from ldaselect.docmodel import (
     bag_of_words,
     build_text_vocab,
     compute_stats,
-    read_weighted,
+    load_docs,
+    save_docs,
     tfidf,
     tokenize_transcript,
-    write_weighted,
 )
 from ldaselect.errors import FormatError, ValidationError
 
-from batches import entries
+from batches import batch, entries
 from reference import ref_doc_freq, ref_tfidf, ref_top_tokens
 
 
@@ -181,44 +183,168 @@ def test_vocab_cap_validation():
 
 
 # ---------------------------------------------------------------------------
-# Weighted-corpus file format
+# Document container (.adoc)
+
+
+def _packed(ids, indptr, terms, counts, weights):
+    """Container bytes laid out by hand, bypassing ``save_docs``'s checks; the
+    header's document count is ``len(indptr) - 1``."""
+    blob = "".join(i + "\n" for i in ids).encode("utf-8")
+    header = struct.pack("<4sIQQQ", b"ADOC", 1, len(indptr) - 1, len(terms), len(blob))
+    return header + blob + b"".join(
+        np.asarray(a, dtype=dt).tobytes()
+        for a, dt in ((indptr, "<i8"), (terms, "<i4"), (counts, "<i4"), (weights, "<f8"))
+    )
+
+
+def _same_docs(a, b):
+    assert a.ids == b.ids
+    for f in ("indptr", "terms", "counts"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+        assert getattr(b, f).dtype == np.int64, f
+    assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
+
+
+def _nine_digit(weights):
+    return np.array([float(f"{w:.9g}") for w in np.asarray(weights, dtype=float).tolist()])
 
 
 def test_weighted_round_trip(tmp_path):
+    """Ids, layout and counts come back exactly; weights come back as the
+    nine-digit text round trip gives them, bit for bit."""
     stats = _stats([[0, 1, 1], [2, 0]], 3)
     docs = tfidf(bag_of_words(["u1", "empty", "u2"], [[0, 1, 1], [], [2]], 3), stats)
-    p = tmp_path / "w.tsv"
-    write_weighted(docs, p)
-    back = read_weighted(p)
-    assert back.ids == ["u1", "empty", "u2"]
-    for i in range(len(docs)):
-        orig, rt = entries(docs, i), entries(back, i)
-        assert [(t, c) for t, c, _ in rt] == [(t, c) for t, c, _ in orig]
-        for (_, _, w1), (_, _, w2) in zip(orig, rt):
-            assert w2 == pytest.approx(w1, rel=1e-8)
+    p = tmp_path / "w.adoc"
+    save_docs(docs, p)
+    assert p.read_bytes() == _packed(
+        docs.ids, docs.indptr, docs.terms, docs.counts, _nine_digit(docs.weights)
+    )
+    back = load_docs(p)
+    _same_docs(
+        DocBatch(docs.ids, docs.indptr, docs.terms, docs.counts, _nine_digit(docs.weights)),
+        back,
+    )
+    assert not np.array_equal(back.weights, docs.weights)  # rounding did happen
+    assert back.weights.flags.writeable and back.terms.flags.writeable
 
 
-def test_weighted_malformed_lines(tmp_path):
-    p = tmp_path / "w.tsv"
-    p.write_text("u\t0:1\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_weighted(p)
-    p.write_text("u\t3:1:0.5,2:1:0.5\n", encoding="utf-8")
+@pytest.mark.parametrize(
+    "token_docs", [[], [[]], [[], [], []]], ids=["no-docs", "one-empty", "all-empty"]
+)
+def test_weighted_round_trip_without_entries(tmp_path, token_docs):
+    docs = _bag(token_docs, 4)
+    p = tmp_path / "w.adoc"
+    save_docs(docs, p)
+    _same_docs(docs, load_docs(p))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+@example([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0])
+@example([100000000.5, 999999999.5, 99999999.95, 0.1, 1e22, 1e23, 1e-22, 1e-23])
+@example([0.30000000000000004, 123456789.49999999, 2.0 ** 53, 1e9 - 0.5])
+@example([float(np.nextafter(10.0 ** j, 0.0)) for j in range(-6, 12)])
+def test_stored_weights_are_the_nine_digit_values(tmp_path, weights):
+    n = len(weights)
+    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.ones(n, dtype=np.int64),
+                    np.array(weights))
+    p = tmp_path / "w.adoc"
+    save_docs(docs, p)
+    got = load_docs(p).weights
+    assert np.array_equal(got.view(np.int64), _nine_digit(weights).view(np.int64))
+
+
+def test_stored_weights_bulk_against_text_round_trip(tmp_path):
+    """Two hundred thousand weights over every decade of the float range,
+    a quarter of them next to a rounding tie."""
+    rng = np.random.default_rng(7)
+    n = 200_000
+    w = np.concatenate([
+        np.exp(rng.uniform(-740, 709, n // 4)),
+        rng.gamma(2.0, 1.0, n // 4) * 10.0 ** rng.integers(-6, 3, n // 4),
+        rng.integers(0, 2 * 10**9, n // 4).astype(float),
+        # next to a half in the ninth digit, where the digits need the string
+        (rng.integers(10**8, 10**9, n // 4) + 0.5) / 10.0 ** rng.integers(0, 16, n // 4),
+    ])
+    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.ones(n, dtype=np.int64), w)
+    p = tmp_path / "w.adoc"
+    save_docs(docs, p)
+    assert np.array_equal(load_docs(p).weights.view(np.int64), _nine_digit(w).view(np.int64))
+
+
+def _load(tmp_path, data):
+    p = tmp_path / "w.adoc"
+    p.write_bytes(data)
+    return load_docs(p)
+
+
+# Two documents, the second starting below the first's last term.
+_GOOD = dict(ids=["a", "b"], indptr=[0, 2, 3], terms=[1, 4, 0], counts=[2, 1, 3],
+             weights=[0.5, 1.5, 2.0])
+
+
+def test_hand_packed_container_reads(tmp_path):
+    docs = _load(tmp_path, _packed(**_GOOD))
+    assert docs.ids == ["a", "b"]
+    assert [docs.indptr.tolist(), docs.terms.tolist(), docs.counts.tolist(),
+            docs.weights.tolist()] == [_GOOD[f] for f in ("indptr", "terms", "counts", "weights")]
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (lambda b: b[:20], "truncated"),
+    (lambda b: b[:-1], "expected"),
+    (lambda b: b + b"\x00", "expected"),
+    (lambda b: b"ADOX" + b[4:], "magic"),
+    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "version"),
+], ids=["truncated-header", "truncated-payload", "trailing-bytes", "bad-magic", "bad-version"])
+def test_weighted_container_corruptions(tmp_path, corrupt, needle):
     with pytest.raises(FormatError) as exc:
-        read_weighted(p)
-    assert "ascending" in str(exc.value)
-    p.write_text("u\t0:0:0.5\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_weighted(p)
-    p.write_text("u\t0:1:nan\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        read_weighted(p)
-    # Token bags use this format too: a second tab field, a negative term and
-    # a non-integer term are malformed there as well.
-    for body in ("u\t0:1:1\textra\n", "u\t-1:1:1\n", "u\tx:1:1\n"):
-        p.write_text(body, encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_weighted(p)
+        _load(tmp_path, corrupt(_packed(**_GOOD)))
+    assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("field, values, needle", [
+    ("weights", [0.5, np.nan, 2.0], "'a': invalid count or weight"),
+    ("weights", [0.5, 1.5, np.inf], "'b': invalid count or weight"),
+    ("weights", [-0.5, 1.5, 2.0], "'a': invalid count or weight"),
+    ("counts", [2, 0, 3], "'a': invalid count or weight"),
+    ("counts", [2, 1, -3], "'b': invalid count or weight"),
+    ("terms", [1, 4, -1], "'b': terms must be non-negative and strictly ascending"),
+    ("terms", [4, 4, 0], "'a': terms must be non-negative and strictly ascending"),
+    ("terms", [4, 1, 0], "'a': terms must be non-negative and strictly ascending"),
+], ids=["nan-weight", "inf-weight", "negative-weight", "zero-count", "negative-count",
+        "negative-term", "repeated-term", "descending-terms"])
+def test_weighted_container_bad_values(tmp_path, field, values, needle):
+    with pytest.raises(FormatError) as exc:
+        _load(tmp_path, _packed(**{**_GOOD, field: values}))
+    assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("change, needle", [
+    (dict(indptr=[1, 2, 3]), "offsets"),
+    (dict(ids=["a", "b", "c"], indptr=[0, 3, 2, 3]), "offsets"),
+    (dict(indptr=[0, 1, 2]), "offsets"),
+    (dict(ids=["a", "b", "c"]), "expected 2 newline-ended"),
+    (dict(ids=["a", ""]), "empty document id"),
+], ids=["offsets-start-above-0", "offsets-decrease", "offsets-end-short", "id-count",
+        "empty-id"])
+def test_weighted_container_bad_layout(tmp_path, change, needle):
+    with pytest.raises(FormatError) as exc:
+        _load(tmp_path, _packed(**{**_GOOD, **change}))
+    assert needle in str(exc.value)
+
+
+def test_save_docs_refuses_what_it_cannot_store(tmp_path):
+    p = tmp_path / "w.adoc"
+    for ids in (["a", ""], ["a", "b\nc"]):
+        with pytest.raises(ValidationError):
+            save_docs(batch([(i, [(0, 1, 1.0)]) for i in ids]), p)
+    with pytest.raises(ValidationError):
+        save_docs(batch([("a", [(2**31, 1, 1.0)])]), p)
+    with pytest.raises(ValidationError):
+        save_docs(batch([("a", [(0, 2**32 + 1, 1.0)])]), p)
 
 
 # ---------------------------------------------------------------------------

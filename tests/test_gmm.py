@@ -289,6 +289,37 @@ def test_quantize_alternating_far_components():
     assert quantize(model, frames).tolist() == [0, 1, 0, 1]
 
 
+def test_quantize_computes_coefficients_once_per_set_of_arrays(monkeypatch):
+    """Repeated calls reuse the model's coefficient rows; assigning new
+    arrays recomputes them, so tokens follow the model's current parameters."""
+    rng = np.random.default_rng(13)
+    model = _model(
+        rng.dirichlet(np.ones(4)), rng.standard_normal((4, 3)) * 3,
+        rng.random((4, 3)) + 0.5,
+    )
+    frames = rng.standard_normal((300, 3)) * 3
+    calls = []
+    coefficients = gmm_module._coefficients
+    monkeypatch.setattr(
+        gmm_module, "_coefficients", lambda *a: calls.append(1) or coefficients(*a)
+    )
+    first = quantize(model, frames)
+    assert np.array_equal(
+        first, np.argmax(gmm_module._log_joint(
+            model.weights, model.means, model.variances, gmm_module._frame_rows(frames)
+        ), axis=0)
+    )
+    assert np.array_equal(quantize(model, frames), first)
+    calls.clear()
+    quantize(model, frames)
+    assert calls == []
+    for name in ("weights", "means", "variances"):
+        setattr(model, name, getattr(model, name)[::-1].copy())
+        fresh = _model(model.weights, model.means, model.variances)
+        assert np.array_equal(quantize(model, frames), quantize(fresh, frames)), name
+    assert np.array_equal(quantize(model, frames), 3 - first)
+
+
 def test_dimension_mismatch_errors():
     model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ldaselect import lda as lda_module
@@ -635,6 +635,57 @@ def test_posterior_file_round_trip(tmp_path):
     assert back.ids == ["a", "b"]
     for orig, rt in zip(posts.gamma, back.gamma):
         assert np.allclose(rt, orig, rtol=1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False))
+def test_numpy_parses_nine_digit_strings_as_float_does(x):
+    """``read_posteriors`` converts a line's values with one numpy call; on
+    every string ``%.9g`` can produce it gives ``float``'s value, bit for bit."""
+    text = f"{x:.9g}"
+    got = np.array([text], dtype=np.float64)
+    assert got.view(np.int64)[0] == np.float64(float(text)).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(
+    st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=3, max_size=3),
+    min_size=1, max_size=4,
+))
+def test_posterior_file_matches_per_value_formatting(tmp_path, rows):
+    """The file holds each value as ``f"{g:.9g}"``, and reads back as
+    ``float`` of that text."""
+    p = tmp_path / "g.tsv"
+    gamma = np.array(rows)
+    ids = [f"u{i}" for i in range(len(rows))]
+    write_posteriors(Posteriors(ids, gamma), p)
+    assert p.read_text(encoding="utf-8") == "".join(
+        f"{i}\t" + " ".join(f"{g:.9g}" for g in row) + "\n" for i, row in zip(ids, rows)
+    )
+    back = read_posteriors(p).gamma
+    expected = np.array([[float(f"{g:.9g}") for g in row] for row in rows])
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("a\t1.0 nan\nb\tx\n", ":1: posterior values must be positive and finite"),
+    ("a\t1 1\n\nb\t1 inf\nc\t1\n", ":3: posterior values must be positive and finite"),
+    ("a\t1 1\nb\t0 1\n\tno-id\n", ":2: posterior values must be positive and finite"),
+    ("a\t1 1\nb\t1 1\nc\t1 -0.5\n", ":3: posterior values must be positive and finite"),
+    ("a\t\n", ":1: posterior values must be positive and finite"),
+    ("a\t1 1\nb\n", ":2: malformed posterior line"),
+    ("a\t1 1\nb\t1 1e\n", ":2: non-numeric posterior value"),
+    ("a\t1 1\nb\t1 1 1\nc\t-1 1\n", ":2: expected 2 values, got 3"),
+])
+def test_posterior_file_errors_name_the_first_bad_line(tmp_path, text, where):
+    """Values are checked in bulk, but the error is the one a line-by-line
+    reader meets first."""
+    p = tmp_path / "g.tsv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_posteriors(p)
+    assert str(exc.value) == f"{p}{where}"
 
 
 def test_posterior_file_malformed(tmp_path):

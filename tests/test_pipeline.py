@@ -20,7 +20,7 @@ from ldaselect.corpus import (
     write_features,
     write_manifest,
 )
-from ldaselect.docmodel import bag_of_words, read_weighted
+from ldaselect.docmodel import bag_of_words, load_docs
 from ldaselect.errors import StageError, ValidationError
 from ldaselect.gmm import load_gmm, quantize, train_gmm
 from ldaselect.lda import load_lda, read_posteriors
@@ -38,8 +38,8 @@ from ldaselect.selection import (
 )
 
 ACOUSTIC_ARTIFACTS = [
-    "gmm.agmm", "bags_pool.tsv", "bags_dev.tsv",
-    "weighted_pool.tsv", "weighted_dev.tsv", "lda.alda",
+    "gmm.agmm", "bags_pool.adoc", "bags_dev.adoc",
+    "weighted_pool.adoc", "weighted_dev.adoc", "lda.alda",
     "post_pool.tsv", "post_dev.tsv", "centroids.tsv", "centroids.meta.json",
     "selection.audit.tsv", "selection.tsv", "report.tsv", "report.txt",
 ]
@@ -137,14 +137,14 @@ def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
 STAGE_INPUTS = {
     "train-gmm": [],
     "quantize": ["gmm.agmm"],
-    "tfidf": ["bags_pool.tsv", "bags_dev.tsv"],
-    "train-lda": ["weighted_pool.tsv", "weighted_dev.tsv"],
-    "posteriors": ["lda.alda", "weighted_pool.tsv", "weighted_dev.tsv"],
+    "tfidf": ["bags_pool.adoc", "bags_dev.adoc"],
+    "train-lda": ["weighted_pool.adoc", "weighted_dev.adoc"],
+    "posteriors": ["lda.alda", "weighted_pool.adoc", "weighted_dev.adoc"],
     "cluster": ["post_dev.tsv"],
     "select": ["post_pool.tsv", "centroids.tsv"],
     "text-tfidf": [],
-    "text-train-lda": ["text_weighted_pool.tsv", "text_weighted_dev.tsv", "text_vocab.tsv"],
-    "text-posteriors": ["text_lda.alda", "text_weighted_pool.tsv", "text_weighted_dev.tsv"],
+    "text-train-lda": ["text_weighted_pool.adoc", "text_weighted_dev.adoc", "text_vocab.tsv"],
+    "text-posteriors": ["text_lda.alda", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
     "text-cluster": ["text_post_dev.tsv"],
     "text-select": ["text_post_pool.tsv", "text_centroids.tsv"],
     "combine": ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
@@ -315,8 +315,8 @@ def test_stage_subset_and_missing_inputs(tmp_path, corpus_dir):
 
 
 def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
-    """Each ``bags_*.tsv`` holds ``bag_of_words`` over the utterances' frame
-    tokens; a zero-frame utterance is an empty document line."""
+    """Each ``bags_*.adoc`` holds ``bag_of_words`` over the utterances' frame
+    tokens; a zero-frame utterance is an empty document."""
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     pool_path = tmp_path / "corpus" / "pool" / "pool.tsv"
     pool = read_manifest(pool_path)
@@ -335,11 +335,13 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
             [quantize(model, read_features(u)) for u in manifest],
             model.n_components,
         )
-        bags = read_weighted(work / f"bags_{which}.tsv")
+        bags = load_docs(work / f"bags_{which}.adoc")
         assert bags.ids == expected.ids
         for i in range(len(expected)):
             assert entries(bags, i) == entries(expected, i), (which, i)
-    assert "silent\t\n" in (work / "bags_pool.tsv").read_text(encoding="utf-8")
+    pool_bags = load_docs(work / "bags_pool.adoc")
+    assert pool_bags.ids[1] == "silent"
+    assert pool_bags.indptr[1] == pool_bags.indptr[2]
 
 
 def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
@@ -369,7 +371,7 @@ def test_text_path_produces_union_selection(tmp_path, corpus_dir):
     result = run_pipeline(config)
     work = tmp_path / "work"
     for name in (
-        "selection_acoustic.audit.tsv", "text_vocab.tsv", "text_weighted_pool.tsv",
+        "selection_acoustic.audit.tsv", "text_vocab.tsv", "text_weighted_pool.adoc",
         "text_lda.alda", "text_post_pool.tsv", "text_centroids.tsv",
         "selection_text.audit.tsv", "selection.audit.tsv", "selection.tsv",
     ):
