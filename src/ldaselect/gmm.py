@@ -21,8 +21,9 @@ _GMM_HEADER = struct.Struct("<4sIII")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Components x frame-column cells per E-step block: each block's float64 arrays
-# take 512 KB however many frames EM trains on.
+# Components x frame-column cells per E-step block. Each block's float64
+# log-joint takes 512 KB, and its frame rows one reused (2d+1) x columns
+# float64 buffer, however many frames EM trains on.
 _BLOCK_CELLS = 1 << 16
 
 # Consecutive iterations a component may sit below the variance floor in
@@ -57,11 +58,12 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _frame_rows(frames: np.ndarray) -> np.ndarray:
+def _frame_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(2d+1, n) float64 rows of an (n, d) frame matrix: x^2, then x, then a
-    row of ones. Float32 frames are cast exactly."""
+    row of ones, written into the first n columns of ``out`` when given.
+    Float32 frames are cast exactly."""
     n, d = frames.shape
-    Z = np.empty((2 * d + 1, n))
+    Z = np.empty((2 * d + 1, n)) if out is None else out[:, :n]
     x = Z[d:2 * d]
     x[...] = frames.T
     np.multiply(x, x, out=Z[:d])
@@ -97,14 +99,17 @@ def _log_joint(weights, means, variances, Z) -> np.ndarray:
     return _coefficients(weights, means, variances) @ Z
 
 
-def _accumulate_stats(coef, Z, cols):
-    """Log-likelihood of the frame rows ``Z`` under the mixture ``coef`` and
+def _accumulate_stats(coef, frames, cols):
+    """Log-likelihood of the (n, d) ``frames`` under the mixture ``coef`` and
     the statistics ``[sum_t r_tn x_t^2, sum_t r_tn x_t, sum_t r_tn]`` as one
-    (components, 2d+1) matrix, accumulated over blocks of ``cols`` columns."""
-    stats = np.zeros((coef.shape[0], Z.shape[0]))
+    (components, 2d+1) matrix, accumulated over blocks of ``cols`` frames.
+    Each block's :func:`_frame_rows` are built into one reused buffer."""
+    n, d = frames.shape
+    rows = np.empty((2 * d + 1, min(cols, n)))
+    stats = np.zeros((coef.shape[0], rows.shape[0]))
     loglik = 0.0
-    for start in range(0, Z.shape[1], cols):
-        zb = Z[:, start:start + cols]
+    for start in range(0, n, cols):
+        zb = _frame_rows(frames[start:start + cols], rows)
         resp = coef @ zb
         top = resp.max(axis=0)
         resp -= top
@@ -124,12 +129,17 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     tolerance; training stops when the relative improvement drops below
     ``tol`` (``converged``) or after ``max_iterations``.
 
-    The frames are held once more, as the (2d+1) float64 rows of
-    :func:`_frame_rows` (x^2, x, ones), with components as rows and frames as
-    columns. The E-step walks them in blocks of ``_BLOCK_CELLS //
-    n_components`` columns: one product gives a block's log-joint and one
-    more all three statistics, so memory beyond those rows does not grow
-    with the number of frames.
+    The frames are not copied: the E-step walks them in blocks of
+    ``_BLOCK_CELLS // n_components`` frames, builds each block's (2d+1)
+    float64 rows of :func:`_frame_rows` (x^2, x, ones) into one reused
+    buffer, and with components as rows and frames as columns takes one
+    product for the block's log-joint and one more for all three statistics.
+    Seeding reads the frames in their own dtype, casting exactly to float64
+    where it computes, so float32 frames train the same model as their
+    float64 cast. Beyond the frames, only seeding grows with their number:
+    k-means++ copies at most ``init_subsample`` rows in the frames' dtype and
+    keeps two float64 distance vectors that long, and the global variance
+    casts one column at a time.
     """
     config = config or GmmConfig()
     frames = np.asarray(frames)
@@ -143,20 +153,17 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     if not np.all(np.isfinite(frames)):
         raise ValidationError("frame collection contains NaN or Inf")
 
-    Z = _frame_rows(frames)
-    # (n, d) view of the x rows: k-means++ reads its transpose without a copy.
-    X = Z[d:2 * d].T
-    global_var = np.array([row.var() for row in Z[d:2 * d]])
+    global_var = np.array([frames[:, j].astype(np.float64).var() for j in range(d)])
     if not np.any(global_var > 0):
         raise ValidationError("degenerate input: all frames are identical")
     floor = config.var_floor_scale * global_var
     floor[floor <= 0] = floor[floor > 0].min()
 
     rng = np.random.default_rng(config.seed)
-    sub = X
+    sub = frames
     if n > config.init_subsample:
-        sub = X[rng.choice(n, size=config.init_subsample, replace=False)]
-    means = sub[kmeans_pp_indices(sub, n_components, rng)].copy()
+        sub = frames[rng.choice(n, size=config.init_subsample, replace=False)]
+    means = sub[kmeans_pp_indices(sub, n_components, rng)].astype(np.float64)
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
@@ -167,7 +174,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     converged = False
     for _ in range(config.max_iterations):
         loglik, stats = _accumulate_stats(
-            _coefficients(weights, means, variances), Z, cols
+            _coefficients(weights, means, variances), frames, cols
         )
         history.append(loglik)
         iterations += 1

@@ -34,10 +34,17 @@ def _row_hash_order(X: np.ndarray) -> np.ndarray:
 
 def _sq_dists(columns: np.ndarray, row: int, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Squared distances from row ``row`` to every row, summed one feature
-    column of ``columns`` (the transposed rows) at a time into ``out``."""
-    out.fill(0.0)
-    for col in columns:
-        np.subtract(col, col[row], out=diff)
+    column of ``columns`` (the transposed rows) at a time into ``out``, in
+    float64 whatever the columns' dtype. The first column's squares are
+    written straight into ``out``: every term is >= 0, so this is exactly
+    adding them to zeros."""
+    if len(columns) == 0:
+        out.fill(0.0)
+        return out
+    np.subtract(columns[0], columns[0][row], out=out, dtype=np.float64)
+    np.multiply(out, out, out=out)
+    for col in columns[1:]:
+        np.subtract(col, col[row], out=diff, dtype=np.float64)
         np.multiply(diff, diff, out=diff)
         out += diff
     return out
@@ -47,7 +54,9 @@ def kmeans_pp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     """K-means++ seed rows: first uniform, then D^2-weighted draws.
 
     Returns indices into ``X``. When every remaining distance is zero the
-    next seed falls back to a uniform draw.
+    next seed falls back to a uniform draw. ``X`` is read in its own dtype
+    and each value cast exactly to float64, so float32 rows give the same
+    seeds as their float64 cast.
     """
     n = X.shape[0]
     if k > n:

@@ -160,6 +160,50 @@ def test_em_memory_stays_below_frames_by_components():
     assert peak < n * n_components * 8 / 4
 
 
+@pytest.mark.parametrize("init_subsample", [20_000, 60_001])
+def test_em_keeps_no_float64_copy_of_the_frames(init_subsample):
+    """Float32 frames are not held again as (2d+1) float64 rows (216 B per
+    frame at dim 13): with seeding on a subsample and on every frame alike,
+    training allocates less than twice the frames' own bytes."""
+    rng = np.random.default_rng(13)
+    frames = (rng.standard_normal((60_000, 13)) + rng.integers(0, 4, (60_000, 1))).astype(
+        np.float32
+    )
+    config = GmmConfig(seed=0, max_iterations=2, init_subsample=init_subsample)
+    tracemalloc.start()
+    try:
+        train_gmm(frames, 64, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * frames.nbytes
+
+
+@pytest.mark.parametrize("init_subsample", [300, 1001])
+@pytest.mark.parametrize("block_frames", [1, 7])
+def test_float32_frames_train_the_model_of_their_float64_cast(init_subsample, block_frames):
+    """Every cast to float64 is exact, so float32 frames and their float64
+    cast train bit-identical models, with 1-frame blocks and with blocks that
+    leave a short last block (1000 = 7 * 142 + 6), seeded on a subsample and
+    on every frame."""
+    rng = np.random.default_rng(14)
+    centers = rng.uniform(-4.0, 4.0, size=(3, 5))
+    frames = (centers[rng.integers(3, size=1000)] + rng.standard_normal((1000, 5))).astype(
+        np.float32
+    )
+    config = GmmConfig(seed=3, max_iterations=6, init_subsample=init_subsample)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gmm_module, "_BLOCK_CELLS", block_frames * 3)
+        single = train_gmm(frames, 3, config)
+        double = train_gmm(frames.astype(np.float64), 3, config)
+    for name in ("weights", "means", "variances", "var_floor"):
+        a, b = getattr(single, name), getattr(double, name)
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes(), name
+    assert single.loglik_history == double.loglik_history
+    assert single.n_iterations == double.n_iterations == 6
+
+
 def test_converged_flag_tells_tol_stop_from_cap():
     rng = np.random.default_rng(10)
     X = np.vstack([rng.standard_normal((300, 2)) - 6, rng.standard_normal((300, 2)) + 6])

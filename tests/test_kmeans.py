@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldaselect import kmeans as kmeans_module
 from ldaselect.errors import ValidationError
 from ldaselect.kmeans import kmeans_pp_indices, train_kmeans
 
@@ -131,3 +132,29 @@ def test_kmeans_pp_indices_match_row_reduction_reference(n, d, distinct, seed, d
     got = kmeans_pp_indices(X, k, got_rng)
     assert got.tolist() == ref_kmeans_pp_indices(X, k, ref_rng).tolist()
     assert got_rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def test_kmeans_pp_indices_float32_match_their_float64_cast():
+    """Distances are taken in float64 from exactly cast float32 values: the
+    same seeds, and the generator left in the same state."""
+    X = (np.random.default_rng(15).standard_normal((5000, 13)) * 3).astype(np.float32)
+    single_rng, double_rng = np.random.default_rng(16), np.random.default_rng(16)
+    single = kmeans_pp_indices(X, 64, single_rng)
+    double = kmeans_pp_indices(X.astype(np.float64), 64, double_rng)
+    assert single.tolist() == double.tolist()
+    assert single_rng.bit_generator.state == double_rng.bit_generator.state
+    # The draws rarely notice a rounding slip; the distances themselves must
+    # match bit for bit (float32 arithmetic would round each difference).
+    columns = np.ascontiguousarray(X.T)
+    got, want = (
+        kmeans_module._sq_dists(c, 7, np.empty(5000), np.empty(5000))
+        for c in (columns, columns.astype(np.float64))
+    )
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_pp_indices_without_columns_draw_uniformly():
+    """Zero-width rows are all at distance 0, so every seed is a uniform draw."""
+    rng, expected = np.random.default_rng(17), np.random.default_rng(17)
+    got = kmeans_pp_indices(np.zeros((6, 0)), 3, rng)
+    assert got.tolist() == [int(expected.integers(6)) for _ in range(3)]

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import warnings
@@ -563,7 +564,8 @@ def test_import_loads_no_scipy_sparse():
         [sys.executable, "-c",
          "import sys, ldaselect; "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True,
     )
     assert out.stdout.strip() == "[]"
 
