@@ -15,9 +15,11 @@ num_frames (u64), frame_dim (u32), then num_frames x frame_dim float32 values
 in row-major order, no padding.
 """
 
+import errno
 import io
 import os
 import re
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,7 +108,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
     parsed keys exactly this manifest. Relative feature and transcript paths
     resolve here, once, against the manifest's directory made absolute."""
     path = Path(path)
-    base = path.parent.absolute()
+    resolve = _resolver(path.parent.absolute())
     fps = 100.0
     utterances: list[Utterance] = []
     seen: dict[str, int] = {}
@@ -123,9 +125,9 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
                     raise FormatError(f"{path}:{lineno}: fps must be positive")
             continue
         utt = _parse_manifest_line(line, path, lineno, fps)
-        utt.feature_file = str(base / utt.feature_path)
+        utt.feature_file = resolve(utt.feature_path)
         if utt.transcript_path:
-            utt.transcript_file = str(base / utt.transcript_path)
+            utt.transcript_file = resolve(utt.transcript_path)
         if utt.id in seen:
             raise FormatError(
                 f"{path}: duplicate utterance id '{utt.id}' "
@@ -134,6 +136,30 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
         seen[utt.id] = lineno
         utterances.append(utt)
     return Manifest(utterances, role=role, fps=fps)
+
+
+def _resolver(base: Path):
+    """``p -> str(base / p)``, with one pathlib join per distinct directory
+    prefix of ``p`` rather than one per path: the last component is appended
+    to the resolved prefix. A path ending in ``/``, ``.`` or ``..``, which
+    pathlib would drop or keep as a component of its own, takes the full join."""
+    prefixes: dict[str, str] = {}
+
+    def resolve(p: str) -> str:
+        cut = p.rfind("/") + 1
+        name = p[cut:]
+        if name in ("", ".", ".."):
+            return str(base / p)
+        head = p[:cut]
+        prefix = prefixes.get(head)
+        if prefix is None:
+            prefix = str(base / head)
+            if not prefix.endswith("/"):  # only the roots "/" and "//" do
+                prefix += "/"
+            prefixes[head] = prefix
+        return prefix + name
+
+    return resolve
 
 
 def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utterance:
@@ -231,10 +257,33 @@ def _feature_header(data: bytes, path) -> tuple[int, int]:
     return n, d
 
 
+def read_file(path) -> bytes:
+    """The bytes of the regular file at ``path``, from one non-blocking
+    ``os.open``, an ``fstat`` and (unless the file changed size meanwhile) one
+    ``os.read``. A missing path raises what ``open`` does, a directory
+    IsADirectoryError; any other file that is not regular (a FIFO, socket or
+    device) raises OSError unread, so it cannot block."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            if stat.S_ISDIR(st.st_mode):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            raise OSError(errno.EINVAL, "not a regular file", os.fspath(path))
+        data = os.read(fd, st.st_size + 1)
+        if len(data) != st.st_size:  # grew, shrank or a capped read: go on to EOF
+            parts = [data]
+            while part := os.read(fd, 1 << 20):
+                parts.append(part)
+            data = b"".join(parts)
+        return data
+    finally:
+        os.close(fd)
+
+
 def read_feature_file(path) -> np.ndarray:
     """Read a binary feature file into a float32 array of shape (frames, dim)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_file(path)
     n, d = _feature_header(data, path)
     if d < 1:
         raise FormatError(f"{path}: frame_dim must be >= 1, got {d}")

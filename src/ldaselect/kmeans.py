@@ -37,16 +37,24 @@ def _sq_dists(columns: np.ndarray, row: int, out: np.ndarray, diff: np.ndarray) 
     column of ``columns`` (the transposed rows) at a time into ``out``, in
     float64 whatever the columns' dtype. The first column's squares are
     written straight into ``out``: every term is >= 0, so this is exactly
-    adding them to zeros."""
+    adding them to zeros. Columns of another dtype are cast exactly into the
+    float64 scratch and then subtracted in place, because numpy's casting
+    subtraction buffers and costs more than the copy; float64 columns are
+    subtracted directly, since for them the copy costs more than it saves."""
     if len(columns) == 0:
         out.fill(0.0)
         return out
-    np.subtract(columns[0], columns[0][row], out=out, dtype=np.float64)
-    np.multiply(out, out, out=out)
-    for col in columns[1:]:
-        np.subtract(col, col[row], out=diff, dtype=np.float64)
-        np.multiply(diff, diff, out=diff)
-        out += diff
+    cast = columns.dtype != np.float64
+    for j, col in enumerate(columns):
+        d = diff if j else out
+        if cast:
+            d[...] = col
+            d -= col[row]
+        else:
+            np.subtract(col, col[row], out=d)
+        np.multiply(d, d, out=d)
+        if j:
+            out += d
     return out
 
 

@@ -13,6 +13,7 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -132,17 +133,27 @@ class Runner:
         paths the pool manifest resolved to, absolute where the pool's were
         relative, so it is valid from any directory."""
         write_audit(result, audit)
-        by_id = self.pool.by_id()
+        rows = self._selection_rows
         utts = []
         for s in result.selected:
-            u = by_id.get(s.utt_id)
+            u = rows.get(s.utt_id)
             if u is None:
                 raise ValidationError(f"utterance '{s.utt_id}' is not in the pool manifest")
-            utts.append(corpus.Utterance(
+            utts.append(u)
+        corpus.write_manifest(corpus.Manifest(utts, fps=self.pool.fps), manifest)
+
+    @cached_property
+    def _selection_rows(self) -> dict[str, corpus.Utterance]:
+        """Each pool utterance as a selection manifest lists it, with its
+        resolved paths as the paths written; built once per runner, on the
+        first selection write, and shared by every later one."""
+        return {
+            u.id: corpus.Utterance(
                 u.id, u.feature_file, u.num_frames, u.frame_dim, u.duration_s,
                 u.domain_tag, u.transcript_file,
-            ))
-        corpus.write_manifest(corpus.Manifest(utts, fps=self.pool.fps), manifest)
+            )
+            for u in self.pool
+        }
 
     # -- caching machinery ------------------------------------------------
 
@@ -152,19 +163,33 @@ class Runner:
         return [which for which in ("dev", "pool") if which in spec.split("+")]
 
     def _digest_manifest(self, which: str, transcripts: bool = False) -> str:
+        """Digest of a manifest's bytes and of every feature (or transcript)
+        file it lists. Each file enters framed by a presence byte and its
+        length, so no two sets of file contents hash alike, and a transcript
+        that is listed but missing differs from an empty one."""
         memo = (which, transcripts)
         if memo in self._digests:
             return self._digests[memo]
         h = hashlib.sha256()
+        h.update(len(self.manifest_bytes[which]).to_bytes(8, "little"))
         h.update(self.manifest_bytes[which])
         for utt in self.manifests[which]:
             h.update(utt.id.encode())
             p = utt.transcript_file if transcripts else utt.feature_file
-            if p and os.path.isfile(p):
-                with open(p, "rb") as fh:
-                    h.update(fh.read())
-            elif not transcripts:
-                raise StageError("inputs", f"missing feature file for '{utt.id}': {p}")
+            data = None
+            if p:
+                try:
+                    data = corpus.read_file(p)
+                except OSError:
+                    if os.path.isfile(p):  # there, but unreadable: not "missing"
+                        raise
+            if data is None:
+                if not transcripts:
+                    raise StageError("inputs", f"missing feature file for '{utt.id}': {p}")
+                h.update(b"\0")
+            else:
+                h.update(b"\1" + len(data).to_bytes(8, "little"))
+                h.update(data)
         digest = h.hexdigest()
         self._digests[memo] = digest
         return digest

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -6,6 +7,23 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 _ACCEPTANCE: dict[int, tuple[str, bool]] = {}
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in the test after 10 s, so a call that blocks (on a
+    FIFO, say) fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("blocked for 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_configure(config):

@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldaselect.corpus import (
     DomainSpec,
@@ -8,7 +13,9 @@ from ldaselect.corpus import (
     Utterance,
     generate_synthetic_corpus,
     make_separated_spec,
+    parse_manifest,
     read_feature_file,
+    read_file,
     read_features,
     read_manifest,
     read_transcript,
@@ -135,8 +142,73 @@ def test_manifest_paths_resolve_once_against_its_absolute_directory(tmp_path, mo
     assert Utterance("c", "c.aldf", 1, 1, 0.01, "x", "c.txt").transcript_file == "c.txt"
 
 
+_MANIFEST_BASES = [
+    Path("/srv/corpus/m.tsv"), Path("/m.tsv"), Path("//net/corpus/m.tsv"),
+    Path("rel/dir/m.tsv"), Path("m.tsv"),
+]
+# Paths of components that pathlib drops, keeps or treats as roots.
+_PATHS = st.lists(
+    st.sampled_from(["a", "bb", ".", "..", ""]), min_size=1, max_size=6
+).map("/".join).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(_MANIFEST_BASES),
+    paths=st.lists(st.tuples(_PATHS, st.one_of(st.none(), _PATHS)), min_size=1, max_size=8),
+)
+def test_manifest_paths_resolve_as_one_pathlib_join_each(base, paths):
+    """Whatever the directory prefixes the paths of one manifest share, each
+    resolves to ``str(base / p)`` for the manifest's directory made absolute:
+    absolute paths, ``..``, ``./``, ``//``, ``/x``, ``//x`` and paths ending
+    in ``/``, ``.`` or ``..`` alike."""
+    lines = [
+        f"u{i}\t{feat}\t1\t1\t0.01\tx" + (f"\t{text}" if text else "")
+        for i, (feat, text) in enumerate(paths)
+    ]
+    manifest = parse_manifest("\n".join(lines).encode(), base)
+    parent = base.parent.absolute()
+    for utt, (feat, text) in zip(manifest, paths):
+        assert utt.feature_file == str(parent / feat)
+        assert utt.transcript_file == (str(parent / text) if text else None)
+
+
 # ---------------------------------------------------------------------------
 # Feature files
+
+
+def test_read_file_reads_regular_files_and_refuses_the_rest(tmp_path, deadline):
+    """Regular files read whole; a missing path and a directory raise what
+    ``open`` raises, and a FIFO raises at once, unread."""
+    for data in (b"", b"x", bytes(range(256)) * 40):
+        (tmp_path / "f").write_bytes(data)
+        assert read_file(tmp_path / "f") == data
+    for path in (tmp_path / "missing", tmp_path):
+        with pytest.raises(OSError) as want:
+            open(path, "rb")
+        for read in (read_file, read_feature_file):
+            with pytest.raises(type(want.value)) as got:
+                read(path)
+            assert str(got.value) == str(want.value)
+    os.mkfifo(tmp_path / "fifo")
+    with pytest.raises(OSError, match="not a regular file"):
+        read_file(tmp_path / "fifo")
+
+
+@pytest.mark.parametrize("stale", [-5, 3])
+def test_read_file_reads_to_eof_when_fstat_is_stale(tmp_path, monkeypatch, stale):
+    """A file that grew or shrank between ``fstat`` and the read is read to
+    its end all the same."""
+    data = bytes(range(200))
+    (tmp_path / "f").write_bytes(data)
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = tuple(real_fstat(fd))
+        return os.stat_result(st[:6] + (st[6] + stale,) + st[7:])
+
+    monkeypatch.setattr(corpus_module.os, "fstat", stale_fstat)
+    assert read_file(tmp_path / "f") == data
 
 
 def test_write_features_minimal_layout(tmp_path):

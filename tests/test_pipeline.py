@@ -1,6 +1,8 @@
 import json
 import logging
+import os
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +133,83 @@ def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
     result = run_pipeline(config)
     assert result.skipped["train-gmm"] is False
     assert result.skipped["quantize"] is False
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
+def test_absent_feature_file_fails_cold_and_cached_runs(kind, tmp_path, corpus_dir, deadline):
+    """A pool manifest naming a feature file that is not a regular file (none,
+    a directory or a FIFO in its place) fails with "missing feature file" on a
+    cold run and on a cached rerun; the FIFO is never read, so nothing blocks."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    config = _config(tmp_path / "corpus", tmp_path / "cached")
+    run_pipeline(config)
+    victim = read_manifest(config.paths.pool_manifest).utterances[3]
+    os.unlink(victim.feature_file)
+    if kind == "directory":
+        os.mkdir(victim.feature_file)
+    elif kind == "fifo":
+        os.mkfifo(victim.feature_file)
+    for work in ("cached", "cold"):
+        config.paths.work_dir = str(tmp_path / work)
+        with pytest.raises(StageError, match=f"missing feature file for '{victim.id}'"):
+            run_pipeline(config)
+
+
+def test_transcript_digest_frames_each_file(tmp_path, corpus_dir):
+    """Transcripts whose id-and-text concatenations are equal key
+    ``text-tfidf`` apart, and so do an empty transcript and a missing one:
+    after either change the stage reruns."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    config = _config(tmp_path / "corpus", tmp_path / "work", text=True)
+    a, b = read_manifest(config.paths.pool_manifest).utterances[:2]
+    for first, second in (("", b.id + "x"), (b.id, "x")):
+        with open(a.transcript_file, "wb") as fh:
+            fh.write(first.encode())
+        with open(b.transcript_file, "wb") as fh:
+            fh.write(second.encode())
+        assert run_pipeline(config, ["text-tfidf"]).skipped == {"text-tfidf": False}
+    with open(a.transcript_file, "wb"):
+        pass
+    run_pipeline(config, ["text-tfidf"])
+    os.unlink(a.transcript_file)
+    with pytest.raises(StageError, match=f"missing transcript file for utterance '{a.id}'"):
+        run_pipeline(config, ["text-tfidf"])
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_cached_run_and_sweep_read_each_input_once_per_runner(
+    k, tmp_path, corpus_dir, monkeypatch
+):
+    """A cached ``run_pipeline`` and a k-threshold ``sweep_lambda`` build two
+    runners. Each reads every feature file once and builds each utterance
+    once, when it parses the manifests; the sweep's runner, the one that
+    writes selections, builds each pool utterance's selection-manifest row
+    once more, however many selections it writes."""
+    config = _config(corpus_dir, tmp_path / "work")
+    run_pipeline(config)
+    pool = read_manifest(config.paths.pool_manifest)
+    dev = read_manifest(config.paths.dev_manifest)
+    reads = Counter()
+    real_read = pipeline_module.corpus.read_file
+
+    def counting_read(path):
+        reads[path] += 1
+        return real_read(path)
+
+    built = Counter()
+    real_post_init = Utterance.__post_init__
+
+    def counting_post_init(utt):
+        built[utt.id] += 1
+        real_post_init(utt)
+
+    monkeypatch.setattr(pipeline_module.corpus, "read_file", counting_read)
+    monkeypatch.setattr(Utterance, "__post_init__", counting_post_init)
+    assert all(run_pipeline(config).skipped.values())
+    rows = sweep_lambda(config, [1.0 - 0.1 * i for i in range(k)])
+    assert rows[0]["selected"] == len(pool)
+    assert reads == {u.feature_file: 2 for m in (dev, pool) for u in m}
+    assert built == {u.id: 2 for u in dev} | {u.id: 3 for u in pool}
 
 
 # The work-dir artifacts each stage reads (text path on).
