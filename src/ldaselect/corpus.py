@@ -321,6 +321,8 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
     Past ``max_frames`` frames in all, ``max_frames`` of them are drawn
     uniformly without replacement and kept in order. The draw uses the
     manifests' ``num_frames``, so only files that hold a drawn frame are read.
+    The sample is dim-major (Fortran order): each feature dimension is one
+    contiguous column, which mixture seeding reads in place.
     """
     utts = [utt for manifest in manifests for utt in manifest]
     dim = utts[0].frame_dim if utts else 0
@@ -338,7 +340,7 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
         keep = np.sort(rng.choice(total, size=max_frames, replace=False))
     else:
         keep = np.arange(total)
-    X = np.empty((keep.size, dim), dtype=np.float32)
+    X = np.empty((keep.size, dim), dtype=np.float32, order="F")
     bounds = np.searchsorted(keep, starts)
     for utt, start, lo, hi in zip(utts, starts, bounds, bounds[1:]):
         if hi > lo:

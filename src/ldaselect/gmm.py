@@ -117,7 +117,23 @@ def _accumulate_stats(coef, frames, cols):
         total = resp.sum(axis=0)
         loglik += float(top.sum() + np.log(total).sum())
         stats += resp @ (zb / total).T
+        del resp  # else the next block's log-joint is built beside this one
     return loglik, stats
+
+
+def _seed_means(frames, n_components: int, init_subsample: int, rng) -> np.ndarray:
+    """Float64 k-means++ seed rows of ``frames``, drawn from a uniform
+    subsample of ``init_subsample`` rows when there are more frames. The
+    subsample is gathered dim-major, one column at a time: ``frames[idx]``
+    would come out row-major, and seeding would copy it again."""
+    n, d = frames.shape
+    sub = frames
+    if n > init_subsample:
+        idx = rng.choice(n, size=init_subsample, replace=False)
+        sub = np.empty((idx.size, d), dtype=frames.dtype, order="F")
+        for j in range(d):
+            sub[:, j] = frames[idx, j]
+    return sub[kmeans_pp_indices(sub, n_components, rng)].astype(np.float64)
 
 
 def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> GmmModel:
@@ -136,10 +152,17 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     product for the block's log-joint and one more for all three statistics.
     Seeding reads the frames in their own dtype, casting exactly to float64
     where it computes, so float32 frames train the same model as their
-    float64 cast. Beyond the frames, only seeding grows with their number:
-    k-means++ copies at most ``init_subsample`` rows in the frames' dtype and
-    keeps two float64 distance vectors that long, and the global variance
-    casts one column at a time.
+    float64 cast, in either memory layout.
+
+    Dim-major (Fortran-ordered) frames, as :func:`corpus.sample_frames`
+    returns them, are read in place: the global variance casts one
+    contiguous column at a time, each E-step block copies contiguous rows,
+    and k-means++ seeding takes its columns without a copy. Beyond the
+    frames, only seeding grows with their number: it keeps three float64
+    vectors as long as its rows, and when ``n > init_subsample`` it seeds on
+    ``init_subsample`` rows gathered once, dim-major, in the frames' dtype.
+    Row-major frames train the same model, but seeding on all of them
+    copies them transposed.
     """
     config = config or GmmConfig()
     frames = np.asarray(frames)
@@ -160,10 +183,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     floor[floor <= 0] = floor[floor > 0].min()
 
     rng = np.random.default_rng(config.seed)
-    sub = frames
-    if n > config.init_subsample:
-        sub = frames[rng.choice(n, size=config.init_subsample, replace=False)]
-    means = sub[kmeans_pp_indices(sub, n_components, rng)].astype(np.float64)
+    means = _seed_means(frames, n_components, config.init_subsample, rng)
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 

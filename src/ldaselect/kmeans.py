@@ -64,7 +64,10 @@ def kmeans_pp_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     Returns indices into ``X``. When every remaining distance is zero the
     next seed falls back to a uniform draw. ``X`` is read in its own dtype
     and each value cast exactly to float64, so float32 rows give the same
-    seeds as their float64 cast.
+    seeds as their float64 cast. Distances are summed one feature column at
+    a time: a dim-major (Fortran-ordered) ``X`` is read in place, any other
+    layout is first copied transposed. Beyond that, seeding keeps three
+    float64 vectors as long as ``X``.
     """
     n = X.shape[0]
     if k > n:

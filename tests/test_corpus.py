@@ -344,6 +344,7 @@ def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
         read.clear()
         X = sample_frames(manifests, max_frames, seed)
         assert X.dtype == full.dtype
+        assert X.flags.f_contiguous
         assert np.array_equal(X, full[keep])
         assert read == list(dict.fromkeys(owners[keep]))
 

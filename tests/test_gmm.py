@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ldaselect import gmm as gmm_module
+from ldaselect.corpus import Manifest, Utterance, sample_frames, write_features
 from ldaselect.errors import FormatError, ValidationError
 from ldaselect.gmm import (
     GmmConfig,
@@ -179,13 +180,42 @@ def test_em_keeps_no_float64_copy_of_the_frames(init_subsample):
     assert peak < 2 * frames.nbytes
 
 
+@pytest.mark.parametrize("init_subsample", [20_000, 40_001])
+def test_seeding_reads_sampled_frames_in_place(tmp_path, init_subsample):
+    """``sample_frames`` returns dim-major frames, and seeding reads them in
+    place: on every frame it allocates its three float64 distance vectors
+    and no transposed copy, and on a subsample only the one dim-major
+    gather. With 256 components an E-step block (512 KB of log-joint) weighs
+    less than seeding, so seeding sets the traced peak; a frame-sized copy
+    would add 2 MB, or 1 MB on the subsample, to it."""
+    n, d = 40_000, 13
+    rng = np.random.default_rng(21)
+    utts = []
+    for i in range(40):
+        path = tmp_path / f"u{i}.aldf"
+        write_features(rng.standard_normal((n // 40, d)) + rng.integers(0, 4), path)
+        utts.append(Utterance(f"u{i}", str(path), n // 40, d, 10.0, "x"))
+    frames = sample_frames([Manifest(utts)], n, 0)
+    rows = min(n, init_subsample)
+    seeding = 3 * rows * 8 + (rows * d * frames.itemsize if rows < n else 0)
+    config = GmmConfig(seed=0, max_iterations=1, init_subsample=init_subsample)
+    tracemalloc.start()
+    try:
+        train_gmm(frames, 256, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seeding < peak < seeding + frames.nbytes // 4
+
+
 @pytest.mark.parametrize("init_subsample", [300, 1001])
 @pytest.mark.parametrize("block_frames", [1, 7])
 def test_float32_frames_train_the_model_of_their_float64_cast(init_subsample, block_frames):
     """Every cast to float64 is exact, so float32 frames and their float64
     cast train bit-identical models, with 1-frame blocks and with blocks that
     leave a short last block (1000 = 7 * 142 + 6), seeded on a subsample and
-    on every frame."""
+    on every frame. The frames' memory layout changes only what is copied:
+    row-major and dim-major frames of either dtype train the same model."""
     rng = np.random.default_rng(14)
     centers = rng.uniform(-4.0, 4.0, size=(3, 5))
     frames = (centers[rng.integers(3, size=1000)] + rng.standard_normal((1000, 5))).astype(
@@ -194,14 +224,18 @@ def test_float32_frames_train_the_model_of_their_float64_cast(init_subsample, bl
     config = GmmConfig(seed=3, max_iterations=6, init_subsample=init_subsample)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gmm_module, "_BLOCK_CELLS", block_frames * 3)
-        single = train_gmm(frames, 3, config)
         double = train_gmm(frames.astype(np.float64), 3, config)
-    for name in ("weights", "means", "variances", "var_floor"):
-        a, b = getattr(single, name), getattr(double, name)
-        assert a.dtype == b.dtype == np.float64
-        assert a.tobytes() == b.tobytes(), name
-    assert single.loglik_history == double.loglik_history
-    assert single.n_iterations == double.n_iterations == 6
+        for order in ("C", "F"):
+            for dtype in (np.float32, np.float64):
+                X = np.asarray(frames, dtype=dtype, order=order)
+                assert X.flags[f"{order}_CONTIGUOUS"]
+                model = train_gmm(X, 3, config)
+                for name in ("weights", "means", "variances", "var_floor"):
+                    a, b = getattr(model, name), getattr(double, name)
+                    assert a.dtype == b.dtype == np.float64
+                    assert a.tobytes() == b.tobytes(), (order, dtype, name)
+                assert model.loglik_history == double.loglik_history
+                assert model.n_iterations == double.n_iterations == 6
 
 
 def test_converged_flag_tells_tol_stop_from_cap():

@@ -136,13 +136,17 @@ def test_kmeans_pp_indices_match_row_reduction_reference(n, d, distinct, seed, d
 
 def test_kmeans_pp_indices_float32_match_their_float64_cast():
     """Distances are taken in float64 from exactly cast float32 values: the
-    same seeds, and the generator left in the same state."""
+    same seeds, and the generator left in the same state, from row-major and
+    dim-major rows of either dtype."""
     X = (np.random.default_rng(15).standard_normal((5000, 13)) * 3).astype(np.float32)
-    single_rng, double_rng = np.random.default_rng(16), np.random.default_rng(16)
-    single = kmeans_pp_indices(X, 64, single_rng)
+    double_rng = np.random.default_rng(16)
     double = kmeans_pp_indices(X.astype(np.float64), 64, double_rng)
-    assert single.tolist() == double.tolist()
-    assert single_rng.bit_generator.state == double_rng.bit_generator.state
+    for order in ("C", "F"):
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(16)
+            got = kmeans_pp_indices(np.asarray(X, dtype=dtype, order=order), 64, rng)
+            assert got.tolist() == double.tolist(), (order, dtype)
+            assert rng.bit_generator.state == double_rng.bit_generator.state
     # The draws rarely notice a rounding slip; the distances themselves must
     # match bit for bit (float32 arithmetic would round each difference).
     columns = np.ascontiguousarray(X.T)
