@@ -95,6 +95,10 @@ class Runner:
                 self.manifest_bytes[which], path, role=which
             )
         self.pool = self.manifests["pool"]
+        # The directory the pool's relative paths resolved against, which the
+        # selection manifests name: a key part of the stages that write them,
+        # NUL-terminated (no path holds a NUL) ahead of the manifest's bytes.
+        self.pool_dir_key = str(Path(config.paths.pool_manifest).parent.absolute()) + "\0"
 
     @contextmanager
     def owned(self):
@@ -439,7 +443,7 @@ class Runner:
 
         self._run_stage(
             name, [f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv"],
-            [self.manifest_bytes["pool"], repr(params)],
+            [self.pool_dir_key, self.manifest_bytes["pool"], repr(params)],
             [f"{out_prefix}.audit.tsv", f"{out_prefix}.tsv"],
             fn,
         )
@@ -494,7 +498,7 @@ class Runner:
 
         self._run_stage(
             "combine", ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
-            [self.manifest_bytes["pool"]],
+            [self.pool_dir_key, self.manifest_bytes["pool"]],
             ["selection.audit.tsv", "selection.tsv"],
             fn,
         )

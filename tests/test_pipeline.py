@@ -640,6 +640,29 @@ def test_selection_from_cwd_relative_manifests_reads_from_anywhere(
         assert read_transcript(utt).strip()
 
 
+def test_copied_corpus_and_work_dir_rewrite_their_selection_manifests(tmp_path, corpus_dir):
+    """Selection manifests name the pool's files resolved against the pool
+    manifest's directory. Rerun from a copy of the corpus and its work dir,
+    the three stages that write them run again and name the copy's files;
+    every other stage is skipped."""
+    shutil.copytree(corpus_dir, tmp_path / "a" / "corpus")
+    run_pipeline(_config(tmp_path / "a" / "corpus", tmp_path / "a" / "work", text=True))
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    result = run_pipeline(
+        _config(tmp_path / "b" / "corpus", tmp_path / "b" / "work", text=True)
+    )
+    ran = {name for name, skipped in result.skipped.items() if not skipped}
+    assert ran == {"select", "text-select", "combine"}
+    for name in ("selection.tsv", "selection_acoustic.tsv", "selection_text.tsv"):
+        path = tmp_path / "b" / "work" / name
+        assert str(tmp_path / "a") + "/" not in path.read_text(encoding="utf-8")
+        selected = read_manifest(path)
+        assert len(selected) > 0
+        for utt in selected:
+            assert utt.feature_file.startswith(str(tmp_path / "b" / "corpus") + "/")
+            assert utt.transcript_file.startswith(str(tmp_path / "b" / "corpus") + "/")
+
+
 def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
