@@ -58,58 +58,71 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _frame_rows(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(2d+1, n) float64 rows of an (n, d) frame matrix: x^2, then x, then a
-    row of ones, written into the first n columns of ``out`` when given.
-    Float32 frames are cast exactly."""
+def _frame_rows(
+    frames: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(2d+1, n) float64 rows of an (n, d) frame matrix less ``shift``: y^2,
+    then y = x - shift, then a row of ones, written into the first n columns
+    of ``out`` when given. Float32 frames are cast exactly before the shift
+    is taken off."""
     n, d = frames.shape
     Z = np.empty((2 * d + 1, n)) if out is None else out[:, :n]
-    x = Z[d:2 * d]
-    x[...] = frames.T
-    np.multiply(x, x, out=Z[:d])
+    y = Z[d:2 * d]
+    y[...] = frames.T
+    y -= shift[:, None]
+    np.multiply(y, y, out=Z[:d])
     Z[2 * d] = 1.0
     return Z
 
 
-def _coefficients(weights, means, variances) -> np.ndarray:
-    """(components, 2d+1) rows ``[-1/(2 var), mu/var, c]`` that take the frame
+def _coefficients(weights, means, variances, shift) -> np.ndarray:
+    """(components, 2d+1) rows ``[-1/(2 var), m/var, c]`` that take the frame
     rows of :func:`_frame_rows` to log w_n + log N(x | mu_n, diag var_n): the
-    quadratic sum_d [log(2 pi var) + (x-mu)^2/var] expanded in x^2, x and 1."""
+    quadratic sum_d [log(2 pi var) + (y-m)^2/var] expanded in y^2, y and 1,
+    with y = x - shift and m = mu - shift. With ``shift`` near the frames the
+    expanded terms stay small; about the origin they would cancel, losing
+    about mu^2/var units of roundoff."""
+    m = means - shift
     inv = 1.0 / variances
     const = np.log(weights) - 0.5 * (
         means.shape[1] * LOG_2PI + np.sum(np.log(variances), axis=1)
-        + np.sum(means * means * inv, axis=1)
+        + np.sum(m * m * inv, axis=1)
     )
-    return np.hstack([-0.5 * inv, means * inv, const[:, None]])
+    return np.hstack([-0.5 * inv, m * inv, const[:, None]])
 
 
-def _model_coefficients(model: GmmModel) -> np.ndarray:
-    """:func:`_coefficients` of ``model``, kept on the model with the arrays
-    it was computed from: assigning new weights, means or variances recomputes
-    it (an edit made in place to one of those arrays is not seen)."""
+def _model_coefficients(model: GmmModel) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture mean sum_n w_n mu_n as ``model``'s shift, and the
+    :func:`_coefficients` about it, kept on the model with the arrays they
+    were computed from: assigning new weights, means or variances recomputes
+    them (an edit made in place to one of those arrays is not seen)."""
     params = (model.weights, model.means, model.variances)
     cached = getattr(model, "_coef", None)
     if cached is None or any(a is not b for a, b in zip(cached[0], params)):
-        cached = model._coef = (params, _coefficients(*params))
-    return cached[1]
+        shift = model.weights @ model.means
+        cached = model._coef = (params, shift, _coefficients(*params, shift))
+    return cached[1], cached[2]
 
 
-def _log_joint(weights, means, variances, Z) -> np.ndarray:
-    """(components, frames) log-joint of the frame rows ``Z``."""
-    return _coefficients(weights, means, variances) @ Z
+def _log_joint(model: GmmModel, frames: np.ndarray) -> np.ndarray:
+    """(components, frames) log-joint of the (n, d) ``frames`` under
+    ``model``, taken about the mixture mean."""
+    shift, coef = _model_coefficients(model)
+    return coef @ _frame_rows(frames, shift)
 
 
-def _accumulate_stats(coef, frames, cols):
-    """Log-likelihood of the (n, d) ``frames`` under the mixture ``coef`` and
-    the statistics ``[sum_t r_tn x_t^2, sum_t r_tn x_t, sum_t r_tn]`` as one
-    (components, 2d+1) matrix, accumulated over blocks of ``cols`` frames.
-    Each block's :func:`_frame_rows` are built into one reused buffer."""
+def _accumulate_stats(coef, frames, shift, cols):
+    """Log-likelihood of the (n, d) ``frames`` under the mixture ``coef``
+    about ``shift``, and the statistics ``[sum_t r_tn y_t^2, sum_t r_tn y_t,
+    sum_t r_tn]`` of y = x - shift as one (components, 2d+1) matrix,
+    accumulated over blocks of ``cols`` frames. Each block's
+    :func:`_frame_rows` are built into one reused buffer."""
     n, d = frames.shape
     rows = np.empty((2 * d + 1, min(cols, n)))
     stats = np.zeros((coef.shape[0], rows.shape[0]))
     loglik = 0.0
     for start in range(0, n, cols):
-        zb = _frame_rows(frames[start:start + cols], rows)
+        zb = _frame_rows(frames[start:start + cols], shift, rows)
         resp = coef @ zb
         top = resp.max(axis=0)
         resp -= top
@@ -147,9 +160,12 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
 
     The frames are not copied: the E-step walks them in blocks of
     ``_BLOCK_CELLS // n_components`` frames, builds each block's (2d+1)
-    float64 rows of :func:`_frame_rows` (x^2, x, ones) into one reused
-    buffer, and with components as rows and frames as columns takes one
-    product for the block's log-joint and one more for all three statistics.
+    float64 rows of :func:`_frame_rows` (y^2, y, ones, for y the frames less
+    their global mean) into one reused buffer, and with components as rows
+    and frames as columns takes one product for the block's log-joint and
+    one more for all three statistics. Centred, the M-step's variance
+    E[y^2] - E[y]^2 does not cancel away the precision that raw moments
+    lose to the square of the frames' offset from the origin.
     Seeding reads the frames in their own dtype, casting exactly to float64
     where it computes, so float32 frames train the same model as their
     float64 cast, in either memory layout.
@@ -176,7 +192,10 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     if not np.all(np.isfinite(frames)):
         raise ValidationError("frame collection contains NaN or Inf")
 
-    global_var = np.array([frames[:, j].astype(np.float64).var() for j in range(d)])
+    global_mean, global_var = np.zeros(d), np.zeros(d)
+    for j in range(d):
+        col = frames[:, j].astype(np.float64)
+        global_mean[j], global_var[j] = col.mean(), col.var()
     if not np.any(global_var > 0):
         raise ValidationError("degenerate input: all frames are identical")
     floor = config.var_floor_scale * global_var
@@ -194,7 +213,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     converged = False
     for _ in range(config.max_iterations):
         loglik, stats = _accumulate_stats(
-            _coefficients(weights, means, variances), frames, cols
+            _coefficients(weights, means, variances, global_mean), frames, global_mean, cols
         )
         history.append(loglik)
         iterations += 1
@@ -205,9 +224,9 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
                 break
         nk = np.maximum(stats[:, 2 * d], 1e-300)
         weights = nk / n
-        means = stats[:, d:2 * d] / nk[:, None]
-        ex2 = stats[:, :d] / nk[:, None]
-        variances = ex2 - means * means
+        centred = stats[:, d:2 * d] / nk[:, None]
+        variances = stats[:, :d] / nk[:, None] - centred * centred
+        means = centred + global_mean
         hit = variances < floor[None, :]
         variances = np.maximum(variances, floor[None, :])
         fully_collapsed = hit.all(axis=1)
@@ -234,8 +253,7 @@ def gmm_posteriors(model: GmmModel, frame) -> np.ndarray:
         raise ValidationError(
             f"frame has shape {x.shape}, model expects dimension {model.frame_dim}"
         )
-    Z = _frame_rows(x[None, :])
-    lj = _log_joint(model.weights, model.means, model.variances, Z)[:, 0]
+    lj = _log_joint(model, x[None, :])[:, 0]
     return np.exp(lj - logsumexp(lj))
 
 
@@ -249,7 +267,7 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.argmax(_model_coefficients(model) @ _frame_rows(X), axis=0)
+    return np.argmax(_log_joint(model, X), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here uses no package internals, so results come from a second,
 unoptimized code path. Most oracles are plain Python (math / mpmath); the
 mixture-training oracles are whole-array numpy transcriptions of the
-full-batch code that the blocked kernels replaced.
+full-batch code that the blocked kernels replaced, except that they take
+every quadratic from x - mu directly rather than from raw moments.
 """
 
 import math
@@ -208,7 +209,9 @@ def ref_train_gmm(
     X, n_components, *, seed, max_iterations, tol, var_floor_scale, init_subsample,
     collapse_patience,
 ):
-    """Full-batch diagonal-covariance EM over every frame at once.
+    """Full-batch diagonal-covariance EM over every frame at once, with each
+    component's variance taken from the squared deviations of the frames
+    from its new mean.
 
     Returns ``(weights, means, variances, loglik_history, n_iterations)``;
     raises ``ValueError`` when a component collapses below the variance floor
@@ -231,7 +234,7 @@ def ref_train_gmm(
     for _ in range(max_iterations):
         inv = 1.0 / variances
         const = np.log(weights) - 0.5 * (d * math.log(2.0 * math.pi) + np.log(variances).sum(1))
-        quad = (X * X) @ inv.T - 2.0 * (X @ (means * inv).T) + (means * means * inv).sum(1)
+        quad = ((X[:, None, :] - means[None]) ** 2 * inv[None]).sum(axis=2)
         lj = const[None, :] - 0.5 * quad
         norm = logsumexp(lj, axis=1)
         history.append(float(norm.sum()))
@@ -241,7 +244,12 @@ def ref_train_gmm(
         nk = np.maximum(resp.sum(axis=0), 1e-300)
         weights = nk / n
         means = (resp.T @ X) / nk[:, None]
-        variances = (resp.T @ (X * X)) / nk[:, None] - means * means
+        # Squares of x - mu, not E[x^2] - mu^2, which cancels to a relative
+        # error of about mu^2 / var times the unit roundoff; summed by fsum.
+        variances = np.array([
+            [math.fsum(resp[:, i] * (X[:, j] - means[i, j]) ** 2) for j in range(d)]
+            for i in range(n_components)
+        ]) / nk[:, None]
         hit = variances < floor[None, :]
         variances = np.maximum(variances, floor[None, :])
         collapsed_runs = np.where(hit.all(axis=1), collapsed_runs + 1, 0)

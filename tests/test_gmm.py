@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,27 @@ def test_blocked_em_matches_full_batch_reference(case):
         np.testing.assert_allclose(model.loglik_history, history, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("offset", [0.0, 5.0, 50.0, 500.0])
+def test_one_m_step_matches_exact_moments_far_from_the_origin(offset):
+    """One component's first M-step gives the frames' mean and (biased)
+    variance. Against exact rational arithmetic, the program's and the
+    oracle's variances stay within 1e-14 relative however far the frames sit
+    from the origin: neither takes E[x^2] - mu^2 of raw moments, which loses
+    about offset^2 / var units of roundoff (1e-10 relative at offset 500)."""
+    X = np.random.default_rng(22).standard_normal((20_000, 2)) + offset
+    config = GmmConfig(seed=0, max_iterations=1)
+    model = train_gmm(X, 1, config)
+    _, _, ref_variances, _, _ = ref_train_gmm(
+        X, 1, **dataclasses.asdict(config), collapse_patience=3
+    )
+    for j in range(X.shape[1]):
+        col = [Fraction(v) for v in X[:, j].tolist()]
+        mean = sum(col) / len(col)
+        var = sum(v * v for v in col) / len(col) - mean * mean
+        for got in (model.variances[0, j], ref_variances[0, j]):
+            assert abs(Fraction(got) - var) <= Fraction(1e-14) * var
+
+
 def test_em_memory_stays_below_frames_by_components():
     """The E-step works in blocks: its peak is far below one frames x
     components float64 array (tracemalloc sees numpy's allocations)."""
@@ -254,13 +276,15 @@ def test_converged_flag_tells_tol_stop_from_cap():
 @st.composite
 def _mixtures(draw):
     """A mixture with offset means and variances in [0.5, 2] and frames near
-    its means (one frame in some cases, as ``gmm_posteriors`` passes)."""
+    its means (one frame in some cases, as ``gmm_posteriors`` passes), in
+    some cases 500 further from the origin."""
     n_components = draw(st.integers(1, 40))
     d = draw(st.integers(1, 13))
     n = draw(st.one_of(st.just(1), st.integers(2, 20)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     weights = rng.dirichlet(np.ones(n_components))
-    means = rng.uniform(3.0, 8.0, size=(n_components, d))
+    offset = draw(st.sampled_from([0.0, 500.0]))
+    means = rng.uniform(3.0, 8.0, size=(n_components, d)) + offset
     variances = rng.uniform(0.5, 2.0, size=(n_components, d))
     X = means[rng.integers(n_components, size=n)] + rng.standard_normal((n, d))
     X = X.astype(draw(st.sampled_from([np.float32, np.float64])))
@@ -272,7 +296,7 @@ def _mixtures(draw):
 def test_log_joint_matches_per_dimension_reference(case):
     weights, means, variances, X = case
     expected = ref_log_joint(weights, means, variances, X)
-    got = gmm_module._log_joint(weights, means, variances, gmm_module._frame_rows(X))
+    got = gmm_module._log_joint(_model(weights, means, variances), X)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
     post = gmm_posteriors(_model(weights, means, variances), X[0])
@@ -382,11 +406,8 @@ def test_quantize_computes_coefficients_once_per_set_of_arrays(monkeypatch):
         gmm_module, "_coefficients", lambda *a: calls.append(1) or coefficients(*a)
     )
     first = quantize(model, frames)
-    assert np.array_equal(
-        first, np.argmax(gmm_module._log_joint(
-            model.weights, model.means, model.variances, gmm_module._frame_rows(frames)
-        ), axis=0)
-    )
+    expected = ref_log_joint(model.weights, model.means, model.variances, frames)
+    assert np.array_equal(first, np.argmax(expected, axis=0))
     assert np.array_equal(quantize(model, frames), first)
     calls.clear()
     quantize(model, frames)
