@@ -134,6 +134,17 @@ def _accumulate_stats(coef, frames, shift, cols):
     return loglik, stats
 
 
+def _column_moments(frames) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 mean and variance of each frame column, cast one column at a
+    time; no cast column outlives the call."""
+    d = frames.shape[1]
+    mean, var = np.zeros(d), np.zeros(d)
+    for j in range(d):
+        col = frames[:, j].astype(np.float64)
+        mean[j], var[j] = col.mean(), col.var()
+    return mean, var
+
+
 def _seed_means(frames, n_components: int, init_subsample: int, rng) -> np.ndarray:
     """Float64 k-means++ seed rows of ``frames``, drawn from a uniform
     subsample of ``init_subsample`` rows when there are more frames. The
@@ -192,10 +203,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     if not np.all(np.isfinite(frames)):
         raise ValidationError("frame collection contains NaN or Inf")
 
-    global_mean, global_var = np.zeros(d), np.zeros(d)
-    for j in range(d):
-        col = frames[:, j].astype(np.float64)
-        global_mean[j], global_var[j] = col.mean(), col.var()
+    global_mean, global_var = _column_moments(frames)
     if not np.any(global_var > 0):
         raise ValidationError("degenerate input: all frames are identical")
     floor = config.var_floor_scale * global_var
