@@ -22,8 +22,9 @@ _GMM_HEADER = struct.Struct("<4sIII")
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Components x frame-column cells per E-step block. Each block's float64
-# log-joint takes 512 KB, and its frame rows one reused (2d+1) x columns
-# float64 buffer, however many frames EM trains on.
+# log-joint takes one reused 512 KB buffer, and its frame rows and their
+# scaled copy two reused (2d+1) x columns float64 buffers, however many
+# frames EM trains on.
 _BLOCK_CELLS = 1 << 16
 
 # Consecutive iterations a component may sit below the variance floor in
@@ -111,27 +112,38 @@ def _log_joint(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     return coef @ _frame_rows(frames, shift)
 
 
-def _accumulate_stats(coef, frames, shift, cols):
-    """Log-likelihood of the (n, d) ``frames`` under the mixture ``coef``
-    about ``shift``, and the statistics ``[sum_t r_tn y_t^2, sum_t r_tn y_t,
-    sum_t r_tn]`` of y = x - shift as one (components, 2d+1) matrix,
-    accumulated over blocks of ``cols`` frames. Each block's
-    :func:`_frame_rows` are built into one reused buffer."""
+def _e_step(frames, shift, n_components: int, cols: int):
+    """The E-step over the (n, d) ``frames`` in blocks of ``cols`` frames: a
+    function from a mixture's :func:`_coefficients` about ``shift`` to the
+    log-likelihood and the statistics ``[sum_t r_tn y_t^2, sum_t r_tn y_t,
+    sum_t r_tn]`` of y = x - shift, as one (components, 2d+1) matrix. Each
+    block's :func:`_frame_rows`, log-joint and scaled rows are built into
+    buffers allocated here, once per fit: made afresh for every block or
+    iteration, arrays that size can be mapped and unmapped by malloc each
+    time, page-faulting on every use."""
     n, d = frames.shape
-    rows = np.empty((2 * d + 1, min(cols, n)))
-    stats = np.zeros((coef.shape[0], rows.shape[0]))
-    loglik = 0.0
-    for start in range(0, n, cols):
-        zb = _frame_rows(frames[start:start + cols], shift, rows)
-        resp = coef @ zb
-        top = resp.max(axis=0)
-        resp -= top
-        np.exp(resp, out=resp)
-        total = resp.sum(axis=0)
-        loglik += float(top.sum() + np.log(total).sum())
-        stats += resp @ (zb / total).T
-        del resp  # else the next block's log-joint is built beside this one
-    return loglik, stats
+    width = min(cols, n)
+    rows = np.empty((2 * d + 1, width))
+    lj_buf, scaled_buf = np.empty(n_components * width), np.empty(rows.size)
+    part = np.empty((n_components, rows.shape[0]))
+
+    def accumulate(coef):
+        stats = np.zeros_like(part)
+        loglik = 0.0
+        for start in range(0, n, cols):
+            zb = _frame_rows(frames[start:start + cols], shift, rows)
+            m = zb.shape[1]
+            resp = np.matmul(coef, zb, out=lj_buf[:n_components * m].reshape(-1, m))
+            top = resp.max(axis=0)
+            resp -= top
+            np.exp(resp, out=resp)
+            total = resp.sum(axis=0)
+            loglik += float(top.sum() + np.log(total).sum())
+            scaled = np.divide(zb, total, out=scaled_buf[:zb.size].reshape(zb.shape))
+            stats += np.matmul(resp, scaled.T, out=part)
+        return loglik, stats
+
+    return accumulate
 
 
 def _column_moments(frames) -> tuple[np.ndarray, np.ndarray]:
@@ -214,15 +226,13 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
-    cols = max(1, _BLOCK_CELLS // n_components)
+    e_step = _e_step(frames, global_mean, n_components, max(1, _BLOCK_CELLS // n_components))
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
     iterations = 0
     converged = False
     for _ in range(config.max_iterations):
-        loglik, stats = _accumulate_stats(
-            _coefficients(weights, means, variances, global_mean), frames, global_mean, cols
-        )
+        loglik, stats = e_step(_coefficients(weights, means, variances, global_mean))
         history.append(loglik)
         iterations += 1
         if len(history) >= 2:
