@@ -186,7 +186,8 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     float64 rows of :func:`_frame_rows` (y^2, y, ones, for y the frames less
     their global mean) into one reused buffer, and with components as rows
     and frames as columns takes one product for the block's log-joint and
-    one more for all three statistics. Centred, the M-step's variance
+    one more for all three statistics, each into a buffer of its own that
+    is also allocated once per fit. Centred, the M-step's variance
     E[y^2] - E[y]^2 does not cancel away the precision that raw moments
     lose to the square of the frames' offset from the origin.
     Seeding reads the frames in their own dtype, casting exactly to float64
