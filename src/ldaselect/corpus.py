@@ -10,9 +10,9 @@ Lines starting with ``#`` are comments; an optional ``# fps=<float>`` header
 records the frame rate used to derive durations when the duration field is
 left empty.
 
-Feature files are little-endian binary: magic ``ALDF``, format version (u32),
-num_frames (u64), frame_dim (u32), then num_frames x frame_dim float32 values
-in row-major order, no padding.
+Feature files are :mod:`container` files: magic ``ALDF``, format version
+(u32), num_frames (u64) and frame_dim (u32), then num_frames x frame_dim
+float32 values in row-major order.
 """
 
 import errno
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import FormatError, ValidationError
 
 FEATURE_MAGIC = b"ALDF"
@@ -238,23 +239,10 @@ def write_features(matrix, path) -> None:
         raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("feature matrix contains NaN or Inf")
-    n, d = arr.shape
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.astype("<f4").tobytes(order="C"))
-
-
-def _feature_header(data: bytes, path) -> tuple[int, int]:
-    """(frames, dim) from the start of a feature file's bytes."""
-    if len(data) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated feature header")
-    magic, version, n, d = _FEATURE_HEADER.unpack_from(data)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature format version {version}")
-    return n, d
+    container.write(
+        path, _FEATURE_HEADER, (FEATURE_MAGIC, FEATURE_VERSION, *arr.shape),
+        [arr.astype("<f4")],
+    )
 
 
 def read_file(path) -> bytes:
@@ -284,19 +272,10 @@ def read_file(path) -> bytes:
 def read_feature_file(path) -> np.ndarray:
     """Read a binary feature file into a float32 array of shape (frames, dim)."""
     data = read_file(path)
-    n, d = _feature_header(data, path)
+    n, d = container.read(data, path, _FEATURE_HEADER, FEATURE_MAGIC, FEATURE_VERSION, "feature")
     if d < 1:
         raise FormatError(f"{path}: frame_dim must be >= 1, got {d}")
-    expected = _FEATURE_HEADER.size + 4 * n * d
-    if len(data) < expected:
-        raise FormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {len(data)}"
-        )
-    if len(data) > expected:
-        raise FormatError(
-            f"{path}: trailing data, expected {expected} bytes, got {len(data)}"
-        )
-    arr = np.frombuffer(data, dtype="<f4", count=n * d, offset=_FEATURE_HEADER.size)
+    (arr,) = container.arrays(data, path, _FEATURE_HEADER, ("<f4", n * d))
     arr = arr.reshape(n, d).copy()
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: feature payload contains NaN or Inf")

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import FormatError, ValidationError
 
 
@@ -242,15 +243,11 @@ def save_docs(docs: DocBatch, path) -> None:
     if any(not i or "\n" in i for i in docs.ids):
         raise ValidationError("document ids must be non-empty and hold no newline")
     ids = "".join(i + "\n" for i in docs.ids).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_DOCS_HEADER.pack(
-            DOCS_MAGIC, DOCS_VERSION, len(docs), docs.terms.size, len(ids)
-        ))
-        fh.write(ids)
-        fh.write(np.asarray(docs.indptr, dtype=_INDPTR).tobytes())
-        fh.write(_int32(docs.terms, "terms").tobytes())
-        fh.write(_int32(docs.counts, "counts").tobytes())
-        fh.write(_nine_digits(np.asarray(docs.weights, dtype=_WEIGHT)).tobytes())
+    container.write(
+        path, _DOCS_HEADER, (DOCS_MAGIC, DOCS_VERSION, len(docs), docs.terms.size, len(ids)),
+        [ids, np.asarray(docs.indptr, dtype=_INDPTR), _int32(docs.terms, "terms"),
+         _int32(docs.counts, "counts"), _nine_digits(np.asarray(docs.weights, dtype=_WEIGHT))],
+    )
 
 
 def load_docs(path) -> DocBatch:
@@ -259,31 +256,23 @@ def load_docs(path) -> DocBatch:
     document) and entries (terms non-negative and strictly ascending within a
     document, counts >= 1, weights finite and >= 0)."""
     data = Path(path).read_bytes()
-    if len(data) < _DOCS_HEADER.size:
-        raise FormatError(f"{path}: truncated document container header")
-    magic, version, n, nnz, id_bytes = _DOCS_HEADER.unpack_from(data)
-    if magic != DOCS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {DOCS_MAGIC!r}")
-    if version != DOCS_VERSION:
-        raise FormatError(f"{path}: unsupported document container version {version}")
-    expected = _DOCS_HEADER.size + id_bytes + 8 * (n + 1) + 16 * nnz
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    off = _DOCS_HEADER.size
+    n, nnz, id_bytes = container.read(
+        data, path, _DOCS_HEADER, DOCS_MAGIC, DOCS_VERSION, "document container"
+    )
+    ids, indptr, terms_counts, weights = container.arrays(
+        data, path, _DOCS_HEADER, ("u1", id_bytes), (_INDPTR, n + 1), (_INT32, 2 * nnz),
+        (_WEIGHT, nnz),
+    )
     try:
-        ids = data[off:off + id_bytes].decode("utf-8").split("\n")
+        ids = ids.tobytes().decode("utf-8").split("\n")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: document ids are not UTF-8") from None
     if ids.pop() != "" or len(ids) != n:
         raise FormatError(f"{path}: expected {n} newline-ended document ids")
     if "" in ids:
         raise FormatError(f"{path}: empty document id")
-    off += id_bytes
-    indptr = np.frombuffer(data, _INDPTR, n + 1, off).astype(np.int64)
-    off += 8 * (n + 1)
-    terms, counts = np.frombuffer(data, _INT32, 2 * nnz, off).astype(np.int64).reshape(2, nnz)
-    off += 8 * nnz
-    weights = np.frombuffer(data, _WEIGHT, nnz, off).astype(np.float64)
+    indptr, weights = indptr.astype(np.int64), weights.astype(np.float64)
+    terms, counts = terms_counts.astype(np.int64).reshape(2, nnz)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: document offsets must rise from 0 to {nnz} entries")
     docs = DocBatch(ids, indptr, terms, counts, weights)

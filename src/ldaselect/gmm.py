@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
+from . import container
 from .errors import FormatError, ValidationError
 from .kmeans import kmeans_pp_indices
 
@@ -295,35 +296,21 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
 
 def save_gmm(model: GmmModel, path) -> None:
     n, d = model.n_components, model.frame_dim
-    with open(path, "wb") as fh:
-        fh.write(_GMM_HEADER.pack(GMM_MAGIC, GMM_VERSION, n, d))
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.means, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.variances, dtype="<f8").tobytes())
+    container.write(
+        path, _GMM_HEADER, (GMM_MAGIC, GMM_VERSION, n, d),
+        [np.asarray(a, dtype="<f8") for a in (model.weights, model.means, model.variances)],
+    )
 
 
 def load_gmm(path) -> GmmModel:
     data = Path(path).read_bytes()
-    if len(data) < _GMM_HEADER.size:
-        raise FormatError(f"{path}: truncated mixture model header")
-    magic, version, n, d = _GMM_HEADER.unpack_from(data)
-    if magic != GMM_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {GMM_MAGIC!r}")
-    if version != GMM_VERSION:
-        raise FormatError(f"{path}: unsupported mixture model version {version}")
+    n, d = container.read(data, path, _GMM_HEADER, GMM_MAGIC, GMM_VERSION, "mixture model")
     if n < 1 or d < 1:
         raise FormatError(f"{path}: invalid dimensions {n}x{d}")
-    expected = _GMM_HEADER.size + 8 * (n + 2 * n * d)
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, got {len(data)}"
-        )
-    off = _GMM_HEADER.size
-    weights = np.frombuffer(data, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    means = np.frombuffer(data, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-    off += 8 * n * d
-    variances = np.frombuffer(data, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
+    weights, means, variances = (a.copy() for a in container.arrays(
+        data, path, _GMM_HEADER, ("<f8", n), ("<f8", n * d), ("<f8", n * d)
+    ))
+    means, variances = means.reshape(n, d), variances.reshape(n, d)
     if not (
         np.all(np.isfinite(weights)) and np.all(np.isfinite(means))
         and np.all(np.isfinite(variances))

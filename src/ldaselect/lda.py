@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from . import container
 from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
 
@@ -455,30 +456,19 @@ def extract_posteriors(
 
 def save_lda(model: LdaModel, path) -> None:
     k, v = model.n_topics, model.vocab_size
-    with open(path, "wb") as fh:
-        fh.write(_LDA_HEADER.pack(LDA_MAGIC, LDA_VERSION, k, v))
-        fh.write(np.ascontiguousarray(model.alpha, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.log_beta, dtype="<f8").tobytes())
+    container.write(
+        path, _LDA_HEADER, (LDA_MAGIC, LDA_VERSION, k, v),
+        [np.asarray(a, dtype="<f8") for a in (model.alpha, model.log_beta)],
+    )
 
 
 def load_lda(path) -> LdaModel:
     data = Path(path).read_bytes()
-    if len(data) < _LDA_HEADER.size:
-        raise FormatError(f"{path}: truncated topic model header")
-    magic, version, k, v = _LDA_HEADER.unpack_from(data)
-    if magic != LDA_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {LDA_MAGIC!r}")
-    if version != LDA_VERSION:
-        raise FormatError(f"{path}: unsupported topic model version {version}")
+    k, v = container.read(data, path, _LDA_HEADER, LDA_MAGIC, LDA_VERSION, "topic model")
     if k < 1 or v < 1:
         raise FormatError(f"{path}: invalid dimensions {k}x{v}")
-    expected = _LDA_HEADER.size + 8 * (k + k * v)
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    off = _LDA_HEADER.size
-    alpha = np.frombuffer(data, dtype="<f8", count=k, offset=off).copy()
-    off += 8 * k
-    log_beta = np.frombuffer(data, dtype="<f8", count=k * v, offset=off).reshape(k, v).copy()
+    alpha, log_beta = container.arrays(data, path, _LDA_HEADER, ("<f8", k), ("<f8", k * v))
+    alpha, log_beta = alpha.copy(), log_beta.reshape(k, v).copy()
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
         raise FormatError(f"{path}: alpha must be positive and finite")
     if np.any(np.isnan(log_beta)) or np.any(log_beta > 0):
