@@ -233,15 +233,18 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def write_features(matrix, path) -> None:
-    """Write a frames x dim matrix as a binary feature file (float32)."""
+    """Write a frames x dim matrix as a binary feature file (float32). A
+    matrix that is not finite once cast to float32, NaN, Inf or a value
+    beyond float32's range, is refused before the file is opened."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("feature matrix contains NaN or Inf")
+    with np.errstate(over="ignore"):
+        frames = arr.astype("<f4")
+    if not np.all(np.isfinite(frames)):
+        raise ValidationError("feature matrix contains NaN or Inf, or values beyond float32")
     container.write(
-        path, _FEATURE_HEADER, (FEATURE_MAGIC, FEATURE_VERSION, *arr.shape),
-        [arr.astype("<f4")],
+        path, _FEATURE_HEADER, (FEATURE_MAGIC, FEATURE_VERSION, *arr.shape), [frames]
     )
 
 

@@ -288,6 +288,20 @@ def test_feature_non_finite_rejected(tmp_path):
         read_feature_file(p)
 
 
+def test_write_features_refuses_values_beyond_float32(tmp_path):
+    """A value whose float32 cast is not finite is refused before the file is
+    opened, with no cast warning, instead of being written as Inf that the
+    reader then rejects; float32's largest values still round-trip."""
+    p = tmp_path / "f.aldf"
+    for value in (1e39, -1e39, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            write_features(np.array([[0.0, value]]), p)
+        assert not p.exists()
+    top = float(np.finfo(np.float32).max)
+    write_features(np.array([[top, -top]]), p)
+    assert read_feature_file(p).tolist() == [[top, -top]]
+
+
 def test_write_features_unwritable_path(tmp_path):
     with pytest.raises(OSError):
         write_features(np.ones((1, 1)), tmp_path / "no_such_dir" / "f.aldf")
