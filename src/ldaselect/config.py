@@ -100,7 +100,8 @@ def _convert(hint, text: str):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a config file; unknown sections or keys are rejected."""
+    """Parse a config file; unknown sections or keys, and a field set under
+    two names in one section, are rejected."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     path = Path(path)
     if not path.is_file():
@@ -116,12 +117,19 @@ def load_config(path) -> PipelineConfig:
             raise ValidationError(f"{path}: unknown config section [{section}]")
         target = getattr(config, section)
         hints = get_type_hints(type(target))
+        keys: dict[str, str] = {}
         for name, text in parser.items(section):
             field_name = _KEY_ALIASES.get((section, name), name)
             if field_name not in hints:
                 raise ValidationError(
                     f"{path}: unknown key '{name}' in section [{section}]"
                 )
+            if field_name in keys:
+                raise ValidationError(
+                    f"{path}: section [{section}] sets {field_name} twice, as "
+                    f"'{keys[field_name]}' and as '{name}'"
+                )
+            keys[field_name] = name
             try:
                 value = _convert(hints[field_name], text)
             except ValueError:

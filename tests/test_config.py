@@ -131,6 +131,22 @@ def test_lambda_alias_and_threshold_key(tmp_path):
     assert load_config(path).selection.threshold == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("section, keys", [
+    ("selection", ("lambda = 0.3", "threshold = 0.5")),
+    ("selection", ("threshold = 0.5", "lambda = 0.3")),
+    ("text", ("threshold = 0.4", "lambda = 0.2")),
+])
+def test_threshold_set_under_both_names_rejected(tmp_path, section, keys):
+    """A field set as both ``lambda`` and ``threshold`` is refused, not left
+    to whichever line comes last."""
+    path = _write_config(tmp_path, f"[{section}]\n" + "\n".join(keys) + "\n")
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    message = str(exc.value)
+    assert f"[{section}]" in message
+    assert "'lambda'" in message and "'threshold'" in message
+
+
 def test_unknown_section_and_key_rejected(tmp_path):
     path = _write_config(tmp_path, "[mystery]\nx = 1\n")
     with pytest.raises(ValidationError) as exc:
