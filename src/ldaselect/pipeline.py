@@ -7,6 +7,7 @@ next begins, and is skipped on re-runs when its inputs, parameters and output
 names hash to the same key as the cached entry.
 """
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -102,23 +103,21 @@ class Runner:
 
     @contextmanager
     def owned(self):
-        """Exclusive use of the work dir: create it, take its O_EXCL ``.lock``
-        file and only then read ``cache.json``, so no other run can change the
-        cache between the read and this run's stages. Every stage and
-        selection write happens inside; the lock goes on exit."""
+        """Exclusive use of the work dir: create it, hold an exclusive
+        ``flock`` on its ``.lock`` file and only then read ``cache.json``, so
+        no other run can change the cache between the read and this run's
+        stages. Every stage and selection write happens inside. The kernel
+        drops the lock when the file is closed or the process dies, however
+        it dies, so no lock is ever left to remove by hand. The file stays:
+        unlinked, a later run could lock a fresh file while another run still
+        holds the old one."""
         self.work.mkdir(parents=True, exist_ok=True)
         lock = self.work / ".lock"
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageError(
-                "lock",
-                f"work dir is locked ({lock}); remove the stale lock file "
-                "if no other run is active",
-            ) from None
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"{os.getpid()}\n")
+        with open(lock, "ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StageError("lock", f"work dir is locked by another run ({lock})") from None
             self.cache: dict = {}
             if self.cache_path.is_file():
                 try:
@@ -128,8 +127,6 @@ class Runner:
             self.skipped: dict[str, bool] = {}
             self._digests: dict = {}
             yield
-        finally:
-            lock.unlink(missing_ok=True)
 
     def write_selection(self, result: SelectionResult, audit: Path, manifest: Path) -> None:
         """Write ``result``'s audit and its selection manifest, a manifest of

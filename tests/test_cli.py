@@ -1,3 +1,4 @@
+import fcntl
 import logging
 
 import pytest
@@ -185,13 +186,14 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
 def test_combine_respects_work_dir_lock(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 0
     work = tmp_path / "work"
-    (work / ".lock").write_text("12345\n", encoding="utf-8")
     capsys.readouterr()
     audit = str(work / "selection.audit.tsv")
-    assert main(
-        ["combine", "--config", str(config_path), "--a", audit, "--b", audit,
-         "--out-prefix", "locked"]
-    ) == 2
+    with open(work / ".lock", "ab") as held:  # another run's hold on the lock
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(
+            ["combine", "--config", str(config_path), "--a", audit, "--b", audit,
+             "--out-prefix", "locked"]
+        ) == 2
     assert "locked" in capsys.readouterr().err
     assert not list(work.glob("locked*"))
 

@@ -1,9 +1,14 @@
+import fcntl
 import json
 import logging
 import os
 import shutil
+import signal
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +100,7 @@ def test_full_acoustic_run(tmp_path, corpus_dir):
     sel_manifest = read_manifest(tmp_path / "work" / "selection.tsv")
     assert sel_manifest.ids() == result.selection.ids()
     read_features(sel_manifest.utterances[0])
-    assert not (tmp_path / "work" / ".lock").exists()
+    assert _lock_is_free(tmp_path / "work")
 
 
 def test_rerun_skips_everything_and_output_stable(tmp_path, corpus_dir):
@@ -365,17 +370,68 @@ def test_keys_hash_the_manifest_bytes_the_runner_parsed(tmp_path, corpus_dir):
     assert audit == (tmp_path / "fresh" / "selection.audit.tsv").read_bytes()
 
 
+def _lock_is_free(work) -> bool:
+    """Whether the work dir's existing ``.lock`` can be locked now."""
+    with open(work / ".lock", "rb") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+    return True
+
+
 def test_lock_conflict_and_release(tmp_path, corpus_dir):
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
     work.mkdir()
-    (work / ".lock").write_text("12345\n", encoding="utf-8")
-    with pytest.raises(StageError) as exc:
-        run_pipeline(config)
-    assert "lock" in str(exc.value)
-    (work / ".lock").unlink()
+    with open(work / ".lock", "ab") as held:  # another run's hold on the lock
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(config)
+        assert "lock" in str(exc.value)
+        assert not _lock_is_free(work)
     run_pipeline(config)
-    assert not (work / ".lock").exists()
+    assert _lock_is_free(work)
+
+
+def test_lock_of_a_killed_run_holds_nothing(tmp_path, corpus_dir, deadline):
+    """A run killed by SIGKILL while it holds the work dir leaves no lock
+    behind: the next run goes ahead with nothing removed by hand."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        "[paths]\n" + "".join(
+            f"{key} = {getattr(config.paths, key)}\n"
+            for key in ("pool_manifest", "dev_manifest", "work_dir")
+        ),
+        encoding="utf-8",
+    )
+    holder = (
+        "import sys, time\n"
+        "from ldaselect.config import load_config\n"
+        "from ldaselect.pipeline import Runner\n"
+        "with Runner(load_config(sys.argv[1])).owned():\n"
+        "    print('locked', flush=True)\n"
+        "    time.sleep(60)\n"
+    )
+    src = str(Path(pipeline_module.__file__).parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", holder, str(config_file)], stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert child.stdout.readline() == "locked\n"
+        with pytest.raises(StageError):
+            run_pipeline(config)
+    finally:
+        child.kill()  # SIGKILL: no exit handler of the child runs
+        child.wait()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    result = run_pipeline(config)
+    assert not any(result.skipped.values())
+    assert _lock_is_free(work)
 
 
 def test_stage_subset_and_missing_inputs(tmp_path, corpus_dir):
