@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from ldaselect.cli import main
+from ldaselect.corpus import read_manifest
 from ldaselect.selection import read_audit
 
 
@@ -121,6 +122,20 @@ def test_stage_commands_and_lambda_override(config_path, tmp_path, capsys):
     assert main(
         ["select", "--config", str(config_path), "--lambda", "1.5"]
     ) == 1
+
+
+def test_select_max_hours_override(config_path, corpus_dir, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    budget = read_manifest(corpus_dir / "pool" / "pool.tsv").total_hours() / 2
+    assert main(
+        ["select", "--config", str(config_path), "--lambda", "1.0",
+         "--max-hours", repr(budget)]
+    ) == 0
+    assert "select: ran" in capsys.readouterr().out
+    audit = read_audit(tmp_path / "work" / "selection.audit.tsv")
+    assert 0 < len(audit.selected) < 20  # the budget, not the threshold, stopped it
+    assert audit.total_hours <= budget
 
 
 def test_seed_override_invalidates_cache(config_path, capsys):

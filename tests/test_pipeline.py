@@ -103,6 +103,20 @@ def test_full_acoustic_run(tmp_path, corpus_dir):
     assert _lock_is_free(tmp_path / "work")
 
 
+def test_spherical_clustering_run(tmp_path, corpus_dir):
+    config = _config(corpus_dir, tmp_path / "work")
+    config.cluster.spherical = True
+    # One cluster over both domains' posteriors, which point different ways:
+    # the plain mean of their unit rows is well inside the unit sphere.
+    config.cluster.n_clusters = 1
+    run_pipeline(config)
+    centroids = read_posteriors(tmp_path / "work" / "centroids.tsv").gamma
+    assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, rtol=0, atol=1e-8)
+    meta = json.loads((tmp_path / "work" / "centroids.meta.json").read_text(encoding="utf-8"))
+    assert meta["spherical"] is True
+    assert all(run_pipeline(config).skipped.values())
+
+
 def test_rerun_skips_everything_and_output_stable(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
