@@ -8,10 +8,11 @@ tf(v, doc) is the raw count divided by document length; idf uses the smoothed
 form log((1 + D) / (1 + df(v))) + 1, which is always >= 1, so every present
 term keeps a positive weight.
 
-Between stages a batch lives in one binary ``.adoc`` container
-(``save_docs``/``load_docs``), token bags and weighted documents alike. The
-reader takes the arrays with ``np.frombuffer`` and checks them vectorized;
-weights are stored to nine significant digits.
+Between stages a batch lives in one ``.adoc`` file (``save_docs``/
+``load_docs``), token bags and weighted documents alike: a :mod:`container`
+whose arrays are the ids and the CSR entries. The reader checks the entries
+vectorized on the container's views; weights are stored to nine significant
+digits.
 """
 
 import math
