@@ -101,8 +101,13 @@ def _convert(hint, text: str):
 
 def load_config(path) -> PipelineConfig:
     """Parse a config file; unknown sections or keys, and a field set under
-    two names in one section, are rejected."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    two names in one section, are rejected. ``[DEFAULT]`` is not special: it
+    is an unknown section like any other."""
+    # configparser copies the keys of its default section into every other
+    # section; a name no section header can hold turns that off.
+    parser = configparser.ConfigParser(
+        interpolation=None, delimiters=("=",), default_section="\n"
+    )
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import container
 from .errors import FormatError, ValidationError
@@ -274,7 +273,8 @@ def gmm_posteriors(model: GmmModel, frame) -> np.ndarray:
             f"frame has shape {x.shape}, model expects dimension {model.frame_dim}"
         )
     lj = _log_joint(model, x[None, :])[:, 0]
-    return np.exp(lj - logsumexp(lj))
+    post = np.exp(lj - lj.max())
+    return post / post.sum()
 
 
 def quantize(model: GmmModel, matrix) -> np.ndarray:

@@ -28,13 +28,13 @@ single-document form of the same sweep over the document's own terms; it is
 the one that forms phi and records the bound after every sweep.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from . import container
 from .docmodel import DocBatch
@@ -55,6 +55,26 @@ _BLOCK_CELLS = 1 << 21
 # at least B at the document's leading topic, so only a term given under
 # 1e-200 of its largest probability by that topic gets here.
 _MIN_PHINORM = 1e-200
+
+# Digamma: psi(x) = psi(x + 10) - sum_{i<10} 1 / (x + i), and psi(s) for
+# s >= 10 from the asymptotic series log s - 1/(2s) - sum_k B_2k / (2k s^2k),
+# k <= 7 (cephes psi_asy; Bernardo, Applied Statistics AS 103, 1976).
+# _PSI_SERIES holds B_2k / 2k, k = 7 down to 1, for Horner's rule in 1/s^2.
+# Terms i and 9 - i of the sum pair as (2x + 9) / (x (x + 9) + i (9 - i));
+# _PSI_PAIRS holds i (9 - i) for i = 1..3, after the pair i = 0's 20: the
+# smallest pairs are summed first. Constants are 0-d arrays, which numpy
+# takes faster than Python floats: most calls here are on a few hundred
+# elements, where the call, not the arithmetic, costs.
+_PSI_SERIES = tuple(
+    np.array(c) for c in (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
+)
+_PSI_PAIRS = tuple(np.array(c) for c in (18.0, 14.0, 8.0))
+_ONE, _HALF, _NINE, _TEN, _TWENTY = (np.array(c) for c in (1.0, 0.5, 9.0, 10.0, 20.0))
+# x (x + 9) would overflow past about 1e154. From 2**500 the ten terms come
+# to under 1e-149, far below an ulp of psi, so x is capped there.
+_PSI_CAP = np.array(2.0 ** 500)
+# Elements per pass, so that the four scratch rows stay in cache.
+_PSI_CHUNK = 1 << 14
 
 
 @dataclass
@@ -111,6 +131,56 @@ class Posteriors:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _digamma(x):
+    """psi(x), elementwise for positive x; a 0-d input gives a scalar."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    m = min(flat.size, _PSI_CHUNK)
+    scratch = np.empty((4, m))
+    for lo in range(0, flat.size, m):
+        xs, o = flat[lo:lo + m], out[lo:lo + m]
+        t, a, w, v = scratch[:, :xs.size]
+        # psi(s), s = x + 10: log s - r (1/2 + r P(r^2)), r = 1/s.
+        np.add(xs, _TEN, o)
+        np.divide(_ONE, o, t)
+        np.log(o, o)
+        np.multiply(t, t, a)
+        np.multiply(a, _PSI_SERIES[0], w)
+        for c in _PSI_SERIES[1:-1]:
+            w += c
+            w *= a
+        w += _PSI_SERIES[-1]
+        w *= t
+        w += _HALF
+        w *= t
+        o -= w
+        # Less sum_{i<10} 1 / (x + i), pair by pair: a = x (x + 9), t = 2x + 9.
+        np.minimum(xs, _PSI_CAP, out=t)
+        np.add(t, _NINE, a)
+        a *= t
+        t += t
+        t += _NINE
+        np.add(a, _TWENTY, w)
+        np.divide(t, w, w)
+        for c in _PSI_PAIRS:
+            np.add(a, c, v)
+            np.divide(t, v, v)
+            w += v
+        np.divide(t, a, a)
+        w += a
+        o -= w
+    return out.reshape(x.shape)[()]
+
+
+def _gammaln(x):
+    """log Gamma(x), elementwise (``math.lgamma``); a 0-d input gives a
+    scalar."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size)
+    return out.reshape(x.shape)[()]
 
 
 def _initial_gamma(alpha: np.ndarray, docs: DocBatch) -> np.ndarray:
@@ -173,33 +243,39 @@ class _Sweep:
     buffer ``buf``. An entry whose phinorm P[d, t] falls below
     ``_MIN_PHINORM`` is left out of S and takes its phi in log space.
 
-    ``own``, ``terms`` and ``weights`` give each entry's row, term and weight.
-    ``s`` (S) is valid until the next sweep reuses ``buf``.
+    ``own``, ``terms`` and ``weights`` give each entry's row, term and weight,
+    and ``flat`` its position in the flattened S (own * S's width + term), so
+    that gathering and scattering S take one index. ``s`` (S) is valid until
+    the next sweep reuses ``buf``.
     """
 
-    def __init__(self, alpha, gamma0, topics: _Topics, own, terms, weights, buf):
-        self.alpha, self.gamma0, self.topics = alpha, gamma0, topics
+    def __init__(self, alpha, gamma0, topics: _Topics, own, terms, weights, flat, buf):
+        self.alpha, self.topics = alpha, topics
         self.own, self.terms, self.weights = own, terms, weights
-        self.dig = digamma(gamma0)
+        self.dig = _digamma(gamma0)
         self.row_shift = self.dig.max(axis=1)
         self.e = self.dig - self.row_shift[:, None]
         np.exp(self.e, out=self.e)
         self.s = np.matmul(self.e, topics.exp, out=buf)
-        phinorm = self.s[own, terms]
+        s_flat = self.s.reshape(-1)
+        phinorm = s_flat[flat]
         self.small = np.flatnonzero(phinorm < _MIN_PHINORM)
         phinorm[self.small] = np.inf  # their S entries become 0
         self.phinorm = phinorm
         self.s.fill(0.0)
-        self.s[own, terms] = weights / phinorm
-        self.gamma = alpha + self.e * (self.s @ topics.exp.T)
-        # Log-space phi and log normalizer of the small entries.
-        log_phi = self.dig[own[self.small]] + topics.log_beta.T[terms[self.small]]
-        top = log_phi.max(axis=1, keepdims=True)
-        phi = np.exp(log_phi - top)
-        norm = phi.sum(axis=1, keepdims=True)
-        self.phi_small = phi / norm
-        self.log_z_small = (np.log(norm) + top)[:, 0]
+        s_flat[flat] = weights / phinorm
+        self.gamma = np.matmul(self.s, topics.exp.T)
+        self.gamma *= self.e
+        self.gamma += alpha
+        self.phi_small, self.log_z_small = np.zeros((0, len(alpha))), np.zeros(0)
         if self.small.size:
+            # Log-space phi and log normalizer of the small entries.
+            log_phi = self.dig[own[self.small]] + topics.log_beta.T[terms[self.small]]
+            top = log_phi.max(axis=1, keepdims=True)
+            phi = np.exp(log_phi - top)
+            norm = phi.sum(axis=1, keepdims=True)
+            self.phi_small = phi / norm
+            self.log_z_small = (np.log(norm) + top)[:, 0]
             self.gamma += _row_sums(
                 own[self.small], weights[self.small, None] * self.phi_small, len(gamma0)
             )
@@ -218,8 +294,8 @@ class _Sweep:
         w_log_z = np.bincount(self.own, weights=self.weights * log_z, minlength=len(self.e))
         g1 = self.gamma[rows]
         return (
-            gammaln(alpha.sum()) - gammaln(alpha).sum()
-            - gammaln(g1.sum(axis=1)) + gammaln(g1).sum(axis=1)
+            _gammaln(alpha.sum()) - _gammaln(alpha).sum()
+            - _gammaln(g1.sum(axis=1)) + _gammaln(g1).sum(axis=1)
             - ((g1 - alpha) * self.dig[rows]).sum(axis=1) + w_log_z[rows]
         )
 
@@ -259,25 +335,39 @@ def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     lengths = np.diff(batch.indptr)
     sweeps = np.zeros(lengths.size, dtype=np.int64)
-    # Documents still moving; terms and weights are compacted to their
-    # entries whenever a document leaves.
+    # Documents still moving, all swept ``sweep_no`` times, with their gamma,
+    # lengths, and their entries' rows, terms, weights and positions in S;
+    # all are compacted whenever a document leaves, which writes its gamma.
     active = np.flatnonzero(lengths)
+    g, lens = gamma[active], lengths[active]
     terms, weights = batch.terms, batch.weights
-    buf = np.empty((active.size, topics.exp.shape[1]))
+    width = topics.exp.shape[1]
+    own = np.repeat(np.arange(active.size), lens)
+    flat = own * width + terms
+    buf = np.empty((active.size, width))
+    sweep_no = 0
     while active.size:
-        lens = lengths[active]
-        own = np.repeat(np.arange(active.size), lens)
-        sweep = _Sweep(alpha, gamma[active], topics, own, terms, weights, buf[:active.size])
-        gamma[active] = sweep.gamma
-        sweeps[active] += 1
-        done = (np.abs(sweep.gamma - sweep.gamma0).mean(axis=1) < tol) | (
-            sweeps[active] >= max_iters
-        )
+        sweep = _Sweep(alpha, g, topics, own, terms, weights, flat, buf[:active.size])
+        sweep_no += 1
+        change = np.subtract(sweep.gamma, g)
+        np.abs(change, out=change)
+        # The mean as np.mean takes it (row sum / topics), without its
+        # per-call cost.
+        done = change.sum(axis=1) / change.shape[1] < tol
+        if sweep_no >= max_iters:
+            done[:] = True
         if on_sweep is not None:
             on_sweep(sweep, done)
+        g = sweep.gamma
         if done.any():
-            staying = ~np.repeat(done, lens)
-            active, terms, weights = active[~done], terms[staying], weights[staying]
+            leaving = active[done]
+            gamma[leaving], sweeps[leaving] = g[done], sweep_no
+            keep = ~done
+            staying = np.repeat(keep, lens)
+            active, g, lens = active[keep], g[keep], lens[keep]
+            terms, weights = terms[staying], weights[staying]
+            own = np.repeat(np.arange(active.size), lens)
+            flat = own * width + terms
     return sweeps
 
 
@@ -297,9 +387,9 @@ def elbo(model: LdaModel, doc: DocBatch, state: InferenceState) -> float:
     """
     _check_single(doc, model.vocab_size)
     alpha, gamma, phi = model.alpha, state.gamma, state.phi
-    elog_theta = digamma(gamma) - digamma(gamma.sum())
-    p_theta = gammaln(alpha.sum()) - gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
-    q_theta = gammaln(gamma.sum()) - gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
+    elog_theta = _digamma(gamma) - _digamma(gamma.sum())
+    p_theta = _gammaln(alpha.sum()) - _gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
+    q_theta = _gammaln(gamma.sum()) - _gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
     rows, topics = np.nonzero(phi)
     p = phi[rows, topics]
     log_beta = model.log_beta[topics, doc.terms[rows]]

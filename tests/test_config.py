@@ -158,6 +158,18 @@ def test_unknown_section_and_key_rejected(tmp_path):
     assert "n_topicz" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "rest", ["[lda]\nn_topics = 4\n", "[paths]\nwork_dir = w\n[lda]\n"], ids=["lda", "paths"]
+)
+def test_default_section_is_an_unknown_section(tmp_path, rest):
+    """configparser would copy ``[DEFAULT]``'s keys into every section: here
+    ``lda.seed`` but not ``quantizer.seed`` (absent), and an unknown key into
+    ``[paths]``. It is rejected as a section of its own instead."""
+    path = _write_config(tmp_path, "[DEFAULT]\nseed = 3\n" + rest)
+    with pytest.raises(ValidationError, match=r"unknown config section \[DEFAULT\]"):
+        load_config(path)
+
+
 SECTION_KEYS = {
     "paths": {"pool_manifest", "dev_manifest", "work_dir"},
     "quantizer": {

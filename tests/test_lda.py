@@ -557,17 +557,95 @@ def test_subnormal_phinorm_takes_the_log_space_path():
 
 
 def test_import_loads_no_scipy_sparse():
-    """The package must not pull in scipy.sparse: it adds resident memory to
-    every process, including those that do no topic inference."""
+    """The package, CLI included, must not pull in scipy at all (scipy.sparse
+    or scipy.special): it adds start-up time and resident memory to every
+    process, including those that do no topic inference."""
     src = Path(lda_module.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ldaselect; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+         "import sys, ldaselect, ldaselect.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Digamma and log Gamma
+
+EPS = np.finfo(np.float64).eps
+
+
+def _oracle_points(seed=0, n=1000):
+    """Log-spaced over [1e-300, 1e300], dense about psi's positive root
+    (1.4616...), and log-spaced over [0.05, 50], where LDA's gammas lie."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        10.0 ** rng.uniform(-300, 300, n), rng.uniform(1.3, 1.6, n),
+        10.0 ** rng.uniform(np.log10(0.05), np.log10(50), n),
+        [1e-300, 1e300, 0.05, 50.0, 1.0, 2.0, 1.4616321449683622],
+    ])
+
+
+@pytest.mark.parametrize(
+    "fn, oracle", [(lda_module._digamma, "digamma"), (lda_module._gammaln, "loggamma")],
+    ids=["digamma", "gammaln"],
+)
+def test_special_functions_match_mpmath(fn, oracle):
+    """Within 8 ulps of the 40-digit value, relative to max(1, |f(x)|): the
+    absolute error counts near the zeros of psi and log Gamma."""
+    mpmath = pytest.importorskip("mpmath")
+    x = _oracle_points()
+    with mpmath.workdps(40):
+        expected = np.array([float(getattr(mpmath, oracle)(mpmath.mpf(v))) for v in x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = fn(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    err = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+    assert err.max() <= 8 * EPS, f"x = {x[err.argmax()]!r}: {err.max() / EPS:.2f} ulps"
+
+
+@pytest.mark.parametrize(
+    "fn", [lda_module._digamma, lda_module._gammaln], ids=["digamma", "gammaln"]
+)
+def test_special_functions_keep_shape(fn):
+    """0-d arrays and Python scalars give scalars; arrays of any shape and
+    layout keep it, element for element, across the digamma chunk edge."""
+    x = 10.0 ** np.random.default_rng(1).uniform(-3, 4, (3, lda_module._PSI_CHUNK))
+    got = fn(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(fn(x.T), got.T)
+    np.testing.assert_array_equal(fn(x.ravel()), got.ravel())
+    for scalar in (np.float64(x[1, 2]), float(x[1, 2]), np.array(x[1, 2])):
+        value = fn(scalar)
+        assert np.ndim(value) == 0
+        assert value == got[1, 2]
+
+
+def test_special_functions_at_the_ends_raise_no_warning():
+    """x (x + 9) in the digamma recurrence would overflow at 1e300 and warn."""
+    x = np.array([1e-300, 1e154, 1e200, 1e300, np.finfo(np.float64).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = lda_module._digamma(x)
+        lgamma = lda_module._gammaln(x[:-1])
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(lgamma))
+    np.testing.assert_allclose(psi[1:], np.log(x[1:]), rtol=4 * EPS)
+
+
+def test_special_functions_agree_with_scipy():
+    """Within 10 ulps of scipy.special over the gammas LDA meets: each side's
+    own error against mpmath (8 here, about 2 for scipy) added up."""
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(2)
+    x = 10.0 ** rng.uniform(-3, 5, 20000)
+    for ours, theirs in ((lda_module._digamma, special.digamma),
+                         (lda_module._gammaln, special.gammaln)):
+        expected = theirs(x)
+        err = np.abs(ours(x) - expected) / np.maximum(1.0, np.abs(expected))
+        assert err.max() <= 10 * EPS, f"{ours.__name__}: {err.max() / EPS:.2f} ulps"
 
 
 # ---------------------------------------------------------------------------
