@@ -2,9 +2,9 @@
 
 Stages run in a fixed order (mixture training, quantization, weighting, topic
 model, posteriors, clustering, selection, optional transcript path and union,
-report). Every stage writes its artifacts into the work directory before the
+report). Every stage publishes its artifacts into the work directory before the
 next begins, and is skipped on re-runs when its inputs, parameters and output
-names hash to the same key as the cached entry.
+names hash to the cached key and its outputs still have their cached digests.
 """
 
 import fcntl
@@ -49,6 +49,29 @@ def stage_order(text_enabled: bool) -> list[str]:
 def _twin(stage: str, text: bool) -> tuple[str, str]:
     """Name and artifact prefix of an acoustic stage or of its text twin."""
     return (f"text-{stage}", "text_") if text else (stage, "")
+
+
+@contextmanager
+def publish(*paths: Path):
+    """Yield a temporary ``<name>.tmp`` beside each of ``paths`` to write, renamed
+    onto its final name if the block ends normally and removed otherwise: each
+    final name holds its old file or its new one, never a truncated one."""
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    try:
+        yield tmps
+        for tmp, p in zip(tmps, paths):
+            os.replace(tmp, p)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+
+
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while piece := fh.read(1 << 20):
+            h.update(piece)
+    return h.hexdigest()
 
 
 def _log_sweeps(stage: str, which: str, sweeps: np.ndarray, max_iters: int) -> None:
@@ -125,6 +148,7 @@ class Runner:
                 except json.JSONDecodeError:
                     log.warning("ignoring corrupt cache file %s", self.cache_path)
             self.skipped: dict[str, bool] = {}
+            # Work-dir file digests by name, manifest digests by (which, transcripts).
             self._digests: dict = {}
             yield
 
@@ -195,22 +219,28 @@ class Runner:
         self._digests[memo] = digest
         return digest
 
-    def _artifact(self, name: str) -> Path:
-        return self.work / name
+    def _digest(self, name: str) -> str | None:
+        """sha256 of the work-dir file ``name`` (None if there is none), read in
+        1 MiB pieces once per run and remembered until a stage replaces it."""
+        if name not in self._digests and (self.work / name).is_file():
+            self._digests[name] = _sha256(self.work / name)
+        return self._digests.get(name)
 
     def _run_stage(
         self, name: str, inputs: list[str], key_parts: list, outputs: list[str], fn
     ) -> None:
-        """Run ``fn(*output paths)`` unless the cached key of the stage's input
-        artifacts, ``key_parts`` and output names matches."""
+        """Run ``fn(*input paths, *temporary output paths)`` unless the cached
+        key of the input digests, ``key_parts`` and output names matches and
+        every output still has its recorded digest. Only here are the outputs
+        published, and only once ``fn`` has written them all."""
         h = hashlib.sha256(name.encode())
         for art in inputs:
-            path = self._artifact(art)
-            if not path.is_file():
+            digest = self._digest(art)
+            if digest is None:
                 raise StageError(
                     name, f"missing input artifact '{art}'; run earlier stages first"
                 )
-            h.update(path.read_bytes())
+            h.update(digest.encode())
         for part in key_parts:
             if isinstance(part, bytes):
                 h.update(part)
@@ -218,42 +248,30 @@ class Runner:
                 h.update(str(part).encode())
         h.update(repr(outputs).encode())
         key = h.hexdigest()
-        out_paths = [self._artifact(o) for o in outputs]
-        entry = self.cache.get(name)
-        if entry and entry.get("key") == key and all(p.is_file() for p in out_paths):
+        entry = self.cache.get(name, {})
+        if entry.get("key") == key and entry.get("outputs") == {o: self._digest(o) for o in outputs}:
             log.info("stage %s: skipped (cached)", name)
             self.skipped[name] = True
             return
         log.info("stage %s: running", name)
-        # ``fn`` rewrites the outputs in place: forget the old key first, so a
-        # run that fails part-way can never be skipped under it later.
-        if self.cache.pop(name, None) is not None:
-            self._save_cache()
         try:
-            fn(*out_paths)
+            with publish(*(self.work / o for o in outputs)) as tmps:
+                fn(*(self.work / i for i in inputs), *tmps)
+                digests = {o: _sha256(tmp) for o, tmp in zip(outputs, tmps)}
         except StageError:
             raise
         except (LdaSelectError, OSError) as exc:
             raise StageError(name, str(exc)) from exc
-        for p in out_paths:
-            if not p.is_file():
-                raise StageError(name, f"stage did not produce expected output {p}")
+        self._digests.update(digests)
         self.skipped[name] = False
-        self.cache[name] = {"key": key, "outputs": outputs}
+        self.cache[name] = {"key": key, "outputs": digests}
         self._save_cache()
 
     def _save_cache(self) -> None:
-        """Replace ``cache.json`` atomically: a crash leaves the old file or
-        the new one, never a truncated one."""
-        tmp = self.cache_path.with_name(self.cache_path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        try:
-            os.replace(tmp, self.cache_path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
+        with publish(self.cache_path) as (tmp,):
+            tmp.write_text(
+                json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
 
     # -- acoustic stages --------------------------------------------------
 
@@ -285,8 +303,8 @@ class Runner:
         )
 
     def stage_quantize(self) -> None:
-        def fn(out_pool: Path, out_dev: Path) -> None:
-            model = gmm.load_gmm(self._artifact("gmm.agmm"))
+        def fn(model_path: Path, out_pool: Path, out_dev: Path) -> None:
+            model = gmm.load_gmm(model_path)
             for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
                 tokens = [
                     gmm.quantize(model, corpus.read_features(utt))
@@ -315,11 +333,8 @@ class Runner:
     def stage_tfidf(self) -> None:
         vocab_size = self.config.quantizer.n_components
 
-        def fn(out_pool: Path, out_dev: Path) -> None:
-            bags = {
-                which: docmodel.load_docs(self._artifact(f"bags_{which}.adoc"))
-                for which in ("dev", "pool")
-            }
+        def fn(pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
+            bags = {"dev": docmodel.load_docs(dev), "pool": docmodel.load_docs(pool)}
             self._write_tfidf(bags, vocab_size, out_pool, out_dev)
 
         self._run_stage(
@@ -333,14 +348,16 @@ class Runner:
         name, prefix = _twin("train-lda", text)
         params = text_lda_params(self.config) if text else self.config.lda
 
-        def fn(out_model: Path) -> None:
+        def fn(pool: Path, dev: Path, *rest: Path) -> None:
+            *vocab, out_model = rest  # the text path's vocabulary comes first
             docs = docmodel.DocBatch.concat(
-                docmodel.load_docs(self._artifact(f"{prefix}weighted_{which}.adoc"))
+                docmodel.load_docs({"dev": dev, "pool": pool}[which])
                 for which in self._sources(params.train_source)
             )
-            vocab_size = (
-                self._text_vocab_size() if text else self.config.quantizer.n_components
-            )
+            vocab_size = self.config.quantizer.n_components
+            if text:
+                with open(vocab[0], encoding="utf-8") as fh:
+                    vocab_size = sum(1 for line in fh if line.strip())
             model = lda.train_lda(docs, params.n_topics, vocab_size, config=params)
             _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
             lda.save_lda(model, out_model)
@@ -358,12 +375,10 @@ class Runner:
         name, prefix = _twin("posteriors", text)
         params = self.config.lda
 
-        def fn(out_pool: Path, out_dev: Path) -> None:
-            model = lda.load_lda(self._artifact(f"{prefix}lda.alda"))
-            for which, out in (("pool", out_pool), ("dev", out_dev)):
-                docs = docmodel.load_docs(
-                    self._artifact(f"{prefix}weighted_{which}.adoc")
-                )
+        def fn(model_path: Path, pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
+            model = lda.load_lda(model_path)
+            for which, docs_path, out in (("pool", pool, out_pool), ("dev", dev, out_dev)):
+                docs = docmodel.load_docs(docs_path)
                 posts, sweeps = lda.extract_posteriors(
                     model, docs, tol=params.doc_tol, max_iters=params.doc_max_iterations
                 )
@@ -382,8 +397,8 @@ class Runner:
         name, prefix = _twin("cluster", text)
         c = self.config.cluster
 
-        def fn(out_centroids: Path, out_meta: Path) -> None:
-            X = lda.read_posteriors(self._artifact(f"{prefix}post_dev.tsv")).gamma
+        def fn(post_dev: Path, out_centroids: Path, out_meta: Path) -> None:
+            X = lda.read_posteriors(post_dev).gamma
             if not len(X):
                 raise ValidationError("no posterior vectors to cluster")
             if c.spherical:
@@ -431,9 +446,9 @@ class Runner:
         else:
             out_prefix = "selection_acoustic" if self.config.text.enabled else "selection"
 
-        def fn(out_audit: Path, out_manifest: Path) -> None:
-            posts = lda.read_posteriors(self._artifact(f"{prefix}post_pool.tsv"))
-            cents = lda.read_posteriors(self._artifact(f"{prefix}centroids.tsv"))
+        def fn(post_pool: Path, centroids: Path, out_audit: Path, out_manifest: Path) -> None:
+            posts = lda.read_posteriors(post_pool)
+            cents = lda.read_posteriors(centroids)
             result = select(posts, self.pool, cents.gamma, params)
             _log_selection(f"stage {name}", result, len(self.pool))
             self.write_selection(result, out_audit, out_manifest)
@@ -483,14 +498,9 @@ class Runner:
             fn,
         )
 
-    def _text_vocab_size(self) -> int:
-        with open(self._artifact("text_vocab.tsv"), encoding="utf-8") as fh:
-            return sum(1 for line in fh if line.strip())
-
     def stage_combine(self) -> None:
-        def fn(out_audit: Path, out_manifest: Path) -> None:
-            a = read_audit(self._artifact("selection_acoustic.audit.tsv"))
-            b = read_audit(self._artifact("selection_text.audit.tsv"))
+        def fn(acoustic: Path, text: Path, out_audit: Path, out_manifest: Path) -> None:
+            a, b = read_audit(acoustic), read_audit(text)
             self.write_selection(union_combine(a, b, self.pool), out_audit, out_manifest)
 
         self._run_stage(
@@ -501,9 +511,8 @@ class Runner:
         )
 
     def stage_report(self) -> None:
-        def fn(out_tsv: Path, out_txt: Path) -> None:
-            result = read_audit(self._artifact("selection.audit.tsv"))
-            rep = report(result, self.pool)
+        def fn(audit: Path, out_tsv: Path, out_txt: Path) -> None:
+            rep = report(read_audit(audit), self.pool)
             write_report_tsv(rep, out_tsv)
             out_txt.write_text(render_report(rep), encoding="utf-8")
 
@@ -541,7 +550,7 @@ class Runner:
         with self.owned():
             for name in stages:
                 self.run_stage(name)
-            audit = self._artifact("selection.audit.tsv")
+            audit = self.work / "selection.audit.tsv"
             selection = read_audit(audit) if audit.is_file() else SelectionResult()
         return PipelineResult(selection=selection, skipped=dict(self.skipped))
 
@@ -577,8 +586,8 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
     with runner.owned():
         for name in ACOUSTIC_STAGES[:-1]:  # everything up to and including cluster
             runner.run_stage(name)
-        posts = lda.read_posteriors(runner._artifact("post_pool.tsv"))
-        cents = lda.read_posteriors(runner._artifact("centroids.tsv")).gamma
+        posts = lda.read_posteriors(runner.work / "post_pool.tsv")
+        cents = lda.read_posteriors(runner.work / "centroids.tsv").gamma
         ranking = rank_pool(posts, runner.pool, cents)
         rows = []
         for lam in lambdas:
@@ -586,11 +595,11 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
             _log_selection(f"sweep lambda={lam:.9g}", result, len(runner.pool))
             tag = _lambda_tag(lam)
             runner.write_selection(
-                result, runner._artifact(f"selection_lambda_{tag}.audit.tsv"),
-                runner._artifact(f"selection_lambda_{tag}.tsv"),
+                result, runner.work / f"selection_lambda_{tag}.audit.tsv",
+                runner.work / f"selection_lambda_{tag}.tsv",
             )
             rep = report(result, runner.pool)
-            write_report_tsv(rep, runner._artifact(f"report_lambda_{tag}.tsv"))
+            write_report_tsv(rep, runner.work / f"report_lambda_{tag}.tsv")
             rows.append(
                 {
                     "lambda": lam,
@@ -600,7 +609,7 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
                     "passes": result.passes,
                 }
             )
-        with open(runner._artifact("sweep_summary.tsv"), "w", encoding="utf-8") as fh:
+        with open(runner.work / "sweep_summary.tsv", "w", encoding="utf-8") as fh:
             fh.write("lambda\tselected\thours\tpercent\tpasses\n")
             for r in rows:
                 fh.write(

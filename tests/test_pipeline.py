@@ -267,8 +267,10 @@ def _edit(kind, root, work):
             {"select", "text-select", "combine", "report"} if which == "pool" else set()
         )
         return path, path.read_bytes().index(b"\tdomain0\t") + 7, readers
-    path = work / "post_dev.tsv"  # leading digit of the first value
-    return path, path.read_bytes().index(b"\t") + 1, {"cluster"}
+    # Leading digit of the first value. The edit is seen by the file's producer,
+    # which reruns and restores it, so its reader ``cluster`` is skipped.
+    path = work / "post_dev.tsv"
+    return path, path.read_bytes().index(b"\t") + 1, {"posteriors"}
 
 
 @pytest.mark.parametrize(
@@ -277,8 +279,9 @@ def _edit(kind, root, work):
 def test_one_byte_edit_reruns_exactly_its_readers_and_their_dependents(
     kind, tmp_path, corpus_dir
 ):
-    """The stages that read the edited file rerun, and so does every stage
-    whose input artifacts changed as a result; every other stage is skipped."""
+    """The stages that read the edited input rerun (for an edited artifact, the
+    stage that wrote it), and so does every stage whose input artifacts changed
+    as a result; every other stage is skipped."""
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     work = tmp_path / "work"
     config = _config(tmp_path / "corpus", work, text=True)
@@ -295,10 +298,82 @@ def test_one_byte_edit_reruns_exactly_its_readers_and_their_dependents(
         if any(before[a] != after[a] for a in inputs)
     }
     ran = {stage for stage, skipped in result.skipped.items() if not skipped}
-    if kind == "artifact":
-        # Whether the producer notices its edited output is open (ROADMAP item 3).
-        ran.discard("posteriors")
     assert ran == expected
+
+
+@pytest.mark.parametrize(
+    "output, producer",
+    [
+        ("gmm.agmm", "train-gmm"), ("bags_dev.adoc", "quantize"),
+        ("centroids.meta.json", "cluster"), ("text_vocab.tsv", "text-tfidf"),
+        ("selection.tsv", "combine"), ("report.txt", "report"),
+    ],
+)
+def test_flipped_byte_in_an_output_reruns_its_producer(output, producer, tmp_path, corpus_dir):
+    """A cached output whose bytes no longer have the recorded digest is
+    rebuilt by the stage that wrote it; the rebuilt file is the original, so
+    no other stage reruns."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    path = work / output
+    good = path.read_bytes()
+    data = bytearray(good)
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+    result = run_pipeline(config)
+    assert {stage for stage, skipped in result.skipped.items() if not skipped} == {producer}
+    assert path.read_bytes() == good
+
+
+def test_stage_failing_mid_write_leaves_its_old_outputs(tmp_path, corpus_dir, monkeypatch):
+    """A stage that raises after writing part of an output leaves every final
+    name as it was and no temporary file; its cache entry still holds."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    run_pipeline(config)
+    before = {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cache.json"}
+
+    def half_then_fail(posteriors, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(posteriors.ids[0] + "\t0.")
+        raise OSError("injected failure half-way through a posterior file")
+
+    monkeypatch.setattr(pipeline_module.lda, "write_posteriors", half_then_fail)
+    with pytest.raises(StageError, match="injected"):
+        run_pipeline(replace(config, lda=replace(config.lda, doc_tol=1e-3)), ["posteriors"])
+    assert {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cache.json"} == before
+    monkeypatch.undo()
+    assert all(run_pipeline(config).skipped.values())
+
+
+def test_cached_run_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, monkeypatch):
+    """A cached run hashes each artifact once: the digest that verifies a
+    skipped stage's output is the one the next stage's key uses. The one file
+    opened twice is ``selection.audit.tsv``, read again for the selection the
+    run returns."""
+    import builtins
+    import io
+
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    opens = Counter()
+
+    def counting(real):
+        def wrapper(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == work:
+                opens[Path(file).name] += 1
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    for module in (builtins, io, os):
+        monkeypatch.setattr(module, "open", counting(module.open))
+    assert all(run_pipeline(config).skipped.values())
+    monkeypatch.undo()
+    assert opens.pop("selection.audit.tsv") == 2
+    assert set(opens) == {p.name for p in work.iterdir()} - {"selection.audit.tsv"}
+    assert set(opens.values()) == {1}
 
 
 def test_config_change_invalidates_only_downstream(tmp_path, corpus_dir):
@@ -739,8 +814,12 @@ def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
     run_pipeline(config, stages=["train-gmm"])
     before = json.loads((work / "cache.json").read_text(encoding="utf-8"))
 
+    real_replace = os.replace
+
     def fail(src, dst):
-        raise OSError("injected failure while replacing the cache file")
+        if Path(dst).name == "cache.json":
+            raise OSError("injected failure while replacing the cache file")
+        real_replace(src, dst)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline_module.os, "replace", fail)
@@ -840,10 +919,11 @@ def test_gmm_training_trace_is_logged(tmp_path, corpus_dir, caplog):
 
 
 def test_failed_stage_is_not_skipped_under_its_old_key(tmp_path, corpus_dir):
-    """A select that fails after rewriting its audit must not leave the old
-    cache entry pointing at that audit. (Every pool utterance of this corpus
-    lies within any threshold of a centroid, so an hour budget makes the
-    original selection differ from the failed one's.)"""
+    """A select that fails after writing its new audit leaves the old audit
+    and no temporary file, so the old cache entry still holds: a rerun under
+    the old parameters skips it. (Every pool utterance of this corpus lies
+    within any threshold of a centroid, so an hour budget makes the original
+    selection differ from the failed one's.)"""
     config = _config(corpus_dir, tmp_path / "work")
     config.selection.threshold = 0.2
     config.selection.max_hours = read_manifest(config.paths.pool_manifest).total_hours() / 2
@@ -860,10 +940,11 @@ def test_failed_stage_is_not_skipped_under_its_old_key(tmp_path, corpus_dir):
         config.selection = replace(budgeted, threshold=0.9, max_hours=None)
         with pytest.raises(StageError, match="injected"):
             run_pipeline(config, stages=["select"])
-    assert audit.read_bytes() != good  # the failed run did rewrite the audit
+    assert audit.read_bytes() == good
+    assert not list(audit.parent.glob("*.tmp"))
 
     config.selection = budgeted
     result = run_pipeline(config)
-    assert result.skipped["select"] is False
+    assert result.skipped["select"] is True
     assert result.skipped["cluster"] is True
     assert audit.read_bytes() == good
