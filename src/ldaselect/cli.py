@@ -14,7 +14,7 @@ from . import __version__
 from .config import PipelineConfig, load_config
 from .corpus import make_separated_spec, generate_synthetic_corpus
 from .errors import LdaSelectError, ValidationError
-from .pipeline import ACOUSTIC_STAGES, Runner, run_pipeline, sweep_lambda
+from .pipeline import ACOUSTIC_STAGES, Runner, publish, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
 from .selection import random_select, read_audit, union_combine
 
@@ -210,8 +210,8 @@ def _write_selection(runner: Runner, result, out_prefix: str) -> Path:
     """Audit and manifest of ``result`` in the runner's work dir; returns the
     manifest path."""
     manifest = runner.work / f"{out_prefix}.tsv"
-    with runner.owned():
-        runner.write_selection(result, runner.work / f"{out_prefix}.audit.tsv", manifest)
+    with runner.owned(), publish(runner.work / f"{out_prefix}.audit.tsv", manifest) as tmps:
+        runner.write_selection(result, *tmps)
     return manifest
 
 

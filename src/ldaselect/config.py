@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .errors import ValidationError
+from .corpus import decode_text
+from .errors import FormatError, ValidationError
 from .gmm import GmmConfig
 from .lda import LdaConfig
 from .selection import SelectionConfig, validate_selection_config
@@ -112,8 +113,8 @@ def load_config(path) -> PipelineConfig:
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except configparser.Error as exc:
+        parser.read_string(decode_text(path.read_bytes(), path), source=str(path))
+    except (configparser.Error, FormatError) as exc:
         raise ValidationError(f"cannot parse config file: {exc}") from None
     config = PipelineConfig()
     sections = {f.name for f in fields(config)}

@@ -113,7 +113,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
     fps = 100.0
     utterances: list[Utterance] = []
     seen: dict[str, int] = {}
-    lines = io.StringIO(data.decode("utf-8"), newline=None)
+    lines = io.StringIO(decode_text(data, path), newline=None)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -272,6 +272,28 @@ def read_file(path) -> bytes:
         os.close(fd)
 
 
+def decode_text(data: bytes, path) -> str:
+    """``data``, the bytes of the text file ``path``, as UTF-8; bytes that are
+    not raise FormatError naming the file and the line that holds them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def text_lines(fh, path):
+    """``(line number, line)`` for each line of ``fh``, the text file ``path``
+    opened in binary mode, decoded as UTF-8 one line at a time (a line that is
+    not UTF-8 raises FormatError naming it)."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
+        yield lineno, line
+
+
 def read_feature_file(path) -> np.ndarray:
     """Read a binary feature file into a float32 array of shape (frames, dim)."""
     data = read_file(path)
@@ -337,8 +359,7 @@ def read_transcript(utt: Utterance) -> str:
         return ""
     if not os.path.isfile(p):
         raise FormatError(f"missing transcript file for utterance '{utt.id}': {p}")
-    with open(p, encoding="utf-8") as fh:
-        return fh.read()
+    return decode_text(read_file(p), p)
 
 
 # ---------------------------------------------------------------------------

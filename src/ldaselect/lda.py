@@ -37,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import container
+from .corpus import text_lines
 from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
 
@@ -606,8 +607,8 @@ def read_posteriors(path) -> Posteriors:
         return FormatError(f"{path}:{lineno}: {message}")
 
     k = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in text_lines(fh, path):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue

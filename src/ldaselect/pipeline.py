@@ -129,7 +129,8 @@ class Runner:
         """Exclusive use of the work dir: create it, hold an exclusive
         ``flock`` on its ``.lock`` file and only then read ``cache.json``, so
         no other run can change the cache between the read and this run's
-        stages. Every stage and selection write happens inside. The kernel
+        stages. Every stage and selection write happens inside, and first the
+        ``*.tmp`` files a killed run left behind are removed. The kernel
         drops the lock when the file is closed or the process dies, however
         it dies, so no lock is ever left to remove by hand. The file stays:
         unlinked, a later run could lock a fresh file while another run still
@@ -141,11 +142,17 @@ class Runner:
                 fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StageError("lock", f"work dir is locked by another run ({lock})") from None
+            for tmp in self.work.glob("*.tmp"):
+                tmp.unlink()
             self.cache: dict = {}
             if self.cache_path.is_file():
-                try:
-                    self.cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
-                except json.JSONDecodeError:
+                try:  # ValueError: not UTF-8, or not JSON
+                    cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
+                except ValueError:
+                    cache = None
+                if isinstance(cache, dict) and all(isinstance(e, dict) for e in cache.values()):
+                    self.cache = cache
+                else:
                     log.warning("ignoring corrupt cache file %s", self.cache_path)
             self.skipped: dict[str, bool] = {}
             # Work-dir file digests by name, manifest digests by (which, transcripts).
@@ -594,12 +601,14 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
             result = ranking.select(replace(config.selection, threshold=lam))
             _log_selection(f"sweep lambda={lam:.9g}", result, len(runner.pool))
             tag = _lambda_tag(lam)
-            runner.write_selection(
-                result, runner.work / f"selection_lambda_{tag}.audit.tsv",
-                runner.work / f"selection_lambda_{tag}.tsv",
-            )
             rep = report(result, runner.pool)
-            write_report_tsv(rep, runner.work / f"report_lambda_{tag}.tsv")
+            with publish(
+                runner.work / f"selection_lambda_{tag}.audit.tsv",
+                runner.work / f"selection_lambda_{tag}.tsv",
+                runner.work / f"report_lambda_{tag}.tsv",
+            ) as (audit, manifest, rep_tsv):
+                runner.write_selection(result, audit, manifest)
+                write_report_tsv(rep, rep_tsv)
             rows.append(
                 {
                     "lambda": lam,
@@ -609,11 +618,13 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
                     "passes": result.passes,
                 }
             )
-        with open(runner.work / "sweep_summary.tsv", "w", encoding="utf-8") as fh:
-            fh.write("lambda\tselected\thours\tpercent\tpasses\n")
-            for r in rows:
-                fh.write(
+        with publish(runner.work / "sweep_summary.tsv") as (summary,):
+            summary.write_text(
+                "lambda\tselected\thours\tpercent\tpasses\n" + "".join(
                     f"{r['lambda']:.9g}\t{r['selected']}\t{r['hours']:.9g}"
                     f"\t{r['percent']:.9g}\t{r['passes']}\n"
-                )
+                    for r in rows
+                ),
+                encoding="utf-8",
+            )
     return rows

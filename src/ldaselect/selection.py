@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest
+from .corpus import Manifest, text_lines
 from .errors import FormatError, ValidationError
 from .lda import Posteriors
 
@@ -278,18 +278,21 @@ def write_audit(result: SelectionResult, path) -> None:
 
 def read_audit(path) -> SelectionResult:
     result = SelectionResult()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in text_lines(fh, path):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
                 for part in line.lstrip("# ").split("\t"):
                     key, _, val = part.partition("=")
-                    if key == "passes":
-                        result.passes = int(val)
-                    elif key == "total_hours":
-                        result.total_hours = float(val)
+                    try:
+                        if key == "passes":
+                            result.passes = int(val)
+                        elif key == "total_hours":
+                            result.total_hours = float(val)
+                    except ValueError:
+                        raise FormatError(f"{path}:{lineno}: malformed audit header") from None
                 continue
             fields = line.split("\t")
             if len(fields) != 4:

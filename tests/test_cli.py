@@ -1,8 +1,11 @@
 import fcntl
 import logging
+import shutil
+from pathlib import Path
 
 import pytest
 
+from ldaselect import pipeline as pipeline_module
 from ldaselect.cli import main
 from ldaselect.corpus import read_manifest
 from ldaselect.selection import read_audit
@@ -105,6 +108,53 @@ def test_exit_code_one_for_config_errors(corpus_dir, tmp_path, capsys):
     assert "[text] enabled" in capsys.readouterr().err
 
 
+def _prefix_ff(path, line):
+    """Put a 0xff byte, which no UTF-8 text holds, at the start of line ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("case", ["config", "manifest", "transcript", "posteriors", "audit"])
+def test_undecodable_text_and_malformed_audit_header_are_clean_errors(
+    case, corpus_dir, tmp_path, capsys
+):
+    """A config file that is not UTF-8 is a configuration error (exit 1). A
+    manifest, transcript or posterior file that is not UTF-8, and an audit
+    header whose pass count is not a number, are format errors naming the
+    file and line (exit 2)."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    cfg = _write_config(
+        corpus, tmp_path / "work", tmp_path / "run.cfg", extra="[text]\nenabled = true\n"
+    )
+    argv, code = ["run", "--config", str(cfg)], 2
+    if case == "config":
+        path, line, code = cfg, 2, 1
+    elif case == "manifest":
+        path, line = corpus / "pool" / "pool.tsv", 3
+    elif case == "transcript":
+        path = Path(read_manifest(corpus / "pool" / "pool.tsv").utterances[0].transcript_file)
+        line = 1
+        argv += ["--stages", "text-tfidf"]
+    elif case == "posteriors":
+        stages = "train-gmm,quantize,tfidf,train-lda,posteriors"
+        assert main(argv + ["--stages", stages]) == 0
+        path, line = tmp_path / "work" / "post_dev.tsv", 2
+        argv = ["cluster", "--config", str(cfg)]
+    if case == "audit":
+        path = tmp_path / "bad.audit.tsv"
+        path.write_text("# passes=abc\ttotal_hours=1\n", encoding="utf-8")
+        argv = ["report", "--config", str(cfg), "--audit", str(path)]
+        message = f"{path}:1: malformed audit header"
+    else:
+        _prefix_ff(path, line)
+        message = f"{path}:{line}: not UTF-8 text"
+    capsys.readouterr()
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_two_for_missing_artifacts(config_path, capsys):
     assert main(["select", "--config", str(config_path)]) == 2
     assert "earlier stages" in capsys.readouterr().err
@@ -196,6 +246,27 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
     combined = read_audit(work / "selection_combined.audit.tsv")
     greedy = read_audit(work / "selection.audit.tsv")
     assert set(combined.ids()) == set(greedy.ids()) | set(rand.ids())
+
+
+def test_selection_commands_leave_no_truncated_output(config_path, tmp_path, monkeypatch):
+    """``random-select`` and ``combine`` that fail while writing leave each
+    output name as it was (here: absent) and no temporary file."""
+    assert main(["run", "--config", str(config_path)]) == 0
+    work = tmp_path / "work"
+    audit = str(work / "selection.audit.tsv")
+
+    def half_then_fail(manifest, path):
+        path.write_text("# fps=100\n", encoding="utf-8")
+        raise OSError("injected failure while writing a selection manifest")
+
+    monkeypatch.setattr(pipeline_module.corpus, "write_manifest", half_then_fail)
+    before = sorted(work.iterdir())
+    for argv in (
+        ["random-select", "--budget-hours", "0.002"],
+        ["combine", "--a", audit, "--b", audit],
+    ):
+        assert main(argv + ["--config", str(config_path)]) == 2
+        assert sorted(work.iterdir()) == before
 
 
 def test_combine_respects_work_dir_lock(config_path, tmp_path, capsys):

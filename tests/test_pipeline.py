@@ -117,6 +117,38 @@ def test_spherical_clustering_run(tmp_path, corpus_dir):
     assert all(run_pipeline(config).skipped.values())
 
 
+def test_spherical_clusters_of_posteriors_that_differ_within_a_domain(tmp_path):
+    """Two spherical clusters over dev posteriors that point different ways
+    within each domain (closer domains, more topics than domains and a larger
+    alpha than ``corpus_dir``'s): each centroid is the unit-norm mean of the
+    unit rows nearest it, one cluster per domain."""
+    for role, n, seed, prefix in (("pool", 12, 11, ""), ("dev", 4, 12, "dev_")):
+        spec = make_separated_spec(
+            2, n, frames_range=(30, 50), separation=2.0, role=role, id_prefix=prefix
+        )
+        generate_synthetic_corpus(spec, seed=seed, out_dir=tmp_path / role)
+    config = _config(tmp_path, tmp_path / "work")
+    config.quantizer.n_components = 4
+    config.lda.n_topics = 3
+    config.lda.alpha = 0.5
+    config.cluster.spherical = True
+    run_pipeline(config)
+    posts = read_posteriors(tmp_path / "work" / "post_dev.tsv")
+    X = posts.gamma / np.linalg.norm(posts.gamma, axis=1, keepdims=True)
+    domains = np.array([i.split("_")[1] for i in posts.ids])
+    for d in set(domains):
+        assert np.ptp(X[domains == d], axis=0).max() > 0.01  # rows differ within a domain
+    centroids = read_posteriors(tmp_path / "work" / "centroids.tsv").gamma
+    assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, rtol=0, atol=1e-8)
+    nearest = np.argmax(X @ centroids.T, axis=1)
+    for j, centroid in enumerate(centroids):
+        assert len(set(domains[nearest == j])) == 1
+        mean = X[nearest == j].mean(axis=0)
+        assert np.allclose(centroid, mean / np.linalg.norm(mean), rtol=0, atol=1e-7)
+    meta = json.loads((tmp_path / "work" / "centroids.meta.json").read_text(encoding="utf-8"))
+    assert meta["cluster_sizes"] == [4, 4]
+
+
 def test_rerun_skips_everything_and_output_stable(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
@@ -830,6 +862,90 @@ def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
     assert not list(work.glob("cache.json.*"))
     result = run_pipeline(config, stages=["train-gmm", "quantize"])
     assert result.skipped == {"train-gmm": True, "quantize": False}
+
+
+@pytest.mark.parametrize("content", [b"[]", b'{"train-gmm": 1}', b'{"\xff": {}}'])
+def test_cache_file_of_the_wrong_shape_is_ignored(content, tmp_path, corpus_dir, caplog):
+    """A ``cache.json`` that is not an object of entry objects, or not UTF-8,
+    is ignored with a warning, as one that is not JSON is, and stages rerun."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    run_pipeline(config, stages=["train-gmm"])
+    (work / "cache.json").write_bytes(content)
+    with caplog.at_level(logging.WARNING, logger="ldaselect.pipeline"):
+        assert run_pipeline(config, stages=["train-gmm"]).skipped == {"train-gmm": False}
+    assert f"ignoring corrupt cache file {work / 'cache.json'}" in caplog.messages
+    assert run_pipeline(config, stages=["train-gmm"]).skipped == {"train-gmm": True}
+
+
+def test_run_killed_mid_write_leaves_no_truncated_artifact(tmp_path, corpus_dir, deadline):
+    """A run killed by SIGKILL while it writes a stage output leaves the old
+    output under the final name and a ``*.tmp`` beside it; the next run
+    removes the temporary and skips or reruns as the digests say."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    run_pipeline(config)
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        "[paths]\n" + "".join(
+            f"{key} = {getattr(config.paths, key)}\n"
+            for key in ("pool_manifest", "dev_manifest", "work_dir")
+        )
+        + "[quantizer]\nn_components = 2\nmax_iterations = 10\n"
+        "[lda]\nn_topics = 2\nalpha = 0.1\nem_max_iterations = 15\ndoc_tol = 0.001\n",
+        encoding="utf-8",
+    )
+    writer = (
+        "import sys, time\n"
+        "from ldaselect import lda\n"
+        "from ldaselect.config import load_config\n"
+        "from ldaselect.pipeline import run_pipeline\n"
+        "def stall(posteriors, path):\n"
+        "    with open(path, 'w', encoding='utf-8') as fh:\n"
+        "        fh.write(posteriors.ids[0] + '\\t0.')\n"
+        "    print('writing', flush=True)\n"
+        "    time.sleep(60)\n"
+        "lda.write_posteriors = stall\n"
+        "run_pipeline(load_config(sys.argv[1]), ['posteriors'])\n"
+    )
+    src = str(Path(pipeline_module.__file__).parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", writer, str(config_file)], stdout=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert child.stdout.readline() == "writing\n"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert (work / "post_pool.tsv.tmp").is_file()
+    assert {p.name: p.read_bytes() for p in work.iterdir() if p.suffix != ".tmp"} == before
+    assert all(run_pipeline(config).skipped.values())
+    assert not list(work.glob("*.tmp"))
+    faster = replace(config, lda=replace(config.lda, doc_tol=0.001))
+    assert run_pipeline(faster, ["posteriors"]).skipped == {"posteriors": False}
+
+
+def test_sweep_failing_mid_write_leaves_earlier_sweep_files(tmp_path, corpus_dir, monkeypatch):
+    """The sweep's selections, reports and summary are published by rename: a
+    sweep that fails while writing a report leaves every file of the sweep
+    before it as it was, and no temporary file."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    sweep_lambda(config, [0.3, 0.6])
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+
+    def half_then_fail(rep, path):
+        path.write_text("domain\t", encoding="utf-8")
+        raise OSError("injected failure while writing a report")
+
+    monkeypatch.setattr(pipeline_module, "write_report_tsv", half_then_fail)
+    with pytest.raises(OSError, match="injected"):
+        sweep_lambda(config, [0.6, 0.3])
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 def test_composition_report_from_audit(tmp_path, corpus_dir):
