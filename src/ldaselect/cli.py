@@ -14,11 +14,16 @@ from . import __version__
 from .config import PipelineConfig, load_config
 from .corpus import make_separated_spec, generate_synthetic_corpus
 from .errors import LdaSelectError, ValidationError
-from .pipeline import ACOUSTIC_STAGES, Runner, publish, run_pipeline, sweep_lambda
+from .pipeline import Runner, publish, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
 from .selection import random_select, read_audit, union_combine
 
 log = logging.getLogger(__name__)
+
+# One command per stage of the acoustic chain of ``Runner.stages``, in its order.
+STAGE_COMMANDS = [
+    "train-gmm", "quantize", "tfidf", "train-lda", "posteriors", "cluster", "select",
+]
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -60,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--fps", type=float, default=100.0)
     synth.add_argument("--seed", type=int, default=0)
 
-    for name in ACOUSTIC_STAGES:
+    for name in STAGE_COMMANDS:
         sub = subs.add_parser(name, help=f"run the {name} stage")
         _common_flags(sub)
         if name == "select":
@@ -266,7 +271,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# Every other command is a stage of ACOUSTIC_STAGES, run by _cmd_stage.
+# Every other command is one of STAGE_COMMANDS, run by _cmd_stage.
 _COMMANDS = {
     "synth": _cmd_synth,
     "run": _cmd_run,

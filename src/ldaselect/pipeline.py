@@ -1,10 +1,11 @@
 """End-to-end orchestration: staged artifacts, content-hash caching, locking.
 
-Stages run in a fixed order (mixture training, quantization, weighting, topic
-model, posteriors, clustering, selection, optional transcript path and union,
-report). Every stage publishes its artifacts into the work directory before the
-next begins, and is skipped on re-runs when its inputs, parameters and output
-names hash to the cached key and its outputs still have their cached digests.
+``Runner.stages`` declares each stage, in run order (mixture training,
+quantization, weighting, topic model, posteriors, clustering, selection,
+optional transcript path and union, report). Every stage publishes its
+artifacts into the work directory before the next begins, and is skipped on
+re-runs when its inputs, parameters and output names hash to the cached key
+and its outputs still have their cached digests.
 """
 
 import fcntl
@@ -12,43 +13,40 @@ import hashlib
 import json
 import logging
 import os
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus, docmodel, gmm, lda
 from .config import (
-    PipelineConfig, text_lda_params, text_select_params, validate_config,
+    LdaParams, PipelineConfig, text_lda_params, text_select_params, validate_config,
 )
 from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
 from .report import render_report, report, write_report_tsv
 from .selection import (
-    SelectionResult, centroid_id, rank_pool, read_audit, select, union_combine,
-    validate_selection_config, write_audit,
+    SelectionConfig, SelectionResult, centroid_id, rank_pool, read_audit, select,
+    union_combine, validate_selection_config, write_audit,
 )
 
 log = logging.getLogger(__name__)
 
-ACOUSTIC_STAGES = [
-    "train-gmm", "quantize", "tfidf", "train-lda", "posteriors", "cluster", "select",
-]
-TEXT_STAGES = [
-    "text-tfidf", "text-train-lda", "text-posteriors", "text-cluster",
-    "text-select", "combine",
-]
 
+@dataclass(frozen=True)
+class Stage:
+    """One entry of ``Runner.stages``: the work-dir files the stage reads, a
+    callable giving its other key parts (so manifest and feature digests are
+    computed only when the stage is checked), the files it writes, and its
+    body, called with the input paths and then the temporary output paths."""
 
-def stage_order(text_enabled: bool) -> list[str]:
-    return ACOUSTIC_STAGES + (TEXT_STAGES if text_enabled else []) + ["report"]
-
-
-def _twin(stage: str, text: bool) -> tuple[str, str]:
-    """Name and artifact prefix of an acoustic stage or of its text twin."""
-    return (f"text-{stage}", "text_") if text else (stage, "")
+    inputs: list[str]
+    key: Callable[[], list]
+    outputs: list[str]
+    body: Callable[..., None]
 
 
 @contextmanager
@@ -233,26 +231,22 @@ class Runner:
             self._digests[name] = _sha256(self.work / name)
         return self._digests.get(name)
 
-    def _run_stage(
-        self, name: str, inputs: list[str], key_parts: list, outputs: list[str], fn
-    ) -> None:
-        """Run ``fn(*input paths, *temporary output paths)`` unless the cached
-        key of the input digests, ``key_parts`` and output names matches and
-        every output still has its recorded digest. Only here are the outputs
-        published, and only once ``fn`` has written them all."""
+    def _run_stage(self, name: str, stage: Stage) -> None:
+        """Run ``stage``'s body unless the cached key of its input digests,
+        key parts and output names matches and every output still has its
+        recorded digest. Only here are the outputs published, and only once
+        the body has written them all."""
         h = hashlib.sha256(name.encode())
-        for art in inputs:
+        for art in stage.inputs:
             digest = self._digest(art)
             if digest is None:
                 raise StageError(
                     name, f"missing input artifact '{art}'; run earlier stages first"
                 )
             h.update(digest.encode())
-        for part in key_parts:
-            if isinstance(part, bytes):
-                h.update(part)
-            else:
-                h.update(str(part).encode())
+        for part in stage.key():
+            h.update(part if isinstance(part, bytes) else str(part).encode())
+        outputs = stage.outputs
         h.update(repr(outputs).encode())
         key = h.hexdigest()
         entry = self.cache.get(name, {})
@@ -263,7 +257,7 @@ class Runner:
         log.info("stage %s: running", name)
         try:
             with publish(*(self.work / o for o in outputs)) as tmps:
-                fn(*(self.work / i for i in inputs), *tmps)
+                stage.body(*(self.work / i for i in stage.inputs), *tmps)
                 digests = {o: _sha256(tmp) for o, tmp in zip(outputs, tmps)}
         except StageError:
             raise
@@ -280,53 +274,96 @@ class Runner:
                 json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
 
-    # -- acoustic stages --------------------------------------------------
+    # -- the stage table --------------------------------------------------
 
-    def stage_train_gmm(self) -> None:
+    @property
+    def stages(self) -> dict[str, Stage]:
+        """Every stage of this config by name, in run order: the acoustic
+        chain; with ``[text] enabled``, ``text-tfidf``, the text twins of the
+        four topic stages and ``combine``; then ``report``. Built on each read:
+        its bodies hold the runner, so a kept table would be a reference cycle."""
+        c, q, d = self.config, self.config.quantizer, self.config.docmodel
+
+        def manifests(spec: str, transcripts: bool = False) -> list[str]:
+            return [self._digest_manifest(w, transcripts) for w in self._sources(spec)]
+
+        stages = {
+            "train-gmm": Stage([], lambda: [repr(q)] + manifests(q.train_source),
+                               ["gmm.agmm"], self._train_gmm),
+            "quantize": Stage(["gmm.agmm"], lambda: manifests("dev+pool"),
+                              ["bags_pool.adoc", "bags_dev.adoc"], self._quantize),
+            "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"],
+                           lambda: [d.idf_source, q.n_components],
+                           ["weighted_pool.adoc", "weighted_dev.adoc"], self._tfidf),
+        }
+        stages |= self._topic_stages("", "", [], c.lda, c.selection,
+                                     "selection_acoustic" if c.text.enabled else "selection")
+        if c.text.enabled:
+            stages["text-tfidf"] = Stage(
+                [], lambda: [d.text_vocab_cap, d.idf_source] + manifests("dev+pool", True),
+                ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
+                self._text_tfidf)
+            stages |= self._topic_stages("text-", "text_", ["text_vocab.tsv"], text_lda_params(c),
+                                         text_select_params(c), "selection_text")
+            stages["combine"] = Stage(["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
+                                      lambda: [self.pool_dir_key, self.manifest_bytes["pool"]],
+                                      ["selection.audit.tsv", "selection.tsv"], self._combine)
+        stages["report"] = Stage(["selection.audit.tsv"], lambda: [self.manifest_bytes["pool"]],
+                                 ["report.tsv", "report.txt"], self._report)
+        return stages
+
+    def _topic_stages(self, n: str, p: str, vocab: list[str], lda_params: LdaParams,
+                      select_params: SelectionConfig, selection: str) -> dict[str, Stage]:
+        """``train-lda``, ``posteriors``, ``cluster`` and ``select`` named with
+        prefix ``n``, over the files named with prefix ``p``: the acoustic
+        chain's, or its text twins'. The text topic model also reads the
+        vocabulary ``vocab``; ``selection`` names the selection's outputs."""
+        l = self.config.lda
+        return {
+            f"{n}train-lda": Stage(
+                [f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc", *vocab],
+                lambda: [repr(lda_params)], [f"{p}lda.alda"],
+                partial(self._train_lda, f"{n}train-lda", lda_params)),
+            f"{n}posteriors": Stage(
+                [f"{p}lda.alda", f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc"],
+                lambda: [l.doc_tol, l.doc_max_iterations],
+                [f"{p}post_pool.tsv", f"{p}post_dev.tsv"],
+                partial(self._posteriors, f"{n}posteriors")),
+            f"{n}cluster": Stage([f"{p}post_dev.tsv"], lambda: [repr(self.config.cluster)],
+                                 [f"{p}centroids.tsv", f"{p}centroids.meta.json"], self._cluster),
+            f"{n}select": Stage(
+                [f"{p}post_pool.tsv", f"{p}centroids.tsv"],
+                lambda: [self.pool_dir_key, self.manifest_bytes["pool"], repr(select_params)],
+                [f"{selection}.audit.tsv", f"{selection}.tsv"],
+                partial(self._select, f"{n}select", select_params)),
+        }
+
+    # -- stage bodies: input paths, then temporary output paths -----------
+
+    def _train_gmm(self, out_model: Path) -> None:
         q = self.config.quantizer
-
-        def fn(out_model: Path) -> None:
-            X = corpus.sample_frames(
-                [self.manifests[w] for w in self._sources(q.train_source)],
-                q.max_train_frames, q.seed,
-            )
-            model = gmm.train_gmm(X, q.n_components, q)
-            h = model.loglik_history
-            log.log(
-                logging.INFO if model.converged else logging.WARNING,
-                "stage train-gmm: EM %s after %d iterations (max_iterations=%d) on "
-                "%d frames; log-likelihood %.9g -> %.9g; smallest component weight %.3g",
-                "converged" if model.converged else "hit max_iterations",
-                model.n_iterations, q.max_iterations, X.shape[0], h[0], h[-1],
-                float(model.weights.min()),
-            )
-            gmm.save_gmm(model, out_model)
-
-        self._run_stage(
-            "train-gmm", [],
-            [repr(q)] + [self._digest_manifest(w) for w in self._sources(q.train_source)],
-            ["gmm.agmm"],
-            fn,
+        X = corpus.sample_frames(
+            [self.manifests[w] for w in self._sources(q.train_source)],
+            q.max_train_frames, q.seed,
         )
-
-    def stage_quantize(self) -> None:
-        def fn(model_path: Path, out_pool: Path, out_dev: Path) -> None:
-            model = gmm.load_gmm(model_path)
-            for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
-                tokens = [
-                    gmm.quantize(model, corpus.read_features(utt))
-                    for utt in manifest
-                ]
-                docmodel.save_docs(
-                    docmodel.bag_of_words(manifest.ids(), tokens, model.n_components), out
-                )
-
-        self._run_stage(
-            "quantize", ["gmm.agmm"],
-            [self._digest_manifest(w) for w in self._sources("dev+pool")],
-            ["bags_pool.adoc", "bags_dev.adoc"],
-            fn,
+        model = gmm.train_gmm(X, q.n_components, q)
+        h = model.loglik_history
+        log.log(
+            logging.INFO if model.converged else logging.WARNING,
+            "stage train-gmm: EM %s after %d iterations (max_iterations=%d) on "
+            "%d frames; log-likelihood %.9g -> %.9g; smallest component weight %.3g",
+            "converged" if model.converged else "hit max_iterations",
+            model.n_iterations, q.max_iterations, X.shape[0], h[0], h[-1],
+            float(model.weights.min()),
         )
+        gmm.save_gmm(model, out_model)
+
+    def _quantize(self, model_path: Path, out_pool: Path, out_dev: Path) -> None:
+        model = gmm.load_gmm(model_path)
+        for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
+            tokens = [gmm.quantize(model, corpus.read_features(utt)) for utt in manifest]
+            bags = docmodel.bag_of_words(manifest.ids(), tokens, model.n_components)
+            docmodel.save_docs(bags, out)
 
     def _write_tfidf(self, bags: dict, vocab_size: int, out_pool: Path, out_dev: Path):
         """Weighted documents from the bags ``bags["dev"]`` and ``bags["pool"]``,
@@ -337,226 +374,111 @@ class Runner:
         for which, out in (("pool", out_pool), ("dev", out_dev)):
             docmodel.save_docs(docmodel.tfidf(bags[which], stats), out)
 
-    def stage_tfidf(self) -> None:
+    def _tfidf(self, pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
+        bags = {"dev": docmodel.load_docs(dev), "pool": docmodel.load_docs(pool)}
+        self._write_tfidf(bags, self.config.quantizer.n_components, out_pool, out_dev)
+
+    def _text_tfidf(self, out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
+        texts = {w: [corpus.read_transcript(u) for u in m] for w, m in self.manifests.items()}
+        vocab = docmodel.build_text_vocab(
+            texts["dev"] + texts["pool"], self.config.docmodel.text_vocab_cap
+        )
+        if len(vocab) == 0:
+            raise ValidationError("no transcript tokens available for the text path")
+        with open(out_vocab, "w", encoding="utf-8") as fh:
+            for tok, i in sorted(vocab.ids.items(), key=lambda kv: kv[1]):
+                fh.write(f"{tok}\t{i}\n")
+        bags = {
+            which: docmodel.bag_of_words(
+                self.manifests[which].ids(),
+                [docmodel.tokenize_transcript(text, vocab) for text in texts[which]],
+                len(vocab),
+            )
+            for which in ("dev", "pool")
+        }
+        self._write_tfidf(bags, len(vocab), out_pool, out_dev)
+
+    def _train_lda(self, name: str, params: LdaParams, pool: Path, dev: Path, *rest: Path) -> None:
+        *vocab, out_model = rest  # the text path's vocabulary comes first
+        docs = docmodel.DocBatch.concat(
+            docmodel.load_docs({"dev": dev, "pool": pool}[which])
+            for which in self._sources(params.train_source)
+        )
         vocab_size = self.config.quantizer.n_components
+        if vocab:
+            with open(vocab[0], encoding="utf-8") as fh:
+                vocab_size = sum(1 for line in fh if line.strip())
+        model = lda.train_lda(docs, params.n_topics, vocab_size, config=params)
+        _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
+        lda.save_lda(model, out_model)
 
-        def fn(pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
-            bags = {"dev": docmodel.load_docs(dev), "pool": docmodel.load_docs(pool)}
-            self._write_tfidf(bags, vocab_size, out_pool, out_dev)
-
-        self._run_stage(
-            "tfidf", ["bags_pool.adoc", "bags_dev.adoc"],
-            [self.config.docmodel.idf_source, vocab_size],
-            ["weighted_pool.adoc", "weighted_dev.adoc"],
-            fn,
-        )
-
-    def stage_train_lda(self, text: bool = False) -> None:
-        name, prefix = _twin("train-lda", text)
-        params = text_lda_params(self.config) if text else self.config.lda
-
-        def fn(pool: Path, dev: Path, *rest: Path) -> None:
-            *vocab, out_model = rest  # the text path's vocabulary comes first
-            docs = docmodel.DocBatch.concat(
-                docmodel.load_docs({"dev": dev, "pool": pool}[which])
-                for which in self._sources(params.train_source)
+    def _posteriors(self, name: str, model_path: Path, pool: Path, dev: Path,
+                    out_pool: Path, out_dev: Path) -> None:
+        l = self.config.lda
+        model = lda.load_lda(model_path)
+        for which, docs_path, out in (("pool", pool, out_pool), ("dev", dev, out_dev)):
+            posts, sweeps = lda.extract_posteriors(
+                model, docmodel.load_docs(docs_path), tol=l.doc_tol, max_iters=l.doc_max_iterations
             )
-            vocab_size = self.config.quantizer.n_components
-            if text:
-                with open(vocab[0], encoding="utf-8") as fh:
-                    vocab_size = sum(1 for line in fh if line.strip())
-            model = lda.train_lda(docs, params.n_topics, vocab_size, config=params)
-            _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
-            lda.save_lda(model, out_model)
+            _log_sweeps(name, which, sweeps, l.doc_max_iterations)
+            lda.write_posteriors(posts, out)
 
-        self._run_stage(
-            name,
-            [f"{prefix}weighted_pool.adoc", f"{prefix}weighted_dev.adoc"]
-            + (["text_vocab.tsv"] if text else []),
-            [repr(params)],
-            [f"{prefix}lda.alda"],
-            fn,
-        )
-
-    def stage_posteriors(self, text: bool = False) -> None:
-        name, prefix = _twin("posteriors", text)
-        params = self.config.lda
-
-        def fn(model_path: Path, pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
-            model = lda.load_lda(model_path)
-            for which, docs_path, out in (("pool", pool, out_pool), ("dev", dev, out_dev)):
-                docs = docmodel.load_docs(docs_path)
-                posts, sweeps = lda.extract_posteriors(
-                    model, docs, tol=params.doc_tol, max_iters=params.doc_max_iterations
-                )
-                _log_sweeps(name, which, sweeps, params.doc_max_iterations)
-                lda.write_posteriors(posts, out)
-
-        self._run_stage(
-            name,
-            [f"{prefix}lda.alda", f"{prefix}weighted_pool.adoc", f"{prefix}weighted_dev.adoc"],
-            [params.doc_tol, params.doc_max_iterations],
-            [f"{prefix}post_pool.tsv", f"{prefix}post_dev.tsv"],
-            fn,
-        )
-
-    def stage_cluster(self, text: bool = False) -> None:
-        name, prefix = _twin("cluster", text)
+    def _cluster(self, post_dev: Path, out_centroids: Path, out_meta: Path) -> None:
         c = self.config.cluster
-
-        def fn(post_dev: Path, out_centroids: Path, out_meta: Path) -> None:
-            X = lda.read_posteriors(post_dev).gamma
-            if not len(X):
-                raise ValidationError("no posterior vectors to cluster")
-            if c.spherical:
-                X = X / np.linalg.norm(X, axis=1, keepdims=True)
-            n_clusters = c.n_clusters
-            if n_clusters > X.shape[0]:
-                log.warning(
-                    "clamping cluster count %d to %d vectors", n_clusters, X.shape[0]
-                )
-                n_clusters = X.shape[0]
-            km = train_kmeans(
-                X, n_clusters, seed=c.seed, max_iterations=c.max_iterations,
-                normalize_centroids=c.spherical,
-            )
-            lda.write_posteriors(
-                lda.Posteriors([centroid_id(i) for i in range(n_clusters)], km.centroids),
-                out_centroids,
-            )
-            sizes = np.bincount(km.assignments, minlength=n_clusters).tolist()
-            out_meta.write_text(
-                json.dumps(
-                    {
-                        "inertia": km.inertia_history[-1],
-                        "n_iterations": km.n_iterations,
-                        "cluster_sizes": sizes,
-                        "spherical": c.spherical,
-                    },
-                    indent=2, sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-
-        self._run_stage(
-            name, [f"{prefix}post_dev.tsv"], [repr(c)],
-            [f"{prefix}centroids.tsv", f"{prefix}centroids.meta.json"],
-            fn,
+        X = lda.read_posteriors(post_dev).gamma
+        if not len(X):
+            raise ValidationError("no posterior vectors to cluster")
+        if c.spherical:
+            X = X / np.linalg.norm(X, axis=1, keepdims=True)
+        n_clusters = c.n_clusters
+        if n_clusters > X.shape[0]:
+            log.warning("clamping cluster count %d to %d vectors", n_clusters, X.shape[0])
+            n_clusters = X.shape[0]
+        km = train_kmeans(X, n_clusters, seed=c.seed, max_iterations=c.max_iterations,
+                          normalize_centroids=c.spherical)
+        lda.write_posteriors(
+            lda.Posteriors([centroid_id(i) for i in range(n_clusters)], km.centroids),
+            out_centroids,
         )
+        meta = {
+            "inertia": km.inertia_history[-1], "n_iterations": km.n_iterations,
+            "cluster_sizes": np.bincount(km.assignments, minlength=n_clusters).tolist(),
+            "spherical": c.spherical,
+        }
+        out_meta.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def stage_select(self, text: bool = False) -> None:
-        name, prefix = _twin("select", text)
-        params = text_select_params(self.config) if text else self.config.selection
-        if text:
-            out_prefix = "selection_text"
-        else:
-            out_prefix = "selection_acoustic" if self.config.text.enabled else "selection"
+    def _select(self, name: str, params: SelectionConfig, post_pool: Path, centroids: Path,
+                out_audit: Path, out_manifest: Path) -> None:
+        posts = lda.read_posteriors(post_pool)
+        result = select(posts, self.pool, lda.read_posteriors(centroids).gamma, params)
+        _log_selection(f"stage {name}", result, len(self.pool))
+        self.write_selection(result, out_audit, out_manifest)
 
-        def fn(post_pool: Path, centroids: Path, out_audit: Path, out_manifest: Path) -> None:
-            posts = lda.read_posteriors(post_pool)
-            cents = lda.read_posteriors(centroids)
-            result = select(posts, self.pool, cents.gamma, params)
-            _log_selection(f"stage {name}", result, len(self.pool))
-            self.write_selection(result, out_audit, out_manifest)
+    def _combine(self, acoustic: Path, text: Path, out_audit: Path, out_manifest: Path) -> None:
+        a, b = read_audit(acoustic), read_audit(text)
+        self.write_selection(union_combine(a, b, self.pool), out_audit, out_manifest)
 
-        self._run_stage(
-            name, [f"{prefix}post_pool.tsv", f"{prefix}centroids.tsv"],
-            [self.pool_dir_key, self.manifest_bytes["pool"], repr(params)],
-            [f"{out_prefix}.audit.tsv", f"{out_prefix}.tsv"],
-            fn,
-        )
-
-    # -- text-only stages -------------------------------------------------
-
-    def stage_text_tfidf(self) -> None:
-        d = self.config.docmodel
-
-        def fn(out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
-            texts = {
-                which: [corpus.read_transcript(u) for u in m]
-                for which, m in self.manifests.items()
-            }
-            vocab = docmodel.build_text_vocab(
-                texts["dev"] + texts["pool"], d.text_vocab_cap
-            )
-            if len(vocab) == 0:
-                raise ValidationError(
-                    "no transcript tokens available for the text path"
-                )
-            with open(out_vocab, "w", encoding="utf-8") as fh:
-                for tok, i in sorted(vocab.ids.items(), key=lambda kv: kv[1]):
-                    fh.write(f"{tok}\t{i}\n")
-            bags = {
-                which: docmodel.bag_of_words(
-                    self.manifests[which].ids(),
-                    [docmodel.tokenize_transcript(text, vocab) for text in texts[which]],
-                    len(vocab),
-                )
-                for which in ("dev", "pool")
-            }
-            self._write_tfidf(bags, len(vocab), out_pool, out_dev)
-
-        self._run_stage(
-            "text-tfidf", [],
-            [d.text_vocab_cap, d.idf_source]
-            + [self._digest_manifest(w, transcripts=True) for w in self._sources("dev+pool")],
-            ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
-            fn,
-        )
-
-    def stage_combine(self) -> None:
-        def fn(acoustic: Path, text: Path, out_audit: Path, out_manifest: Path) -> None:
-            a, b = read_audit(acoustic), read_audit(text)
-            self.write_selection(union_combine(a, b, self.pool), out_audit, out_manifest)
-
-        self._run_stage(
-            "combine", ["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
-            [self.pool_dir_key, self.manifest_bytes["pool"]],
-            ["selection.audit.tsv", "selection.tsv"],
-            fn,
-        )
-
-    def stage_report(self) -> None:
-        def fn(audit: Path, out_tsv: Path, out_txt: Path) -> None:
-            rep = report(read_audit(audit), self.pool)
-            write_report_tsv(rep, out_tsv)
-            out_txt.write_text(render_report(rep), encoding="utf-8")
-
-        self._run_stage(
-            "report", ["selection.audit.tsv"],
-            [self.manifest_bytes["pool"]],
-            ["report.tsv", "report.txt"],
-            fn,
-        )
+    def _report(self, audit: Path, out_tsv: Path, out_txt: Path) -> None:
+        rep = report(read_audit(audit), self.pool)
+        write_report_tsv(rep, out_tsv)
+        out_txt.write_text(render_report(rep), encoding="utf-8")
 
     # -- driver -----------------------------------------------------------
 
-    def run_stage(self, name: str) -> None:
-        """Run (or cache-skip) one stage of ``stage_order(True)`` by name, inside
-        ``owned()``. A ``text-`` stage without a method of its own is its
-        acoustic twin over the ``text_`` artifacts."""
-        method = getattr(self, "stage_" + name.replace("-", "_"), None)
-        if method is None:
-            getattr(self, "stage_" + name.removeprefix("text-").replace("-", "_"))(text=True)
-        else:
-            method()
-
     def run(self, stages: list[str] | None = None) -> PipelineResult:
-        order = stage_order(self.config.text.enabled)
-        if stages is None:
-            stages = order
-        else:
-            unknown = [s for s in stages if s not in stage_order(True)]
-            if unknown:
-                raise ValidationError(f"unknown stages: {unknown}")
-            off = [s for s in stages if s not in order]
-            if off:
-                raise ValidationError(f"stages {off} run only with [text] enabled = true")
-            stages = [s for s in order if s in stages]
+        """Run (or cache-skip) the stages named in ``stages``, all by default,
+        in table order inside ``owned()``."""
+        table = self.stages
+        missing = [s for s in stages or [] if s not in table]
+        if missing:
+            raise ValidationError(
+                f"stages {missing} are not in this run's chain {list(table)}; "
+                "the text stages and combine run only with [text] enabled = true"
+            )
         with self.owned():
-            for name in stages:
-                self.run_stage(name)
+            for name, stage in table.items():
+                if stages is None or name in stages:
+                    self._run_stage(name, stage)
             audit = self.work / "selection.audit.tsv"
             selection = read_audit(audit) if audit.is_file() else SelectionResult()
         return PipelineResult(selection=selection, skipped=dict(self.skipped))
@@ -591,8 +513,9 @@ def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
         )
     runner = Runner(config)
     with runner.owned():
-        for name in ACOUSTIC_STAGES[:-1]:  # everything up to and including cluster
-            runner.run_stage(name)
+        table = runner.stages
+        for name in list(table)[: list(table).index("select")]:  # up to and including cluster
+            runner._run_stage(name, table[name])
         posts = lda.read_posteriors(runner.work / "post_pool.tsv")
         cents = lda.read_posteriors(runner.work / "centroids.tsv").gamma
         ranking = rank_pool(posts, runner.pool, cents)

@@ -34,7 +34,6 @@ from ldaselect.lda import load_lda, read_posteriors
 from ldaselect.pipeline import (
     Runner,
     run_pipeline,
-    stage_order,
     sweep_lambda,
 )
 from ldaselect.report import report
@@ -88,7 +87,7 @@ def _config(corpus_dir, work_dir, text=False) -> PipelineConfig:
 def test_full_acoustic_run(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     result = run_pipeline(config)
-    assert set(result.skipped) == set(stage_order(False))
+    assert set(result.skipped) == set(Runner(config).stages)
     assert not any(result.skipped.values())
     for name in ACOUSTIC_ARTIFACTS:
         assert (tmp_path / "work" / name).is_file(), name
@@ -961,7 +960,7 @@ def test_composition_report_from_audit(tmp_path, corpus_dir):
 def test_cluster_count_clamped_to_vectors(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     config.cluster.n_clusters = 99  # far beyond the 8 dev vectors
-    run_pipeline(config, stages=stage_order(False)[:-1])
+    run_pipeline(config, stages=list(Runner(config).stages)[:-1])
     rows = [
         l for l in (tmp_path / "work" / "centroids.tsv").read_text().splitlines()
         if l.strip() and not l.startswith("#")
