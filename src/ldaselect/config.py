@@ -7,6 +7,7 @@ Every hyperparameter of the full-scale recipe is surfaced with its default
 
 import configparser
 from dataclasses import dataclass, field, fields, replace
+from math import inf
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -151,7 +152,7 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     q = config.quantizer
     if q.n_components < 1:
         raise ValidationError(f"quantizer.n_components must be >= 1, got {q.n_components}")
-    if q.max_iterations < 1 or q.tol <= 0 or q.var_floor_scale <= 0:
+    if q.max_iterations < 1 or not 0 < q.tol < inf or not 0 < q.var_floor_scale < inf:
         raise ValidationError("quantizer EM settings out of range")
     if q.init_subsample < 1 or q.max_train_frames < 1:
         raise ValidationError("quantizer sampling sizes must be >= 1")
@@ -169,12 +170,12 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     l = config.lda
     if l.n_topics < 1:
         raise ValidationError(f"lda.n_topics must be >= 1, got {l.n_topics}")
-    if l.em_tol <= 0 or l.doc_tol <= 0 or l.eta <= 0:
-        raise ValidationError("lda tolerances and eta must be positive")
+    if not all(0 < x < inf for x in (l.em_tol, l.doc_tol, l.eta)):
+        raise ValidationError("lda tolerances and eta must be finite and positive")
     if l.em_max_iterations < 1 or l.doc_max_iterations < 1:
         raise ValidationError("lda iteration limits must be >= 1")
-    if l.alpha is not None and l.alpha <= 0:
-        raise ValidationError(f"lda.alpha must be positive, got {l.alpha}")
+    if l.alpha is not None and not 0 < l.alpha < inf:
+        raise ValidationError(f"lda.alpha must be finite and positive, got {l.alpha}")
     if l.train_source not in SOURCES:
         raise ValidationError(
             f"lda.train_source must be one of {SOURCES}, got '{l.train_source}'"

@@ -17,6 +17,7 @@ float32 values in row-major order.
 
 import errno
 import io
+import math
 import os
 import re
 import stat
@@ -204,9 +205,12 @@ def _parse_int(text: str, path: Path, lineno: int, name: str) -> int:
 
 def _parse_float(text: str, path: Path, lineno: int, name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise FormatError(f"{path}:{lineno}: {name} is not a number: '{text}'") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{path}:{lineno}: {name} must be finite, got '{text}'")
+    return value
 
 
 def write_manifest(manifest: Manifest, path) -> None:

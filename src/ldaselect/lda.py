@@ -466,8 +466,8 @@ def train_lda(
         raise ValidationError("cannot train on an all-empty corpus")
 
     alpha_val = config.alpha if config.alpha is not None else 50.0 / n_topics
-    if alpha_val <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha_val}")
+    if not 0 < alpha_val < math.inf:
+        raise ValidationError(f"alpha must be finite and positive, got {alpha_val}")
     alpha = np.full(n_topics, alpha_val)
 
     if init_beta is None:

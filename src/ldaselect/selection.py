@@ -91,8 +91,10 @@ def validate_selection_config(config: SelectionConfig) -> None:
         raise ValidationError(
             f"distance threshold must be in (0, 1], got {config.threshold}"
         )
-    if config.max_hours is not None and config.max_hours <= 0:
-        raise ValidationError(f"hour budget must be positive, got {config.max_hours}")
+    if config.max_hours is not None and not 0 < config.max_hours < math.inf:
+        raise ValidationError(
+            f"hour budget must be finite and positive, got {config.max_hours}"
+        )
 
 
 def select(
@@ -243,8 +245,8 @@ def random_select(
     pool_manifest: Manifest, budget_hours: float, seed: int
 ) -> SelectionResult:
     """Budget-limited uniform baseline: shuffled prefix of the pool."""
-    if budget_hours <= 0:
-        raise ValidationError(f"hour budget must be positive, got {budget_hours}")
+    if not 0 < budget_hours < math.inf:
+        raise ValidationError(f"hour budget must be finite and positive, got {budget_hours}")
     total_pool = pool_manifest.total_hours()
     if budget_hours > total_pool + 1e-9:
         raise ValidationError(

@@ -188,6 +188,17 @@ def test_select_max_hours_override(config_path, corpus_dir, tmp_path, capsys):
     assert audit.total_hours <= budget
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_hour_budgets_exit_one(value, config_path, tmp_path, capsys):
+    """A NaN budget passed every ``<= 0`` check and selected the whole pool."""
+    assert main(["select", "--config", str(config_path), "--max-hours", value]) == 1
+    assert main(
+        ["random-select", "--config", str(config_path), "--budget-hours", value]
+    ) == 1
+    assert capsys.readouterr().err.count("hour budget must be finite and positive") == 2
+    assert not (tmp_path / "work").exists()
+
+
 def test_seed_override_invalidates_cache(config_path, capsys):
     assert main(["train-gmm", "--config", str(config_path)]) == 0
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import pytest
@@ -255,6 +256,17 @@ def test_validate_ranges():
         ("selection", "max_hours", -1.0),
         ("text", "n_topics", 0),
         ("text", "threshold", 0.0),
+    ]
+    # NaN passes every ``x <= 0`` check, and an infinite budget or tolerance
+    # switches its limit off, so each of these must also be finite.
+    cases += [
+        (section, key, value)
+        for section, key in [
+            ("quantizer", "tol"), ("quantizer", "var_floor_scale"), ("lda", "em_tol"),
+            ("lda", "doc_tol"), ("lda", "eta"), ("lda", "alpha"), ("selection", "max_hours"),
+            ("selection", "threshold"), ("text", "threshold"),
+        ]
+        for value in (math.nan, math.inf)
     ]
     for section, key, value in cases:
         config = PipelineConfig()

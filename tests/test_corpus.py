@@ -97,6 +97,16 @@ def test_read_manifest_bad_numbers(tmp_path):
     _write(p, "a\tf.aldf\t5\t2\t-1\tx\n")
     with pytest.raises(FormatError):
         read_manifest(p)
+    # A NaN or infinite duration would make total_hours() NaN or infinite; an
+    # infinite fps would make every derived duration 0.
+    for text, line in [
+        ("a\tf.aldf\t5\t2\tnan\tx\n", 1),
+        ("a\tf.aldf\t5\t2\tinf\tx\n", 1),
+        ("a\tf.aldf\t5\t2\t0.05\tx\n# fps=1e999\nb\tg.aldf\t5\t2\t\tx\n", 2),
+    ]:
+        _write(p, text)
+        with pytest.raises(FormatError, match=f"m.tsv:{line}: .* must be finite"):
+            read_manifest(p)
 
 
 def test_read_manifest_bad_role():

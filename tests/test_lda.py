@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -216,8 +217,9 @@ def test_alpha_default_and_override():
     assert np.allclose(model.alpha, 50.0 / 4)
     model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1, alpha=0.3))
     assert np.allclose(model.alpha, 0.3)
-    with pytest.raises(ValidationError):
-        train_lda(docs, 4, 2, LdaConfig(alpha=-1.0))
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="alpha"):
+            train_lda(docs, 4, 2, LdaConfig(alpha=alpha))
 
 
 def test_vocabulary_permutation_equivariance():

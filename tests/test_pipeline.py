@@ -357,6 +357,88 @@ def test_flipped_byte_in_an_output_reruns_its_producer(output, producer, tmp_pat
     assert path.read_bytes() == good
 
 
+def test_flipped_byte_in_any_declared_output_reruns_exactly_its_producer(tmp_path, corpus_dir):
+    """Every output the text-enabled stage table declares, damaged in place
+    after one cold run, is rebuilt by its producer alone, byte for byte."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    producers = {o: name for name, stage in Runner(config).stages.items() for o in stage.outputs}
+    assert len(producers) == 26
+    for output, producer in producers.items():
+        path = work / output
+        good = path.read_bytes()
+        data = bytearray(good)
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        result = run_pipeline(config)
+        assert {s for s, skipped in result.skipped.items() if not skipped} == {producer}, output
+        assert path.read_bytes() == good, output
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
+    """Each input is an earlier stage's output (a stage without inputs reads
+    the manifests), outputs are unique, the CLI's stage commands are the
+    acoustic prefix, reading the table touches no file, and a run executes
+    exactly the table's order."""
+    import builtins
+    import io
+
+    from ldaselect.cli import STAGE_COMMANDS
+
+    work = tmp_path / "work"
+    runner = Runner(_config(corpus_dir, work, text=text))
+    opens = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            opens.append(args[0])
+            return real(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for module in (builtins, io, os):
+            mp.setattr(module, "open", counting(module.open))
+        table = {name: (stage.inputs, stage.outputs) for name, stage in runner.stages.items()}
+    assert opens == [] and not work.exists()
+
+    written: list[str] = []
+    for name, (inputs, outputs) in table.items():
+        assert set(inputs) <= set(written), name
+        if not inputs:
+            assert name in MANIFEST_READERS
+        written += outputs
+    assert len(written) == len(set(written))
+    assert {name: inputs for name, (inputs, _) in table.items()} == {
+        name: inputs for name, inputs in STAGE_INPUTS.items() if name in table
+    }
+    text_chain = [
+        "text-tfidf", "text-train-lda", "text-posteriors", "text-cluster", "text-select",
+        "combine",
+    ]
+    assert list(table) == STAGE_COMMANDS + (text_chain if text else []) + ["report"]
+    assert list(runner.run().skipped) == list(table)
+
+
+def test_finished_runner_is_freed_without_the_cycle_collector(tmp_path, corpus_dir):
+    """The stage bodies hold their runner, so the runner must not keep the
+    table: a sweep after a run would otherwise hold both runners' manifests
+    and digests until the cycle collector ran."""
+    import gc
+    import weakref
+
+    runner = Runner(_config(corpus_dir, tmp_path / "work"))
+    runner.run(["train-gmm"])
+    ref = weakref.ref(runner)
+    gc.disable()
+    try:
+        del runner
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_stage_failing_mid_write_leaves_its_old_outputs(tmp_path, corpus_dir, monkeypatch):
     """A stage that raises after writing part of an output leaves every final
     name as it was and no temporary file; its cache entry still holds."""

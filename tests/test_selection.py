@@ -413,6 +413,9 @@ def test_random_select_validation():
         random_select(manifest, 0.0, seed=0)
     with pytest.raises(ValidationError):
         random_select(manifest, 1.0, seed=0)  # beyond the pool total
+    for budget in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            random_select(manifest, budget, seed=0)
 
 
 # ---------------------------------------------------------------------------
