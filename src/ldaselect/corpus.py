@@ -89,7 +89,7 @@ class Manifest:
         return sum(u.duration_s for u in self.utterances) / 3600.0
 
 
-_FPS_RE = re.compile(r"#\s*fps=([0-9.eE+\-]+)\s*$")
+_FPS_RE = re.compile(r"#\s*fps\s*[=:]\s*(.*?)\s*$", re.IGNORECASE)
 
 
 def read_manifest(path, role: str = "pool") -> Manifest:
@@ -120,8 +120,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
         if not line.strip():
             continue
         if line.lstrip().startswith("#"):
-            m = _FPS_RE.match(line.strip())
-            if m:
+            if m := _FPS_RE.match(line.strip()):
                 fps = _parse_float(m.group(1), path, lineno, "fps")
                 if fps <= 0:
                     raise FormatError(f"{path}:{lineno}: fps must be positive")

@@ -2,7 +2,8 @@
 
 ``Runner.stages`` declares each stage, in run order (mixture training,
 quantization, weighting, topic model, posteriors, clustering, selection,
-optional transcript path and union, report). Every stage publishes its
+optional transcript path and union, report); ``Runner.sweep`` runs a λ sweep
+stage after clustering instead of selection. Every stage publishes its
 artifacts into the work directory before the next begins, and is skipped on
 re-runs when its inputs, parameters and output names hash to the cached key
 and its outputs still have their cached digests.
@@ -338,6 +339,15 @@ class Runner:
                 partial(self._select, f"{n}select", select_params)),
         }
 
+    def _sweep_stage(self, lambdas: list[float]) -> Stage:
+        """``sweep``: each threshold's selection audit, manifest and report, then a summary."""
+        names = ("selection_lambda_{}.audit.tsv", "selection_lambda_{}.tsv", "report_lambda_{}.tsv")
+        return Stage(["post_pool.tsv", "centroids.tsv"],
+                     lambda: [self.pool_dir_key, self.manifest_bytes["pool"],
+                              repr((self.config.selection.max_hours, lambdas))],
+                     [n.format(_lambda_tag(lam)) for lam in lambdas for n in names]
+                     + ["sweep_summary.tsv"], partial(self._sweep, lambdas))
+
     # -- stage bodies: input paths, then temporary output paths -----------
 
     def _train_gmm(self, out_model: Path) -> None:
@@ -454,6 +464,21 @@ class Runner:
         _log_selection(f"stage {name}", result, len(self.pool))
         self.write_selection(result, out_audit, out_manifest)
 
+    def _sweep(self, lambdas: list[float], post_pool: Path, centroids: Path, *outs: Path) -> None:
+        *files, out_summary = outs
+        ranking = rank_pool(lda.read_posteriors(post_pool), self.pool,
+                            lda.read_posteriors(centroids).gamma)
+        lines = ["lambda\tselected\thours\tpercent\tpasses\n"]
+        for lam, audit, manifest, rep_tsv in zip(lambdas, files[::3], files[1::3], files[2::3]):
+            result = ranking.select(replace(self.config.selection, threshold=lam))
+            _log_selection(f"sweep lambda={lam:.9g}", result, len(self.pool))
+            rep = report(result, self.pool)
+            self.write_selection(result, audit, manifest)
+            write_report_tsv(rep, rep_tsv)
+            lines.append(f"{lam:.9g}\t{len(result.selected)}\t{result.total_hours:.9g}"
+                         f"\t{rep.total_percent:.9g}\t{result.passes}\n")
+        out_summary.write_text("".join(lines), encoding="utf-8")
+
     def _combine(self, acoustic: Path, text: Path, out_audit: Path, out_manifest: Path) -> None:
         a, b = read_audit(acoustic), read_audit(text)
         self.write_selection(union_combine(a, b, self.pool), out_audit, out_manifest)
@@ -476,12 +501,34 @@ class Runner:
                 "the text stages and combine run only with [text] enabled = true"
             )
         with self.owned():
-            for name, stage in table.items():
-                if stages is None or name in stages:
-                    self._run_stage(name, stage)
+            self._run_chain({n: s for n, s in table.items() if stages is None or n in stages})
             audit = self.work / "selection.audit.tsv"
             selection = read_audit(audit) if audit.is_file() else SelectionResult()
         return PipelineResult(selection=selection, skipped=dict(self.skipped))
+
+    def sweep(self, lambdas: list[float]) -> list[dict]:
+        """Run (or cache-skip) the acoustic chain through ``cluster``, then
+        ``sweep`` over ``lambdas``, in one ``owned()``; return a row per
+        threshold from ``sweep_summary.tsv``, read (and its digest kept for the
+        skip check) before the stages run, so a cached sweep opens it once."""
+        table = self.stages
+        chain = dict(list(table.items())[: list(table).index("select")])
+        chain["sweep"] = self._sweep_stage(lambdas)
+        summary = self.work / "sweep_summary.tsv"
+        with self.owned():
+            if summary.is_file():
+                data = summary.read_bytes()
+                self._digests[summary.name] = hashlib.sha256(data).hexdigest()
+            self._run_chain(chain)
+            data = data if self.skipped["sweep"] else summary.read_bytes()
+        rows = [line.split("\t") for line in data.decode("utf-8").splitlines()[1:]]
+        return [{"lambda": lam, "selected": int(r[1]), "hours": float(r[2]),
+                 "percent": float(r[3]), "passes": int(r[4])} for lam, r in zip(lambdas, rows)]
+
+    def _run_chain(self, chain: dict[str, Stage]) -> None:
+        """Run (or cache-skip) each stage of ``chain`` in order, inside ``owned()``."""
+        for name, stage in chain.items():
+            self._run_stage(name, stage)
 
 
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> PipelineResult:
@@ -494,60 +541,14 @@ def _lambda_tag(lam: float) -> str:
 
 
 def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
-    """Re-run selection and report across thresholds against cached artifacts.
-
-    The expensive stages run (or cache-skip) once and the pool is ranked once;
-    each threshold then gets its own selection audit, manifest and report
-    files, named by value.
-    """
+    """Check every threshold, and that no two share the tag that names their
+    files, before touching the disk; then :meth:`Runner.sweep` over them."""
     by_tag: dict[str, list[float]] = {}
     for lam in lambdas:
         validate_selection_config(replace(config.selection, threshold=lam))
         by_tag.setdefault(_lambda_tag(lam), []).append(lam)
-    clashes = [
-        f"{', '.join(map(repr, v))} (tag {t})" for t, v in by_tag.items() if len(v) > 1
-    ]
+    clashes = [f"{', '.join(map(repr, v))} (tag {t})" for t, v in by_tag.items() if len(v) > 1]
     if clashes:
-        raise ValidationError(
-            "thresholds would overwrite each other's sweep files: " + "; ".join(clashes)
-        )
-    runner = Runner(config)
-    with runner.owned():
-        table = runner.stages
-        for name in list(table)[: list(table).index("select")]:  # up to and including cluster
-            runner._run_stage(name, table[name])
-        posts = lda.read_posteriors(runner.work / "post_pool.tsv")
-        cents = lda.read_posteriors(runner.work / "centroids.tsv").gamma
-        ranking = rank_pool(posts, runner.pool, cents)
-        rows = []
-        for lam in lambdas:
-            result = ranking.select(replace(config.selection, threshold=lam))
-            _log_selection(f"sweep lambda={lam:.9g}", result, len(runner.pool))
-            tag = _lambda_tag(lam)
-            rep = report(result, runner.pool)
-            with publish(
-                runner.work / f"selection_lambda_{tag}.audit.tsv",
-                runner.work / f"selection_lambda_{tag}.tsv",
-                runner.work / f"report_lambda_{tag}.tsv",
-            ) as (audit, manifest, rep_tsv):
-                runner.write_selection(result, audit, manifest)
-                write_report_tsv(rep, rep_tsv)
-            rows.append(
-                {
-                    "lambda": lam,
-                    "selected": len(result.selected),
-                    "hours": result.total_hours,
-                    "percent": rep.total_percent,
-                    "passes": result.passes,
-                }
-            )
-        with publish(runner.work / "sweep_summary.tsv") as (summary,):
-            summary.write_text(
-                "lambda\tselected\thours\tpercent\tpasses\n" + "".join(
-                    f"{r['lambda']:.9g}\t{r['selected']}\t{r['hours']:.9g}"
-                    f"\t{r['percent']:.9g}\t{r['passes']}\n"
-                    for r in rows
-                ),
-                encoding="utf-8",
-            )
-    return rows
+        raise ValidationError("thresholds would overwrite each other's sweep files: "
+                              + "; ".join(clashes))
+    return Runner(config).sweep(lambdas)

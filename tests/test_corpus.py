@@ -86,6 +86,38 @@ def test_read_manifest_empty_duration_uses_fps(tmp_path):
     assert m.utterances[0].duration_s == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "header, fps",
+    [
+        ("# fps=50", 50.0), ("# fps = 50", 50.0), ("#fps: 50", 50.0), ("  #  fps :50  ", 50.0),
+        ("# FPS=50", 50.0), ("# fps is 50", 100.0), ("# fpsx=50", 100.0),
+    ],
+)
+def test_fps_header_spellings(header, fps, tmp_path):
+    """Any ``# fps`` comment followed by ``=`` or ``:`` sets the frame rate;
+    other comments leave the default."""
+    p = tmp_path / "m.tsv"
+    _write(p, f"{header}\na\tf.aldf\t100\t2\t\tx\n")
+    m = read_manifest(p)
+    assert m.fps == fps
+    assert m.utterances[0].duration_s == pytest.approx(100 / fps)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "is not a number: 'abc'"), ("", "is not a number: ''"),
+        ("inf", "must be finite"), ("nan", "must be finite"),
+        ("0", "must be positive"), ("-5", "must be positive"),
+    ],
+)
+def test_bad_fps_header_values_are_rejected(value, message, tmp_path):
+    p = tmp_path / "m.tsv"
+    _write(p, f"a\tf.aldf\t5\t2\t0.05\tx\n# fps: {value}\n")
+    with pytest.raises(FormatError, match=f"m.tsv:2: fps {message}"):
+        read_manifest(p)
+
+
 def test_read_manifest_bad_numbers(tmp_path):
     p = tmp_path / "m.tsv"
     _write(p, "a\tf.aldf\tfive\t2\t0.1\tx\n")

@@ -381,7 +381,9 @@ def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
     """Each input is an earlier stage's output (a stage without inputs reads
     the manifests), outputs are unique, the CLI's stage commands are the
     acoustic prefix, reading the table touches no file, and a run executes
-    exactly the table's order."""
+    exactly the table's order. The sweep stage reads outputs of the chain
+    through ``cluster`` and writes files no other stage writes; a sweep runs
+    that chain and then ``sweep``."""
     import builtins
     import io
 
@@ -401,6 +403,7 @@ def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
         for module in (builtins, io, os):
             mp.setattr(module, "open", counting(module.open))
         table = {name: (stage.inputs, stage.outputs) for name, stage in runner.stages.items()}
+        sweep = runner._sweep_stage([0.3, 0.6, 1.0])
     assert opens == [] and not work.exists()
 
     written: list[str] = []
@@ -419,6 +422,13 @@ def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
     ]
     assert list(table) == STAGE_COMMANDS + (text_chain if text else []) + ["report"]
     assert list(runner.run().skipped) == list(table)
+
+    chain = STAGE_COMMANDS[: STAGE_COMMANDS.index("select")]
+    assert set(sweep.inputs) <= {o for name in chain for o in table[name][1]}
+    assert len(sweep.outputs) == len(set(sweep.outputs)) == 10
+    assert not set(sweep.outputs) & set(written)
+    runner.sweep([0.3, 0.6, 1.0])
+    assert list(runner.skipped) == chain + ["sweep"]
 
 
 def test_finished_runner_is_freed_without_the_cycle_collector(tmp_path, corpus_dir):
@@ -1012,8 +1022,9 @@ def test_run_killed_mid_write_leaves_no_truncated_artifact(tmp_path, corpus_dir,
 
 def test_sweep_failing_mid_write_leaves_earlier_sweep_files(tmp_path, corpus_dir, monkeypatch):
     """The sweep's selections, reports and summary are published by rename: a
-    sweep that fails while writing a report leaves every file of the sweep
-    before it as it was, and no temporary file."""
+    sweep that fails while writing a report fails as its stage, and leaves
+    every file of the sweep before it, its cache entry too, as it was, and no
+    temporary file."""
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
     sweep_lambda(config, [0.3, 0.6])
@@ -1024,9 +1035,169 @@ def test_sweep_failing_mid_write_leaves_earlier_sweep_files(tmp_path, corpus_dir
         raise OSError("injected failure while writing a report")
 
     monkeypatch.setattr(pipeline_module, "write_report_tsv", half_then_fail)
-    with pytest.raises(OSError, match="injected"):
+    with pytest.raises(StageError, match="injected"):
         sweep_lambda(config, [0.6, 0.3])
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
+def test_repeated_sweep_skips_without_ranking_and_returns_equal_rows(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """A repeated sweep skips every stage it runs, ``sweep`` included, ranks
+    nothing, and returns the rows the cold sweep returned."""
+    config = _config(corpus_dir, tmp_path / "work")
+    cold = Runner(config)
+    rows = cold.sweep([0.3, 0.6, 1.0])
+    assert cold.skipped["sweep"] is False
+    assert [r["lambda"] for r in rows] == [0.3, 0.6, 1.0]
+    ranked = []
+    monkeypatch.setattr(pipeline_module, "rank_pool", lambda *args: ranked.append(args))
+    warm = Runner(config)
+    assert warm.sweep([0.3, 0.6, 1.0]) == rows
+    assert all(warm.skipped.values()) and ranked == []
+    assert sweep_lambda(config, [0.3, 0.6, 1.0]) == rows
+
+
+@pytest.mark.parametrize(
+    "lambdas, max_hours", [([0.3, 1.0], None), ([0.6, 0.3], None), ([0.3, 0.6], 0.001)]
+)
+def test_sweep_over_other_settings_reruns_only_the_sweep(
+    lambdas, max_hours, tmp_path, corpus_dir
+):
+    """Another threshold list (the same thresholds in another order too) or
+    another hour budget reruns ``sweep`` alone, and gives the files a sweep
+    in a fresh work dir gives."""
+    config = _config(corpus_dir, tmp_path / "work")
+    Runner(config).sweep([0.3, 0.6])
+    config.selection.max_hours = max_hours
+    runner = Runner(config)
+    runner.sweep(lambdas)
+    assert {s for s, skipped in runner.skipped.items() if not skipped} == {"sweep"}
+    fresh = replace(config, paths=replace(config.paths, work_dir=str(tmp_path / "fresh")))
+    Runner(fresh).sweep(lambdas)
+    for name in runner._sweep_stage(lambdas).outputs:
+        assert (tmp_path / "work" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_damaged_sweep_output_reruns_the_sweep(tmp_path, corpus_dir):
+    """Each sweep file, damaged in place, is rebuilt byte for byte by
+    ``sweep`` alone."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    Runner(config).sweep([0.3, 0.6])
+    outputs = Runner(config)._sweep_stage([0.3, 0.6]).outputs
+    assert len(outputs) == 7
+    for output in outputs:
+        path = work / output
+        good = path.read_bytes()
+        data = bytearray(good)
+        data[len(data) // 2] ^= 1
+        path.write_bytes(bytes(data))
+        runner = Runner(config)
+        runner.sweep([0.3, 0.6])
+        assert {s for s, skipped in runner.skipped.items() if not skipped} == {"sweep"}, output
+        assert path.read_bytes() == good, output
+
+
+def test_cached_sweep_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, monkeypatch):
+    """A cached sweep hashes each file of its chain once, reads its rows from
+    the summary it hashed, and parses no posteriors or centroids."""
+    import builtins
+    import io
+
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    rows = sweep_lambda(config, [0.3, 0.6])
+    opens = Counter()
+
+    def counting(real):
+        def wrapper(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == work:
+                opens[Path(file).name] += 1
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    parsed = []
+    monkeypatch.setattr(pipeline_module.lda, "read_posteriors", parsed.append)
+    for module in (builtins, io, os):
+        monkeypatch.setattr(module, "open", counting(module.open))
+    assert sweep_lambda(config, [0.3, 0.6]) == rows
+    monkeypatch.undo()
+    assert parsed == []
+    assert set(opens) == {p.name for p in work.iterdir()}
+    assert set(opens.values()) == {1}
+
+
+# Every field of every non-path config section, and another valid value for
+# it than ``_config(..., text=True)`` sets.
+PERTURBED = {
+    "quantizer": {
+        "seed": 1, "max_iterations": 3, "tol": 1e-2, "var_floor_scale": 0.1,
+        "init_subsample": 40, "n_components": 3, "max_train_frames": 500,
+        "train_source": "dev",
+    },
+    "docmodel": {"idf_source": "pool", "text_vocab_cap": 8},
+    "lda": {
+        "seed": 1, "em_tol": 0.5, "em_max_iterations": 1, "doc_tol": 1e-2,
+        "doc_max_iterations": 3, "eta": 0.5, "alpha": 0.5, "n_topics": 3,
+        "train_source": "dev+pool",
+    },
+    "cluster": {"n_clusters": 3, "seed": 1, "max_iterations": 1, "spherical": True},
+    "selection": {"threshold": 1.0, "max_hours": 0.001},
+    "text": {"enabled": False, "n_topics": 3, "threshold": 1.0},
+    "report": {"target_domain": "domain0"},
+}
+# Fields that no stage reads, and why; changing one reruns nothing.
+UNREAD = {("report", "target_domain"): "read only by the compare command"}
+
+
+def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, corpus_dir, caplog):
+    """Cache soundness: with any one config field changed, a rerun of a
+    copy of a warm, text-enabled work dir that also holds a two-threshold
+    sweep leaves every declared output, sweep files included, byte-identical
+    to a cold run and sweep under the new config. Each change of a field that
+    a stage reads changes some output, so each case can catch a stale one."""
+    from dataclasses import fields
+
+    lambdas = [0.3, 0.6]
+    sweep_files = [
+        name.format(f"{lam:.9g}".replace(".", "p")) for lam in lambdas
+        for name in ("selection_lambda_{}.audit.tsv", "selection_lambda_{}.tsv",
+                     "report_lambda_{}.tsv")
+    ] + ["sweep_summary.tsv"]
+    base = _config(corpus_dir, tmp_path / "warm", text=True)
+    run_pipeline(base)
+    sweep_lambda(base, lambdas)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "warm").iterdir()}
+    sections = [f.name for f in fields(PipelineConfig) if f.name != "paths"]
+    assert {s: {f.name for f in fields(getattr(base, s))} for s in sections} == {
+        s: set(values) for s, values in PERTURBED.items()
+    }
+
+    def rerun(config, work):
+        config = replace(config, paths=replace(config.paths, work_dir=str(work)))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+            run_pipeline(config)
+            sweep_lambda(config, lambdas)
+        declared = [o for stage in Runner(config).stages.values() for o in stage.outputs]
+        ran = [r.getMessage() for r in caplog.records if r.getMessage().endswith(": running")]
+        return {o: (work / o).read_bytes() for o in declared + sweep_files}, ran
+
+    for section in sections:
+        for name, value in PERTURBED[section].items():
+            assert getattr(getattr(base, section), name) != value, (section, name)
+            config = replace(base, **{section: replace(getattr(base, section), **{name: value})})
+            warm = tmp_path / "copy"
+            shutil.copytree(tmp_path / "warm", warm)
+            outputs, ran = rerun(config, warm)
+            assert outputs == rerun(config, tmp_path / "cold")[0], (section, name)
+            changed = any(data != before[o] for o, data in outputs.items())
+            assert changed != ((section, name) in UNREAD), (section, name)
+            if (section, name) in UNREAD:
+                assert ran == [], (section, name)
+            shutil.rmtree(warm)
+            shutil.rmtree(tmp_path / "cold")
 
 
 def test_composition_report_from_audit(tmp_path, corpus_dir):
