@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .config import PipelineConfig, load_config, validate_config
 from .corpus import (
-    DomainSpec,
     Manifest,
     SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    make_separated_spec,
     read_features,
     read_manifest,
     write_features,
@@ -26,7 +24,6 @@ from .corpus import (
 from .docmodel import (
     CorpusStats,
     DocBatch,
-    TextVocab,
     bag_of_words,
     build_text_vocab,
     compute_stats,
@@ -71,7 +68,6 @@ __all__ = [
     "CompositionReport",
     "CorpusStats",
     "DocBatch",
-    "DomainSpec",
     "FormatError",
     "GmmConfig",
     "GmmModel",
@@ -88,7 +84,6 @@ __all__ = [
     "SelectionResult",
     "StageError",
     "SynthSpec",
-    "TextVocab",
     "Utterance",
     "ValidationError",
     "bag_of_words",
@@ -104,7 +99,6 @@ __all__ = [
     "load_config",
     "load_gmm",
     "load_lda",
-    "make_separated_spec",
     "quantize",
     "random_select",
     "read_features",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .corpus import make_separated_spec, generate_synthetic_corpus
+from .corpus import SynthSpec, generate_synthetic_corpus
 from .errors import LdaSelectError, ValidationError
 from .pipeline import Runner, publish, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
@@ -146,7 +146,7 @@ def _print_stage_summary(result) -> None:
 
 
 def _cmd_synth(args) -> int:
-    spec = make_separated_spec(
+    spec = SynthSpec(
         n_domains=args.domains,
         utts_per_domain=args.utts_per_domain,
         frame_dim=args.frame_dim,
@@ -159,8 +159,8 @@ def _cmd_synth(args) -> int:
         fps=args.fps,
         role=args.role,
         id_prefix=args.id_prefix,
+        manifest_name=args.manifest_name,
     )
-    spec.manifest_name = args.manifest_name
     manifest = generate_synthetic_corpus(spec, args.seed, args.out)
     name = args.manifest_name or f"{args.role}.tsv"
     print(f"wrote {len(manifest)} utterances to {Path(args.out) / name}")
@@ -168,10 +168,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_pipeline_config(args)
     stages = None
-    if getattr(args, "stages", None):
+    if args.stages is not None:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
+        if not stages:
+            raise ValidationError(f"--stages must name at least one stage, got '{args.stages}'")
+    config = _load_pipeline_config(args)
     result = run_pipeline(config, stages)
     _print_stage_summary(result)
     report_txt = Path(config.paths.work_dir) / "report.txt"

@@ -370,75 +370,50 @@ def read_transcript(utt: Utterance) -> str:
 
 
 @dataclass
-class DomainSpec:
-    """Generating recipe for one synthetic domain.
+class SynthSpec:
+    """Recipe for a synthetic corpus of well-separated domains, for recovery
+    experiments; the ``synth`` command's flags set its fields.
 
-    Frames are drawn from a diagonal-covariance Gaussian mixture; an optional
-    word list with per-word probabilities generates transcripts.
+    Domain i is centred ``separation`` apart from its neighbours along a
+    rotating axis, with ``n_components`` equally weighted unit-variance
+    Gaussian components offset from the centre. Optional transcripts draw
+    from per-domain disjoint word lists with a 1/rank frequency profile, so
+    text similarity mirrors the domain structure.
     """
 
-    tag: str
-    weights: list[float]
-    means: list[list[float]]
-    variances: list[list[float]]
-    n_utterances: int
-    frames_range: tuple[int, int]
-    frame_dim: int
-    words: list[str] | None = None
-    word_probs: list[float] | None = None
-    words_range: tuple[int, int] = (5, 15)
-
-
-@dataclass
-class SynthSpec:
-    domains: list[DomainSpec]
+    n_domains: int
+    utts_per_domain: int
+    frame_dim: int = 3
+    frames_range: tuple[int, int] = (40, 80)
+    separation: float = 10.0
+    n_components: int = 2
+    with_transcripts: bool = False
+    words_per_domain: int = 20
+    words_range: tuple[int, int] = (8, 20)
+    tag_prefix: str = "domain"
     fps: float = 100.0
     role: str = "pool"
     id_prefix: str = ""
     manifest_name: str | None = None
 
 
-def _validate_domain(dom: DomainSpec) -> None:
-    if not dom.tag:
-        raise ValidationError("synthetic domain tag must be non-empty")
-    w = np.asarray(dom.weights, dtype=np.float64)
-    if w.size == 0:
-        raise ValidationError(f"domain '{dom.tag}': mixture has zero components")
-    if np.any(w <= 0):
-        raise ValidationError(f"domain '{dom.tag}': mixture weights must be positive")
-    means = np.asarray(dom.means, dtype=np.float64)
-    variances = np.asarray(dom.variances, dtype=np.float64)
-    if means.shape != (w.size, dom.frame_dim) or variances.shape != means.shape:
-        raise ValidationError(
-            f"domain '{dom.tag}': means/variances must be "
-            f"{w.size}x{dom.frame_dim} matrices"
-        )
-    if np.any(variances <= 0):
-        raise ValidationError(f"domain '{dom.tag}': variances must be positive")
-    if dom.n_utterances < 1:
-        raise ValidationError(f"domain '{dom.tag}': n_utterances must be >= 1")
-    lo, hi = dom.frames_range
-    if lo < 0 or hi < lo:
-        raise ValidationError(f"domain '{dom.tag}': invalid frames_range {dom.frames_range}")
-    if dom.words is not None:
-        if len(dom.words) == 0:
-            raise ValidationError(f"domain '{dom.tag}': empty word list")
-        if dom.word_probs is not None and len(dom.word_probs) != len(dom.words):
-            raise ValidationError(f"domain '{dom.tag}': word_probs length mismatch")
-        wlo, whi = dom.words_range
-        if wlo < 1 or whi < wlo:
-            raise ValidationError(f"domain '{dom.tag}': invalid words_range {dom.words_range}")
-
-
 def validate_synth_spec(spec: SynthSpec) -> None:
-    if not spec.domains:
-        raise ValidationError("synthetic spec must define at least one domain")
-    if spec.fps <= 0:
-        raise ValidationError("fps must be positive")
+    """Reject a recipe that cannot give a readable corpus, before anything is written."""
+    for name in ("n_domains", "utts_per_domain", "frame_dim", "n_components", "words_per_domain"):
+        if getattr(spec, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(spec, name)}")
+    lo, hi = spec.frames_range
+    if lo < 0 or hi < lo:
+        raise ValidationError(f"invalid frames_range {spec.frames_range}")
+    if not (0 < spec.fps < math.inf and math.isfinite(hi / spec.fps)):
+        raise ValidationError(f"fps must be positive and give finite durations, got {spec.fps}")
+    lo, hi = spec.words_range
+    if lo < 1 or hi < lo:
+        raise ValidationError(f"invalid words_range {spec.words_range}")
+    if not math.isfinite(spec.separation):
+        raise ValidationError(f"separation must be finite, got {spec.separation}")
     if spec.role not in ROLES:
-        raise ValidationError(f"role must be one of {ROLES}")
-    for dom in spec.domains:
-        _validate_domain(dom)
+        raise ValidationError(f"role must be one of {ROLES}, got '{spec.role}'")
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
@@ -450,104 +425,41 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
     """
     validate_synth_spec(spec)
     out_dir = Path(out_dir)
-    feat_dir = out_dir / "features"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    if any(dom.words for dom in spec.domains):
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    if spec.with_transcripts:
         (out_dir / "transcripts").mkdir(parents=True, exist_ok=True)
+    dim, n_comp = spec.frame_dim, spec.n_components
+    weights = np.full(n_comp, 1.0 / n_comp)
+    weights /= weights.sum()
+    offsets = (np.arange(n_comp) - (n_comp - 1) / 2.0) * spec.separation / 5.0
+    word_probs = 1.0 / np.arange(1, spec.words_per_domain + 1)
+    word_probs /= word_probs.sum()
 
     rng = np.random.default_rng(seed)
     utterances: list[Utterance] = []
-    for dom in spec.domains:
-        weights = np.asarray(dom.weights, dtype=np.float64)
-        weights = weights / weights.sum()
-        means = np.asarray(dom.means, dtype=np.float64)
-        stds = np.sqrt(np.asarray(dom.variances, dtype=np.float64))
-        lo, hi = dom.frames_range
-        if dom.words is not None and dom.word_probs is not None:
-            wp = np.asarray(dom.word_probs, dtype=np.float64)
-            wp = wp / wp.sum()
-        else:
-            wp = None
-        for i in range(dom.n_utterances):
-            uid = f"{spec.id_prefix}{dom.tag}_{i:04d}"
-            n_frames = int(rng.integers(lo, hi + 1))
-            comps = rng.choice(weights.size, size=n_frames, p=weights)
-            frames = means[comps] + rng.standard_normal((n_frames, dom.frame_dim)) * stds[comps]
+    for i in range(spec.n_domains):
+        tag = f"{spec.tag_prefix}{i}"
+        means = np.zeros((n_comp, dim))
+        means[:, i % dim] = spec.separation * (1 + i // dim)
+        means[:, (i + 1) % dim] += offsets
+        words = [f"d{i}w{j:03d}" for j in range(spec.words_per_domain)]
+        for u in range(spec.utts_per_domain):
+            uid = f"{spec.id_prefix}{tag}_{u:04d}"
+            n_frames = int(rng.integers(spec.frames_range[0], spec.frames_range[1] + 1))
+            comps = rng.choice(n_comp, size=n_frames, p=weights)
             rel_feat = f"features/{uid}.aldf"
-            write_features(frames, out_dir / rel_feat)
+            write_features(means[comps] + rng.standard_normal((n_frames, dim)), out_dir / rel_feat)
             rel_txt = None
-            if dom.words is not None:
-                wlo, whi = dom.words_range
-                n_words = int(rng.integers(wlo, whi + 1))
-                idx = rng.choice(len(dom.words), size=n_words, p=wp)
+            if spec.with_transcripts:
+                n_words = int(rng.integers(spec.words_range[0], spec.words_range[1] + 1))
+                idx = rng.choice(len(words), size=n_words, p=word_probs)
                 rel_txt = f"transcripts/{uid}.txt"
                 (out_dir / rel_txt).write_text(
-                    " ".join(dom.words[j] for j in idx) + "\n", encoding="utf-8"
+                    " ".join(words[j] for j in idx) + "\n", encoding="utf-8"
                 )
             utterances.append(
-                Utterance(
-                    uid, rel_feat, n_frames, dom.frame_dim, n_frames / spec.fps,
-                    dom.tag, rel_txt,
-                )
+                Utterance(uid, rel_feat, n_frames, dim, n_frames / spec.fps, tag, rel_txt)
             )
     path = out_dir / (spec.manifest_name or f"{spec.role}.tsv")
     write_manifest(Manifest(utterances, role=spec.role, fps=spec.fps), path)
     return read_manifest(path, role=spec.role)
-
-
-def make_separated_spec(
-    n_domains: int,
-    utts_per_domain: int,
-    frame_dim: int = 3,
-    frames_range: tuple[int, int] = (40, 80),
-    separation: float = 10.0,
-    n_components: int = 2,
-    with_transcripts: bool = False,
-    words_per_domain: int = 20,
-    words_range: tuple[int, int] = (8, 20),
-    tag_prefix: str = "domain",
-    fps: float = 100.0,
-    role: str = "pool",
-    id_prefix: str = "",
-) -> SynthSpec:
-    """Build a spec of well-separated domains for recovery experiments.
-
-    Domain i is centred ``separation`` apart from its neighbours along a
-    rotating axis, with ``n_components`` unit-variance components offset from
-    the centre. Optional transcripts draw from per-domain disjoint word lists
-    with a 1/rank frequency profile, so text similarity mirrors the domain
-    structure.
-    """
-    if n_domains < 1:
-        raise ValidationError("n_domains must be >= 1")
-    domains = []
-    for i in range(n_domains):
-        center = np.zeros(frame_dim)
-        axis = i % frame_dim
-        center[axis] = separation * (1 + i // frame_dim)
-        offset_axis = (axis + 1) % frame_dim
-        means = []
-        for c in range(n_components):
-            m = center.copy()
-            m[offset_axis] += (c - (n_components - 1) / 2.0) * separation / 5.0
-            means.append(m.tolist())
-        words = None
-        probs = None
-        if with_transcripts:
-            words = [f"d{i}w{j:03d}" for j in range(words_per_domain)]
-            probs = [1.0 / (j + 1) for j in range(words_per_domain)]
-        domains.append(
-            DomainSpec(
-                tag=f"{tag_prefix}{i}",
-                weights=[1.0 / n_components] * n_components,
-                means=means,
-                variances=[[1.0] * frame_dim for _ in range(n_components)],
-                n_utterances=utts_per_domain,
-                frames_range=frames_range,
-                frame_dim=frame_dim,
-                words=words,
-                word_probs=probs,
-                words_range=words_range,
-            )
-        )
-    return SynthSpec(domains=domains, fps=fps, role=role, id_prefix=id_prefix)

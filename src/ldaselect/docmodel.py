@@ -93,19 +93,6 @@ class CorpusStats:
     doc_freq: np.ndarray = field(compare=False)
 
 
-@dataclass
-class TextVocab:
-    """Dense token-to-id map ordered by (frequency desc, token asc)."""
-
-    ids: dict[str, int] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.ids
-
-
 def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
     """Distinct terms of each token sequence with their counts, terms
     ascending; the weight of every entry is its count."""
@@ -169,20 +156,21 @@ def normalize_tokens(text: str) -> list[str]:
     return [tok for tok in (raw.strip(_STRIP) for raw in text.lower().split()) if tok]
 
 
-def tokenize_transcript(text: str, vocab: TextVocab) -> list[int]:
+def tokenize_transcript(text: str, vocab: dict[str, int]) -> list[int]:
     """Token ids of the normalized tokens of ``text``; OOV tokens are dropped."""
-    return [vocab.ids[tok] for tok in normalize_tokens(text) if tok in vocab.ids]
+    return [vocab[tok] for tok in normalize_tokens(text) if tok in vocab]
 
 
-def build_text_vocab(transcripts, cap: int) -> TextVocab:
-    """The ``cap`` most frequent normalized tokens, ties broken lexically."""
+def build_text_vocab(transcripts, cap: int) -> dict[str, int]:
+    """The ``cap`` most frequent normalized tokens, ties broken lexically,
+    mapped to dense ids in that order."""
     if cap < 1:
         raise ValidationError(f"vocabulary cap must be >= 1, got {cap}")
     freq: Counter[str] = Counter()
     for text in transcripts:
         freq.update(normalize_tokens(text))
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
-    return TextVocab(ids={tok: i for i, (tok, _) in enumerate(ranked)})
+    return {tok: i for i, (tok, _) in enumerate(ranked)}
 
 
 # ---------------------------------------------------------------------------

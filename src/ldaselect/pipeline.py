@@ -30,8 +30,8 @@ from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
 from .report import render_report, report, write_report_tsv
 from .selection import (
-    SelectionConfig, SelectionResult, centroid_id, rank_pool, read_audit, select,
-    union_combine, validate_selection_config, write_audit,
+    SelectionConfig, SelectionResult, centroid_id, parse_audit, rank_pool, read_audit,
+    select, union_combine, validate_selection_config, write_audit,
 )
 
 log = logging.getLogger(__name__)
@@ -396,7 +396,7 @@ class Runner:
         if len(vocab) == 0:
             raise ValidationError("no transcript tokens available for the text path")
         with open(out_vocab, "w", encoding="utf-8") as fh:
-            for tok, i in sorted(vocab.ids.items(), key=lambda kv: kv[1]):
+            for tok, i in vocab.items():  # ids ascend in insertion order
                 fh.write(f"{tok}\t{i}\n")
         bags = {
             which: docmodel.bag_of_words(
@@ -492,7 +492,8 @@ class Runner:
 
     def run(self, stages: list[str] | None = None) -> PipelineResult:
         """Run (or cache-skip) the stages named in ``stages``, all by default,
-        in table order inside ``owned()``."""
+        in table order inside ``owned()``; return the selection in
+        ``selection.audit.tsv``, empty if there is none."""
         table = self.stages
         missing = [s for s in stages or [] if s not in table]
         if missing:
@@ -500,35 +501,42 @@ class Runner:
                 f"stages {missing} are not in this run's chain {list(table)}; "
                 "the text stages and combine run only with [text] enabled = true"
             )
+        audit = "selection.audit.tsv"
         with self.owned():
-            self._run_chain({n: s for n, s in table.items() if stages is None or n in stages})
-            audit = self.work / "selection.audit.tsv"
-            selection = read_audit(audit) if audit.is_file() else SelectionResult()
+            data = self._run_chain(
+                {n: s for n, s in table.items() if stages is None or n in stages}, audit)
+        selection = SelectionResult() if data is None else parse_audit(data, self.work / audit)
         return PipelineResult(selection=selection, skipped=dict(self.skipped))
 
     def sweep(self, lambdas: list[float]) -> list[dict]:
         """Run (or cache-skip) the acoustic chain through ``cluster``, then
         ``sweep`` over ``lambdas``, in one ``owned()``; return a row per
-        threshold from ``sweep_summary.tsv``, read (and its digest kept for the
-        skip check) before the stages run, so a cached sweep opens it once."""
+        threshold from ``sweep_summary.tsv``."""
         table = self.stages
         chain = dict(list(table.items())[: list(table).index("select")])
         chain["sweep"] = self._sweep_stage(lambdas)
-        summary = self.work / "sweep_summary.tsv"
         with self.owned():
-            if summary.is_file():
-                data = summary.read_bytes()
-                self._digests[summary.name] = hashlib.sha256(data).hexdigest()
-            self._run_chain(chain)
-            data = data if self.skipped["sweep"] else summary.read_bytes()
+            data = self._run_chain(chain, "sweep_summary.tsv")
         rows = [line.split("\t") for line in data.decode("utf-8").splitlines()[1:]]
         return [{"lambda": lam, "selected": int(r[1]), "hours": float(r[2]),
                  "percent": float(r[3]), "passes": int(r[4])} for lam, r in zip(lambdas, rows)]
 
-    def _run_chain(self, chain: dict[str, Stage]) -> None:
-        """Run (or cache-skip) each stage of ``chain`` in order, inside ``owned()``."""
+    def _run_chain(self, chain: dict[str, Stage], result: str) -> bytes | None:
+        """Run (or cache-skip) each stage of ``chain`` in order, inside
+        ``owned()``, and return the bytes of the work-dir file ``result`` (None
+        if there is none). They are read before the stages, and their digest
+        kept for the skip checks, so a cached run opens the file once; they are
+        read again only if a stage published different contents."""
+        path = self.work / result
+        data = path.read_bytes() if path.is_file() else None
+        if data is not None:
+            self._digests[result] = hashlib.sha256(data).hexdigest()
+        before = self._digests.get(result)
         for name, stage in chain.items():
             self._run_stage(name, stage)
+        if self._digests.get(result) != before:
+            data = path.read_bytes()
+        return data
 
 
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> PipelineResult:

@@ -12,12 +12,13 @@ walks each centroid's candidates below the threshold with a forward-only
 pointer (:meth:`Ranking.select`), so thresholds can be swept over one ranking.
 """
 
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest, text_lines
+from .corpus import Manifest, read_file, text_lines
 from .errors import FormatError, ValidationError
 from .lda import Posteriors
 
@@ -279,31 +280,36 @@ def write_audit(result: SelectionResult, path) -> None:
 
 
 def read_audit(path) -> SelectionResult:
+    return parse_audit(read_file(path), path)
+
+
+def parse_audit(data: bytes, path) -> SelectionResult:
+    """Parse the bytes ``data`` of the audit file ``path`` (which names it in
+    errors), as :func:`read_audit` does."""
     result = SelectionResult()
-    with open(path, "rb") as fh:
-        for lineno, raw in text_lines(fh, path):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                for part in line.lstrip("# ").split("\t"):
-                    key, _, val = part.partition("=")
-                    try:
-                        if key == "passes":
-                            result.passes = int(val)
-                        elif key == "total_hours":
-                            result.total_hours = float(val)
-                    except ValueError:
-                        raise FormatError(f"{path}:{lineno}: malformed audit header") from None
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
-            try:
-                entry = SelectedUtterance(
-                    fields[0], fields[1], float(fields[2]), int(fields[3])
-                )
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: malformed audit line") from None
-            result.selected.append(entry)
+    for lineno, raw in text_lines(io.BytesIO(data), path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            for part in line.lstrip("# ").split("\t"):
+                key, _, val = part.partition("=")
+                try:
+                    if key == "passes":
+                        result.passes = int(val)
+                    elif key == "total_hours":
+                        result.total_hours = float(val)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: malformed audit header") from None
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        try:
+            entry = SelectedUtterance(
+                fields[0], fields[1], float(fields[2]), int(fields[3])
+            )
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed audit line") from None
+        result.selected.append(entry)
     return result

@@ -12,9 +12,9 @@ from ldaselect.cli import main
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
     Manifest,
+    SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    make_separated_spec,
     read_feature_file,
     read_manifest,
     write_features,
@@ -105,9 +105,9 @@ def _pool_instance(rng, m, c, dim=3):
 def e2e(tmp_path_factory):
     root = tmp_path_factory.mktemp("e2e")
     t0 = time.monotonic()
-    pool_spec = make_separated_spec(5, 200, with_transcripts=True, role="pool")
+    pool_spec = SynthSpec(5, 200, with_transcripts=True, role="pool")
     generate_synthetic_corpus(pool_spec, seed=101, out_dir=root / "pool")
-    dev_spec = make_separated_spec(
+    dev_spec = SynthSpec(
         1, 50, with_transcripts=True, role="dev", id_prefix="dev_"
     )
     generate_synthetic_corpus(dev_spec, seed=102, out_dir=root / "dev")
@@ -381,9 +381,9 @@ def test_kmeans_properties():
 @pytest.mark.acceptance(11, "reruns produce byte-identical selections")
 def test_byte_identical_reruns(tmp_path):
     root = tmp_path
-    pool_spec = make_separated_spec(2, 30, frames_range=(30, 50), role="pool")
+    pool_spec = SynthSpec(2, 30, frames_range=(30, 50), role="pool")
     generate_synthetic_corpus(pool_spec, seed=21, out_dir=root / "pool")
-    dev_spec = make_separated_spec(
+    dev_spec = SynthSpec(
         2, 8, frames_range=(30, 50), role="dev", id_prefix="dev_"
     )
     generate_synthetic_corpus(dev_spec, seed=22, out_dir=root / "dev")

@@ -81,6 +81,29 @@ def test_synth_is_deterministic(tmp_path, capsys):
     assert (tmp_path / "a" / first).read_bytes() == (tmp_path / "b" / first).read_bytes()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--domains", "0"], ["--utts-per-domain", "0"], ["--frame-dim", "0"], ["--components", "0"],
+    ["--frames-min", "-1"], ["--frames-min", "9", "--frames-max", "8"],
+    ["--words-per-domain", "0", "--with-transcripts"],
+    ["--separation", "nan"], ["--separation", "inf"],
+    ["--fps", "0"], ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"],
+], ids=" ".join)
+def test_synth_rejects_a_bad_recipe_before_writing(flags, tmp_path, capsys):
+    """A recipe field that cannot give a readable corpus exits 1 with an
+    ``error:`` line, no traceback, and no output directory."""
+    assert main(["synth", "--out", str(tmp_path / "out")] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stages", ["", ",", " , "])
+def test_run_stages_naming_no_stage_exits_one(stages, config_path, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path), "--stages", stages]) == 1
+    assert "--stages must name at least one stage" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_run_and_cached_rerun(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
+import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldaselect.corpus import (
-    DomainSpec,
     Manifest,
     SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    make_separated_spec,
     parse_manifest,
     read_feature_file,
     read_file,
@@ -422,11 +422,7 @@ def test_sample_frames_errors(tmp_path):
 
 
 def _tiny_spec(n_utts=3, frames=(10, 10), dim=2):
-    dom = DomainSpec(
-        tag="solo", weights=[1.0], means=[[0.0] * dim], variances=[[1.0] * dim],
-        n_utterances=n_utts, frames_range=frames, frame_dim=dim,
-    )
-    return SynthSpec(domains=[dom])
+    return SynthSpec(1, n_utts, frame_dim=dim, frames_range=frames, n_components=1)
 
 
 def test_synthetic_shapes(tmp_path):
@@ -436,11 +432,12 @@ def test_synthetic_shapes(tmp_path):
         assert utt.num_frames == 10
         assert read_features(utt).shape == (10, 2)
     assert (tmp_path / "pool.tsv").is_file()
+    assert not (tmp_path / "transcripts").exists()
 
 
 def test_synthetic_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    spec = make_separated_spec(2, 4, with_transcripts=True)
+    spec = SynthSpec(2, 4, with_transcripts=True)
     m1 = generate_synthetic_corpus(spec, seed=5, out_dir=d1)
     m2 = generate_synthetic_corpus(spec, seed=5, out_dir=d2)
     assert (d1 / "pool.tsv").read_bytes() == (d2 / "pool.tsv").read_bytes()
@@ -453,26 +450,23 @@ def test_synthetic_determinism(tmp_path):
 
 
 def test_synthetic_sample_means_match_generator(tmp_path):
-    spec = SynthSpec(
-        domains=[
-            DomainSpec(
-                tag=f"d{i}", weights=[1.0], means=[[mean, mean]],
-                variances=[[1.0, 1.0]], n_utterances=100, frames_range=(30, 50),
-                frame_dim=2,
-            )
-            for i, mean in enumerate((-10.0, 10.0))
-        ]
-    )
+    """Domain i is centred ``separation * (1 + i // frame_dim)`` along axis
+    ``i % frame_dim``; its two components sit ``separation / 10`` either side
+    of the centre along the next axis, so every domain's mean is its centre,
+    and the spread along that axis grows by the offset's square."""
+    spec = SynthSpec(3, 100, frame_dim=2, frames_range=(30, 50), separation=10.0)
     m = generate_synthetic_corpus(spec, seed=2, out_dir=tmp_path)
-    for tag, mean in (("d0", -10.0), ("d1", 10.0)):
-        frames = np.concatenate(
-            [read_features(u) for u in m if u.domain_tag == tag]
-        )
-        assert np.all(np.abs(frames.mean(axis=0) - mean) < 0.5)
+    centres = {"domain0": [10.0, 0.0], "domain1": [0.0, 10.0], "domain2": [20.0, 0.0]}
+    for tag, centre in centres.items():
+        frames = np.concatenate([read_features(u) for u in m if u.domain_tag == tag])
+        assert np.all(np.abs(frames.mean(axis=0) - centre) < 0.5)
+        offset_axis = (int(tag[-1]) + 1) % 2
+        assert frames[:, offset_axis].var() == pytest.approx(1.0 + 1.0, abs=0.2)
+        assert frames[:, 1 - offset_axis].var() == pytest.approx(1.0, abs=0.2)
 
 
 def test_synthetic_transcripts_and_durations(tmp_path):
-    spec = make_separated_spec(2, 3, with_transcripts=True, fps=50.0)
+    spec = SynthSpec(2, 3, with_transcripts=True, fps=50.0)
     m = generate_synthetic_corpus(spec, seed=1, out_dir=tmp_path)
     for utt in m:
         assert utt.duration_s == pytest.approx(utt.num_frames / 50.0)
@@ -482,21 +476,32 @@ def test_synthetic_transcripts_and_durations(tmp_path):
         assert all(w.startswith(prefix) for w in text.split())
 
 
+# Every recipe field, each with values that cannot give a readable corpus.
+BAD_RECIPE_FIELDS = {
+    "n_domains": [0, -1],
+    "utts_per_domain": [0],
+    "frame_dim": [0],
+    "n_components": [0],
+    "frames_range": [(-1, 5), (6, 5)],
+    "words_range": [(0, 5), (6, 5)],
+    "words_per_domain": [0],
+    "separation": [math.nan, math.inf, -math.inf],
+    "fps": [0.0, -1.0, math.nan, math.inf, 1e-320],
+    "role": ["train"],
+}
+
+
 def test_synthetic_validation_errors(tmp_path):
-    spec = _tiny_spec()
-    spec.domains[0].weights = [0.0]
-    with pytest.raises(ValidationError):
-        generate_synthetic_corpus(spec, 0, tmp_path)
-    spec = _tiny_spec()
-    spec.domains[0].variances = [[1.0, -1.0]]
-    with pytest.raises(ValidationError):
-        generate_synthetic_corpus(spec, 0, tmp_path)
-    spec = _tiny_spec()
-    spec.fps = 0.0
-    with pytest.raises(ValidationError):
-        generate_synthetic_corpus(spec, 0, tmp_path)
-    with pytest.raises(ValidationError):
-        make_separated_spec(0, 3)
+    """Each invalid recipe field is a ValidationError raised before the
+    output directory is created, with or without transcripts."""
+    out = tmp_path / "out"
+    for name, values in BAD_RECIPE_FIELDS.items():
+        for value in values:
+            for with_transcripts in (False, True):
+                spec = replace(_tiny_spec(), with_transcripts=with_transcripts, **{name: value})
+                with pytest.raises(ValidationError):
+                    generate_synthetic_corpus(spec, 0, out)
+                assert not out.exists(), (name, value)
 
 
 def test_read_transcript_missing(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ldaselect.docmodel import (
     DocBatch,
-    TextVocab,
     bag_of_words,
     build_text_vocab,
     compute_stats,
@@ -145,7 +144,7 @@ def test_weigh_errors():
 
 
 def test_tokenize_normalization():
-    vocab = TextVocab(ids={"hello": 0, "world": 1})
+    vocab = {"hello": 0, "world": 1}
     assert tokenize_transcript("Hello, hello WORLD", vocab) == [0, 0, 1]
     assert tokenize_transcript("", vocab) == []
     assert tokenize_transcript("foo bar!! baz", vocab) == []
@@ -153,14 +152,13 @@ def test_tokenize_normalization():
 
 def test_vocab_tie_rule():
     vocab = build_text_vocab(["a a b", "b c"], cap=2)
-    assert vocab.ids == {"a": 0, "b": 1}
-    assert "c" not in vocab
+    assert vocab == {"a": 0, "b": 1}
 
 
 def test_vocab_cap_larger_than_distinct():
     vocab = build_text_vocab(["x y", "z"], cap=10)
-    assert set(vocab.ids) == {"x", "y", "z"}
-    assert sorted(vocab.ids.values()) == [0, 1, 2]
+    assert set(vocab) == {"x", "y", "z"}
+    assert sorted(vocab.values()) == [0, 1, 2]
 
 
 def test_vocab_matches_brute_force():
@@ -174,7 +172,8 @@ def test_vocab_matches_brute_force():
         cap = int(rng.integers(1, 12))
         vocab = build_text_vocab(texts, cap)
         expected = ref_top_tokens(texts, cap)
-        assert [t for t, _ in sorted(vocab.ids.items(), key=lambda kv: kv[1])] == expected
+        assert list(vocab) == expected
+        assert list(vocab.values()) == list(range(len(expected)))
 
 
 def test_vocab_cap_validation():

@@ -17,9 +17,9 @@ from ldaselect import pipeline as pipeline_module
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
     Manifest,
+    SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    make_separated_spec,
     read_features,
     read_manifest,
     read_transcript,
@@ -54,11 +54,11 @@ ACOUSTIC_ARTIFACTS = [
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
-    pool_spec = make_separated_spec(
+    pool_spec = SynthSpec(
         2, 12, with_transcripts=True, frames_range=(30, 50), role="pool"
     )
     generate_synthetic_corpus(pool_spec, seed=11, out_dir=root / "pool")
-    dev_spec = make_separated_spec(
+    dev_spec = SynthSpec(
         2, 4, with_transcripts=True, frames_range=(30, 50), role="dev",
         id_prefix="dev_",
     )
@@ -122,7 +122,7 @@ def test_spherical_clusters_of_posteriors_that_differ_within_a_domain(tmp_path):
     alpha than ``corpus_dir``'s): each centroid is the unit-norm mean of the
     unit rows nearest it, one cluster per domain."""
     for role, n, seed, prefix in (("pool", 12, 11, ""), ("dev", 4, 12, "dev_")):
-        spec = make_separated_spec(
+        spec = SynthSpec(
             2, n, frames_range=(30, 50), separation=2.0, role=role, id_prefix=prefix
         )
         generate_synthetic_corpus(spec, seed=seed, out_dir=tmp_path / role)
@@ -472,9 +472,9 @@ def test_stage_failing_mid_write_leaves_its_old_outputs(tmp_path, corpus_dir, mo
 
 def test_cached_run_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, monkeypatch):
     """A cached run hashes each artifact once: the digest that verifies a
-    skipped stage's output is the one the next stage's key uses. The one file
-    opened twice is ``selection.audit.tsv``, read again for the selection the
-    run returns."""
+    skipped stage's output is the one the next stage's key uses, and the
+    selection the run returns is parsed from the bytes of
+    ``selection.audit.tsv`` that were hashed."""
     import builtins
     import io
 
@@ -492,10 +492,11 @@ def test_cached_run_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, 
 
     for module in (builtins, io, os):
         monkeypatch.setattr(module, "open", counting(module.open))
-    assert all(run_pipeline(config).skipped.values())
+    result = run_pipeline(config)
     monkeypatch.undo()
-    assert opens.pop("selection.audit.tsv") == 2
-    assert set(opens) == {p.name for p in work.iterdir()} - {"selection.audit.tsv"}
+    assert all(result.skipped.values())
+    assert result.selection == read_audit(work / "selection.audit.tsv")
+    assert set(opens) == {p.name for p in work.iterdir()}
     assert set(opens.values()) == {1}
 
 
@@ -752,7 +753,7 @@ def test_sweep_lambda(tmp_path, corpus_dir):
 def _one_domain_dev_config(corpus_dir, tmp_path) -> PipelineConfig:
     """The pool's two domains against a dev set and one centroid from the
     first domain alone, so a tight threshold leaves the other domain out."""
-    dev_spec = make_separated_spec(1, 4, frames_range=(30, 50), role="dev", id_prefix="dev_")
+    dev_spec = SynthSpec(1, 4, frames_range=(30, 50), role="dev", id_prefix="dev_")
     generate_synthetic_corpus(dev_spec, seed=12, out_dir=tmp_path / "dev")
     config = _config(corpus_dir, tmp_path / "work")
     config.paths.dev_manifest = str(tmp_path / "dev" / "dev.tsv")
