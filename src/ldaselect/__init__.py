@@ -34,7 +34,6 @@ from .errors import FormatError, LdaSelectError, StageError, ValidationError
 from .gmm import (
     GmmConfig,
     GmmModel,
-    gmm_posteriors,
     load_gmm,
     quantize,
     save_gmm,
@@ -46,7 +45,6 @@ from .lda import (
     LdaConfig,
     LdaModel,
     Posteriors,
-    elbo,
     extract_posteriors,
     infer_document,
     load_lda,
@@ -58,7 +56,6 @@ from .report import CompositionReport, compare, render_report, report
 from .selection import (
     SelectionConfig,
     SelectionResult,
-    cosine_distance,
     random_select,
     select,
     union_combine,
@@ -90,11 +87,8 @@ __all__ = [
     "build_text_vocab",
     "compare",
     "compute_stats",
-    "cosine_distance",
-    "elbo",
     "extract_posteriors",
     "generate_synthetic_corpus",
-    "gmm_posteriors",
     "infer_document",
     "load_config",
     "load_gmm",

@@ -265,18 +265,6 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     )
 
 
-def gmm_posteriors(model: GmmModel, frame) -> np.ndarray:
-    """Per-component posterior for one frame, computed in log-space."""
-    x = np.asarray(frame)
-    if x.ndim != 1 or x.shape[0] != model.frame_dim:
-        raise ValidationError(
-            f"frame has shape {x.shape}, model expects dimension {model.frame_dim}"
-        )
-    lj = _log_joint(model, x[None, :])[:, 0]
-    post = np.exp(lj - lj.max())
-    return post / post.sum()
-
-
 def quantize(model: GmmModel, matrix) -> np.ndarray:
     """Token per frame: the highest-posterior component, ties to lowest index."""
     X = np.asarray(matrix)

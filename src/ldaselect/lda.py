@@ -378,27 +378,6 @@ def _check_single(doc: DocBatch, vocab_size: int) -> None:
     doc.check_vocab(vocab_size)
 
 
-def elbo(model: LdaModel, doc: DocBatch, state: InferenceState) -> float:
-    """Variational lower bound for a one-document batch at the given state,
-    from its explicit phi.
-
-    For an empty document with gamma = alpha the Dirichlet terms cancel and
-    the bound is exactly zero. Entries where phi is exactly 0 add nothing, as
-    0 log 0 = 0 (also where log beta is -inf).
-    """
-    _check_single(doc, model.vocab_size)
-    alpha, gamma, phi = model.alpha, state.gamma, state.phi
-    elog_theta = _digamma(gamma) - _digamma(gamma.sum())
-    p_theta = _gammaln(alpha.sum()) - _gammaln(alpha).sum() + ((alpha - 1.0) * elog_theta).sum()
-    q_theta = _gammaln(gamma.sum()) - _gammaln(gamma).sum() + ((gamma - 1.0) * elog_theta).sum()
-    rows, topics = np.nonzero(phi)
-    p = phi[rows, topics]
-    log_beta = model.log_beta[topics, doc.terms[rows]]
-    return float(p_theta - q_theta + (
-        doc.weights[rows] * p * (elog_theta[topics] + log_beta - np.log(p))
-    ).sum())
-
-
 def infer_document(
     model: LdaModel,
     doc: DocBatch,

@@ -59,25 +59,8 @@ def centroid_id(index: int) -> str:
     return f"centroid_{index:04d}"
 
 
-def cosine_distance(a, b) -> float:
-    """1 minus the cosine of the angle between two vectors.
-
-    Non-negative inputs land in [0, 1]; rounding is clamped away. Zero
-    vectors have no direction and are rejected.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine distance is undefined for a zero vector")
-    d = 1.0 - float(np.dot(a, b)) / (na * nb)
-    return min(max(d, 0.0), 2.0)
-
-
 def _centroid_matrix(centroids) -> np.ndarray:
-    mat = getattr(centroids, "centroids", centroids)
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.asarray(centroids, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValidationError(f"centroids must be a non-empty 2-D matrix, got {mat.shape}")
     if not np.all(np.isfinite(mat)):

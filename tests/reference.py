@@ -24,7 +24,9 @@ def ref_elbo(alpha, gamma, phi, entries, log_beta) -> float:
     """Variational bound, term by term.
 
     ``entries`` is the document's (term, count, weight) list aligned with the
-    rows of ``phi``; ``log_beta`` is the full K x V table as nested lists.
+    rows of ``phi``; ``log_beta`` is the full K x V table as nested lists. A
+    phi entry of exactly 0 adds nothing (0 log 0 = 0), also where log beta is
+    -inf.
     """
     k = len(alpha)
     dg_sum = ref_digamma(sum(gamma))
@@ -37,7 +39,8 @@ def ref_elbo(alpha, gamma, phi, entries, log_beta) -> float:
     bound -= log_gamma_sum(gamma) + sum((gamma[i] - 1.0) * elog[i] for i in range(k))
     for row, (term, _count, weight) in zip(phi, entries):
         for i in range(k):
-            bound += weight * row[i] * (elog[i] + log_beta[i][term] - math.log(row[i]))
+            if row[i]:
+                bound += weight * row[i] * (elog[i] + log_beta[i][term] - math.log(row[i]))
     return bound
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from ldaselect import gmm as gmm_module
 from ldaselect.corpus import Manifest, Utterance, sample_frames, write_features
@@ -15,7 +14,6 @@ from ldaselect.errors import FormatError, ValidationError
 from ldaselect.gmm import (
     GmmConfig,
     GmmModel,
-    gmm_posteriors,
     load_gmm,
     quantize,
     save_gmm,
@@ -276,8 +274,8 @@ def test_converged_flag_tells_tol_stop_from_cap():
 @st.composite
 def _mixtures(draw):
     """A mixture with offset means and variances in [0.5, 2] and frames near
-    its means (one frame in some cases, as ``gmm_posteriors`` passes), in
-    some cases 500 further from the origin."""
+    its means (one frame in some cases), in some cases 500 further from the
+    origin."""
     n_components = draw(st.integers(1, 40))
     d = draw(st.integers(1, 13))
     n = draw(st.one_of(st.just(1), st.integers(2, 20)))
@@ -299,48 +297,24 @@ def test_log_joint_matches_per_dimension_reference(case):
     got = gmm_module._log_joint(_model(weights, means, variances), X)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
-    post = gmm_posteriors(_model(weights, means, variances), X[0])
-    np.testing.assert_allclose(
-        post, np.exp(expected[:, 0] - logsumexp(expected[:, 0])), rtol=1e-9, atol=1e-300
-    )
-
-
-def test_posterior_single_component():
-    model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    post = gmm_posteriors(model, [3.0, -1.0])
-    assert post.shape == (1,)
-    assert post[0] == pytest.approx(1.0)
 
 
 def test_posterior_far_components_analytic():
-    model = _model(
-        [0.5, 0.5], [[-100.0], [100.0]], [[1.0], [1.0]]
-    )
-    post = gmm_posteriors(model, [100.0])
-    assert post[1] > 0.99
-    assert post.sum() == pytest.approx(1.0, abs=1e-9)
+    """At x = 100 the two unit-variance components' log-joints differ by
+    (200^2 - 0) / 2, exactly representable; the frame is component 1's."""
+    model = _model([0.5, 0.5], [[-100.0], [100.0]], [[1.0], [1.0]])
+    lj = gmm_module._log_joint(model, np.array([[100.0]]))[:, 0]
+    assert lj[1] - lj[0] == pytest.approx(20000.0, rel=1e-12)
+    assert quantize(model, [[100.0]]).tolist() == [1]
 
 
 def test_posterior_equidistant_symmetry():
+    """A frame midway between two mirrored components has equal log-joints
+    and goes to the lower index."""
     model = _model([0.5, 0.5], [[-2.0], [2.0]], [[1.5], [1.5]])
-    post = gmm_posteriors(model, [0.0])
-    assert abs(post[0] - 0.5) < 1e-9
-    assert abs(post[1] - 0.5) < 1e-9
-
-
-def test_posterior_sums_and_argmax_consistency():
-    rng = np.random.default_rng(5)
-    model = _model(
-        rng.dirichlet(np.ones(4)),
-        rng.standard_normal((4, 3)) * 3,
-        rng.random((4, 3)) + 0.5,
-    )
-    frames = rng.standard_normal((200, 3)) * 3
-    tokens = quantize(model, frames)
-    for t, frame in zip(tokens, frames):
-        post = gmm_posteriors(model, frame)
-        assert post.sum() == pytest.approx(1.0, abs=1e-9)
-        assert t == int(np.argmax(post))
+    lj = gmm_module._log_joint(model, np.array([[0.0]]))[:, 0]
+    assert lj[0] == lj[1]
+    assert quantize(model, [[0.0]]).tolist() == [0]
 
 
 def test_argmax_invariant_to_weight_rescale():
@@ -422,9 +396,9 @@ def test_quantize_computes_coefficients_once_per_set_of_arrays(monkeypatch):
 def test_dimension_mismatch_errors():
     model = _model([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     with pytest.raises(ValidationError):
-        gmm_posteriors(model, [1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
         quantize(model, np.zeros((4, 3)))
+    with pytest.raises(ValidationError):
+        quantize(model, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from ldaselect.selection import (
     SelectionResult,
     SelectedUtterance,
     centroid_id,
-    cosine_distance,
     random_select,
     rank_pool,
     read_audit,
@@ -46,31 +45,40 @@ def _instance(rng, m, c, dim):
 # Distance
 
 
-def test_cosine_distance_frozen_values():
-    assert cosine_distance([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-        0.29289321881345254, abs=1e-15
+def _distance_table(pool_rows, cents) -> np.ndarray:
+    """The centroids x pool cosine distances of :func:`rank_pool`, each row
+    put back in pool order."""
+    pool_rows = np.asarray(pool_rows, dtype=np.float64)
+    ids = [f"u{i:03d}" for i in range(len(pool_rows))]
+    ranking = rank_pool(
+        Posteriors(ids, pool_rows), _manifest([(uid, 10.0) for uid in ids]), cents
     )
-    assert cosine_distance([2.0, 1.0], [2.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+    table = np.empty_like(ranking.dists)
+    np.put_along_axis(table, ranking.order, ranking.dists, axis=1)
+    return table
 
 
-def test_cosine_distance_zero_vector_rejected():
-    with pytest.raises(ValidationError):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValidationError):
-        cosine_distance([1.0, 0.0], [0.0, 0.0])
+def test_cosine_distance_frozen_values():
+    table = _distance_table([[1.0, 0.0], [2.0, 1.0], [0.0, 1.0]],
+                            np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 0.0]]))
+    assert table[0, 0] == pytest.approx(0.29289321881345254, abs=1e-15)
+    assert table[1, 1] == pytest.approx(0.0, abs=1e-15)
+    assert table[2, 2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_distance_symmetry_and_scale():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.random(4) + 0.01
-        b = rng.random(4) + 0.01
-        d = cosine_distance(a, b)
-        assert d == pytest.approx(cosine_distance(b, a), abs=1e-15)
-        assert d == pytest.approx(cosine_distance(3.7 * a, 0.2 * b), abs=1e-12)
-        assert d == pytest.approx(ref_cosine_distance(a.tolist(), b.tolist()), abs=1e-12)
-        assert 0.0 <= d <= 2.0
+    for _ in range(20):
+        a = rng.random((int(rng.integers(1, 5)), 4)) + 0.01
+        b = rng.random((int(rng.integers(1, 5)), 4)) + 0.01
+        table = _distance_table(b, a)
+        np.testing.assert_allclose(table, _distance_table(a, b).T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            table, _distance_table(0.2 * b, 3.7 * a), rtol=0, atol=1e-12
+        )
+        ref = [[ref_cosine_distance(x.tolist(), y.tolist()) for y in b] for x in a]
+        np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
+        assert np.all((table >= 0.0) & (table <= 2.0))
 
 
 # ---------------------------------------------------------------------------
