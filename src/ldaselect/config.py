@@ -7,14 +7,13 @@ Every hyperparameter of the full-scale recipe is surfaced with its default
 
 import configparser
 from dataclasses import dataclass, field, fields, replace
-from math import inf
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .corpus import decode_text
 from .errors import FormatError, ValidationError
-from .gmm import GmmConfig
-from .lda import LdaConfig
+from .gmm import GmmConfig, validate_gmm_config
+from .lda import LdaConfig, validate_lda_config
 from .selection import SelectionConfig, validate_selection_config
 
 SOURCES = ("dev", "pool", "dev+pool")
@@ -149,13 +148,16 @@ def load_config(path) -> PipelineConfig:
 
 def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     """Range-check every parameter; optionally require input paths to exist."""
+    for section, check in (("quantizer", validate_gmm_config), ("lda", validate_lda_config)):
+        try:
+            check(getattr(config, section))
+        except ValidationError as exc:
+            raise ValidationError(f"{section}.{exc}") from None
     q = config.quantizer
     if q.n_components < 1:
         raise ValidationError(f"quantizer.n_components must be >= 1, got {q.n_components}")
-    if q.max_iterations < 1 or not 0 < q.tol < inf or not 0 < q.var_floor_scale < inf:
-        raise ValidationError("quantizer EM settings out of range")
-    if q.init_subsample < 1 or q.max_train_frames < 1:
-        raise ValidationError("quantizer sampling sizes must be >= 1")
+    if q.max_train_frames < 1:
+        raise ValidationError(f"quantizer.max_train_frames must be >= 1, got {q.max_train_frames}")
     if q.train_source not in SOURCES:
         raise ValidationError(
             f"quantizer.train_source must be one of {SOURCES}, got '{q.train_source}'"
@@ -170,12 +172,6 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     l = config.lda
     if l.n_topics < 1:
         raise ValidationError(f"lda.n_topics must be >= 1, got {l.n_topics}")
-    if not all(0 < x < inf for x in (l.em_tol, l.doc_tol, l.eta)):
-        raise ValidationError("lda tolerances and eta must be finite and positive")
-    if l.em_max_iterations < 1 or l.doc_max_iterations < 1:
-        raise ValidationError("lda iteration limits must be >= 1")
-    if l.alpha is not None and not 0 < l.alpha < inf:
-        raise ValidationError(f"lda.alpha must be finite and positive, got {l.alpha}")
     if l.train_source not in SOURCES:
         raise ValidationError(
             f"lda.train_source must be one of {SOURCES}, got '{l.train_source}'"

@@ -5,6 +5,7 @@ index of the component with the highest posterior, turning an utterance into
 a token sequence over an N-symbol vocabulary.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,10 +22,10 @@ _GMM_HEADER = struct.Struct("<4sIII")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Components x frame-column cells per E-step block. Each block's float64
-# log-joint takes one reused 512 KB buffer, and its frame rows and their
-# scaled copy two reused (2d+1) x columns float64 buffers, however many
-# frames EM trains on.
+# Components x frame-column cells per E-step or quantizer block. Each block's
+# float64 log-joint takes 512 KB (in the E-step one reused buffer, with its
+# frame rows and their scaled copy in two reused (2d+1) x columns float64
+# buffers), however many frames EM trains on or an utterance holds.
 _BLOCK_CELLS = 1 << 16
 
 # Consecutive iterations a component may sit below the variance floor in
@@ -41,6 +42,18 @@ class GmmConfig:
     tol: float = 1e-5
     var_floor_scale: float = 1e-3
     init_subsample: int = 200_000
+
+
+def validate_gmm_config(config: GmmConfig) -> None:
+    """Range-check the EM settings, as :func:`train_gmm` needs them."""
+    for name in ("max_iterations", "init_subsample"):
+        if getattr(config, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
+    for name in ("tol", "var_floor_scale"):
+        if not 0 < getattr(config, name) < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and positive, got {getattr(config, name)}"
+            )
 
 
 @dataclass
@@ -103,6 +116,11 @@ def _model_coefficients(model: GmmModel) -> tuple[np.ndarray, np.ndarray]:
         shift = model.weights @ model.means
         cached = model._coef = (params, shift, _coefficients(*params, shift))
     return cached[1], cached[2]
+
+
+def _block_frames(n_components: int) -> int:
+    """Frames per block of ``_BLOCK_CELLS`` log-joint cells, at least one."""
+    return max(1, _BLOCK_CELLS // n_components)
 
 
 def _log_joint(model: GmmModel, frames: np.ndarray) -> np.ndarray:
@@ -205,6 +223,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     copies them transposed.
     """
     config = config or GmmConfig()
+    validate_gmm_config(config)
     frames = np.asarray(frames)
     if frames.ndim != 2:
         raise ValidationError(f"frame collection must be 2-D, got shape {frames.shape}")
@@ -227,7 +246,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
-    e_step = _e_step(frames, global_mean, n_components, max(1, _BLOCK_CELLS // n_components))
+    e_step = _e_step(frames, global_mean, n_components, _block_frames(n_components))
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
     iterations = 0
@@ -266,16 +285,21 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
 
 
 def quantize(model: GmmModel, matrix) -> np.ndarray:
-    """Token per frame: the highest-posterior component, ties to lowest index."""
+    """Token per frame: the highest-posterior component, ties to lowest index.
+
+    Frames are scored in the E-step's blocks of ``_block_frames`` frames, so
+    working memory does not grow with the utterance."""
     X = np.asarray(matrix)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.frame_dim):
         raise ValidationError(
             f"feature matrix shape {X.shape} does not match model dimension "
             f"{model.frame_dim}"
         )
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argmax(_log_joint(model, X), axis=0)
+    cols = _block_frames(model.n_components)
+    tokens = np.empty(X.shape[0], dtype=np.int64)
+    for start in range(0, X.shape[0], cols):
+        tokens[start:start + cols] = np.argmax(_log_joint(model, X[start:start + cols]), axis=0)
+    return tokens
 
 
 # ---------------------------------------------------------------------------

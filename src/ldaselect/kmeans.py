@@ -129,6 +129,8 @@ def train_kmeans(
         raise ValidationError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValidationError(f"cannot fit {k} clusters to {n} rows")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("k-means input contains NaN or Inf")
 

@@ -91,6 +91,21 @@ class LdaConfig:
     alpha: float | None = None  # None: symmetric 50 / n_topics
 
 
+def validate_lda_config(config: LdaConfig) -> None:
+    """Range-check the EM and inference settings, as :func:`train_lda` needs
+    them."""
+    for name in ("em_tol", "doc_tol", "eta"):
+        if not 0 < getattr(config, name) < math.inf:
+            raise ValidationError(
+                f"{name} must be finite and positive, got {getattr(config, name)}"
+            )
+    for name in ("em_max_iterations", "doc_max_iterations"):
+        if getattr(config, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
+    if config.alpha is not None and not 0 < config.alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and positive, got {config.alpha}")
+
+
 @dataclass
 class LdaModel:
     """Topic model; training fills ``bound_history``, ``n_iterations`` and
@@ -436,6 +451,7 @@ def train_lda(
     a positive entry.
     """
     config = config or LdaConfig()
+    validate_lda_config(config)
     if n_topics < 1:
         raise ValidationError(f"n_topics must be >= 1, got {n_topics}")
     if vocab_size < 1:
@@ -444,10 +460,7 @@ def train_lda(
     if not docs.terms.size:
         raise ValidationError("cannot train on an all-empty corpus")
 
-    alpha_val = config.alpha if config.alpha is not None else 50.0 / n_topics
-    if not 0 < alpha_val < math.inf:
-        raise ValidationError(f"alpha must be finite and positive, got {alpha_val}")
-    alpha = np.full(n_topics, alpha_val)
+    alpha = np.full(n_topics, config.alpha if config.alpha is not None else 50.0 / n_topics)
 
     if init_beta is None:
         rng = np.random.default_rng(config.seed)

@@ -275,6 +275,19 @@ def test_validate_ranges():
             validate_config(config, check_paths=False)
 
 
+def test_validate_names_the_section_of_a_model_setting():
+    """The quantizer and topic-model settings are checked by the model
+    modules themselves; the message names the config key."""
+    for section, key, value in [
+        ("quantizer", "var_floor_scale", 0.0), ("quantizer", "init_subsample", 0),
+        ("lda", "eta", 0.0), ("lda", "doc_max_iterations", 0),
+    ]:
+        config = PipelineConfig()
+        setattr(getattr(config, section), key, value)
+        with pytest.raises(ValidationError, match=f"^{section}.{key} must be"):
+            validate_config(config, check_paths=False)
+
+
 def test_validate_paths(tmp_path):
     pool, dev, work = _write_inputs(tmp_path)
     config = PipelineConfig()

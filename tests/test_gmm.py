@@ -97,6 +97,18 @@ def test_training_errors():
         train_gmm(np.ones((10, 2)) * np.arange(10)[:, None], 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("var_floor_scale", 0.0), ("var_floor_scale", math.inf), ("tol", 0.0), ("tol", math.nan),
+    ("max_iterations", 0), ("init_subsample", 0),
+])
+def test_train_gmm_refuses_settings_out_of_range(field, value):
+    """Called directly, ``train_gmm`` refuses what ``validate_config`` does,
+    naming the field, rather than training on it or failing inside numpy."""
+    X = np.random.default_rng(16).standard_normal((50, 2))
+    with pytest.raises(ValidationError, match=field):
+        train_gmm(X, 2, GmmConfig(seed=0, **{field: value}))
+
+
 @st.composite
 def _em_cases(draw):
     n_components = draw(st.integers(1, 4))
@@ -363,6 +375,42 @@ def test_quantize_alternating_far_components():
     model = _model([0.5, 0.5], [[-50.0], [50.0]], [[1.0], [1.0]])
     frames = np.array([[-50.0], [50.0], [-49.0], [51.0]])
     assert quantize(model, frames).tolist() == [0, 1, 0, 1]
+
+
+def _random_model(rng, n_components, d):
+    return _model(
+        rng.dirichlet(np.ones(n_components)), rng.standard_normal((n_components, d)) * 2,
+        rng.random((n_components, d)) + 0.5,
+    )
+
+
+def test_quantize_memory_does_not_grow_with_the_utterance():
+    """A 60,000-frame utterance at N=1024 is scored in blocks: one frames x
+    components float64 log-joint would take 469 MiB."""
+    rng = np.random.default_rng(14)
+    model = _random_model(rng, 1024, 13)
+    frames = rng.standard_normal((60_000, 13)) * 2
+    quantize(model, frames[:1])  # the model's coefficient rows are kept on it
+    tracemalloc.start()
+    try:
+        quantize(model, frames)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_quantize_blocks_equal_one_product():
+    """Lengths on either side of a block boundary give the tokens of one
+    log-joint product over the whole utterance."""
+    rng = np.random.default_rng(15)
+    model = _random_model(rng, 1024, 13)
+    cols = gmm_module._block_frames(model.n_components)
+    assert cols == 64
+    frames = rng.standard_normal((2 * cols + 1, 13)) * 2
+    for n in (cols - 1, cols, cols + 1, 2 * cols + 1):
+        whole = np.argmax(gmm_module._log_joint(model, frames[:n]), axis=0)
+        assert np.array_equal(quantize(model, frames[:n]), whole), n
 
 
 def test_quantize_computes_coefficients_once_per_set_of_arrays(monkeypatch):

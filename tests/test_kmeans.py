@@ -101,6 +101,13 @@ def test_validation_errors():
         train_kmeans(np.ones(5), 1, seed=0)
 
 
+def test_max_iterations_below_one_rejected():
+    """Without one Lloyd step there would be no assignment to return."""
+    X = np.random.default_rng(17).standard_normal((10, 2))
+    with pytest.raises(ValidationError, match="max_iterations"):
+        train_kmeans(X, 2, max_iterations=0)
+
+
 def test_seeding_indices_cover_spread_points():
     """k-means++ must pick one seed from each far-apart blob."""
     rng = np.random.default_rng(3)

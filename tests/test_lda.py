@@ -211,6 +211,20 @@ def test_all_empty_corpus_rejected():
         train_lda(batch([("a", []), ("b", [])]), 2, 5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eta", 0.0), ("eta", -1.0), ("eta", math.nan), ("em_tol", 0.0), ("em_tol", math.inf),
+    ("doc_tol", -1e-4), ("doc_tol", math.nan), ("em_max_iterations", 0),
+    ("doc_max_iterations", 0), ("alpha", 0.0),
+])
+def test_train_lda_refuses_settings_out_of_range(field, value):
+    """Called directly, ``train_lda`` refuses what ``validate_config`` does,
+    naming the field, rather than training on it."""
+    docs = batch([("a", [(0, 2, 1.0), (1, 1, 0.5)]), ("b", [(1, 3, 1.5)])])
+    config = LdaConfig(seed=0, **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        train_lda(docs, 2, 2, config)
+
+
 def test_alpha_default_and_override():
     docs = one_doc("d", [(0, 1, 1.0)])
     model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1))
@@ -516,7 +530,7 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     with np.errstate(divide="ignore"):
         model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3),
                          log_beta=np.log(beta))
-    config = LdaConfig(alpha=1e-3, eta=0.01, em_max_iterations=2, em_tol=-np.inf)
+    config = LdaConfig(alpha=1e-3, eta=0.01, em_max_iterations=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         posts, sweeps = extract_posteriors(model, doc)
