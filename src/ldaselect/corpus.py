@@ -410,8 +410,16 @@ def validate_synth_spec(spec: SynthSpec) -> None:
     lo, hi = spec.words_range
     if lo < 1 or hi < lo:
         raise ValidationError(f"invalid words_range {spec.words_range}")
-    if not math.isfinite(spec.separation):
-        raise ValidationError(f"separation must be finite, got {spec.separation}")
+    # The largest centre coordinate plus the largest component offset; NaN
+    # and Inf fail the comparison too.
+    reach = abs(spec.separation) * (
+        1 + (spec.n_domains - 1) // spec.frame_dim + (spec.n_components - 1) / 10
+    )
+    if not reach < float(np.finfo(np.float32).max):
+        raise ValidationError(
+            f"separation must be finite and keep every domain within float32's range, "
+            f"got {spec.separation}"
+        )
     if spec.role not in ROLES:
         raise ValidationError(f"role must be one of {ROLES}, got '{spec.role}'")
 

@@ -268,8 +268,10 @@ def read_audit(path) -> SelectionResult:
 
 def parse_audit(data: bytes, path) -> SelectionResult:
     """Parse the bytes ``data`` of the audit file ``path`` (which names it in
-    errors), as :func:`read_audit` does."""
+    errors), as :func:`read_audit` does. An utterance listed twice is an
+    error naming both lines."""
     result = SelectionResult()
+    seen: dict[str, int] = {}
     for lineno, raw in text_lines(io.BytesIO(data), path):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -294,5 +296,11 @@ def parse_audit(data: bytes, path) -> SelectionResult:
             )
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed audit line") from None
+        if entry.utt_id in seen:
+            raise FormatError(
+                f"{path}: duplicate utterance id '{entry.utt_id}' "
+                f"(lines {seen[entry.utt_id]} and {lineno})"
+            )
+        seen[entry.utt_id] = lineno
         result.selected.append(entry)
     return result

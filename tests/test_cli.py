@@ -282,6 +282,23 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
     assert set(combined.ids()) == set(greedy.ids()) | set(rand.ids())
 
 
+def test_combine_refuses_an_audit_listing_an_utterance_twice(config_path, tmp_path, capsys):
+    """Such an audit would give a combined manifest that cannot be read
+    back; ``combine`` exits 2 and writes nothing."""
+    assert main(["run", "--config", str(config_path)]) == 0
+    work = tmp_path / "work"
+    lines = (work / "selection.audit.tsv").read_text(encoding="utf-8").splitlines(True)
+    dup = tmp_path / "dup.audit.tsv"
+    dup.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    first_id = lines[1].split("\t")[0]
+    capsys.readouterr()
+    assert main(["combine", "--config", str(config_path), "--a", str(dup), "--b", str(dup)]) == 2
+    assert f"duplicate utterance id '{first_id}' (lines 2 and {len(lines) + 1})" in (
+        capsys.readouterr().err
+    )
+    assert not (work / "selection_combined.tsv").exists()
+
+
 def test_selection_commands_leave_no_truncated_output(config_path, tmp_path, monkeypatch):
     """``random-select`` and ``combine`` that fail while writing leave each
     output name as it was (here: absent) and no temporary file."""

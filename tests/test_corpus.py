@@ -485,7 +485,7 @@ BAD_RECIPE_FIELDS = {
     "frames_range": [(-1, 5), (6, 5)],
     "words_range": [(0, 5), (6, 5)],
     "words_per_domain": [0],
-    "separation": [math.nan, math.inf, -math.inf],
+    "separation": [math.nan, math.inf, -math.inf, 1e39, -1e39],
     "fps": [0.0, -1.0, math.nan, math.inf, 1e-320],
     "role": ["train"],
 }
@@ -502,6 +502,16 @@ def test_synthetic_validation_errors(tmp_path):
                 with pytest.raises(ValidationError):
                     generate_synthetic_corpus(spec, 0, out)
                 assert not out.exists(), (name, value)
+    # Finite separations that put a later domain's centre, or a component
+    # offset, beyond float32's range.
+    for fields in ({"n_domains": 9}, {"n_components": 30}):
+        spec = replace(_tiny_spec(), separation=1e38, **fields)
+        with pytest.raises(ValidationError, match="float32"):
+            generate_synthetic_corpus(spec, 0, out)
+        assert not out.exists(), fields
+    # Just inside the range, the corpus is written and reads back.
+    spec = replace(_tiny_spec(), separation=3e38)
+    assert len(generate_synthetic_corpus(spec, 0, out)) == 3
 
 
 def test_read_transcript_missing(tmp_path):

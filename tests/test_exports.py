@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import ldaselect
@@ -19,3 +20,23 @@ def test_all_lists_exactly_the_public_imports():
     namespace: dict = {}
     exec("from ldaselect import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(public)
+
+
+def test_every_public_name_is_used_or_documented():
+    """Each name in ``__all__`` is referenced by a package module other than
+    ``__init__`` (its own definition is not a reference) or named in the
+    README, so the package exports no code that only the tests call."""
+    used = set()
+    for path in Path(ldaselect.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    documented = set(re.findall(r"\w+", readme.read_text(encoding="utf-8")))
+    assert [name for name in ldaselect.__all__ if name not in used | documented] == []

@@ -458,3 +458,19 @@ def test_audit_malformed(tmp_path):
     path.write_text("a\tcentroid_0000\tzero\t1\n", encoding="utf-8")
     with pytest.raises(FormatError):
         read_audit(path)
+
+
+def test_audit_listing_an_utterance_twice_rejected(tmp_path):
+    """Recall and union would count the utterance twice, and a combined
+    selection manifest would repeat it."""
+    path = tmp_path / "dup.tsv"
+    path.write_text(
+        "# passes=2\ttotal_hours=0.01\n"
+        "a\tcentroid_0000\t0.1\t1\n"
+        "b\tcentroid_0001\t0.2\t1\n"
+        "\n"
+        "a\tcentroid_0001\t0.3\t2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError, match=r"dup\.tsv: duplicate utterance id 'a' \(lines 2 and 5\)"):
+        read_audit(path)
