@@ -47,13 +47,13 @@ class GmmConfig:
 def validate_gmm_config(config: GmmConfig) -> None:
     """Range-check the EM settings, as :func:`train_gmm` needs them."""
     for name in ("max_iterations", "init_subsample"):
-        if getattr(config, name) < 1:
-            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     for name in ("tol", "var_floor_scale"):
-        if not 0 < getattr(config, name) < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and positive, got {getattr(config, name)}"
-            )
+        value = getattr(config, name)
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

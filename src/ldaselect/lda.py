@@ -95,13 +95,13 @@ def validate_lda_config(config: LdaConfig) -> None:
     """Range-check the EM and inference settings, as :func:`train_lda` needs
     them."""
     for name in ("em_tol", "doc_tol", "eta"):
-        if not 0 < getattr(config, name) < math.inf:
-            raise ValidationError(
-                f"{name} must be finite and positive, got {getattr(config, name)}"
-            )
+        value = getattr(config, name)
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
     for name in ("em_max_iterations", "doc_max_iterations"):
-        if getattr(config, name) < 1:
-            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     if config.alpha is not None and not 0 < config.alpha < math.inf:
         raise ValidationError(f"alpha must be finite and positive, got {config.alpha}")
 

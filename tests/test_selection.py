@@ -327,8 +327,11 @@ def test_select_input_validation():
         select(Posteriors(["a", "a"], np.array([g, g])), manifest, cents, config)
     with pytest.raises(ValidationError):
         select(Posteriors(["a"], np.array([[1.0, 1.0, 1.0]])), manifest, cents, config)
-    with pytest.raises(ValidationError):
+    # A zero vector has no direction, on the pool side or the centroid side.
+    with pytest.raises(ValidationError, match="pool posteriors must be nonzero"):
         select(Posteriors(["a"], np.zeros((1, 2))), manifest, cents, config)
+    with pytest.raises(ValidationError, match="centroids must be nonzero"):
+        select(posts, manifest, np.array([[1.0, 0.5], [0.0, 0.0]]), config)
     with pytest.raises(ValidationError):
         select(posts, manifest, np.zeros((0, 2)), config)
 
