@@ -13,6 +13,7 @@ from typing import get_args, get_type_hints
 from .corpus import decode_text
 from .errors import FormatError, ValidationError
 from .gmm import GmmConfig, validate_gmm_config
+from .kmeans import validate_seed
 from .lda import LdaConfig, validate_lda_config
 from .selection import SelectionConfig, validate_selection_config
 
@@ -179,6 +180,7 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     c = config.cluster
     if c.n_clusters < 1 or c.max_iterations < 1:
         raise ValidationError("cluster.n_clusters and max_iterations must be >= 1")
+    validate_seed(c.seed, "cluster.seed")
     validate_selection_config(config.selection)
     t = config.text
     if t.n_topics is not None and t.n_topics < 1:

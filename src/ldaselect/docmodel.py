@@ -95,10 +95,13 @@ class CorpusStats:
 
 def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
     """Distinct terms of each token sequence with their counts, terms
-    ascending; the weight of every entry is its count."""
+    ascending; the weight of every entry is its count. Ids must be distinct."""
     if vocab_size < 1:
         raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
     ids = list(ids)
+    repeated = [i for i, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"duplicate document id '{repeated[0]}'")
     docs = [np.asarray(t, dtype=np.int64) for t in token_docs]
     if len(docs) != len(ids):
         raise ValidationError(f"{len(ids)} document ids for {len(docs)} documents")

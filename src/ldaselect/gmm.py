@@ -14,7 +14,7 @@ import numpy as np
 
 from . import container
 from .errors import FormatError, ValidationError
-from .kmeans import kmeans_pp_indices
+from .kmeans import kmeans_pp_indices, validate_seed
 
 GMM_MAGIC = b"AGMM"
 GMM_VERSION = 1
@@ -46,6 +46,7 @@ class GmmConfig:
 
 def validate_gmm_config(config: GmmConfig) -> None:
     """Range-check the EM settings, as :func:`train_gmm` needs them."""
+    validate_seed(config.seed)
     for name in ("max_iterations", "init_subsample"):
         value = getattr(config, name)
         if value < 1:
@@ -295,6 +296,8 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
             f"feature matrix shape {X.shape} does not match model dimension "
             f"{model.frame_dim}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("feature matrix contains NaN or Inf")
     cols = _block_frames(model.n_components)
     tokens = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], cols):

@@ -6,6 +6,7 @@ leaves the centroids unchanged.
 """
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,13 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return labels, d2[np.arange(X.shape[0]), labels]
 
 
+def validate_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed that is not a non-negative integer, which
+    ``np.random.default_rng`` would reject with a numpy error."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {seed}")
+
+
 def train_kmeans(
     X,
     k: int,
@@ -131,6 +139,7 @@ def train_kmeans(
         raise ValidationError(f"cannot fit {k} clusters to {n} rows")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
+    validate_seed(seed)
     if not np.all(np.isfinite(X)):
         raise ValidationError("k-means input contains NaN or Inf")
 

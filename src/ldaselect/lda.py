@@ -40,6 +40,7 @@ from . import container
 from .corpus import text_lines
 from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
+from .kmeans import validate_seed
 
 LDA_MAGIC = b"ALDA"
 LDA_VERSION = 1
@@ -94,6 +95,7 @@ class LdaConfig:
 def validate_lda_config(config: LdaConfig) -> None:
     """Range-check the EM and inference settings, as :func:`train_lda` needs
     them."""
+    validate_seed(config.seed)
     for name in ("em_tol", "doc_tol", "eta"):
         value = getattr(config, name)
         if not 0 < value < math.inf:
@@ -347,8 +349,6 @@ def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
     documents and the mask of those leaving after it. Returns the sweeps per
     document.
     """
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     lengths = np.diff(batch.indptr)
     sweeps = np.zeros(lengths.size, dtype=np.int64)
     # Documents still moving, all swept ``sweep_no`` times, with their gamma,
@@ -387,6 +387,15 @@ def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
     return sweeps
 
 
+def _check_inference(tol: float, max_iters: int) -> None:
+    """Range-check a caller's inference settings as :func:`validate_lda_config`
+    checks ``doc_tol`` and ``doc_max_iterations``."""
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+
+
 def _check_single(doc: DocBatch, vocab_size: int) -> None:
     if len(doc) != 1:
         raise ValidationError(f"expected a single document, got {len(doc)}")
@@ -410,6 +419,7 @@ def infer_document(
     columns of the topic-term table; it also records the bound after every
     sweep.
     """
+    _check_inference(tol, max_iters)
     _check_single(doc, model.vocab_size)
     gamma = _initial_gamma(model.alpha, doc)
     if init_gamma is not None and doc.terms.size:
@@ -524,6 +534,7 @@ def extract_posteriors(
 ) -> tuple[Posteriors, np.ndarray]:
     """Converged gamma per document, in input order, and the sweeps each
     document took (0 for an empty one, whose gamma is alpha)."""
+    _check_inference(tol, max_iters)
     docs.check_vocab(model.vocab_size)
     topics = _topics(model.log_beta, docs)
     gamma = _initial_gamma(model.alpha, docs)

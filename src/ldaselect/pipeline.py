@@ -5,8 +5,9 @@ quantization, weighting, topic model, posteriors, clustering, selection,
 optional transcript path and union, report); ``Runner.sweep`` runs a λ sweep
 stage after clustering instead of selection. Every stage publishes its
 artifacts into the work directory before the next begins, and is skipped on
-re-runs when its inputs, parameters and output names hash to the cached key
-and its outputs still have their cached digests.
+re-runs when its declared key parts (input digests, settings, corpus parts)
+hash to the cached key and its outputs still have their cached digests; a
+rerun logs the parts that changed.
 """
 
 import fcntl
@@ -16,8 +17,8 @@ import logging
 import os
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +40,19 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Stage:
-    """One entry of ``Runner.stages``: the work-dir files the stage reads, a
-    callable giving its other key parts (so manifest and feature digests are
-    computed only when the stage is checked), the files it writes, and its
-    body, called with the input paths and then the temporary output paths."""
+    """One entry of ``Runner.stages``: the work-dir files the stage reads; the
+    config settings it reads, as dotted fields or whole sections; the corpus
+    parts it reads, ``<dev|pool> <features|transcripts|manifest|dir>``; the
+    files it writes; its body, called with the input paths and then the
+    temporary output paths; and the sweep's thresholds. ``Runner._parts``
+    resolves these into the stage's key parts."""
 
     inputs: list[str]
-    key: Callable[[], list]
+    settings: list[str]
+    corpus: list[str]
     outputs: list[str]
     body: Callable[..., None]
+    lambdas: tuple[float, ...] = ()
 
 
 @contextmanager
@@ -118,10 +123,6 @@ class Runner:
                 self.manifest_bytes[which], path, role=which
             )
         self.pool = self.manifests["pool"]
-        # The directory the pool's relative paths resolved against, which the
-        # selection manifests name: a key part of the stages that write them,
-        # NUL-terminated (no path holds a NUL) ahead of the manifest's bytes.
-        self.pool_dir_key = str(Path(config.paths.pool_manifest).parent.absolute()) + "\0"
 
     @contextmanager
     def owned(self):
@@ -154,7 +155,7 @@ class Runner:
                 else:
                     log.warning("ignoring corrupt cache file %s", self.cache_path)
             self.skipped: dict[str, bool] = {}
-            # Work-dir file digests by name, manifest digests by (which, transcripts).
+            # Work-dir file digests by name, corpus part digests by part name.
             self._digests: dict = {}
             yield
 
@@ -193,18 +194,24 @@ class Runner:
         """The corpora a ``dev``/``pool``/``dev+pool`` setting names, dev first."""
         return [which for which in ("dev", "pool") if which in spec.split("+")]
 
-    def _digest_manifest(self, which: str, transcripts: bool = False) -> str:
-        """Digest of a manifest's bytes and of every feature (or transcript)
-        file it lists. Each file enters framed by a presence byte and its
-        length, so no two sets of file contents hash alike, and a transcript
-        that is listed but missing differs from an empty one."""
-        memo = (which, transcripts)
-        if memo in self._digests:
-            return self._digests[memo]
+    def _corpus_digest(self, part: str) -> str:
+        """sha256 of the corpus part ``<which> <what>``: the manifest's bytes;
+        the directory its relative paths resolved against (``dir``); or those
+        bytes and every feature (or transcript) file listed, each framed by a
+        presence byte and its length, so no two sets of file contents hash
+        alike and a listed transcript that is missing differs from an empty one."""
+        if part in self._digests:
+            return self._digests[part]
+        which, what = part.split()
         h = hashlib.sha256()
-        h.update(len(self.manifest_bytes[which]).to_bytes(8, "little"))
-        h.update(self.manifest_bytes[which])
-        for utt in self.manifests[which]:
+        if what == "dir":
+            manifest = getattr(self.config.paths, f"{which}_manifest")
+            h.update(str(Path(manifest).parent.absolute()).encode())
+        else:
+            h.update(len(self.manifest_bytes[which]).to_bytes(8, "little"))
+            h.update(self.manifest_bytes[which])
+        transcripts = what == "transcripts"
+        for utt in self.manifests[which] if what in ("features", "transcripts") else ():
             h.update(utt.id.encode())
             p = utt.transcript_file if transcripts else utt.feature_file
             data = None
@@ -221,8 +228,7 @@ class Runner:
             else:
                 h.update(b"\1" + len(data).to_bytes(8, "little"))
                 h.update(data)
-        digest = h.hexdigest()
-        self._digests[memo] = digest
+        digest = self._digests[part] = h.hexdigest()
         return digest
 
     def _digest(self, name: str) -> str | None:
@@ -232,30 +238,51 @@ class Runner:
             self._digests[name] = _sha256(self.work / name)
         return self._digests.get(name)
 
-    def _run_stage(self, name: str, stage: Stage) -> None:
-        """Run ``stage``'s body unless the cached key of its input digests,
-        key parts and output names matches and every output still has its
-        recorded digest. Only here are the outputs published, and only once
-        the body has written them all."""
-        h = hashlib.sha256(name.encode())
+    def _parts(self, name: str, stage: Stage) -> dict[str, str]:
+        """``stage``'s key parts by name, in a fixed order: the sha256 of each
+        input artifact (``input <file>``), the ``repr`` of each setting (of
+        each field, for a section), the sha256 of each corpus part and of the
+        sweep's threshold list (``sweep lambdas``). Only settings' names lack
+        a space."""
+        parts = {}
         for art in stage.inputs:
-            digest = self._digest(art)
+            parts[f"input {art}"] = digest = self._digest(art)
             if digest is None:
-                raise StageError(
-                    name, f"missing input artifact '{art}'; run earlier stages first"
-                )
-            h.update(digest.encode())
-        for part in stage.key():
-            h.update(part if isinstance(part, bytes) else str(part).encode())
-        outputs = stage.outputs
-        h.update(repr(outputs).encode())
-        key = h.hexdigest()
+                raise StageError(name, f"missing input artifact '{art}'; run earlier stages first")
+        for s in stage.settings:
+            value = reduce(getattr, s.split("."), self.config)
+            if is_dataclass(value):  # a section: each of its fields
+                parts |= {f"{s}.{f.name}": repr(getattr(value, f.name)) for f in fields(value)}
+            else:
+                parts[s] = repr(value)
+        parts |= {c: self._corpus_digest(c) for c in stage.corpus}
+        if stage.lambdas:
+            parts["sweep lambdas"] = hashlib.sha256(repr(stage.lambdas).encode()).hexdigest()
+        return parts
+
+    def _run_stage(self, name: str, stage: Stage) -> None:
+        """Run ``stage``'s body unless the cached key of its parts matches and
+        every output still has its recorded digest, and log why it runs. Only
+        here are the outputs published, and only once the body has written
+        them all."""
+        parts = self._parts(name, stage)
+        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
         entry = self.cache.get(name, {})
-        if entry.get("key") == key and entry.get("outputs") == {o: self._digest(o) for o in outputs}:
+        old = entry.get("parts")
+        if not isinstance(old, dict):  # none, or one of a format without parts
+            why = ["cache entry records no parts" if entry else "no cache entry"]
+        elif entry.get("key") != key:
+            why = [f"{p} changed" if " " in p else f"{p} {old.get(p)} -> {parts.get(p)}"
+                   for p in _differing(old, parts)] or ["key changed"]
+        else:
+            current = {o: self._digest(o) for o in stage.outputs}
+            why = [f"output {o} changed" for o in _differing(entry.get("outputs"), current)]
+        if not why:
             log.info("stage %s: skipped (cached)", name)
             self.skipped[name] = True
             return
-        log.info("stage %s: running", name)
+        log.info("stage %s: running (%s)", name, "; ".join(why))
+        outputs = stage.outputs
         try:
             with publish(*(self.work / o for o in outputs)) as tmps:
                 stage.body(*(self.work / i for i in stage.inputs), *tmps)
@@ -266,7 +293,7 @@ class Runner:
             raise StageError(name, str(exc)) from exc
         self._digests.update(digests)
         self.skipped[name] = False
-        self.cache[name] = {"key": key, "outputs": digests}
+        self.cache[name] = {"key": key, "parts": parts, "outputs": digests}
         self._save_cache()
 
     def _save_cache(self) -> None:
@@ -283,33 +310,30 @@ class Runner:
         chain; with ``[text] enabled``, ``text-tfidf``, the text twins of the
         four topic stages and ``combine``; then ``report``. Built on each read:
         its bodies hold the runner, so a kept table would be a reference cycle."""
-        c, q, d = self.config, self.config.quantizer, self.config.docmodel
-
-        def manifests(spec: str, transcripts: bool = False) -> list[str]:
-            return [self._digest_manifest(w, transcripts) for w in self._sources(spec)]
-
+        c = self.config
+        gmm_sources = [f"{w} features" for w in self._sources(c.quantizer.train_source)]
         stages = {
-            "train-gmm": Stage([], lambda: [repr(q)] + manifests(q.train_source),
-                               ["gmm.agmm"], self._train_gmm),
-            "quantize": Stage(["gmm.agmm"], lambda: manifests("dev+pool"),
+            "train-gmm": Stage([], ["quantizer"], gmm_sources, ["gmm.agmm"], self._train_gmm),
+            "quantize": Stage(["gmm.agmm"], [], ["dev features", "pool features"],
                               ["bags_pool.adoc", "bags_dev.adoc"], self._quantize),
             "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"],
-                           lambda: [d.idf_source, q.n_components],
+                           ["docmodel.idf_source", "quantizer.n_components"], [],
                            ["weighted_pool.adoc", "weighted_dev.adoc"], self._tfidf),
         }
         stages |= self._topic_stages("", "", [], c.lda, c.selection,
                                      "selection_acoustic" if c.text.enabled else "selection")
         if c.text.enabled:
             stages["text-tfidf"] = Stage(
-                [], lambda: [d.text_vocab_cap, d.idf_source] + manifests("dev+pool", True),
+                [], ["docmodel.text_vocab_cap", "docmodel.idf_source"],
+                ["dev transcripts", "pool transcripts"],
                 ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
                 self._text_tfidf)
             stages |= self._topic_stages("text-", "text_", ["text_vocab.tsv"], text_lda_params(c),
                                          text_select_params(c), "selection_text")
             stages["combine"] = Stage(["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
-                                      lambda: [self.pool_dir_key, self.manifest_bytes["pool"]],
+                                      [], ["pool manifest", "pool dir"],
                                       ["selection.audit.tsv", "selection.tsv"], self._combine)
-        stages["report"] = Stage(["selection.audit.tsv"], lambda: [self.manifest_bytes["pool"]],
+        stages["report"] = Stage(["selection.audit.tsv"], [], ["pool manifest"],
                                  ["report.tsv", "report.txt"], self._report)
         return stages
 
@@ -318,23 +342,24 @@ class Runner:
         """``train-lda``, ``posteriors``, ``cluster`` and ``select`` named with
         prefix ``n``, over the files named with prefix ``p``: the acoustic
         chain's, or its text twins'. The text topic model also reads the
-        vocabulary ``vocab``; ``selection`` names the selection's outputs."""
-        l = self.config.lda
+        vocabulary ``vocab`` (the acoustic one sizes it by the codebook), and
+        the twins read the ``[text]`` overrides beside the acoustic settings;
+        ``selection`` names the selection's outputs."""
         return {
             f"{n}train-lda": Stage(
                 [f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc", *vocab],
-                lambda: [repr(lda_params)], [f"{p}lda.alda"],
+                ["lda", "text.n_topics" if n else "quantizer.n_components"], [], [f"{p}lda.alda"],
                 partial(self._train_lda, f"{n}train-lda", lda_params)),
             f"{n}posteriors": Stage(
                 [f"{p}lda.alda", f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc"],
-                lambda: [l.doc_tol, l.doc_max_iterations],
+                ["lda.doc_tol", "lda.doc_max_iterations"], [],
                 [f"{p}post_pool.tsv", f"{p}post_dev.tsv"],
                 partial(self._posteriors, f"{n}posteriors")),
-            f"{n}cluster": Stage([f"{p}post_dev.tsv"], lambda: [repr(self.config.cluster)],
+            f"{n}cluster": Stage([f"{p}post_dev.tsv"], ["cluster"], [],
                                  [f"{p}centroids.tsv", f"{p}centroids.meta.json"], self._cluster),
             f"{n}select": Stage(
                 [f"{p}post_pool.tsv", f"{p}centroids.tsv"],
-                lambda: [self.pool_dir_key, self.manifest_bytes["pool"], repr(select_params)],
+                ["selection", *(["text.threshold"] if n else [])], ["pool manifest", "pool dir"],
                 [f"{selection}.audit.tsv", f"{selection}.tsv"],
                 partial(self._select, f"{n}select", select_params)),
         }
@@ -342,11 +367,10 @@ class Runner:
     def _sweep_stage(self, lambdas: list[float]) -> Stage:
         """``sweep``: each threshold's selection audit, manifest and report, then a summary."""
         names = ("selection_lambda_{}.audit.tsv", "selection_lambda_{}.tsv", "report_lambda_{}.tsv")
-        return Stage(["post_pool.tsv", "centroids.tsv"],
-                     lambda: [self.pool_dir_key, self.manifest_bytes["pool"],
-                              repr((self.config.selection.max_hours, lambdas))],
+        return Stage(["post_pool.tsv", "centroids.tsv"], ["selection.max_hours"],
+                     ["pool manifest", "pool dir"],
                      [n.format(_lambda_tag(lam)) for lam in lambdas for n in names]
-                     + ["sweep_summary.tsv"], partial(self._sweep, lambdas))
+                     + ["sweep_summary.tsv"], partial(self._sweep, lambdas), tuple(lambdas))
 
     # -- stage bodies: input paths, then temporary output paths -----------
 
@@ -542,6 +566,14 @@ class Runner:
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> PipelineResult:
     """Validate the config, then execute the requested stages in order."""
     return Runner(config).run(stages)
+
+
+def _differing(old, new: dict) -> list[str]:
+    """Names whose value differs between ``new`` and the recorded mapping
+    ``old`` (read from ``cache.json``: anything else counts as empty), in
+    ``new``'s order, then names that only ``old`` has."""
+    old = old if isinstance(old, dict) else {}
+    return [k for k in {**new, **old} if old.get(k) != new.get(k)]
 
 
 def _lambda_tag(lam: float) -> str:

@@ -129,6 +129,9 @@ def test_exit_code_one_for_config_errors(corpus_dir, tmp_path, capsys):
     cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "acoustic.cfg")
     assert main(["run", "--config", str(cfg), "--stages", "text-tfidf,text-select"]) == 1
     assert "[text] enabled" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert "quantizer.seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def _prefix_ff(path, line):

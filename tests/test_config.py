@@ -276,11 +276,13 @@ def test_validate_ranges():
 
 
 def test_validate_names_the_section_of_a_model_setting():
-    """The quantizer and topic-model settings are checked by the model
-    modules themselves; the message names the config key."""
+    """The quantizer and topic-model settings, and every seed, are checked by
+    the model modules themselves; the message names the config key."""
     for section, key, value in [
         ("quantizer", "var_floor_scale", 0.0), ("quantizer", "init_subsample", 0),
         ("lda", "eta", 0.0), ("lda", "doc_max_iterations", 0),
+        ("quantizer", "seed", -1), ("lda", "seed", 1.5), ("cluster", "seed", -1),
+        ("cluster", "seed", 1.5),
     ]:
         config = PipelineConfig()
         setattr(getattr(config, section), key, value)

@@ -362,6 +362,8 @@ def test_bag_of_words_counts_and_layout():
     assert "'oov'" in str(exc.value)
     with pytest.raises(ValidationError):
         bag_of_words(["a"], [[0], [1]], 4)
+    with pytest.raises(ValidationError, match="duplicate document id 'a'"):
+        bag_of_words(["a", "b", "a"], [[0], [1], [2]], 4)
 
 
 def test_doc_batch_slicing_and_concat():

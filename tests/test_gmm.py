@@ -99,14 +99,14 @@ def test_training_errors():
 
 @pytest.mark.parametrize("field, value", [
     ("var_floor_scale", 0.0), ("var_floor_scale", math.inf), ("tol", 0.0), ("tol", math.nan),
-    ("max_iterations", 0), ("init_subsample", 0),
+    ("max_iterations", 0), ("init_subsample", 0), ("seed", -1), ("seed", 1.5),
 ])
 def test_train_gmm_refuses_settings_out_of_range(field, value):
     """Called directly, ``train_gmm`` refuses what ``validate_config`` does,
     naming the field, rather than training on it or failing inside numpy."""
     X = np.random.default_rng(16).standard_normal((50, 2))
     with pytest.raises(ValidationError, match=field):
-        train_gmm(X, 2, GmmConfig(seed=0, **{field: value}))
+        train_gmm(X, 2, GmmConfig(**{"seed": 0, field: value}))
 
 
 @st.composite
@@ -447,6 +447,9 @@ def test_dimension_mismatch_errors():
         quantize(model, np.zeros((4, 3)))
     with pytest.raises(ValidationError):
         quantize(model, np.zeros(2))
+    for bad in (math.nan, math.inf, -math.inf):  # no score, so no token
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            quantize(model, [[0.0, 0.0], [bad, 0.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_validation_errors():
         train_kmeans(np.array([[np.nan, 1.0]]), 1, seed=0)
     with pytest.raises(ValidationError):
         train_kmeans(np.ones(5), 1, seed=0)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            train_kmeans(X, 2, seed=seed)
 
 
 def test_max_iterations_below_one_rejected():

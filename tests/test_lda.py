@@ -109,6 +109,18 @@ def test_infer_validation():
         infer_document(model, one_doc("d", [(0, 1, 1.0)]), max_iters=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_inference_refuses_a_tolerance_out_of_range(tol):
+    """A tolerance no change can fall below would run every document to the
+    sweep cap; both inference entry points refuse it, as the config does."""
+    model = _random_model(np.random.default_rng(3), 2, 4)
+    doc = one_doc("d", [(0, 1, 1.0), (2, 3, 0.5)])
+    with pytest.raises(ValidationError, match="tol must be finite and positive"):
+        infer_document(model, doc, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and positive"):
+        extract_posteriors(model, doc, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # Bound evaluation
 
@@ -214,13 +226,13 @@ def test_all_empty_corpus_rejected():
 @pytest.mark.parametrize("field, value", [
     ("eta", 0.0), ("eta", -1.0), ("eta", math.nan), ("em_tol", 0.0), ("em_tol", math.inf),
     ("doc_tol", -1e-4), ("doc_tol", math.nan), ("em_max_iterations", 0),
-    ("doc_max_iterations", 0), ("alpha", 0.0),
+    ("doc_max_iterations", 0), ("alpha", 0.0), ("seed", -1), ("seed", 1.5),
 ])
 def test_train_lda_refuses_settings_out_of_range(field, value):
     """Called directly, ``train_lda`` refuses what ``validate_config`` does,
     naming the field, rather than training on it."""
     docs = batch([("a", [(0, 2, 1.0), (1, 1, 0.5)]), ("b", [(1, 3, 1.5)])])
-    config = LdaConfig(seed=0, **{field: value})
+    config = LdaConfig(**{"seed": 0, field: value})
     with pytest.raises(ValidationError, match=field):
         train_lda(docs, 2, 2, config)
 

@@ -1150,6 +1150,38 @@ PERTURBED = {
 }
 # Fields that no stage reads, and why; changing one reruns nothing.
 UNREAD = {("report", "target_domain"): "read only by the compare command"}
+# The config fields each stage's body reads, written out by hand; stages that
+# read none (quantize, combine, report) are left out.
+_LDA = {f"lda.{name}" for name in PERTURBED["lda"]}
+_CLUSTER = {f"cluster.{name}" for name in PERTURBED["cluster"]}
+_SELECT = {"selection.threshold", "selection.max_hours"}
+READS = {
+    "train-gmm": {f"quantizer.{name}" for name in PERTURBED["quantizer"]},
+    "tfidf": {"docmodel.idf_source", "quantizer.n_components"},
+    "train-lda": _LDA | {"quantizer.n_components"},
+    "posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
+    "cluster": _CLUSTER,
+    "select": _SELECT,
+    "text-tfidf": {"docmodel.idf_source", "docmodel.text_vocab_cap"},
+    "text-train-lda": _LDA | {"text.n_topics"},
+    "text-posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
+    "text-cluster": _CLUSTER,
+    "text-select": _SELECT | {"text.threshold"},
+    "sweep": {"selection.max_hours"},
+}
+
+
+def _changed_settings(before: dict, after: dict) -> dict[str, set[str]]:
+    """For each stage of two ``cache.json`` contents, the settings whose
+    recorded values differ (a part's name holds a space unless it is a
+    setting); stages whose settings are all unchanged are left out."""
+    changed = {}
+    for stage, entry in after.items():
+        old, new = before.get(stage, {}).get("parts", {}), entry["parts"]
+        diff = {p for p in old.keys() | new.keys() if " " not in p and old.get(p) != new.get(p)}
+        if diff:
+            changed[stage] = diff
+    return changed
 
 
 def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, corpus_dir, caplog):
@@ -1157,7 +1189,10 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
     copy of a warm, text-enabled work dir that also holds a two-threshold
     sweep leaves every declared output, sweep files included, byte-identical
     to a cold run and sweep under the new config. Each change of a field that
-    a stage reads changes some output, so each case can catch a stale one."""
+    a stage reads changes some output, so each case can catch a stale one.
+    Precision: the stages whose recorded settings changed are exactly those
+    that ``READS`` says read the field, and that field is the only recorded
+    setting that changed."""
     from dataclasses import fields
 
     lambdas = [0.3, 0.6]
@@ -1170,6 +1205,7 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
     run_pipeline(base)
     sweep_lambda(base, lambdas)
     before = {p.name: p.read_bytes() for p in (tmp_path / "warm").iterdir()}
+    warm_cache = json.loads(before["cache.json"])
     sections = [f.name for f in fields(PipelineConfig) if f.name != "paths"]
     assert {s: {f.name for f in fields(getattr(base, s))} for s in sections} == {
         s: set(values) for s, values in PERTURBED.items()
@@ -1182,7 +1218,7 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
             run_pipeline(config)
             sweep_lambda(config, lambdas)
         declared = [o for stage in Runner(config).stages.values() for o in stage.outputs]
-        ran = [r.getMessage() for r in caplog.records if r.getMessage().endswith(": running")]
+        ran = [r.getMessage() for r in caplog.records if ": running (" in r.getMessage()]
         return {o: (work / o).read_bytes() for o in declared + sweep_files}, ran
 
     for section in sections:
@@ -1197,8 +1233,113 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
             assert changed != ((section, name) in UNREAD), (section, name)
             if (section, name) in UNREAD:
                 assert ran == [], (section, name)
+            dotted = f"{section}.{name}"
+            readers = {stage for stage, fields_read in READS.items() if dotted in fields_read}
+            recorded = _changed_settings(warm_cache, json.loads((warm / "cache.json").read_text()))
+            assert recorded == {stage: {dotted} for stage in readers}, dotted
             shutil.rmtree(warm)
             shutil.rmtree(tmp_path / "cold")
+
+
+# Config fields outside [paths] that no stage declares, and why.
+NOT_DECLARED = {
+    "report.target_domain": "read only by the compare command",
+    "text.enabled": "decides which stages the table holds",
+}
+
+
+def test_every_config_field_is_declared_by_a_stage_or_listed(tmp_path, corpus_dir):
+    """Each field outside ``[paths]`` is a setting some stage of the
+    text-enabled table or the sweep declares (a section declares all its
+    fields), or it is listed in ``NOT_DECLARED``, and not both: no knob is
+    read by nothing. No stage the sweep reuses declares a ``selection``
+    field, so an unbudgeted sweep still finds them cached."""
+    from dataclasses import fields, is_dataclass
+    from functools import reduce
+
+    config = _config(corpus_dir, tmp_path / "work", text=True)
+    runner = Runner(config)
+    table = runner.stages | {"sweep": runner._sweep_stage([0.5])}
+    declared = {}
+    for name, stage in table.items():
+        for setting in stage.settings:
+            value = reduce(getattr, setting.split("."), config)
+            whole = is_dataclass(value)
+            for field_name in [f"{setting}.{f.name}" for f in fields(value)] if whole else [setting]:
+                declared.setdefault(field_name, set()).add(name)
+    every = {
+        f"{section.name}.{f.name}" for section in fields(PipelineConfig)
+        if section.name != "paths" for f in fields(section.type)
+    }
+    assert set(declared) | set(NOT_DECLARED) == every
+    assert not set(declared) & set(NOT_DECLARED)
+    reused = list(table)[: list(table).index("select")]
+    assert not any(s.startswith("selection") for name in reused for s in table[name].settings)
+
+
+def test_a_rerun_names_what_changed(tmp_path, corpus_dir, caplog):
+    """A stage that runs says why: no cache entry, the settings that changed
+    with their old and new values, a changed input or corpus part, or a
+    changed output."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    work = tmp_path / "work"
+    config = _config(tmp_path / "corpus", work)
+
+    def running(stages=None):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+            run_pipeline(config, stages)
+        return [r.getMessage() for r in caplog.records if ": running (" in r.getMessage()]
+
+    assert running() == [f"stage {s}: running (no cache entry)" for s in Runner(config).stages]
+    config.lda.doc_tol = 1e-3
+    assert running(["posteriors"]) == ["stage posteriors: running (lda.doc_tol 0.0001 -> 0.001)"]
+    assert running()[0] == "stage train-lda: running (lda.doc_tol 0.0001 -> 0.001)"
+    config.docmodel.idf_source = "pool"
+    assert running()[:2] == [
+        "stage tfidf: running (docmodel.idf_source 'dev+pool' -> 'pool')",
+        "stage train-lda: running (input weighted_pool.adoc changed; "
+        "input weighted_dev.adoc changed)",
+    ]
+    (work / "post_pool.tsv").write_bytes(b"")
+    assert running(["posteriors"]) == ["stage posteriors: running (output post_pool.tsv changed)"]
+    with open(config.paths.pool_manifest, "a", encoding="utf-8") as fh:
+        fh.write("# a comment changes the bytes, not the utterances\n")
+    assert running(["report"]) == ["stage report: running (pool manifest changed)"]
+
+
+def test_cache_file_without_parts_reruns_every_stage(tmp_path, corpus_dir, caplog):
+    """A ``cache.json`` whose entries record no parts, as one written before
+    parts were recorded, reruns every stage with that reason and rewrites the
+    same outputs; the next run skips them all."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    before = {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cache.json"}
+    cache = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    old = {name: {"key": "0" * 64, "outputs": e["outputs"]} for name, e in cache.items()}
+    (work / "cache.json").write_text(json.dumps(old), encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        result = run_pipeline(config)
+    assert not any(result.skipped.values())
+    assert [m for m in caplog.messages if ": running (" in m] == [
+        f"stage {s}: running (cache entry records no parts)" for s in result.skipped
+    ]
+    assert {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cache.json"} == before
+    assert all(run_pipeline(config).skipped.values())
+
+
+def test_cold_runs_in_two_work_dirs_write_the_same_cache_file(tmp_path, corpus_dir):
+    """``cache.json`` holds no time, pid or work-dir path: two cold runs and
+    sweeps of one config write it byte for byte alike."""
+    for work in ("w1", "w2"):
+        config = _config(corpus_dir, tmp_path / work, text=True)
+        run_pipeline(config)
+        sweep_lambda(config, [0.3, 0.6])
+    assert (tmp_path / "w1" / "cache.json").read_bytes() == (
+        tmp_path / "w2" / "cache.json"
+    ).read_bytes()
 
 
 def test_composition_report_from_audit(tmp_path, corpus_dir):
