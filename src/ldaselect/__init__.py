@@ -27,8 +27,9 @@ from .docmodel import (
     bag_of_words,
     build_text_vocab,
     compute_stats,
+    normalize_tokens,
     tfidf,
-    tokenize_transcript,
+    token_ids,
 )
 from .errors import FormatError, LdaSelectError, StageError, ValidationError
 from .gmm import (
@@ -93,6 +94,7 @@ __all__ = [
     "load_config",
     "load_gmm",
     "load_lda",
+    "normalize_tokens",
     "quantize",
     "random_select",
     "read_features",
@@ -105,7 +107,7 @@ __all__ = [
     "select",
     "sweep_lambda",
     "tfidf",
-    "tokenize_transcript",
+    "token_ids",
     "train_gmm",
     "train_kmeans",
     "train_lda",

@@ -288,7 +288,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("ldaselect").setLevel(args.log_level)
+    # The level holds for this command only: an in-process caller keeps its own.
+    logger = logging.getLogger("ldaselect")
+    level = logger.level
+    logger.setLevel(args.log_level)
     try:
         return _COMMANDS.get(args.command, _cmd_stage)(args)
     except ValidationError as exc:
@@ -297,6 +300,8 @@ def main(argv=None) -> int:
     except (LdaSelectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -297,29 +297,89 @@ def text_lines(fh, path):
         yield lineno, line
 
 
-def read_feature_file(path) -> np.ndarray:
-    """Read a binary feature file into a float32 array of shape (frames, dim)."""
-    data = read_file(path)
+def _payload(data: bytes, path) -> np.ndarray:
+    """The (frames, dim) float32 payload of ``data``, the bytes of the feature
+    file ``path``: a read-only view, once header, magic, version, frame_dim
+    and size are checked."""
     n, d = container.read(data, path, _FEATURE_HEADER, FEATURE_MAGIC, FEATURE_VERSION, "feature")
     if d < 1:
         raise FormatError(f"{path}: frame_dim must be >= 1, got {d}")
     (arr,) = container.arrays(data, path, _FEATURE_HEADER, ("<f4", n * d))
-    arr = arr.reshape(n, d).copy()
+    return arr.reshape(n, d)
+
+
+def read_feature_file(path) -> np.ndarray:
+    """Read a binary feature file into a float32 array of shape (frames, dim)."""
+    arr = _payload(read_file(path), path).copy()
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: feature payload contains NaN or Inf")
     return arr
 
 
+# Float32 values per block of feature_blocks (256 KB), however many
+# utterances a pass lists or however long one of them is.
+_BLOCK_VALUES = 1 << 16
+
+
+def feature_blocks(utts, dim: int):
+    """Yield ``(start, block)`` over the frames of the utterances ``utts``, in
+    order, as if concatenated: ``block`` is a float32 (frames, ``dim``) array
+    of frames ``start`` to ``start + len(block)``, of ``_BLOCK_VALUES // dim``
+    frames (at least one) but the last. It is one buffer, refilled for the
+    next yield: a caller copies what it keeps.
+
+    Each utterance's file is read once, when the walk reaches it, and its
+    header, magic, version, size and shape are checked against the
+    manifest's ``num_frames`` and ``frame_dim``; an utterance that has
+    frames must have ``dim`` of them per frame. Each block is checked to be
+    finite before it is yielded, and a NaN or Inf names the file that holds
+    the first one."""
+    buf = np.empty((max(1, _BLOCK_VALUES // dim), dim), dtype=np.float32)
+    start = fill = 0
+    files: list[tuple[int, str]] = []  # (block row past its frames, path) per file in buf
+
+    def block():
+        out = buf[:fill]
+        finite = np.isfinite(out)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            path = next(p for end, p in files if row < end)
+            raise FormatError(f"{path}: feature payload contains NaN or Inf")
+        return start, out
+
+    for utt in utts:
+        p = utt.feature_file
+        frames = _payload(read_file(p), p)
+        if frames.shape != (utt.num_frames, utt.frame_dim):
+            raise FormatError(
+                f"{p}: shape {frames.shape[0]}x{frames.shape[1]} does not match manifest "
+                f"{utt.num_frames}x{utt.frame_dim} for utterance '{utt.id}'"
+            )
+        if utt.num_frames and utt.frame_dim != dim:
+            raise ValidationError(
+                f"frame_dim mismatch: '{utt.id}' has {utt.frame_dim}, expected {dim}"
+            )
+        pos = 0
+        while pos < len(frames):
+            take = min(len(buf) - fill, len(frames) - pos)
+            buf[fill:fill + take] = frames[pos:pos + take]
+            fill, pos = fill + take, pos + take
+            files.append((fill, p))
+            if fill == len(buf):
+                yield block()
+                start, fill = start + fill, 0
+                files.clear()
+    if fill:
+        yield block()
+
+
 def read_features(utt: Utterance) -> np.ndarray:
     """Load an utterance's features, cross-checking the manifest's shape."""
-    p = utt.feature_file
-    arr = read_feature_file(p)
-    if arr.shape != (utt.num_frames, utt.frame_dim):
-        raise FormatError(
-            f"{p}: shape {arr.shape[0]}x{arr.shape[1]} does not match manifest "
-            f"{utt.num_frames}x{utt.frame_dim} for utterance '{utt.id}'"
-        )
-    return arr
+    dim = utt.frame_dim
+    return np.concatenate(
+        [np.empty((0, dim), dtype=np.float32)]
+        + [block.copy() for _, block in feature_blocks([utt], dim)]
+    )
 
 
 def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.ndarray:
@@ -327,9 +387,10 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
 
     Past ``max_frames`` frames in all, ``max_frames`` of them are drawn
     uniformly without replacement and kept in order. The draw uses the
-    manifests' ``num_frames``, so only files that hold a drawn frame are read.
-    The sample is dim-major (Fortran order): each feature dimension is one
-    contiguous column, which mixture seeding reads in place.
+    manifests' ``num_frames``, so only files that hold a drawn frame are read,
+    in one :func:`feature_blocks` pass, each block's drawn rows gathered with
+    one index. The sample is dim-major (Fortran order): each feature
+    dimension is one contiguous column, which mixture seeding reads in place.
     """
     utts = [utt for manifest in manifests for utt in manifest]
     dim = utts[0].frame_dim if utts else 0
@@ -338,7 +399,8 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
             raise ValidationError(
                 f"frame_dim mismatch: '{utt.id}' has {utt.frame_dim}, expected {dim}"
             )
-    starts = np.cumsum([0] + [utt.num_frames for utt in utts])
+    lengths = np.array([utt.num_frames for utt in utts], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
     total = int(starts[-1])
     if total == 0:
         raise ValidationError("no training frames available")
@@ -347,22 +409,47 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
         keep = np.sort(rng.choice(total, size=max_frames, replace=False))
     else:
         keep = np.arange(total)
+    # The read utterances' frames, concatenated, skip the frames of the
+    # others: a drawn frame's position in that stream is its own less them.
+    drawn = np.diff(np.searchsorted(keep, starts))
+    read = np.flatnonzero(drawn)
+    skipped = starts[read] - (np.cumsum(lengths[read]) - lengths[read])
+    rows = keep - np.repeat(skipped, drawn[read])
     X = np.empty((keep.size, dim), dtype=np.float32, order="F")
-    bounds = np.searchsorted(keep, starts)
-    for utt, start, lo, hi in zip(utts, starts, bounds, bounds[1:]):
-        if hi > lo:
-            X[lo:hi] = read_features(utt)[keep[lo:hi] - start]
+    lo = 0
+    for start, block in feature_blocks([utts[i] for i in read], dim):
+        hi = int(np.searchsorted(rows, start + len(block)))
+        X[lo:hi] = block[rows[lo:hi] - start]
+        lo = hi
     return X
 
 
 def read_transcript(utt: Utterance) -> str:
     """Load an utterance's transcript text; empty string when none is listed."""
     p = utt.transcript_file
+    return transcript_text(utt, read_if_present(p) if p else None)
+
+
+def read_if_present(path) -> bytes | None:
+    """The bytes of the file at ``path``, or None if there is no regular file
+    there; one that is there but cannot be read raises."""
+    try:
+        return read_file(path)
+    except OSError:
+        if os.path.isfile(path):
+            raise
+        return None
+
+
+def transcript_text(utt: Utterance, data: bytes | None) -> str:
+    """``utt``'s transcript from ``data``, the bytes of its transcript file
+    (None if it is missing): empty when none is listed."""
+    p = utt.transcript_file
     if not p:
         return ""
-    if not os.path.isfile(p):
+    if data is None:
         raise FormatError(f"missing transcript file for utterance '{utt.id}': {p}")
-    return decode_text(read_file(p), p)
+    return decode_text(data, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ digits.
 
 import math
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,23 +156,26 @@ _STRIP = ".,;:!?\"'()[]{}<>`"
 
 
 def normalize_tokens(text: str) -> list[str]:
-    """Lowercase, whitespace-split, strip edge punctuation, drop empty tokens."""
-    return [tok for tok in (raw.strip(_STRIP) for raw in text.lower().split()) if tok]
+    """Lowercase, whitespace-split, strip edge punctuation, drop empty tokens.
+    Tokens are interned: a corpus's token lists, held together while its
+    vocabulary is built, keep one string per distinct word."""
+    return [sys.intern(tok) for tok in (raw.strip(_STRIP) for raw in text.lower().split()) if tok]
 
 
-def tokenize_transcript(text: str, vocab: dict[str, int]) -> list[int]:
-    """Token ids of the normalized tokens of ``text``; OOV tokens are dropped."""
-    return [vocab[tok] for tok in normalize_tokens(text) if tok in vocab]
+def token_ids(tokens: list[str], vocab: dict[str, int]) -> list[int]:
+    """Ids of the normalized ``tokens`` in ``vocab``; OOV tokens are dropped."""
+    return [vocab[tok] for tok in tokens if tok in vocab]
 
 
-def build_text_vocab(transcripts, cap: int) -> dict[str, int]:
-    """The ``cap`` most frequent normalized tokens, ties broken lexically,
-    mapped to dense ids in that order."""
+def build_text_vocab(token_docs, cap: int) -> dict[str, int]:
+    """The ``cap`` most frequent tokens of ``token_docs``, each transcript's
+    :func:`normalize_tokens`, ties broken lexically, mapped to dense ids in
+    that order."""
     if cap < 1:
         raise ValidationError(f"vocabulary cap must be >= 1, got {cap}")
     freq: Counter[str] = Counter()
-    for text in transcripts:
-        freq.update(normalize_tokens(text))
+    for tokens in token_docs:
+        freq.update(tokens)
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
     return {tok: i for i, (tok, _) in enumerate(ranked)}
 

@@ -157,6 +157,10 @@ class Runner:
             self.skipped: dict[str, bool] = {}
             # Work-dir file digests by name, corpus part digests by part name.
             self._digests: dict = {}
+            # Each transcript's bytes (None if missing) from the digest pass,
+            # by corpus, for text-tfidf: kept until the chain's last stage
+            # that declares transcripts.
+            self._transcripts: dict[str, list[bytes | None]] = {}
             yield
 
     def write_selection(self, result: SelectionResult, audit: Path, manifest: Path) -> None:
@@ -211,16 +215,14 @@ class Runner:
             h.update(len(self.manifest_bytes[which]).to_bytes(8, "little"))
             h.update(self.manifest_bytes[which])
         transcripts = what == "transcripts"
+        if transcripts:
+            kept = self._transcripts[which] = []
         for utt in self.manifests[which] if what in ("features", "transcripts") else ():
             h.update(utt.id.encode())
             p = utt.transcript_file if transcripts else utt.feature_file
-            data = None
-            if p:
-                try:
-                    data = corpus.read_file(p)
-                except OSError:
-                    if os.path.isfile(p):  # there, but unreadable: not "missing"
-                        raise
+            data = corpus.read_if_present(p) if p else None
+            if transcripts:
+                kept.append(data)
             if data is None:
                 if not transcripts:
                     raise StageError("inputs", f"missing feature file for '{utt.id}': {p}")
@@ -393,10 +395,18 @@ class Runner:
         gmm.save_gmm(model, out_model)
 
     def _quantize(self, model_path: Path, out_pool: Path, out_dev: Path) -> None:
+        """Tokens of each corpus's frames, scored a :func:`corpus.feature_blocks`
+        block at a time, then split into one bag per utterance."""
         model = gmm.load_gmm(model_path)
         for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
-            tokens = [gmm.quantize(model, corpus.read_features(utt)) for utt in manifest]
-            bags = docmodel.bag_of_words(manifest.ids(), tokens, model.n_components)
+            tokens = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+                gmm.quantize(model, block)
+                for _, block in corpus.feature_blocks(manifest.utterances, model.frame_dim)
+            ])
+            ends = np.cumsum([utt.num_frames for utt in manifest])
+            bags = docmodel.bag_of_words(
+                manifest.ids(), np.split(tokens, ends[:-1]), model.n_components
+            )
             docmodel.save_docs(bags, out)
 
     def _write_tfidf(self, bags: dict, vocab_size: int, out_pool: Path, out_dev: Path):
@@ -413,9 +423,15 @@ class Runner:
         self._write_tfidf(bags, self.config.quantizer.n_components, out_pool, out_dev)
 
     def _text_tfidf(self, out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
-        texts = {w: [corpus.read_transcript(u) for u in m] for w, m in self.manifests.items()}
+        """The vocabulary and weighted documents of the transcripts, from the
+        bytes that the stage's digest pass read."""
+        tokens = {
+            w: [docmodel.normalize_tokens(corpus.transcript_text(u, data))
+                for u, data in zip(m, self._transcripts[w])]
+            for w, m in self.manifests.items()
+        }
         vocab = docmodel.build_text_vocab(
-            texts["dev"] + texts["pool"], self.config.docmodel.text_vocab_cap
+            tokens["dev"] + tokens["pool"], self.config.docmodel.text_vocab_cap
         )
         if len(vocab) == 0:
             raise ValidationError("no transcript tokens available for the text path")
@@ -425,7 +441,7 @@ class Runner:
         bags = {
             which: docmodel.bag_of_words(
                 self.manifests[which].ids(),
-                [docmodel.tokenize_transcript(text, vocab) for text in texts[which]],
+                [docmodel.token_ids(doc, vocab) for doc in tokens[which]],
                 len(vocab),
             )
             for which in ("dev", "pool")
@@ -556,8 +572,11 @@ class Runner:
         if data is not None:
             self._digests[result] = hashlib.sha256(data).hexdigest()
         before = self._digests.get(result)
+        readers = [n for n, s in chain.items() if any(c.endswith(" transcripts") for c in s.corpus)]
         for name, stage in chain.items():
             self._run_stage(name, stage)
+            if readers and name == readers[-1]:
+                self._transcripts.clear()
         if self._digests.get(result) != before:
             data = path.read_bytes()
         return data

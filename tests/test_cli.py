@@ -393,6 +393,21 @@ def test_log_level_option(config_path, caplog):
         main(["--log-level", "LOUD", "run", "--config", str(config_path)])
 
 
+def test_main_restores_the_package_log_level(config_path):
+    """``--log-level`` holds for the command only: afterwards the
+    ``ldaselect`` logger has the level it had before, on success and on error."""
+    logger = logging.getLogger("ldaselect")
+    before = logger.level
+    try:
+        logger.setLevel(logging.ERROR)
+        assert main(["--log-level", "DEBUG", "run", "--config", str(config_path)]) == 0
+        assert logger.level == logging.ERROR
+        assert main(["run", "--config", str(config_path) + ".missing"]) != 0
+        assert logger.level == logging.ERROR
+    finally:
+        logger.setLevel(before)
+
+
 def test_version_and_bad_command():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -12,6 +12,7 @@ from ldaselect.corpus import (
     Manifest,
     SynthSpec,
     Utterance,
+    feature_blocks,
     generate_synthetic_corpus,
     parse_manifest,
     read_feature_file,
@@ -383,14 +384,15 @@ def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
     owners = np.repeat(
         [u.id for m in manifests for u in m], [u.num_frames for m in manifests for u in m]
     )
-    real_read = corpus_module.read_features
+    files = {u.feature_file: u.id for m in manifests for u in m}
+    real_read = corpus_module.read_file
     read = []
 
-    def counting_read(utt):
-        read.append(utt.id)
-        return real_read(utt)
+    def counting_read(path):
+        read.append(files[path])
+        return real_read(path)
 
-    monkeypatch.setattr(corpus_module, "read_features", counting_read)
+    monkeypatch.setattr(corpus_module, "read_file", counting_read)
     for max_frames, seed in [(1, 0), (2, 3), (7, 1), (24, 5), (25, 0), (40, 2)]:
         keep = np.arange(25)
         if full.shape[0] > max_frames:
@@ -403,6 +405,75 @@ def test_sample_frames_equals_concatenate_then_subsample(tmp_path, monkeypatch):
         assert X.flags.f_contiguous
         assert np.array_equal(X, full[keep])
         assert read == list(dict.fromkeys(owners[keep]))
+
+
+def _counting_reads(monkeypatch):
+    """The paths ``corpus.read_file`` opens from now on, in order."""
+    real_read = corpus_module.read_file
+    read = []
+
+    def counting_read(path):
+        read.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(corpus_module, "read_file", counting_read)
+    return read
+
+
+@pytest.mark.parametrize("block_frames", [4, None])
+def test_feature_blocks_equal_the_files_in_order(tmp_path, monkeypatch, block_frames):
+    """At 4 frames a block, utterances of 0 and 1 frames, one that straddles a
+    block edge and one longer than a block come out as the files hold them,
+    in fixed-size blocks but the last, each file read once; at the default
+    budget the corpus is one block. ``read_features`` gives each file."""
+    lengths = [0, 1, 5, 3, 12, 0, 4]
+    (pool,) = _frames_corpus(tmp_path, [("pool", lengths)])
+    files = [read_feature_file(u.feature_file) for u in pool]
+    if block_frames:
+        monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", block_frames * 3 + 2)
+    read = _counting_reads(monkeypatch)
+    blocks = [(start, block.copy()) for start, block in feature_blocks(pool.utterances, 3)]
+    assert read == [u.feature_file for u in pool]
+    size = block_frames or sum(lengths)
+    assert [start for start, _ in blocks] == list(range(0, sum(lengths), size))
+    assert all(len(block) == size for _, block in blocks[:-1])
+    assert all(block.dtype == np.float32 and block.shape[1] == 3 for _, block in blocks)
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), np.concatenate(files))
+    for utt, frames in zip(pool, files):
+        assert np.array_equal(read_features(utt), frames)
+        assert read_features(utt).dtype == np.float32
+
+
+def test_feature_blocks_name_the_file_of_the_first_non_finite_frame(tmp_path, monkeypatch):
+    """A NaN or Inf fails the block that holds it, naming its file, also when
+    the file straddles a block edge or another file of the block is bad too;
+    an utterance whose width differs from the block's is refused."""
+    (pool,) = _frames_corpus(tmp_path, [("pool", [3, 6, 2])])
+    monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", 4 * 3)
+    a, b, c = pool.utterances
+    frames = read_feature_file(b.feature_file)
+    frames[4, 1] = np.nan  # row 7 of the stream: the second block's last
+    _write_raw(frames, b.feature_file)
+    blocks = feature_blocks(pool.utterances, 3)
+    assert next(blocks)[0] == 0
+    with pytest.raises(FormatError, match=f"^{b.feature_file}: feature payload contains NaN"):
+        next(blocks)
+    frames = read_feature_file(c.feature_file)
+    frames[0, 0] = np.inf
+    _write_raw(frames, c.feature_file)
+    monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", 1 << 16)
+    with pytest.raises(FormatError, match=f"^{b.feature_file}: feature payload contains NaN"):
+        list(feature_blocks(pool.utterances, 3))
+    with pytest.raises(FormatError, match=f"^{c.feature_file}: feature payload contains NaN"):
+        list(feature_blocks([a, c], 3))
+    with pytest.raises(ValidationError, match="frame_dim mismatch: 'pool0' has 3, expected 2"):
+        list(feature_blocks([a], 2))
+
+
+def _write_raw(frames, path):
+    """Write float32 ``frames`` as a feature file, NaN and Inf included."""
+    data = bytearray(Path(path).read_bytes()[:20])
+    Path(path).write_bytes(bytes(data) + frames.astype("<f4").tobytes())
 
 
 def test_sample_frames_errors(tmp_path):

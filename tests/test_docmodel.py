@@ -11,9 +11,10 @@ from ldaselect.docmodel import (
     build_text_vocab,
     compute_stats,
     load_docs,
+    normalize_tokens,
     save_docs,
     tfidf,
-    tokenize_transcript,
+    token_ids,
 )
 from ldaselect.errors import FormatError, ValidationError
 
@@ -143,20 +144,25 @@ def test_weigh_errors():
 # Text normalization and vocabulary
 
 
+def _vocab(texts, cap):
+    return build_text_vocab([normalize_tokens(t) for t in texts], cap)
+
+
 def test_tokenize_normalization():
     vocab = {"hello": 0, "world": 1}
-    assert tokenize_transcript("Hello, hello WORLD", vocab) == [0, 0, 1]
-    assert tokenize_transcript("", vocab) == []
-    assert tokenize_transcript("foo bar!! baz", vocab) == []
+    assert normalize_tokens("Hello, hello WORLD") == ["hello", "hello", "world"]
+    assert token_ids(normalize_tokens("Hello, hello WORLD"), vocab) == [0, 0, 1]
+    assert token_ids(normalize_tokens(""), vocab) == []
+    assert token_ids(normalize_tokens("foo bar!! baz"), vocab) == []
 
 
 def test_vocab_tie_rule():
-    vocab = build_text_vocab(["a a b", "b c"], cap=2)
+    vocab = _vocab(["a a b", "b c"], cap=2)
     assert vocab == {"a": 0, "b": 1}
 
 
 def test_vocab_cap_larger_than_distinct():
-    vocab = build_text_vocab(["x y", "z"], cap=10)
+    vocab = _vocab(["x y", "z"], cap=10)
     assert set(vocab) == {"x", "y", "z"}
     assert sorted(vocab.values()) == [0, 1, 2]
 
@@ -170,7 +176,7 @@ def test_vocab_matches_brute_force():
             for _ in range(int(rng.integers(1, 10)))
         ]
         cap = int(rng.integers(1, 12))
-        vocab = build_text_vocab(texts, cap)
+        vocab = _vocab(texts, cap)
         expected = ref_top_tokens(texts, cap)
         assert list(vocab) == expected
         assert list(vocab.values()) == list(range(len(expected)))
@@ -178,7 +184,7 @@ def test_vocab_matches_brute_force():
 
 def test_vocab_cap_validation():
     with pytest.raises(ValidationError):
-        build_text_vocab(["a"], cap=0)
+        _vocab(["a"], cap=0)
 
 
 # ---------------------------------------------------------------------------

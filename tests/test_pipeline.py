@@ -20,6 +20,7 @@ from ldaselect.corpus import (
     SynthSpec,
     Utterance,
     generate_synthetic_corpus,
+    read_feature_file,
     read_features,
     read_manifest,
     read_transcript,
@@ -260,6 +261,26 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     assert rows[0]["selected"] == len(pool)
     assert reads == {u.feature_file: 2 for m in (dev, pool) for u in m}
     assert built == {u.id: 2 for u in dev} | {u.id: 3 for u in pool}
+
+
+def test_cold_text_run_reads_features_three_times_and_transcripts_once(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """A cold run with the text path opens each feature file three times (the
+    key's digest, ``train-gmm``'s sample and ``quantize``) and each
+    transcript once: ``text-tfidf`` decodes the bytes its key's digest read."""
+    config = _config(corpus_dir, tmp_path / "work", text=True)
+    utts = [u for w in ("dev", "pool") for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
+    reads = Counter()
+    real_read = pipeline_module.corpus.read_file
+
+    def counting_read(path):
+        reads[path] += 1
+        return real_read(path)
+
+    monkeypatch.setattr(pipeline_module.corpus, "read_file", counting_read)
+    assert not any(run_pipeline(config).skipped.values())
+    assert reads == {u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
 
 
 # The work-dir artifacts each stage reads (text path on).
@@ -662,9 +683,11 @@ def test_stage_subset_and_missing_inputs(tmp_path, corpus_dir):
     assert list(result.skipped) == ["quantize", "tfidf"]
 
 
-def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
+def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatch):
     """Each ``bags_*.adoc`` holds ``bag_of_words`` over the utterances' frame
-    tokens; a zero-frame utterance is an empty document."""
+    tokens, each utterance quantized on its own; a zero-frame utterance is an
+    empty document. ``quantize`` scores each corpus in one block, and the
+    same bags come of blocks of 3 frames, which utterances straddle."""
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     pool_path = tmp_path / "corpus" / "pool" / "pool.tsv"
     pool = read_manifest(pool_path)
@@ -673,23 +696,37 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir):
     pool.utterances.insert(1, Utterance("silent", "silent.aldf", 0, dim, 0.5, "domain0"))
     write_manifest(pool, pool_path)
     config = _config(tmp_path / "corpus", tmp_path / "work")
-    run_pipeline(config, stages=["train-gmm", "quantize"])
-    work = tmp_path / "work"
-    model = load_gmm(work / "gmm.agmm")
-    for which in ("pool", "dev"):
-        manifest = read_manifest(getattr(config.paths, f"{which}_manifest"))
-        expected = bag_of_words(
-            manifest.ids(),
-            [quantize(model, read_features(u)) for u in manifest],
-            model.n_components,
-        )
-        bags = load_docs(work / f"bags_{which}.adoc")
-        assert bags.ids == expected.ids
-        for i in range(len(expected)):
-            assert entries(bags, i) == entries(expected, i), (which, i)
-    pool_bags = load_docs(work / "bags_pool.adoc")
-    assert pool_bags.ids[1] == "silent"
-    assert pool_bags.indptr[1] == pool_bags.indptr[2]
+    run_pipeline(config, stages=["train-gmm"])
+    shutil.copytree(tmp_path / "work", tmp_path / "small")
+    model = load_gmm(tmp_path / "work" / "gmm.agmm")
+    calls = []
+    monkeypatch.setattr(pipeline_module.gmm, "quantize",
+                        lambda model, frames: calls.append(len(frames)) or quantize(model, frames))
+    for work, block_values in (("work", None), ("small", 3 * dim)):
+        if block_values:
+            monkeypatch.setattr(pipeline_module.corpus, "_BLOCK_VALUES", block_values)
+        config.paths.work_dir = str(tmp_path / work)
+        calls.clear()
+        assert run_pipeline(config, stages=["quantize"]).skipped == {"quantize": False}
+        manifests = [read_manifest(getattr(config.paths, f"{w}_manifest")) for w in ("pool", "dev")]
+        frames = [sum(u.num_frames for u in m) for m in manifests]
+        if block_values:
+            assert calls == [n for f in frames for n in [3] * (f // 3) + [f % 3] * (f % 3 > 0)]
+        else:
+            assert calls == frames
+        for which, manifest in zip(("pool", "dev"), manifests):
+            expected = bag_of_words(
+                manifest.ids(),
+                [quantize(model, read_feature_file(u.feature_file)) for u in manifest],
+                model.n_components,
+            )
+            bags = load_docs(tmp_path / work / f"bags_{which}.adoc")
+            assert bags.ids == expected.ids
+            for i in range(len(expected)):
+                assert entries(bags, i) == entries(expected, i), (which, i)
+        pool_bags = load_docs(tmp_path / work / "bags_pool.adoc")
+        assert pool_bags.ids[1] == "silent"
+        assert pool_bags.indptr[1] == pool_bags.indptr[2]
 
 
 def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
