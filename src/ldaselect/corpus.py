@@ -322,18 +322,12 @@ _BLOCK_VALUES = 1 << 16
 
 
 def feature_blocks(utts, dim: int):
-    """Yield ``(start, block)`` over the frames of the utterances ``utts``, in
-    order, as if concatenated: ``block`` is a float32 (frames, ``dim``) array
-    of frames ``start`` to ``start + len(block)``, of ``_BLOCK_VALUES // dim``
-    frames (at least one) but the last. It is one buffer, refilled for the
-    next yield: a caller copies what it keeps.
-
-    Each utterance's file is read once, when the walk reaches it, and its
-    header, magic, version, size and shape are checked against the
-    manifest's ``num_frames`` and ``frame_dim``; an utterance that has
-    frames must have ``dim`` of them per frame. Each block is checked to be
-    finite before it is yielded, and a NaN or Inf names the file that holds
-    the first one."""
+    """Yield ``(start, block)`` over the frames of ``utts`` as if concatenated:
+    ``block`` holds frames ``start`` to ``start + len(block)``, float32, ``dim``
+    wide, ``_BLOCK_VALUES // dim`` of them (at least one) but in the last. It
+    is one buffer, refilled for the next yield: a caller copies what it keeps.
+    Each file is read once and checked against the manifest's shape; each
+    block is checked finite, a NaN or Inf naming the file that holds it."""
     buf = np.empty((max(1, _BLOCK_VALUES // dim), dim), dtype=np.float32)
     start = fill = 0
     files: list[tuple[int, str]] = []  # (block row past its frames, path) per file in buf
@@ -427,18 +421,7 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
 def read_transcript(utt: Utterance) -> str:
     """Load an utterance's transcript text; empty string when none is listed."""
     p = utt.transcript_file
-    return transcript_text(utt, read_if_present(p) if p else None)
-
-
-def read_if_present(path) -> bytes | None:
-    """The bytes of the file at ``path``, or None if there is no regular file
-    there; one that is there but cannot be read raises."""
-    try:
-        return read_file(path)
-    except OSError:
-        if os.path.isfile(path):
-            raise
-        return None
+    return transcript_text(utt, read_file(p) if p and os.path.isfile(p) else None)
 
 
 def transcript_text(utt: Utterance, data: bytes | None) -> str:

@@ -124,11 +124,16 @@ def _block_frames(n_components: int) -> int:
     return max(1, _BLOCK_CELLS // n_components)
 
 
-def _log_joint(model: GmmModel, frames: np.ndarray) -> np.ndarray:
+def _log_joint(model: GmmModel, frames: np.ndarray, rows=None, out=None) -> np.ndarray:
     """(components, frames) log-joint of the (n, d) ``frames`` under
-    ``model``, taken about the mixture mean."""
+    ``model``, taken about the mixture mean; its :func:`_frame_rows` are built
+    in ``rows`` and it is written to the first components x n values of the
+    flat ``out``, when given."""
     shift, coef = _model_coefficients(model)
-    return coef @ _frame_rows(frames, shift)
+    zb = _frame_rows(frames, shift, rows)
+    if out is not None:
+        out = out[:coef.shape[0] * zb.shape[1]].reshape(-1, zb.shape[1])
+    return np.matmul(coef, zb, out=out)
 
 
 def _e_step(frames, shift, n_components: int, cols: int):
@@ -289,7 +294,10 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
     """Token per frame: the highest-posterior component, ties to lowest index.
 
     Frames are scored in the E-step's blocks of ``_block_frames`` frames, so
-    working memory does not grow with the utterance."""
+    working memory does not grow with the matrix. The blocks' rows and
+    log-joint fill two buffers allocated once per call: made afresh for each
+    block, arrays that size are mapped and unmapped by malloc each time,
+    page-faulting on every use."""
     X = np.asarray(matrix)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.frame_dim):
         raise ValidationError(
@@ -299,9 +307,12 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValidationError("feature matrix contains NaN or Inf")
     cols = _block_frames(model.n_components)
+    width = min(cols, X.shape[0])
+    rows, lj = np.empty((2 * X.shape[1] + 1, width)), np.empty(model.n_components * width)
     tokens = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], cols):
-        tokens[start:start + cols] = np.argmax(_log_joint(model, X[start:start + cols]), axis=0)
+        block = X[start:start + cols]
+        tokens[start:start + cols] = np.argmax(_log_joint(model, block, rows, lj), axis=0)
     return tokens
 
 

@@ -220,7 +220,13 @@ class Runner:
         for utt in self.manifests[which] if what in ("features", "transcripts") else ():
             h.update(utt.id.encode())
             p = utt.transcript_file if transcripts else utt.feature_file
-            data = corpus.read_if_present(p) if p else None
+            data = None
+            if p:
+                try:
+                    data = corpus.read_file(p)
+                except OSError:
+                    if os.path.isfile(p):  # there, but unreadable: not "missing"
+                        raise
             if transcripts:
                 kept.append(data)
             if data is None:
