@@ -268,7 +268,8 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
 ):
     """A cold run with the text path opens each feature file three times (the
     key's digest, ``train-gmm``'s sample and ``quantize``) and each
-    transcript once: ``text-tfidf`` decodes the bytes its key's digest read."""
+    transcript once: ``text-tfidf`` decodes the bytes its key's digest read,
+    and no later stage holds them."""
     config = _config(corpus_dir, tmp_path / "work", text=True)
     utts = [u for w in ("dev", "pool") for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
     reads = Counter()
@@ -278,9 +279,18 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
         reads[path] += 1
         return real_read(path)
 
+    held = {}
+    real_run_stage = Runner._run_stage
+
+    def recording_run_stage(runner, name, stage):
+        real_run_stage(runner, name, stage)
+        held[name] = sorted(runner._transcripts)
+
     monkeypatch.setattr(pipeline_module.corpus, "read_file", counting_read)
+    monkeypatch.setattr(Runner, "_run_stage", recording_run_stage)
     assert not any(run_pipeline(config).skipped.values())
     assert reads == {u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
+    assert {name: h for name, h in held.items() if h} == {"text-tfidf": ["dev", "pool"]}
 
 
 # The work-dir artifacts each stage reads (text path on).
