@@ -22,10 +22,11 @@ _GMM_HEADER = struct.Struct("<4sIII")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Components x frame-column cells per E-step or quantizer block. Each block's
-# float64 log-joint takes 512 KB (in the E-step one reused buffer, with its
-# frame rows and their scaled copy in two reused (2d+1) x columns float64
-# buffers), however many frames EM trains on or an utterance holds.
+# Components x frame-column cells per block of _log_joint_blocks, the one
+# loop that EM and quantize share. Each block's float64 log-joint takes
+# 512 KB in one reused buffer, with its frame rows (and in the E-step their
+# scaled copy) in reused (2d+1) x columns float64 buffers, however many
+# frames EM trains on or a matrix holds.
 _BLOCK_CELLS = 1 << 16
 
 # Consecutive iterations a component may sit below the variance floor in
@@ -73,15 +74,13 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _frame_rows(
-    frames: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _frame_rows(frames: np.ndarray, shift: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(2d+1, n) float64 rows of an (n, d) frame matrix less ``shift``: y^2,
     then y = x - shift, then a row of ones, written into the first n columns
-    of ``out`` when given. Float32 frames are cast exactly before the shift
-    is taken off."""
+    of ``out``. Float32 frames are cast exactly before the shift is taken
+    off."""
     n, d = frames.shape
-    Z = np.empty((2 * d + 1, n)) if out is None else out[:, :n]
+    Z = out[:, :n]
     y = Z[d:2 * d]
     y[...] = frames.T
     y -= shift[:, None]
@@ -106,58 +105,50 @@ def _coefficients(weights, means, variances, shift) -> np.ndarray:
     return np.hstack([-0.5 * inv, m * inv, const[:, None]])
 
 
-def _model_coefficients(model: GmmModel) -> tuple[np.ndarray, np.ndarray]:
-    """The mixture mean sum_n w_n mu_n as ``model``'s shift, and the
-    :func:`_coefficients` about it, kept on the model with the arrays they
-    were computed from: assigning new weights, means or variances recomputes
-    them (an edit made in place to one of those arrays is not seen)."""
-    params = (model.weights, model.means, model.variances)
-    cached = getattr(model, "_coef", None)
-    if cached is None or any(a is not b for a, b in zip(cached[0], params)):
-        shift = model.weights @ model.means
-        cached = model._coef = (params, shift, _coefficients(*params, shift))
-    return cached[1], cached[2]
-
-
 def _block_frames(n_components: int) -> int:
     """Frames per block of ``_BLOCK_CELLS`` log-joint cells, at least one."""
     return max(1, _BLOCK_CELLS // n_components)
 
 
-def _log_joint(model: GmmModel, frames: np.ndarray, rows=None, out=None) -> np.ndarray:
-    """(components, frames) log-joint of the (n, d) ``frames`` under
-    ``model``, taken about the mixture mean; its :func:`_frame_rows` are built
-    in ``rows`` and it is written to the first components x n values of the
-    flat ``out``, when given."""
-    shift, coef = _model_coefficients(model)
-    zb = _frame_rows(frames, shift, rows)
-    if out is not None:
-        out = out[:coef.shape[0] * zb.shape[1]].reshape(-1, zb.shape[1])
-    return np.matmul(coef, zb, out=out)
-
-
-def _e_step(frames, shift, n_components: int, cols: int):
-    """The E-step over the (n, d) ``frames`` in blocks of ``cols`` frames: a
-    function from a mixture's :func:`_coefficients` about ``shift`` to the
-    log-likelihood and the statistics ``[sum_t r_tn y_t^2, sum_t r_tn y_t,
-    sum_t r_tn]`` of y = x - shift, as one (components, 2d+1) matrix. Each
-    block's :func:`_frame_rows`, log-joint and scaled rows are built into
-    buffers allocated here, once per fit: made afresh for every block or
-    iteration, arrays that size can be mapped and unmapped by malloc each
-    time, page-faulting on every use."""
+def _log_joint_blocks(frames, shift, n_components: int):
+    """The log-joint of the (n, d) ``frames``, one block of
+    :func:`_block_frames` frames at a time: a function from a mixture's
+    :func:`_coefficients` about ``shift`` to an iterator over the blocks,
+    yielding each block's first frame index, its :func:`_frame_rows` and its
+    (components, frames) log-joint. The rows and the log-joint are built
+    into two buffers allocated here, once, so each block overwrites the last:
+    made afresh for every block, arrays that size can be mapped and unmapped
+    by malloc each time, page-faulting on every use."""
     n, d = frames.shape
+    cols = _block_frames(n_components)
     width = min(cols, n)
-    rows = np.empty((2 * d + 1, width))
-    lj_buf, scaled_buf = np.empty(n_components * width), np.empty(rows.size)
-    part = np.empty((n_components, rows.shape[0]))
+    rows, lj = np.empty((2 * d + 1, width)), np.empty(n_components * width)
+
+    def blocks(coef):
+        for start in range(0, n, cols):
+            zb = _frame_rows(frames[start:start + cols], shift, rows)
+            m = zb.shape[1]
+            yield start, zb, np.matmul(coef, zb, out=lj[:n_components * m].reshape(-1, m))
+
+    return blocks
+
+
+def _e_step(frames, shift, n_components: int):
+    """The E-step over the (n, d) ``frames``: a function from a mixture's
+    :func:`_coefficients` about ``shift`` to the log-likelihood and the
+    statistics ``[sum_t r_tn y_t^2, sum_t r_tn y_t, sum_t r_tn]`` of
+    y = x - shift, as one (components, 2d+1) matrix, summed over the blocks
+    of :func:`_log_joint_blocks`. Its buffers, and the one for each block's
+    rows scaled by their frames' likelihoods, are allocated once per fit."""
+    n, d = frames.shape
+    blocks = _log_joint_blocks(frames, shift, n_components)
+    scaled_buf = np.empty((2 * d + 1) * min(_block_frames(n_components), n))
+    part = np.empty((n_components, 2 * d + 1))
 
     def accumulate(coef):
         stats = np.zeros_like(part)
         loglik = 0.0
-        for start in range(0, n, cols):
-            zb = _frame_rows(frames[start:start + cols], shift, rows)
-            m = zb.shape[1]
-            resp = np.matmul(coef, zb, out=lj_buf[:n_components * m].reshape(-1, m))
+        for _, zb, resp in blocks(coef):
             top = resp.max(axis=0)
             resp -= top
             np.exp(resp, out=resp)
@@ -205,8 +196,9 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     tolerance; training stops when the relative improvement drops below
     ``tol`` (``converged``) or after ``max_iterations``.
 
-    The frames are not copied: the E-step walks them in blocks of
-    ``_BLOCK_CELLS // n_components`` frames, builds each block's (2d+1)
+    The frames are not copied: the E-step walks them in the blocks of
+    :func:`_log_joint_blocks`, ``_BLOCK_CELLS // n_components`` frames
+    each, which :func:`quantize` scores in too. It builds each block's (2d+1)
     float64 rows of :func:`_frame_rows` (y^2, y, ones, for y the frames less
     their global mean) into one reused buffer, and with components as rows
     and frames as columns takes one product for the block's log-joint and
@@ -252,7 +244,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
-    e_step = _e_step(frames, global_mean, n_components, _block_frames(n_components))
+    e_step = _e_step(frames, global_mean, n_components)
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
     iterations = 0
@@ -293,11 +285,10 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
 def quantize(model: GmmModel, matrix) -> np.ndarray:
     """Token per frame: the highest-posterior component, ties to lowest index.
 
-    Frames are scored in the E-step's blocks of ``_block_frames`` frames, so
-    working memory does not grow with the matrix. The blocks' rows and
-    log-joint fill two buffers allocated once per call: made afresh for each
-    block, arrays that size are mapped and unmapped by malloc each time,
-    page-faulting on every use."""
+    The log-joint is taken about the mixture mean sum_n w_n mu_n, from the
+    model's arrays as they are at the call, and scored in the E-step's
+    blocks of :func:`_log_joint_blocks`, so working memory does not grow
+    with the matrix; its two buffers are allocated once per call."""
     X = np.asarray(matrix)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != model.frame_dim):
         raise ValidationError(
@@ -306,13 +297,11 @@ def quantize(model: GmmModel, matrix) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValidationError("feature matrix contains NaN or Inf")
-    cols = _block_frames(model.n_components)
-    width = min(cols, X.shape[0])
-    rows, lj = np.empty((2 * X.shape[1] + 1, width)), np.empty(model.n_components * width)
+    shift = model.weights @ model.means
+    coef = _coefficients(model.weights, model.means, model.variances, shift)
     tokens = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], cols):
-        block = X[start:start + cols]
-        tokens[start:start + cols] = np.argmax(_log_joint(model, block, rows, lj), axis=0)
+    for start, _, lj in _log_joint_blocks(X, shift, model.n_components)(coef):
+        tokens[start:start + lj.shape[1]] = np.argmax(lj, axis=0)
     return tokens
 
 

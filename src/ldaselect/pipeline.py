@@ -19,6 +19,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, partial, reduce
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -402,16 +403,18 @@ class Runner:
 
     def _quantize(self, model_path: Path, out_pool: Path, out_dev: Path) -> None:
         """Tokens of each corpus's frames, scored a :func:`corpus.feature_blocks`
-        block at a time, then split into one bag per utterance."""
+        block at a time, then cut between the utterances' cumulative frame
+        counts into one bag per utterance (none for a manifest that lists no
+        utterance)."""
         model = gmm.load_gmm(model_path)
         for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
             tokens = np.concatenate([np.zeros(0, dtype=np.int64)] + [
                 gmm.quantize(model, block)
                 for _, block in corpus.feature_blocks(manifest.utterances, model.frame_dim)
             ])
-            ends = np.cumsum([utt.num_frames for utt in manifest])
+            ends = accumulate((utt.num_frames for utt in manifest), initial=0)
             bags = docmodel.bag_of_words(
-                manifest.ids(), np.split(tokens, ends[:-1]), model.n_components
+                manifest.ids(), [tokens[a:b] for a, b in pairwise(ends)], model.n_components
             )
             docmodel.save_docs(bags, out)
 

@@ -186,6 +186,26 @@ def test_exit_code_two_for_missing_artifacts(config_path, capsys):
     assert "earlier stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lda_source, stage, message", [
+    ("dev", "train-lda", "cannot train on an all-empty corpus"),
+    ("dev+pool", "cluster", "no posterior vectors to cluster"),
+])
+def test_header_only_dev_manifest_exits_two(
+    lda_source, stage, message, corpus_dir, tmp_path, capsys
+):
+    """A dev manifest that lists no utterance gives no dev documents: the run
+    stops with a stage error at the first stage that needs them."""
+    shutil.copytree(corpus_dir / "pool", tmp_path / "corpus" / "pool")
+    (tmp_path / "corpus" / "dev").mkdir()
+    (tmp_path / "corpus" / "dev" / "dev.tsv").write_text("# fps=100\n", encoding="utf-8")
+    path = _write_config(tmp_path / "corpus", tmp_path / "work", tmp_path / "run.cfg")
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("[lda]\n", f"[lda]\ntrain_source = {lda_source}\n"),
+                    encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"error: stage '{stage}': {message}" in capsys.readouterr().err
+
+
 def test_stage_commands_and_lambda_override(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 0
     capsys.readouterr()

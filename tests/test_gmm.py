@@ -33,6 +33,17 @@ def _model(weights, means, variances):
     )
 
 
+def _log_joint(model, frames):
+    """(components, frames) log-joint of ``frames`` under ``model`` from the
+    block loop ``quantize`` scores with, about the mixture mean, each block
+    copied out of the reused buffer."""
+    frames = np.asarray(frames)
+    shift = model.weights @ model.means
+    coef = gmm_module._coefficients(model.weights, model.means, model.variances, shift)
+    blocks = gmm_module._log_joint_blocks(frames, shift, model.n_components)(coef)
+    return np.hstack([lj.copy() for _, _, lj in blocks])
+
+
 # ---------------------------------------------------------------------------
 # Training
 
@@ -306,7 +317,7 @@ def _mixtures(draw):
 def test_log_joint_matches_per_dimension_reference(case):
     weights, means, variances, X = case
     expected = ref_log_joint(weights, means, variances, X)
-    got = gmm_module._log_joint(_model(weights, means, variances), X)
+    got = _log_joint(_model(weights, means, variances), X)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
 
@@ -315,7 +326,7 @@ def test_posterior_far_components_analytic():
     """At x = 100 the two unit-variance components' log-joints differ by
     (200^2 - 0) / 2, exactly representable; the frame is component 1's."""
     model = _model([0.5, 0.5], [[-100.0], [100.0]], [[1.0], [1.0]])
-    lj = gmm_module._log_joint(model, np.array([[100.0]]))[:, 0]
+    lj = _log_joint(model, np.array([[100.0]]))[:, 0]
     assert lj[1] - lj[0] == pytest.approx(20000.0, rel=1e-12)
     assert quantize(model, [[100.0]]).tolist() == [1]
 
@@ -324,7 +335,7 @@ def test_posterior_equidistant_symmetry():
     """A frame midway between two mirrored components has equal log-joints
     and goes to the lower index."""
     model = _model([0.5, 0.5], [[-2.0], [2.0]], [[1.5], [1.5]])
-    lj = gmm_module._log_joint(model, np.array([[0.0]]))[:, 0]
+    lj = _log_joint(model, np.array([[0.0]]))[:, 0]
     assert lj[0] == lj[1]
     assert quantize(model, [[0.0]]).tolist() == [0]
 
@@ -390,7 +401,6 @@ def test_quantize_memory_does_not_grow_with_the_utterance():
     rng = np.random.default_rng(14)
     model = _random_model(rng, 1024, 13)
     frames = rng.standard_normal((60_000, 13)) * 2
-    quantize(model, frames[:1])  # the model's coefficient rows are kept on it
     tracemalloc.start()
     try:
         quantize(model, frames)
@@ -400,43 +410,41 @@ def test_quantize_memory_does_not_grow_with_the_utterance():
     assert peak < 16 * 2**20
 
 
-def test_quantize_blocks_equal_one_product():
+def test_quantize_blocks_equal_one_product(monkeypatch):
     """Lengths on either side of a block boundary give the tokens of one
-    log-joint product over the whole utterance."""
+    log-joint product over the whole utterance: the block loop with a block
+    wide enough to hold it."""
     rng = np.random.default_rng(15)
     model = _random_model(rng, 1024, 13)
     cols = gmm_module._block_frames(model.n_components)
     assert cols == 64
     frames = rng.standard_normal((2 * cols + 1, 13)) * 2
     for n in (cols - 1, cols, cols + 1, 2 * cols + 1):
-        whole = np.argmax(gmm_module._log_joint(model, frames[:n]), axis=0)
-        assert np.array_equal(quantize(model, frames[:n]), whole), n
+        tokens = quantize(model, frames[:n])
+        with monkeypatch.context() as m:
+            m.setattr(gmm_module, "_BLOCK_CELLS", model.n_components * n)
+            assert gmm_module._block_frames(model.n_components) == n
+            whole = np.argmax(_log_joint(model, frames[:n]), axis=0)
+        assert np.array_equal(tokens, whole), n
 
 
-def test_quantize_computes_coefficients_once_per_set_of_arrays(monkeypatch):
-    """Repeated calls reuse the model's coefficient rows; assigning new
-    arrays recomputes them, so tokens follow the model's current parameters."""
+def test_quantize_follows_in_place_edits_of_the_model():
+    """Tokens follow the model's arrays as they are at each call: after an
+    edit made in place to ``weights``, ``means`` or ``variances``, a model
+    gives the tokens of a fresh model built from copies of its arrays."""
     rng = np.random.default_rng(13)
     model = _model(
         rng.dirichlet(np.ones(4)), rng.standard_normal((4, 3)) * 3,
         rng.random((4, 3)) + 0.5,
     )
     frames = rng.standard_normal((300, 3)) * 3
-    calls = []
-    coefficients = gmm_module._coefficients
-    monkeypatch.setattr(
-        gmm_module, "_coefficients", lambda *a: calls.append(1) or coefficients(*a)
-    )
     first = quantize(model, frames)
     expected = ref_log_joint(model.weights, model.means, model.variances, frames)
     assert np.array_equal(first, np.argmax(expected, axis=0))
-    assert np.array_equal(quantize(model, frames), first)
-    calls.clear()
-    quantize(model, frames)
-    assert calls == []
     for name in ("weights", "means", "variances"):
-        setattr(model, name, getattr(model, name)[::-1].copy())
-        fresh = _model(model.weights, model.means, model.variances)
+        array = getattr(model, name)
+        array[:] = array[::-1].copy()
+        fresh = _model(model.weights.copy(), model.means.copy(), model.variances.copy())
         assert np.array_equal(quantize(model, frames), quantize(fresh, frames)), name
     assert np.array_equal(quantize(model, frames), 3 - first)
 

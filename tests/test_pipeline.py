@@ -693,6 +693,61 @@ def test_stage_subset_and_missing_inputs(tmp_path, corpus_dir):
     assert list(result.skipped) == ["quantize", "tfidf"]
 
 
+def test_stages_run_one_at_a_time_as_the_traced_benchmark_runs_them(
+    tmp_path, corpus_dir, monkeypatch
+):
+    """What a traced benchmark pass needs of the library, on the text path:
+    each stage of ``perfbench/tracing.STAGES``, run alone and in order in one
+    work dir, gives a cold run's files; ``select`` runs in a fresh work dir
+    that holds only copies of its two inputs, as the sweep's reference; and
+    the manifests read with the roles the benchmark's child passes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracing import STAGES
+
+    config = _config(corpus_dir, tmp_path / "cold", text=True)
+    assert list(run_pipeline(config).skipped) == STAGES
+    config.paths.work_dir = str(tmp_path / "staged")
+    for stage in STAGES:
+        assert run_pipeline(config, [stage]).skipped == {stage: False}
+    cold, staged = (sorted(p.name for p in (tmp_path / w).iterdir()) for w in ("cold", "staged"))
+    assert staged == cold
+    for name in cold:
+        assert (tmp_path / "staged" / name).read_bytes() == \
+            (tmp_path / "cold" / name).read_bytes(), name
+
+    ref = tmp_path / "reference"
+    ref.mkdir()
+    for name in ("post_pool.tsv", "centroids.tsv"):
+        shutil.copyfile(tmp_path / "staged" / name, ref / name)
+    unbudgeted = replace(config, selection=replace(config.selection, max_hours=None))
+    run_pipeline(replace(unbudgeted, paths=replace(config.paths, work_dir=str(ref))), ["select"])
+    sweep_lambda(unbudgeted, [config.selection.threshold])
+    assert (ref / "selection_acoustic.audit.tsv").read_bytes() == \
+        (tmp_path / "staged" / "selection_lambda_0p6.audit.tsv").read_bytes()
+
+    for role in ("pool", "dev"):
+        path = getattr(config.paths, f"{role}_manifest")
+        assert read_manifest(path, role=role).ids() == read_manifest(path).ids()
+
+
+def test_header_only_pool_selects_nothing(tmp_path, corpus_dir):
+    """A pool manifest that lists no utterance is a pool of no documents: the
+    acoustic path, the text path and a sweep each run to an empty
+    selection."""
+    empty = tmp_path / "pool.tsv"
+    write_manifest(Manifest([], role="pool"), empty)
+    for text in (False, True):
+        work = tmp_path / f"work_{text}"
+        config = _config(corpus_dir, work, text=text)
+        config.paths.pool_manifest = str(empty)
+        assert run_pipeline(config).selection.ids() == []
+        assert len(load_docs(work / "bags_pool.adoc")) == 0
+        assert read_manifest(work / "selection.tsv").ids() == []
+        assert len(read_posteriors(work / "post_pool.tsv")) == 0
+    rows = sweep_lambda(config, [0.6, 1.0])
+    assert [(r["selected"], r["passes"]) for r in rows] == [(0, 0), (0, 0)]
+
+
 def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatch):
     """Each ``bags_*.adoc`` holds ``bag_of_words`` over the utterances' frame
     tokens, each utterance quantized on its own; a zero-frame utterance is an
