@@ -735,7 +735,7 @@ def test_header_only_pool_selects_nothing(tmp_path, corpus_dir):
     acoustic path, the text path and a sweep each run to an empty
     selection."""
     empty = tmp_path / "pool.tsv"
-    write_manifest(Manifest([], role="pool"), empty)
+    empty.write_text("# fps=100\n", encoding="utf-8")
     for text in (False, True):
         work = tmp_path / f"work_{text}"
         config = _config(corpus_dir, work, text=text)
