@@ -252,11 +252,17 @@ def write_features(matrix, path) -> None:
 
 
 def read_file(path) -> bytes:
-    """The bytes of the regular file at ``path``, from one non-blocking
-    ``os.open``, an ``fstat`` and (unless the file changed size meanwhile) one
-    ``os.read``. A missing path raises what ``open`` does, a directory
-    IsADirectoryError; any other file that is not regular (a FIFO, socket or
-    device) raises OSError unread, so it cannot block."""
+    """The bytes of the regular file at ``path``, as :func:`read_file_stat` reads them."""
+    return read_file_stat(path)[0]
+
+
+def read_file_stat(path) -> tuple[bytes, os.stat_result]:
+    """The bytes of the regular file at ``path`` and the ``fstat`` taken just
+    before they were read, from one non-blocking ``os.open``, that ``fstat``
+    and (unless the file changed size meanwhile) one ``os.read``. A missing
+    path raises what ``open`` does, a directory IsADirectoryError; any other
+    file that is not regular (a FIFO, socket or device) raises OSError
+    unread, so it cannot block."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         st = os.fstat(fd)
@@ -270,7 +276,7 @@ def read_file(path) -> bytes:
             while part := os.read(fd, 1 << 20):
                 parts.append(part)
             data = b"".join(parts)
-        return data
+        return data, st
     finally:
         os.close(fd)
 

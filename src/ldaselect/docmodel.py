@@ -1,8 +1,9 @@
 """Bag-of-words documents with tf-idf weights, for tokens or transcripts.
 
 A corpus is one :class:`DocBatch`: CSR entries (term, count, weight) per
-document. ``bag_of_words`` counts token sequences, ``compute_stats`` takes
-document frequencies over bags, and ``tfidf`` weighs a bag against them.
+document. ``bag_of_words`` counts token sequences (``bag_of_tokens`` the
+same held back to back in one array), ``compute_stats`` takes document
+frequencies over bags, and ``tfidf`` weighs a bag against them.
 
 tf(v, doc) is the raw count divided by document length; idf uses the smoothed
 form log((1 + D) / (1 + df(v))) + 1, which is always >= 1, so every present
@@ -97,27 +98,33 @@ class CorpusStats:
 def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
     """Distinct terms of each token sequence with their counts, terms
     ascending; the weight of every entry is its count. Ids must be distinct."""
+    docs = [np.asarray(t, dtype=np.int64) for t in token_docs]
+    lengths = np.fromiter((d.size for d in docs), np.int64, len(docs))
+    flat = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
+    return bag_of_tokens(ids, flat, lengths, vocab_size)
+
+
+def bag_of_tokens(ids, tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> DocBatch:
+    """:func:`bag_of_words` of the documents that the int64 array ``tokens``
+    holds back to back, ``lengths[d]`` tokens for document ``d``."""
     if vocab_size < 1:
         raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
     ids = list(ids)
     repeated = [i for i, n in Counter(ids).items() if n > 1]
     if repeated:
         raise ValidationError(f"duplicate document id '{repeated[0]}'")
-    docs = [np.asarray(t, dtype=np.int64) for t in token_docs]
-    if len(docs) != len(ids):
-        raise ValidationError(f"{len(ids)} document ids for {len(docs)} documents")
-    lengths = np.fromiter((d.size for d in docs), np.int64, len(docs))
-    flat = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
-    owner = np.repeat(np.arange(len(docs)), lengths)
-    bad = np.flatnonzero((flat < 0) | (flat >= vocab_size))
+    if len(lengths) != len(ids):
+        raise ValidationError(f"{len(ids)} document ids for {len(lengths)} documents")
+    owner = np.repeat(np.arange(len(ids)), lengths)
+    bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
     if bad.size:
         raise ValidationError(
-            f"token {flat[bad[0]]} of document '{ids[owner[bad[0]]]}' out of range "
+            f"token {tokens[bad[0]]} of document '{ids[owner[bad[0]]]}' out of range "
             f"for vocabulary size {vocab_size}"
         )
-    keys, counts = np.unique(owner * vocab_size + flat, return_counts=True)
+    keys, counts = np.unique(owner * vocab_size + tokens, return_counts=True)
     doc, terms = np.divmod(keys, vocab_size)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(docs)))))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(ids)))))
     return DocBatch(ids, indptr, terms, counts, counts.astype(np.float64))
 
 

@@ -8,6 +8,11 @@ artifacts into the work directory before the next begins, and is skipped on
 re-runs when its declared key parts (input digests, settings, corpus parts)
 hash to the cached key and its outputs still have their cached digests; a
 rerun logs the parts that changed.
+
+Digests of settled corpus parts and work-dir files are kept in the work
+dir's :mod:`signatures` record, so a rerun takes them from it while the files'
+stat signatures stay. A stage that runs reads its corpus parts from their
+contents again, and a record that contents contradict is discarded.
 """
 
 import fcntl
@@ -15,16 +20,17 @@ import hashlib
 import json
 import logging
 import os
+import stat
+import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, partial, reduce
-from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
 
-from . import corpus, docmodel, gmm, lda
+from . import corpus, docmodel, gmm, lda, signatures
 from .config import (
     LdaParams, PipelineConfig, text_lda_params, text_select_params, validate_config,
 )
@@ -71,12 +77,25 @@ def publish(*paths: Path):
             tmp.unlink(missing_ok=True)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while piece := fh.read(1 << 20):
-            h.update(piece)
-    return h.hexdigest()
+def _read_json(path: Path, what: str, entry_ok: Callable[[object], bool]) -> dict | None:
+    """The JSON object in the file ``path`` if each of its values passes
+    ``entry_ok``; None if there is no file, and None with a warning naming
+    ``what`` if it is not UTF-8 JSON of that shape."""
+    if not path.is_file():
+        return None
+    try:  # ValueError: not UTF-8, or not JSON
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        data = None
+    if isinstance(data, dict) and all(map(entry_ok, data.values())):
+        return data
+    log.warning("ignoring corrupt %s %s", what, path)
+    return None
+
+
+def _write_json(path: Path, data: dict) -> None:
+    with publish(path) as (tmp,):
+        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _log_sweeps(stage: str, which: str, sweeps: np.ndarray, max_iters: int) -> None:
@@ -112,6 +131,7 @@ class Runner:
         self.config = config
         self.work = Path(config.paths.work_dir)
         self.cache_path = self.work / "cache.json"
+        self.record_path = self.work / "signatures.json"
         # Each manifest is read once: the stage keys hash the very bytes that
         # were parsed, so a manifest edited after this point cannot get the
         # old manifest's results cached under its new contents.
@@ -145,16 +165,10 @@ class Runner:
                 raise StageError("lock", f"work dir is locked by another run ({lock})") from None
             for tmp in self.work.glob("*.tmp"):
                 tmp.unlink()
-            self.cache: dict = {}
-            if self.cache_path.is_file():
-                try:  # ValueError: not UTF-8, or not JSON
-                    cache = json.loads(self.cache_path.read_text(encoding="utf-8"))
-                except ValueError:
-                    cache = None
-                if isinstance(cache, dict) and all(isinstance(e, dict) for e in cache.values()):
-                    self.cache = cache
-                else:
-                    log.warning("ignoring corrupt cache file %s", self.cache_path)
+            self.cache: dict = _read_json(
+                self.cache_path, "cache file", lambda e: isinstance(e, dict)) or {}
+            self._sigs = signatures.Record(_read_json(
+                self.record_path, "signature record", signatures.valid_entry))
             self.skipped: dict[str, bool] = {}
             # Work-dir file digests by name, corpus part digests by part name.
             self._digests: dict = {}
@@ -199,35 +213,77 @@ class Runner:
         """The corpora a ``dev``/``pool``/``dev+pool`` setting names, dev first."""
         return [which for which in ("dev", "pool") if which in spec.split("+")]
 
-    def _corpus_digest(self, part: str) -> str:
+    def _corpus_digest(self, part: str, why: str | None = None) -> str:
         """sha256 of the corpus part ``<which> <what>``: the manifest's bytes;
         the directory its relative paths resolved against (``dir``); or those
         bytes and every feature (or transcript) file listed, each framed by a
         presence byte and its length, so no two sets of file contents hash
-        alike and a listed transcript that is missing differs from an empty one."""
+        alike and a listed transcript that is missing differs from an empty one.
+        A ``features`` or ``transcripts`` part goes through the signature
+        record (``why`` as :meth:`signatures.Record.verified` takes it)."""
         if part in self._digests:
             return self._digests[part]
         which, what = part.split()
-        h = hashlib.sha256()
         if what == "dir":
             manifest = getattr(self.config.paths, f"{which}_manifest")
-            h.update(str(Path(manifest).parent.absolute()).encode())
+            digest = hashlib.sha256(str(Path(manifest).parent.absolute()).encode()).hexdigest()
+        elif what == "manifest":
+            digest = self._manifest_hash(which).hexdigest()
         else:
-            h.update(len(self.manifest_bytes[which]).to_bytes(8, "little"))
-            h.update(self.manifest_bytes[which])
+            digest = self._sigs.verified(part, partial(self._corpus_signature, which, what),
+                                         partial(self._hash_corpus, which, what), why)
+        self._digests[part] = digest
+        return digest
+
+    def _manifest_hash(self, which: str):
+        """A sha256 fed the manifest's length and bytes, for more to follow."""
+        data = self.manifest_bytes[which]
+        h = hashlib.sha256(len(data).to_bytes(8, "little"))
+        h.update(data)
+        return h
+
+    def _listed(self, which: str, what: str) -> list[str | None]:
+        """The feature (or transcript) file of each utterance of ``which``."""
+        if what == "transcripts":
+            return [utt.transcript_file for utt in self.manifests[which]]
+        return [utt.feature_file for utt in self.manifests[which]]
+
+    def _corpus_signature(self, which: str, what: str) -> str:
+        """The signature of a corpus part: the manifest's bytes and the stat
+        fields of each file listed, from one ``stat`` each, no file opened."""
+        fields = []
+        for p in self._listed(which, what):
+            try:
+                st = os.stat(p) if p else None
+            except OSError:
+                st = None
+            fields.append(signatures.stat_field(st))
+        h = self._manifest_hash(which)
+        h.update(b"".join(fields))
+        return h.hexdigest()
+
+    def _hash_corpus(self, which: str, what: str) -> tuple[str, str, int]:
+        """The digest of a corpus part from its files' contents, each file's
+        bytes framed after its utterance id (see :meth:`_corpus_digest`), with
+        the part's signature from the ``fstat`` before each read and the
+        newest mtime or ctime among them. A transcripts part keeps each
+        file's bytes (None if missing) for ``text-tfidf``."""
+        h = self._manifest_hash(which)
+        sig = h.copy()
+        changed = 0
         transcripts = what == "transcripts"
         if transcripts:
             kept = self._transcripts[which] = []
-        for utt in self.manifests[which] if what in ("features", "transcripts") else ():
+        for utt, p in zip(self.manifests[which], self._listed(which, what)):
             h.update(utt.id.encode())
-            p = utt.transcript_file if transcripts else utt.feature_file
-            data = None
+            data = st = None
             if p:
                 try:
-                    data = corpus.read_file(p)
+                    data, st = corpus.read_file_stat(p)
                 except OSError:
                     if os.path.isfile(p):  # there, but unreadable: not "missing"
                         raise
+            sig.update(signatures.stat_field(st))
             if transcripts:
                 kept.append(data)
             if data is None:
@@ -235,17 +291,26 @@ class Runner:
                     raise StageError("inputs", f"missing feature file for '{utt.id}': {p}")
                 h.update(b"\0")
             else:
+                changed = max(changed, signatures.changed(st))
                 h.update(b"\1" + len(data).to_bytes(8, "little"))
                 h.update(data)
-        digest = self._digests[part] = h.hexdigest()
-        return digest
+        return h.hexdigest(), sig.hexdigest(), changed
 
-    def _digest(self, name: str) -> str | None:
-        """sha256 of the work-dir file ``name`` (None if there is none), read in
-        1 MiB pieces once per run and remembered until a stage replaces it."""
-        if name not in self._digests and (self.work / name).is_file():
-            self._digests[name] = _sha256(self.work / name)
-        return self._digests.get(name)
+    def _digest(self, name: str, why: str | None = None) -> str | None:
+        """sha256 of the work-dir file ``name`` (None if there is none),
+        through the signature record (``why`` as :meth:`_corpus_digest` takes
+        it) once per run and remembered until a stage replaces it."""
+        if name not in self._digests:
+            path = self.work / name
+            try:
+                st = os.stat(path)
+            except OSError:
+                return None
+            if not stat.S_ISREG(st.st_mode):
+                return None
+            self._digests[name] = self._sigs.verified(
+                name, partial(signatures.signature, st), partial(signatures.sha256, path), why)
+        return self._digests[name]
 
     def _parts(self, name: str, stage: Stage) -> dict[str, str]:
         """``stage``'s key parts by name, in a fixed order: the sha256 of each
@@ -278,38 +343,48 @@ class Runner:
         key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
         entry = self.cache.get(name, {})
         old = entry.get("parts")
+        changed = []
         if not isinstance(old, dict):  # none, or one of a format without parts
             why = ["cache entry records no parts" if entry else "no cache entry"]
         elif entry.get("key") != key:
+            changed = _differing(old, parts)
             why = [f"{p} changed" if " " in p else f"{p} {old.get(p)} -> {parts.get(p)}"
-                   for p in _differing(old, parts)] or ["key changed"]
+                   for p in changed] or ["key changed"]
         else:
             current = {o: self._digest(o) for o in stage.outputs}
-            why = [f"output {o} changed" for o in _differing(entry.get("outputs"), current)]
+            changed = _differing(entry.get("outputs"), current)
+            why = [f"output {o} changed" for o in changed]
         if not why:
             log.info("stage %s: skipped (cached)", name)
             self.skipped[name] = True
             return
+        # A running stage reads its corpus parts, so their keys come from the
+        # contents too; and a digest from the record that makes it run is
+        # checked against the contents first. Contents that contradict the
+        # record may have let an earlier stage skip.
+        for n in dict.fromkeys([*stage.corpus, *(c.removeprefix("input ") for c in changed)]):
+            if n in self._sigs.trusted:
+                trusted = self._digests.pop(n)
+                self._sigs.trusted.discard(n)
+                reread = self._corpus_digest if " " in n else self._digest
+                if reread(n, "read for a running stage") != trusted:
+                    raise signatures.Contradicted(n)
         log.info("stage %s: running (%s)", name, "; ".join(why))
         outputs = stage.outputs
         try:
             with publish(*(self.work / o for o in outputs)) as tmps:
                 stage.body(*(self.work / i for i in stage.inputs), *tmps)
-                digests = {o: _sha256(tmp) for o, tmp in zip(outputs, tmps)}
+                digests = {o: signatures.sha256(tmp)[0] for o, tmp in zip(outputs, tmps)}
         except StageError:
             raise
         except (LdaSelectError, OSError) as exc:
             raise StageError(name, str(exc)) from exc
+        for o in outputs:
+            self._sigs.forget(o)
         self._digests.update(digests)
         self.skipped[name] = False
         self.cache[name] = {"key": key, "parts": parts, "outputs": digests}
-        self._save_cache()
-
-    def _save_cache(self) -> None:
-        with publish(self.cache_path) as (tmp,):
-            tmp.write_text(
-                json.dumps(self.cache, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+        _write_json(self.cache_path, self.cache)
 
     # -- the stage table --------------------------------------------------
 
@@ -403,19 +478,16 @@ class Runner:
 
     def _quantize(self, model_path: Path, out_pool: Path, out_dev: Path) -> None:
         """Tokens of each corpus's frames, scored a :func:`corpus.feature_blocks`
-        block at a time, then cut between the utterances' cumulative frame
-        counts into one bag per utterance (none for a manifest that lists no
-        utterance)."""
+        block at a time, then counted into one bag per utterance of its
+        manifest frame count (none for a manifest that lists no utterance)."""
         model = gmm.load_gmm(model_path)
         for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
             tokens = np.concatenate([np.zeros(0, dtype=np.int64)] + [
                 gmm.quantize(model, block)
                 for _, block in corpus.feature_blocks(manifest.utterances, model.frame_dim)
             ])
-            ends = accumulate((utt.num_frames for utt in manifest), initial=0)
-            bags = docmodel.bag_of_words(
-                manifest.ids(), [tokens[a:b] for a, b in pairwise(ends)], model.n_components
-            )
+            lengths = np.fromiter((utt.num_frames for utt in manifest), np.int64, len(manifest))
+            bags = docmodel.bag_of_tokens(manifest.ids(), tokens, lengths, model.n_components)
             docmodel.save_docs(bags, out)
 
     def _write_tfidf(self, bags: dict, vocab_size: int, out_pool: Path, out_dev: Path):
@@ -573,13 +645,38 @@ class Runner:
     def _run_chain(self, chain: dict[str, Stage], result: str) -> bytes | None:
         """Run (or cache-skip) each stage of ``chain`` in order, inside
         ``owned()``, and return the bytes of the work-dir file ``result`` (None
-        if there is none). They are read before the stages, and their digest
-        kept for the skip checks, so a cached run opens the file once; they are
-        read again only if a stage published different contents."""
+        if there is none); then save the signature record. If
+        contents contradict the record, discard it and check the chain again
+        from contents. Log how the digests were taken."""
+        try:
+            try:
+                data = self._run_stages(chain, result)
+            except signatures.Contradicted as exc:
+                log.warning(
+                    "signature record %s: the contents of %s contradict its recorded "
+                    "digest; discarding the record and checking from contents",
+                    self.record_path, exc.args[0])
+                self._digests.clear()
+                self._sigs.discard()
+                data = self._run_stages(chain, result)  # trusts nothing, so cannot raise it
+            _write_json(self.record_path, self._sigs.entries)
+            return data
+        finally:
+            log.info("%s", self._sigs.summary())
+
+    def _run_stages(self, chain: dict[str, Stage], result: str) -> bytes | None:
+        """The stages of :meth:`_run_chain`. The bytes of ``result`` are read
+        before the stages, and their digest kept for the skip checks, so a
+        cached run opens the file once; they are read again only if a stage
+        published different contents."""
         path = self.work / result
-        data = path.read_bytes() if path.is_file() else None
-        if data is not None:
-            self._digests[result] = hashlib.sha256(data).hexdigest()
+        data = None
+        if path.is_file():
+            now = time.time_ns()
+            data, st = corpus.read_file_stat(path)
+            self._digests[result] = self._sigs.hashed(
+                result, now, hashlib.sha256(data).hexdigest(), signatures.signature(st),
+                signatures.changed(st), "returned")
         before = self._digests.get(result)
         readers = [n for n, s in chain.items() if any(c.endswith(" transcripts") for c in s.corpus)]
         for name, stage in chain.items():

@@ -26,6 +26,21 @@ def deadline():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def settle(monkeypatch):
+    """Pin whether the files a run hashes count as settled for the work dir's
+    signature record, so no outcome depends on how old they are and no test
+    sleeps: none is until the test calls ``settle(True)``, after which every
+    one is, until ``settle(False)``."""
+    from ldaselect import signatures
+
+    def pin(settled: bool) -> None:
+        monkeypatch.setattr(signatures, "SETTLE_NS", -(1 << 62) if settled else 1 << 62)
+
+    pin(False)
+    return pin
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance(num, title): marks a test as an acceptance criterion"

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -186,13 +187,21 @@ def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
     assert result.skipped["quantize"] is False
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
-def test_absent_feature_file_fails_cold_and_cached_runs(kind, tmp_path, corpus_dir, deadline):
+@pytest.mark.parametrize("kind, settled", [
+    pytest.param(kind, settled, id=f"{kind}-settled" if settled else kind)
+    for settled in (False, True) for kind in ("missing", "directory", "fifo")
+])
+def test_absent_feature_file_fails_cold_and_cached_runs(
+    kind, settled, tmp_path, corpus_dir, deadline, settle
+):
     """A pool manifest naming a feature file that is not a regular file (none,
     a directory or a FIFO in its place) fails with "missing feature file" on a
-    cold run and on a cached rerun; the FIFO is never read, so nothing blocks."""
+    cold run and on a cached rerun, a rerun whose signature record vouched
+    for the file too; the FIFO is never read, so nothing blocks."""
+    settle(settled)
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     config = _config(tmp_path / "corpus", tmp_path / "cached")
+    run_pipeline(config)
     run_pipeline(config)
     victim = read_manifest(config.paths.pool_manifest).utterances[3]
     os.unlink(victim.feature_file)
@@ -227,24 +236,30 @@ def test_transcript_digest_frames_each_file(tmp_path, corpus_dir):
         run_pipeline(config, ["text-tfidf"])
 
 
-@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("k, settled", [
+    pytest.param(k, settled, id=f"{k}-settled" if settled else str(k))
+    for settled in (False, True) for k in (1, 5)
+])
 def test_cached_run_and_sweep_read_each_input_once_per_runner(
-    k, tmp_path, corpus_dir, monkeypatch
+    k, settled, tmp_path, corpus_dir, monkeypatch, settle
 ):
     """A cached ``run_pipeline`` and a k-threshold ``sweep_lambda`` build two
-    runners. Each reads every feature file once and builds each utterance
-    once, when it parses the manifests; the sweep's runner, the one that
-    writes selections, builds each pool utterance's selection-manifest row
-    once more, however many selections it writes."""
+    runners. Each reads every feature file once, unless the signature record
+    vouches for the settled files, and then neither reads any; each builds
+    each utterance once, when it parses the manifests. The sweep's runner,
+    the one that writes selections, builds each pool utterance's
+    selection-manifest row once more, however many selections it writes."""
+    settle(settled)
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
     pool = read_manifest(config.paths.pool_manifest)
     dev = read_manifest(config.paths.dev_manifest)
     reads = Counter()
-    real_read = pipeline_module.corpus.read_file
+    real_read = pipeline_module.corpus.read_file_stat
 
-    def counting_read(path):
-        reads[path] += 1
+    def counting_read(path):  # corpus files; the work dir's are counted elsewhere
+        if Path(path).parent != tmp_path / "work":
+            reads[path] += 1
         return real_read(path)
 
     built = Counter()
@@ -254,12 +269,12 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
         built[utt.id] += 1
         real_post_init(utt)
 
-    monkeypatch.setattr(pipeline_module.corpus, "read_file", counting_read)
+    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
     monkeypatch.setattr(Utterance, "__post_init__", counting_post_init)
     assert all(run_pipeline(config).skipped.values())
     rows = sweep_lambda(config, [1.0 - 0.1 * i for i in range(k)])
     assert rows[0]["selected"] == len(pool)
-    assert reads == {u.feature_file: 2 for m in (dev, pool) for u in m}
+    assert reads == ({} if settled else {u.feature_file: 2 for m in (dev, pool) for u in m})
     assert built == {u.id: 2 for u in dev} | {u.id: 3 for u in pool}
 
 
@@ -273,10 +288,11 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
     config = _config(corpus_dir, tmp_path / "work", text=True)
     utts = [u for w in ("dev", "pool") for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
     reads = Counter()
-    real_read = pipeline_module.corpus.read_file
+    real_read = pipeline_module.corpus.read_file_stat
 
-    def counting_read(path):
-        reads[path] += 1
+    def counting_read(path):  # corpus files; the work dir's are counted elsewhere
+        if Path(path).parent != tmp_path / "work":
+            reads[path] += 1
         return real_read(path)
 
     held = {}
@@ -286,7 +302,7 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
         real_run_stage(runner, name, stage)
         held[name] = sorted(runner._transcripts)
 
-    monkeypatch.setattr(pipeline_module.corpus, "read_file", counting_read)
+    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
     monkeypatch.setattr(Runner, "_run_stage", recording_run_stage)
     assert not any(run_pipeline(config).skipped.values())
     assert reads == {u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
@@ -335,24 +351,45 @@ def _edit(kind, root, work):
     return path, path.read_bytes().index(b"\t") + 1, {"posteriors"}
 
 
-@pytest.mark.parametrize(
-    "kind", ["feature", "transcript", "pool manifest", "dev manifest", "artifact"]
-)
+def _flip(path: Path, at: int, how: str) -> None:
+    """Flip the lowest bit of byte ``at`` of ``path``: by writing the file
+    (``write``), then also setting its mtime and atime back (``utime``), or
+    by renaming over it a copy that holds the flip and the old times
+    (``rename``). Only the last two keep the file's size and mtime."""
+    st = os.stat(path)
+    data = bytearray(path.read_bytes())
+    data[at] ^= 1
+    target = path.with_name(path.name + ".new") if how == "rename" else path
+    target.write_bytes(bytes(data))
+    if how != "write":
+        os.utime(target, ns=(st.st_atime_ns, st.st_mtime_ns))
+    os.replace(target, path)
+    assert os.stat(path).st_size == st.st_size
+    assert how == "write" or os.stat(path).st_mtime_ns == st.st_mtime_ns
+
+
+@pytest.mark.parametrize("kind, settled, how", [
+    pytest.param(kind, settled, how, id=f"{kind}-settled-{how}" if settled else kind)
+    for settled, how in ((False, "write"), (True, "write"), (True, "utime"), (True, "rename"))
+    for kind in ("feature", "transcript", "pool manifest", "dev manifest", "artifact")
+])
 def test_one_byte_edit_reruns_exactly_its_readers_and_their_dependents(
-    kind, tmp_path, corpus_dir
+    kind, settled, how, tmp_path, corpus_dir, settle
 ):
     """The stages that read the edited input rerun (for an edited artifact, the
     stage that wrote it), and so does every stage whose input artifacts changed
-    as a result; every other stage is skipped."""
+    as a result; every other stage is skipped. That holds when a signature
+    record vouches for every input, and for edits that keep the file's size
+    and mtime."""
+    settle(settled)
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     work = tmp_path / "work"
     config = _config(tmp_path / "corpus", work, text=True)
     run_pipeline(config)
+    run_pipeline(config)
     path, at, readers = _edit(kind, tmp_path / "corpus", work)
     before = {p.name: p.read_bytes() for p in work.iterdir()}
-    data = bytearray(path.read_bytes())
-    data[at] ^= 1
-    path.write_bytes(bytes(data))
+    _flip(path, at, how)
     result = run_pipeline(config)
     after = {p.name: p.read_bytes() for p in work.iterdir()}
     expected = readers | {
@@ -480,9 +517,13 @@ def test_finished_runner_is_freed_without_the_cycle_collector(tmp_path, corpus_d
         gc.enable()
 
 
-def test_stage_failing_mid_write_leaves_its_old_outputs(tmp_path, corpus_dir, monkeypatch):
+def test_stage_failing_mid_write_leaves_its_old_outputs(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
     """A stage that raises after writing part of an output leaves every final
-    name as it was and no temporary file; its cache entry still holds."""
+    name as it was and no temporary file; its cache entry still holds, and
+    so does the signature record."""
+    settle(True)
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
     run_pipeline(config)
@@ -501,17 +542,11 @@ def test_stage_failing_mid_write_leaves_its_old_outputs(tmp_path, corpus_dir, mo
     assert all(run_pipeline(config).skipped.values())
 
 
-def test_cached_run_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, monkeypatch):
-    """A cached run hashes each artifact once: the digest that verifies a
-    skipped stage's output is the one the next stage's key uses, and the
-    selection the run returns is parsed from the bytes of
-    ``selection.audit.tsv`` that were hashed."""
+def _counting_opens(monkeypatch, work: Path) -> Counter:
+    """Count from now on each ``open`` of a file in ``work``, by file name."""
     import builtins
     import io
 
-    work = tmp_path / "work"
-    config = _config(corpus_dir, work, text=True)
-    run_pipeline(config)
     opens = Counter()
 
     def counting(real):
@@ -523,12 +558,36 @@ def test_cached_run_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, 
 
     for module in (builtins, io, os):
         monkeypatch.setattr(module, "open", counting(module.open))
-    result = run_pipeline(config)
-    monkeypatch.undo()
-    assert all(result.skipped.values())
-    assert result.selection == read_audit(work / "selection.audit.tsv")
-    assert set(opens) == {p.name for p in work.iterdir()}
-    assert set(opens.values()) == {1}
+    return opens
+
+
+def test_cached_run_opens_each_work_dir_file_at_most_once(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
+    """A cached run hashes each artifact once: the digest that verifies a
+    skipped stage's output is the one the next stage's key uses, and the
+    selection the run returns is parsed from the bytes of
+    ``selection.audit.tsv`` that were hashed. Once a run has recorded the
+    settled artifacts' signatures, the next opens none but that selection,
+    the lock, the cache file and the record. Each run rewrites the record
+    once, through its temporary file."""
+    for settled in (False, True):
+        settle(settled)
+        work = tmp_path / f"work-{settled}"
+        config = _config(corpus_dir, work, text=True)
+        run_pipeline(config)
+        if settled:
+            run_pipeline(config)
+        opens = _counting_opens(monkeypatch, work)
+        result = run_pipeline(config)
+        monkeypatch.undo()
+        assert all(result.skipped.values())
+        assert result.selection == read_audit(work / "selection.audit.tsv")
+        assert set(opens) == {"signatures.json.tmp"} | (
+            {".lock", "cache.json", "signatures.json", "selection.audit.tsv"} if settled
+            else {p.name for p in work.iterdir()}
+        )
+        assert set(opens.values()) == {1}
 
 
 def test_config_change_invalidates_only_downstream(tmp_path, corpus_dir):
@@ -711,8 +770,8 @@ def test_stages_run_one_at_a_time_as_the_traced_benchmark_runs_them(
         assert run_pipeline(config, [stage]).skipped == {stage: False}
     cold, staged = (sorted(p.name for p in (tmp_path / w).iterdir()) for w in ("cold", "staged"))
     assert staged == cold
-    for name in cold:
-        assert (tmp_path / "staged" / name).read_bytes() == \
+    for name in cold:  # the signature record holds what each run hashed
+        assert name == "signatures.json" or (tmp_path / "staged" / name).read_bytes() == \
             (tmp_path / "cold" / name).read_bytes(), name
 
     ref = tmp_path / "reference"
@@ -1011,27 +1070,40 @@ def test_selection_from_cwd_relative_manifests_reads_from_anywhere(
         assert read_transcript(utt).strip()
 
 
-def test_copied_corpus_and_work_dir_rewrite_their_selection_manifests(tmp_path, corpus_dir):
+def test_copied_corpus_and_work_dir_rewrite_their_selection_manifests(
+    tmp_path, corpus_dir, caplog, settle
+):
     """Selection manifests name the pool's files resolved against the pool
     manifest's directory. Rerun from a copy of the corpus and its work dir,
     the three stages that write them run again and name the copy's files;
-    every other stage is skipped."""
-    shutil.copytree(corpus_dir, tmp_path / "a" / "corpus")
-    run_pipeline(_config(tmp_path / "a" / "corpus", tmp_path / "a" / "work", text=True))
-    shutil.copytree(tmp_path / "a", tmp_path / "b")
-    result = run_pipeline(
-        _config(tmp_path / "b" / "corpus", tmp_path / "b" / "work", text=True)
-    )
-    ran = {name for name, skipped in result.skipped.items() if not skipped}
-    assert ran == {"select", "text-select", "combine"}
-    for name in ("selection.tsv", "selection_acoustic.tsv", "selection_text.tsv"):
-        path = tmp_path / "b" / "work" / name
-        assert str(tmp_path / "a") + "/" not in path.read_text(encoding="utf-8")
-        selected = read_manifest(path)
-        assert len(selected) > 0
-        for utt in selected:
-            assert utt.feature_file.startswith(str(tmp_path / "b" / "corpus") + "/")
-            assert utt.transcript_file.startswith(str(tmp_path / "b" / "corpus") + "/")
+    every other stage is skipped. A settled copy's signature record vouches
+    for nothing: every file of the copy is another file, so all are hashed."""
+    for settled in (False, True):
+        settle(settled)
+        a, b = tmp_path / f"{settled}" / "a", tmp_path / f"{settled}" / "b"
+        shutil.copytree(corpus_dir, a / "corpus")
+        config = _config(a / "corpus", a / "work", text=True)
+        run_pipeline(config)
+        run_pipeline(config)
+        shutil.copytree(a, b)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+            result = run_pipeline(_config(b / "corpus", b / "work", text=True))
+        ran = {name for name, skipped in result.skipped.items() if not skipped}
+        assert ran == {"select", "text-select", "combine"}
+        reason = "signature changed" if settled else "too recent to settle"
+        assert _digests_line(caplog) == (
+            "digests: 0 corpus parts and 0 work-dir files verified by signature; "
+            f"hashed 4 corpus parts (4 {reason}) and 21 work-dir files (21 {reason})"
+        )
+        for name in ("selection.tsv", "selection_acoustic.tsv", "selection_text.tsv"):
+            path = b / "work" / name
+            assert str(a) + "/" not in path.read_text(encoding="utf-8")
+            selected = read_manifest(path)
+            assert len(selected) > 0
+            for utt in selected:
+                assert utt.feature_file.startswith(str(b / "corpus") + "/")
+                assert utt.transcript_file.startswith(str(b / "corpus") + "/")
 
 
 def test_cache_file_survives_a_failed_replace(tmp_path, corpus_dir):
@@ -1202,33 +1274,188 @@ def test_damaged_sweep_output_reruns_the_sweep(tmp_path, corpus_dir):
         assert path.read_bytes() == good, output
 
 
-def test_cached_sweep_opens_each_work_dir_file_at_most_once(tmp_path, corpus_dir, monkeypatch):
+def test_cached_sweep_opens_each_work_dir_file_at_most_once(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
     """A cached sweep hashes each file of its chain once, reads its rows from
-    the summary it hashed, and parses no posteriors or centroids."""
-    import builtins
-    import io
+    the summary it hashed, and parses no posteriors or centroids. Once a
+    sweep has recorded the settled files' signatures, the next opens none but
+    the summary, the lock, the cache file and the record. Each sweep rewrites
+    the record once, through its temporary file."""
+    for settled in (False, True):
+        settle(settled)
+        work = tmp_path / f"work-{settled}"
+        config = _config(corpus_dir, work)
+        rows = sweep_lambda(config, [0.3, 0.6])
+        if settled:
+            sweep_lambda(config, [0.3, 0.6])
+        parsed = []
+        monkeypatch.setattr(pipeline_module.lda, "read_posteriors", parsed.append)
+        opens = _counting_opens(monkeypatch, work)
+        assert sweep_lambda(config, [0.3, 0.6]) == rows
+        monkeypatch.undo()
+        assert parsed == []
+        assert set(opens) == {"signatures.json.tmp"} | (
+            {".lock", "cache.json", "signatures.json", "sweep_summary.tsv"} if settled
+            else {p.name for p in work.iterdir()}
+        )
+        assert set(opens.values()) == {1}
 
+
+def _digests_line(caplog) -> str:
+    """The one line a run logs on how it took its digests."""
+    (line,) = [m for m in caplog.messages if m.startswith("digests: ")]
+    return line
+
+
+def test_each_run_logs_how_it_took_its_digests(tmp_path, corpus_dir, caplog, settle):
+    """Each run logs how many corpus parts and work-dir files its signature
+    record verified and how many it hashed, and why: an unsettled run
+    records nothing, the first settled run records everything it hashed, and
+    the next reads only the selection it returns."""
+    config = _config(corpus_dir, tmp_path / "work")
+
+    def line() -> str:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+            run_pipeline(config)
+        return _digests_line(caplog)
+
+    assert line() == (
+        "digests: 0 corpus parts and 0 work-dir files verified by signature; "
+        "hashed 2 corpus parts (2 too recent to settle) and 0 work-dir files"
+    )
+    assert line() == (
+        "digests: 0 corpus parts and 0 work-dir files verified by signature; "
+        "hashed 2 corpus parts (2 too recent to settle) and 14 work-dir files "
+        "(14 too recent to settle)"
+    )
+    settle(True)
+    assert line() == (
+        "digests: 0 corpus parts and 0 work-dir files verified by signature; "
+        "hashed 2 corpus parts (2 no entry) and 14 work-dir files (14 no entry)"
+    )
+    assert line() == (
+        "digests: 2 corpus parts and 13 work-dir files verified by signature; "
+        "hashed 0 corpus parts and 1 work-dir files (1 returned)"
+    )
+
+
+def _settled_work_dir(config, settle) -> dict[str, bytes]:
+    """Settle every file, then run ``config`` cold and again, so that the
+    signature record holds every corpus part and artifact; return the files."""
+    settle(True)
+    run_pipeline(config)
+    run_pipeline(config)
+    work = Path(config.paths.work_dir)
+    return {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "content", [b"not json", b'"\xff"', b"[]", b'{"pool features": {"digest": 1}}']
+)
+def test_signature_record_of_the_wrong_shape_is_ignored(
+    content, tmp_path, corpus_dir, caplog, settle
+):
+    """A signature record that is not UTF-8 JSON, not an object, or holds an
+    entry of another shape is ignored with a warning: the run hashes every
+    file, skips every stage and writes the record a settled run writes."""
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
-    rows = sweep_lambda(config, [0.3, 0.6])
-    opens = Counter()
+    good = _settled_work_dir(config, settle)["signatures.json"]
+    (work / "signatures.json").write_bytes(content)
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        assert all(run_pipeline(config).skipped.values())
+    assert f"ignoring corrupt signature record {work / 'signatures.json'}" in caplog.messages
+    assert _digests_line(caplog).startswith(
+        "digests: 0 corpus parts and 0 work-dir files verified by signature; ")
+    assert (work / "signatures.json").read_bytes() == good
 
-    def counting(real):
-        def wrapper(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and Path(file).parent == work:
-                opens[Path(file).name] += 1
-            return real(file, *args, **kwargs)
-        return wrapper
 
-    parsed = []
-    monkeypatch.setattr(pipeline_module.lda, "read_posteriors", parsed.append)
-    for module in (builtins, io, os):
-        monkeypatch.setattr(module, "open", counting(module.open))
-    assert sweep_lambda(config, [0.3, 0.6]) == rows
+@pytest.mark.parametrize("entry", ["pool features", "dev features", "post_pool.tsv", "lda.alda"])
+def test_signature_record_that_contents_contradict_is_discarded(
+    entry, tmp_path, corpus_dir, caplog, settle
+):
+    """A recorded digest that the contents contradict makes the stage that
+    reads (or wrote) the file run, which checks the contents first: the run
+    warns, discards the record, checks every stage from contents, skips them
+    all and records the true digests."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    files = _settled_work_dir(config, settle)
+    record = json.loads(files["signatures.json"])
+    record[entry]["digest"] = "0" * 64
+    (work / "signatures.json").write_text(json.dumps(record), encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        assert all(run_pipeline(config).skipped.values())
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        f"signature record {work / 'signatures.json'}: the contents of {entry} contradict "
+        "its recorded digest; discarding the record and checking from contents"
+    ]
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == files
+
+
+def test_signature_record_size_does_not_depend_on_settling(tmp_path, corpus_dir, settle):
+    """A file hashed before it settled keeps its name in the record, with
+    fields of a settled entry's length, and every run rewrites the record:
+    the same runs write a record of the same size, settled or not."""
+    sizes = {}
+    for settled in (False, True):
+        settle(settled)
+        config = _config(corpus_dir, tmp_path / f"work-{settled}", text=True)
+        record = tmp_path / f"work-{settled}" / "signatures.json"
+        sizes[settled] = []
+        for step in (run_pipeline, run_pipeline, partial(sweep_lambda, lambdas=[0.3, 0.6])):
+            step(config)
+            sizes[settled].append(record.stat().st_size)
+    assert sizes[False] == sizes[True]
+
+
+def test_new_vocabulary_cap_rereads_each_settled_transcript_once(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
+    """On a settled text run, a new ``docmodel.text_vocab_cap`` reruns
+    ``text-tfidf``, which reads each transcript once, for its key and its
+    body alike, and no feature file; every output equals a cold run's."""
+    config = _config(corpus_dir, tmp_path / "work", text=True)
+    _settled_work_dir(config, settle)
+    config.docmodel.text_vocab_cap = 8
+    reads = Counter()
+    real_read = pipeline_module.corpus.read_file_stat
+
+    def counting_read(path):
+        if Path(path).parent != tmp_path / "work":
+            reads[path] += 1
+        return real_read(path)
+
+    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
+    result = run_pipeline(config)
     monkeypatch.undo()
-    assert parsed == []
-    assert set(opens) == {p.name for p in work.iterdir()}
-    assert set(opens.values()) == {1}
+    assert result.skipped["text-tfidf"] is False
+    utts = [u for w in ("dev", "pool")
+            for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
+    assert reads == {u.transcript_file: 1 for u in utts}
+    run_pipeline(replace(config, paths=replace(config.paths, work_dir=str(tmp_path / "cold"))))
+    for p in (tmp_path / "cold").iterdir():
+        if p.name != "signatures.json":
+            assert (tmp_path / "work" / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_new_sweep_on_a_settled_work_dir_opens_its_inputs_once(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
+    """A sweep over a new threshold list on a settled work dir takes the
+    digests of ``post_pool.tsv`` and ``centroids.tsv`` from the signature
+    record, so only the sweep's body opens them, once each."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    _settled_work_dir(config, settle)
+    opens = _counting_opens(monkeypatch, work)
+    runner = Runner(config)
+    runner.sweep([0.3, 0.6])
+    monkeypatch.undo()
+    assert {s for s, skipped in runner.skipped.items() if not skipped} == {"sweep"}
+    assert opens["post_pool.tsv"] == opens["centroids.tsv"] == 1
 
 
 # Every field of every non-path config section, and another valid value for
@@ -1410,10 +1637,11 @@ def test_a_rerun_names_what_changed(tmp_path, corpus_dir, caplog):
     assert running(["report"]) == ["stage report: running (pool manifest changed)"]
 
 
-def test_cache_file_without_parts_reruns_every_stage(tmp_path, corpus_dir, caplog):
+def test_cache_file_without_parts_reruns_every_stage(tmp_path, corpus_dir, caplog, settle):
     """A ``cache.json`` whose entries record no parts, as one written before
     parts were recorded, reruns every stage with that reason and rewrites the
-    same outputs; the next run skips them all."""
+    same outputs, and the same signature record; the next run skips them all."""
+    settle(True)
     work = tmp_path / "work"
     config = _config(corpus_dir, work, text=True)
     run_pipeline(config)
