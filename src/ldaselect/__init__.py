@@ -42,12 +42,10 @@ from .gmm import (
 )
 from .kmeans import KMeansModel, train_kmeans
 from .lda import (
-    InferenceState,
     LdaConfig,
     LdaModel,
     Posteriors,
     extract_posteriors,
-    infer_document,
     load_lda,
     save_lda,
     train_lda,
@@ -69,7 +67,6 @@ __all__ = [
     "FormatError",
     "GmmConfig",
     "GmmModel",
-    "InferenceState",
     "KMeansModel",
     "LdaConfig",
     "LdaModel",
@@ -90,7 +87,6 @@ __all__ = [
     "compute_stats",
     "extract_posteriors",
     "generate_synthetic_corpus",
-    "infer_document",
     "load_config",
     "load_gmm",
     "load_lda",

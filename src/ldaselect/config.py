@@ -13,7 +13,7 @@ from typing import get_args, get_type_hints
 from .corpus import decode_text
 from .errors import FormatError, ValidationError
 from .gmm import GmmConfig, validate_gmm_config
-from .kmeans import validate_seed
+from .kmeans import validate_count, validate_seed
 from .lda import LdaConfig, validate_lda_config
 from .selection import SelectionConfig, validate_selection_config
 
@@ -155,10 +155,8 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
         except ValidationError as exc:
             raise ValidationError(f"{section}.{exc}") from None
     q = config.quantizer
-    if q.n_components < 1:
-        raise ValidationError(f"quantizer.n_components must be >= 1, got {q.n_components}")
-    if q.max_train_frames < 1:
-        raise ValidationError(f"quantizer.max_train_frames must be >= 1, got {q.max_train_frames}")
+    validate_count(q.n_components, "quantizer.n_components")
+    validate_count(q.max_train_frames, "quantizer.max_train_frames")
     if q.train_source not in SOURCES:
         raise ValidationError(
             f"quantizer.train_source must be one of {SOURCES}, got '{q.train_source}'"
@@ -168,23 +166,21 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
         raise ValidationError(
             f"docmodel.idf_source must be one of {SOURCES}, got '{d.idf_source}'"
         )
-    if d.text_vocab_cap < 1:
-        raise ValidationError("docmodel.text_vocab_cap must be >= 1")
+    validate_count(d.text_vocab_cap, "docmodel.text_vocab_cap")
     l = config.lda
-    if l.n_topics < 1:
-        raise ValidationError(f"lda.n_topics must be >= 1, got {l.n_topics}")
+    validate_count(l.n_topics, "lda.n_topics")
     if l.train_source not in SOURCES:
         raise ValidationError(
             f"lda.train_source must be one of {SOURCES}, got '{l.train_source}'"
         )
     c = config.cluster
-    if c.n_clusters < 1 or c.max_iterations < 1:
-        raise ValidationError("cluster.n_clusters and max_iterations must be >= 1")
+    validate_count(c.n_clusters, "cluster.n_clusters")
+    validate_count(c.max_iterations, "cluster.max_iterations")
     validate_seed(c.seed, "cluster.seed")
     validate_selection_config(config.selection)
     t = config.text
-    if t.n_topics is not None and t.n_topics < 1:
-        raise ValidationError("text.n_topics must be >= 1")
+    if t.n_topics is not None:
+        validate_count(t.n_topics, "text.n_topics")
     if t.threshold is not None and not 0.0 < t.threshold <= 1.0:
         raise ValidationError(f"text threshold must be in (0, 1], got {t.threshold}")
     if check_paths:

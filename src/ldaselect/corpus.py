@@ -424,12 +424,6 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
     return X
 
 
-def read_transcript(utt: Utterance) -> str:
-    """Load an utterance's transcript text; empty string when none is listed."""
-    p = utt.transcript_file
-    return transcript_text(utt, read_file(p) if p and os.path.isfile(p) else None)
-
-
 def transcript_text(utt: Utterance, data: bytes | None) -> str:
     """``utt``'s transcript from ``data``, the bytes of its transcript file
     (None if it is missing): empty when none is listed."""

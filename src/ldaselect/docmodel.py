@@ -27,6 +27,7 @@ import numpy as np
 
 from . import container
 from .errors import FormatError, ValidationError
+from .kmeans import validate_count
 
 
 @dataclass
@@ -107,8 +108,7 @@ def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
 def bag_of_tokens(ids, tokens: np.ndarray, lengths: np.ndarray, vocab_size: int) -> DocBatch:
     """:func:`bag_of_words` of the documents that the int64 array ``tokens``
     holds back to back, ``lengths[d]`` tokens for document ``d``."""
-    if vocab_size < 1:
-        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
+    validate_count(vocab_size, "vocab_size")
     ids = list(ids)
     repeated = [i for i, n in Counter(ids).items() if n > 1]
     if repeated:
@@ -130,8 +130,7 @@ def bag_of_tokens(ids, tokens: np.ndarray, lengths: np.ndarray, vocab_size: int)
 
 def compute_stats(bags, vocab_size: int) -> CorpusStats:
     """Count, per term, the number of documents of ``bags`` containing it."""
-    if vocab_size < 1:
-        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
+    validate_count(vocab_size, "vocab_size")
     doc_freq = np.zeros(vocab_size, dtype=np.int64)
     doc_count = 0
     for bag in bags:
@@ -178,8 +177,7 @@ def build_text_vocab(token_docs, cap: int) -> dict[str, int]:
     """The ``cap`` most frequent tokens of ``token_docs``, each transcript's
     :func:`normalize_tokens`, ties broken lexically, mapped to dense ids in
     that order."""
-    if cap < 1:
-        raise ValidationError(f"vocabulary cap must be >= 1, got {cap}")
+    validate_count(cap, "vocabulary cap")
     freq: Counter[str] = Counter()
     for tokens in token_docs:
         freq.update(tokens)

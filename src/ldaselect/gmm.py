@@ -14,7 +14,7 @@ import numpy as np
 
 from . import container
 from .errors import FormatError, ValidationError
-from .kmeans import kmeans_pp_indices, validate_seed
+from .kmeans import kmeans_pp_indices, validate_count, validate_seed
 
 GMM_MAGIC = b"AGMM"
 GMM_VERSION = 1
@@ -49,9 +49,7 @@ def validate_gmm_config(config: GmmConfig) -> None:
     """Range-check the EM settings, as :func:`train_gmm` needs them."""
     validate_seed(config.seed)
     for name in ("max_iterations", "init_subsample"):
-        value = getattr(config, name)
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
+        validate_count(getattr(config, name), name)
     for name in ("tol", "var_floor_scale"):
         value = getattr(config, name)
         if not 0 < value < math.inf:
@@ -226,8 +224,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     if frames.ndim != 2:
         raise ValidationError(f"frame collection must be 2-D, got shape {frames.shape}")
     n, d = frames.shape
-    if n_components < 1:
-        raise ValidationError(f"n_components must be >= 1, got {n_components}")
+    validate_count(n_components, "n_components")
     if n < n_components:
         raise ValidationError(f"too few frames: {n} frames for {n_components} components")
     if not np.all(np.isfinite(frames)):

@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Lloyd's iteration also stops once an iteration improves the inertia by less
+# than this fraction.
+_TOL = 1e-6
+
 
 @dataclass
 class KMeansModel:
@@ -110,18 +114,25 @@ def validate_seed(seed, name: str = "seed") -> None:
         raise ValidationError(f"{name} must be a non-negative integer, got {seed}")
 
 
+def validate_count(value, name: str) -> None:
+    """Refuse a count or cap that is not an integer of at least 1: a NaN or
+    infinite sweep cap is never reached, and numpy refuses a fractional size
+    with an error of its own."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value}")
+
+
 def train_kmeans(
     X,
     k: int,
     seed: int = 0,
     max_iterations: int = 100,
-    tol: float = 1e-6,
     normalize_centroids: bool = False,
 ) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
     Inertia is non-increasing across iterations; iteration stops when the
-    relative inertia improvement falls below ``tol`` or assignments stop
+    relative inertia improvement falls below ``_TOL`` or assignments stop
     changing. Empty clusters are reseeded deterministically with the member
     of the largest cluster farthest from its centroid.
 
@@ -133,12 +144,10 @@ def train_kmeans(
     if X.ndim != 2:
         raise ValidationError(f"k-means input must be 2-D, got shape {X.shape}")
     n = X.shape[0]
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    validate_count(k, "k")
     if k > n:
         raise ValidationError(f"cannot fit {k} clusters to {n} rows")
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
+    validate_count(max_iterations, "max_iterations")
     validate_seed(seed)
     if not np.all(np.isfinite(X)):
         raise ValidationError("k-means input contains NaN or Inf")
@@ -159,7 +168,7 @@ def train_kmeans(
         history.append(inertia)
         converged = bool(np.array_equal(new_labels, labels))
         if history[:-1] and history[-2] > 0:
-            converged = converged or (history[-2] - inertia) / history[-2] < tol
+            converged = converged or (history[-2] - inertia) / history[-2] < _TOL
         labels = new_labels
         for j in range(k):
             member = labels == j

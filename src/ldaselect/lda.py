@@ -13,8 +13,9 @@ across EM iterations.
 
 Inference is batched, as in the minibatch E-step of Hoffman, Blei & Bach
 ("Online Learning for Latent Dirichlet Allocation", NIPS 2010): documents
-arrive as a CSR ``DocBatch`` and gamma is a documents x topics matrix. A
-sweep never forms phi. With E = exp(E[log theta]) scaled to a row maximum of
+arrive as a CSR ``DocBatch`` and gamma is a documents x topics matrix. phi
+is never formed: only the few entries whose phinorm underflows take their
+phi, in log space. With E = exp(E[log theta]) scaled to a row maximum of
 1 and B = beta scaled to a column maximum of 1, it takes phinorm from
 P = E @ B, writes S = weight / phinorm into P's buffer and sets
 gamma = alpha + E * (S @ B.T); training accumulates the expected counts
@@ -23,9 +24,8 @@ updates every document still moving; a document leaves the batch once its
 own mean absolute gamma change drops below the tolerance or it reaches the
 sweep cap. ``train_lda`` and ``extract_posteriors`` run this over blocks of
 at most ``_BLOCK_CELLS // max(topics, vocabulary)`` documents, so working
-memory does not grow with the corpus. ``infer_document`` is the
-single-document form of the same sweep over the document's own terms; it is
-the one that forms phi and records the bound after every sweep.
+memory does not grow with the corpus. The one-document form is
+``extract_posteriors(model, docs[i:i+1])``.
 """
 
 import math
@@ -40,7 +40,7 @@ from . import container
 from .corpus import text_lines
 from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
-from .kmeans import validate_seed
+from .kmeans import validate_count, validate_seed
 
 LDA_MAGIC = b"ALDA"
 LDA_VERSION = 1
@@ -101,9 +101,7 @@ def validate_lda_config(config: LdaConfig) -> None:
         if not 0 < value < math.inf:
             raise ValidationError(f"{name} must be finite and positive, got {value}")
     for name in ("em_max_iterations", "doc_max_iterations"):
-        value = getattr(config, name)
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
+        validate_count(getattr(config, name), name)
     if config.alpha is not None and not 0 < config.alpha < math.inf:
         raise ValidationError(f"alpha must be finite and positive, got {config.alpha}")
 
@@ -123,20 +121,6 @@ class LdaModel:
     doc_sweeps: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64), compare=False
     )
-
-
-@dataclass
-class InferenceState:
-    """Converged variational parameters for one document.
-
-    ``phi`` rows align with the document's entries (terms ascending); each row
-    is a distribution over topics. ``elbo_history`` holds the bound after
-    every update sweep.
-    """
-
-    gamma: np.ndarray = field(compare=False)
-    phi: np.ndarray = field(compare=False)
-    elbo_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -332,12 +316,6 @@ class _Sweep:
                 ss.shape[1],
             ).T
 
-    def phi(self) -> np.ndarray:
-        """phi on every entry, entries x topics."""
-        phi = self.e[self.own] * self.topics.exp.T[self.terms] / self.phinorm[:, None]
-        phi[self.small] = self.phi_small
-        return phi
-
 
 def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
                  on_sweep=None) -> np.ndarray:
@@ -392,55 +370,7 @@ def _check_inference(tol: float, max_iters: int) -> None:
     checks ``doc_tol`` and ``doc_max_iterations``."""
     if not 0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-
-
-def _check_single(doc: DocBatch, vocab_size: int) -> None:
-    if len(doc) != 1:
-        raise ValidationError(f"expected a single document, got {len(doc)}")
-    doc.check_vocab(vocab_size)
-
-
-def infer_document(
-    model: LdaModel,
-    doc: DocBatch,
-    tol: float = 1e-4,
-    max_iters: int = 100,
-    init_gamma=None,
-) -> InferenceState:
-    """Coordinate ascent on (phi, gamma) of a one-document batch until gamma
-    stabilizes.
-
-    Stops when the mean absolute gamma change drops below ``tol`` or after
-    ``max_iters`` sweeps. ``init_gamma`` warm-starts gamma; the default start
-    spreads the document's total weight evenly across topics. This is the
-    single-document form of the batched E-step, over the document's own
-    columns of the topic-term table; it also records the bound after every
-    sweep.
-    """
-    _check_inference(tol, max_iters)
-    _check_single(doc, model.vocab_size)
-    gamma = _initial_gamma(model.alpha, doc)
-    if init_gamma is not None and doc.terms.size:
-        gamma[0] = init_gamma
-    own_terms = DocBatch(
-        doc.ids, doc.indptr, np.arange(doc.terms.size), doc.counts, doc.weights
-    )
-    topics = _topics(model.log_beta[:, doc.terms], own_terms)
-    history: list[float] = []
-    phi = np.zeros((0, model.n_topics))
-
-    def record(sweep, done):
-        nonlocal phi
-        history.append(float(sweep.bounds([0])[0]))
-        if done[0]:
-            phi = sweep.phi()
-
-    _infer_block(model.alpha, gamma, topics, own_terms, tol, max_iters, on_sweep=record)
-    if not history:  # empty document: no sweep; at gamma = alpha the bound is 0
-        history.append(0.0)
-    return InferenceState(gamma=gamma[0], phi=phi, elbo_history=history)
+    validate_count(max_iters, "max_iters")
 
 
 def train_lda(
@@ -462,10 +392,8 @@ def train_lda(
     """
     config = config or LdaConfig()
     validate_lda_config(config)
-    if n_topics < 1:
-        raise ValidationError(f"n_topics must be >= 1, got {n_topics}")
-    if vocab_size < 1:
-        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
+    validate_count(n_topics, "n_topics")
+    validate_count(vocab_size, "vocab_size")
     docs.check_vocab(vocab_size)
     if not docs.terms.size:
         raise ValidationError("cannot train on an all-empty corpus")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import Manifest, read_file, text_lines
 from .errors import FormatError, ValidationError
+from .kmeans import validate_seed
 from .lda import Posteriors
 
 
@@ -229,6 +230,7 @@ def random_select(
     pool_manifest: Manifest, budget_hours: float, seed: int
 ) -> SelectionResult:
     """Budget-limited uniform baseline: shuffled prefix of the pool."""
+    validate_seed(seed)
     if not 0 < budget_hours < math.inf:
         raise ValidationError(f"hour budget must be finite and positive, got {budget_hours}")
     total_pool = pool_manifest.total_hours()

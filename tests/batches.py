@@ -1,11 +1,15 @@
-"""Build and unpack document batches from per-document entry lists.
+"""Build and unpack document batches from per-document entry lists, and run
+the topic model's E-step on them sweep by sweep.
 
 A document is written as ``(utt_id, [(term, count, weight), ...])`` with terms
 ascending, the layout the oracles in ``reference.py`` read.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
+from ldaselect import lda
 from ldaselect.docmodel import DocBatch
 
 
@@ -24,6 +28,39 @@ def batch(docs) -> DocBatch:
 def doc(utt_id, entries=()) -> DocBatch:
     """One document as a batch."""
     return batch([(utt_id, list(entries))])
+
+
+class Sweep(NamedTuple):
+    """One sweep of :func:`e_step`: the gamma of the documents it updated
+    (the non-empty ones not yet settled, in batch order) before and after it,
+    and their bounds."""
+
+    gamma0: np.ndarray
+    gamma1: np.ndarray
+    bounds: np.ndarray
+
+
+def e_step(model, docs: DocBatch, tol=1e-4, max_iters=100, gamma=None):
+    """The E-step ``extract_posteriors`` runs: ``lda._infer_block`` over the
+    full topic-term table, here with ``docs`` as one block, from ``gamma``
+    (default: ``extract_posteriors``' start). Returns the final gamma, the
+    sweeps per document and the list of :class:`Sweep` records."""
+    if gamma is None:
+        gamma = lda._initial_gamma(model.alpha, docs)
+    gamma = np.array(gamma, dtype=np.float64, ndmin=2)
+    trace: list[Sweep] = []
+    before = gamma[np.diff(docs.indptr) > 0]
+
+    def record(sweep, done):
+        nonlocal before
+        trace.append(Sweep(before, sweep.gamma, sweep.bounds(slice(None))))
+        before = sweep.gamma[~done]
+
+    sweeps = lda._infer_block(
+        model.alpha, gamma, lda._topics(model.log_beta, docs), docs, tol, max_iters,
+        on_sweep=record,
+    )
+    return gamma, sweeps, trace
 
 
 def entries(docs: DocBatch, i: int = 0) -> list[tuple[int, int, float]]:

@@ -20,6 +20,26 @@ def ref_digamma(x: float) -> float:
     return float(mpmath.digamma(x))
 
 
+def ref_phi(gamma, entries, log_beta) -> list[list[float]]:
+    """Responsibilities of a document's entries at ``gamma``, one entry and
+    topic at a time: phi[e][k] is proportional to
+    exp(digamma(gamma_k) + log_beta[k][term_e]), and exactly 0 where log beta
+    is -inf.
+
+    ``entries`` is the document's (term, count, weight) list, which the rows
+    align with; ``log_beta`` is the full K x V table as nested lists.
+    """
+    dig = [ref_digamma(g) for g in gamma]
+    phi = []
+    for term, _count, _weight in entries:
+        logs = [d + log_beta[k][term] for k, d in enumerate(dig)]
+        top = max(logs)
+        row = [math.exp(x - top) for x in logs]
+        total = math.fsum(row)
+        phi.append([x / total for x in row])
+    return phi
+
+
 def ref_elbo(alpha, gamma, phi, entries, log_beta) -> float:
     """Variational bound, term by term.
 

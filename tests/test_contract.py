@@ -1,0 +1,126 @@
+"""Counts, caps and seeds at the library boundary: a value that is not a
+whole number in range is refused with a ValidationError naming it, not run
+with no cap and not passed on to numpy, which would raise its own error."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ldaselect import (
+    GmmConfig,
+    LdaConfig,
+    Manifest,
+    PipelineConfig,
+    Utterance,
+    ValidationError,
+    bag_of_words,
+    build_text_vocab,
+    compute_stats,
+    extract_posteriors,
+    random_select,
+    train_gmm,
+    train_kmeans,
+    train_lda,
+    validate_config,
+)
+from ldaselect.lda import validate_lda_config
+
+from batches import batch
+
+
+def _docs():
+    return batch([("a", [(0, 2, 1.0), (1, 1, 0.5)]), ("b", [(2, 3, 1.5)])])
+
+
+def _model():
+    return train_lda(_docs(), 2, 3, LdaConfig(seed=0, em_max_iterations=1))
+
+
+def _frames():
+    return np.random.default_rng(0).normal(size=(20, 2))
+
+
+def _pool():
+    return Manifest([Utterance(f"u{i}", f"u{i}.aldf", 10, 2, 3600.0, "pool") for i in range(3)])
+
+
+def _validate(section, key, value):
+    config = PipelineConfig()
+    setattr(getattr(config, section), key, value)
+    validate_config(config, check_paths=False)
+
+
+CASES = [
+    *[
+        pytest.param(
+            lambda v=v: extract_posteriors(_model(), _docs(), max_iters=v), "max_iters",
+            id=f"extract_posteriors-max_iters-{v}",
+        )
+        for v in (math.nan, math.inf, 1.5)
+    ],
+    *[
+        pytest.param(
+            lambda v=v: validate_lda_config(LdaConfig(doc_max_iterations=v)),
+            "doc_max_iterations", id=f"validate_lda_config-doc_max_iterations-{v}",
+        )
+        for v in (math.nan, math.inf, 2.5)
+    ],
+    pytest.param(
+        lambda: train_lda(_docs(), 2, 3, LdaConfig(doc_max_iterations=math.nan)),
+        "doc_max_iterations", id="train_lda-doc_max_iterations-nan",
+    ),
+    pytest.param(
+        lambda: train_lda(_docs(), 2, 3, LdaConfig(em_max_iterations=2.5)),
+        "em_max_iterations", id="train_lda-em_max_iterations-2.5",
+    ),
+    pytest.param(lambda: train_lda(_docs(), 1.5, 3), "n_topics", id="train_lda-n_topics-1.5"),
+    pytest.param(lambda: train_lda(_docs(), 2, 3.5), "vocab_size", id="train_lda-vocab_size-3.5"),
+    pytest.param(
+        lambda: train_gmm(_frames(), 1.5), "n_components", id="train_gmm-n_components-1.5"
+    ),
+    pytest.param(
+        lambda: train_gmm(_frames(), 2, GmmConfig(max_iterations=math.inf)), "max_iterations",
+        id="train_gmm-max_iterations-inf",
+    ),
+    pytest.param(
+        lambda: train_gmm(_frames(), 2, GmmConfig(init_subsample=2.5)), "init_subsample",
+        id="train_gmm-init_subsample-2.5",
+    ),
+    pytest.param(lambda: train_kmeans(_frames(), 1.5), "k", id="train_kmeans-k-1.5"),
+    pytest.param(
+        lambda: train_kmeans(_frames(), 2, max_iterations=math.nan), "max_iterations",
+        id="train_kmeans-max_iterations-nan",
+    ),
+    pytest.param(lambda: compute_stats([_docs()], 3.5), "vocab_size", id="compute_stats-3.5"),
+    pytest.param(
+        lambda: bag_of_words(["a", "b"], [[0, 1], [1]], 2.5), "vocab_size",
+        id="bag_of_words-2.5",
+    ),
+    pytest.param(
+        lambda: build_text_vocab([["a", "b"], ["b"]], 1.5), "vocabulary cap",
+        id="build_text_vocab-1.5",
+    ),
+    pytest.param(lambda: random_select(_pool(), 1.0, seed=-1), "seed", id="random_select-seed--1"),
+    pytest.param(
+        lambda: random_select(_pool(), 1.0, seed=1.5), "seed", id="random_select-seed-1.5"
+    ),
+    *[
+        pytest.param(
+            lambda section=section, key=key, v=v: _validate(section, key, v), f"{section}.{key}",
+            id=f"validate_config-{section}.{key}-{v}",
+        )
+        for section, key, v in [
+            ("quantizer", "n_components", 1.5), ("quantizer", "max_train_frames", math.nan),
+            ("docmodel", "text_vocab_cap", 1.5), ("lda", "n_topics", 2.5),
+            ("lda", "doc_max_iterations", math.inf), ("cluster", "n_clusters", 2.5),
+            ("cluster", "max_iterations", math.inf), ("text", "n_topics", 1.5),
+        ]
+    ],
+]
+
+
+@pytest.mark.parametrize("call, name", CASES)
+def test_counts_and_seeds_out_of_range_are_refused(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        call()

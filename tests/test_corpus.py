@@ -19,8 +19,8 @@ from ldaselect.corpus import (
     read_file,
     read_features,
     read_manifest,
-    read_transcript,
     sample_frames,
+    transcript_text,
     write_features,
     write_manifest,
 )
@@ -541,7 +541,7 @@ def test_synthetic_transcripts_and_durations(tmp_path):
     m = generate_synthetic_corpus(spec, seed=1, out_dir=tmp_path)
     for utt in m:
         assert utt.duration_s == pytest.approx(utt.num_frames / 50.0)
-        text = read_transcript(utt)
+        text = transcript_text(utt, read_file(utt.transcript_file))
         assert text.strip()
         prefix = "d0" if utt.domain_tag == "domain0" else "d1"
         assert all(w.startswith(prefix) for w in text.split())
@@ -585,8 +585,10 @@ def test_synthetic_validation_errors(tmp_path):
     assert len(generate_synthetic_corpus(spec, 0, out)) == 3
 
 
-def test_read_transcript_missing(tmp_path):
+def test_transcript_text_missing(tmp_path):
+    """A listed transcript whose bytes are missing is an error; an utterance
+    that lists none has the empty transcript."""
     utt = Utterance("u", "f.aldf", 1, 1, 0.01, "x", str(tmp_path / "gone.txt"))
-    with pytest.raises(FormatError):
-        read_transcript(utt)
-    assert read_transcript(Utterance("u", "f.aldf", 1, 1, 0.01, "x")) == ""
+    with pytest.raises(FormatError, match="missing transcript file for utterance 'u'"):
+        transcript_text(utt, None)
+    assert transcript_text(Utterance("u", "f.aldf", 1, 1, 0.01, "x"), None) == ""

@@ -18,7 +18,6 @@ from ldaselect.lda import (
     LdaModel,
     Posteriors,
     extract_posteriors,
-    infer_document,
     load_lda,
     read_posteriors,
     save_lda,
@@ -26,8 +25,8 @@ from ldaselect.lda import (
     write_posteriors,
 )
 
-from batches import batch, doc as one_doc, entries as doc_entries
-from reference import best_topic_matching, ref_elbo
+from batches import batch, doc as one_doc, e_step, entries as doc_entries
+from reference import best_topic_matching, ref_elbo, ref_phi
 
 
 def _random_model(rng, k, v):
@@ -56,35 +55,54 @@ def _count_doc(rng, beta_row, length, uid):
 # Per-document inference
 
 
+def _residual(model, doc, step):
+    """gamma after ``step`` (a one-document sweep) less alpha + w . phi, phi
+    from the oracle at the gamma before it."""
+    phi = np.array(ref_phi(step.gamma0[0], doc_entries(doc), model.log_beta.tolist()))
+    return step.gamma1[0] - model.alpha - doc.weights @ phi
+
+
+def _oracle_bound(model, doc, step):
+    """The oracle's bound at the gamma after ``step`` and the phi of the gamma
+    before it."""
+    entries, log_beta = doc_entries(doc), model.log_beta.tolist()
+    return ref_elbo(
+        model.alpha.tolist(), step.gamma1[0].tolist(),
+        ref_phi(step.gamma0[0], entries, log_beta), entries, log_beta,
+    )
+
+
 def test_empty_document_gamma_equals_alpha():
     rng = np.random.default_rng(0)
     model = _random_model(rng, 3, 5)
-    state = infer_document(model, one_doc("e"))
-    assert np.array_equal(state.gamma, model.alpha)
-    assert state.phi.shape == (0, 3)
-    assert state.elbo_history == [0.0]
+    posts, sweeps = extract_posteriors(model, one_doc("e"))
+    assert np.array_equal(posts.gamma[0], model.alpha)
+    assert sweeps.tolist() == [0]
 
 
 def test_single_topic_closed_form():
     rng = np.random.default_rng(1)
     model = _random_model(rng, 1, 6)
     doc = _random_doc(rng, 6)
-    state = infer_document(model, doc)
+    posts, sweeps = extract_posteriors(model, doc)
     total = sum(w for _, _, w in doc_entries(doc))
-    assert state.gamma[0] == pytest.approx(model.alpha[0] + total, rel=1e-12)
-    assert np.allclose(state.phi, 1.0)
+    assert posts.gamma[0, 0] == pytest.approx(model.alpha[0] + total, rel=1e-12)
+    assert sweeps.tolist() == [1]
 
 
-def test_fixed_point_identity_and_phi_rows():
+def test_fixed_point_identity_with_oracle_phi():
+    """Each sweep is gamma = alpha + w . phi, phi from the oracle at the gamma
+    before it; the swept result is the one extract_posteriors returns."""
     rng = np.random.default_rng(2)
     for trial in range(20):
         model = _random_model(rng, int(rng.integers(2, 6)), int(rng.integers(6, 15)))
         doc = _random_doc(rng, model.vocab_size)
-        state = infer_document(model, doc)
-        weights = doc.weights
-        residual = state.gamma - model.alpha - weights @ state.phi
-        assert np.max(np.abs(residual)) < 1e-9
-        assert np.allclose(state.phi.sum(axis=1), 1.0, atol=1e-9)
+        gamma, sweeps, trace = e_step(model, doc)
+        posts, posts_sweeps = extract_posteriors(model, doc)
+        assert np.array_equal(gamma, posts.gamma)
+        assert sweeps.tolist() == posts_sweeps.tolist() == [len(trace)]
+        for step in trace:
+            assert np.max(np.abs(_residual(model, doc, step))) < 1e-9
 
 
 def test_hand_set_beta_elbo_trace_monotone():
@@ -92,31 +110,19 @@ def test_hand_set_beta_elbo_trace_monotone():
     beta = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
     model = LdaModel(n_topics=2, vocab_size=3, alpha=alpha, log_beta=np.log(beta))
     doc = one_doc("d", [(0, 2, 1.1), (2, 1, 0.4)])
-    state = infer_document(model, doc)
-    h = state.elbo_history
+    _, _, trace = e_step(model, doc)
+    h = [step.bounds[0] for step in trace]
     assert len(h) >= 2
     assert all(h[i + 1] >= h[i] - 1e-8 for i in range(len(h) - 1))
-    weights = np.array([1.1, 0.4])
-    assert np.max(np.abs(state.gamma - alpha - weights @ state.phi)) < 1e-9
-
-
-def test_infer_validation():
-    rng = np.random.default_rng(3)
-    model = _random_model(rng, 2, 4)
-    with pytest.raises(ValidationError):
-        infer_document(model, one_doc("d", [(4, 1, 1.0)]))
-    with pytest.raises(ValidationError):
-        infer_document(model, one_doc("d", [(0, 1, 1.0)]), max_iters=0)
+    assert np.max(np.abs(_residual(model, doc, trace[-1]))) < 1e-9
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_inference_refuses_a_tolerance_out_of_range(tol):
     """A tolerance no change can fall below would run every document to the
-    sweep cap; both inference entry points refuse it, as the config does."""
+    sweep cap; inference refuses it, as the config does."""
     model = _random_model(np.random.default_rng(3), 2, 4)
     doc = one_doc("d", [(0, 1, 1.0), (2, 3, 0.5)])
-    with pytest.raises(ValidationError, match="tol must be finite and positive"):
-        infer_document(model, doc, tol=tol)
     with pytest.raises(ValidationError, match="tol must be finite and positive"):
         extract_posteriors(model, doc, tol=tol)
 
@@ -126,12 +132,18 @@ def test_inference_refuses_a_tolerance_out_of_range(tol):
 
 
 def test_elbo_empty_doc_exact_zero():
+    """An empty document adds exactly 0 to the training objective and takes
+    no sweep."""
     rng = np.random.default_rng(4)
-    model = _random_model(rng, 4, 5)
-    doc = one_doc("e")
-    state = infer_document(model, doc)
-    assert state.elbo_history == [0.0]
-    assert np.array_equal(state.gamma, model.alpha)
+    docs = [_random_doc(rng, 5, uid=f"d{i}") for i in range(4)]
+    config = LdaConfig(seed=0, em_max_iterations=5)
+    plain = train_lda(DocBatch.concat(docs), 4, 5, config)
+    padded = train_lda(DocBatch.concat(docs[:2] + [one_doc("e")] + docs[2:]), 4, 5, config)
+    assert padded.bound_history == plain.bound_history
+    assert np.array_equal(padded.log_beta, plain.log_beta)
+    assert padded.doc_sweeps.tolist() == (
+        plain.doc_sweeps[:2].tolist() + [0] + plain.doc_sweeps[2:].tolist()
+    )
 
 
 def test_elbo_converged_at_least_first_iteration():
@@ -139,8 +151,8 @@ def test_elbo_converged_at_least_first_iteration():
     for trial in range(10):
         model = _random_model(rng, 3, 10)
         doc = _random_doc(rng, 10)
-        state = infer_document(model, doc)
-        assert state.elbo_history[-1] >= state.elbo_history[0] - 1e-8
+        _, _, trace = e_step(model, doc)
+        assert trace[-1].bounds[0] >= trace[0].bounds[0] - 1e-8
 
 
 def test_elbo_matches_independent_oracle():
@@ -150,13 +162,9 @@ def test_elbo_matches_independent_oracle():
         v = int(rng.integers(4, 12))
         model = _random_model(rng, k, v)
         doc = _random_doc(rng, v)
-        state = infer_document(model, doc)
-        ours = state.elbo_history[-1]
-        ref = ref_elbo(
-            model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
-            doc_entries(doc), model.log_beta.tolist(),
-        )
-        assert ours == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        _, _, trace = e_step(model, doc)
+        ref = _oracle_bound(model, doc, trace[-1])
+        assert trace[-1].bounds[0] == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +302,13 @@ def test_extract_posteriors_alignment_and_purity():
 
 
 # ---------------------------------------------------------------------------
-# Batched inference against the single-document form
+# Batched inference against one document at a time
 
 
 def _reference_train(docs, k, v, config, init_beta):
-    """Variational EM as one infer_document call per document per iteration."""
+    """Variational EM with one one-document E-step per document per
+    iteration, warm-started, and expected counts from the oracle's phi at
+    the gamma before each document's last sweep."""
     model = LdaModel(
         n_topics=k, vocab_size=v, alpha=np.full(k, config.alpha),
         log_beta=np.log(init_beta / init_beta.sum(axis=1, keepdims=True)),
@@ -310,17 +320,16 @@ def _reference_train(docs, k, v, config, init_beta):
         total = 0.0
         sweeps = []
         for i in range(len(docs)):
-            doc = docs[i]
-            state = infer_document(
-                model, doc, config.doc_tol, config.doc_max_iterations, init_gamma=warm[i]
+            doc = docs[i:i + 1]
+            gamma, doc_sweeps, trace = e_step(
+                model, doc, config.doc_tol, config.doc_max_iterations, gamma=warm[i]
             )
-            warm[i] = state.gamma
-            total += state.elbo_history[-1]
-            sweeps.append(len(state.elbo_history) if doc.terms.size else 0)
-            if doc.terms.size:
-                terms = doc.terms
-                weights = doc.weights
-                np.add.at(ss.T, terms, weights[:, None] * state.phi)
+            warm[i] = gamma
+            sweeps.append(int(doc_sweeps[0]))
+            if trace:
+                total += trace[-1].bounds[0]
+                phi = ref_phi(trace[-1].gamma0[0], doc_entries(doc), model.log_beta.tolist())
+                np.add.at(ss.T, doc.terms, doc.weights[:, None] * np.array(phi))
         total += config.eta * float(model.log_beta.sum())
         history.append(total)
         if len(history) >= 2:
@@ -370,18 +379,15 @@ def test_batched_inference_matches_per_document_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lda_module, "_BLOCK_CELLS", case["block_cells"])
         posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
-        states = [
-            infer_document(model, docs[i], tol=tol, max_iters=max_iters)
+        singles = [
+            extract_posteriors(model, docs[i:i + 1], tol=tol, max_iters=max_iters)
             for i in range(len(docs))
         ]
         np.testing.assert_allclose(
-            posts.gamma, np.array([s.gamma for s in states]),
+            posts.gamma, np.concatenate([p.gamma for p, _ in singles]),
             rtol=1e-10, atol=0,
         )
-        assert sweeps.tolist() == [
-            len(s.elbo_history) if n else 0
-            for s, n in zip(states, np.diff(docs.indptr))
-        ]
+        assert sweeps.tolist() == [int(n[0]) for _, n in singles]
 
         config = LdaConfig(
             seed=case["seed"], em_max_iterations=4, doc_tol=tol,
@@ -477,11 +483,12 @@ def test_wide_shapes_match_per_document_loop(k, v):
         posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
         assert block_sizes == [2, 2, 2, 2, 1]
         trained = train_lda(docs, k, v, config, init_beta=init_beta)
-    states = [infer_document(model, docs[i], tol, max_iters) for i in range(len(docs))]
+    singles = [extract_posteriors(model, docs[i:i + 1], tol, max_iters) for i in range(len(docs))]
     np.testing.assert_allclose(
-        posts.gamma, np.array([s.gamma for s in states]), rtol=1e-10, atol=0
+        posts.gamma, np.concatenate([p.gamma for p, _ in singles]), rtol=1e-10, atol=0
     )
-    assert sweeps.tolist() == [0] + [len(s.elbo_history) for s in states[1:]]
+    assert sweeps.tolist() == [int(n[0]) for _, n in singles]
+    assert sweeps[0] == 0 and np.all(sweeps[1:] >= 1)
     history, log_beta, ref_sweeps = _reference_train(docs, k, v, config, init_beta)
     np.testing.assert_allclose(trained.bound_history, history, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(trained.log_beta, log_beta, rtol=0, atol=1e-12)
@@ -489,19 +496,18 @@ def test_wide_shapes_match_per_document_loop(k, v):
 
 
 def test_sweep_bound_equals_explicit_phi_bound():
-    """The bound recorded per sweep, computed without phi, equals the
-    term-by-term oracle at the returned gamma and phi, converged or not."""
+    """The bound of every sweep, computed without phi, equals the
+    term-by-term oracle at the new gamma and the oracle's phi, converged or
+    not."""
     rng = np.random.default_rng(18)
     for _ in range(30):
         k = int(rng.integers(2, 6))
         model = _random_model(rng, k, int(rng.integers(4, 12)))
         doc = _random_doc(rng, model.vocab_size)
-        state = infer_document(model, doc, tol=1e-3, max_iters=int(rng.integers(1, 6)))
-        ref = ref_elbo(
-            model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
-            doc_entries(doc), model.log_beta.tolist(),
-        )
-        assert state.elbo_history[-1] == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        _, _, trace = e_step(model, doc, tol=1e-3, max_iters=int(rng.integers(1, 6)))
+        for step in trace:
+            ref = _oracle_bound(model, doc, step)
+            assert step.bounds[0] == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
 def _dead_term_model():
@@ -518,12 +524,15 @@ def test_inference_rejects_document_using_a_term_no_topic_emits():
         extract_posteriors(model, docs)
     assert "'b'" in str(exc.value)
     with pytest.raises(ValidationError) as exc:
-        infer_document(model, docs[1])
+        extract_posteriors(model, docs[1:])
     assert "'b'" in str(exc.value)
-    # Documents that do not use the term are inferred as usual.
+    # Documents that do not use the term are inferred as under the table
+    # without it.
     posts, _ = extract_posteriors(model, docs[:1])
-    state = infer_document(model, docs[0])
-    assert np.all(np.isfinite(posts.gamma)) and np.array_equal(posts.gamma[0], state.gamma)
+    live = LdaModel(n_topics=2, vocab_size=2, alpha=model.alpha, log_beta=model.log_beta[:, :2])
+    expected, _ = extract_posteriors(live, docs[:1])
+    assert np.all(np.isfinite(posts.gamma))
+    np.testing.assert_allclose(posts.gamma, expected.gamma, rtol=1e-12)
 
 
 def test_init_beta_with_a_zero_column_rejected():
@@ -546,20 +555,18 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         posts, sweeps = extract_posteriors(model, doc)
-        state = infer_document(model, doc)
+        gamma, _, trace = e_step(model, doc)
         trained = train_lda(doc, 2, 3, config, init_beta=beta)
     expected = np.array([100.001, 0.001001])
     np.testing.assert_allclose(posts.gamma[0], expected, rtol=1e-10)
-    np.testing.assert_allclose(state.gamma, expected, rtol=1e-10)
-    assert sweeps.tolist() == [len(state.elbo_history)] == [2]
-    np.testing.assert_array_equal(state.phi, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert np.all(np.isfinite(state.elbo_history))
+    assert np.array_equal(gamma, posts.gamma)
+    assert sweeps.tolist() == [len(trace)] == [2]
+    phi = ref_phi(trace[-1].gamma0[0], doc_entries(doc), model.log_beta.tolist())
+    np.testing.assert_array_equal(phi, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(_residual(model, doc, trace[-1]), 0.0, atol=1e-12)
+    assert all(np.isfinite(step.bounds[0]) for step in trace)
     # The explicit-phi bound takes its 0 log 0 and 0 * log beta = -inf terms as 0.
-    ref = ref_elbo(
-        model.alpha.tolist(), state.gamma.tolist(), state.phi.tolist(),
-        doc_entries(doc), model.log_beta.tolist(),
-    )
-    assert state.elbo_history[-1] == pytest.approx(ref, rel=1e-10)
+    assert trace[-1].bounds[0] == pytest.approx(_oracle_bound(model, doc, trace[-1]), rel=1e-10)
     # The expected counts of the first E-step: terms 0 and 1 in topic 0, term 2
     # (from its log-space phi) in topic 1.
     ss = np.array([[50.0, 50.0, 0.0], [0.0, 0.0, 1e-6]]) + config.eta
@@ -580,9 +587,9 @@ def test_subnormal_phinorm_takes_the_log_space_path():
     doc = one_doc("u", [(0, 1, 50.0), (1, 1, 50.0), (2, 1, 50.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        state = infer_document(model, doc, init_gamma=np.array([150.0, 1e-3]))
-    np.testing.assert_allclose(state.gamma, [150.001, 0.001], rtol=1e-10)
-    assert np.all(np.isfinite(state.elbo_history))
+        gamma, _, trace = e_step(model, doc, gamma=[150.0, 1e-3])
+    np.testing.assert_allclose(gamma[0], [150.001, 0.001], rtol=1e-10)
+    assert all(np.isfinite(step.bounds[0]) for step in trace)
 
 
 def test_import_loads_no_scipy_sparse():
