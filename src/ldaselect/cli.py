@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 on validation errors (bad config, bad arguments,
-out-of-range parameters), 2 on runtime failures (stage errors, corrupt
-artifacts, I/O problems).
+Exit codes: 0 on success, 1 on validation errors (bad config, bad arguments
+or usage, out-of-range parameters), 2 on runtime failures (stage errors,
+corrupt artifacts, I/O problems). ``run --stages`` runs any stage of the
+chain that ``Runner.stages`` declares. Apart from ``--work-dir`` and
+``--seed``, every setting comes from the config file.
 """
 
 import argparse
@@ -20,10 +22,14 @@ from .selection import random_select, read_audit, union_combine
 
 log = logging.getLogger(__name__)
 
-# One command per stage of the acoustic chain of ``Runner.stages``, in its order.
-STAGE_COMMANDS = [
-    "train-gmm", "quantize", "tfidf", "train-lda", "posteriors", "cluster", "select",
-]
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as all invalid input does (argparse's 2 means a
+    runtime failure here); ``add_subparsers`` builds subparsers of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -33,7 +39,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ldaselect",
         description=(
             "Select acoustically matching training data from a large speech "
@@ -65,21 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--fps", type=float, default=100.0)
     synth.add_argument("--seed", type=int, default=0)
 
-    for name in STAGE_COMMANDS:
-        sub = subs.add_parser(name, help=f"run the {name} stage")
-        _common_flags(sub)
-        if name == "select":
-            sub.add_argument(
-                "--lambda", dest="lam", type=float,
-                help="override the selection distance threshold",
-            )
-            sub.add_argument(
-                "--max-hours", type=float, help="override the selection hour budget"
-            )
-
-    run = subs.add_parser("run", help="run the full pipeline")
+    run = subs.add_parser("run", help="run the pipeline, or some of its stages")
     _common_flags(run)
-    run.add_argument("--stages", help="comma-separated subset of stages to run")
+    run.add_argument("--stages", help="comma-separated stages of the chain to run")
 
     sweep = subs.add_parser(
         "sweep-lambda", help="selection and report across several thresholds"
@@ -117,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--selection", action="append", required=True, metavar="NAME=AUDIT",
         help="named audit file; repeatable",
     )
-    cmp_.add_argument("--target-domain", help="defaults to report.target_domain")
+    cmp_.add_argument(
+        "--target-domain", required=True, help="domain tag the selections are scored for"
+    )
 
     return parser
 
@@ -133,16 +129,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
         config.lda.seed = args.seed
         config.cluster.seed = args.seed
     return config
-
-
-def _print_stage_summary(result) -> None:
-    for name, skipped in result.skipped.items():
-        print(f"{name}: {'skipped (cached)' if skipped else 'ran'}")
-    if result.selection.selected or result.selection.passes:
-        print(
-            f"selected {len(result.selection.selected)} utterances, "
-            f"{result.selection.total_hours:.3f} h in {result.selection.passes} passes"
-        )
 
 
 def _cmd_synth(args) -> int:
@@ -175,23 +161,15 @@ def _cmd_run(args) -> int:
             raise ValidationError(f"--stages must name at least one stage, got '{args.stages}'")
     config = _load_pipeline_config(args)
     result = run_pipeline(config, stages)
-    _print_stage_summary(result)
+    for name, skipped in result.skipped.items():
+        print(f"{name}: {'skipped (cached)' if skipped else 'ran'}")
+    sel = result.selection
+    if sel.selected or sel.passes:
+        print(f"selected {len(sel.selected)} utterances, {sel.total_hours:.3f} h "
+              f"in {sel.passes} passes")
     report_txt = Path(config.paths.work_dir) / "report.txt"
     if "report" in result.skipped and report_txt.is_file():
         print(report_txt.read_text(encoding="utf-8"), end="")
-    return 0
-
-
-def _cmd_stage(args) -> int:
-    stage = args.command
-    config = _load_pipeline_config(args)
-    if stage == "select":
-        if getattr(args, "lam", None) is not None:
-            config.selection.threshold = args.lam
-        if getattr(args, "max_hours", None) is not None:
-            config.selection.max_hours = args.max_hours
-    result = run_pipeline(config, [stage])
-    _print_stage_summary(result)
     return 0
 
 
@@ -258,22 +236,17 @@ def _cmd_report(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load_pipeline_config(args)
     pool = Runner(config).pool
-    target = args.target_domain or config.report.target_domain
-    if not target:
-        raise ValidationError(
-            "--target-domain is required (or set report.target_domain in the config)"
-        )
     named = []
     for item in args.selection:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
             raise ValidationError(f"--selection must look like NAME=AUDIT, got '{item}'")
         named.append((name, read_audit(path)))
-    print(render_comparison(compare(named, pool, target), target), end="")
+    rows = compare(named, pool, args.target_domain)
+    print(render_comparison(rows, args.target_domain), end="")
     return 0
 
 
-# Every other command is one of STAGE_COMMANDS, run by _cmd_stage.
 _COMMANDS = {
     "synth": _cmd_synth,
     "run": _cmd_run,
@@ -293,7 +266,7 @@ def main(argv=None) -> int:
     level = logger.level
     logger.setLevel(args.log_level)
     try:
-        return _COMMANDS.get(args.command, _cmd_stage)(args)
+        return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

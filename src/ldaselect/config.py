@@ -2,11 +2,12 @@
 
 Every hyperparameter of the full-scale recipe is surfaced with its default
 (token vocabulary 1024, 2048 latent domains, 512 clusters, distance threshold
-0.2); desk-scale runs override them in the config file or via CLI flags.
+0.2); desk-scale runs override them in the config file. The command line
+overrides only the work dir and the seeds.
 """
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -57,13 +58,6 @@ class ClusterConfig:
 @dataclass
 class TextConfig:
     enabled: bool = False
-    n_topics: int | None = None  # None: same as the acoustic topic count
-    threshold: float | None = None  # None: same as the acoustic threshold
-
-
-@dataclass
-class ReportConfig:
-    target_domain: str | None = None
 
 
 @dataclass
@@ -75,11 +69,10 @@ class PipelineConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     text: TextConfig = field(default_factory=TextConfig)
-    report: ReportConfig = field(default_factory=ReportConfig)
 
 
 # Config keys whose name differs from the dataclass field.
-_KEY_ALIASES = {("selection", "lambda"): "threshold", ("text", "lambda"): "threshold"}
+_KEY_ALIASES = {("selection", "lambda"): "threshold"}
 
 
 def _convert(hint, text: str):
@@ -178,11 +171,6 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
     validate_count(c.max_iterations, "cluster.max_iterations")
     validate_seed(c.seed, "cluster.seed")
     validate_selection_config(config.selection)
-    t = config.text
-    if t.n_topics is not None:
-        validate_count(t.n_topics, "text.n_topics")
-    if t.threshold is not None and not 0.0 < t.threshold <= 1.0:
-        raise ValidationError(f"text threshold must be in (0, 1], got {t.threshold}")
     if check_paths:
         for label in ("pool_manifest", "dev_manifest"):
             value = getattr(config.paths, label)
@@ -193,15 +181,3 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
         if not config.paths.work_dir:
             raise ValidationError("paths.work_dir is required")
 
-
-def text_lda_params(config: PipelineConfig) -> LdaParams:
-    """Text-path topic-model settings: acoustic settings with overrides."""
-    if config.text.n_topics is None:
-        return config.lda
-    return replace(config.lda, n_topics=config.text.n_topics)
-
-
-def text_select_params(config: PipelineConfig) -> SelectionConfig:
-    if config.text.threshold is None:
-        return config.selection
-    return replace(config.selection, threshold=config.text.threshold)

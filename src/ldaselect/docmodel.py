@@ -98,8 +98,15 @@ class CorpusStats:
 
 def bag_of_words(ids, token_docs, vocab_size: int) -> DocBatch:
     """Distinct terms of each token sequence with their counts, terms
-    ascending; the weight of every entry is its count. Ids must be distinct."""
-    docs = [np.asarray(t, dtype=np.int64) for t in token_docs]
+    ascending; the weight of every entry is its count. Ids must be distinct,
+    and tokens integers: a string or fractional token is refused, not cast."""
+    docs = [np.asarray(t) for t in token_docs]
+    bad = next((i for i, d in enumerate(docs) if d.size and d.dtype.kind not in "iu"), None)
+    if bad is not None:
+        raise ValidationError(
+            f"tokens must be integers; token_docs[{bad}] holds {docs[bad].dtype} values"
+        )
+    docs = [d.astype(np.int64, copy=False) for d in docs]
     lengths = np.fromiter((d.size for d in docs), np.int64, len(docs))
     flat = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int64)
     return bag_of_tokens(ids, flat, lengths, vocab_size)

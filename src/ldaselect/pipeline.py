@@ -31,18 +31,20 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, docmodel, gmm, lda, signatures
-from .config import (
-    LdaParams, PipelineConfig, text_lda_params, text_select_params, validate_config,
-)
+from .config import PipelineConfig, validate_config
 from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
 from .report import render_report, report, write_report_tsv
 from .selection import (
-    SelectionConfig, SelectionResult, centroid_id, parse_audit, rank_pool, read_audit,
-    select, union_combine, validate_selection_config, write_audit,
+    SelectionResult, centroid_id, parse_audit, rank_pool, read_audit, select,
+    union_combine, validate_selection_config, write_audit,
 )
 
 log = logging.getLogger(__name__)
+
+# Stands in a rerun's log for the value of a setting that only one of the
+# cached and the current key parts holds; no repr equals it.
+_UNDECLARED = "(undeclared)"
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,8 @@ class Runner:
             why = ["cache entry records no parts" if entry else "no cache entry"]
         elif entry.get("key") != key:
             changed = _differing(old, parts)
-            why = [f"{p} changed" if " " in p else f"{p} {old.get(p)} -> {parts.get(p)}"
+            why = [f"{p} changed" if " " in p else
+                   f"{p} {old.get(p, _UNDECLARED)} -> {parts.get(p, _UNDECLARED)}"
                    for p in changed] or ["key changed"]
         else:
             current = {o: self._digest(o) for o in stage.outputs}
@@ -404,16 +407,15 @@ class Runner:
                            ["docmodel.idf_source", "quantizer.n_components"], [],
                            ["weighted_pool.adoc", "weighted_dev.adoc"], self._tfidf),
         }
-        stages |= self._topic_stages("", "", [], c.lda, c.selection,
-                                     "selection_acoustic" if c.text.enabled else "selection")
+        selection = "selection_acoustic" if c.text.enabled else "selection"
+        stages |= self._topic_stages("", "", [], selection)
         if c.text.enabled:
             stages["text-tfidf"] = Stage(
                 [], ["docmodel.text_vocab_cap", "docmodel.idf_source"],
                 ["dev transcripts", "pool transcripts"],
                 ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
                 self._text_tfidf)
-            stages |= self._topic_stages("text-", "text_", ["text_vocab.tsv"], text_lda_params(c),
-                                         text_select_params(c), "selection_text")
+            stages |= self._topic_stages("text-", "text_", ["text_vocab.tsv"], "selection_text")
             stages["combine"] = Stage(["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
                                       [], ["pool manifest", "pool dir"],
                                       ["selection.audit.tsv", "selection.tsv"], self._combine)
@@ -421,19 +423,17 @@ class Runner:
                                  ["report.tsv", "report.txt"], self._report)
         return stages
 
-    def _topic_stages(self, n: str, p: str, vocab: list[str], lda_params: LdaParams,
-                      select_params: SelectionConfig, selection: str) -> dict[str, Stage]:
+    def _topic_stages(self, n: str, p: str, vocab: list[str], selection: str) -> dict[str, Stage]:
         """``train-lda``, ``posteriors``, ``cluster`` and ``select`` named with
         prefix ``n``, over the files named with prefix ``p``: the acoustic
-        chain's, or its text twins'. The text topic model also reads the
-        vocabulary ``vocab`` (the acoustic one sizes it by the codebook), and
-        the twins read the ``[text]`` overrides beside the acoustic settings;
-        ``selection`` names the selection's outputs."""
+        chain's, or its text twins', under the same settings. The text topic
+        model also reads the vocabulary ``vocab`` (the acoustic one sizes it
+        by the codebook); ``selection`` names the selection's outputs."""
         return {
             f"{n}train-lda": Stage(
                 [f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc", *vocab],
-                ["lda", "text.n_topics" if n else "quantizer.n_components"], [], [f"{p}lda.alda"],
-                partial(self._train_lda, f"{n}train-lda", lda_params)),
+                ["lda", *([] if vocab else ["quantizer.n_components"])], [], [f"{p}lda.alda"],
+                partial(self._train_lda, f"{n}train-lda")),
             f"{n}posteriors": Stage(
                 [f"{p}lda.alda", f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc"],
                 ["lda.doc_tol", "lda.doc_max_iterations"], [],
@@ -442,10 +442,9 @@ class Runner:
             f"{n}cluster": Stage([f"{p}post_dev.tsv"], ["cluster"], [],
                                  [f"{p}centroids.tsv", f"{p}centroids.meta.json"], self._cluster),
             f"{n}select": Stage(
-                [f"{p}post_pool.tsv", f"{p}centroids.tsv"],
-                ["selection", *(["text.threshold"] if n else [])], ["pool manifest", "pool dir"],
-                [f"{selection}.audit.tsv", f"{selection}.tsv"],
-                partial(self._select, f"{n}select", select_params)),
+                [f"{p}post_pool.tsv", f"{p}centroids.tsv"], ["selection"],
+                ["pool manifest", "pool dir"], [f"{selection}.audit.tsv", f"{selection}.tsv"],
+                partial(self._select, f"{n}select")),
         }
 
     def _sweep_stage(self, lambdas: list[float]) -> Stage:
@@ -529,8 +528,9 @@ class Runner:
         }
         self._write_tfidf(bags, len(vocab), out_pool, out_dev)
 
-    def _train_lda(self, name: str, params: LdaParams, pool: Path, dev: Path, *rest: Path) -> None:
+    def _train_lda(self, name: str, pool: Path, dev: Path, *rest: Path) -> None:
         *vocab, out_model = rest  # the text path's vocabulary comes first
+        params = self.config.lda
         docs = docmodel.DocBatch.concat(
             docmodel.load_docs({"dev": dev, "pool": pool}[which])
             for which in self._sources(params.train_source)
@@ -578,10 +578,11 @@ class Runner:
         }
         out_meta.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def _select(self, name: str, params: SelectionConfig, post_pool: Path, centroids: Path,
-                out_audit: Path, out_manifest: Path) -> None:
+    def _select(self, name: str, post_pool: Path, centroids: Path, out_audit: Path,
+                out_manifest: Path) -> None:
         posts = lda.read_posteriors(post_pool)
-        result = select(posts, self.pool, lda.read_posteriors(centroids).gamma, params)
+        result = select(posts, self.pool, lda.read_posteriors(centroids).gamma,
+                        self.config.selection)
         _log_selection(f"stage {name}", result, len(self.pool))
         self.write_selection(result, out_audit, out_manifest)
 

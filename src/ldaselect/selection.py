@@ -172,6 +172,12 @@ def rank_pool(
         raise ValidationError("duplicate utterance ids in pool posteriors")
     if set(ids) != set(pool_manifest.ids()):
         raise ValidationError("pool posteriors do not match the pool manifest ids")
+    gammas = np.asarray(pool_posteriors.gamma, dtype=np.float64)
+    if gammas.ndim != 2 or gammas.shape[0] != len(ids):
+        raise ValidationError(
+            f"pool posteriors must be a matrix of one row per id: {len(ids)} ids, "
+            f"gamma of shape {gammas.shape}"
+        )
     durations = pool_manifest.by_id()
     hours = [durations[uid].duration_s / 3600.0 for uid in ids]
     m = len(ids)
@@ -179,7 +185,6 @@ def rank_pool(
         empty = np.empty((cents.shape[0], 0))
         return Ranking([], [], empty.astype(np.intp), empty)
 
-    gammas = np.asarray(pool_posteriors.gamma, dtype=np.float64)
     if gammas.shape[1] != cents.shape[1]:
         raise ValidationError(
             f"posterior dimension {gammas.shape[1]} does not match centroid "

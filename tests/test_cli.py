@@ -28,7 +28,9 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
-def _write_config(corpus_dir, work_dir, path, extra=""):
+def _write_config(corpus_dir, work_dir, path, extra="", lam=0.6):
+    """A config whose last section is ``[selection]``, so ``extra`` lines
+    before any section header of their own set selection keys."""
     path.write_text(
         f"""\
 [paths]
@@ -48,11 +50,11 @@ em_max_iterations = 15
 [cluster]
 n_clusters = 2
 
-[selection]
-lambda = 0.6
-
 [docmodel]
 text_vocab_cap = 64
+
+[selection]
+lambda = {lam}
 {extra}""",
         encoding="utf-8",
     )
@@ -87,10 +89,13 @@ def test_synth_is_deterministic(tmp_path, capsys):
     ["--words-per-domain", "0", "--with-transcripts"],
     ["--separation", "nan"], ["--separation", "inf"],
     ["--fps", "0"], ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"],
+    ["--id-prefix", "a\tb"], ["--id-prefix", "a\rb"], ["--tag-prefix", "x\ny"],
+    ["--id-prefix", "#"], ["--id-prefix", " #a"],
 ], ids=" ".join)
 def test_synth_rejects_a_bad_recipe_before_writing(flags, tmp_path, capsys):
     """A recipe field that cannot give a readable corpus exits 1 with an
-    ``error:`` line, no traceback, and no output directory."""
+    ``error:`` line, no traceback, and no output directory. That includes a
+    prefix that would split a manifest line or make it a comment."""
     assert main(["synth", "--out", str(tmp_path / "out")] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -125,7 +130,7 @@ def test_exit_code_one_for_config_errors(corpus_dir, tmp_path, capsys):
     cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "zero.cfg",
                         extra="max_hours = -1\n")
     assert main(["run", "--config", str(cfg)]) == 1
-    capsys.readouterr()
+    assert "hour budget must be finite and positive, got -1" in capsys.readouterr().err
     cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "acoustic.cfg")
     assert main(["run", "--config", str(cfg), "--stages", "text-tfidf,text-select"]) == 1
     assert "[text] enabled" in capsys.readouterr().err
@@ -167,7 +172,7 @@ def test_undecodable_text_and_malformed_audit_header_are_clean_errors(
         stages = "train-gmm,quantize,tfidf,train-lda,posteriors"
         assert main(argv + ["--stages", stages]) == 0
         path, line = tmp_path / "work" / "post_dev.tsv", 2
-        argv = ["cluster", "--config", str(cfg)]
+        argv += ["--stages", "cluster"]
     if case == "audit":
         path = tmp_path / "bad.audit.tsv"
         path.write_text("# passes=abc\ttotal_hours=1\n", encoding="utf-8")
@@ -182,7 +187,7 @@ def test_undecodable_text_and_malformed_audit_header_are_clean_errors(
 
 
 def test_exit_code_two_for_missing_artifacts(config_path, capsys):
-    assert main(["select", "--config", str(config_path)]) == 2
+    assert main(["run", "--config", str(config_path), "--stages", "select"]) == 2
     assert "earlier stages" in capsys.readouterr().err
 
 
@@ -206,38 +211,43 @@ def test_header_only_dev_manifest_exits_two(
     assert f"error: stage '{stage}': {message}" in capsys.readouterr().err
 
 
-def test_stage_commands_and_lambda_override(config_path, tmp_path, capsys):
+def test_select_stage_runs_under_the_config_lambda(config_path, corpus_dir, tmp_path, capsys):
+    """``run --stages select`` reruns selection alone under the config's λ;
+    a λ out of range exits 1 before the work dir exists."""
     assert main(["run", "--config", str(config_path)]) == 0
     capsys.readouterr()
-    assert main(
-        ["select", "--config", str(config_path), "--lambda", "1.0"]
-    ) == 0
-    assert "select: ran" in capsys.readouterr().out
+    cfg = _write_config(corpus_dir, tmp_path / "work", tmp_path / "wide.cfg", lam=1.0)
+    assert main(["run", "--config", str(cfg), "--stages", "select"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "select: ran"
     audit = read_audit(tmp_path / "work" / "selection.audit.tsv")
     assert len(audit.selected) == 20  # permissive threshold takes the pool
-    assert main(
-        ["select", "--config", str(config_path), "--lambda", "1.5"]
-    ) == 1
+    cfg = _write_config(corpus_dir, tmp_path / "w", tmp_path / "bad.cfg", lam=1.5)
+    assert main(["run", "--config", str(cfg), "--stages", "select"]) == 1
+    assert "distance threshold must be in (0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
-def test_select_max_hours_override(config_path, corpus_dir, tmp_path, capsys):
+def test_select_stage_runs_under_the_config_hour_budget(
+    config_path, corpus_dir, tmp_path, capsys
+):
     assert main(["run", "--config", str(config_path)]) == 0
     capsys.readouterr()
     budget = read_manifest(corpus_dir / "pool" / "pool.tsv").total_hours() / 2
-    assert main(
-        ["select", "--config", str(config_path), "--lambda", "1.0",
-         "--max-hours", repr(budget)]
-    ) == 0
-    assert "select: ran" in capsys.readouterr().out
+    cfg = _write_config(corpus_dir, tmp_path / "work", tmp_path / "budget.cfg",
+                        extra=f"max_hours = {budget!r}\n", lam=1.0)
+    assert main(["run", "--config", str(cfg), "--stages", "select"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "select: ran"
     audit = read_audit(tmp_path / "work" / "selection.audit.tsv")
     assert 0 < len(audit.selected) < 20  # the budget, not the threshold, stopped it
     assert audit.total_hours <= budget
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_hour_budgets_exit_one(value, config_path, tmp_path, capsys):
+def test_non_finite_hour_budgets_exit_one(value, config_path, corpus_dir, tmp_path, capsys):
     """A NaN budget passed every ``<= 0`` check and selected the whole pool."""
-    assert main(["select", "--config", str(config_path), "--max-hours", value]) == 1
+    cfg = _write_config(corpus_dir, tmp_path / "work", tmp_path / "budget.cfg",
+                        extra=f"max_hours = {value}\n")
+    assert main(["run", "--config", str(cfg), "--stages", "select"]) == 1
     assert main(
         ["random-select", "--config", str(config_path), "--budget-hours", value]
     ) == 1
@@ -246,11 +256,12 @@ def test_non_finite_hour_budgets_exit_one(value, config_path, tmp_path, capsys):
 
 
 def test_seed_override_invalidates_cache(config_path, capsys):
-    assert main(["train-gmm", "--config", str(config_path)]) == 0
+    argv = ["run", "--config", str(config_path), "--stages", "train-gmm"]
+    assert main(argv) == 0
     capsys.readouterr()
-    assert main(["train-gmm", "--config", str(config_path)]) == 0
+    assert main(argv) == 0
     assert "train-gmm: skipped (cached)" in capsys.readouterr().out
-    assert main(["train-gmm", "--config", str(config_path), "--seed", "42"]) == 0
+    assert main(argv + ["--seed", "42"]) == 0
     assert "train-gmm: ran" in capsys.readouterr().out
 
 
@@ -275,11 +286,14 @@ def test_report_and_compare_commands(config_path, tmp_path, capsys):
     assert "greedy" in out
 
     assert main(
-        ["compare", "--config", str(config_path), "--selection", "noequals"]
+        ["compare", "--config", str(config_path), "--selection", "noequals",
+         "--target-domain", "domain0"]
     ) == 1
-    assert main(
-        ["compare", "--config", str(config_path), "--selection", f"g={audit}"]
-    ) == 1  # no target domain anywhere
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(config_path), "--selection", f"g={audit}"])
+    assert exc.value.code == 1
+    assert "--target-domain" in capsys.readouterr().err
 
 
 def test_random_select_and_combine(config_path, tmp_path, capsys):
@@ -434,3 +448,21 @@ def test_version_and_bad_command():
     assert exc.value.code == 0
     with pytest.raises(SystemExit):
         main(["definitely-not-a-command"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["synth", "--out", "d", "--domains", "two"],
+    ["definitely-not-a-command"],
+    ["select", "--config", "run.cfg"],
+    ["--log-level", "LOUD", "run"],
+], ids=" ".join)
+def test_usage_errors_exit_one(argv, tmp_path, monkeypatch, capsys):
+    """A usage error is invalid input, exit code 1, as the README says:
+    argparse's own code 2 would read as a runtime failure. The per-stage
+    commands are gone, so ``select`` is an unknown command."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "ldaselect" in capsys.readouterr().err and not list(tmp_path.iterdir())

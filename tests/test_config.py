@@ -1,15 +1,10 @@
 import math
+import re
 from dataclasses import fields
 
 import pytest
 
-from ldaselect.config import (
-    PipelineConfig,
-    load_config,
-    text_lda_params,
-    text_select_params,
-    validate_config,
-)
+from ldaselect.config import PipelineConfig, load_config, validate_config
 from ldaselect.errors import ValidationError
 
 FULL = """\
@@ -55,11 +50,6 @@ max_hours = 2.5
 
 [text]
 enabled = yes
-n_topics = 3
-lambda = 0.4
-
-[report]
-target_domain = calls
 """
 
 
@@ -119,9 +109,6 @@ def test_full_file_round_trip(tmp_path):
     assert config.selection.threshold == pytest.approx(0.35)
     assert config.selection.max_hours == pytest.approx(2.5)
     assert config.text.enabled is True
-    assert config.text.n_topics == 3
-    assert config.text.threshold == pytest.approx(0.4)
-    assert config.report.target_domain == "calls"
     validate_config(config)
 
 
@@ -135,7 +122,6 @@ def test_lambda_alias_and_threshold_key(tmp_path):
 @pytest.mark.parametrize("section, keys", [
     ("selection", ("lambda = 0.3", "threshold = 0.5")),
     ("selection", ("threshold = 0.5", "lambda = 0.3")),
-    ("text", ("threshold = 0.4", "lambda = 0.2")),
 ])
 def test_threshold_set_under_both_names_rejected(tmp_path, section, keys):
     """A field set as both ``lambda`` and ``threshold`` is refused, not left
@@ -184,8 +170,7 @@ SECTION_KEYS = {
     },
     "cluster": {"n_clusters", "seed", "max_iterations", "spherical"},
     "selection": {"threshold", "max_hours"},
-    "text": {"enabled", "n_topics", "threshold"},
-    "report": {"target_domain"},
+    "text": {"enabled"},
 }
 
 
@@ -220,15 +205,11 @@ def test_bad_values_rejected(tmp_path):
 def test_optional_fields_blank_means_none(tmp_path):
     path = _write_config(
         tmp_path,
-        "[lda]\nalpha =\n[selection]\nmax_hours =\n[text]\nn_topics =\n"
-        "threshold =\n[report]\ntarget_domain =\n",
+        "[lda]\nalpha =\n[selection]\nmax_hours =\n",
     )
     config = load_config(path)
     assert config.lda.alpha is None
     assert config.selection.max_hours is None
-    assert config.text.n_topics is None
-    assert config.text.threshold is None
-    assert config.report.target_domain is None
 
 
 def test_union_idf_source_rejected_naming_dev_plus_pool():
@@ -254,8 +235,6 @@ def test_validate_ranges():
         ("selection", "threshold", 0.0),
         ("selection", "threshold", 1.0001),
         ("selection", "max_hours", -1.0),
-        ("text", "n_topics", 0),
-        ("text", "threshold", 0.0),
     ]
     # NaN passes every ``x <= 0`` check, and an infinite budget or tolerance
     # switches its limit off, so each of these must also be finite.
@@ -264,7 +243,7 @@ def test_validate_ranges():
         for section, key in [
             ("quantizer", "tol"), ("quantizer", "var_floor_scale"), ("lda", "em_tol"),
             ("lda", "doc_tol"), ("lda", "eta"), ("lda", "alpha"), ("selection", "max_hours"),
-            ("selection", "threshold"), ("text", "threshold"),
+            ("selection", "threshold"),
         ]
         for value in (math.nan, math.inf)
     ]
@@ -309,22 +288,16 @@ def test_validate_paths(tmp_path):
         validate_config(config)
 
 
-def test_text_parameter_inheritance():
-    config = PipelineConfig()
-    config.lda.n_topics = 16
-    config.lda.alpha = 0.5
-    config.selection.threshold = 0.3
-    config.selection.max_hours = 4.0
-    params = text_lda_params(config)
-    assert params.n_topics == 16
-    assert params.alpha == 0.5
-    sel = text_select_params(config)
-    assert sel.threshold == 0.3
-    assert sel.max_hours == 4.0
 
-    config.text.n_topics = 5
-    config.text.threshold = 0.9
-    assert text_lda_params(config).n_topics == 5
-    assert text_lda_params(config).alpha == 0.5
-    assert text_select_params(config).threshold == 0.9
-    assert text_select_params(config).max_hours == 4.0
+@pytest.mark.parametrize("body, message", [
+    ("[text]\nn_topics = 3\n", "unknown key 'n_topics' in section [text]"),
+    ("[text]\nthreshold = 0.4\n", "unknown key 'threshold' in section [text]"),
+    ("[text]\nlambda = 0.4\n", "unknown key 'lambda' in section [text]"),
+    ("[report]\ntarget_domain = calls\n", "unknown config section [report]"),
+], ids=["text-n_topics", "text-threshold", "text-lambda", "report"])
+def test_text_overrides_and_report_section_are_refused(tmp_path, body, message):
+    """The text path reads the acoustic ``[lda]`` and ``[selection]``
+    settings, and ``compare`` takes its target domain as a flag, so a config
+    that still sets them elsewhere is refused rather than silently ignored."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_config(_write_config(tmp_path, body))

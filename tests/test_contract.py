@@ -1,8 +1,10 @@
-"""Counts, caps and seeds at the library boundary: a value that is not a
-whole number in range is refused with a ValidationError naming it, not run
-with no cap and not passed on to numpy, which would raise its own error."""
+"""Counts, caps, seeds and array shapes at the library boundary: a value
+that is not a whole number in range, or an array of the wrong shape or kind,
+is refused with a ValidationError naming it, not run with no cap, silently
+cast, or passed on to numpy, which would raise its own error."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from ldaselect import (
     LdaConfig,
     Manifest,
     PipelineConfig,
+    Posteriors,
+    SelectionConfig,
     Utterance,
     ValidationError,
     bag_of_words,
@@ -19,12 +23,14 @@ from ldaselect import (
     compute_stats,
     extract_posteriors,
     random_select,
+    select,
     train_gmm,
     train_kmeans,
     train_lda,
     validate_config,
 )
 from ldaselect.lda import validate_lda_config
+from ldaselect.selection import rank_pool
 
 from batches import batch
 
@@ -114,7 +120,7 @@ CASES = [
             ("quantizer", "n_components", 1.5), ("quantizer", "max_train_frames", math.nan),
             ("docmodel", "text_vocab_cap", 1.5), ("lda", "n_topics", 2.5),
             ("lda", "doc_max_iterations", math.inf), ("cluster", "n_clusters", 2.5),
-            ("cluster", "max_iterations", math.inf), ("text", "n_topics", 1.5),
+            ("cluster", "max_iterations", math.inf),
         ]
     ],
 ]
@@ -124,3 +130,45 @@ CASES = [
 def test_counts_and_seeds_out_of_range_are_refused(call, name):
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         call()
+
+
+def _ranked(gamma, n_ids=3):
+    """``rank_pool`` and ``select`` of ``n_ids`` pool ids with posteriors ``gamma``."""
+    ids = [f"u{i}" for i in range(n_ids)]
+    pool = Manifest([u for u in _pool().utterances if u.id in ids])
+    return [
+        lambda: rank_pool(Posteriors(ids, gamma), pool, np.ones((1, 2))),
+        lambda: select(Posteriors(ids, gamma), pool, np.ones((1, 2)), SelectionConfig()),
+    ]
+
+
+SHAPES = [
+    *[
+        pytest.param(call, "pool posteriors must be a matrix of one row per id",
+                     id=f"{name}-{case}")
+        for case, gamma, n_ids in [
+            ("1-D", np.ones(3), 3), ("more-rows-than-ids", np.ones((4, 2)), 3),
+            ("fewer-rows-than-ids", np.ones((2, 2)), 3), ("empty-pool-1-D", np.ones(2), 0),
+        ]
+        for name, call in zip(("rank_pool", "select"), _ranked(gamma, n_ids))
+    ],
+    pytest.param(lambda: bag_of_words(["a"], [["1"]], 4), "tokens must be integers",
+                 id="bag_of_words-str"),
+    pytest.param(lambda: bag_of_words(["a", "b"], [[1], [2.9]], 4),
+                 re.escape("tokens must be integers; token_docs[1] holds float64"),
+                 id="bag_of_words-float"),
+]
+
+
+@pytest.mark.parametrize("call, message", SHAPES)
+def test_malformed_arrays_are_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_empty_token_documents_stay_valid():
+    """An empty document (a float array, as ``np.asarray([])`` gives) is not
+    a non-integer token."""
+    bags = bag_of_words(["a", "b", "c"], [[], np.array([]), [1, 1]], 2)
+    assert bags.indptr.tolist() == [0, 0, 0, 1]
+    assert bags.counts.tolist() == [2]

@@ -1,4 +1,5 @@
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -448,15 +449,13 @@ def test_flipped_byte_in_any_declared_output_reruns_exactly_its_producer(tmp_pat
 @pytest.mark.parametrize("text", [False, True])
 def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
     """Each input is an earlier stage's output (a stage without inputs reads
-    the manifests), outputs are unique, the CLI's stage commands are the
-    acoustic prefix, reading the table touches no file, and a run executes
-    exactly the table's order. The sweep stage reads outputs of the chain
-    through ``cluster`` and writes files no other stage writes; a sweep runs
-    that chain and then ``sweep``."""
+    the manifests), outputs are unique, the acoustic chain comes first,
+    reading the table touches no file, and a run executes exactly the
+    table's order. The sweep stage reads outputs of the chain through
+    ``cluster`` and writes files no other stage writes; a sweep runs that
+    chain and then ``sweep``."""
     import builtins
     import io
-
-    from ldaselect.cli import STAGE_COMMANDS
 
     work = tmp_path / "work"
     runner = Runner(_config(corpus_dir, work, text=text))
@@ -485,14 +484,15 @@ def test_stage_table_is_consistent(text, tmp_path, corpus_dir, monkeypatch):
     assert {name: inputs for name, (inputs, _) in table.items()} == {
         name: inputs for name, inputs in STAGE_INPUTS.items() if name in table
     }
+    acoustic = ["train-gmm", "quantize", "tfidf", "train-lda", "posteriors", "cluster", "select"]
     text_chain = [
         "text-tfidf", "text-train-lda", "text-posteriors", "text-cluster", "text-select",
         "combine",
     ]
-    assert list(table) == STAGE_COMMANDS + (text_chain if text else []) + ["report"]
+    assert list(table) == acoustic + (text_chain if text else []) + ["report"]
     assert list(runner.run().skipped) == list(table)
 
-    chain = STAGE_COMMANDS[: STAGE_COMMANDS.index("select")]
+    chain = acoustic[: acoustic.index("select")]
     assert set(sweep.inputs) <= {o for name in chain for o in table[name][1]}
     assert len(sweep.outputs) == len(set(sweep.outputs)) == 10
     assert not set(sweep.outputs) & set(written)
@@ -1475,11 +1475,8 @@ PERTURBED = {
     },
     "cluster": {"n_clusters": 3, "seed": 1, "max_iterations": 1, "spherical": True},
     "selection": {"threshold": 1.0, "max_hours": 0.001},
-    "text": {"enabled": False, "n_topics": 3, "threshold": 1.0},
-    "report": {"target_domain": "domain0"},
+    "text": {"enabled": False},
 }
-# Fields that no stage reads, and why; changing one reruns nothing.
-UNREAD = {("report", "target_domain"): "read only by the compare command"}
 # The config fields each stage's body reads, written out by hand; stages that
 # read none (quantize, combine, report) are left out.
 _LDA = {f"lda.{name}" for name in PERTURBED["lda"]}
@@ -1493,10 +1490,10 @@ READS = {
     "cluster": _CLUSTER,
     "select": _SELECT,
     "text-tfidf": {"docmodel.idf_source", "docmodel.text_vocab_cap"},
-    "text-train-lda": _LDA | {"text.n_topics"},
+    "text-train-lda": _LDA,
     "text-posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
     "text-cluster": _CLUSTER,
-    "text-select": _SELECT | {"text.threshold"},
+    "text-select": _SELECT,
     "sweep": {"selection.max_hours"},
 }
 
@@ -1514,7 +1511,7 @@ def _changed_settings(before: dict, after: dict) -> dict[str, set[str]]:
     return changed
 
 
-def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, corpus_dir, caplog):
+def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, corpus_dir):
     """Cache soundness: with any one config field changed, a rerun of a
     copy of a warm, text-enabled work dir that also holds a two-threshold
     sweep leaves every declared output, sweep files included, byte-identical
@@ -1543,13 +1540,10 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
 
     def rerun(config, work):
         config = replace(config, paths=replace(config.paths, work_dir=str(work)))
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
-            run_pipeline(config)
-            sweep_lambda(config, lambdas)
+        run_pipeline(config)
+        sweep_lambda(config, lambdas)
         declared = [o for stage in Runner(config).stages.values() for o in stage.outputs]
-        ran = [r.getMessage() for r in caplog.records if ": running (" in r.getMessage()]
-        return {o: (work / o).read_bytes() for o in declared + sweep_files}, ran
+        return {o: (work / o).read_bytes() for o in declared + sweep_files}
 
     for section in sections:
         for name, value in PERTURBED[section].items():
@@ -1557,12 +1551,9 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
             config = replace(base, **{section: replace(getattr(base, section), **{name: value})})
             warm = tmp_path / "copy"
             shutil.copytree(tmp_path / "warm", warm)
-            outputs, ran = rerun(config, warm)
-            assert outputs == rerun(config, tmp_path / "cold")[0], (section, name)
-            changed = any(data != before[o] for o, data in outputs.items())
-            assert changed != ((section, name) in UNREAD), (section, name)
-            if (section, name) in UNREAD:
-                assert ran == [], (section, name)
+            outputs = rerun(config, warm)
+            assert outputs == rerun(config, tmp_path / "cold"), (section, name)
+            assert any(data != before[o] for o, data in outputs.items()), (section, name)
             dotted = f"{section}.{name}"
             readers = {stage for stage, fields_read in READS.items() if dotted in fields_read}
             recorded = _changed_settings(warm_cache, json.loads((warm / "cache.json").read_text()))
@@ -1572,10 +1563,7 @@ def test_every_config_field_change_gives_the_outputs_of_a_cold_run(tmp_path, cor
 
 
 # Config fields outside [paths] that no stage declares, and why.
-NOT_DECLARED = {
-    "report.target_domain": "read only by the compare command",
-    "text.enabled": "decides which stages the table holds",
-}
+NOT_DECLARED = {"text.enabled": "decides which stages the table holds"}
 
 
 def test_every_config_field_is_declared_by_a_stage_or_listed(tmp_path, corpus_dir):
@@ -1605,6 +1593,34 @@ def test_every_config_field_is_declared_by_a_stage_or_listed(tmp_path, corpus_di
     assert not set(declared) & set(NOT_DECLARED)
     reused = list(table)[: list(table).index("select")]
     assert not any(s.startswith("selection") for name in reused for s in table[name].settings)
+
+
+def test_a_rerun_marks_a_setting_that_one_key_lacks(tmp_path, corpus_dir, caplog):
+    """A setting that a cache entry holds and its stage no longer declares
+    (``text.n_topics``, say, from a work dir built when the text path had
+    its own topic count), or one that the stage declares and the entry
+    lacks, is logged as ``(undeclared)`` on the side that lacks it, which no
+    repr equals: Python's ``None`` there would read as the setting ``None``."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    path = work / "cache.json"
+    cache = json.loads(path.read_text(encoding="utf-8"))
+    for stage, parts in [
+        ("posteriors", {k: v for k, v in cache["posteriors"]["parts"].items()
+                        if k != "lda.doc_tol"}),
+        ("text-train-lda", cache["text-train-lda"]["parts"] | {"text.n_topics": "None"}),
+    ]:
+        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        cache[stage] |= {"parts": parts, "key": key}
+    path.write_text(json.dumps(cache), encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        run_pipeline(config)
+    assert [r.getMessage() for r in caplog.records if ": running (" in r.getMessage()] == [
+        "stage posteriors: running (lda.doc_tol (undeclared) -> 0.0001)",
+        "stage text-train-lda: running (text.n_topics None -> (undeclared))",
+    ]
 
 
 def test_a_rerun_names_what_changed(tmp_path, corpus_dir, caplog):
