@@ -8,6 +8,7 @@ overrides only the work dir and the seeds.
 
 import configparser
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -147,29 +148,14 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
             check(getattr(config, section))
         except ValidationError as exc:
             raise ValidationError(f"{section}.{exc}") from None
-    q = config.quantizer
-    validate_count(q.n_components, "quantizer.n_components")
-    validate_count(q.max_train_frames, "quantizer.max_train_frames")
-    if q.train_source not in SOURCES:
-        raise ValidationError(
-            f"quantizer.train_source must be one of {SOURCES}, got '{q.train_source}'"
-        )
-    d = config.docmodel
-    if d.idf_source not in SOURCES:
-        raise ValidationError(
-            f"docmodel.idf_source must be one of {SOURCES}, got '{d.idf_source}'"
-        )
-    validate_count(d.text_vocab_cap, "docmodel.text_vocab_cap")
-    l = config.lda
-    validate_count(l.n_topics, "lda.n_topics")
-    if l.train_source not in SOURCES:
-        raise ValidationError(
-            f"lda.train_source must be one of {SOURCES}, got '{l.train_source}'"
-        )
-    c = config.cluster
-    validate_count(c.n_clusters, "cluster.n_clusters")
-    validate_count(c.max_iterations, "cluster.max_iterations")
-    validate_seed(c.seed, "cluster.seed")
+    for name in ("quantizer.n_components", "quantizer.max_train_frames",
+                 "docmodel.text_vocab_cap", "lda.n_topics", "cluster.n_clusters",
+                 "cluster.max_iterations"):
+        validate_count(reduce(getattr, name.split("."), config), name)
+    for name in ("quantizer.train_source", "docmodel.idf_source", "lda.train_source"):
+        if (value := reduce(getattr, name.split("."), config)) not in SOURCES:
+            raise ValidationError(f"{name} must be one of {SOURCES}, got '{value}'")
+    validate_seed(config.cluster.seed, "cluster.seed")
     validate_selection_config(config.selection)
     if check_paths:
         for label in ("pool_manifest", "dev_manifest"):

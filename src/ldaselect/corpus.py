@@ -493,13 +493,17 @@ def validate_synth_spec(spec: SynthSpec) -> None:
     if spec.role not in ROLES:
         raise ValidationError(f"role must be one of {ROLES}, got '{spec.role}'")
     # Ids and tags are manifest fields: a tab or line break would split the
-    # line, and an id starting with '#' would make it a comment.
+    # line, and an id starting with '#' would make it a comment. An id, which
+    # holds both prefixes, also names its feature and transcript files.
     for name in ("id_prefix", "tag_prefix"):
-        if any(c in getattr(spec, name) for c in "\t\r\n"):
-            raise ValidationError(f"{name} must not hold a tab or line break, "
-                                  f"got {getattr(spec, name)!r}")
+        if any(c in getattr(spec, name) for c in "\t\r\n/\\"):
+            raise ValidationError(f"{name} must not hold a tab, line break or path "
+                                  f"separator, got {getattr(spec, name)!r}")
     if spec.id_prefix.lstrip().startswith("#"):
         raise ValidationError(f"id_prefix must not start with '#', got {spec.id_prefix!r}")
+    name = spec.manifest_name
+    if name and (Path(name).name != name or name == ".." or "\\" in name):
+        raise ValidationError(f"manifest_name must be a plain file name, got {name!r}")
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:

@@ -1,19 +1,20 @@
 """Bag-of-words documents with tf-idf weights, for tokens or transcripts.
 
-A corpus is one :class:`DocBatch`: CSR entries (term, count, weight) per
-document. ``bag_of_words`` counts token sequences (``bag_of_tokens`` the
-same held back to back in one array), ``compute_stats`` takes document
-frequencies over bags, and ``tfidf`` weighs a bag against them.
+A corpus is one :class:`DocBatch`: CSR entries (term, weight) per
+document, and its vocabulary size. ``bag_of_words`` counts token sequences
+into bags weighted by count (``bag_of_tokens`` the same held back to back in
+one array), ``compute_stats`` takes document frequencies over bags, and
+``tfidf`` weighs a bag against them.
 
-tf(v, doc) is the raw count divided by document length; idf uses the smoothed
+tf(v, doc) is the count divided by document length; idf uses the smoothed
 form log((1 + D) / (1 + df(v))) + 1, which is always >= 1, so every present
 term keeps a positive weight.
 
 Between stages a batch lives in one ``.adoc`` file (``save_docs``/
 ``load_docs``), token bags and weighted documents alike: a :mod:`container`
-whose arrays are the ids and the CSR entries. The reader checks the entries
-vectorized on the container's views; weights are stored to nine significant
-digits.
+whose header holds the vocabulary size and whose arrays are the ids and the
+CSR entries. The reader checks the entries vectorized on the container's
+views; weights are stored to nine significant digits.
 """
 
 import math
@@ -32,15 +33,15 @@ from .kmeans import validate_count
 
 @dataclass
 class DocBatch:
-    """Documents as CSR entries: document d owns entries indptr[d]:indptr[d+1],
-    terms strictly ascending within a document. A plain bag of words has
-    weight = count."""
+    """Documents as CSR entries over the terms ``0 .. vocab_size - 1``:
+    document d owns entries indptr[d]:indptr[d+1], terms strictly ascending
+    within a document. A bag of words weighs each term by its count."""
 
     ids: list[str]
     indptr: np.ndarray = field(compare=False)
     terms: np.ndarray = field(compare=False)
-    counts: np.ndarray = field(compare=False)
     weights: np.ndarray = field(compare=False)
+    vocab_size: int
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -54,7 +55,7 @@ class DocBatch:
         a, b = self.indptr[lo], self.indptr[hi]
         return DocBatch(
             self.ids[lo:hi], self.indptr[lo:hi + 1] - a, self.terms[a:b],
-            self.counts[a:b], self.weights[a:b],
+            self.weights[a:b], self.vocab_size,
         )
 
     def owners(self) -> np.ndarray:
@@ -65,25 +66,32 @@ class DocBatch:
         """Id of the document owning ``entry``."""
         return self.ids[int(np.searchsorted(self.indptr, entry, side="right")) - 1]
 
-    def check_vocab(self, vocab_size: int) -> None:
-        """Reject terms outside ``[0, vocab_size)``, naming the first document."""
-        bad = np.flatnonzero((self.terms < 0) | (self.terms >= vocab_size))
+    def check_vocab(self) -> None:
+        """Reject a size below 1, and terms outside ``[0, vocab_size)``."""
+        validate_count(self.vocab_size, "vocab_size")
+        bad = np.flatnonzero((self.terms < 0) | (self.terms >= self.vocab_size))
         if bad.size:
             raise ValidationError(
                 f"document '{self.doc_of(bad[0])}' has terms outside vocabulary "
-                f"size {vocab_size}"
+                f"size {self.vocab_size}"
             )
 
     @classmethod
     def concat(cls, batches) -> "DocBatch":
-        """The documents of every batch, in order."""
+        """The documents of every batch, in order; there must be at least one
+        batch, and all over one vocabulary size."""
         batches = list(batches)
+        if not batches:
+            raise ValidationError("no document batches to concatenate")
+        sizes = sorted({b.vocab_size for b in batches})
+        if len(sizes) > 1:
+            raise ValidationError(f"document batches over different vocabulary sizes {sizes}")
         offsets = np.cumsum([0] + [b.terms.size for b in batches])
         return cls(
             [i for b in batches for i in b.ids],
             np.concatenate([[0]] + [b.indptr[1:] + o for b, o in zip(batches, offsets)]),
-            *(np.concatenate([getattr(b, f) for b in batches])
-              for f in ("terms", "counts", "weights")),
+            *(np.concatenate([getattr(b, f) for b in batches]) for f in ("terms", "weights")),
+            sizes[0],
         )
 
 
@@ -132,24 +140,26 @@ def bag_of_tokens(ids, tokens: np.ndarray, lengths: np.ndarray, vocab_size: int)
     keys, counts = np.unique(owner * vocab_size + tokens, return_counts=True)
     doc, terms = np.divmod(keys, vocab_size)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(ids)))))
-    return DocBatch(ids, indptr, terms, counts, counts.astype(np.float64))
+    return DocBatch(ids, indptr, terms, counts.astype(np.float64), vocab_size)
 
 
-def compute_stats(bags, vocab_size: int) -> CorpusStats:
+def compute_stats(bags) -> CorpusStats:
     """Count, per term, the number of documents of ``bags`` containing it."""
-    validate_count(vocab_size, "vocab_size")
-    doc_freq = np.zeros(vocab_size, dtype=np.int64)
-    doc_count = 0
-    for bag in bags:
-        bag.check_vocab(vocab_size)
-        doc_count += len(bag)
-        doc_freq += np.bincount(bag.terms, minlength=vocab_size)
-    return CorpusStats(vocab_size=vocab_size, doc_count=doc_count, doc_freq=doc_freq)
+    docs = DocBatch.concat(bags)
+    docs.check_vocab()
+    return CorpusStats(
+        vocab_size=docs.vocab_size, doc_count=len(docs),
+        doc_freq=np.bincount(docs.terms, minlength=docs.vocab_size),
+    )
 
 
 def tfidf(bag: DocBatch, stats: CorpusStats) -> DocBatch:
-    """``bag`` with every weight set to count / document length * idf(term)."""
-    bag.check_vocab(stats.vocab_size)
+    """``bag`` with every weight, a count, set to count / document length *
+    idf(term), the length being the document's total weight."""
+    bag.check_vocab()
+    if bag.vocab_size != stats.vocab_size:
+        raise ValidationError(f"documents over vocabulary size {bag.vocab_size}, "
+                              f"statistics over {stats.vocab_size}")
     if bag.terms.size and stats.doc_count < 1:
         raise ValidationError("corpus statistics cover zero documents")
     # math.log, one vocabulary entry at a time: np.log differs from it in the
@@ -157,11 +167,11 @@ def tfidf(bag: DocBatch, stats: CorpusStats) -> DocBatch:
     idf = np.array([
         math.log((1 + stats.doc_count) / (1 + df)) + 1.0 for df in stats.doc_freq.tolist()
     ])
-    total = np.concatenate(([0], np.cumsum(bag.counts)))
+    total = np.concatenate(([0], np.cumsum(bag.weights)))
     lengths = (total[bag.indptr[1:]] - total[bag.indptr[:-1]])[bag.owners()]
     return DocBatch(
-        bag.ids, bag.indptr, bag.terms, bag.counts,
-        (bag.counts / lengths) * idf[bag.terms],
+        bag.ids, bag.indptr, bag.terms, (bag.weights / lengths) * idf[bag.terms],
+        bag.vocab_size,
     )
 
 
@@ -196,11 +206,11 @@ def build_text_vocab(token_docs, cap: int) -> dict[str, int]:
 # Document container (.adoc): token bags and weighted documents alike
 
 DOCS_MAGIC = b"ADOC"
-DOCS_VERSION = 1
-# magic, version, document count, entry count, id bytes
-_DOCS_HEADER = struct.Struct("<4sIQQQ")
-# Terms and counts are 32-bit: the cache hashes every container in full.
-_INDPTR, _INT32, _WEIGHT = np.dtype("<i8"), np.dtype("<i4"), np.dtype("<f8")
+DOCS_VERSION = 2
+# magic, version, vocabulary size, document count, entry count, id bytes
+_DOCS_HEADER = struct.Struct("<4sIQQQQ")
+# Terms are 32-bit: the cache hashes every container in full.
+_INDPTR, _TERM, _WEIGHT = np.dtype("<i8"), np.dtype("<i4"), np.dtype("<f8")
 
 # 10**k for k = 0..22, every one exact in float64.
 _POW10 = 10.0 ** np.arange(23)
@@ -235,40 +245,40 @@ def _nine_digits(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int32(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` as little-endian int32, refusing any that would wrap."""
-    narrow = values.astype(_INT32)
-    if not np.array_equal(narrow, values):
-        raise ValidationError(f"document {what} do not fit in 32 bits")
-    return narrow
-
-
 def save_docs(docs: DocBatch, path) -> None:
     """Write ``docs`` as an ``.adoc`` container, little-endian: the header,
     the ids in UTF-8 each ended by a newline, then ``indptr`` (int64),
-    ``terms`` and ``counts`` (int32) and ``weights`` (float64). Weights are
-    stored to nine significant digits, ``float(f"{x:.9g}")``."""
+    ``terms`` (int32) and ``weights`` (float64). Weights are stored to nine
+    significant digits, ``float(f"{x:.9g}")``. The vocabulary size may be at
+    most 2**31, so that every term fits."""
+    docs.check_vocab()
+    if docs.vocab_size > 1 << 31:
+        raise ValidationError(f"vocabulary size {docs.vocab_size} exceeds 32-bit terms")
     if any(not i or "\n" in i for i in docs.ids):
         raise ValidationError("document ids must be non-empty and hold no newline")
     ids = "".join(i + "\n" for i in docs.ids).encode("utf-8")
     container.write(
-        path, _DOCS_HEADER, (DOCS_MAGIC, DOCS_VERSION, len(docs), docs.terms.size, len(ids)),
-        [ids, np.asarray(docs.indptr, dtype=_INDPTR), _int32(docs.terms, "terms"),
-         _int32(docs.counts, "counts"), _nine_digits(np.asarray(docs.weights, dtype=_WEIGHT))],
+        path, _DOCS_HEADER,
+        (DOCS_MAGIC, DOCS_VERSION, docs.vocab_size, len(docs), docs.terms.size, len(ids)),
+        [ids, np.asarray(docs.indptr, dtype=_INDPTR), docs.terms.astype(_TERM),
+         _nine_digits(np.asarray(docs.weights, dtype=_WEIGHT))],
     )
 
 
 def load_docs(path) -> DocBatch:
     """Read an ``.adoc`` container, checking its magic, version, exact size,
-    layout (``indptr`` rising from 0 to the entry count, one non-empty id per
-    document) and entries (terms non-negative and strictly ascending within a
-    document, counts >= 1, weights finite and >= 0)."""
+    vocabulary size (at least 1), layout (``indptr`` rising from 0 to the
+    entry count, one non-empty id per document) and entries (terms
+    non-negative, below the vocabulary size and strictly ascending within a
+    document, weights finite and >= 0)."""
     data = Path(path).read_bytes()
-    n, nnz, id_bytes = container.read(
+    vocab_size, n, nnz, id_bytes = container.read(
         data, path, _DOCS_HEADER, DOCS_MAGIC, DOCS_VERSION, "document container"
     )
-    ids, indptr, terms_counts, weights = container.arrays(
-        data, path, _DOCS_HEADER, ("u1", id_bytes), (_INDPTR, n + 1), (_INT32, 2 * nnz),
+    if vocab_size < 1:
+        raise FormatError(f"{path}: vocabulary size must be at least 1, got {vocab_size}")
+    ids, indptr, terms, weights = container.arrays(
+        data, path, _DOCS_HEADER, ("u1", id_bytes), (_INDPTR, n + 1), (_TERM, nnz),
         (_WEIGHT, nnz),
     )
     try:
@@ -279,24 +289,22 @@ def load_docs(path) -> DocBatch:
         raise FormatError(f"{path}: expected {n} newline-ended document ids")
     if "" in ids:
         raise FormatError(f"{path}: empty document id")
-    indptr, weights = indptr.astype(np.int64), weights.astype(np.float64)
-    terms, counts = terms_counts.astype(np.int64).reshape(2, nnz)
+    indptr, terms = indptr.astype(np.int64), terms.astype(np.int64)
+    weights = weights.astype(np.float64)
     if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
         raise FormatError(f"{path}: document offsets must rise from 0 to {nnz} entries")
-    docs = DocBatch(ids, indptr, terms, counts, weights)
+    docs = DocBatch(ids, indptr, terms, weights, vocab_size)
     # Each entry's predecessor within its document; -1 where a document starts.
     prev = np.empty_like(terms)
     prev[1:] = terms[:-1]
     prev[indptr[:-1][indptr[:-1] < nnz]] = -1
-    bad = np.flatnonzero(terms <= prev)
+    bad = np.flatnonzero((terms <= prev) | (terms >= vocab_size))
     if bad.size:
         raise FormatError(
-            f"{path}: document '{docs.doc_of(bad[0])}': terms must be non-negative "
-            "and strictly ascending"
+            f"{path}: document '{docs.doc_of(bad[0])}': terms must be non-negative, "
+            f"strictly ascending and below the vocabulary size {vocab_size}"
         )
-    bad = np.flatnonzero((counts < 1) | ~(np.isfinite(weights) & (weights >= 0)))
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
     if bad.size:
-        raise FormatError(
-            f"{path}: document '{docs.doc_of(bad[0])}': invalid count or weight"
-        )
+        raise FormatError(f"{path}: document '{docs.doc_of(bad[0])}': invalid weight")
     return docs

@@ -365,18 +365,9 @@ def _infer_block(alpha, gamma, topics: _Topics, batch: DocBatch, tol, max_iters,
     return sweeps
 
 
-def _check_inference(tol: float, max_iters: int) -> None:
-    """Range-check a caller's inference settings as :func:`validate_lda_config`
-    checks ``doc_tol`` and ``doc_max_iterations``."""
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
-    validate_count(max_iters, "max_iters")
-
-
 def train_lda(
     docs: DocBatch,
     n_topics: int,
-    vocab_size: int,
     config: LdaConfig | None = None,
     init_beta=None,
 ) -> LdaModel:
@@ -393,8 +384,8 @@ def train_lda(
     config = config or LdaConfig()
     validate_lda_config(config)
     validate_count(n_topics, "n_topics")
-    validate_count(vocab_size, "vocab_size")
-    docs.check_vocab(vocab_size)
+    docs.check_vocab()
+    vocab_size = docs.vocab_size
     if not docs.terms.size:
         raise ValidationError("cannot train on an all-empty corpus")
 
@@ -461,9 +452,16 @@ def extract_posteriors(
     model: LdaModel, docs: DocBatch, tol: float = 1e-4, max_iters: int = 100
 ) -> tuple[Posteriors, np.ndarray]:
     """Converged gamma per document, in input order, and the sweeps each
-    document took (0 for an empty one, whose gamma is alpha)."""
-    _check_inference(tol, max_iters)
-    docs.check_vocab(model.vocab_size)
+    document took (0 for an empty one, whose gamma is alpha). ``tol`` and
+    ``max_iters`` are checked as the config's ``doc_*`` settings are, and the
+    documents must be over the model's vocabulary."""
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    validate_count(max_iters, "max_iters")
+    docs.check_vocab()
+    if docs.vocab_size != model.vocab_size:
+        raise ValidationError(f"documents over vocabulary size {docs.vocab_size}, "
+                              f"model over {model.vocab_size}")
     topics = _topics(model.log_beta, docs)
     gamma = _initial_gamma(model.alpha, docs)
     sweeps = np.zeros(len(docs), dtype=np.int64)

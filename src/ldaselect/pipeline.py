@@ -46,6 +46,9 @@ log = logging.getLogger(__name__)
 # cached and the current key parts holds; no repr equals it.
 _UNDECLARED = "(undeclared)"
 
+# Binary formats by suffix: a new version reruns the writer (``Runner._parts``).
+_FORMATS = {".agmm": gmm.GMM_VERSION, ".adoc": docmodel.DOCS_VERSION, ".alda": lda.LDA_VERSION}
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -318,8 +321,9 @@ class Runner:
         """``stage``'s key parts by name, in a fixed order: the sha256 of each
         input artifact (``input <file>``), the ``repr`` of each setting (of
         each field, for a section), the sha256 of each corpus part and of the
-        sweep's threshold list (``sweep lambdas``). Only settings' names lack
-        a space."""
+        sweep's threshold list (``sweep lambdas``), and the format version of
+        each binary output (``format <file>``). Only settings' names lack a
+        space."""
         parts = {}
         for art in stage.inputs:
             parts[f"input {art}"] = digest = self._digest(art)
@@ -334,7 +338,8 @@ class Runner:
         parts |= {c: self._corpus_digest(c) for c in stage.corpus}
         if stage.lambdas:
             parts["sweep lambdas"] = hashlib.sha256(repr(stage.lambdas).encode()).hexdigest()
-        return parts
+        return parts | {f"format {o}": str(_FORMATS[Path(o).suffix])
+                        for o in stage.outputs if Path(o).suffix in _FORMATS}
 
     def _run_stage(self, name: str, stage: Stage) -> None:
         """Run ``stage``'s body unless the cached key of its parts matches and
@@ -403,19 +408,18 @@ class Runner:
             "train-gmm": Stage([], ["quantizer"], gmm_sources, ["gmm.agmm"], self._train_gmm),
             "quantize": Stage(["gmm.agmm"], [], ["dev features", "pool features"],
                               ["bags_pool.adoc", "bags_dev.adoc"], self._quantize),
-            "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"],
-                           ["docmodel.idf_source", "quantizer.n_components"], [],
+            "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"], ["docmodel.idf_source"], [],
                            ["weighted_pool.adoc", "weighted_dev.adoc"], self._tfidf),
         }
         selection = "selection_acoustic" if c.text.enabled else "selection"
-        stages |= self._topic_stages("", "", [], selection)
+        stages |= self._topic_stages("", "", selection)
         if c.text.enabled:
             stages["text-tfidf"] = Stage(
                 [], ["docmodel.text_vocab_cap", "docmodel.idf_source"],
                 ["dev transcripts", "pool transcripts"],
                 ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
                 self._text_tfidf)
-            stages |= self._topic_stages("text-", "text_", ["text_vocab.tsv"], "selection_text")
+            stages |= self._topic_stages("text-", "text_", "selection_text")
             stages["combine"] = Stage(["selection_acoustic.audit.tsv", "selection_text.audit.tsv"],
                                       [], ["pool manifest", "pool dir"],
                                       ["selection.audit.tsv", "selection.tsv"], self._combine)
@@ -423,17 +427,15 @@ class Runner:
                                  ["report.tsv", "report.txt"], self._report)
         return stages
 
-    def _topic_stages(self, n: str, p: str, vocab: list[str], selection: str) -> dict[str, Stage]:
+    def _topic_stages(self, n: str, p: str, selection: str) -> dict[str, Stage]:
         """``train-lda``, ``posteriors``, ``cluster`` and ``select`` named with
         prefix ``n``, over the files named with prefix ``p``: the acoustic
-        chain's, or its text twins', under the same settings. The text topic
-        model also reads the vocabulary ``vocab`` (the acoustic one sizes it
-        by the codebook); ``selection`` names the selection's outputs."""
+        chain's, or its text twins', under the same settings; ``selection``
+        names the selection's outputs."""
         return {
             f"{n}train-lda": Stage(
-                [f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc", *vocab],
-                ["lda", *([] if vocab else ["quantizer.n_components"])], [], [f"{p}lda.alda"],
-                partial(self._train_lda, f"{n}train-lda")),
+                [f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc"], ["lda"], [],
+                [f"{p}lda.alda"], partial(self._train_lda, f"{n}train-lda")),
             f"{n}posteriors": Stage(
                 [f"{p}lda.alda", f"{p}weighted_pool.adoc", f"{p}weighted_dev.adoc"],
                 ["lda.doc_tol", "lda.doc_max_iterations"], [],
@@ -489,18 +491,18 @@ class Runner:
             bags = docmodel.bag_of_tokens(manifest.ids(), tokens, lengths, model.n_components)
             docmodel.save_docs(bags, out)
 
-    def _write_tfidf(self, bags: dict, vocab_size: int, out_pool: Path, out_dev: Path):
+    def _write_tfidf(self, bags: dict, out_pool: Path, out_dev: Path):
         """Weighted documents from the bags ``bags["dev"]`` and ``bags["pool"]``,
         with idf over the configured ``docmodel.idf_source`` corpora."""
         stats = docmodel.compute_stats(
-            [bags[w] for w in self._sources(self.config.docmodel.idf_source)], vocab_size
+            [bags[w] for w in self._sources(self.config.docmodel.idf_source)]
         )
         for which, out in (("pool", out_pool), ("dev", out_dev)):
             docmodel.save_docs(docmodel.tfidf(bags[which], stats), out)
 
     def _tfidf(self, pool: Path, dev: Path, out_pool: Path, out_dev: Path) -> None:
         bags = {"dev": docmodel.load_docs(dev), "pool": docmodel.load_docs(pool)}
-        self._write_tfidf(bags, self.config.quantizer.n_components, out_pool, out_dev)
+        self._write_tfidf(bags, out_pool, out_dev)
 
     def _text_tfidf(self, out_vocab: Path, out_pool: Path, out_dev: Path) -> None:
         """The vocabulary and weighted documents of the transcripts, from the
@@ -526,20 +528,15 @@ class Runner:
             )
             for which in ("dev", "pool")
         }
-        self._write_tfidf(bags, len(vocab), out_pool, out_dev)
+        self._write_tfidf(bags, out_pool, out_dev)
 
-    def _train_lda(self, name: str, pool: Path, dev: Path, *rest: Path) -> None:
-        *vocab, out_model = rest  # the text path's vocabulary comes first
+    def _train_lda(self, name: str, pool: Path, dev: Path, out_model: Path) -> None:
         params = self.config.lda
         docs = docmodel.DocBatch.concat(
             docmodel.load_docs({"dev": dev, "pool": pool}[which])
             for which in self._sources(params.train_source)
         )
-        vocab_size = self.config.quantizer.n_components
-        if vocab:
-            with open(vocab[0], encoding="utf-8") as fh:
-                vocab_size = sum(1 for line in fh if line.strip())
-        model = lda.train_lda(docs, params.n_topics, vocab_size, config=params)
+        model = lda.train_lda(docs, params.n_topics, config=params)
         _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
         lda.save_lda(model, out_model)
 

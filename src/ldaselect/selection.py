@@ -14,6 +14,7 @@ pointer (:meth:`Ranking.select`), so thresholds can be swept over one ranking.
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +217,13 @@ def union_combine(
     """Set union by utterance id; entries present in both keep ``a``'s record.
 
     The merged list is ordered by pass index (stable, ``a`` first), and hours
-    are recomputed from the manifest.
+    are recomputed from the manifest. Like an audit, an input may not list an
+    utterance twice.
     """
+    for ids in (a.ids(), b.ids()):
+        repeated = [i for i, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise ValidationError(f"selection lists utterance '{repeated[0]}' twice")
     durations = pool_manifest.by_id()
     seen = {s.utt_id for s in a.selected}
     merged = list(a.selected) + [s for s in b.selected if s.utt_id not in seen]

@@ -1,7 +1,7 @@
 """Build and unpack document batches from per-document entry lists, and run
 the topic model's E-step on them sweep by sweep.
 
-A document is written as ``(utt_id, [(term, count, weight), ...])`` with terms
+A document is written as ``(utt_id, [(term, weight), ...])`` with terms
 ascending, the layout the oracles in ``reference.py`` read.
 """
 
@@ -13,21 +13,22 @@ from ldaselect import lda
 from ldaselect.docmodel import DocBatch
 
 
-def batch(docs) -> DocBatch:
-    """The documents ``[(utt_id, entries), ...]`` as one batch."""
+def batch(docs, vocab_size: int) -> DocBatch:
+    """The documents ``[(utt_id, entries), ...]`` over ``vocab_size`` terms as
+    one batch."""
     flat = [e for _, ents in docs for e in ents]
     return DocBatch(
         [uid for uid, _ in docs],
         np.cumsum([0] + [len(ents) for _, ents in docs], dtype=np.int64),
-        np.array([t for t, _, _ in flat], dtype=np.int64),
-        np.array([c for _, c, _ in flat], dtype=np.int64),
-        np.array([w for _, _, w in flat], dtype=np.float64),
+        np.array([t for t, _ in flat], dtype=np.int64),
+        np.array([w for _, w in flat], dtype=np.float64),
+        vocab_size,
     )
 
 
-def doc(utt_id, entries=()) -> DocBatch:
-    """One document as a batch."""
-    return batch([(utt_id, list(entries))])
+def doc(utt_id, vocab_size: int, entries=()) -> DocBatch:
+    """One document over ``vocab_size`` terms as a batch."""
+    return batch([(utt_id, list(entries))], vocab_size)
 
 
 class Sweep(NamedTuple):
@@ -63,10 +64,7 @@ def e_step(model, docs: DocBatch, tol=1e-4, max_iters=100, gamma=None):
     return gamma, sweeps, trace
 
 
-def entries(docs: DocBatch, i: int = 0) -> list[tuple[int, int, float]]:
-    """The (term, count, weight) entries of document ``i``."""
+def entries(docs: DocBatch, i: int = 0) -> list[tuple[int, float]]:
+    """The (term, weight) entries of document ``i``."""
     lo, hi = docs.indptr[i], docs.indptr[i + 1]
-    return list(zip(
-        docs.terms[lo:hi].tolist(), docs.counts[lo:hi].tolist(),
-        docs.weights[lo:hi].tolist(),
-    ))
+    return list(zip(docs.terms[lo:hi].tolist(), docs.weights[lo:hi].tolist()))

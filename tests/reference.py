@@ -26,12 +26,12 @@ def ref_phi(gamma, entries, log_beta) -> list[list[float]]:
     exp(digamma(gamma_k) + log_beta[k][term_e]), and exactly 0 where log beta
     is -inf.
 
-    ``entries`` is the document's (term, count, weight) list, which the rows
-    align with; ``log_beta`` is the full K x V table as nested lists.
+    ``entries`` is the document's (term, weight) list, which the rows align
+    with; ``log_beta`` is the full K x V table as nested lists.
     """
     dig = [ref_digamma(g) for g in gamma]
     phi = []
-    for term, _count, _weight in entries:
+    for term, _weight in entries:
         logs = [d + log_beta[k][term] for k, d in enumerate(dig)]
         top = max(logs)
         row = [math.exp(x - top) for x in logs]
@@ -43,8 +43,8 @@ def ref_phi(gamma, entries, log_beta) -> list[list[float]]:
 def ref_elbo(alpha, gamma, phi, entries, log_beta) -> float:
     """Variational bound, term by term.
 
-    ``entries`` is the document's (term, count, weight) list aligned with the
-    rows of ``phi``; ``log_beta`` is the full K x V table as nested lists. A
+    ``entries`` is the document's (term, weight) list aligned with the rows
+    of ``phi``; ``log_beta`` is the full K x V table as nested lists. A
     phi entry of exactly 0 adds nothing (0 log 0 = 0), also where log beta is
     -inf.
     """
@@ -57,7 +57,7 @@ def ref_elbo(alpha, gamma, phi, entries, log_beta) -> float:
 
     bound = log_gamma_sum(alpha) + sum((alpha[i] - 1.0) * elog[i] for i in range(k))
     bound -= log_gamma_sum(gamma) + sum((gamma[i] - 1.0) * elog[i] for i in range(k))
-    for row, (term, _count, weight) in zip(phi, entries):
+    for row, (term, weight) in zip(phi, entries):
         for i in range(k):
             if row[i]:
                 bound += weight * row[i] * (elog[i] + log_beta[i][term] - math.log(row[i]))
@@ -119,7 +119,7 @@ def ref_tfidf(docs, stats_docs, vocab_size):
     """tf-idf entries of each token list in ``docs``, one document at a time.
 
     Document frequencies and the document count come from ``stats_docs``.
-    Per document: ``[(term, count, weight), ...]`` with terms ascending and
+    Per document: ``[(term, weight), ...]`` with terms ascending and
     weight = count / length * (log((1 + D) / (1 + df)) + 1).
     """
     df = ref_doc_freq(stats_docs, vocab_size)
@@ -130,7 +130,7 @@ def ref_tfidf(docs, stats_docs, vocab_size):
         for term in doc:
             counts[term] = counts.get(term, 0) + 1
         out.append([
-            (t, c, (c / len(doc)) * (math.log((1 + n_docs) / (1 + df[t])) + 1.0))
+            (t, (c / len(doc)) * (math.log((1 + n_docs) / (1 + df[t])) + 1.0))
             for t, c in sorted(counts.items())
         ])
     return out

@@ -1,13 +1,18 @@
 import fcntl
+import hashlib
+import json
 import logging
 import shutil
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ldaselect import pipeline as pipeline_module
 from ldaselect.cli import main
 from ldaselect.corpus import read_manifest
+from ldaselect.docmodel import load_docs
 from ldaselect.selection import read_audit
 
 
@@ -91,11 +96,17 @@ def test_synth_is_deterministic(tmp_path, capsys):
     ["--fps", "0"], ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"],
     ["--id-prefix", "a\tb"], ["--id-prefix", "a\rb"], ["--tag-prefix", "x\ny"],
     ["--id-prefix", "#"], ["--id-prefix", " #a"],
+    ["--id-prefix", "../"], ["--id-prefix", "x/"], ["--id-prefix", "x\\y"], ["--tag-prefix", "t/"],
+    ["--manifest-name", "sub/m.tsv"], ["--manifest-name", "../m.tsv"], ["--manifest-name", ".."],
+    ["--manifest-name", "."], ["--manifest-name", "m\\n.tsv"],
 ], ids=" ".join)
 def test_synth_rejects_a_bad_recipe_before_writing(flags, tmp_path, capsys):
     """A recipe field that cannot give a readable corpus exits 1 with an
     ``error:`` line, no traceback, and no output directory. That includes a
-    prefix that would split a manifest line or make it a comment."""
+    prefix that would split a manifest line or make it a comment, a prefix
+    with a path separator, which would put an utterance's files outside
+    ``features/`` or ``transcripts/``, and a manifest name that is not a
+    plain file name."""
     assert main(["synth", "--out", str(tmp_path / "out")] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -440,6 +451,81 @@ def test_main_restores_the_package_log_level(config_path):
         assert logger.level == logging.ERROR
     finally:
         logger.setLevel(before)
+
+
+def _write_version_1_docs(path: Path) -> None:
+    """Rewrite the ``.adoc`` file ``path`` in the layout of document container
+    version 1: no vocabulary size in the header, and an int32 count per entry
+    between the terms and the weights."""
+    docs = load_docs(path)
+    ids = "".join(i + "\n" for i in docs.ids).encode("utf-8")
+    counts = np.maximum(np.rint(docs.weights), 1)
+    path.write_bytes(
+        struct.pack("<4sIQQQ", b"ADOC", 1, len(docs), docs.terms.size, len(ids)) + ids
+        + b"".join(a.astype(dt).tobytes() for a, dt in (
+            (docs.indptr, "<i8"), (docs.terms, "<i4"), (counts, "<i4"), (docs.weights, "<f8")))
+    )
+
+
+def test_a_work_dir_of_version_1_documents_reruns_to_the_outputs_of_a_cold_run(
+    corpus_dir, tmp_path, caplog, monkeypatch
+):
+    """A text-enabled work dir whose ``.adoc`` files are version 1, with the
+    cache entries such a work dir holds (no ``format`` parts;
+    ``quantizer.n_components`` declared by ``tfidf`` and ``train-lda``;
+    ``text_vocab.tsv`` an input of ``text-train-lda``), reruns each stage that
+    writes a binary file and exits 0 with a cold run's files: no stage skips
+    onto a version 1 file that a later stage cannot read."""
+    declared = {}
+    parts_of = pipeline_module.Runner._parts
+
+    def recording(runner, name, stage):
+        declared[name] = parts = parts_of(runner, name, stage)
+        return parts
+
+    monkeypatch.setattr(pipeline_module.Runner, "_parts", recording)
+    text = "[text]\nenabled = true\n"
+    cold = _write_config(corpus_dir, tmp_path / "cold", tmp_path / "cold.cfg", text)
+    assert main(["run", "--config", str(cold)]) == 0
+    work = tmp_path / "old"
+    shutil.copytree(tmp_path / "cold", work)
+    (work / "signatures.json").unlink()
+    for path in work.glob("*.adoc"):
+        _write_version_1_docs(path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in work.iterdir()}
+    cache_path = work / "cache.json"
+    cache = json.loads(cache_path.read_text(encoding="utf-8"))
+    for stage, entry in cache.items():
+        # The parts in the order the stage declared them, as the key hashes them.
+        parts = {p: digests[p.removeprefix("input ")] if p.startswith("input ") else v
+                 for p, v in declared[stage].items() if not p.startswith("format ")}
+        if stage in ("tfidf", "train-lda"):  # the last setting; neither reads the corpus
+            parts["quantizer.n_components"] = "2"
+        if stage == "text-train-lda":  # the third input
+            items = list(parts.items())
+            parts = dict(items[:2] + [("input text_vocab.tsv", digests["text_vocab.tsv"])]
+                         + items[2:])
+        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        if parts == declared[stage]:
+            assert key == entry["key"], stage
+        entry |= {"key": key, "parts": parts,
+                  "outputs": {o: digests[o] for o in entry["outputs"]}}
+    cache_path.write_text(json.dumps(cache), encoding="utf-8")
+
+    old = _write_config(corpus_dir, work, tmp_path / "old.cfg", text)
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="ldaselect.pipeline")
+    assert main(["run", "--config", str(old)]) == 0
+    running = {m.split()[1].rstrip(":"): m for m in caplog.messages if ": running (" in m}
+    binary = {stage: [o for o in entry["outputs"] if o.endswith((".agmm", ".adoc", ".alda"))]
+              for stage, entry in cache.items()}
+    for stage, outputs in binary.items():
+        for o in outputs:
+            assert f"format {o} changed" in running[stage]
+    assert set(running) == {s for s, o in binary.items() if o} | {"posteriors", "text-posteriors"}
+    for path in (tmp_path / "cold").iterdir():
+        if path.name != "signatures.json":
+            assert (work / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_version_and_bad_command():

@@ -37,7 +37,7 @@ CORRUPTIONS = {
     "payload-one-byte-short": (lambda b: b[:-1], ["truncated", "expected {size} bytes"]),
     "one-trailing-byte": (lambda b: b + b"\0", ["trailing", "expected {size} bytes"]),
     "bad-magic": (lambda b: b"XXXX" + b[4:], ["magic"]),
-    "bad-version": (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], ["version"]),
+    "bad-version": (lambda b: b[:4] + struct.pack("<I", 99) + b[8:], ["version 99"]),
 }
 
 

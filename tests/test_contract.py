@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from ldaselect import (
+    DocBatch,
     GmmConfig,
     LdaConfig,
+    LdaSelectError,
     Manifest,
     PipelineConfig,
     Posteriors,
@@ -24,6 +26,7 @@ from ldaselect import (
     extract_posteriors,
     random_select,
     select,
+    tfidf,
     train_gmm,
     train_kmeans,
     train_lda,
@@ -35,12 +38,12 @@ from ldaselect.selection import rank_pool
 from batches import batch
 
 
-def _docs():
-    return batch([("a", [(0, 2, 1.0), (1, 1, 0.5)]), ("b", [(2, 3, 1.5)])])
+def _docs(vocab_size=3):
+    return batch([("a", [(0, 1.0), (1, 0.5)]), ("b", [(2, 1.5)])], vocab_size)
 
 
 def _model():
-    return train_lda(_docs(), 2, 3, LdaConfig(seed=0, em_max_iterations=1))
+    return train_lda(_docs(), 2, LdaConfig(seed=0, em_max_iterations=1))
 
 
 def _frames():
@@ -73,15 +76,15 @@ CASES = [
         for v in (math.nan, math.inf, 2.5)
     ],
     pytest.param(
-        lambda: train_lda(_docs(), 2, 3, LdaConfig(doc_max_iterations=math.nan)),
+        lambda: train_lda(_docs(), 2, LdaConfig(doc_max_iterations=math.nan)),
         "doc_max_iterations", id="train_lda-doc_max_iterations-nan",
     ),
     pytest.param(
-        lambda: train_lda(_docs(), 2, 3, LdaConfig(em_max_iterations=2.5)),
+        lambda: train_lda(_docs(), 2, LdaConfig(em_max_iterations=2.5)),
         "em_max_iterations", id="train_lda-em_max_iterations-2.5",
     ),
-    pytest.param(lambda: train_lda(_docs(), 1.5, 3), "n_topics", id="train_lda-n_topics-1.5"),
-    pytest.param(lambda: train_lda(_docs(), 2, 3.5), "vocab_size", id="train_lda-vocab_size-3.5"),
+    pytest.param(lambda: train_lda(_docs(), 1.5), "n_topics", id="train_lda-n_topics-1.5"),
+    pytest.param(lambda: train_lda(_docs(3.5), 2), "vocab_size", id="train_lda-vocab_size-3.5"),
     pytest.param(
         lambda: train_gmm(_frames(), 1.5), "n_components", id="train_gmm-n_components-1.5"
     ),
@@ -98,7 +101,7 @@ CASES = [
         lambda: train_kmeans(_frames(), 2, max_iterations=math.nan), "max_iterations",
         id="train_kmeans-max_iterations-nan",
     ),
-    pytest.param(lambda: compute_stats([_docs()], 3.5), "vocab_size", id="compute_stats-3.5"),
+    pytest.param(lambda: compute_stats([_docs(3.5)]), "vocab_size", id="compute_stats-3.5"),
     pytest.param(
         lambda: bag_of_words(["a", "b"], [[0, 1], [1]], 2.5), "vocab_size",
         id="bag_of_words-2.5",
@@ -166,9 +169,30 @@ def test_malformed_arrays_are_refused(call, message):
         call()
 
 
+VOCABULARIES = [
+    pytest.param(lambda: tfidf(_docs(3), compute_stats([_docs(4)])),
+                 "documents over vocabulary size 3, statistics over 4", id="tfidf-stats"),
+    pytest.param(lambda: compute_stats([]), "no document batches", id="compute_stats-no-bags"),
+    pytest.param(lambda: DocBatch.concat([]), "no document batches", id="concat-no-batches"),
+    pytest.param(lambda: DocBatch.concat([_docs(3), _docs(4)]),
+                 re.escape("different vocabulary sizes [3, 4]"), id="concat-two-vocabularies"),
+    pytest.param(lambda: extract_posteriors(_model(), _docs(4)),
+                 "documents over vocabulary size 4, model over 3", id="extract_posteriors-model"),
+]
+
+
+@pytest.mark.parametrize("call, message", VOCABULARIES)
+def test_documents_over_another_vocabulary_are_refused(call, message):
+    """Documents carry their vocabulary size; whatever combines them with
+    other documents, corpus statistics or a topic model over another size,
+    or with nothing, refuses them rather than index past a table."""
+    with pytest.raises(LdaSelectError, match=message):
+        call()
+
+
 def test_empty_token_documents_stay_valid():
     """An empty document (a float array, as ``np.asarray([])`` gives) is not
     a non-integer token."""
     bags = bag_of_words(["a", "b", "c"], [[], np.array([]), [1, 1]], 2)
     assert bags.indptr.tolist() == [0, 0, 0, 1]
-    assert bags.counts.tolist() == [2]
+    assert bags.weights.tolist() == [2.0]

@@ -29,7 +29,7 @@ def _bag(token_docs, vocab_size, prefix="d"):
 
 
 def _stats(token_docs, vocab_size):
-    return compute_stats([_bag(token_docs, vocab_size)], vocab_size)
+    return compute_stats([_bag(token_docs, vocab_size)])
 
 
 def _weigh(tokens, stats, utt_id="d0"):
@@ -49,9 +49,9 @@ def test_doc_freq_direct_count():
 
 
 def test_empty_corpus_stats():
-    stats = compute_stats([], vocab_size=4)
-    assert stats.doc_count == 0
-    assert np.all(stats.doc_freq == 0)
+    stats = compute_stats([_bag([], 4)])
+    assert (stats.vocab_size, stats.doc_count) == (4, 0)
+    assert stats.doc_freq.tolist() == [0] * 4
 
 
 def test_doc_freq_matches_brute_force():
@@ -71,9 +71,16 @@ def test_stats_token_out_of_range():
         _stats([[0, 3]], vocab_size=3)
     with pytest.raises(ValidationError):
         _stats([[-1]], vocab_size=3)
+    bag = _bag([[0], [0, 2]], 3)
+    bag.terms[1] = 3  # a hand-built batch can hold a term its bag_of_words refuses
     with pytest.raises(ValidationError) as exc:
-        compute_stats([_bag([[0], [0, 3]], 4)], vocab_size=3)
+        compute_stats([bag])
     assert "'d1'" in str(exc.value)
+
+
+def test_stats_over_bags_of_two_vocabularies_are_refused():
+    with pytest.raises(ValidationError, match=r"different vocabulary sizes \[3, 4\]"):
+        compute_stats([_bag([[0]], 3), _bag([[0]], 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +92,7 @@ def test_uniform_presence_idf_is_one():
     stats = _stats(docs, 2)
     doc = _weigh([1, 1, 0], stats)
     # every term is in every document: idf = log((1+D)/(1+D)) + 1 = 1
-    by_term = {t: (c, w) for t, c, w in entries(doc)}
-    assert by_term[0] == (1, pytest.approx(1 / 3))
-    assert by_term[1] == (2, pytest.approx(2 / 3))
+    assert entries(doc) == [(0, pytest.approx(1 / 3)), (1, pytest.approx(2 / 3))]
 
 
 def test_empty_document():
@@ -99,8 +104,8 @@ def test_hand_computed_weights_frozen():
     """doc [2,2,7] with D=2, df[2]=1, df[7]=2, against hand-derived constants."""
     stats = _stats([[2, 2, 7], [7]], vocab_size=8)
     doc = _weigh([2, 2, 7], stats)
-    assert [(t, c) for t, c, _ in entries(doc)] == [(2, 2), (7, 1)]
-    weights = {t: w for t, _, w in entries(doc)}
+    assert [t for t, _ in entries(doc)] == [2, 7]
+    weights = dict(entries(doc))
     # tf(2) = 2/3, idf(2) = log(3/2) + 1; tf(7) = 1/3, idf(7) = log(3/3) + 1
     assert weights[2] == pytest.approx(0.9369767387387763, abs=1e-15)
     assert weights[7] == pytest.approx(0.3333333333333333, abs=1e-15)
@@ -113,26 +118,24 @@ def test_counts_sum_to_length_and_weights_positive():
         docs = [rng.integers(0, v, size=rng.integers(1, 30)).tolist() for _ in range(6)]
         stats = _stats(docs, v)
         for tokens in docs:
-            doc = _weigh(tokens, stats)
-            assert sum(c for _, c, _ in entries(doc)) == len(tokens)
-            terms = [t for t, _, _ in entries(doc)]
-            assert terms == sorted(set(tokens))
-            assert all(w > 0 for _, _, w in entries(doc))
+            bag = bag_of_words(["d0"], [tokens], v)
+            assert sum(c for _, c in entries(bag)) == len(tokens)
+            doc = tfidf(bag, stats)
+            assert [t for t, _ in entries(doc)] == sorted(set(tokens))
+            assert all(w > 0 for _, w in entries(doc))
 
 
 def test_repeating_document_scales_counts_not_weights():
     stats = _stats([[0, 1, 1], [2]], 3)
-    single = _weigh([0, 1, 1], stats)
-    tripled = _weigh([0, 1, 1] * 3, stats)
-    assert [(t, c) for t, c, _ in entries(tripled)] == [
-        (t, 3 * c) for t, c, _ in entries(single)
-    ]
-    for (_, _, w1), (_, _, w3) in zip(entries(single), entries(tripled)):
+    single, tripled = _bag([[0, 1, 1]], 3), _bag([[0, 1, 1] * 3], 3)
+    assert entries(tripled) == [(t, 3 * c) for t, c in entries(single)]
+    for (t1, w1), (t3, w3) in zip(entries(tfidf(single, stats)), entries(tfidf(tripled, stats))):
+        assert t3 == t1
         assert w3 == pytest.approx(w1, rel=1e-12)
 
 
 def test_weigh_errors():
-    stats = compute_stats([], 3)
+    stats = compute_stats([_bag([], 3)])
     with pytest.raises(ValidationError):
         _weigh([0], stats)  # zero documents
     stats = _stats([[0]], 3)
@@ -191,20 +194,22 @@ def test_vocab_cap_validation():
 # Document container (.adoc)
 
 
-def _packed(ids, indptr, terms, counts, weights):
+def _packed(ids, indptr, terms, weights, vocab_size):
     """Container bytes laid out by hand, bypassing ``save_docs``'s checks; the
     header's document count is ``len(indptr) - 1``."""
     blob = "".join(i + "\n" for i in ids).encode("utf-8")
-    header = struct.pack("<4sIQQQ", b"ADOC", 1, len(indptr) - 1, len(terms), len(blob))
+    header = struct.pack(
+        "<4sIQQQQ", b"ADOC", 2, vocab_size, len(indptr) - 1, len(terms), len(blob)
+    )
     return header + blob + b"".join(
         np.asarray(a, dtype=dt).tobytes()
-        for a, dt in ((indptr, "<i8"), (terms, "<i4"), (counts, "<i4"), (weights, "<f8"))
+        for a, dt in ((indptr, "<i8"), (terms, "<i4"), (weights, "<f8"))
     )
 
 
 def _same_docs(a, b):
-    assert a.ids == b.ids
-    for f in ("indptr", "terms", "counts"):
+    assert (a.ids, a.vocab_size) == (b.ids, b.vocab_size)
+    for f in ("indptr", "terms"):
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
         assert getattr(b, f).dtype == np.int64, f
     assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
@@ -215,20 +220,18 @@ def _nine_digit(weights):
 
 
 def test_weighted_round_trip(tmp_path):
-    """Ids, layout and counts come back exactly; weights come back as the
-    nine-digit text round trip gives them, bit for bit."""
+    """Ids, layout and vocabulary size come back exactly; weights come back as
+    the nine-digit text round trip gives them, bit for bit."""
     stats = _stats([[0, 1, 1], [2, 0]], 3)
     docs = tfidf(bag_of_words(["u1", "empty", "u2"], [[0, 1, 1], [], [2]], 3), stats)
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
+    rounded = DocBatch(docs.ids, docs.indptr, docs.terms, _nine_digit(docs.weights), 3)
     assert p.read_bytes() == _packed(
-        docs.ids, docs.indptr, docs.terms, docs.counts, _nine_digit(docs.weights)
+        rounded.ids, rounded.indptr, rounded.terms, rounded.weights, 3
     )
     back = load_docs(p)
-    _same_docs(
-        DocBatch(docs.ids, docs.indptr, docs.terms, docs.counts, _nine_digit(docs.weights)),
-        back,
-    )
+    _same_docs(rounded, back)
     assert not np.array_equal(back.weights, docs.weights)  # rounding did happen
     assert back.weights.flags.writeable and back.terms.flags.writeable
 
@@ -253,8 +256,7 @@ def test_weighted_round_trip_without_entries(tmp_path, token_docs):
 @example([float(np.nextafter(10.0 ** j, 0.0)) for j in range(-6, 12)])
 def test_stored_weights_are_the_nine_digit_values(tmp_path, weights):
     n = len(weights)
-    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.ones(n, dtype=np.int64),
-                    np.array(weights))
+    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.array(weights), n)
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
     got = load_docs(p).weights
@@ -273,7 +275,7 @@ def test_stored_weights_bulk_against_text_round_trip(tmp_path):
         # next to a half in the ninth digit, where the digits need the string
         (rng.integers(10**8, 10**9, n // 4) + 0.5) / 10.0 ** rng.integers(0, 16, n // 4),
     ])
-    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.ones(n, dtype=np.int64), w)
+    docs = DocBatch(["d"], np.array([0, n]), np.arange(n), w, n)
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
     assert np.array_equal(load_docs(p).weights.view(np.int64), _nine_digit(w).view(np.int64))
@@ -286,15 +288,15 @@ def _load(tmp_path, data):
 
 
 # Two documents, the second starting below the first's last term.
-_GOOD = dict(ids=["a", "b"], indptr=[0, 2, 3], terms=[1, 4, 0], counts=[2, 1, 3],
-             weights=[0.5, 1.5, 2.0])
+_GOOD = dict(ids=["a", "b"], indptr=[0, 2, 3], terms=[1, 4, 0], weights=[0.5, 1.5, 2.0],
+             vocab_size=5)
 
 
 def test_hand_packed_container_reads(tmp_path):
     docs = _load(tmp_path, _packed(**_GOOD))
-    assert docs.ids == ["a", "b"]
-    assert [docs.indptr.tolist(), docs.terms.tolist(), docs.counts.tolist(),
-            docs.weights.tolist()] == [_GOOD[f] for f in ("indptr", "terms", "counts", "weights")]
+    assert (docs.ids, docs.vocab_size) == (["a", "b"], 5)
+    assert [docs.indptr.tolist(), docs.terms.tolist(),
+            docs.weights.tolist()] == [_GOOD[f] for f in ("indptr", "terms", "weights")]
 
 
 @pytest.mark.parametrize("corrupt, needle", [
@@ -302,8 +304,10 @@ def test_hand_packed_container_reads(tmp_path):
     (lambda b: b[:-1], "expected"),
     (lambda b: b + b"\x00", "expected"),
     (lambda b: b"ADOX" + b[4:], "magic"),
-    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "version"),
-], ids=["truncated-header", "truncated-payload", "trailing-bytes", "bad-magic", "bad-version"])
+    (lambda b: b[:4] + struct.pack("<I", 3) + b[8:], "version 3"),
+    (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "version 1"),
+], ids=["truncated-header", "truncated-payload", "trailing-bytes", "bad-magic", "bad-version",
+        "version-1"])
 def test_weighted_container_corruptions(tmp_path, corrupt, needle):
     with pytest.raises(FormatError) as exc:
         _load(tmp_path, corrupt(_packed(**_GOOD)))
@@ -311,16 +315,19 @@ def test_weighted_container_corruptions(tmp_path, corrupt, needle):
 
 
 @pytest.mark.parametrize("field, values, needle", [
-    ("weights", [0.5, np.nan, 2.0], "'a': invalid count or weight"),
-    ("weights", [0.5, 1.5, np.inf], "'b': invalid count or weight"),
-    ("weights", [-0.5, 1.5, 2.0], "'a': invalid count or weight"),
-    ("counts", [2, 0, 3], "'a': invalid count or weight"),
-    ("counts", [2, 1, -3], "'b': invalid count or weight"),
-    ("terms", [1, 4, -1], "'b': terms must be non-negative and strictly ascending"),
-    ("terms", [4, 4, 0], "'a': terms must be non-negative and strictly ascending"),
-    ("terms", [4, 1, 0], "'a': terms must be non-negative and strictly ascending"),
-], ids=["nan-weight", "inf-weight", "negative-weight", "zero-count", "negative-count",
-        "negative-term", "repeated-term", "descending-terms"])
+    ("weights", [0.5, np.nan, 2.0], "'a': invalid weight"),
+    ("weights", [0.5, 1.5, np.inf], "'b': invalid weight"),
+    ("weights", [-0.5, 1.5, 2.0], "'a': invalid weight"),
+    ("terms", [1, 4, -1], "'b': terms must be non-negative, strictly ascending"),
+    ("terms", [4, 4, 0], "'a': terms must be non-negative, strictly ascending"),
+    ("terms", [4, 1, 0], "'a': terms must be non-negative, strictly ascending"),
+    ("terms", [1, 5, 0], "'a': terms must be non-negative, strictly ascending and below "
+                         "the vocabulary size 5"),
+    ("vocab_size", 4, "'a': terms must be non-negative, strictly ascending and below "
+                      "the vocabulary size 4"),
+    ("vocab_size", 0, "vocabulary size must be at least 1, got 0"),
+], ids=["nan-weight", "inf-weight", "negative-weight", "negative-term", "repeated-term",
+        "descending-terms", "term-at-vocab-size", "vocab-size-below-a-term", "zero-vocab-size"])
 def test_weighted_container_bad_values(tmp_path, field, values, needle):
     with pytest.raises(FormatError) as exc:
         _load(tmp_path, _packed(**{**_GOOD, field: values}))
@@ -345,11 +352,15 @@ def test_save_docs_refuses_what_it_cannot_store(tmp_path):
     p = tmp_path / "w.adoc"
     for ids in (["a", ""], ["a", "b\nc"]):
         with pytest.raises(ValidationError):
-            save_docs(batch([(i, [(0, 1, 1.0)]) for i in ids]), p)
-    with pytest.raises(ValidationError):
-        save_docs(batch([("a", [(2**31, 1, 1.0)])]), p)
-    with pytest.raises(ValidationError):
-        save_docs(batch([("a", [(0, 2**32 + 1, 1.0)])]), p)
+            save_docs(batch([(i, [(0, 1.0)]) for i in ids], 1), p)
+    with pytest.raises(ValidationError, match="exceeds 32-bit terms"):
+        save_docs(batch([("a", [(2**31, 1.0)])], 2**31 + 1), p)
+    save_docs(batch([("a", [(2**31 - 1, 1.0)])], 2**31), p)
+    assert load_docs(p).terms.tolist() == [2**31 - 1]
+    p.unlink()
+    with pytest.raises(ValidationError, match="outside vocabulary size 3"):
+        save_docs(batch([("a", [(3, 1.0)])], 3), p)
+    assert not p.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +371,8 @@ def test_bag_of_words_counts_and_layout():
     bag = bag_of_words(["a", "empty", "b"], [[3, 1, 3, 3], [], [0]], 4)
     assert bag.ids == ["a", "empty", "b"]
     assert bag.indptr.tolist() == [0, 2, 2, 3]
-    assert [entries(bag, i) for i in range(3)] == [
-        [(1, 1, 1.0), (3, 3, 3.0)], [], [(0, 1, 1.0)],
-    ]
+    assert bag.vocab_size == 4
+    assert [entries(bag, i) for i in range(3)] == [[(1, 1.0), (3, 3.0)], [], [(0, 1.0)]]
     with pytest.raises(ValidationError) as exc:
         bag_of_words(["ok", "oov"], [[0], [1, 4]], 4)
     assert "'oov'" in str(exc.value)
@@ -382,6 +392,7 @@ def test_doc_batch_slicing_and_concat():
     assert [entries(joined, i) for i in range(3)] == [
         entries(bag, 2), entries(bag, 0), entries(bag, 1)
     ]
+    assert (bag[1:].vocab_size, joined.vocab_size) == (3, 3)
 
 
 _token_docs = st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=6)
@@ -401,7 +412,7 @@ def test_tfidf_path_equals_per_document_oracle(dev, pool, source, extra_vocab):
     corpora = {"dev": dev, "pool": pool}
     bags = {w: _bag(docs, vocab_size, prefix=w) for w, docs in corpora.items()}
     stats_docs = {"dev": dev, "pool": pool, "dev+pool": dev + pool}[source]
-    stats = compute_stats([bags[w] for w in source.split("+")], vocab_size)
+    stats = compute_stats([bags[w] for w in source.split("+")])
     for which, docs in corpora.items():
         weighted = tfidf(bags[which], stats)
         assert [entries(weighted, i) for i in range(len(docs))] == ref_tfidf(

@@ -39,16 +39,16 @@ def _random_model(rng, k, v):
 def _random_doc(rng, v, uid="d"):
     n_terms = int(rng.integers(2, min(v, 8) + 1))
     terms = sorted(rng.choice(v, size=n_terms, replace=False).tolist())
-    entries = [
-        (int(t), int(rng.integers(1, 5)), float(rng.uniform(0.1, 3.0))) for t in terms
-    ]
-    return one_doc(uid, entries)
+    entries = []
+    for t in terms:
+        rng.integers(1, 5)  # an unused draw, which keeps the seeded documents fixed
+        entries.append((int(t), float(rng.uniform(0.1, 3.0))))
+    return one_doc(uid, v, entries)
 
 
 def _count_doc(rng, beta_row, length, uid):
     counts = rng.multinomial(length, beta_row)
-    entries = [(v, int(c), float(c)) for v, c in enumerate(counts) if c]
-    return one_doc(uid, entries)
+    return one_doc(uid, len(beta_row), [(v, float(c)) for v, c in enumerate(counts) if c])
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def _oracle_bound(model, doc, step):
 def test_empty_document_gamma_equals_alpha():
     rng = np.random.default_rng(0)
     model = _random_model(rng, 3, 5)
-    posts, sweeps = extract_posteriors(model, one_doc("e"))
+    posts, sweeps = extract_posteriors(model, one_doc("e", 5))
     assert np.array_equal(posts.gamma[0], model.alpha)
     assert sweeps.tolist() == [0]
 
@@ -85,7 +85,7 @@ def test_single_topic_closed_form():
     model = _random_model(rng, 1, 6)
     doc = _random_doc(rng, 6)
     posts, sweeps = extract_posteriors(model, doc)
-    total = sum(w for _, _, w in doc_entries(doc))
+    total = sum(w for _, w in doc_entries(doc))
     assert posts.gamma[0, 0] == pytest.approx(model.alpha[0] + total, rel=1e-12)
     assert sweeps.tolist() == [1]
 
@@ -109,7 +109,7 @@ def test_hand_set_beta_elbo_trace_monotone():
     alpha = np.array([0.7, 1.3])
     beta = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
     model = LdaModel(n_topics=2, vocab_size=3, alpha=alpha, log_beta=np.log(beta))
-    doc = one_doc("d", [(0, 2, 1.1), (2, 1, 0.4)])
+    doc = one_doc("d", 3, [(0, 1.1), (2, 0.4)])
     _, _, trace = e_step(model, doc)
     h = [step.bounds[0] for step in trace]
     assert len(h) >= 2
@@ -122,7 +122,7 @@ def test_inference_refuses_a_tolerance_out_of_range(tol):
     """A tolerance no change can fall below would run every document to the
     sweep cap; inference refuses it, as the config does."""
     model = _random_model(np.random.default_rng(3), 2, 4)
-    doc = one_doc("d", [(0, 1, 1.0), (2, 3, 0.5)])
+    doc = one_doc("d", 4, [(0, 1.0), (2, 0.5)])
     with pytest.raises(ValidationError, match="tol must be finite and positive"):
         extract_posteriors(model, doc, tol=tol)
 
@@ -137,8 +137,8 @@ def test_elbo_empty_doc_exact_zero():
     rng = np.random.default_rng(4)
     docs = [_random_doc(rng, 5, uid=f"d{i}") for i in range(4)]
     config = LdaConfig(seed=0, em_max_iterations=5)
-    plain = train_lda(DocBatch.concat(docs), 4, 5, config)
-    padded = train_lda(DocBatch.concat(docs[:2] + [one_doc("e")] + docs[2:]), 4, 5, config)
+    plain = train_lda(DocBatch.concat(docs), 4, config)
+    padded = train_lda(DocBatch.concat(docs[:2] + [one_doc("e", 5)] + docs[2:]), 4, config)
     assert padded.bound_history == plain.bound_history
     assert np.array_equal(padded.log_beta, plain.log_beta)
     assert padded.doc_sweeps.tolist() == (
@@ -181,7 +181,7 @@ def test_recovers_disjoint_topics():
         _count_doc(rng, true_beta[int(rng.integers(k))], 60, f"d{i}")
         for i in range(150)
     )
-    model = train_lda(docs, k, v, LdaConfig(seed=0))
+    model = train_lda(docs, k, LdaConfig(seed=0))
     h = model.bound_history
     assert all(h[i + 1] >= h[i] - 1e-6 * abs(h[i]) for i in range(len(h) - 1))
     score = best_topic_matching(true_beta.tolist(), np.exp(model.log_beta).tolist())
@@ -193,10 +193,10 @@ def test_single_topic_beta_closed_form():
     v = 9
     docs = DocBatch.concat(_random_doc(rng, v, uid=f"d{i}") for i in range(12))
     config = LdaConfig(seed=0, eta=0.01)
-    model = train_lda(docs, 1, v, config)
+    model = train_lda(docs, 1, config)
     ss = np.zeros(v)
     for i in range(len(docs)):
-        for t, _, w in doc_entries(docs, i):
+        for t, w in doc_entries(docs, i):
             ss[t] += w
     expected = (ss + config.eta) / (ss + config.eta).sum()
     assert np.allclose(np.exp(model.log_beta[0]), expected, rtol=1e-10)
@@ -205,8 +205,8 @@ def test_single_topic_beta_closed_form():
 def test_training_determinism_bitwise():
     rng = np.random.default_rng(9)
     docs = DocBatch.concat(_random_doc(rng, 12, uid=f"d{i}") for i in range(20))
-    m1 = train_lda(docs, 3, 12, LdaConfig(seed=5))
-    m2 = train_lda(docs, 3, 12, LdaConfig(seed=5))
+    m1 = train_lda(docs, 3, LdaConfig(seed=5))
+    m2 = train_lda(docs, 3, LdaConfig(seed=5))
     assert np.array_equal(m1.log_beta, m2.log_beta)
     assert m1.bound_history == m2.bound_history
 
@@ -218,7 +218,7 @@ def test_bound_monotone_on_random_corpora():
         docs = DocBatch.concat(
             _random_doc(rng, v, uid=f"d{i}") for i in range(int(rng.integers(5, 25)))
         )
-        model = train_lda(docs, int(rng.integers(2, 5)), v, LdaConfig(seed=trial))
+        model = train_lda(docs, int(rng.integers(2, 5)), LdaConfig(seed=trial))
         h = model.bound_history
         assert all(
             h[i + 1] >= h[i] - 1e-6 * max(abs(h[i]), 1.0) for i in range(len(h) - 1)
@@ -228,7 +228,7 @@ def test_bound_monotone_on_random_corpora():
 
 def test_all_empty_corpus_rejected():
     with pytest.raises(ValidationError):
-        train_lda(batch([("a", []), ("b", [])]), 2, 5)
+        train_lda(batch([("a", []), ("b", [])], 5), 2)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -239,21 +239,21 @@ def test_all_empty_corpus_rejected():
 def test_train_lda_refuses_settings_out_of_range(field, value):
     """Called directly, ``train_lda`` refuses what ``validate_config`` does,
     naming the field, rather than training on it."""
-    docs = batch([("a", [(0, 2, 1.0), (1, 1, 0.5)]), ("b", [(1, 3, 1.5)])])
+    docs = batch([("a", [(0, 1.0), (1, 0.5)]), ("b", [(1, 1.5)])], 2)
     config = LdaConfig(**{"seed": 0, field: value})
     with pytest.raises(ValidationError, match=field):
-        train_lda(docs, 2, 2, config)
+        train_lda(docs, 2, config)
 
 
 def test_alpha_default_and_override():
-    docs = one_doc("d", [(0, 1, 1.0)])
-    model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1))
+    docs = one_doc("d", 2, [(0, 1.0)])
+    model = train_lda(docs, 4, LdaConfig(seed=0, em_max_iterations=1))
     assert np.allclose(model.alpha, 50.0 / 4)
-    model = train_lda(docs, 4, 2, LdaConfig(seed=0, em_max_iterations=1, alpha=0.3))
+    model = train_lda(docs, 4, LdaConfig(seed=0, em_max_iterations=1, alpha=0.3))
     assert np.allclose(model.alpha, 0.3)
     for alpha in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="alpha"):
-            train_lda(docs, 4, 2, LdaConfig(alpha=alpha))
+            train_lda(docs, 4, LdaConfig(alpha=alpha))
 
 
 def test_vocabulary_permutation_equivariance():
@@ -264,16 +264,16 @@ def test_vocabulary_permutation_equivariance():
     docs_p = []
     for i, uid in enumerate(docs.ids):
         entries = sorted(
-            ((int(perm[t]), c, w) for t, c, w in doc_entries(docs, i)), key=lambda e: e[0]
+            ((int(perm[t]), w) for t, w in doc_entries(docs, i)), key=lambda e: e[0]
         )
         docs_p.append((uid, entries))
-    docs_p = batch(docs_p)
+    docs_p = batch(docs_p, v)
     init = rng.random((k, v)) + 0.05
     init_p = np.empty_like(init)
     init_p[:, perm] = init
     config = LdaConfig(seed=0, em_max_iterations=15)
-    m = train_lda(docs, k, v, config, init_beta=init)
-    m_p = train_lda(docs_p, k, v, config, init_beta=init_p)
+    m = train_lda(docs, k, config, init_beta=init)
+    m_p = train_lda(docs_p, k, config, init_beta=init_p)
     assert np.allclose(m_p.log_beta[:, perm], m.log_beta, rtol=1e-10, atol=1e-12)
     g, _ = extract_posteriors(m, docs)
     g_p, _ = extract_posteriors(m_p, docs_p)
@@ -288,10 +288,10 @@ def test_vocabulary_permutation_equivariance():
 def test_extract_posteriors_alignment_and_purity():
     rng = np.random.default_rng(12)
     docs = [_random_doc(rng, 8, uid=f"d{i}") for i in range(6)]
-    docs.append(one_doc("empty"))
-    docs.append(one_doc("dup", doc_entries(docs[0])))
+    docs.append(one_doc("empty", 8))
+    docs.append(one_doc("dup", 8, doc_entries(docs[0])))
     docs = DocBatch.concat(docs)
-    model = train_lda(docs, 3, 8, LdaConfig(seed=1))
+    model = train_lda(docs, 3, LdaConfig(seed=1))
     posts, sweeps = extract_posteriors(model, docs)
     assert sweeps[6] == 0 and np.all(sweeps[:6] >= 1)
     assert posts.ids == docs.ids
@@ -357,10 +357,10 @@ def _batch_cases(draw):
             terms = list(range(v))
         else:
             terms = sorted(draw(st.sets(st.integers(0, v - 1), min_size=1)))
-        entries = [(t, 1, draw(st.floats(0.05, 5.0))) for t in terms]
+        entries = [(t, draw(st.floats(0.05, 5.0))) for t in terms]
         docs.append((f"d{i}", entries))
     return dict(
-        k=k, v=v, docs=batch(docs),
+        k=k, v=v, docs=batch(docs, v),
         seed=draw(st.integers(0, 2**16)),
         max_iters=draw(st.integers(1, 8)),
         tol=draw(st.sampled_from([1e-2, 1e-4, 1e-6])),
@@ -396,9 +396,9 @@ def test_batched_inference_matches_per_document_loop(case):
         init_beta = rng.random((k, v)) + 0.05
         if not docs.terms.size:
             with pytest.raises(ValidationError):
-                train_lda(docs, k, v, config, init_beta=init_beta)
+                train_lda(docs, k, config, init_beta=init_beta)
             return
-        model = train_lda(docs, k, v, config, init_beta=init_beta)
+        model = train_lda(docs, k, config, init_beta=init_beta)
     history, log_beta, ref_sweeps = _reference_train(docs, k, v, config, init_beta)
     np.testing.assert_allclose(model.bound_history, history, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(model.log_beta, log_beta, rtol=0, atol=1e-12)
@@ -409,19 +409,19 @@ def test_batched_validation_names_document():
     rng = np.random.default_rng(15)
     model = _random_model(rng, 2, 4)
     docs = batch([
-        ("ok", [(0, 1, 1.0)]),
-        ("oov", [(1, 1, 1.0), (4, 1, 1.0)]),
-    ])
+        ("ok", [(0, 1.0)]),
+        ("oov", [(1, 1.0), (4, 1.0)]),
+    ], 4)
     with pytest.raises(ValidationError) as exc:
         extract_posteriors(model, docs)
     assert "'oov'" in str(exc.value)
     with pytest.raises(ValidationError) as exc:
-        train_lda(docs, 2, 4)
+        train_lda(docs, 2)
     assert "'oov'" in str(exc.value)
     with pytest.raises(ValidationError):
         extract_posteriors(model, docs[:1], max_iters=0)
     with pytest.raises(ValidationError) as exc:
-        train_lda(batch([("a", []), ("b", [])]), 2, 4)
+        train_lda(batch([("a", []), ("b", [])], 4), 2)
     assert "all-empty" in str(exc.value)
 
 
@@ -429,13 +429,13 @@ def test_batched_empty_documents_keep_alpha(monkeypatch):
     rng = np.random.default_rng(16)
     monkeypatch.setattr(lda_module, "_BLOCK_CELLS", 4)
     docs = DocBatch.concat([
-        one_doc("e0"),
+        one_doc("e0", 9),
         _random_doc(rng, 9, uid="a"),
-        one_doc("e1"),
+        one_doc("e1", 9),
         _random_doc(rng, 9, uid="b"),
-        one_doc("e2"),
+        one_doc("e2", 9),
     ])
-    model = train_lda(docs, 3, 9, LdaConfig(seed=3, alpha=0.7))
+    model = train_lda(docs, 3, LdaConfig(seed=3, alpha=0.7))
     assert model.doc_sweeps[[0, 2, 4]].tolist() == [0, 0, 0]
     posts, sweeps = extract_posteriors(model, docs)
     for i in (0, 2, 4):
@@ -456,13 +456,13 @@ def test_extract_posteriors_caps_sweeps():
 def test_wide_shapes_match_per_document_loop(k, v):
     """Blocks sized by max(K, V) at K >> V and V >> K, several per corpus."""
     rng = np.random.default_rng(k * 1000 + v)
-    docs = [("empty", []), ("single", [(v - 1, 1, 2.5)]), ("all", [
-        (t, 1, float(rng.uniform(0.1, 3.0))) for t in range(v)
+    docs = [("empty", []), ("single", [(v - 1, 2.5)]), ("all", [
+        (t, float(rng.uniform(0.1, 3.0))) for t in range(v)
     ])]
     for i in range(6):
         terms = np.sort(rng.choice(v, size=int(rng.integers(1, 9)), replace=False))
-        docs.append((f"d{i}", [(int(t), 1, float(rng.uniform(0.1, 3.0))) for t in terms]))
-    docs = batch(docs)
+        docs.append((f"d{i}", [(int(t), float(rng.uniform(0.1, 3.0))) for t in terms]))
+    docs = batch(docs, v)
     model = _random_model(rng, k, v)
     tol, max_iters = 1e-4, 6
     init_beta = rng.random((k, v)) + 0.05
@@ -482,7 +482,7 @@ def test_wide_shapes_match_per_document_loop(k, v):
         mp.setattr(lda_module, "_infer_block", spy)
         posts, sweeps = extract_posteriors(model, docs, tol=tol, max_iters=max_iters)
         assert block_sizes == [2, 2, 2, 2, 1]
-        trained = train_lda(docs, k, v, config, init_beta=init_beta)
+        trained = train_lda(docs, k, config, init_beta=init_beta)
     singles = [extract_posteriors(model, docs[i:i + 1], tol, max_iters) for i in range(len(docs))]
     np.testing.assert_allclose(
         posts.gamma, np.concatenate([p.gamma for p, _ in singles]), rtol=1e-10, atol=0
@@ -519,7 +519,7 @@ def _dead_term_model():
 
 def test_inference_rejects_document_using_a_term_no_topic_emits():
     model = _dead_term_model()
-    docs = batch([("a", [(0, 1, 1.0)]), ("b", [(1, 1, 1.0), (2, 1, 2.0)])])
+    docs = batch([("a", [(0, 1.0)]), ("b", [(1, 1.0), (2, 2.0)])], 3)
     with pytest.raises(ValidationError) as exc:
         extract_posteriors(model, docs)
     assert "'b'" in str(exc.value)
@@ -530,16 +530,16 @@ def test_inference_rejects_document_using_a_term_no_topic_emits():
     # without it.
     posts, _ = extract_posteriors(model, docs[:1])
     live = LdaModel(n_topics=2, vocab_size=2, alpha=model.alpha, log_beta=model.log_beta[:, :2])
-    expected, _ = extract_posteriors(live, docs[:1])
+    expected, _ = extract_posteriors(live, batch([("a", [(0, 1.0)])], 2))
     assert np.all(np.isfinite(posts.gamma))
     np.testing.assert_allclose(posts.gamma, expected.gamma, rtol=1e-12)
 
 
 def test_init_beta_with_a_zero_column_rejected():
-    docs = batch([("a", [(0, 1, 1.0), (1, 1, 1.0)])])
+    docs = batch([("a", [(0, 1.0), (1, 1.0)])], 3)
     init_beta = np.array([[0.5, 0.5, 0.0], [0.7, 0.3, 0.0]])
     with pytest.raises(ValidationError) as exc:
-        train_lda(docs, 2, 3, LdaConfig(seed=0), init_beta=init_beta)
+        train_lda(docs, 2, LdaConfig(seed=0), init_beta=init_beta)
     assert "term 2" in str(exc.value)
 
 
@@ -547,7 +547,7 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     """With alpha = 1e-3 the second topic's exp(E[log theta]) underflows, and
     term 2 has probability only under it, so its phinorm is exactly 0."""
     beta = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    doc = one_doc("u", [(0, 1, 50.0), (1, 1, 50.0), (2, 1, 1e-6)])
+    doc = one_doc("u", 3, [(0, 50.0), (1, 50.0), (2, 1e-6)])
     with np.errstate(divide="ignore"):
         model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3),
                          log_beta=np.log(beta))
@@ -556,7 +556,7 @@ def test_underflowing_phinorm_takes_the_log_space_path():
         warnings.simplefilter("error", RuntimeWarning)
         posts, sweeps = extract_posteriors(model, doc)
         gamma, _, trace = e_step(model, doc)
-        trained = train_lda(doc, 2, 3, config, init_beta=beta)
+        trained = train_lda(doc, 2, config, init_beta=beta)
     expected = np.array([100.001, 0.001001])
     np.testing.assert_allclose(posts.gamma[0], expected, rtol=1e-10)
     assert np.array_equal(gamma, posts.gamma)
@@ -584,7 +584,7 @@ def test_subnormal_phinorm_takes_the_log_space_path():
     with np.errstate(divide="ignore"):
         log_beta = np.log(np.array([[0.5, 0.5, 1e-310], [0.0, 0.0, 1.0]]))
     model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3), log_beta=log_beta)
-    doc = one_doc("u", [(0, 1, 50.0), (1, 1, 50.0), (2, 1, 50.0)])
+    doc = one_doc("u", 3, [(0, 50.0), (1, 50.0), (2, 50.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         gamma, _, trace = e_step(model, doc, gamma=[150.0, 1e-3])
@@ -691,7 +691,7 @@ def test_special_functions_agree_with_scipy():
 def test_model_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
     docs = DocBatch.concat(_random_doc(rng, 7, uid=f"d{i}") for i in range(10))
-    model = train_lda(docs, 2, 7, LdaConfig(seed=2))
+    model = train_lda(docs, 2, LdaConfig(seed=2))
     p = tmp_path / "m.alda"
     save_lda(model, p)
     back = load_lda(p)
@@ -703,7 +703,7 @@ def test_model_round_trip_bit_exact(tmp_path):
 def test_model_file_corruptions(tmp_path):
     rng = np.random.default_rng(14)
     docs = DocBatch.concat(_random_doc(rng, 5, uid=f"d{i}") for i in range(5))
-    model = train_lda(docs, 2, 5, LdaConfig(seed=0))
+    model = train_lda(docs, 2, LdaConfig(seed=0))
     p = tmp_path / "m.alda"
     save_lda(model, p)
     good = p.read_bytes()

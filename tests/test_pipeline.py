@@ -321,7 +321,7 @@ STAGE_INPUTS = {
     "cluster": ["post_dev.tsv"],
     "select": ["post_pool.tsv", "centroids.tsv"],
     "text-tfidf": [],
-    "text-train-lda": ["text_weighted_pool.adoc", "text_weighted_dev.adoc", "text_vocab.tsv"],
+    "text-train-lda": ["text_weighted_pool.adoc", "text_weighted_dev.adoc"],
     "text-posteriors": ["text_lda.alda", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
     "text-cluster": ["text_post_dev.tsv"],
     "text-select": ["text_post_pool.tsv", "text_centroids.tsv"],
@@ -863,17 +863,31 @@ def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
     assert not (tmp_path / "work" / "text_vocab.tsv").exists()
 
 
-def test_text_vocabulary_is_an_input_of_text_train_lda(tmp_path, corpus_dir):
-    config = _config(corpus_dir, tmp_path / "work", text=True)
-    run_pipeline(config, stages=["text-tfidf", "text-train-lda"])
-    vocab = tmp_path / "work" / "text_vocab.tsv"
-    size = len(vocab.read_text(encoding="utf-8").splitlines())
-    assert load_lda(tmp_path / "work" / "text_lda.alda").vocab_size == size
+def test_topic_models_take_their_vocabulary_size_from_the_documents(tmp_path, corpus_dir):
+    """Every document file and topic model of a path is over one vocabulary:
+    the codebook's components on the acoustic path, the words of
+    ``text_vocab.tsv`` on the text path. That file is written for people to
+    read and no stage reads it: an edit to it reruns only its writer, which
+    restores it."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    vocab = work / "text_vocab.tsv"
+    text = vocab.read_bytes()
+    size = len(text.splitlines())
+    assert size > config.quantizer.n_components
+    for prefix, names, v in [
+        ("", ["bags_pool", "bags_dev", "weighted_pool", "weighted_dev"],
+         config.quantizer.n_components),
+        ("text_", ["weighted_pool", "weighted_dev"], size),
+    ]:
+        assert [load_docs(work / f"{prefix}{n}.adoc").vocab_size for n in names] == [v] * len(names)
+        assert load_lda(work / f"{prefix}lda.alda").vocab_size == v
     with open(vocab, "a", encoding="utf-8") as fh:
         fh.write(f"extra\t{size}\n")
-    result = run_pipeline(config, stages=["text-train-lda"])
-    assert result.skipped == {"text-train-lda": False}
-    assert load_lda(tmp_path / "work" / "text_lda.alda").vocab_size == size + 1
+    result = run_pipeline(config)
+    assert [name for name, skipped in result.skipped.items() if not skipped] == ["text-tfidf"]
+    assert vocab.read_bytes() == text
 
 
 def test_text_path_produces_union_selection(tmp_path, corpus_dir):
@@ -1484,8 +1498,8 @@ _CLUSTER = {f"cluster.{name}" for name in PERTURBED["cluster"]}
 _SELECT = {"selection.threshold", "selection.max_hours"}
 READS = {
     "train-gmm": {f"quantizer.{name}" for name in PERTURBED["quantizer"]},
-    "tfidf": {"docmodel.idf_source", "quantizer.n_components"},
-    "train-lda": _LDA | {"quantizer.n_components"},
+    "tfidf": {"docmodel.idf_source"},
+    "train-lda": _LDA,
     "posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
     "cluster": _CLUSTER,
     "select": _SELECT,

@@ -1,7 +1,10 @@
 """The README against the code it documents, without running anything: every
-command line in its shell blocks parses, and its config key block names
-exactly the fields of the config dataclasses."""
+command line in its shell blocks parses, its config key block names exactly
+the fields of the config dataclasses, and its Python blocks import exported
+names and call them with arguments their signatures take."""
 
+import ast
+import inspect
 import re
 import shlex
 from dataclasses import fields
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import ldaselect
 from ldaselect.cli import build_parser
 from ldaselect.config import _KEY_ALIASES, PipelineConfig
 
@@ -63,3 +67,27 @@ def test_the_readme_key_block_names_every_config_field():
     assert listed == {
         s.name: {f.name for f in fields(getattr(config, s.name))} for s in fields(config)
     }
+
+
+@pytest.mark.parametrize("block", _blocks("python"))
+def test_readme_python_blocks_call_exported_names_as_their_signatures_allow(block):
+    """Each name a Python block imports from ``ldaselect`` is in ``__all__``,
+    and each call of one binds to its signature: no surplus positional
+    argument and no keyword it lacks. Arguments are not evaluated."""
+    tree = ast.parse(block)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ldaselect":
+            for alias in node.names:
+                assert alias.name in ldaselect.__all__, alias.name
+                imported[alias.asname or alias.name] = getattr(ldaselect, alias.name)
+    assert imported
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        signature = inspect.signature(imported[node.func.id])
+        try:
+            signature.bind_partial(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{ast.unparse(node)} (block line {node.lineno}): {exc}")

@@ -382,6 +382,25 @@ def test_union_disjoint_and_provenance():
     assert [s.pass_index for s in u.selected] == sorted(s.pass_index for s in u.selected)
 
 
+@pytest.mark.parametrize("twice", ["a", "b"])
+def test_union_refuses_an_input_that_lists_an_utterance_twice(twice):
+    """Either input listing an utterance twice is refused, as an audit that
+    does is: kept, its hours would count twice."""
+    manifest = _manifest([("u0", 1.0), ("u1", 1.0)])
+    repeated = SelectionResult(
+        selected=[SelectedUtterance("u0", centroid_id(0), 0.1, 1),
+                  SelectedUtterance("u0", centroid_id(1), 0.2, 1)],
+        total_hours=2.0 / 3600.0, passes=1,
+    )
+    other = SelectionResult(
+        selected=[SelectedUtterance("u1", centroid_id(0), 0.1, 1)],
+        total_hours=1.0 / 3600.0, passes=1,
+    )
+    a, b = (repeated, other) if twice == "a" else (other, repeated)
+    with pytest.raises(ValidationError, match="selection lists utterance 'u0' twice"):
+        union_combine(a, b, manifest)
+
+
 def test_union_rejects_unknown_utterance():
     manifest = _manifest([("a", 60.0)])
     a = SelectionResult(
