@@ -141,8 +141,8 @@ def load_config(path) -> PipelineConfig:
     return config
 
 
-def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
-    """Range-check every parameter; optionally require input paths to exist."""
+def validate_config(config: PipelineConfig) -> None:
+    """Range-check every parameter and require the input manifests to exist."""
     for section, check in (("quantizer", validate_gmm_config), ("lda", validate_lda_config)):
         try:
             check(getattr(config, section))
@@ -157,13 +157,12 @@ def validate_config(config: PipelineConfig, check_paths: bool = True) -> None:
             raise ValidationError(f"{name} must be one of {SOURCES}, got '{value}'")
     validate_seed(config.cluster.seed, "cluster.seed")
     validate_selection_config(config.selection)
-    if check_paths:
-        for label in ("pool_manifest", "dev_manifest"):
-            value = getattr(config.paths, label)
-            if not value:
-                raise ValidationError(f"paths.{label} is required")
-            if not Path(value).is_file():
-                raise ValidationError(f"paths.{label} does not exist: {value}")
-        if not config.paths.work_dir:
-            raise ValidationError("paths.work_dir is required")
+    for label in ("pool_manifest", "dev_manifest"):
+        value = getattr(config.paths, label)
+        if not value:
+            raise ValidationError(f"paths.{label} is required")
+        if not Path(value).is_file():
+            raise ValidationError(f"paths.{label} does not exist: {value}")
+    if not config.paths.work_dir:
+        raise ValidationError("paths.work_dir is required")
 

@@ -314,14 +314,6 @@ def _payload(data: bytes, path) -> np.ndarray:
     return arr.reshape(n, d)
 
 
-def read_feature_file(path) -> np.ndarray:
-    """Read a binary feature file into a float32 array of shape (frames, dim)."""
-    arr = _payload(read_file(path), path).copy()
-    if not np.all(np.isfinite(arr)):
-        raise FormatError(f"{path}: feature payload contains NaN or Inf")
-    return arr
-
-
 # Float32 values per block of feature_blocks (256 KB), however many
 # utterances a pass lists or however long one of them is.
 _BLOCK_VALUES = 1 << 16

@@ -36,8 +36,8 @@ from .errors import LdaSelectError, StageError, ValidationError
 from .kmeans import train_kmeans
 from .report import render_report, report, write_report_tsv
 from .selection import (
-    SelectionResult, centroid_id, parse_audit, rank_pool, read_audit, select,
-    union_combine, validate_selection_config, write_audit,
+    SelectionResult, centroid_id, parse_audit, pool_records, rank_pool, read_audit,
+    select, union_combine, validate_selection_config, write_audit,
 )
 
 log = logging.getLogger(__name__)
@@ -187,15 +187,10 @@ class Runner:
         """Write ``result``'s audit and its selection manifest, a manifest of
         the selected utterances reusable as a training manifest. It lists the
         paths the pool manifest resolved to, absolute where the pool's were
-        relative, so it is valid from any directory."""
+        relative, so it is valid from any directory. ``result`` is checked by
+        :func:`~ldaselect.selection.pool_records` before either is written."""
+        utts = pool_records(result, self._selection_rows)
         write_audit(result, audit)
-        rows = self._selection_rows
-        utts = []
-        for s in result.selected:
-            u = rows.get(s.utt_id)
-            if u is None:
-                raise ValidationError(f"utterance '{s.utt_id}' is not in the pool manifest")
-            utts.append(u)
         corpus.write_manifest(corpus.Manifest(utts, fps=self.pool.fps), manifest)
 
     @cached_property

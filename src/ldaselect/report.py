@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Manifest
 from .errors import ValidationError
-from .selection import SelectionResult
+from .selection import SelectionResult, pool_records
 
 
 @dataclass
@@ -37,19 +37,16 @@ class CompositionReport:
 
 
 def report(selection: SelectionResult, pool_manifest: Manifest) -> CompositionReport:
-    """Per-domain selected hours, pool hours and percentages, plus totals."""
-    by_id = pool_manifest.by_id()
-    missing = [uid for uid in selection.ids() if uid not in by_id]
-    if missing:
-        raise ValidationError(
-            f"selection contains ids not in the pool manifest: {missing[:5]}"
-        )
+    """Per-domain selected hours, pool hours and percentages, plus totals.
+
+    The selection is checked by :func:`~ldaselect.selection.pool_records`, so
+    each utterance counts once.
+    """
+    selected_ids = {u.id for u in pool_records(selection, pool_manifest.by_id())}
     pool_hours: dict[str, float] = {}
     sel_hours: dict[str, float] = {}
     for utt in pool_manifest:
         pool_hours[utt.domain_tag] = pool_hours.get(utt.domain_tag, 0.0) + utt.duration_s
-    selected_ids = set(selection.ids())
-    for utt in pool_manifest:
         if utt.id in selected_ids:
             sel_hours[utt.domain_tag] = sel_hours.get(utt.domain_tag, 0.0) + utt.duration_s
     rows = [
@@ -130,32 +127,24 @@ def compare(
 ) -> list[ComparisonRow]:
     """Target-domain recall, precision and enrichment per named selection.
 
-    All metrics are hour-weighted. An empty selection scores zero precision
-    and enrichment by convention.
+    All metrics are hour-weighted, from each selection's :func:`report` over
+    ``truth_manifest``: its total and target-domain selected hours. An empty
+    selection scores zero precision and enrichment by convention.
     """
-    by_id = truth_manifest.by_id()
-    pool_total = truth_manifest.total_hours()
-    target_total = sum(
-        u.duration_s for u in truth_manifest if u.domain_tag == target_domain
-    ) / 3600.0
+    pool = report(SelectionResult(), truth_manifest)
+    target_total = sum(r.pool_hours for r in pool.rows if r.domain_tag == target_domain)
     if target_total == 0:
         raise ValidationError(
             f"target domain '{target_domain}' has no hours in the manifest"
         )
-    pool_proportion = target_total / pool_total
+    pool_proportion = target_total / pool.total_pool_hours
     rows = []
     for name, sel in selections:
-        missing = [uid for uid in sel.ids() if uid not in by_id]
-        if missing:
-            raise ValidationError(
-                f"selection '{name}' contains ids not in the manifest: {missing[:5]}"
-            )
-        hours = sum(by_id[uid].duration_s for uid in sel.ids()) / 3600.0
+        rep = report(sel, truth_manifest)
+        hours = rep.total_selected_hours
         target_hours = sum(
-            by_id[uid].duration_s
-            for uid in sel.ids()
-            if by_id[uid].domain_tag == target_domain
-        ) / 3600.0
+            r.selected_hours for r in rep.rows if r.domain_tag == target_domain
+        )
         recall = target_hours / target_total
         precision = target_hours / hours if hours > 0 else 0.0
         rows.append(

@@ -14,12 +14,11 @@ pointer (:meth:`Ranking.select`), so thresholds can be swept over one ranking.
 
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest, read_file, text_lines
+from .corpus import Manifest, Utterance, read_file, text_lines
 from .errors import FormatError, ValidationError
 from .kmeans import validate_seed
 from .lda import Posteriors
@@ -61,15 +60,27 @@ def centroid_id(index: int) -> str:
     return f"centroid_{index:04d}"
 
 
-def _centroid_matrix(centroids) -> np.ndarray:
-    mat = np.asarray(centroids, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise ValidationError(f"centroids must be a non-empty 2-D matrix, got {mat.shape}")
+def _unit_rows(mat: np.ndarray, what: str) -> np.ndarray:
+    """The rows of ``mat`` scaled to unit length, once checked finite and
+    nonzero; ``what`` names them in errors."""
     if not np.all(np.isfinite(mat)):
-        raise ValidationError("centroids contain NaN or Inf")
-    if np.any(np.linalg.norm(mat, axis=1) == 0.0):
-        raise ValidationError("centroids must be nonzero vectors")
-    return mat
+        raise ValidationError(f"{what} contain NaN or Inf")
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValidationError(f"{what} must be nonzero vectors")
+    return mat / norms
+
+
+def _validate_budget(hours: float) -> None:
+    if not 0 < hours < math.inf:
+        raise ValidationError(f"hour budget must be finite and positive, got {hours}")
+
+
+def _hour_limit(max_hours: float | None) -> float:
+    """The hours a selection under the budget ``max_hours`` (None: no budget)
+    must stay within. Its 1e-9 h of slack lets a budget that hours sum to
+    exactly be met despite rounding; an addition past it stops the loop."""
+    return math.inf if max_hours is None else max_hours + 1e-9
 
 
 def validate_selection_config(config: SelectionConfig) -> None:
@@ -77,10 +88,8 @@ def validate_selection_config(config: SelectionConfig) -> None:
         raise ValidationError(
             f"distance threshold must be in (0, 1], got {config.threshold}"
         )
-    if config.max_hours is not None and not 0 < config.max_hours < math.inf:
-        raise ValidationError(
-            f"hour budget must be finite and positive, got {config.max_hours}"
-        )
+    if config.max_hours is not None:
+        _validate_budget(config.max_hours)
 
 
 def select(
@@ -92,7 +101,6 @@ def select(
     Ties for a centroid's nearest utterance break toward the smaller
     utterance id. The recorded pass index counts passes from 1.
     """
-    validate_selection_config(config)
     return rank_pool(pool_posteriors, pool_manifest, centroids).select(config)
 
 
@@ -121,6 +129,7 @@ class Ranking:
         O(candidate entries) steps.
         """
         validate_selection_config(config)
+        limit = _hour_limit(config.max_hours)
         ends = [int(np.searchsorted(d, config.threshold, side="left")) for d in self.dists]
         names = [centroid_id(c) for c in range(len(ends))]
         # Memoryviews index the rows as Python ints and floats without a copy.
@@ -144,10 +153,7 @@ class Ranking:
                     continue
                 pick = row[p]
                 dur_h = self.hours[pick]
-                if (
-                    config.max_hours is not None
-                    and result.total_hours + dur_h > config.max_hours + 1e-9
-                ):
+                if result.total_hours + dur_h > limit:
                     result.stop_reason = "budget"
                     return result
                 taken[pick] = 1
@@ -167,7 +173,10 @@ def rank_pool(
     pool_posteriors: Posteriors, pool_manifest: Manifest, centroids
 ) -> Ranking:
     """Validate the selection inputs and rank the pool for every centroid."""
-    cents = _centroid_matrix(centroids)
+    cents = np.asarray(centroids, dtype=np.float64)
+    if cents.ndim != 2 or cents.shape[0] == 0:
+        raise ValidationError(f"centroids must be a non-empty 2-D matrix, got {cents.shape}")
+    cn = _unit_rows(cents, "centroids")
     ids = pool_posteriors.ids
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate utterance ids in pool posteriors")
@@ -181,23 +190,15 @@ def rank_pool(
         )
     durations = pool_manifest.by_id()
     hours = [durations[uid].duration_s / 3600.0 for uid in ids]
-    m = len(ids)
-    if m == 0:
+    if len(ids) == 0:
         empty = np.empty((cents.shape[0], 0))
         return Ranking([], [], empty.astype(np.intp), empty)
-
     if gammas.shape[1] != cents.shape[1]:
         raise ValidationError(
             f"posterior dimension {gammas.shape[1]} does not match centroid "
             f"dimension {cents.shape[1]}"
         )
-    if not np.all(np.isfinite(gammas)):
-        raise ValidationError("pool posteriors contain NaN or Inf")
-    if np.any(np.linalg.norm(gammas, axis=1) == 0.0):
-        raise ValidationError("pool posteriors must be nonzero vectors")
-
-    cn = cents / np.linalg.norm(cents, axis=1, keepdims=True)
-    gn = gammas / np.linalg.norm(gammas, axis=1, keepdims=True)
+    gn = _unit_rows(gammas, "pool posteriors")
     # BLAS can round equal posterior rows an ulp apart (by their position in
     # the product); giving every column that of the first row equal to it
     # keeps their distances, and so their id tie-break, exact.
@@ -211,25 +212,38 @@ def rank_pool(
     return Ranking(list(ids), hours, order, dists)
 
 
+def pool_records(
+    selection: SelectionResult, records: dict[str, Utterance]
+) -> list[Utterance]:
+    """The record of each utterance ``selection`` lists, in its order, from
+    ``records``, the pool manifest's utterances (or a record of each) by id.
+    Every check of a selection against its pool is this one: an id outside the
+    pool, or listed twice, which would count its hours twice, is refused by
+    name."""
+    found: dict[str, Utterance] = {}
+    for uid in selection.ids():
+        if uid in found:
+            raise ValidationError(f"selection lists utterance '{uid}' twice")
+        if uid not in records:
+            raise ValidationError(f"utterance '{uid}' is not in the pool manifest")
+        found[uid] = records[uid]
+    return list(found.values())
+
+
 def union_combine(
     a: SelectionResult, b: SelectionResult, pool_manifest: Manifest
 ) -> SelectionResult:
     """Set union by utterance id; entries present in both keep ``a``'s record.
 
     The merged list is ordered by pass index (stable, ``a`` first), and hours
-    are recomputed from the manifest. Like an audit, an input may not list an
-    utterance twice.
+    are recomputed from the manifest. Each input is checked by
+    :func:`pool_records`.
     """
-    for ids in (a.ids(), b.ids()):
-        repeated = [i for i, n in Counter(ids).items() if n > 1]
-        if repeated:
-            raise ValidationError(f"selection lists utterance '{repeated[0]}' twice")
     durations = pool_manifest.by_id()
-    seen = {s.utt_id for s in a.selected}
+    pool_records(a, durations)
+    pool_records(b, durations)
+    seen = set(a.ids())
     merged = list(a.selected) + [s for s in b.selected if s.utt_id not in seen]
-    for s in merged:
-        if s.utt_id not in durations:
-            raise ValidationError(f"utterance '{s.utt_id}' is not in the pool manifest")
     merged.sort(key=lambda s: s.pass_index)
     total = sum(durations[s.utt_id].duration_s for s in merged) / 3600.0
     return SelectionResult(
@@ -240,21 +254,22 @@ def union_combine(
 def random_select(
     pool_manifest: Manifest, budget_hours: float, seed: int
 ) -> SelectionResult:
-    """Budget-limited uniform baseline: shuffled prefix of the pool."""
+    """Budget-limited uniform baseline: shuffled prefix of the pool, stopped
+    by the hour budget as :meth:`Ranking.select` is."""
     validate_seed(seed)
-    if not 0 < budget_hours < math.inf:
-        raise ValidationError(f"hour budget must be finite and positive, got {budget_hours}")
+    _validate_budget(budget_hours)
     total_pool = pool_manifest.total_hours()
-    if budget_hours > total_pool + 1e-9:
+    if budget_hours > _hour_limit(total_pool):
         raise ValidationError(
             f"budget {budget_hours} h exceeds pool total {total_pool:.6g} h"
         )
+    limit = _hour_limit(budget_hours)
     utts = pool_manifest.utterances
     order = np.random.default_rng(seed).permutation(len(utts))
     result = SelectionResult(passes=1 if utts else 0)
     for i in order:
         dur_h = utts[i].duration_s / 3600.0
-        if result.total_hours + dur_h > budget_hours + 1e-9:
+        if result.total_hours + dur_h > limit:
             break
         result.selected.append(
             SelectedUtterance(utts[i].id, "random", math.nan, 1)

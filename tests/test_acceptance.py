@@ -17,7 +17,7 @@ from ldaselect.corpus import (
     SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    read_feature_file,
+    read_features,
     read_manifest,
     write_features,
     write_manifest,
@@ -437,11 +437,15 @@ def test_formats_round_trip_and_corruptions(tmp_path):
     feat = tmp_path / "x.aldf"
     mat = rng.normal(size=(17, 5))
     write_features(mat, feat)
-    r1 = read_feature_file(feat)
+
+    def read_feat(path):
+        return read_features(Utterance("x", str(path), 17, 5, 0.17, "news"))
+
+    r1 = read_feat(feat)
     first_bytes = feat.read_bytes()
     write_features(r1, feat)
     assert feat.read_bytes() == first_bytes
-    assert np.array_equal(read_feature_file(feat), r1)
+    assert np.array_equal(read_feat(feat), r1)
 
     man = tmp_path / "m.tsv"
     manifest = Manifest(
@@ -488,13 +492,13 @@ def test_formats_round_trip_and_corruptions(tmp_path):
     cases = []
     bad_magic = tmp_path / "bad_magic.aldf"
     bad_magic.write_bytes(b"NOPE" + feat_bytes[4:])
-    cases.append((read_feature_file, bad_magic, "magic"))
+    cases.append((read_feat, bad_magic, "magic"))
     truncated = tmp_path / "trunc.aldf"
     truncated.write_bytes(feat_bytes[:30])
-    cases.append((read_feature_file, truncated, "truncated"))
+    cases.append((read_feat, truncated, "truncated"))
     trailing = tmp_path / "trail.aldf"
     trailing.write_bytes(feat_bytes + b"\x00")
-    cases.append((read_feature_file, trailing, ""))
+    cases.append((read_feat, trailing, ""))
     for fn, path, needle in cases:
         with pytest.raises(FormatError) as exc:
             fn(path)

@@ -61,14 +61,23 @@ def _write_inputs(tmp_path):
     return pool, dev, tmp_path / "work"
 
 
+def _config(tmp_path):
+    """The default settings over the empty manifests of ``_write_inputs``."""
+    pool, dev, work = _write_inputs(tmp_path)
+    config = PipelineConfig()
+    config.paths.pool_manifest, config.paths.dev_manifest = str(pool), str(dev)
+    config.paths.work_dir = str(work)
+    return config
+
+
 def _write_config(tmp_path, body):
     path = tmp_path / "run.cfg"
     path.write_text(body, encoding="utf-8")
     return path
 
 
-def test_defaults_match_full_scale_recipe():
-    config = PipelineConfig()
+def test_defaults_match_full_scale_recipe(tmp_path):
+    config = _config(tmp_path)
     assert config.quantizer.n_components == 1024
     assert config.lda.n_topics == 2048
     assert config.cluster.n_clusters == 512
@@ -78,7 +87,7 @@ def test_defaults_match_full_scale_recipe():
     assert config.lda.train_source == "dev"
     assert config.docmodel.idf_source == "dev+pool"
     assert config.text.enabled is False
-    validate_config(config, check_paths=False)
+    validate_config(config)
 
 
 def test_full_file_round_trip(tmp_path):
@@ -212,15 +221,15 @@ def test_optional_fields_blank_means_none(tmp_path):
     assert config.selection.max_hours is None
 
 
-def test_union_idf_source_rejected_naming_dev_plus_pool():
-    config = PipelineConfig()
+def test_union_idf_source_rejected_naming_dev_plus_pool(tmp_path):
+    config = _config(tmp_path)
     config.docmodel.idf_source = "union"
     with pytest.raises(ValidationError) as exc:
-        validate_config(config, check_paths=False)
+        validate_config(config)
     assert "dev+pool" in str(exc.value)
 
 
-def test_validate_ranges():
+def test_validate_ranges(tmp_path):
     cases = [
         ("quantizer", "n_components", 0),
         ("quantizer", "tol", 0.0),
@@ -248,13 +257,13 @@ def test_validate_ranges():
         for value in (math.nan, math.inf)
     ]
     for section, key, value in cases:
-        config = PipelineConfig()
+        config = _config(tmp_path)
         setattr(getattr(config, section), key, value)
         with pytest.raises(ValidationError):
-            validate_config(config, check_paths=False)
+            validate_config(config)
 
 
-def test_validate_names_the_section_of_a_model_setting():
+def test_validate_names_the_section_of_a_model_setting(tmp_path):
     """The quantizer and topic-model settings, and every seed, are checked by
     the model modules themselves; the message names the config key."""
     for section, key, value in [
@@ -263,10 +272,10 @@ def test_validate_names_the_section_of_a_model_setting():
         ("quantizer", "seed", -1), ("lda", "seed", 1.5), ("cluster", "seed", -1),
         ("cluster", "seed", 1.5),
     ]:
-        config = PipelineConfig()
+        config = _config(tmp_path)
         setattr(getattr(config, section), key, value)
         with pytest.raises(ValidationError, match=f"^{section}.{key} must be"):
-            validate_config(config, check_paths=False)
+            validate_config(config)
 
 
 def test_validate_paths(tmp_path):

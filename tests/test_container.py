@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from ldaselect.corpus import read_feature_file, write_features
+from ldaselect.corpus import Utterance, read_features, write_features
 from ldaselect.docmodel import bag_of_words, load_docs, save_docs
 from ldaselect.errors import FormatError
 from ldaselect.gmm import GmmModel, load_gmm, save_gmm
@@ -13,7 +13,10 @@ from ldaselect.lda import LdaModel, load_lda, save_lda
 
 # Each format: file suffix, a writer of one valid file, its reader.
 FORMATS = {
-    "aldf": (lambda p: write_features(np.arange(6.0).reshape(3, 2), p), read_feature_file),
+    "aldf": (
+        lambda p: write_features(np.arange(6.0).reshape(3, 2), p),
+        lambda p: read_features(Utterance("u", str(p), 3, 2, 0.03, "d")),
+    ),
     "agmm": (
         lambda p: save_gmm(GmmModel(
             2, weights=np.array([0.25, 0.75]), means=np.array([[0.0, 1.0], [2.0, 3.0]]),

@@ -5,6 +5,7 @@ cast, or passed on to numpy, which would raise its own error."""
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,9 +56,15 @@ def _pool():
 
 
 def _validate(section, key, value):
+    """``validate_config`` of one setting changed, over empty manifests in the
+    working directory."""
     config = PipelineConfig()
+    for which in ("pool", "dev"):
+        Path(f"{which}.tsv").write_text("", encoding="utf-8")
+        setattr(config.paths, f"{which}_manifest", f"{which}.tsv")
+    config.paths.work_dir = "work"
     setattr(getattr(config, section), key, value)
-    validate_config(config, check_paths=False)
+    validate_config(config)
 
 
 CASES = [
@@ -130,7 +137,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("call, name", CASES)
-def test_counts_and_seeds_out_of_range_are_refused(call, name):
+def test_counts_and_seeds_out_of_range_are_refused(call, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         call()
 

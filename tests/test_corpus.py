@@ -15,7 +15,6 @@ from ldaselect.corpus import (
     feature_blocks,
     generate_synthetic_corpus,
     parse_manifest,
-    read_feature_file,
     read_file,
     read_features,
     read_manifest,
@@ -220,6 +219,12 @@ def test_manifest_paths_resolve_as_one_pathlib_join_each(base, paths):
 # Feature files
 
 
+def _read(path, frames, dim):
+    """``read_features`` of the feature file ``path``, listed as holding
+    ``frames`` x ``dim`` values."""
+    return read_features(Utterance("u", str(path), frames, dim, 0.0, "d"))
+
+
 def test_read_file_reads_regular_files_and_refuses_the_rest(tmp_path, deadline):
     """Regular files read whole; a missing path and a directory raise what
     ``open`` raises, and a FIFO raises at once, unread."""
@@ -229,7 +234,7 @@ def test_read_file_reads_regular_files_and_refuses_the_rest(tmp_path, deadline):
     for path in (tmp_path / "missing", tmp_path):
         with pytest.raises(OSError) as want:
             open(path, "rb")
-        for read in (read_file, read_feature_file):
+        for read in (read_file, lambda p: _read(p, 0, 1)):
             with pytest.raises(type(want.value)) as got:
                 read(path)
             assert str(got.value) == str(want.value)
@@ -264,7 +269,7 @@ def test_write_features_minimal_layout(tmp_path):
     assert int.from_bytes(data[8:16], "little") == 1
     assert int.from_bytes(data[16:20], "little") == 1
     assert len(data) == 24
-    back = read_feature_file(p)
+    back = _read(p, 1, 1)
     assert back.shape == (1, 1)
     assert back[0, 0] == 0.0
 
@@ -275,13 +280,13 @@ def test_feature_round_trip_random(tmp_path):
         mat = rng.standard_normal((100, 13)).astype(np.float32)
         p = tmp_path / f"r{i}.aldf"
         write_features(mat, p)
-        assert np.array_equal(read_feature_file(p), mat)
+        assert np.array_equal(_read(p, 100, 13), mat)
 
 
 def test_read_features_zero_frames(tmp_path):
     p = tmp_path / "z.aldf"
     write_features(np.zeros((0, 13)), p)
-    assert read_feature_file(p).shape == (0, 13)
+    assert _read(p, 0, 13).shape == (0, 13)
 
 
 def test_feature_truncated_by_one_byte(tmp_path):
@@ -289,7 +294,7 @@ def test_feature_truncated_by_one_byte(tmp_path):
     write_features(np.ones((4, 3)), p)
     p.write_bytes(p.read_bytes()[:-1])
     with pytest.raises(FormatError) as exc:
-        read_feature_file(p)
+        _read(p, 4, 3)
     assert "truncated" in str(exc.value)
 
 
@@ -298,7 +303,7 @@ def test_feature_trailing_bytes(tmp_path):
     write_features(np.ones((2, 2)), p)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(FormatError) as exc:
-        read_feature_file(p)
+        _read(p, 2, 2)
     assert "trailing" in str(exc.value)
 
 
@@ -309,13 +314,13 @@ def test_feature_bad_magic_and_version(tmp_path):
     data[0:4] = b"XXXX"
     p.write_bytes(bytes(data))
     with pytest.raises(FormatError) as exc:
-        read_feature_file(p)
+        _read(p, 2, 2)
     assert "magic" in str(exc.value)
     data[0:4] = b"ALDF"
     data[4] = 9
     p.write_bytes(bytes(data))
     with pytest.raises(FormatError) as exc:
-        read_feature_file(p)
+        _read(p, 2, 2)
     assert "version" in str(exc.value)
 
 
@@ -328,7 +333,7 @@ def test_feature_non_finite_rejected(tmp_path):
     data[20:24] = np.float32(np.inf).tobytes()
     p.write_bytes(bytes(data))
     with pytest.raises(FormatError):
-        read_feature_file(p)
+        _read(p, 1, 1)
 
 
 def test_write_features_refuses_values_beyond_float32(tmp_path):
@@ -342,7 +347,7 @@ def test_write_features_refuses_values_beyond_float32(tmp_path):
         assert not p.exists()
     top = float(np.finfo(np.float32).max)
     write_features(np.array([[top, -top]]), p)
-    assert read_feature_file(p).tolist() == [[top, -top]]
+    assert _read(p, 1, 2).tolist() == [[top, -top]]
 
 
 def test_write_features_unwritable_path(tmp_path):
@@ -428,7 +433,7 @@ def test_feature_blocks_equal_the_files_in_order(tmp_path, monkeypatch, block_fr
     budget the corpus is one block. ``read_features`` gives each file."""
     lengths = [0, 1, 5, 3, 12, 0, 4]
     (pool,) = _frames_corpus(tmp_path, [("pool", lengths)])
-    files = [read_feature_file(u.feature_file) for u in pool]
+    files = [_raw_frames(u.feature_file, 3) for u in pool]
     if block_frames:
         monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", block_frames * 3 + 2)
     read = _counting_reads(monkeypatch)
@@ -451,14 +456,14 @@ def test_feature_blocks_name_the_file_of_the_first_non_finite_frame(tmp_path, mo
     (pool,) = _frames_corpus(tmp_path, [("pool", [3, 6, 2])])
     monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", 4 * 3)
     a, b, c = pool.utterances
-    frames = read_feature_file(b.feature_file)
+    frames = read_features(b)
     frames[4, 1] = np.nan  # row 7 of the stream: the second block's last
     _write_raw(frames, b.feature_file)
     blocks = feature_blocks(pool.utterances, 3)
     assert next(blocks)[0] == 0
     with pytest.raises(FormatError, match=f"^{b.feature_file}: feature payload contains NaN"):
         next(blocks)
-    frames = read_feature_file(c.feature_file)
+    frames = read_features(c)
     frames[0, 0] = np.inf
     _write_raw(frames, c.feature_file)
     monkeypatch.setattr(corpus_module, "_BLOCK_VALUES", 1 << 16)
@@ -468,6 +473,11 @@ def test_feature_blocks_name_the_file_of_the_first_non_finite_frame(tmp_path, mo
         list(feature_blocks([a, c], 3))
     with pytest.raises(ValidationError, match="frame_dim mismatch: 'pool0' has 3, expected 2"):
         list(feature_blocks([a], 2))
+
+
+def _raw_frames(path, dim):
+    """The float32 payload of a feature file, parsed without the package."""
+    return np.frombuffer(Path(path).read_bytes()[20:], "<f4").reshape(-1, dim)
 
 
 def _write_raw(frames, path):

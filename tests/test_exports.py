@@ -40,3 +40,36 @@ def test_every_public_name_is_used_or_documented():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     documented = set(re.findall(r"\w+", readme.read_text(encoding="utf-8")))
     assert [name for name in ldaselect.__all__ if name not in used | documented] == []
+
+
+def test_every_module_level_name_is_referenced_or_exported():
+    """Each function, class and constant a package module defines at module
+    level is referenced somewhere in the package (its own definition is not a
+    reference) or listed in ``__all__``, so no code lives on that only the
+    tests call."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(ldaselect.__file__).parent.glob("*.py"))
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    unused = [
+        f"{module}: {name}" for module, name in defined
+        if not name.startswith("__") and name not in used | set(ldaselect.__all__)
+    ]
+    assert unused == []

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -22,7 +23,6 @@ from ldaselect.corpus import (
     SynthSpec,
     Utterance,
     generate_synthetic_corpus,
-    read_feature_file,
     read_features,
     read_file,
     read_manifest,
@@ -40,11 +40,11 @@ from ldaselect.pipeline import (
     run_pipeline,
     sweep_lambda,
 )
-from ldaselect.report import report
+from ldaselect.report import compare, report
 
 from batches import entries
 from ldaselect.selection import (
-    SelectedUtterance, SelectionResult, random_select, read_audit, select,
+    SelectedUtterance, SelectionResult, random_select, read_audit, select, union_combine,
 )
 
 ACOUSTIC_ARTIFACTS = [
@@ -842,7 +842,7 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatc
         for which, manifest in zip(("pool", "dev"), manifests):
             expected = bag_of_words(
                 manifest.ids(),
-                [quantize(model, read_feature_file(u.feature_file)) for u in manifest],
+                [quantize(model, read_features(u)) for u in manifest],
                 model.n_components,
             )
             bags = load_docs(tmp_path / work / f"bags_{which}.adoc")
@@ -1083,6 +1083,40 @@ def test_selection_from_cwd_relative_manifests_reads_from_anywhere(
     for utt in selected:
         assert read_features(utt).shape == (utt.num_frames, utt.frame_dim)
         assert transcript_text(utt, read_file(utt.transcript_file)).strip()
+
+
+@pytest.mark.parametrize("fault", ["repeat", "outsider"])
+def test_every_selection_check_refuses_a_repeat_or_an_outsider_alike(
+    tmp_path, corpus_dir, fault
+):
+    """``report``, ``compare``, ``union_combine`` and ``Runner.write_selection``
+    refuse a selection that lists an utterance twice, or one that is not in
+    the pool, with one error naming it, and ``write_selection`` writes
+    nothing. Kept, a repeat would count its hours twice and give a selection
+    manifest that does not read back."""
+    runner = Runner(_config(corpus_dir, tmp_path / "work"))
+    first = runner.pool.utterances[0]
+    uid, message = {
+        "repeat": (first.id, f"selection lists utterance '{first.id}' twice"),
+        "outsider": ("ghost", "utterance 'ghost' is not in the pool manifest"),
+    }[fault]
+    bad = SelectionResult(
+        [SelectedUtterance(first.id, "c", 0.1, 1), SelectedUtterance(uid, "c", 0.1, 1)],
+        passes=1,
+    )
+    audit, manifest = runner.work / "bad.audit.tsv", runner.work / "bad.tsv"
+    calls = [
+        partial(report, bad, runner.pool),
+        partial(compare, [("bad", bad)], runner.pool, first.domain_tag),
+        partial(union_combine, bad, SelectionResult(), runner.pool),
+        partial(union_combine, SelectionResult(), bad, runner.pool),
+        partial(runner.write_selection, bad, audit, manifest),
+    ]
+    with runner.owned():
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call()
+    assert not audit.exists() and not manifest.exists()
 
 
 def test_copied_corpus_and_work_dir_rewrite_their_selection_manifests(
