@@ -13,8 +13,9 @@ term keeps a positive weight.
 Between stages a batch lives in one ``.adoc`` file (``save_docs``/
 ``load_docs``), token bags and weighted documents alike: a :mod:`container`
 whose header holds the vocabulary size and whose arrays are the ids and the
-CSR entries. The reader checks the entries vectorized on the container's
-views; weights are stored to nine significant digits.
+CSR entries. Weights are stored as the float64 values they are, so a batch
+reads back bit for bit. The reader checks the entries vectorized on the
+container's views.
 """
 
 import math
@@ -206,51 +207,18 @@ def build_text_vocab(token_docs, cap: int) -> dict[str, int]:
 # Document container (.adoc): token bags and weighted documents alike
 
 DOCS_MAGIC = b"ADOC"
-DOCS_VERSION = 2
+DOCS_VERSION = 3
 # magic, version, vocabulary size, document count, entry count, id bytes
 _DOCS_HEADER = struct.Struct("<4sIQQQQ")
 # Terms are 32-bit: the cache hashes every container in full.
 _INDPTR, _TERM, _WEIGHT = np.dtype("<i8"), np.dtype("<i4"), np.dtype("<f8")
 
-# 10**k for k = 0..22, every one exact in float64.
-_POW10 = 10.0 ** np.arange(23)
-
-
-def _nine_digits(w: np.ndarray) -> np.ndarray:
-    """``float(f"{x:.9g}")`` of every x in ``w``.
-
-    For 0 < x and |k| <= 22, y = x * 10**k (or x / 10**-k) is one correctly
-    rounded operation on exact operands. The halves m + 0.5 and the bounds
-    1e8 and 1e9 are doubles, so rounding never carries y across one: where
-    y lies in [1e8, 1e9) and is not a half, d = rint(y) holds the nine digits.
-    d / 10**k (or d * 10**-k) is then again one correctly rounded operation,
-    which is what parsing the digits gives (Clinger's fast path). Zeros,
-    halves, the far exponents and any y that ``log10`` put out of range (it
-    can be one off next to a power of ten) go through the string.
-    """
-    out = np.empty_like(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 8 - np.floor(np.log10(w))
-    fast = np.flatnonzero((w > 0) & (np.abs(k) <= 22))
-    x, k = w[fast], k[fast].astype(np.int64)
-    scale, up = _POW10[np.abs(k)], k >= 0
-    y = np.where(up, x * scale, x / scale)
-    d = np.rint(y)
-    out[fast] = np.where(up, d / scale, d * scale)
-    exact = (y >= 1e8) & (y < 1e9) & (y - np.floor(y) != 0.5)
-    slow = np.ones(w.size, dtype=bool)
-    slow[fast[exact]] = False
-    slow = np.flatnonzero(slow)
-    out[slow] = [float(f"{v:.9g}") for v in w[slow].tolist()]
-    return out
-
 
 def save_docs(docs: DocBatch, path) -> None:
     """Write ``docs`` as an ``.adoc`` container, little-endian: the header,
     the ids in UTF-8 each ended by a newline, then ``indptr`` (int64),
-    ``terms`` (int32) and ``weights`` (float64). Weights are stored to nine
-    significant digits, ``float(f"{x:.9g}")``. The vocabulary size may be at
-    most 2**31, so that every term fits."""
+    ``terms`` (int32) and ``weights`` (float64, as they are). The vocabulary
+    size may be at most 2**31, so that every term fits."""
     docs.check_vocab()
     if docs.vocab_size > 1 << 31:
         raise ValidationError(f"vocabulary size {docs.vocab_size} exceeds 32-bit terms")
@@ -261,12 +229,13 @@ def save_docs(docs: DocBatch, path) -> None:
         path, _DOCS_HEADER,
         (DOCS_MAGIC, DOCS_VERSION, docs.vocab_size, len(docs), docs.terms.size, len(ids)),
         [ids, np.asarray(docs.indptr, dtype=_INDPTR), docs.terms.astype(_TERM),
-         _nine_digits(np.asarray(docs.weights, dtype=_WEIGHT))],
+         np.asarray(docs.weights, dtype=_WEIGHT)],
     )
 
 
 def load_docs(path) -> DocBatch:
-    """Read an ``.adoc`` container, checking its magic, version, exact size,
+    """Read an ``.adoc`` container, checking its magic, version (3 only: the
+    older layouts are refused, not converted), exact size,
     vocabulary size (at least 1), layout (``indptr`` rising from 0 to the
     entry count, one non-empty id per document) and entries (terms
     non-negative, below the vocabulary size and strictly ascending within a

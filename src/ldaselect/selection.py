@@ -205,11 +205,8 @@ def rank_pool(
     _, first, same = np.unique(gn, axis=0, return_index=True, return_inverse=True)
     dists = np.clip(1.0 - (cn @ gn.T)[:, first[same]], 0.0, 2.0)
     lex_rank = np.argsort(np.argsort(np.asarray(ids, dtype=object)))
-    order = np.empty(dists.shape, dtype=np.intp)
-    for c, row in enumerate(dists):
-        order[c] = np.lexsort((lex_rank, row))
-        row[:] = row[order[c]]
-    return Ranking(list(ids), hours, order, dists)
+    order = np.lexsort((np.broadcast_to(lex_rank, dists.shape), dists), axis=-1)
+    return Ranking(list(ids), hours, order, np.take_along_axis(dists, order, axis=1))
 
 
 def pool_records(

@@ -467,15 +467,28 @@ def _write_version_1_docs(path: Path) -> None:
     )
 
 
-def test_a_work_dir_of_version_1_documents_reruns_to_the_outputs_of_a_cold_run(
-    corpus_dir, tmp_path, caplog, monkeypatch
+def _write_version_2_docs(path: Path) -> None:
+    """Rewrite the ``.adoc`` file ``path`` as document container version 2
+    wrote it: the same layout, every weight rounded to nine significant
+    digits."""
+    data = path.read_bytes()
+    rounded = np.array([float(f"{w:.9g}") for w in load_docs(path).weights.tolist()], "<f8")
+    path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:len(data) - rounded.nbytes]
+                     + rounded.tobytes())
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
+def test_a_work_dir_of_old_documents_reruns_to_the_outputs_of_a_cold_run(
+    corpus_dir, tmp_path, caplog, monkeypatch, version
 ):
-    """A text-enabled work dir whose ``.adoc`` files are version 1, with the
-    cache entries such a work dir holds (no ``format`` parts;
-    ``quantizer.n_components`` declared by ``tfidf`` and ``train-lda``;
-    ``text_vocab.tsv`` an input of ``text-train-lda``), reruns each stage that
-    writes a binary file and exits 0 with a cold run's files: no stage skips
-    onto a version 1 file that a later stage cannot read."""
+    """A text-enabled work dir whose ``.adoc`` files are of an older version,
+    with the cache entries such a work dir holds, reruns each stage that
+    writes a file of an older format or reads an older ``.adoc``, and exits 0
+    with a cold run's files: no stage skips onto an old file that a later
+    stage cannot read. Version 1 work dirs have no ``format`` parts,
+    ``quantizer.n_components`` declared by ``tfidf`` and ``train-lda`` and
+    ``text_vocab.tsv`` an input of ``text-train-lda``; version 2 work dirs
+    have the current parts with ``format <file>`` 2 for each ``.adoc``."""
     declared = {}
     parts_of = pipeline_module.Runner._parts
 
@@ -491,20 +504,24 @@ def test_a_work_dir_of_version_1_documents_reruns_to_the_outputs_of_a_cold_run(
     shutil.copytree(tmp_path / "cold", work)
     (work / "signatures.json").unlink()
     for path in work.glob("*.adoc"):
-        _write_version_1_docs(path)
+        (_write_version_1_docs if version == 1 else _write_version_2_docs)(path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in work.iterdir()}
     cache_path = work / "cache.json"
     cache = json.loads(cache_path.read_text(encoding="utf-8"))
     for stage, entry in cache.items():
         # The parts in the order the stage declared them, as the key hashes them.
         parts = {p: digests[p.removeprefix("input ")] if p.startswith("input ") else v
-                 for p, v in declared[stage].items() if not p.startswith("format ")}
-        if stage in ("tfidf", "train-lda"):  # the last setting; neither reads the corpus
-            parts["quantizer.n_components"] = "2"
-        if stage == "text-train-lda":  # the third input
-            items = list(parts.items())
-            parts = dict(items[:2] + [("input text_vocab.tsv", digests["text_vocab.tsv"])]
-                         + items[2:])
+                 for p, v in declared[stage].items()}
+        if version == 2:
+            parts |= {p: "2" for p in parts if p.startswith("format ") and p.endswith(".adoc")}
+        else:
+            parts = {p: v for p, v in parts.items() if not p.startswith("format ")}
+            if stage in ("tfidf", "train-lda"):  # the last setting; neither reads the corpus
+                parts["quantizer.n_components"] = "2"
+            if stage == "text-train-lda":  # the third input
+                items = list(parts.items())
+                parts = dict(items[:2] + [("input text_vocab.tsv", digests["text_vocab.tsv"])]
+                             + items[2:])
         key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
         if parts == declared[stage]:
             assert key == entry["key"], stage
@@ -517,12 +534,15 @@ def test_a_work_dir_of_version_1_documents_reruns_to_the_outputs_of_a_cold_run(
     caplog.set_level(logging.INFO, logger="ldaselect.pipeline")
     assert main(["run", "--config", str(old)]) == 0
     running = {m.split()[1].rstrip(":"): m for m in caplog.messages if ": running (" in m}
-    binary = {stage: [o for o in entry["outputs"] if o.endswith((".agmm", ".adoc", ".alda"))]
-              for stage, entry in cache.items()}
-    for stage, outputs in binary.items():
+    old_formats = (".agmm", ".adoc", ".alda") if version == 1 else (".adoc",)
+    stale = {stage: [o for o in entry["outputs"] if o.endswith(old_formats)]
+             for stage, entry in cache.items()}
+    for stage, outputs in stale.items():
         for o in outputs:
             assert f"format {o} changed" in running[stage]
-    assert set(running) == {s for s, o in binary.items() if o} | {"posteriors", "text-posteriors"}
+    reads_docs = {s for s, parts in declared.items()
+                  if any(p.startswith("input ") and p.endswith(".adoc") for p in parts)}
+    assert set(running) == {s for s, o in stale.items() if o} | reads_docs
     for path in (tmp_path / "cold").iterdir():
         if path.name != "signatures.json":
             assert (work / path.name).read_bytes() == path.read_bytes(), path.name

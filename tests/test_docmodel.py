@@ -199,7 +199,7 @@ def _packed(ids, indptr, terms, weights, vocab_size):
     header's document count is ``len(indptr) - 1``."""
     blob = "".join(i + "\n" for i in ids).encode("utf-8")
     header = struct.pack(
-        "<4sIQQQQ", b"ADOC", 2, vocab_size, len(indptr) - 1, len(terms), len(blob)
+        "<4sIQQQQ", b"ADOC", 3, vocab_size, len(indptr) - 1, len(terms), len(blob)
     )
     return header + blob + b"".join(
         np.asarray(a, dtype=dt).tobytes()
@@ -215,24 +215,18 @@ def _same_docs(a, b):
     assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
 
 
-def _nine_digit(weights):
-    return np.array([float(f"{w:.9g}") for w in np.asarray(weights, dtype=float).tolist()])
-
-
 def test_weighted_round_trip(tmp_path):
-    """Ids, layout and vocabulary size come back exactly; weights come back as
-    the nine-digit text round trip gives them, bit for bit."""
+    """Ids, layout, vocabulary size and weights come back exactly: the file
+    holds the tf-idf weights as computed, bit for bit."""
     stats = _stats([[0, 1, 1], [2, 0]], 3)
     docs = tfidf(bag_of_words(["u1", "empty", "u2"], [[0, 1, 1], [], [2]], 3), stats)
+    # Not representable in nine significant digits, so no rounding can pass.
+    assert any(float(f"{w:.9g}") != w for w in docs.weights.tolist())
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
-    rounded = DocBatch(docs.ids, docs.indptr, docs.terms, _nine_digit(docs.weights), 3)
-    assert p.read_bytes() == _packed(
-        rounded.ids, rounded.indptr, rounded.terms, rounded.weights, 3
-    )
+    assert p.read_bytes() == _packed(docs.ids, docs.indptr, docs.terms, docs.weights, 3)
     back = load_docs(p)
-    _same_docs(rounded, back)
-    assert not np.array_equal(back.weights, docs.weights)  # rounding did happen
+    _same_docs(docs, back)
     assert back.weights.flags.writeable and back.terms.flags.writeable
 
 
@@ -254,18 +248,22 @@ def test_weighted_round_trip_without_entries(tmp_path, token_docs):
 @example([100000000.5, 999999999.5, 99999999.95, 0.1, 1e22, 1e23, 1e-22, 1e-23])
 @example([0.30000000000000004, 123456789.49999999, 2.0 ** 53, 1e9 - 0.5])
 @example([float(np.nextafter(10.0 ** j, 0.0)) for j in range(-6, 12)])
-def test_stored_weights_are_the_nine_digit_values(tmp_path, weights):
+@example([1_234_567_891.0, 2.0**31 - 1])
+def test_stored_weights_read_back_bit_for_bit(tmp_path, weights):
+    """Any finite non-negative weights, subnormals, the largest float and
+    values next to a ninth-digit tie among them, read back as stored; so do
+    bag counts of ten digits, which LDA reads as pseudo-counts."""
     n = len(weights)
     docs = DocBatch(["d"], np.array([0, n]), np.arange(n), np.array(weights), n)
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
     got = load_docs(p).weights
-    assert np.array_equal(got.view(np.int64), _nine_digit(weights).view(np.int64))
+    assert np.array_equal(got.view(np.int64), np.array(weights).view(np.int64))
 
 
-def test_stored_weights_bulk_against_text_round_trip(tmp_path):
+def test_stored_weights_bulk_read_back_bit_for_bit(tmp_path):
     """Two hundred thousand weights over every decade of the float range,
-    a quarter of them next to a rounding tie."""
+    a quarter of them next to a ninth-digit rounding tie."""
     rng = np.random.default_rng(7)
     n = 200_000
     w = np.concatenate([
@@ -278,7 +276,7 @@ def test_stored_weights_bulk_against_text_round_trip(tmp_path):
     docs = DocBatch(["d"], np.array([0, n]), np.arange(n), w, n)
     p = tmp_path / "w.adoc"
     save_docs(docs, p)
-    assert np.array_equal(load_docs(p).weights.view(np.int64), _nine_digit(w).view(np.int64))
+    assert np.array_equal(load_docs(p).weights.view(np.int64), w.view(np.int64))
 
 
 def _load(tmp_path, data):
@@ -304,10 +302,11 @@ def test_hand_packed_container_reads(tmp_path):
     (lambda b: b[:-1], "expected"),
     (lambda b: b + b"\x00", "expected"),
     (lambda b: b"ADOX" + b[4:], "magic"),
-    (lambda b: b[:4] + struct.pack("<I", 3) + b[8:], "version 3"),
+    (lambda b: b[:4] + struct.pack("<I", 0) + b[8:], "version 0"),
     (lambda b: b[:4] + struct.pack("<I", 1) + b[8:], "version 1"),
+    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "version 2"),
 ], ids=["truncated-header", "truncated-payload", "trailing-bytes", "bad-magic", "bad-version",
-        "version-1"])
+        "version-1", "version-2"])
 def test_weighted_container_corruptions(tmp_path, corrupt, needle):
     with pytest.raises(FormatError) as exc:
         _load(tmp_path, corrupt(_packed(**_GOOD)))
