@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .corpus import SynthSpec, generate_synthetic_corpus
+from .corpus import SynthSpec, generate_synthetic_corpus, read_file
 from .errors import LdaSelectError, ValidationError
 from .pipeline import Runner, publish, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
@@ -168,8 +168,8 @@ def _cmd_run(args) -> int:
         print(f"selected {len(sel.selected)} utterances, {sel.total_hours:.3f} h "
               f"in {sel.passes} passes")
     report_txt = Path(config.paths.work_dir) / "report.txt"
-    if "report" in result.skipped and report_txt.is_file():
-        print(report_txt.read_text(encoding="utf-8"), end="")
+    if "report" in result.skipped:
+        print(read_file(report_txt).decode("utf-8"), end="")
     return 0
 
 
@@ -179,8 +179,6 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse --lambdas '{args.lambdas}'") from None
-    if not lambdas:
-        raise ValidationError("--lambdas must list at least one threshold")
     rows = sweep_lambda(config, lambdas)
     print("lambda    selected  hours     percent  passes")
     for r in rows:

@@ -12,7 +12,7 @@ from functools import reduce
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .corpus import decode_text
+from .corpus import decode_text, read_file
 from .errors import FormatError, ValidationError
 from .gmm import GmmConfig, validate_gmm_config
 from .kmeans import validate_count, validate_seed
@@ -105,10 +105,10 @@ def load_config(path) -> PipelineConfig:
         interpolation=None, delimiters=("=",), default_section="\n"
     )
     path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
     try:
-        parser.read_string(decode_text(path.read_bytes(), path), source=str(path))
+        parser.read_string(decode_text(read_file(path), path), source=str(path))
+    except FileNotFoundError:
+        raise ValidationError(f"config file not found: {path}") from None
     except (configparser.Error, FormatError) as exc:
         raise ValidationError(f"cannot parse config file: {exc}") from None
     config = PipelineConfig()

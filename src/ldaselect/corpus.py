@@ -101,7 +101,7 @@ def read_manifest(path, role: str = "pool") -> Manifest:
     path = Path(path)
     if role not in ROLES:
         raise ValidationError(f"manifest role must be one of {ROLES}, got '{role}'")
-    return parse_manifest(path.read_bytes(), path, role)
+    return parse_manifest(read_file(path), path, role)
 
 
 def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
@@ -251,18 +251,12 @@ def write_features(matrix, path) -> None:
     )
 
 
-def read_file(path) -> bytes:
-    """The bytes of the regular file at ``path``, as :func:`read_file_stat` reads them."""
-    return read_file_stat(path)[0]
-
-
-def read_file_stat(path) -> tuple[bytes, os.stat_result]:
-    """The bytes of the regular file at ``path`` and the ``fstat`` taken just
-    before they were read, from one non-blocking ``os.open``, that ``fstat``
-    and (unless the file changed size meanwhile) one ``os.read``. A missing
-    path raises what ``open`` does, a directory IsADirectoryError; any other
-    file that is not regular (a FIFO, socket or device) raises OSError
-    unread, so it cannot block."""
+def open_file(path) -> tuple[io.FileIO, os.stat_result]:
+    """The regular file at ``path``, open for unbuffered binary reading, and
+    its ``fstat``: the one way the library opens a file to read. A missing
+    path raises what ``open`` does, a directory IsADirectoryError, and any
+    other file that is not regular OSError, opened non-blocking and unread,
+    so a FIFO cannot block. The caller closes the file."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         st = os.fstat(fd)
@@ -270,15 +264,26 @@ def read_file_stat(path) -> tuple[bytes, os.stat_result]:
             if stat.S_ISDIR(st.st_mode):
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
             raise OSError(errno.EINVAL, "not a regular file", os.fspath(path))
-        data = os.read(fd, st.st_size + 1)
-        if len(data) != st.st_size:  # grew, shrank or a capped read: go on to EOF
-            parts = [data]
-            while part := os.read(fd, 1 << 20):
-                parts.append(part)
-            data = b"".join(parts)
-        return data, st
-    finally:
+        return open(fd, "rb", buffering=0), st
+    except BaseException:
         os.close(fd)
+        raise
+
+
+def read_file(path) -> bytes:
+    """The bytes of the regular file at ``path``, as :func:`read_file_stat` reads them."""
+    return read_file_stat(path)[0]
+
+
+def read_file_stat(path) -> tuple[bytes, os.stat_result]:
+    """The bytes of the file that :func:`open_file` opens at ``path``, read
+    in one call unless its size changed since, and its ``fstat``."""
+    fh, st = open_file(path)
+    with fh:
+        data = fh.read(st.st_size + 1)
+        if len(data) != st.st_size:  # grew, shrank or a capped read: go on to EOF
+            data += fh.readall()
+    return data, st
 
 
 def decode_text(data: bytes, path) -> str:
@@ -289,18 +294,6 @@ def decode_text(data: bytes, path) -> str:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
-
-
-def text_lines(fh, path):
-    """``(line number, line)`` for each line of ``fh``, the text file ``path``
-    opened in binary mode, decoded as UTF-8 one line at a time (a line that is
-    not UTF-8 raises FormatError naming it)."""
-    for lineno, raw in enumerate(fh, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
-        yield lineno, line
 
 
 def _payload(data: bytes, path) -> np.ndarray:

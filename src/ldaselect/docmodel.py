@@ -23,11 +23,11 @@ import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import container
+from .corpus import read_file
 from .errors import FormatError, ValidationError
 from .kmeans import validate_count
 
@@ -240,7 +240,7 @@ def load_docs(path) -> DocBatch:
     entry count, one non-empty id per document) and entries (terms
     non-negative, below the vocabulary size and strictly ascending within a
     document, weights finite and >= 0)."""
-    data = Path(path).read_bytes()
+    data = read_file(path)
     vocab_size, n, nnz, id_bytes = container.read(
         data, path, _DOCS_HEADER, DOCS_MAGIC, DOCS_VERSION, "document container"
     )

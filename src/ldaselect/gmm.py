@@ -8,11 +8,11 @@ a token sequence over an N-symbol vocabulary.
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import container
+from .corpus import read_file
 from .errors import FormatError, ValidationError
 from .kmeans import kmeans_pp_indices, validate_count, validate_seed
 
@@ -315,7 +315,7 @@ def save_gmm(model: GmmModel, path) -> None:
 
 
 def load_gmm(path) -> GmmModel:
-    data = Path(path).read_bytes()
+    data = read_file(path)
     n, d = container.read(data, path, _GMM_HEADER, GMM_MAGIC, GMM_VERSION, "mixture model")
     if n < 1 or d < 1:
         raise FormatError(f"{path}: invalid dimensions {n}x{d}")

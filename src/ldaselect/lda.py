@@ -28,16 +28,16 @@ memory does not grow with the corpus. The one-document form is
 ``extract_posteriors(model, docs[i:i+1])``.
 """
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import container
-from .corpus import text_lines
+from .corpus import open_file, read_file
 from .docmodel import DocBatch
 from .errors import FormatError, ValidationError
 from .kmeans import validate_count, validate_seed
@@ -483,7 +483,7 @@ def save_lda(model: LdaModel, path) -> None:
 
 
 def load_lda(path) -> LdaModel:
-    data = Path(path).read_bytes()
+    data = read_file(path)
     k, v = container.read(data, path, _LDA_HEADER, LDA_MAGIC, LDA_VERSION, "topic model")
     if k < 1 or v < 1:
         raise FormatError(f"{path}: invalid dimensions {k}x{v}")
@@ -536,9 +536,13 @@ def read_posteriors(path) -> Posteriors:
         return FormatError(f"{path}:{lineno}: {message}")
 
     k = None
-    with open(path, "rb") as fh:
-        for lineno, raw in text_lines(fh, path):
-            line = raw.rstrip("\n")
+    fh, _ = open_file(path)
+    with fh, io.BufferedReader(fh) as lines:  # decoded one line at a time
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line.strip():
                 continue
             fields = line.split("\t")

@@ -23,7 +23,7 @@ import os
 import stat
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property, partial, reduce
 from pathlib import Path
@@ -86,10 +86,10 @@ def _read_json(path: Path, what: str, entry_ok: Callable[[object], bool]) -> dic
     """The JSON object in the file ``path`` if each of its values passes
     ``entry_ok``; None if there is no file, and None with a warning naming
     ``what`` if it is not UTF-8 JSON of that shape."""
-    if not path.is_file():
-        return None
     try:  # ValueError: not UTF-8, or not JSON
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(corpus.read_file(path).decode("utf-8"))
+    except FileNotFoundError:
+        return None
     except ValueError:
         data = None
     if isinstance(data, dict) and all(map(entry_ok, data.values())):
@@ -144,7 +144,7 @@ class Runner:
         self.manifests: dict[str, corpus.Manifest] = {}
         for which in ("dev", "pool"):
             path = Path(getattr(config.paths, f"{which}_manifest"))
-            self.manifest_bytes[which] = path.read_bytes()
+            self.manifest_bytes[which] = corpus.read_file(path)
             self.manifests[which] = corpus.parse_manifest(
                 self.manifest_bytes[which], path, role=which
             )
@@ -664,7 +664,7 @@ class Runner:
         published different contents."""
         path = self.work / result
         data = None
-        if path.is_file():
+        with suppress(FileNotFoundError):
             now = time.time_ns()
             data, st = corpus.read_file_stat(path)
             self._digests[result] = self._sigs.hashed(
@@ -677,7 +677,7 @@ class Runner:
             if readers and name == readers[-1]:
                 self._transcripts.clear()
         if self._digests.get(result) != before:
-            data = path.read_bytes()
+            data = corpus.read_file(path)
         return data
 
 
@@ -699,8 +699,10 @@ def _lambda_tag(lam: float) -> str:
 
 
 def sweep_lambda(config: PipelineConfig, lambdas: list[float]) -> list[dict]:
-    """Check every threshold, and that no two share the tag that names their
-    files, before touching the disk; then :meth:`Runner.sweep` over them."""
+    """Check that there is a threshold, each one, and that no two share the tag
+    that names their files, before touching the disk; then :meth:`Runner.sweep`."""
+    if not lambdas:
+        raise ValidationError("lambdas must list at least one threshold")
     by_tag: dict[str, list[float]] = {}
     for lam in lambdas:
         validate_selection_config(replace(config.selection, threshold=lam))

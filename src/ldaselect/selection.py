@@ -12,13 +12,12 @@ walks each centroid's candidates below the threshold with a forward-only
 pointer (:meth:`Ranking.select`), so thresholds can be swept over one ranking.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Manifest, Utterance, read_file, text_lines
+from .corpus import Manifest, Utterance, decode_text, read_file
 from .errors import FormatError, ValidationError
 from .kmeans import validate_seed
 from .lda import Posteriors
@@ -297,8 +296,7 @@ def parse_audit(data: bytes, path) -> SelectionResult:
     error naming both lines."""
     result = SelectionResult()
     seen: dict[str, int] = {}
-    for lineno, raw in text_lines(io.BytesIO(data), path):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(decode_text(data, path).split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

@@ -19,6 +19,8 @@ import time
 from collections import Counter
 from collections.abc import Callable
 
+from .corpus import open_file
+
 # A file's signature vouches for its digest only once the file has settled:
 # when its bytes are hashed, its mtime and ctime are at least this much older
 # than the wall clock. Any later change of the file then moves one of them
@@ -56,8 +58,8 @@ def sha256(path) -> tuple[str, str, int]:
     """sha256 of the file at ``path``, read in 1 MiB pieces; the signature
     of the ``fstat`` taken before the first; and its :func:`changed`."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
+    fh, st = open_file(path)
+    with fh:
         while piece := fh.read(1 << 20):
             h.update(piece)
     return h.hexdigest(), signature(st), changed(st)

@@ -404,19 +404,22 @@ def test_repeated_sweep_command_prints_the_same_rows_and_failures_exit_2(
     config_path, tmp_path, capsys
 ):
     """A repeated sweep prints the rows of the first; an out-of-range
-    threshold is a usage error (1), and a sweep that cannot publish its files
-    is a stage error (2)."""
+    threshold is a usage error (1), a sweep that cannot publish its files is
+    a stage error (2), and so is a summary path that is not a regular file,
+    which is refused before any stage runs."""
     sweep = ["sweep-lambda", "--config", str(config_path), "--lambdas", "0.1,1.0"]
     assert main(sweep) == 0
     first = capsys.readouterr().out
     assert main(sweep) == 0
     assert capsys.readouterr().out == first
     assert main(sweep[:-1] + ["0.0,1.0"]) == 1
-    summary = tmp_path / "work" / "sweep_summary.tsv"
-    summary.unlink()
-    summary.mkdir()
-    assert main(sweep) == 2
-    assert "stage 'sweep'" in capsys.readouterr().err
+    for name, error in (("selection_lambda_0p1.audit.tsv", "stage 'sweep'"),
+                        ("sweep_summary.tsv", "Is a directory")):
+        blocked = tmp_path / "work" / name
+        blocked.unlink()
+        blocked.mkdir()
+        assert main(sweep) == 2
+        assert error in capsys.readouterr().err
 
 
 def test_log_level_option(config_path, caplog):

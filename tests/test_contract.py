@@ -1,9 +1,11 @@
 """Counts, caps, seeds and array shapes at the library boundary: a value
 that is not a whole number in range, or an array of the wrong shape or kind,
 is refused with a ValidationError naming it, not run with no cap, silently
-cast, or passed on to numpy, which would raise its own error."""
+cast, or passed on to numpy, which would raise its own error. Readers and
+writers refuse a path that is not a regular file with an OSError, at once."""
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -25,16 +27,30 @@ from ldaselect import (
     build_text_vocab,
     compute_stats,
     extract_posteriors,
+    load_config,
+    load_gmm,
+    load_lda,
     random_select,
+    read_features,
+    read_manifest,
+    report,
+    save_gmm,
+    save_lda,
     select,
     tfidf,
     train_gmm,
     train_kmeans,
     train_lda,
     validate_config,
+    write_features,
+    write_manifest,
 )
-from ldaselect.lda import validate_lda_config
-from ldaselect.selection import rank_pool
+from ldaselect.corpus import read_file
+from ldaselect.docmodel import load_docs, save_docs
+from ldaselect.lda import read_posteriors, validate_lda_config, write_posteriors
+from ldaselect.report import write_report_tsv
+from ldaselect.selection import rank_pool, read_audit, write_audit
+from ldaselect.signatures import sha256
 
 from batches import batch
 
@@ -204,3 +220,68 @@ def test_empty_token_documents_stay_valid():
     bags = bag_of_words(["a", "b", "c"], [[], np.array([]), [1, 1]], 2)
     assert bags.indptr.tolist() == [0, 0, 0, 1]
     assert bags.weights.tolist() == [2.0]
+
+
+READERS = [
+    pytest.param(read_manifest, id="read_manifest"),
+    pytest.param(lambda p: read_features(Utterance("u", str(p), 0, 1, 0.0, "d")),
+                 id="read_features"),
+    pytest.param(load_docs, id="load_docs"),
+    pytest.param(load_gmm, id="load_gmm"),
+    pytest.param(load_lda, id="load_lda"),
+    pytest.param(read_posteriors, id="read_posteriors"),
+    pytest.param(read_audit, id="read_audit"),
+    pytest.param(load_config, id="load_config"),
+    pytest.param(sha256, id="signatures.sha256"),
+    pytest.param(read_file, id="read_file"),
+]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
+@pytest.mark.parametrize("read", READERS)
+def test_readers_refuse_a_path_that_is_not_a_regular_file(read, kind, tmp_path, deadline):
+    """A missing path raises FileNotFoundError (``load_config`` its "config
+    file not found"), a directory IsADirectoryError, and a FIFO OSError, at
+    once: no reader waits for a FIFO's writer."""
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    error, message = {
+        "missing": (FileNotFoundError, "No such file"),
+        "directory": (IsADirectoryError, "Is a directory"),
+        "fifo": (OSError, "not a regular file"),
+    }[kind]
+    if read is load_config and kind == "missing":
+        error, message = ValidationError, "config file not found"
+    with pytest.raises(error, match=message):
+        read(path)
+
+
+def _selection():
+    return random_select(_pool(), 1.0, seed=0)
+
+
+WRITERS = [
+    pytest.param(lambda p: write_manifest(_pool(), p), id="write_manifest"),
+    pytest.param(lambda p: write_features(_frames(), p), id="write_features"),
+    pytest.param(lambda p: save_docs(_docs(), p), id="save_docs"),
+    pytest.param(lambda p: save_gmm(train_gmm(_frames(), 2), p), id="save_gmm"),
+    pytest.param(lambda p: save_lda(_model(), p), id="save_lda"),
+    pytest.param(lambda p: write_posteriors(Posteriors(["a"], np.ones((1, 2))), p),
+                 id="write_posteriors"),
+    pytest.param(lambda p: write_audit(_selection(), p), id="write_audit"),
+    pytest.param(lambda p: write_report_tsv(report(_selection(), _pool()), p),
+                 id="write_report_tsv"),
+]
+
+
+@pytest.mark.parametrize("write", WRITERS)
+def test_writers_refuse_a_directory_and_leave_no_file(write, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write(target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert not any(target.iterdir())

@@ -70,6 +70,11 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+def _manifests(config, n: int) -> dict:
+    """Each of ``config``'s manifest paths, as a runner opens it, to ``n``."""
+    return {Path(config.paths.dev_manifest): n, Path(config.paths.pool_manifest): n}
+
+
 def _config(corpus_dir, work_dir, text=False) -> PipelineConfig:
     config = PipelineConfig()
     config.paths.pool_manifest = str(corpus_dir / "pool" / "pool.tsv")
@@ -246,11 +251,12 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     k, settled, tmp_path, corpus_dir, monkeypatch, settle
 ):
     """A cached ``run_pipeline`` and a k-threshold ``sweep_lambda`` build two
-    runners. Each reads every feature file once, unless the signature record
-    vouches for the settled files, and then neither reads any; each builds
-    each utterance once, when it parses the manifests. The sweep's runner,
-    the one that writes selections, builds each pool utterance's
-    selection-manifest row once more, however many selections it writes."""
+    runners. Each reads each manifest once, and every feature file once,
+    unless the signature record vouches for the settled files, and then
+    neither reads any; each builds each utterance once, when it parses the
+    manifests. The sweep's runner, the one that writes selections, builds
+    each pool utterance's selection-manifest row once more, however many
+    selections it writes."""
     settle(settled)
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
@@ -276,7 +282,8 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     assert all(run_pipeline(config).skipped.values())
     rows = sweep_lambda(config, [1.0 - 0.1 * i for i in range(k)])
     assert rows[0]["selected"] == len(pool)
-    assert reads == ({} if settled else {u.feature_file: 2 for m in (dev, pool) for u in m})
+    assert reads == _manifests(config, 2) | (
+        {} if settled else {u.feature_file: 2 for m in (dev, pool) for u in m})
     assert built == {u.id: 2 for u in dev} | {u.id: 3 for u in pool}
 
 
@@ -285,8 +292,8 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
 ):
     """A cold run with the text path opens each feature file three times (the
     key's digest, ``train-gmm``'s sample and ``quantize``) and each
-    transcript once: ``text-tfidf`` decodes the bytes its key's digest read,
-    and no later stage holds them."""
+    transcript and manifest once: ``text-tfidf`` decodes the bytes its key's
+    digest read, and no later stage holds them."""
     config = _config(corpus_dir, tmp_path / "work", text=True)
     utts = [u for w in ("dev", "pool") for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
     reads = Counter()
@@ -307,7 +314,8 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
     monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
     monkeypatch.setattr(Runner, "_run_stage", recording_run_stage)
     assert not any(run_pipeline(config).skipped.values())
-    assert reads == {u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
+    assert reads == ({u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
+                     | _manifests(config, 1))
     assert {name: h for name, h in held.items() if h} == {"text-tfidf": ["dev", "pool"]}
 
 
@@ -965,8 +973,13 @@ def test_sweep_audits_equal_separate_selects(tmp_path, corpus_dir):
 
 
 def test_sweep_rejects_colliding_and_out_of_range_thresholds(tmp_path, corpus_dir):
+    """No threshold, two that share a tag, or one out of range are refused
+    before the work dir exists. With no threshold the sweep would otherwise
+    run the chain and publish a header-only summary over the last sweep's."""
     work = tmp_path / "work"
     config = _config(corpus_dir, work)
+    with pytest.raises(ValidationError, match="lambdas must list at least one threshold"):
+        sweep_lambda(config, [])
     with pytest.raises(ValidationError, match=r"0\.1, 0\.1000000001 \(tag 0p1\)"):
         sweep_lambda(config, [0.1, 0.5, 0.1000000001])
     with pytest.raises(ValidationError, match=r"0\.2, 0\.2 \(tag 0p2\)"):
@@ -1465,7 +1478,8 @@ def test_new_vocabulary_cap_rereads_each_settled_transcript_once(
 ):
     """On a settled text run, a new ``docmodel.text_vocab_cap`` reruns
     ``text-tfidf``, which reads each transcript once, for its key and its
-    body alike, and no feature file; every output equals a cold run's."""
+    body alike, and no feature file; the runner reads each manifest once.
+    Every output equals a cold run's."""
     config = _config(corpus_dir, tmp_path / "work", text=True)
     _settled_work_dir(config, settle)
     config.docmodel.text_vocab_cap = 8
@@ -1483,7 +1497,7 @@ def test_new_vocabulary_cap_rereads_each_settled_transcript_once(
     assert result.skipped["text-tfidf"] is False
     utts = [u for w in ("dev", "pool")
             for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
-    assert reads == {u.transcript_file: 1 for u in utts}
+    assert reads == {u.transcript_file: 1 for u in utts} | _manifests(config, 1)
     run_pipeline(replace(config, paths=replace(config.paths, work_dir=str(tmp_path / "cold"))))
     for p in (tmp_path / "cold").iterdir():
         if p.name != "signatures.json":
