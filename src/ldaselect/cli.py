@@ -63,11 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--separation", type=float, default=10.0)
     synth.add_argument("--components", type=int, default=2)
     synth.add_argument("--with-transcripts", action="store_true")
-    synth.add_argument("--words-per-domain", type=int, default=20)
     synth.add_argument("--role", default="pool", choices=("pool", "dev", "test"))
     synth.add_argument("--id-prefix", default="")
-    synth.add_argument("--tag-prefix", default="domain")
-    synth.add_argument("--manifest-name", default=None)
     synth.add_argument("--fps", type=float, default=100.0)
     synth.add_argument("--seed", type=int, default=0)
 
@@ -140,16 +137,12 @@ def _cmd_synth(args) -> int:
         separation=args.separation,
         n_components=args.components,
         with_transcripts=args.with_transcripts,
-        words_per_domain=args.words_per_domain,
-        tag_prefix=args.tag_prefix,
         fps=args.fps,
         role=args.role,
         id_prefix=args.id_prefix,
-        manifest_name=args.manifest_name,
     )
     manifest = generate_synthetic_corpus(spec, args.seed, args.out)
-    name = args.manifest_name or f"{args.role}.tsv"
-    print(f"wrote {len(manifest)} utterances to {Path(args.out) / name}")
+    print(f"wrote {len(manifest)} utterances to {Path(args.out) / f'{args.role}.tsv'}")
     return 0
 
 

@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .corpus import decode_text, read_file
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, validate_count, validate_seed
 from .gmm import GmmConfig, validate_gmm_config
-from .kmeans import validate_count, validate_seed
 from .lda import LdaConfig, validate_lda_config
 from .selection import SelectionConfig, validate_selection_config
 
@@ -33,12 +32,10 @@ class PathsConfig:
 class QuantizerConfig(GmmConfig):
     n_components: int = 1024
     max_train_frames: int = 1_000_000
-    train_source: str = "dev+pool"
 
 
 @dataclass
 class DocModelConfig:
-    idf_source: str = "dev+pool"
     text_vocab_cap: int = 2048
 
 
@@ -142,7 +139,8 @@ def load_config(path) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
-    """Range-check every parameter and require the input manifests to exist."""
+    """Range-check every parameter and require the paths to be named; the
+    manifests are checked when ``Runner`` reads them."""
     for section, check in (("quantizer", validate_gmm_config), ("lda", validate_lda_config)):
         try:
             check(getattr(config, section))
@@ -152,17 +150,12 @@ def validate_config(config: PipelineConfig) -> None:
                  "docmodel.text_vocab_cap", "lda.n_topics", "cluster.n_clusters",
                  "cluster.max_iterations"):
         validate_count(reduce(getattr, name.split("."), config), name)
-    for name in ("quantizer.train_source", "docmodel.idf_source", "lda.train_source"):
-        if (value := reduce(getattr, name.split("."), config)) not in SOURCES:
-            raise ValidationError(f"{name} must be one of {SOURCES}, got '{value}'")
+    if config.lda.train_source not in SOURCES:
+        raise ValidationError(
+            f"lda.train_source must be one of {SOURCES}, got '{config.lda.train_source}'")
     validate_seed(config.cluster.seed, "cluster.seed")
     validate_selection_config(config.selection)
-    for label in ("pool_manifest", "dev_manifest"):
-        value = getattr(config.paths, label)
-        if not value:
+    for label in ("pool_manifest", "dev_manifest", "work_dir"):
+        if not getattr(config.paths, label):
             raise ValidationError(f"paths.{label} is required")
-        if not Path(value).is_file():
-            raise ValidationError(f"paths.{label} does not exist: {value}")
-    if not config.paths.work_dir:
-        raise ValidationError("paths.work_dir is required")
 

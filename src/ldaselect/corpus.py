@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, validate_count
 
 FEATURE_MAGIC = b"ALDF"
 FEATURE_VERSION = 1
@@ -424,6 +424,10 @@ def transcript_text(utt: Utterance, data: bytes | None) -> str:
 # Synthetic corpora
 
 
+# The words of each synthetic domain's list.
+_SYNTH_WORDS = 20
+
+
 @dataclass
 class SynthSpec:
     """Recipe for a synthetic corpus of well-separated domains, for recovery
@@ -431,9 +435,10 @@ class SynthSpec:
 
     Domain i is centred ``separation`` apart from its neighbours along a
     rotating axis, with ``n_components`` equally weighted unit-variance
-    Gaussian components offset from the centre. Optional transcripts draw
-    from per-domain disjoint word lists with a 1/rank frequency profile, so
-    text similarity mirrors the domain structure.
+    Gaussian components offset from the centre; its utterances are tagged
+    ``domain<i>``. Optional transcripts of 8 to 20 words draw from disjoint
+    per-domain lists of 20 words with a 1/rank frequency profile, so text
+    similarity mirrors the domain structure. The manifest is ``<role>.tsv``.
     """
 
     n_domains: int
@@ -443,28 +448,20 @@ class SynthSpec:
     separation: float = 10.0
     n_components: int = 2
     with_transcripts: bool = False
-    words_per_domain: int = 20
-    words_range: tuple[int, int] = (8, 20)
-    tag_prefix: str = "domain"
     fps: float = 100.0
     role: str = "pool"
     id_prefix: str = ""
-    manifest_name: str | None = None
 
 
 def validate_synth_spec(spec: SynthSpec) -> None:
     """Reject a recipe that cannot give a readable corpus, before anything is written."""
-    for name in ("n_domains", "utts_per_domain", "frame_dim", "n_components", "words_per_domain"):
-        if getattr(spec, name) < 1:
-            raise ValidationError(f"{name} must be >= 1, got {getattr(spec, name)}")
+    for name in ("n_domains", "utts_per_domain", "frame_dim", "n_components"):
+        validate_count(getattr(spec, name), name)
     lo, hi = spec.frames_range
     if lo < 0 or hi < lo:
         raise ValidationError(f"invalid frames_range {spec.frames_range}")
     if not (0 < spec.fps < math.inf and math.isfinite(hi / spec.fps)):
         raise ValidationError(f"fps must be positive and give finite durations, got {spec.fps}")
-    lo, hi = spec.words_range
-    if lo < 1 or hi < lo:
-        raise ValidationError(f"invalid words_range {spec.words_range}")
     # The largest centre coordinate plus the largest component offset; NaN
     # and Inf fail the comparison too.
     reach = abs(spec.separation) * (
@@ -477,18 +474,14 @@ def validate_synth_spec(spec: SynthSpec) -> None:
         )
     if spec.role not in ROLES:
         raise ValidationError(f"role must be one of {ROLES}, got '{spec.role}'")
-    # Ids and tags are manifest fields: a tab or line break would split the
-    # line, and an id starting with '#' would make it a comment. An id, which
-    # holds both prefixes, also names its feature and transcript files.
-    for name in ("id_prefix", "tag_prefix"):
-        if any(c in getattr(spec, name) for c in "\t\r\n/\\"):
-            raise ValidationError(f"{name} must not hold a tab, line break or path "
-                                  f"separator, got {getattr(spec, name)!r}")
+    # An id is a manifest field: a tab or line break would split the line,
+    # and an id starting with '#' would make it a comment. It also names its
+    # feature and transcript files.
+    if any(c in spec.id_prefix for c in "\t\r\n/\\"):
+        raise ValidationError(f"id_prefix must not hold a tab, line break or path "
+                              f"separator, got {spec.id_prefix!r}")
     if spec.id_prefix.lstrip().startswith("#"):
         raise ValidationError(f"id_prefix must not start with '#', got {spec.id_prefix!r}")
-    name = spec.manifest_name
-    if name and (Path(name).name != name or name == ".." or "\\" in name):
-        raise ValidationError(f"manifest_name must be a plain file name, got {name!r}")
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
@@ -507,17 +500,17 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
     weights = np.full(n_comp, 1.0 / n_comp)
     weights /= weights.sum()
     offsets = (np.arange(n_comp) - (n_comp - 1) / 2.0) * spec.separation / 5.0
-    word_probs = 1.0 / np.arange(1, spec.words_per_domain + 1)
+    word_probs = 1.0 / np.arange(1, _SYNTH_WORDS + 1)
     word_probs /= word_probs.sum()
 
     rng = np.random.default_rng(seed)
     utterances: list[Utterance] = []
     for i in range(spec.n_domains):
-        tag = f"{spec.tag_prefix}{i}"
+        tag = f"domain{i}"
         means = np.zeros((n_comp, dim))
         means[:, i % dim] = spec.separation * (1 + i // dim)
         means[:, (i + 1) % dim] += offsets
-        words = [f"d{i}w{j:03d}" for j in range(spec.words_per_domain)]
+        words = [f"d{i}w{j:03d}" for j in range(_SYNTH_WORDS)]
         for u in range(spec.utts_per_domain):
             uid = f"{spec.id_prefix}{tag}_{u:04d}"
             n_frames = int(rng.integers(spec.frames_range[0], spec.frames_range[1] + 1))
@@ -526,7 +519,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
             write_features(means[comps] + rng.standard_normal((n_frames, dim)), out_dir / rel_feat)
             rel_txt = None
             if spec.with_transcripts:
-                n_words = int(rng.integers(spec.words_range[0], spec.words_range[1] + 1))
+                n_words = int(rng.integers(8, 20 + 1))  # 8 to 20 words
                 idx = rng.choice(len(words), size=n_words, p=word_probs)
                 rel_txt = f"transcripts/{uid}.txt"
                 (out_dir / rel_txt).write_text(
@@ -535,6 +528,6 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
             utterances.append(
                 Utterance(uid, rel_feat, n_frames, dim, n_frames / spec.fps, tag, rel_txt)
             )
-    path = out_dir / (spec.manifest_name or f"{spec.role}.tsv")
+    path = out_dir / f"{spec.role}.tsv"
     write_manifest(Manifest(utterances, role=spec.role, fps=spec.fps), path)
     return read_manifest(path, role=spec.role)

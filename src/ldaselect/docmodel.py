@@ -28,8 +28,7 @@ import numpy as np
 
 from . import container
 from .corpus import read_file
-from .errors import FormatError, ValidationError
-from .kmeans import validate_count
+from .errors import FormatError, ValidationError, validate_count
 
 
 @dataclass

@@ -5,7 +5,6 @@ index of the component with the highest posterior, turning an utterance into
 a token sequence over an N-symbol vocabulary.
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -13,8 +12,8 @@ import numpy as np
 
 from . import container
 from .corpus import read_file
-from .errors import FormatError, ValidationError
-from .kmeans import kmeans_pp_indices, validate_count, validate_seed
+from .errors import FormatError, ValidationError, validate_count, validate_positive, validate_seed
+from .kmeans import kmeans_pp_indices
 
 GMM_MAGIC = b"AGMM"
 GMM_VERSION = 1
@@ -51,9 +50,7 @@ def validate_gmm_config(config: GmmConfig) -> None:
     for name in ("max_iterations", "init_subsample"):
         validate_count(getattr(config, name), name)
     for name in ("tol", "var_floor_scale"):
-        value = getattr(config, name)
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
+        validate_positive(getattr(config, name), name)
 
 
 @dataclass

@@ -6,12 +6,11 @@ leaves the centroids unchanged.
 """
 
 import hashlib
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, validate_count, validate_seed
 
 # Lloyd's iteration also stops once an iteration improves the inertia by less
 # than this fraction.
@@ -105,21 +104,6 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     np.maximum(d2, 0.0, out=d2)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(X.shape[0]), labels]
-
-
-def validate_seed(seed, name: str = "seed") -> None:
-    """Refuse a seed that is not a non-negative integer, which
-    ``np.random.default_rng`` would reject with a numpy error."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"{name} must be a non-negative integer, got {seed}")
-
-
-def validate_count(value, name: str) -> None:
-    """Refuse a count or cap that is not an integer of at least 1: a NaN or
-    infinite sweep cap is never reached, and numpy refuses a fractional size
-    with an error of its own."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value}")
 
 
 def train_kmeans(

@@ -39,8 +39,7 @@ import numpy as np
 from . import container
 from .corpus import open_file, read_file
 from .docmodel import DocBatch
-from .errors import FormatError, ValidationError
-from .kmeans import validate_count, validate_seed
+from .errors import FormatError, ValidationError, validate_count, validate_positive, validate_seed
 
 LDA_MAGIC = b"ALDA"
 LDA_VERSION = 1
@@ -97,13 +96,11 @@ def validate_lda_config(config: LdaConfig) -> None:
     them."""
     validate_seed(config.seed)
     for name in ("em_tol", "doc_tol", "eta"):
-        value = getattr(config, name)
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
+        validate_positive(getattr(config, name), name)
     for name in ("em_max_iterations", "doc_max_iterations"):
         validate_count(getattr(config, name), name)
-    if config.alpha is not None and not 0 < config.alpha < math.inf:
-        raise ValidationError(f"alpha must be finite and positive, got {config.alpha}")
+    if config.alpha is not None:
+        validate_positive(config.alpha, "alpha")
 
 
 @dataclass
@@ -455,8 +452,7 @@ def extract_posteriors(
     document took (0 for an empty one, whose gamma is alpha). ``tol`` and
     ``max_iters`` are checked as the config's ``doc_*`` settings are, and the
     documents must be over the model's vocabulary."""
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    validate_positive(tol, "tol")
     validate_count(max_iters, "max_iters")
     docs.check_vocab()
     if docs.vocab_size != model.vocab_size:

@@ -15,6 +15,7 @@ stat signatures stay. A stage that runs reads its corpus parts from their
 contents again, and a record that contents contradict is discarded.
 """
 
+import errno
 import fcntl
 import hashlib
 import json
@@ -45,6 +46,10 @@ log = logging.getLogger(__name__)
 # Stands in a rerun's log for the value of a setting that only one of the
 # cached and the current key parts holds; no repr equals it.
 _UNDECLARED = "(undeclared)"
+
+# What ``corpus.open_file`` raises for a path that is not a regular file:
+# missing, a directory, or a FIFO or device.
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EINVAL)
 
 # Binary formats by suffix: a new version reruns the writer (``Runner._parts``).
 _FORMATS = {".agmm": gmm.GMM_VERSION, ".adoc": docmodel.DOCS_VERSION, ".alda": lda.LDA_VERSION}
@@ -139,12 +144,18 @@ class Runner:
         self.record_path = self.work / "signatures.json"
         # Each manifest is read once: the stage keys hash the very bytes that
         # were parsed, so a manifest edited after this point cannot get the
-        # old manifest's results cached under its new contents.
+        # old manifest's results cached under its new contents. This read is
+        # the one check that the manifest is a file.
         self.manifest_bytes: dict[str, bytes] = {}
         self.manifests: dict[str, corpus.Manifest] = {}
         for which in ("dev", "pool"):
             path = Path(getattr(config.paths, f"{which}_manifest"))
-            self.manifest_bytes[which] = corpus.read_file(path)
+            try:
+                self.manifest_bytes[which] = corpus.read_file(path)
+            except OSError as exc:
+                if exc.errno not in _NOT_A_FILE:
+                    raise
+                raise ValidationError(f"paths.{which}_manifest: {exc.strerror}: {path}") from None
             self.manifests[which] = corpus.parse_manifest(
                 self.manifest_bytes[which], path, role=which
             )
@@ -207,11 +218,6 @@ class Runner:
         }
 
     # -- caching machinery ------------------------------------------------
-
-    @staticmethod
-    def _sources(spec: str) -> list[str]:
-        """The corpora a ``dev``/``pool``/``dev+pool`` setting names, dev first."""
-        return [which for which in ("dev", "pool") if which in spec.split("+")]
 
     def _corpus_digest(self, part: str, why: str | None = None) -> str:
         """sha256 of the corpus part ``<which> <what>``: the manifest's bytes;
@@ -398,19 +404,19 @@ class Runner:
         four topic stages and ``combine``; then ``report``. Built on each read:
         its bodies hold the runner, so a kept table would be a reference cycle."""
         c = self.config
-        gmm_sources = [f"{w} features" for w in self._sources(c.quantizer.train_source)]
+        features = ["dev features", "pool features"]
         stages = {
-            "train-gmm": Stage([], ["quantizer"], gmm_sources, ["gmm.agmm"], self._train_gmm),
-            "quantize": Stage(["gmm.agmm"], [], ["dev features", "pool features"],
+            "train-gmm": Stage([], ["quantizer"], features, ["gmm.agmm"], self._train_gmm),
+            "quantize": Stage(["gmm.agmm"], [], features,
                               ["bags_pool.adoc", "bags_dev.adoc"], self._quantize),
-            "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"], ["docmodel.idf_source"], [],
+            "tfidf": Stage(["bags_pool.adoc", "bags_dev.adoc"], [], [],
                            ["weighted_pool.adoc", "weighted_dev.adoc"], self._tfidf),
         }
         selection = "selection_acoustic" if c.text.enabled else "selection"
         stages |= self._topic_stages("", "", selection)
         if c.text.enabled:
             stages["text-tfidf"] = Stage(
-                [], ["docmodel.text_vocab_cap", "docmodel.idf_source"],
+                [], ["docmodel.text_vocab_cap"],
                 ["dev transcripts", "pool transcripts"],
                 ["text_vocab.tsv", "text_weighted_pool.adoc", "text_weighted_dev.adoc"],
                 self._text_tfidf)
@@ -457,8 +463,7 @@ class Runner:
     def _train_gmm(self, out_model: Path) -> None:
         q = self.config.quantizer
         X = corpus.sample_frames(
-            [self.manifests[w] for w in self._sources(q.train_source)],
-            q.max_train_frames, q.seed,
+            [self.manifests["dev"], self.pool], q.max_train_frames, q.seed
         )
         model = gmm.train_gmm(X, q.n_components, q)
         h = model.loglik_history
@@ -488,10 +493,8 @@ class Runner:
 
     def _write_tfidf(self, bags: dict, out_pool: Path, out_dev: Path):
         """Weighted documents from the bags ``bags["dev"]`` and ``bags["pool"]``,
-        with idf over the configured ``docmodel.idf_source`` corpora."""
-        stats = docmodel.compute_stats(
-            [bags[w] for w in self._sources(self.config.docmodel.idf_source)]
-        )
+        with idf over both."""
+        stats = docmodel.compute_stats([bags["dev"], bags["pool"]])
         for which, out in (("pool", out_pool), ("dev", out_dev)):
             docmodel.save_docs(docmodel.tfidf(bags[which], stats), out)
 
@@ -529,7 +532,7 @@ class Runner:
         params = self.config.lda
         docs = docmodel.DocBatch.concat(
             docmodel.load_docs({"dev": dev, "pool": pool}[which])
-            for which in self._sources(params.train_source)
+            for which in params.train_source.split("+")  # dev, pool or dev+pool
         )
         model = lda.train_lda(docs, params.n_topics, config=params)
         _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Manifest, Utterance, decode_text, read_file
-from .errors import FormatError, ValidationError
-from .kmeans import validate_seed
+from .errors import FormatError, ValidationError, validate_positive, validate_seed
 from .lda import Posteriors
 
 
@@ -70,11 +69,6 @@ def _unit_rows(mat: np.ndarray, what: str) -> np.ndarray:
     return mat / norms
 
 
-def _validate_budget(hours: float) -> None:
-    if not 0 < hours < math.inf:
-        raise ValidationError(f"hour budget must be finite and positive, got {hours}")
-
-
 def _hour_limit(max_hours: float | None) -> float:
     """The hours a selection under the budget ``max_hours`` (None: no budget)
     must stay within. Its 1e-9 h of slack lets a budget that hours sum to
@@ -88,7 +82,7 @@ def validate_selection_config(config: SelectionConfig) -> None:
             f"distance threshold must be in (0, 1], got {config.threshold}"
         )
     if config.max_hours is not None:
-        _validate_budget(config.max_hours)
+        validate_positive(config.max_hours, "hour budget")
 
 
 def select(
@@ -253,7 +247,7 @@ def random_select(
     """Budget-limited uniform baseline: shuffled prefix of the pool, stopped
     by the hour budget as :meth:`Ranking.select` is."""
     validate_seed(seed)
-    _validate_budget(budget_hours)
+    validate_positive(budget_hours, "hour budget")
     total_pool = pool_manifest.total_hours()
     if budget_hours > _hour_limit(total_pool):
         raise ValidationError(

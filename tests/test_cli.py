@@ -1,7 +1,10 @@
+import errno
 import fcntl
 import hashlib
 import json
 import logging
+import os
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -91,22 +94,18 @@ def test_synth_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--domains", "0"], ["--utts-per-domain", "0"], ["--frame-dim", "0"], ["--components", "0"],
     ["--frames-min", "-1"], ["--frames-min", "9", "--frames-max", "8"],
-    ["--words-per-domain", "0", "--with-transcripts"],
     ["--separation", "nan"], ["--separation", "inf"],
     ["--fps", "0"], ["--fps", "nan"], ["--fps", "inf"], ["--fps", "1e-320"],
-    ["--id-prefix", "a\tb"], ["--id-prefix", "a\rb"], ["--tag-prefix", "x\ny"],
+    ["--id-prefix", "a\tb"], ["--id-prefix", "a\rb"],
     ["--id-prefix", "#"], ["--id-prefix", " #a"],
-    ["--id-prefix", "../"], ["--id-prefix", "x/"], ["--id-prefix", "x\\y"], ["--tag-prefix", "t/"],
-    ["--manifest-name", "sub/m.tsv"], ["--manifest-name", "../m.tsv"], ["--manifest-name", ".."],
-    ["--manifest-name", "."], ["--manifest-name", "m\\n.tsv"],
+    ["--id-prefix", "../"], ["--id-prefix", "x/"], ["--id-prefix", "x\\y"],
 ], ids=" ".join)
 def test_synth_rejects_a_bad_recipe_before_writing(flags, tmp_path, capsys):
     """A recipe field that cannot give a readable corpus exits 1 with an
     ``error:`` line, no traceback, and no output directory. That includes a
-    prefix that would split a manifest line or make it a comment, a prefix
-    with a path separator, which would put an utterance's files outside
-    ``features/`` or ``transcripts/``, and a manifest name that is not a
-    plain file name."""
+    prefix that would split a manifest line or make it a comment, and a
+    prefix with a path separator, which would put an utterance's files
+    outside ``features/`` or ``transcripts/``."""
     assert main(["synth", "--out", str(tmp_path / "out")] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -220,6 +219,42 @@ def test_header_only_dev_manifest_exits_two(
                     encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert f"error: stage '{stage}': {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory"),
+    ("fifo", "not a regular file"),
+])
+@pytest.mark.parametrize("which", ["pool", "dev"])
+def test_a_manifest_that_is_not_a_file_exits_one(
+    which, kind, reason, corpus_dir, tmp_path, capsys, deadline
+):
+    """The runner's one read of each manifest checks it: a missing path, a
+    directory or a FIFO exits 1 at once, naming the setting and the reader's
+    reason, before the work dir exists."""
+    manifest = tmp_path / "manifest.tsv"
+    if kind == "directory":
+        manifest.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(manifest)
+    path = _write_config(corpus_dir, tmp_path / "work", tmp_path / "run.cfg")
+    text = re.sub(rf"^{which}_manifest = .*$", f"{which}_manifest = {manifest}",
+                  path.read_text(encoding="utf-8"), flags=re.M)
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: paths.{which}_manifest: {reason}: {manifest}\n"
+    assert not (tmp_path / "work").exists()
+
+
+def test_a_manifest_read_failing_otherwise_exits_two(config_path, monkeypatch, capsys):
+    """Any other failure to read a manifest is an I/O failure, exit 2."""
+
+    def unreadable(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(pipeline_module.corpus, "read_file", unreadable)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert os.strerror(errno.EACCES) in capsys.readouterr().err
 
 
 def test_select_stage_runs_under_the_config_lambda(config_path, corpus_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from ldaselect.config import PipelineConfig, load_config, validate_config
 from ldaselect.errors import ValidationError
+from ldaselect.pipeline import Runner
 
 FULL = """\
 [paths]
@@ -21,10 +22,8 @@ tol = 1e-4
 var_floor_scale = 1e-2
 init_subsample = 5000
 max_train_frames = 20000
-train_source = dev
 
 [docmodel]
-idf_source = pool
 text_vocab_cap = 64
 
 [lda]
@@ -83,9 +82,7 @@ def test_defaults_match_full_scale_recipe(tmp_path):
     assert config.cluster.n_clusters == 512
     assert config.selection.threshold == 0.2
     assert config.lda.alpha is None
-    assert config.quantizer.train_source == "dev+pool"
     assert config.lda.train_source == "dev"
-    assert config.docmodel.idf_source == "dev+pool"
     assert config.text.enabled is False
     validate_config(config)
 
@@ -102,8 +99,6 @@ def test_full_file_round_trip(tmp_path):
     assert config.quantizer.var_floor_scale == pytest.approx(1e-2)
     assert config.quantizer.init_subsample == 5000
     assert config.quantizer.max_train_frames == 20000
-    assert config.quantizer.train_source == "dev"
-    assert config.docmodel.idf_source == "pool"
     assert config.docmodel.text_vocab_cap == 64
     assert config.lda.n_topics == 4
     assert config.lda.seed == 9
@@ -170,9 +165,9 @@ SECTION_KEYS = {
     "paths": {"pool_manifest", "dev_manifest", "work_dir"},
     "quantizer": {
         "n_components", "seed", "max_iterations", "tol", "var_floor_scale",
-        "init_subsample", "max_train_frames", "train_source",
+        "init_subsample", "max_train_frames",
     },
-    "docmodel": {"idf_source", "text_vocab_cap"},
+    "docmodel": {"text_vocab_cap"},
     "lda": {
         "n_topics", "seed", "em_tol", "em_max_iterations", "doc_tol",
         "doc_max_iterations", "eta", "alpha", "train_source",
@@ -223,7 +218,7 @@ def test_optional_fields_blank_means_none(tmp_path):
 
 def test_union_idf_source_rejected_naming_dev_plus_pool(tmp_path):
     config = _config(tmp_path)
-    config.docmodel.idf_source = "union"
+    config.lda.train_source = "union"
     with pytest.raises(ValidationError) as exc:
         validate_config(config)
     assert "dev+pool" in str(exc.value)
@@ -233,8 +228,6 @@ def test_validate_ranges(tmp_path):
     cases = [
         ("quantizer", "n_components", 0),
         ("quantizer", "tol", 0.0),
-        ("quantizer", "train_source", "prod"),
-        ("docmodel", "idf_source", "nowhere"),
         ("docmodel", "text_vocab_cap", 0),
         ("lda", "n_topics", 0),
         ("lda", "eta", -0.1),
@@ -279,22 +272,35 @@ def test_validate_names_the_section_of_a_model_setting(tmp_path):
 
 
 def test_validate_paths(tmp_path):
+    """Each path must be named; that a manifest is a file is checked where
+    ``Runner`` reads it (next test)."""
     pool, dev, work = _write_inputs(tmp_path)
     config = PipelineConfig()
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError, match="^paths.pool_manifest is required$"):
         validate_config(config)
-    assert "pool_manifest" in str(exc.value)
     config.paths.pool_manifest = str(pool)
-    config.paths.dev_manifest = str(tmp_path / "nope.tsv")
-    config.paths.work_dir = str(work)
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError, match="^paths.dev_manifest is required$"):
         validate_config(config)
-    assert "dev_manifest" in str(exc.value)
     config.paths.dev_manifest = str(dev)
+    config.paths.work_dir = str(work)
     validate_config(config)
     config.paths.work_dir = ""
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^paths.work_dir is required$"):
         validate_config(config)
+
+
+def test_the_runner_refuses_a_missing_manifest(tmp_path):
+    """A named manifest that is not there passes ``validate_config``; the
+    runner's read of it raises a ValidationError naming the setting and the
+    reader's reason, before the work dir exists."""
+    config = _config(tmp_path)
+    missing = tmp_path / "nope.tsv"
+    config.paths.dev_manifest = str(missing)
+    validate_config(config)
+    message = f"^paths.dev_manifest: No such file or directory: {re.escape(str(missing))}$"
+    with pytest.raises(ValidationError, match=message):
+        Runner(config)
+    assert not (tmp_path / "work").exists()
 
 
 

@@ -1,13 +1,13 @@
-"""Counts, caps, seeds and array shapes at the library boundary: a value
-that is not a whole number in range, or an array of the wrong shape or kind,
-is refused with a ValidationError naming it, not run with no cap, silently
+"""Counts, caps, seeds, tolerances and array shapes at the library boundary:
+a value that is not a whole number in range, a tolerance or budget that is
+not finite and positive, or an array of the wrong shape or kind, is refused
+with a ValidationError naming it, not run with no cap or no limit, silently
 cast, or passed on to numpy, which would raise its own error. Readers and
 writers refuse a path that is not a regular file with an OSError, at once."""
 
 import math
 import os
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,17 +71,24 @@ def _pool():
     return Manifest([Utterance(f"u{i}", f"u{i}.aldf", 10, 2, 3600.0, "pool") for i in range(3)])
 
 
+def _select(config):
+    ids = [u.id for u in _pool()]
+    return select(Posteriors(ids, np.ones((len(ids), 2))), _pool(), np.ones((1, 2)), config)
+
+
 def _validate(section, key, value):
-    """``validate_config`` of one setting changed, over empty manifests in the
-    working directory."""
+    """``validate_config`` of one setting changed; it reads no file."""
     config = PipelineConfig()
-    for which in ("pool", "dev"):
-        Path(f"{which}.tsv").write_text("", encoding="utf-8")
-        setattr(config.paths, f"{which}_manifest", f"{which}.tsv")
+    config.paths.pool_manifest, config.paths.dev_manifest = "pool.tsv", "dev.tsv"
     config.paths.work_dir = "work"
     setattr(getattr(config, section), key, value)
     validate_config(config)
 
+
+# The selection settings' messages name them as the command line does.
+_MESSAGE_NAMES = {
+    "threshold": "distance threshold", "max_hours": "hour budget", "budget_hours": "hour budget",
+}
 
 CASES = [
     *[
@@ -133,6 +140,23 @@ CASES = [
         lambda: build_text_vocab([["a", "b"], ["b"]], 1.5), "vocabulary cap",
         id="build_text_vocab-1.5",
     ),
+    *[
+        pytest.param(lambda call=call, key=key, v=v: call(key, v), _MESSAGE_NAMES.get(key, key),
+                     id=f"{entry}-{key}-{v}")
+        for entry, call, keys in [
+            ("train_gmm", lambda k, v: train_gmm(_frames(), 2, GmmConfig(**{k: v})),
+             ["tol", "var_floor_scale"]),
+            ("train_lda", lambda k, v: train_lda(_docs(), 2, LdaConfig(**{k: v})),
+             ["em_tol", "doc_tol", "eta", "alpha"]),
+            ("extract_posteriors", lambda k, v: extract_posteriors(_model(), _docs(), **{k: v}),
+             ["tol"]),
+            ("select", lambda k, v: _select(SelectionConfig(**{k: v})), ["threshold", "max_hours"]),
+            ("random_select", lambda k, v: random_select(_pool(), **{k: v}, seed=0),
+             ["budget_hours"]),
+        ]
+        for key in keys
+        for v in (math.nan, math.inf, -math.inf, 0, -1)
+    ],
     pytest.param(lambda: random_select(_pool(), 1.0, seed=-1), "seed", id="random_select-seed--1"),
     pytest.param(
         lambda: random_select(_pool(), 1.0, seed=1.5), "seed", id="random_select-seed-1.5"
@@ -153,8 +177,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("call, name", CASES)
-def test_counts_and_seeds_out_of_range_are_refused(call, name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_counts_and_seeds_out_of_range_are_refused(call, name):
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         call()
 

@@ -559,13 +559,11 @@ def test_synthetic_transcripts_and_durations(tmp_path):
 
 # Every recipe field, each with values that cannot give a readable corpus.
 BAD_RECIPE_FIELDS = {
-    "n_domains": [0, -1],
-    "utts_per_domain": [0],
-    "frame_dim": [0],
-    "n_components": [0],
+    "n_domains": [0, -1, 2.5],
+    "utts_per_domain": [0, 1.5],
+    "frame_dim": [0, 2.5],
+    "n_components": [0, 1.5],
     "frames_range": [(-1, 5), (6, 5)],
-    "words_range": [(0, 5), (6, 5)],
-    "words_per_domain": [0],
     "separation": [math.nan, math.inf, -math.inf, 1e39, -1e39],
     "fps": [0.0, -1.0, math.nan, math.inf, 1e-320],
     "role": ["train"],

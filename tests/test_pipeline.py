@@ -1527,9 +1527,8 @@ PERTURBED = {
     "quantizer": {
         "seed": 1, "max_iterations": 3, "tol": 1e-2, "var_floor_scale": 0.1,
         "init_subsample": 40, "n_components": 3, "max_train_frames": 500,
-        "train_source": "dev",
     },
-    "docmodel": {"idf_source": "pool", "text_vocab_cap": 8},
+    "docmodel": {"text_vocab_cap": 8},
     "lda": {
         "seed": 1, "em_tol": 0.5, "em_max_iterations": 1, "doc_tol": 1e-2,
         "doc_max_iterations": 3, "eta": 0.5, "alpha": 0.5, "n_topics": 3,
@@ -1540,18 +1539,17 @@ PERTURBED = {
     "text": {"enabled": False},
 }
 # The config fields each stage's body reads, written out by hand; stages that
-# read none (quantize, combine, report) are left out.
+# read none (quantize, tfidf, combine, report) are left out.
 _LDA = {f"lda.{name}" for name in PERTURBED["lda"]}
 _CLUSTER = {f"cluster.{name}" for name in PERTURBED["cluster"]}
 _SELECT = {"selection.threshold", "selection.max_hours"}
 READS = {
     "train-gmm": {f"quantizer.{name}" for name in PERTURBED["quantizer"]},
-    "tfidf": {"docmodel.idf_source"},
     "train-lda": _LDA,
     "posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
     "cluster": _CLUSTER,
     "select": _SELECT,
-    "text-tfidf": {"docmodel.idf_source", "docmodel.text_vocab_cap"},
+    "text-tfidf": {"docmodel.text_vocab_cap"},
     "text-train-lda": _LDA,
     "text-posteriors": {"lda.doc_tol", "lda.doc_max_iterations"},
     "text-cluster": _CLUSTER,
@@ -1685,6 +1683,55 @@ def test_a_rerun_marks_a_setting_that_one_key_lacks(tmp_path, corpus_dir, caplog
     ]
 
 
+def test_a_work_dir_keyed_with_the_corpus_choices_reruns_only_their_stages(
+    tmp_path, corpus_dir, caplog, capsys
+):
+    """``quantizer.train_source`` and ``docmodel.idf_source`` are gone: the
+    codebook always trains on dev+pool and idf always counts both corpora,
+    as their defaults did. A work dir whose cache keys still hold them, as
+    one built before they went, reruns exactly the stages that declared them,
+    each logging the setting as ``(undeclared)``, and rewrites the same
+    files; every other stage is skipped. A config that sets either is
+    refused as an unknown key."""
+    from ldaselect.cli import main
+
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work, text=True)
+    run_pipeline(config)
+    path = work / "cache.json"
+    cache = json.loads(path.read_text(encoding="utf-8"))
+    old = {"train-gmm": ("quantizer.max_train_frames", "quantizer.train_source"),
+           "tfidf": ("input bags_dev.adoc", "docmodel.idf_source"),
+           "text-tfidf": ("docmodel.text_vocab_cap", "docmodel.idf_source")}
+    for stage, (after, setting) in old.items():
+        parts = {}
+        for name, value in cache[stage]["parts"].items():
+            parts[name] = value
+            if name == after:
+                parts[setting] = "'dev+pool'"
+        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+        cache[stage] |= {"parts": parts, "key": key}
+    path.write_text(json.dumps(cache), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        result = run_pipeline(config)
+    assert [r.getMessage() for r in caplog.records if ": running (" in r.getMessage()] == [
+        f"stage {stage}: running ({setting} 'dev+pool' -> (undeclared))"
+        for stage, (_, setting) in old.items()
+    ]
+    assert {s for s, skipped in result.skipped.items() if not skipped} == set(old)
+    after = {p.name: p.read_bytes() for p in work.iterdir()}
+    ignored = {"cache.json", "signatures.json"}
+    assert {n: d for n, d in after.items() if n not in ignored} == {
+        n: d for n, d in before.items() if n not in ignored}
+    for section, key in [("quantizer", "train_source"), ("docmodel", "idf_source")]:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"[{section}]\n{key} = dev+pool\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
+
+
 def test_a_rerun_names_what_changed(tmp_path, corpus_dir, caplog):
     """A stage that runs says why: no cache entry, the settings that changed
     with their old and new values, a changed input or corpus part, or a
@@ -1703,11 +1750,10 @@ def test_a_rerun_names_what_changed(tmp_path, corpus_dir, caplog):
     config.lda.doc_tol = 1e-3
     assert running(["posteriors"]) == ["stage posteriors: running (lda.doc_tol 0.0001 -> 0.001)"]
     assert running()[0] == "stage train-lda: running (lda.doc_tol 0.0001 -> 0.001)"
-    config.docmodel.idf_source = "pool"
+    config.quantizer.seed = 1
     assert running()[:2] == [
-        "stage tfidf: running (docmodel.idf_source 'dev+pool' -> 'pool')",
-        "stage train-lda: running (input weighted_pool.adoc changed; "
-        "input weighted_dev.adoc changed)",
+        "stage train-gmm: running (quantizer.seed 0 -> 1)",
+        "stage quantize: running (input gmm.agmm changed)",
     ]
     (work / "post_pool.tsv").write_bytes(b"")
     assert running(["posteriors"]) == ["stage posteriors: running (output post_pool.tsv changed)"]

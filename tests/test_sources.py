@@ -1,6 +1,8 @@
 """The library's sources, parsed without running them: one function,
 ``corpus.open_file``, opens files to read, so every reader refuses a path
-that is not a regular file in the same way, and a new way in shows here."""
+that is not a regular file in the same way; and only ``errors`` holds the
+input checks of seeds, counts and tolerances, so each is refused with the
+same words everywhere. A new way round either shows here."""
 
 import ast
 from pathlib import Path
@@ -86,3 +88,48 @@ def test_only_the_helper_opens_files_to_read():
 ])
 def test_the_check_sees_each_way_to_open_a_file_to_read(line, opens):
     assert _openers(f"def f():\n    {line}\n", "m") == ({"m.f"} if opens else set())
+
+
+# The messages of ``errors.validate_seed``, ``validate_count`` and
+# ``validate_positive``.
+_CHECK_MESSAGES = ("must be finite and positive", "must be an integer >= 1",
+                   "must be a non-negative integer")
+
+
+def _input_checks(source: str) -> set[str]:
+    """What ``source`` holds of the input checks: a use or import of
+    ``numbers.Integral``, and each of ``_CHECK_MESSAGES`` in a string, an
+    f-string's literal parts included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(
+            node, "name", None)
+        if name == "Integral":
+            found.add("numbers.Integral")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found |= {m for m in _CHECK_MESSAGES if m in node.value}
+    return found
+
+
+def test_only_errors_holds_the_input_checks():
+    found = {path.stem: _input_checks(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    errors = found.pop("errors")
+    assert {module: checks for module, checks in found.items() if checks} == {}
+    assert errors == {"numbers.Integral", *_CHECK_MESSAGES}
+
+
+@pytest.mark.parametrize("line, found", [
+    ("isinstance(x, numbers.Integral)", {"numbers.Integral"}),
+    ("isinstance(x, Integral)", {"numbers.Integral"}),
+    ("from numbers import Integral", {"numbers.Integral"}),
+    ("raise ValidationError(f'{name} must be finite and positive, got {v}')",
+     {"must be finite and positive"}),
+    ("raise ValidationError('k must be an integer >= 1')", {"must be an integer >= 1"}),
+    ("m = f'{name} must be a non-negative integer'", {"must be a non-negative integer"}),
+    ("isinstance(x, int)", set()),
+    ("validate_positive(tol, 'tol')", set()),
+    ("raise ValidationError(f'{name} must be >= 1')", set()),
+])
+def test_the_check_sees_each_input_check(line, found):
+    assert _input_checks(f"def f():\n    {line}\n") == found
