@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 from .config import PipelineConfig, load_config, validate_config
 from .corpus import (
     Manifest,
-    SynthSpec,
     Utterance,
-    generate_synthetic_corpus,
     read_features,
     read_manifest,
     write_features,
@@ -78,7 +76,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "StageError",
-    "SynthSpec",
     "Utterance",
     "ValidationError",
     "bag_of_words",
@@ -86,7 +83,6 @@ __all__ = [
     "compare",
     "compute_stats",
     "extract_posteriors",
-    "generate_synthetic_corpus",
     "load_config",
     "load_gmm",
     "load_lda",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .corpus import SynthSpec, generate_synthetic_corpus, read_file
+from .corpus import read_file
 from .errors import LdaSelectError, ValidationError
 from .pipeline import Runner, publish, run_pipeline, sweep_lambda
 from .report import compare, render_comparison, render_report, report, write_report_tsv
@@ -52,21 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="least severe log message to show (default: INFO)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    synth = subs.add_parser("synth", help="generate a synthetic labeled corpus")
-    synth.add_argument("--out", required=True, help="output corpus directory")
-    synth.add_argument("--domains", type=int, default=3)
-    synth.add_argument("--utts-per-domain", type=int, default=50)
-    synth.add_argument("--frame-dim", type=int, default=3)
-    synth.add_argument("--frames-min", type=int, default=40)
-    synth.add_argument("--frames-max", type=int, default=80)
-    synth.add_argument("--separation", type=float, default=10.0)
-    synth.add_argument("--components", type=int, default=2)
-    synth.add_argument("--with-transcripts", action="store_true")
-    synth.add_argument("--role", default="pool", choices=("pool", "dev", "test"))
-    synth.add_argument("--id-prefix", default="")
-    synth.add_argument("--fps", type=float, default=100.0)
-    synth.add_argument("--seed", type=int, default=0)
 
     run = subs.add_parser("run", help="run the pipeline, or some of its stages")
     _common_flags(run)
@@ -126,24 +111,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
         config.lda.seed = args.seed
         config.cluster.seed = args.seed
     return config
-
-
-def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_domains=args.domains,
-        utts_per_domain=args.utts_per_domain,
-        frame_dim=args.frame_dim,
-        frames_range=(args.frames_min, args.frames_max),
-        separation=args.separation,
-        n_components=args.components,
-        with_transcripts=args.with_transcripts,
-        fps=args.fps,
-        role=args.role,
-        id_prefix=args.id_prefix,
-    )
-    manifest = generate_synthetic_corpus(spec, args.seed, args.out)
-    print(f"wrote {len(manifest)} utterances to {Path(args.out) / f'{args.role}.tsv'}")
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -239,7 +206,6 @@ def _cmd_compare(args) -> int:
 
 
 _COMMANDS = {
-    "synth": _cmd_synth,
     "run": _cmd_run,
     "sweep-lambda": _cmd_sweep,
     "random-select": _cmd_random_select,

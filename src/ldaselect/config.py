@@ -69,8 +69,10 @@ class PipelineConfig:
     text: TextConfig = field(default_factory=TextConfig)
 
 
-# Config keys whose name differs from the dataclass field.
+# Config keys whose name differs from the dataclass field; the field's own
+# name is then no key.
 _KEY_ALIASES = {("selection", "lambda"): "threshold"}
+_RENAMED = {(section, name) for (section, _), name in _KEY_ALIASES.items()}
 
 
 def _convert(hint, text: str):
@@ -93,9 +95,9 @@ def _convert(hint, text: str):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a config file; unknown sections or keys, and a field set under
-    two names in one section, are rejected. ``[DEFAULT]`` is not special: it
-    is an unknown section like any other."""
+    """Parse a config file; unknown sections or keys are rejected, and so is
+    a key set twice in one section. ``[DEFAULT]`` is not special: it is an
+    unknown section like any other."""
     # configparser copies the keys of its default section into every other
     # section; a name no section header can hold turns that off.
     parser = configparser.ConfigParser(
@@ -115,19 +117,12 @@ def load_config(path) -> PipelineConfig:
             raise ValidationError(f"{path}: unknown config section [{section}]")
         target = getattr(config, section)
         hints = get_type_hints(type(target))
-        keys: dict[str, str] = {}
         for name, text in parser.items(section):
             field_name = _KEY_ALIASES.get((section, name), name)
-            if field_name not in hints:
+            if field_name not in hints or (section, name) in _RENAMED:
                 raise ValidationError(
                     f"{path}: unknown key '{name}' in section [{section}]"
                 )
-            if field_name in keys:
-                raise ValidationError(
-                    f"{path}: section [{section}] sets {field_name} twice, as "
-                    f"'{keys[field_name]}' and as '{name}'"
-                )
-            keys[field_name] = name
             try:
                 value = _convert(hints[field_name], text)
             except ValueError:

@@ -1,4 +1,4 @@
-"""Corpus manifests, binary feature files and synthetic labeled corpora.
+"""Corpus manifests and binary feature files.
 
 A manifest is a UTF-8 text file, one utterance per line, with tab-separated
 fields::
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import FormatError, ValidationError, validate_count
+from .errors import FormatError, ValidationError
 
 FEATURE_MAGIC = b"ALDF"
 FEATURE_VERSION = 1
@@ -376,8 +376,10 @@ def sample_frames(manifests: list[Manifest], max_frames: int, seed: int) -> np.n
     in one :func:`feature_blocks` pass, each block's drawn rows gathered with
     one index. The sample is dim-major (Fortran order): each feature
     dimension is one contiguous column, which mixture seeding reads in place.
+    The utterances with frames must share one frame_dim; as in
+    :func:`feature_blocks`, one with no frames may have any.
     """
-    utts = [utt for manifest in manifests for utt in manifest]
+    utts = [utt for manifest in manifests for utt in manifest if utt.num_frames]
     dim = utts[0].frame_dim if utts else 0
     for utt in utts:
         if utt.frame_dim != dim:
@@ -418,116 +420,3 @@ def transcript_text(utt: Utterance, data: bytes | None) -> str:
     if data is None:
         raise FormatError(f"missing transcript file for utterance '{utt.id}': {p}")
     return decode_text(data, p)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic corpora
-
-
-# The words of each synthetic domain's list.
-_SYNTH_WORDS = 20
-
-
-@dataclass
-class SynthSpec:
-    """Recipe for a synthetic corpus of well-separated domains, for recovery
-    experiments; the ``synth`` command's flags set its fields.
-
-    Domain i is centred ``separation`` apart from its neighbours along a
-    rotating axis, with ``n_components`` equally weighted unit-variance
-    Gaussian components offset from the centre; its utterances are tagged
-    ``domain<i>``. Optional transcripts of 8 to 20 words draw from disjoint
-    per-domain lists of 20 words with a 1/rank frequency profile, so text
-    similarity mirrors the domain structure. The manifest is ``<role>.tsv``.
-    """
-
-    n_domains: int
-    utts_per_domain: int
-    frame_dim: int = 3
-    frames_range: tuple[int, int] = (40, 80)
-    separation: float = 10.0
-    n_components: int = 2
-    with_transcripts: bool = False
-    fps: float = 100.0
-    role: str = "pool"
-    id_prefix: str = ""
-
-
-def validate_synth_spec(spec: SynthSpec) -> None:
-    """Reject a recipe that cannot give a readable corpus, before anything is written."""
-    for name in ("n_domains", "utts_per_domain", "frame_dim", "n_components"):
-        validate_count(getattr(spec, name), name)
-    lo, hi = spec.frames_range
-    if lo < 0 or hi < lo:
-        raise ValidationError(f"invalid frames_range {spec.frames_range}")
-    if not (0 < spec.fps < math.inf and math.isfinite(hi / spec.fps)):
-        raise ValidationError(f"fps must be positive and give finite durations, got {spec.fps}")
-    # The largest centre coordinate plus the largest component offset; NaN
-    # and Inf fail the comparison too.
-    reach = abs(spec.separation) * (
-        1 + (spec.n_domains - 1) // spec.frame_dim + (spec.n_components - 1) / 10
-    )
-    if not reach < float(np.finfo(np.float32).max):
-        raise ValidationError(
-            f"separation must be finite and keep every domain within float32's range, "
-            f"got {spec.separation}"
-        )
-    if spec.role not in ROLES:
-        raise ValidationError(f"role must be one of {ROLES}, got '{spec.role}'")
-    # An id is a manifest field: a tab or line break would split the line,
-    # and an id starting with '#' would make it a comment. It also names its
-    # feature and transcript files.
-    if any(c in spec.id_prefix for c in "\t\r\n/\\"):
-        raise ValidationError(f"id_prefix must not hold a tab, line break or path "
-                              f"separator, got {spec.id_prefix!r}")
-    if spec.id_prefix.lstrip().startswith("#"):
-        raise ValidationError(f"id_prefix must not start with '#', got {spec.id_prefix!r}")
-
-
-def generate_synthetic_corpus(spec: SynthSpec, seed: int, out_dir) -> Manifest:
-    """Generate feature files, optional transcripts and a manifest.
-
-    Deterministic given (spec, seed): a second run produces byte-identical
-    files. Every utterance's domain_tag records the generating domain. Returns
-    the manifest as read back from its file.
-    """
-    validate_synth_spec(spec)
-    out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    if spec.with_transcripts:
-        (out_dir / "transcripts").mkdir(parents=True, exist_ok=True)
-    dim, n_comp = spec.frame_dim, spec.n_components
-    weights = np.full(n_comp, 1.0 / n_comp)
-    weights /= weights.sum()
-    offsets = (np.arange(n_comp) - (n_comp - 1) / 2.0) * spec.separation / 5.0
-    word_probs = 1.0 / np.arange(1, _SYNTH_WORDS + 1)
-    word_probs /= word_probs.sum()
-
-    rng = np.random.default_rng(seed)
-    utterances: list[Utterance] = []
-    for i in range(spec.n_domains):
-        tag = f"domain{i}"
-        means = np.zeros((n_comp, dim))
-        means[:, i % dim] = spec.separation * (1 + i // dim)
-        means[:, (i + 1) % dim] += offsets
-        words = [f"d{i}w{j:03d}" for j in range(_SYNTH_WORDS)]
-        for u in range(spec.utts_per_domain):
-            uid = f"{spec.id_prefix}{tag}_{u:04d}"
-            n_frames = int(rng.integers(spec.frames_range[0], spec.frames_range[1] + 1))
-            comps = rng.choice(n_comp, size=n_frames, p=weights)
-            rel_feat = f"features/{uid}.aldf"
-            write_features(means[comps] + rng.standard_normal((n_frames, dim)), out_dir / rel_feat)
-            rel_txt = None
-            if spec.with_transcripts:
-                n_words = int(rng.integers(8, 20 + 1))  # 8 to 20 words
-                idx = rng.choice(len(words), size=n_words, p=word_probs)
-                rel_txt = f"transcripts/{uid}.txt"
-                (out_dir / rel_txt).write_text(
-                    " ".join(words[j] for j in idx) + "\n", encoding="utf-8"
-                )
-            utterances.append(
-                Utterance(uid, rel_feat, n_frames, dim, n_frames / spec.fps, tag, rel_txt)
-            )
-    path = out_dir / f"{spec.role}.tsv"
-    write_manifest(Manifest(utterances, role=spec.role, fps=spec.fps), path)
-    return read_manifest(path, role=spec.role)

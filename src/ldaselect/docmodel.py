@@ -66,14 +66,21 @@ class DocBatch:
         """Id of the document owning ``entry``."""
         return self.ids[int(np.searchsorted(self.indptr, entry, side="right")) - 1]
 
-    def check_vocab(self) -> None:
-        """Reject a size below 1, and terms outside ``[0, vocab_size)``."""
+    def check(self) -> None:
+        """Reject a size below 1, terms outside ``[0, vocab_size)``, and a
+        weight that is not finite and >= 0."""
         validate_count(self.vocab_size, "vocab_size")
         bad = np.flatnonzero((self.terms < 0) | (self.terms >= self.vocab_size))
         if bad.size:
             raise ValidationError(
                 f"document '{self.doc_of(bad[0])}' has terms outside vocabulary "
                 f"size {self.vocab_size}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(self.weights) & (self.weights >= 0)))
+        if bad.size:
+            raise ValidationError(
+                f"document '{self.doc_of(bad[0])}' weights must be finite and >= 0, "
+                f"got {self.weights[bad[0]]}"
             )
 
     @classmethod
@@ -146,7 +153,7 @@ def bag_of_tokens(ids, tokens: np.ndarray, lengths: np.ndarray, vocab_size: int)
 def compute_stats(bags) -> CorpusStats:
     """Count, per term, the number of documents of ``bags`` containing it."""
     docs = DocBatch.concat(bags)
-    docs.check_vocab()
+    docs.check()
     return CorpusStats(
         vocab_size=docs.vocab_size, doc_count=len(docs),
         doc_freq=np.bincount(docs.terms, minlength=docs.vocab_size),
@@ -156,7 +163,7 @@ def compute_stats(bags) -> CorpusStats:
 def tfidf(bag: DocBatch, stats: CorpusStats) -> DocBatch:
     """``bag`` with every weight, a count, set to count / document length *
     idf(term), the length being the document's total weight."""
-    bag.check_vocab()
+    bag.check()
     if bag.vocab_size != stats.vocab_size:
         raise ValidationError(f"documents over vocabulary size {bag.vocab_size}, "
                               f"statistics over {stats.vocab_size}")
@@ -218,7 +225,7 @@ def save_docs(docs: DocBatch, path) -> None:
     the ids in UTF-8 each ended by a newline, then ``indptr`` (int64),
     ``terms`` (int32) and ``weights`` (float64, as they are). The vocabulary
     size may be at most 2**31, so that every term fits."""
-    docs.check_vocab()
+    docs.check()
     if docs.vocab_size > 1 << 31:
         raise ValidationError(f"vocabulary size {docs.vocab_size} exceeds 32-bit terms")
     if any(not i or "\n" in i for i in docs.ids):

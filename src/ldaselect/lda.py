@@ -375,13 +375,13 @@ def train_lda(
     additive ``eta``; it is non-decreasing across iterations. Gamma is
     warm-started from the previous EM iteration. Deterministic given the
     seed. ``init_beta`` overrides the seeded random initialization with an
-    explicit non-negative table (rows are normalized) in which every term has
-    a positive entry.
+    explicit finite, non-negative table (rows are normalized) in which every
+    term has a positive entry.
     """
     config = config or LdaConfig()
     validate_lda_config(config)
     validate_count(n_topics, "n_topics")
-    docs.check_vocab()
+    docs.check()
     vocab_size = docs.vocab_size
     if not docs.terms.size:
         raise ValidationError("cannot train on an all-empty corpus")
@@ -393,10 +393,9 @@ def train_lda(
         raw = config.eta + config.eta * rng.random((n_topics, vocab_size))
     else:
         raw = np.asarray(init_beta, dtype=np.float64)
-        if raw.shape != (n_topics, vocab_size) or np.any(raw < 0) or np.any(
-            raw.sum(axis=1) <= 0
-        ):
-            raise ValidationError("init_beta must be non-negative with positive row sums")
+        if not (raw.shape == (n_topics, vocab_size) and np.all(np.isfinite(raw) & (raw >= 0))
+                and np.all(raw.sum(axis=1) > 0)):
+            raise ValidationError("init_beta must be finite and >= 0, with positive row sums")
         dead = np.flatnonzero(raw.max(axis=0) <= 0)
         if dead.size:
             raise ValidationError(
@@ -454,7 +453,7 @@ def extract_posteriors(
     documents must be over the model's vocabulary."""
     validate_positive(tol, "tol")
     validate_count(max_iters, "max_iters")
-    docs.check_vocab()
+    docs.check()
     if docs.vocab_size != model.vocab_size:
         raise ValidationError(f"documents over vocabulary size {docs.vocab_size}, "
                               f"model over {model.vocab_size}")

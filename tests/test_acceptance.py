@@ -14,9 +14,7 @@ from ldaselect.cli import main
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
     Manifest,
-    SynthSpec,
     Utterance,
-    generate_synthetic_corpus,
     read_features,
     read_manifest,
     write_features,
@@ -63,6 +61,7 @@ from reference import (
     ref_phi,
     ref_select,
 )
+from synth import SynthSpec, generate_synthetic_corpus
 
 
 def _random_model(rng, k, v):

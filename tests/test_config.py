@@ -117,10 +117,12 @@ def test_full_file_round_trip(tmp_path):
 
 
 def test_lambda_alias_and_threshold_key(tmp_path):
-    path = _write_config(tmp_path, "[selection]\nthreshold = 0.15\n")
-    assert load_config(path).selection.threshold == pytest.approx(0.15)
+    """The threshold's one key is ``lambda``: its field name is no key."""
     path = _write_config(tmp_path, "[selection]\nlambda = 0.25\n")
     assert load_config(path).selection.threshold == pytest.approx(0.25)
+    path = _write_config(tmp_path, "[selection]\nthreshold = 0.15\n")
+    with pytest.raises(ValidationError, match=r"unknown key 'threshold' in section \[selection\]"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("section, keys", [
@@ -128,14 +130,22 @@ def test_lambda_alias_and_threshold_key(tmp_path):
     ("selection", ("threshold = 0.5", "lambda = 0.3")),
 ])
 def test_threshold_set_under_both_names_rejected(tmp_path, section, keys):
-    """A field set as both ``lambda`` and ``threshold`` is refused, not left
-    to whichever line comes last."""
+    """A config that sets ``threshold`` beside ``lambda`` is refused for the
+    unknown key, whichever line comes first."""
     path = _write_config(tmp_path, f"[{section}]\n" + "\n".join(keys) + "\n")
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError, match=r"unknown key 'threshold' in section \[selection\]"):
         load_config(path)
-    message = str(exc.value)
-    assert f"[{section}]" in message
-    assert "'lambda'" in message and "'threshold'" in message
+
+
+@pytest.mark.parametrize("keys", [
+    ("lambda = 0.3", "lambda = 0.5"), ("lambda = 0.3", "LAMBDA = 0.5"),
+])
+def test_a_key_set_twice_in_a_section_is_refused(tmp_path, keys):
+    """The parser refuses a repeated key, in any case, rather than keep
+    whichever line comes last."""
+    path = _write_config(tmp_path, "[selection]\n" + "\n".join(keys) + "\n")
+    with pytest.raises(ValidationError, match="cannot parse config file.*'lambda'"):
+        load_config(path)
 
 
 def test_unknown_section_and_key_rejected(tmp_path):

@@ -1,9 +1,11 @@
-"""Counts, caps, seeds, tolerances and array shapes at the library boundary:
-a value that is not a whole number in range, a tolerance or budget that is
-not finite and positive, or an array of the wrong shape or kind, is refused
-with a ValidationError naming it, not run with no cap or no limit, silently
-cast, or passed on to numpy, which would raise its own error. Readers and
-writers refuse a path that is not a regular file with an OSError, at once."""
+"""Counts, caps, seeds, tolerances and arrays at the library boundary: a
+value that is not a whole number in range, a tolerance or budget that is not
+finite and positive, a document weight that is not finite and >= 0, or an
+array of the wrong shape or kind or holding NaN, is refused with a
+ValidationError naming it, not run with no cap or no limit, silently cast,
+or passed on to numpy, which would raise its own error or return NaN.
+Readers and writers refuse a path that is not a regular file with an
+OSError, at once."""
 
 import math
 import os
@@ -55,8 +57,9 @@ from ldaselect.signatures import sha256
 from batches import batch
 
 
-def _docs(vocab_size=3):
-    return batch([("a", [(0, 1.0), (1, 0.5)]), ("b", [(2, 1.5)])], vocab_size)
+def _docs(vocab_size=3, weight=1.5):
+    """Two documents; 'b' holds one term, of weight ``weight``."""
+    return batch([("a", [(0, 1.0), (1, 0.5)]), ("b", [(2, weight)])], vocab_size)
 
 
 def _model():
@@ -65,6 +68,12 @@ def _model():
 
 def _frames():
     return np.random.default_rng(0).normal(size=(20, 2))
+
+
+def _nan_frames():
+    frames = _frames()
+    frames[3, 1] = math.nan
+    return frames
 
 
 def _pool():
@@ -157,6 +166,28 @@ CASES = [
         for key in keys
         for v in (math.nan, math.inf, -math.inf, 0, -1)
     ],
+    # A NaN, infinite or negative weight is no token mass: it is refused
+    # where documents enter, naming the document, before it reaches a
+    # posterior or a file.
+    *[
+        pytest.param(lambda call=call, w=w: call(_docs(weight=w)), "document 'b' weights",
+                     id=f"{entry}-weight-{w}")
+        for entry, call in [
+            ("compute_stats", lambda d: compute_stats([d])),
+            ("tfidf", lambda d: tfidf(d, compute_stats([_docs()]))),
+            ("train_lda", lambda d: train_lda(d, 2)),
+            ("extract_posteriors", lambda d: extract_posteriors(_model(), d)),
+            ("save_docs", lambda d: save_docs(d, "no-such-dir/docs.adoc")),
+        ]
+        for w in (math.nan, math.inf, -1.0)
+    ],
+    *[
+        pytest.param(
+            lambda v=v: train_lda(_docs(), 2, init_beta=np.where(np.eye(2, 3) > 0, v, 1.0)),
+            "init_beta", id=f"train_lda-init_beta-{v}",
+        )
+        for v in (math.nan, math.inf, -1.0)
+    ],
     pytest.param(lambda: random_select(_pool(), 1.0, seed=-1), "seed", id="random_select-seed--1"),
     pytest.param(
         lambda: random_select(_pool(), 1.0, seed=1.5), "seed", id="random_select-seed-1.5"
@@ -202,6 +233,13 @@ SHAPES = [
         ]
         for name, call in zip(("rank_pool", "select"), _ranked(gamma, n_ids))
     ],
+    pytest.param(lambda: train_gmm(_nan_frames(), 2),
+                 "frame collection contains NaN or Inf", id="train_gmm-nan-frame"),
+    pytest.param(lambda: train_kmeans(_nan_frames(), 2),
+                 "k-means input contains NaN or Inf", id="train_kmeans-nan-row"),
+    pytest.param(lambda: select(Posteriors([u.id for u in _pool()], np.ones((3, 2))), _pool(),
+                                np.array([[math.nan, 1.0]]), SelectionConfig()),
+                 "centroids contain NaN or Inf", id="select-nan-centroid"),
     pytest.param(lambda: bag_of_words(["a"], [["1"]], 4), "tokens must be integers",
                  id="bag_of_words-str"),
     pytest.param(lambda: bag_of_words(["a", "b"], [[1], [2.9]], 4),

@@ -1,6 +1,4 @@
-import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +8,8 @@ from hypothesis import strategies as st
 
 from ldaselect.corpus import (
     Manifest,
-    SynthSpec,
     Utterance,
     feature_blocks,
-    generate_synthetic_corpus,
     parse_manifest,
     read_file,
     read_features,
@@ -25,6 +21,8 @@ from ldaselect.corpus import (
 )
 from ldaselect import corpus as corpus_module
 from ldaselect.errors import FormatError, ValidationError
+
+from synth import SynthSpec, generate_synthetic_corpus
 
 
 def _write(path, text):
@@ -499,98 +497,74 @@ def test_sample_frames_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Synthetic corpora
-
-
-def _tiny_spec(n_utts=3, frames=(10, 10), dim=2):
-    return SynthSpec(1, n_utts, frame_dim=dim, frames_range=frames, n_components=1)
+# The toy-corpus fixture, read back through the library's readers
 
 
 def test_synthetic_shapes(tmp_path):
-    m = generate_synthetic_corpus(_tiny_spec(), seed=0, out_dir=tmp_path)
+    generate_synthetic_corpus(SynthSpec(1, 3, frames_range=(10, 10)), seed=0, out_dir=tmp_path)
+    m = read_manifest(tmp_path / "pool.tsv")
     assert len(m) == 3
     for utt in m:
         assert utt.num_frames == 10
-        assert read_features(utt).shape == (10, 2)
-    assert (tmp_path / "pool.tsv").is_file()
+        assert read_features(utt).shape == (10, 3)
     assert not (tmp_path / "transcripts").exists()
 
 
 def test_synthetic_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     spec = SynthSpec(2, 4, with_transcripts=True)
-    m1 = generate_synthetic_corpus(spec, seed=5, out_dir=d1)
-    m2 = generate_synthetic_corpus(spec, seed=5, out_dir=d2)
+    generate_synthetic_corpus(spec, seed=5, out_dir=d1)
+    generate_synthetic_corpus(spec, seed=5, out_dir=d2)
     assert (d1 / "pool.tsv").read_bytes() == (d2 / "pool.tsv").read_bytes()
-    for u1, u2 in zip(m1, m2):
-        assert (d1 / u1.feature_path).read_bytes() == (d2 / u2.feature_path).read_bytes()
-        if u1.transcript_path:
-            assert (d1 / u1.transcript_path).read_bytes() == (
-                d2 / u2.transcript_path
-            ).read_bytes()
+    for utt in read_manifest(d1 / "pool.tsv"):
+        for rel in (utt.feature_path, utt.transcript_path):
+            assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
 
 
 def test_synthetic_sample_means_match_generator(tmp_path):
-    """Domain i is centred ``separation * (1 + i // frame_dim)`` along axis
-    ``i % frame_dim``; its two components sit ``separation / 10`` either side
-    of the centre along the next axis, so every domain's mean is its centre,
-    and the spread along that axis grows by the offset's square."""
-    spec = SynthSpec(3, 100, frame_dim=2, frames_range=(30, 50), separation=10.0)
-    m = generate_synthetic_corpus(spec, seed=2, out_dir=tmp_path)
-    centres = {"domain0": [10.0, 0.0], "domain1": [0.0, 10.0], "domain2": [20.0, 0.0]}
-    for tag, centre in centres.items():
-        frames = np.concatenate([read_features(u) for u in m if u.domain_tag == tag])
+    """Domain i is centred ``separation * (1 + i // 3)`` along axis
+    ``i % 3``; its two components sit ``separation / 10`` either side of the
+    centre along the next axis, so every domain's mean is its centre, and the
+    spread along that axis grows by the offset's square."""
+    spec = SynthSpec(3, 100, frames_range=(30, 50), separation=10.0)
+    generate_synthetic_corpus(spec, seed=2, out_dir=tmp_path)
+    m = read_manifest(tmp_path / "pool.tsv")
+    for i in range(3):
+        frames = np.concatenate([read_features(u) for u in m if u.domain_tag == f"domain{i}"])
+        centre = np.zeros(3)
+        centre[i] = 10.0
         assert np.all(np.abs(frames.mean(axis=0) - centre) < 0.5)
-        offset_axis = (int(tag[-1]) + 1) % 2
-        assert frames[:, offset_axis].var() == pytest.approx(1.0 + 1.0, abs=0.2)
-        assert frames[:, 1 - offset_axis].var() == pytest.approx(1.0, abs=0.2)
+        variances = np.ones(3)
+        variances[(i + 1) % 3] += 1.0
+        assert frames.var(axis=0) == pytest.approx(variances, abs=0.2)
 
 
 def test_synthetic_transcripts_and_durations(tmp_path):
-    spec = SynthSpec(2, 3, with_transcripts=True, fps=50.0)
-    m = generate_synthetic_corpus(spec, seed=1, out_dir=tmp_path)
+    spec = SynthSpec(2, 3, with_transcripts=True, role="dev", id_prefix="dev_")
+    generate_synthetic_corpus(spec, seed=1, out_dir=tmp_path)
+    m = read_manifest(tmp_path / "dev.tsv", role="dev")
+    assert m.fps == 100.0
     for utt in m:
-        assert utt.duration_s == pytest.approx(utt.num_frames / 50.0)
-        text = transcript_text(utt, read_file(utt.transcript_file))
-        assert text.strip()
+        assert utt.id.startswith("dev_")
+        assert utt.duration_s == pytest.approx(utt.num_frames / 100.0)
+        words = transcript_text(utt, read_file(utt.transcript_file)).split()
+        assert 8 <= len(words) <= 20
         prefix = "d0" if utt.domain_tag == "domain0" else "d1"
-        assert all(w.startswith(prefix) for w in text.split())
+        assert all(w.startswith(prefix) for w in words)
 
 
-# Every recipe field, each with values that cannot give a readable corpus.
-BAD_RECIPE_FIELDS = {
-    "n_domains": [0, -1, 2.5],
-    "utts_per_domain": [0, 1.5],
-    "frame_dim": [0, 2.5],
-    "n_components": [0, 1.5],
-    "frames_range": [(-1, 5), (6, 5)],
-    "separation": [math.nan, math.inf, -math.inf, 1e39, -1e39],
-    "fps": [0.0, -1.0, math.nan, math.inf, 1e-320],
-    "role": ["train"],
-}
-
-
-def test_synthetic_validation_errors(tmp_path):
-    """Each invalid recipe field is a ValidationError raised before the
-    output directory is created, with or without transcripts."""
-    out = tmp_path / "out"
-    for name, values in BAD_RECIPE_FIELDS.items():
-        for value in values:
-            for with_transcripts in (False, True):
-                spec = replace(_tiny_spec(), with_transcripts=with_transcripts, **{name: value})
-                with pytest.raises(ValidationError):
-                    generate_synthetic_corpus(spec, 0, out)
-                assert not out.exists(), (name, value)
-    # Finite separations that put a later domain's centre, or a component
-    # offset, beyond float32's range.
-    for fields in ({"n_domains": 9}, {"n_components": 30}):
-        spec = replace(_tiny_spec(), separation=1e38, **fields)
-        with pytest.raises(ValidationError, match="float32"):
-            generate_synthetic_corpus(spec, 0, out)
-        assert not out.exists(), fields
-    # Just inside the range, the corpus is written and reads back.
-    spec = replace(_tiny_spec(), separation=3e38)
-    assert len(generate_synthetic_corpus(spec, 0, out)) == 3
+@pytest.mark.parametrize("first", [True, False])
+def test_a_zero_frame_utterance_of_another_width_is_sampled_as_it_is_blocked(tmp_path, first):
+    """An utterance with no frames takes no part in the frame_dim rule, first
+    or last: ``sample_frames`` takes the width from the first utterance with
+    frames, as ``feature_blocks`` skips the empty one, so the codebook
+    trains on a corpus that quantizes."""
+    (pool,) = _frames_corpus(tmp_path, [("pool", [20, 20])], dim=13)
+    write_features(np.empty((0, 1)), tmp_path / "empty.aldf")
+    empty = Utterance("empty", str(tmp_path / "empty.aldf"), 0, 1, 0.0, "x")
+    pool.utterances.insert(0 if first else len(pool), empty)
+    blocked = np.concatenate([block.copy() for _, block in feature_blocks(pool, 13)])
+    assert np.array_equal(sample_frames([pool], 100, 0), blocked)
 
 
 def test_transcript_text_missing(tmp_path):

@@ -20,9 +20,7 @@ from ldaselect import pipeline as pipeline_module
 from ldaselect.config import PipelineConfig
 from ldaselect.corpus import (
     Manifest,
-    SynthSpec,
     Utterance,
-    generate_synthetic_corpus,
     read_features,
     read_file,
     read_manifest,
@@ -43,6 +41,7 @@ from ldaselect.pipeline import (
 from ldaselect.report import compare, report
 
 from batches import entries
+from synth import SynthSpec, generate_synthetic_corpus
 from ldaselect.selection import (
     SelectedUtterance, SelectionResult, random_select, read_audit, select, union_combine,
 )
