@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(comb)
     comb.add_argument("--a", required=True, help="first audit file (keeps provenance)")
     comb.add_argument("--b", required=True, help="second audit file")
-    comb.add_argument("--out-prefix", default="selection_combined")
+    comb.add_argument("--out-prefix", default="selection_combined",
+                      help="output name prefix inside the work dir")
 
     rep = subs.add_parser("report", help="per-domain composition of a selection")
     _common_flags(rep)
@@ -149,30 +150,42 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _write_selection(runner: Runner, result, out_prefix: str) -> Path:
-    """Audit and manifest of ``result`` in the runner's work dir; returns the
-    manifest path."""
-    manifest = runner.work / f"{out_prefix}.tsv"
-    with runner.owned(), publish(runner.work / f"{out_prefix}.audit.tsv", manifest) as tmps:
+def _out_paths(runner: Runner, prefix: str) -> tuple[Path, Path]:
+    """The audit and manifest paths that ``--out-prefix`` names: files of the
+    runner's work dir that no stage or sweep of its config writes."""
+    if prefix in ("", ".", "..") or "/" in prefix:
+        raise ValidationError(f"--out-prefix must be a file name in the work dir, not '{prefix}'")
+    paths = (runner.work / f"{prefix}.audit.tsv", runner.work / f"{prefix}.tsv")
+    for p in paths:
+        if runner.writes(p.name):
+            raise ValidationError(f"--out-prefix '{prefix}' would write {p.name}, "
+                                  "a name of the pipeline's outputs")
+    return paths
+
+
+def _write_selection(runner: Runner, result, paths: tuple[Path, Path]) -> None:
+    """Audit and manifest of ``result`` at ``paths``, from :func:`_out_paths`."""
+    with runner.owned(), publish(*paths) as tmps:
         runner.write_selection(result, *tmps)
-    return manifest
 
 
 def _cmd_random_select(args) -> int:
     runner = Runner(_load_pipeline_config(args))
+    paths = _out_paths(runner, args.out_prefix)
     result = random_select(runner.pool, args.budget_hours, args.seed or 0)
-    out = _write_selection(runner, result, args.out_prefix)
+    _write_selection(runner, result, paths)
     print(
         f"selected {len(result.selected)} utterances, {result.total_hours:.3f} h "
-        f"-> {out}"
+        f"-> {paths[1]}"
     )
     return 0
 
 
 def _cmd_combine(args) -> int:
     runner = Runner(_load_pipeline_config(args))
+    paths = _out_paths(runner, args.out_prefix)
     result = union_combine(read_audit(args.a), read_audit(args.b), runner.pool)
-    _write_selection(runner, result, args.out_prefix)
+    _write_selection(runner, result, paths)
     print(
         f"combined selection: {len(result.selected)} utterances, "
         f"{result.total_hours:.3f} h"

@@ -18,7 +18,7 @@ from .gmm import GmmConfig, validate_gmm_config
 from .lda import LdaConfig, validate_lda_config
 from .selection import SelectionConfig, validate_selection_config
 
-SOURCES = ("dev", "pool", "dev+pool")
+SOURCES = ("dev", "dev+pool")
 
 
 @dataclass
@@ -50,7 +50,6 @@ class ClusterConfig:
     n_clusters: int = 512
     seed: int = 0
     max_iterations: int = 100
-    spherical: bool = False
 
 
 @dataclass
@@ -76,8 +75,8 @@ _RENAMED = {(section, name) for (section, _), name in _KEY_ALIASES.items()}
 
 
 def _convert(hint, text: str):
-    """``text`` as a value of the field type ``hint``; an empty value of an
-    optional (``X | None``) field is None."""
+    """``text`` as a value of the field type ``hint``, or KeyError or
+    ValueError; an empty value of an optional (``X | None``) field is None."""
     text = text.strip()
     args = get_args(hint)
     if type(None) in args:
@@ -85,12 +84,7 @@ def _convert(hint, text: str):
             return None
         (hint,) = [a for a in args if a is not type(None)]
     if hint is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: '{text}'")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     return hint(text)
 
 
@@ -125,7 +119,7 @@ def load_config(path) -> PipelineConfig:
                 )
             try:
                 value = _convert(hints[field_name], text)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ValidationError(
                     f"{path}: bad value for {section}.{name}: '{text}'"
                 ) from None

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, validate_positive
 
 FEATURE_MAGIC = b"ALDF"
 FEATURE_VERSION = 1
@@ -119,7 +119,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
         line = raw.rstrip("\n")
         if not line.strip():
             continue
-        if line.lstrip().startswith("#"):
+        if _is_comment(line):
             if m := _FPS_RE.match(line.strip()):
                 fps = _parse_float(m.group(1), path, lineno, "fps")
                 if fps <= 0:
@@ -163,36 +163,45 @@ def _resolver(base: Path):
     return resolve
 
 
+def _is_comment(line: str) -> bool:
+    """Whether :func:`parse_manifest` reads ``line`` as a comment."""
+    return line.lstrip().startswith("#")
+
+
+def _utterance_error(u: Utterance) -> str | None:
+    """The first rule of a manifest line that the values of ``u`` break, or
+    None: :func:`parse_manifest` applies these rules to each line it reads,
+    and :func:`write_manifest` to each utterance before it writes."""
+    if not u.id:
+        return "empty utterance id"
+    if not u.feature_path:
+        return "empty feature path"
+    if not u.num_frames >= 0:
+        return "num_frames must be >= 0"
+    if not u.frame_dim >= 1:
+        return "frame_dim must be >= 1"
+    if not 0 <= u.duration_s < math.inf:
+        return f"duration_s must be finite and >= 0, got {u.duration_s}"
+    if not u.domain_tag:
+        return "empty domain tag"
+    return None
+
+
 def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utterance:
     fields = line.split("\t")
     if len(fields) not in (6, 7):
         raise FormatError(
             f"{path}:{lineno}: expected 6 or 7 tab-separated fields, got {len(fields)}"
         )
-    utt_id, feature_path = fields[0], fields[1]
-    if not utt_id:
-        raise FormatError(f"{path}:{lineno}: empty utterance id")
-    if not feature_path:
-        raise FormatError(f"{path}:{lineno}: empty feature path")
     num_frames = _parse_int(fields[2], path, lineno, "num_frames")
-    if num_frames < 0:
-        raise FormatError(f"{path}:{lineno}: num_frames must be >= 0")
     frame_dim = _parse_int(fields[3], path, lineno, "frame_dim")
-    if frame_dim < 1:
-        raise FormatError(f"{path}:{lineno}: frame_dim must be >= 1")
-    if fields[4] == "":
-        duration_s = num_frames / fps
-    else:
-        duration_s = _parse_float(fields[4], path, lineno, "duration_s")
-        if duration_s < 0:
-            raise FormatError(f"{path}:{lineno}: duration_s must be >= 0")
-    domain_tag = fields[5]
-    if not domain_tag:
-        raise FormatError(f"{path}:{lineno}: empty domain tag")
-    transcript_path = fields[6] if len(fields) == 7 and fields[6] else None
-    return Utterance(
-        utt_id, feature_path, num_frames, frame_dim, duration_s, domain_tag, transcript_path
-    )
+    duration_s = (num_frames / fps if fields[4] == ""
+                  else _parse_float(fields[4], path, lineno, "duration_s"))
+    utt = Utterance(fields[0], fields[1], num_frames, frame_dim, duration_s, fields[5],
+                    fields[6] if len(fields) == 7 and fields[6] else None)
+    if error := _utterance_error(utt):
+        raise FormatError(f"{path}:{lineno}: {error}")
+    return utt
 
 
 def _parse_int(text: str, path: Path, lineno: int, name: str) -> int:
@@ -213,22 +222,40 @@ def _parse_float(text: str, path: Path, lineno: int, name: str) -> float:
 
 
 def write_manifest(manifest: Manifest, path) -> None:
-    """Write a manifest readable back by :func:`read_manifest`."""
-    path = Path(path)
+    """Write ``manifest`` as a file that :func:`read_manifest` reads back with
+    the same fps and utterances, durations to nine significant digits. Before
+    the file is opened, an fps that is not finite and positive is refused, and
+    so is an utterance that breaks a rule of :func:`_utterance_error`, holds a
+    tab or a line break in a text field, would read back as a comment, repeats
+    an earlier id or is not UTF-8 text: ValidationError names it."""
+    validate_positive(manifest.fps, "manifest fps")
     lines = [f"# fps={manifest.fps:.9g}"]
+    seen = set()
     for u in manifest:
-        fields = [
-            u.id,
-            u.feature_path,
-            str(u.num_frames),
-            str(u.frame_dim),
-            f"{u.duration_s:.9g}",
-            u.domain_tag,
-        ]
+        line = (f"{u.id}\t{u.feature_path}\t{u.num_frames}\t{u.frame_dim}"
+                f"\t{u.duration_s:.9g}\t{u.domain_tag}")
+        tabs = 5
         if u.transcript_path:
-            fields.append(u.transcript_path)
-        lines.append("\t".join(fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            line, tabs = f"{line}\t{u.transcript_path}", 6
+        error = _utterance_error(u)
+        if error is None:
+            if line.count("\t") != tabs or "\n" in line or "\r" in line:
+                error = "a tab or line break in a text field"
+            elif _is_comment(line):
+                error = "it would read back as a comment"
+            elif u.id in seen:
+                error = "repeated id"
+        if error:
+            raise ValidationError(f"utterance {u.id!r}: {error}")
+        seen.add(u.id)
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        u = manifest.utterances[text.count("\n", 0, exc.start) - 1]
+        raise ValidationError(f"utterance {u.id!r}: a text field is not UTF-8") from None
+    Path(path).write_bytes(data)
 
 
 # ---------------------------------------------------------------------------

@@ -106,23 +106,13 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return labels, d2[np.arange(X.shape[0]), labels]
 
 
-def train_kmeans(
-    X,
-    k: int,
-    seed: int = 0,
-    max_iterations: int = 100,
-    normalize_centroids: bool = False,
-) -> KMeansModel:
+def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
     Inertia is non-increasing across iterations; iteration stops when the
     relative inertia improvement falls below ``_TOL`` or assignments stop
     changing. Empty clusters are reseeded deterministically with the member
     of the largest cluster farthest from its centroid.
-
-    With ``normalize_centroids`` every centroid is rescaled to unit norm
-    after each update; on unit-norm input rows this is the cosine-similarity
-    variant, and inertia stays non-increasing.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -157,9 +147,6 @@ def train_kmeans(
         for j in range(k):
             member = labels == j
             centroids[j] = Xs[member].mean(axis=0)
-        if normalize_centroids:
-            norms = np.linalg.norm(centroids, axis=1, keepdims=True)
-            centroids = np.where(norms > 0, centroids / np.maximum(norms, 1e-300), centroids)
         if converged:
             break
 

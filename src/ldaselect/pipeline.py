@@ -6,7 +6,7 @@ optional transcript path and union, report); ``Runner.sweep`` runs a λ sweep
 stage after clustering instead of selection. Every stage publishes its
 artifacts into the work directory before the next begins, and is skipped on
 re-runs when its declared key parts (input digests, settings, corpus parts)
-hash to the cached key and its outputs still have their cached digests; a
+equal its cached parts and its outputs still have their cached digests; a
 rerun logs the parts that changed.
 
 Digests of settled corpus parts and work-dir files are kept in the work
@@ -26,6 +26,7 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from fnmatch import fnmatchcase
 from functools import cached_property, partial, reduce
 from pathlib import Path
 
@@ -53,6 +54,9 @@ _NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EINVAL)
 
 # Binary formats by suffix: a new version reruns the writer (``Runner._parts``).
 _FORMATS = {".agmm": gmm.GMM_VERSION, ".adoc": docmodel.DOCS_VERSION, ".alda": lda.LDA_VERSION}
+
+# The files of each threshold of a sweep, named by its tag (``_lambda_tag``).
+_SWEEP_FILES = ("selection_lambda_{}.audit.tsv", "selection_lambda_{}.tsv", "report_lambda_{}.tsv")
 
 
 @dataclass(frozen=True)
@@ -343,22 +347,21 @@ class Runner:
                         for o in stage.outputs if Path(o).suffix in _FORMATS}
 
     def _run_stage(self, name: str, stage: Stage) -> None:
-        """Run ``stage``'s body unless the cached key of its parts matches and
+        """Run ``stage``'s body unless its cached parts equal its parts and
         every output still has its recorded digest, and log why it runs. Only
         here are the outputs published, and only once the body has written
         them all."""
         parts = self._parts(name, stage)
-        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
         entry = self.cache.get(name, {})
         old = entry.get("parts")
         changed = []
         if not isinstance(old, dict):  # none, or one of a format without parts
             why = ["cache entry records no parts" if entry else "no cache entry"]
-        elif entry.get("key") != key:
+        elif old != parts:
             changed = _differing(old, parts)
             why = [f"{p} changed" if " " in p else
                    f"{p} {old.get(p, _UNDECLARED)} -> {parts.get(p, _UNDECLARED)}"
-                   for p in changed] or ["key changed"]
+                   for p in changed]
         else:
             current = {o: self._digest(o) for o in stage.outputs}
             changed = _differing(entry.get("outputs"), current)
@@ -392,7 +395,7 @@ class Runner:
             self._sigs.forget(o)
         self._digests.update(digests)
         self.skipped[name] = False
-        self.cache[name] = {"key": key, "parts": parts, "outputs": digests}
+        self.cache[name] = {"parts": parts, "outputs": digests}
         _write_json(self.cache_path, self.cache)
 
     # -- the stage table --------------------------------------------------
@@ -452,11 +455,17 @@ class Runner:
 
     def _sweep_stage(self, lambdas: list[float]) -> Stage:
         """``sweep``: each threshold's selection audit, manifest and report, then a summary."""
-        names = ("selection_lambda_{}.audit.tsv", "selection_lambda_{}.tsv", "report_lambda_{}.tsv")
         return Stage(["post_pool.tsv", "centroids.tsv"], ["selection.max_hours"],
                      ["pool manifest", "pool dir"],
-                     [n.format(_lambda_tag(lam)) for lam in lambdas for n in names]
+                     [n.format(_lambda_tag(lam)) for lam in lambdas for n in _SWEEP_FILES]
                      + ["sweep_summary.tsv"], partial(self._sweep, lambdas), tuple(lambdas))
+
+    def writes(self, name: str) -> bool:
+        """Whether a stage of this config, or a sweep under any thresholds,
+        writes the work-dir file ``name``."""
+        stages = [*self.stages.values(), self._sweep_stage([])]
+        return any(name in s.outputs for s in stages) or any(
+            fnmatchcase(name, n.format("*")) for n in _SWEEP_FILES)
 
     # -- stage bodies: input paths, then temporary output paths -----------
 
@@ -532,7 +541,7 @@ class Runner:
         params = self.config.lda
         docs = docmodel.DocBatch.concat(
             docmodel.load_docs({"dev": dev, "pool": pool}[which])
-            for which in params.train_source.split("+")  # dev, pool or dev+pool
+            for which in params.train_source.split("+")  # dev or dev+pool
         )
         model = lda.train_lda(docs, params.n_topics, config=params)
         _log_sweeps(name, "training", model.doc_sweeps, params.doc_max_iterations)
@@ -554,14 +563,11 @@ class Runner:
         X = lda.read_posteriors(post_dev).gamma
         if not len(X):
             raise ValidationError("no posterior vectors to cluster")
-        if c.spherical:
-            X = X / np.linalg.norm(X, axis=1, keepdims=True)
         n_clusters = c.n_clusters
         if n_clusters > X.shape[0]:
             log.warning("clamping cluster count %d to %d vectors", n_clusters, X.shape[0])
             n_clusters = X.shape[0]
-        km = train_kmeans(X, n_clusters, seed=c.seed, max_iterations=c.max_iterations,
-                          normalize_centroids=c.spherical)
+        km = train_kmeans(X, n_clusters, seed=c.seed, max_iterations=c.max_iterations)
         lda.write_posteriors(
             lda.Posteriors([centroid_id(i) for i in range(n_clusters)], km.centroids),
             out_centroids,
@@ -569,7 +575,6 @@ class Runner:
         meta = {
             "inertia": km.inertia_history[-1], "n_iterations": km.n_iterations,
             "cluster_sizes": np.bincount(km.assignments, minlength=n_clusters).tolist(),
-            "spherical": c.spherical,
         }
         out_meta.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -690,11 +695,11 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> Pip
 
 
 def _differing(old, new: dict) -> list[str]:
-    """Names whose value differs between ``new`` and the recorded mapping
-    ``old`` (read from ``cache.json``: anything else counts as empty), in
-    ``new``'s order, then names that only ``old`` has."""
+    """Names that ``new`` and the recorded mapping ``old`` (read from
+    ``cache.json``: anything else counts as empty) differ on, in ``new``'s
+    order, then names only ``old`` has: none exactly when the two are equal."""
     old = old if isinstance(old, dict) else {}
-    return [k for k in {**new, **old} if old.get(k) != new.get(k)]
+    return [k for k in {**new, **old} if old.get(k, _UNDECLARED) != new.get(k, _UNDECLARED)]
 
 
 def _lambda_tag(lam: float) -> str:

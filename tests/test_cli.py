@@ -322,6 +322,46 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
     assert set(combined.ids()) == set(greedy.ids()) | set(rand.ids())
 
 
+def _tree(root: Path) -> dict[str, tuple[bytes, int]]:
+    return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ("", "must be a file name in the work dir, not ''"),
+    (".", "must be a file name in the work dir, not '.'"),
+    ("..", "must be a file name in the work dir, not '..'"),
+    ("../escaped", "must be a file name in the work dir, not '../escaped'"),
+    ("{tmp}/absolute", "must be a file name in the work dir, not '{tmp}/absolute'"),
+    ("selection", "would write selection.audit.tsv, a name of the pipeline's outputs"),
+    ("report", "would write report.tsv, a name"),
+    ("post_pool", "would write post_pool.tsv, a name"),
+    ("sweep_summary", "would write sweep_summary.tsv, a name"),
+    ("selection_lambda_0p5", "would write selection_lambda_0p5.audit.tsv, a name"),
+    ("selection_lambda_x.audit", "would write selection_lambda_x.audit.audit.tsv, a name"),
+    ("report_lambda_0p3", "would write report_lambda_0p3.audit.tsv, a name"),
+])
+def test_an_out_prefix_outside_the_work_dir_or_over_its_files_exits_one(
+    prefix, message, config_path, tmp_path, capsys
+):
+    """``random-select`` and ``combine`` refuse such a prefix before they
+    lock or write anything; a plain new name still works."""
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["sweep-lambda", "--config", str(config_path), "--lambdas", "0.3"]) == 0
+    audit = str(tmp_path / "work" / "selection.audit.tsv")
+    commands = [["random-select", "--budget-hours", "0.002"], ["combine", "--a", audit, "--b", audit]]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    for command in commands:
+        argv = [*command, "--config", str(config_path), "--out-prefix", prefix.format(tmp=tmp_path)]
+        assert main(argv) == 1
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+    for command in commands:
+        assert main([*command, "--config", str(config_path), "--out-prefix", "mine"]) == 0
+        assert (tmp_path / "work" / "mine.tsv").is_file()
+        assert (tmp_path / "work" / "mine.audit.tsv").is_file()
+
+
 def test_combine_refuses_an_audit_listing_an_utterance_twice(config_path, tmp_path, capsys):
     """Such an audit would give a combined manifest that cannot be read
     back; ``combine`` exits 2 and writes nothing."""
@@ -504,7 +544,6 @@ def test_a_work_dir_of_old_documents_reruns_to_the_outputs_of_a_cold_run(
     cache_path = work / "cache.json"
     cache = json.loads(cache_path.read_text(encoding="utf-8"))
     for stage, entry in cache.items():
-        # The parts in the order the stage declared them, as the key hashes them.
         parts = {p: digests[p.removeprefix("input ")] if p.startswith("input ") else v
                  for p, v in declared[stage].items()}
         if version == 2:
@@ -517,11 +556,7 @@ def test_a_work_dir_of_old_documents_reruns_to_the_outputs_of_a_cold_run(
                 items = list(parts.items())
                 parts = dict(items[:2] + [("input text_vocab.tsv", digests["text_vocab.tsv"])]
                              + items[2:])
-        key = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
-        if parts == declared[stage]:
-            assert key == entry["key"], stage
-        entry |= {"key": key, "parts": parts,
-                  "outputs": {o: digests[o] for o in entry["outputs"]}}
+        entry |= {"parts": parts, "outputs": {o: digests[o] for o in entry["outputs"]}}
     cache_path.write_text(json.dumps(cache), encoding="utf-8")
 
     old = _write_config(corpus_dir, work, tmp_path / "old.cfg", text)
@@ -541,6 +576,66 @@ def test_a_work_dir_of_old_documents_reruns_to_the_outputs_of_a_cold_run(
     for path in (tmp_path / "cold").iterdir():
         if path.name != "signatures.json":
             assert (work / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_a_work_dir_of_spherical_era_cache_entries_reruns_only_the_cluster_stages(
+    corpus_dir, tmp_path, caplog, capsys
+):
+    """A text-enabled work dir whose cache entries hold a ``key`` and, for
+    the two cluster stages, a ``cluster.spherical`` part, and whose
+    ``centroids.meta.json`` files hold a ``spherical`` key, as work dirs of
+    the spherical k-means option were written: a rerun runs exactly
+    ``cluster`` and ``text-cluster``, each for the setting it no longer
+    declares, and leaves a cold run's files. A config that still sets the
+    option, or trains the topic model on the pool alone, exits 1."""
+    text = "[text]\nenabled = true\n"
+    cold = _write_config(corpus_dir, tmp_path / "cold", tmp_path / "cold.cfg", text)
+    assert main(["run", "--config", str(cold)]) == 0
+    work = tmp_path / "old"
+    shutil.copytree(tmp_path / "cold", work)
+    cache = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    for stage, entry in cache.items():
+        parts = entry["parts"]
+        if stage.endswith("cluster"):
+            meta = f"{stage.removesuffix('cluster').replace('-', '_')}centroids.meta.json"
+            data = json.loads((work / meta).read_text(encoding="utf-8")) | {"spherical": False}
+            (work / meta).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
+            entry["outputs"][meta] = hashlib.sha256((work / meta).read_bytes()).hexdigest()
+            parts = {**parts, "cluster.spherical": "False"}
+        entry["parts"] = parts
+        entry["key"] = hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+    (work / "cache.json").write_text(json.dumps(cache), encoding="utf-8")
+
+    old = _write_config(corpus_dir, work, tmp_path / "old.cfg", text)
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="ldaselect.pipeline")
+    capsys.readouterr()
+    assert main(["run", "--config", str(old)]) == 0
+    running = [m for m in caplog.messages if ": running (" in m]
+    assert running == [f"stage {s}: running (cluster.spherical False -> (undeclared))"
+                       for s in ("cluster", "text-cluster")]
+    out = capsys.readouterr().out
+    assert out.count(": ran\n") == 2 and out.count(": skipped (cached)\n") == len(cache) - 2
+    for path in (tmp_path / "cold").iterdir():
+        if path.name not in ("signatures.json", "cache.json"):
+            assert (work / path.name).read_bytes() == path.read_bytes(), path.name
+    # A skipped stage's entry keeps its key, which nothing reads.
+    rerun = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    assert {s: {k: v for k, v in e.items() if k != "key"} for s, e in rerun.items()} == (
+        json.loads((tmp_path / "cold" / "cache.json").read_text(encoding="utf-8")))
+
+    for section, line, message in (
+        ("[cluster]\n", "spherical = false", "unknown key 'spherical' in section [cluster]"),
+        ("[lda]\n", "train_source = pool",
+         "lda.train_source must be one of ('dev', 'dev+pool'), got 'pool'"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cold.read_text(encoding="utf-8").replace(section, f"{section}{line}\n")
+                       .replace(str(tmp_path / "cold"), str(tmp_path / "w")), encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_version_and_bad_command():

@@ -41,7 +41,6 @@ train_source = dev+pool
 n_clusters = 6
 seed = 2
 max_iterations = 30
-spherical = true
 
 [selection]
 lambda = 0.35
@@ -109,7 +108,6 @@ def test_full_file_round_trip(tmp_path):
     assert config.lda.eta == pytest.approx(0.02)
     assert config.lda.alpha == pytest.approx(0.1)
     assert config.lda.train_source == "dev+pool"
-    assert config.cluster.spherical is True
     assert config.selection.threshold == pytest.approx(0.35)
     assert config.selection.max_hours == pytest.approx(2.5)
     assert config.text.enabled is True
@@ -182,7 +180,7 @@ SECTION_KEYS = {
         "n_topics", "seed", "em_tol", "em_max_iterations", "doc_tol",
         "doc_max_iterations", "eta", "alpha", "train_source",
     },
-    "cluster": {"n_clusters", "seed", "max_iterations", "spherical"},
+    "cluster": {"n_clusters", "seed", "max_iterations"},
     "selection": {"threshold", "max_hours"},
     "text": {"enabled"},
 }
@@ -206,14 +204,25 @@ def test_bad_values_rejected(tmp_path):
     for body in (
         "[lda]\nn_topics = four\n",
         "[quantizer]\ntol = fast\n",
-        "[cluster]\nspherical = sideways\n",
         "broken, no section header\n",
     ):
         path = _write_config(tmp_path, body)
         with pytest.raises(ValidationError):
             load_config(path)
+    path = _write_config(tmp_path, "[text]\nenabled = sideways\n")
+    with pytest.raises(ValidationError, match="bad value for text.enabled: 'sideways'"):
+        load_config(path)
     with pytest.raises(ValidationError):
         load_config(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("NO", False), ("false", False), ("Off", False),
+])
+def test_a_boolean_takes_each_literal_in_any_case(tmp_path, text, value):
+    path = _write_config(tmp_path, f"[text]\nenabled = {text}\n")
+    assert load_config(path).text.enabled is value
 
 
 def test_optional_fields_blank_means_none(tmp_path):

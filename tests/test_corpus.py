@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,80 @@ def test_manifest_round_trip_is_stable(tmp_path):
     assert back.fps == 100.0
     write_manifest(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Text fields drawn from the separators, a comment mark, blanks and a few
+# other characters, so a draw can break each rule of a manifest line.
+_FIELD = st.text(st.sampled_from("a#é \t\n\r\x85\u2028"), max_size=3)
+
+
+def _line_ok(u: Utterance) -> bool:
+    """Whether a manifest line can hold ``u``, judged on its own fields."""
+    strings = [u.id, u.feature_path, u.domain_tag, u.transcript_path or ""]
+    line = "\t".join([u.id, u.feature_path])
+    return (bool(u.id and u.feature_path and u.domain_tag)
+            and not any(c in s for s in strings for c in "\t\n\r")
+            and not line.lstrip().startswith("#")
+            and u.num_frames >= 0 and u.frame_dim >= 1 and 0 <= u.duration_s < float("inf"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    utts=st.lists(st.builds(
+        Utterance, id=_FIELD, feature_path=_FIELD, num_frames=st.integers(-1, 9),
+        frame_dim=st.integers(0, 9),
+        duration_s=st.floats(-1.0, 1e9) | st.sampled_from([float("nan"), float("inf")]),
+        domain_tag=_FIELD, transcript_path=st.none() | _FIELD,
+    ), max_size=3),
+    fps=st.floats(1e-3, 1e6) | st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
+)
+def test_write_manifest_writes_what_read_manifest_reads_back_or_nothing(
+    tmp_path_factory, utts, fps
+):
+    """A manifest is either refused before a file exists, or read back with
+    its fps, ids, paths, frame counts, widths, tags and transcripts, and its
+    durations to nine digits; it is refused exactly when some utterance
+    breaks a rule of a line, or repeats an id, or the fps is not finite and
+    positive."""
+    path = tmp_path_factory.mktemp("manifest") / "m.tsv"
+    ids = [u.id for u in utts]
+    ok = all(map(_line_ok, utts)) and len(set(ids)) == len(ids) and 0 < fps < float("inf")
+    try:
+        write_manifest(Manifest(utts, fps=fps), path)
+    except ValidationError:
+        assert not ok
+        assert not path.exists()
+        return
+    assert ok
+    back = read_manifest(path)
+    assert back.fps == float(f"{fps:.9g}")
+    fields = lambda u: (u.id, u.feature_path, u.num_frames, u.frame_dim, u.domain_tag,
+                        u.transcript_path or None)
+    assert list(map(fields, back)) == list(map(fields, utts))
+    assert [u.duration_s for u in back] == [float(f"{u.duration_s:.9g}") for u in utts]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", "a\tb", "a tab or line break in a text field"),
+    ("feature_path", "f\n.aldf", "a tab or line break in a text field"),
+    ("transcript_path", "t\r.txt", "a tab or line break in a text field"),
+    ("feature_path", "", "empty feature path"),
+    ("domain_tag", "", "empty domain tag"),
+    ("id", " #c", "it would read back as a comment"),
+    ("num_frames", -1, "num_frames must be >= 0"),
+    ("frame_dim", 0, "frame_dim must be >= 1"),
+    ("duration_s", -1.0, "duration_s must be finite and >= 0, got -1.0"),
+    ("duration_s", float("nan"), "duration_s must be finite and >= 0, got nan"),
+    ("id", "\udcff", "a text field is not UTF-8"),
+    ("id", "ok", "repeated id"),
+])
+def test_write_manifest_names_the_utterance_it_refuses(tmp_path, field, value, message):
+    utts = [Utterance("ok", "f.aldf", 5, 2, 0.05, "x"), Utterance("u", "g.aldf", 5, 2, 0.05, "x")]
+    setattr(utts[1], field, value)
+    path = tmp_path / "m.tsv"
+    with pytest.raises(ValidationError, match=re.escape(f"utterance {utts[1].id!r}: {message}")):
+        write_manifest(Manifest(utts), path)
+    assert not path.exists()
 
 
 def test_manifest_paths_resolve_once_against_its_absolute_directory(tmp_path, monkeypatch):

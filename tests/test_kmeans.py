@@ -79,16 +79,6 @@ def test_centroid_mean_consistency():
         assert np.allclose(km.centroids[j], member.mean(axis=0), atol=1e-9)
 
 
-def test_normalized_centroids_variant():
-    rng = np.random.default_rng(17)
-    X = rng.random((40, 5)) + 0.1
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    km = train_kmeans(X, 4, seed=2, normalize_centroids=True)
-    assert np.allclose(np.linalg.norm(km.centroids, axis=1), 1.0, atol=1e-12)
-    h = km.inertia_history
-    assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
-
-
 def test_validation_errors():
     X = np.ones((3, 2)) * np.arange(3)[:, None]
     with pytest.raises(ValidationError):

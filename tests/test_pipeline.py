@@ -110,52 +110,6 @@ def test_full_acoustic_run(tmp_path, corpus_dir):
     assert _lock_is_free(tmp_path / "work")
 
 
-def test_spherical_clustering_run(tmp_path, corpus_dir):
-    config = _config(corpus_dir, tmp_path / "work")
-    config.cluster.spherical = True
-    # One cluster over both domains' posteriors, which point different ways:
-    # the plain mean of their unit rows is well inside the unit sphere.
-    config.cluster.n_clusters = 1
-    run_pipeline(config)
-    centroids = read_posteriors(tmp_path / "work" / "centroids.tsv").gamma
-    assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, rtol=0, atol=1e-8)
-    meta = json.loads((tmp_path / "work" / "centroids.meta.json").read_text(encoding="utf-8"))
-    assert meta["spherical"] is True
-    assert all(run_pipeline(config).skipped.values())
-
-
-def test_spherical_clusters_of_posteriors_that_differ_within_a_domain(tmp_path):
-    """Two spherical clusters over dev posteriors that point different ways
-    within each domain (closer domains, more topics than domains and a larger
-    alpha than ``corpus_dir``'s): each centroid is the unit-norm mean of the
-    unit rows nearest it, one cluster per domain."""
-    for role, n, seed, prefix in (("pool", 12, 11, ""), ("dev", 4, 12, "dev_")):
-        spec = SynthSpec(
-            2, n, frames_range=(30, 50), separation=2.0, role=role, id_prefix=prefix
-        )
-        generate_synthetic_corpus(spec, seed=seed, out_dir=tmp_path / role)
-    config = _config(tmp_path, tmp_path / "work")
-    config.quantizer.n_components = 4
-    config.lda.n_topics = 3
-    config.lda.alpha = 0.5
-    config.cluster.spherical = True
-    run_pipeline(config)
-    posts = read_posteriors(tmp_path / "work" / "post_dev.tsv")
-    X = posts.gamma / np.linalg.norm(posts.gamma, axis=1, keepdims=True)
-    domains = np.array([i.split("_")[1] for i in posts.ids])
-    for d in set(domains):
-        assert np.ptp(X[domains == d], axis=0).max() > 0.01  # rows differ within a domain
-    centroids = read_posteriors(tmp_path / "work" / "centroids.tsv").gamma
-    assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, rtol=0, atol=1e-8)
-    nearest = np.argmax(X @ centroids.T, axis=1)
-    for j, centroid in enumerate(centroids):
-        assert len(set(domains[nearest == j])) == 1
-        mean = X[nearest == j].mean(axis=0)
-        assert np.allclose(centroid, mean / np.linalg.norm(mean), rtol=0, atol=1e-7)
-    meta = json.loads((tmp_path / "work" / "centroids.meta.json").read_text(encoding="utf-8"))
-    assert meta["cluster_sizes"] == [4, 4]
-
-
 def test_rerun_skips_everything_and_output_stable(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
@@ -1533,7 +1487,7 @@ PERTURBED = {
         "doc_max_iterations": 3, "eta": 0.5, "alpha": 0.5, "n_topics": 3,
         "train_source": "dev+pool",
     },
-    "cluster": {"n_clusters": 3, "seed": 1, "max_iterations": 1, "spherical": True},
+    "cluster": {"n_clusters": 3, "seed": 1, "max_iterations": 1},
     "selection": {"threshold": 1.0, "max_hours": 0.001},
     "text": {"enabled": False},
 }
@@ -1782,6 +1736,24 @@ def test_cache_file_without_parts_reruns_every_stage(tmp_path, corpus_dir, caplo
     ]
     assert {p.name: p.read_bytes() for p in work.iterdir() if p.name != "cache.json"} == before
     assert all(run_pipeline(config).skipped.values())
+
+
+def test_a_recorded_null_part_the_stage_does_not_declare_reruns_it(tmp_path, corpus_dir, caplog):
+    """A stage skips only when its recorded parts equal its parts: a part that
+    only the entry holds reruns the stage, even when ``cache.json`` records it
+    as null, which the stage's own lookup of a missing part also gives."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    run_pipeline(config)
+    cache = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    cache["report"]["parts"]["report.gone"] = None
+    (work / "cache.json").write_text(json.dumps(cache), encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ldaselect.pipeline"):
+        result = run_pipeline(config)
+    assert [s for s, skipped in result.skipped.items() if not skipped] == ["report"]
+    assert [m for m in caplog.messages if ": running (" in m] == [
+        "stage report: running (report.gone None -> (undeclared))"]
 
 
 def test_cold_runs_in_two_work_dirs_write_the_same_cache_file(tmp_path, corpus_dir):
