@@ -176,6 +176,10 @@ def _utterance_error(u: Utterance) -> str | None:
         return "empty utterance id"
     if not u.feature_path:
         return "empty feature path"
+    for name in ("num_frames", "frame_dim"):
+        value = getattr(u, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"{name} must be an integer, got {value!r}"
     if not u.num_frames >= 0:
         return "num_frames must be >= 0"
     if not u.frame_dim >= 1:
@@ -195,8 +199,11 @@ def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utte
         )
     num_frames = _parse_int(fields[2], path, lineno, "num_frames")
     frame_dim = _parse_int(fields[3], path, lineno, "frame_dim")
-    duration_s = (num_frames / fps if fields[4] == ""
-                  else _parse_float(fields[4], path, lineno, "duration_s"))
+    try:
+        duration_s = (num_frames / fps if fields[4] == ""
+                      else _parse_float(fields[4], path, lineno, "duration_s"))
+    except OverflowError:  # a frame count past float range: refused as infinite
+        duration_s = math.inf
     utt = Utterance(fields[0], fields[1], num_frames, frame_dim, duration_s, fields[5],
                     fields[6] if len(fields) == 7 and fields[6] else None)
     if error := _utterance_error(utt):

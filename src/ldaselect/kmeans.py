@@ -1,11 +1,10 @@
-"""K-means clustering with deterministic, input-order-independent results.
+"""K-means clustering with deterministic results.
 
-Rows are internally sorted by a content hash before seeding and iteration, so
-permuting the input rows permutes the returned assignments identically but
-leaves the centroids unchanged.
+Seeds are drawn by row position, so the same rows in the same order and the
+same seed give the same centroids: a caller whose result must not depend on
+how its rows arrived fixes their order itself.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,17 +22,6 @@ class KMeansModel:
     assignments: np.ndarray = field(compare=False)
     inertia_history: list[float] = field(default_factory=list)
     n_iterations: int = 0
-
-
-def _row_hash_order(X: np.ndarray) -> np.ndarray:
-    """Indices that sort rows by (blake2b digest of bytes, original index)."""
-    digests = [
-        hashlib.blake2b(np.ascontiguousarray(row, dtype="<f8").tobytes(), digest_size=16).digest()
-        for row in X
-    ]
-    return np.asarray(
-        sorted(range(X.shape[0]), key=lambda i: (digests[i], i)), dtype=np.int64
-    )
 
 
 def _sq_dists(columns: np.ndarray, row: int, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
@@ -113,6 +101,9 @@ def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansM
     relative inertia improvement falls below ``_TOL`` or assignments stop
     changing. Empty clusters are reseeded deterministically with the member
     of the largest cluster farthest from its centroid.
+
+    The k-means++ seeds are drawn by position in ``X`` as given: permuting
+    the rows can change the result, so callers fix the row order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -126,17 +117,15 @@ def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansM
     if not np.all(np.isfinite(X)):
         raise ValidationError("k-means input contains NaN or Inf")
 
-    order = _row_hash_order(X)
-    Xs = X[order]
     rng = np.random.default_rng(seed)
-    centroids = Xs[kmeans_pp_indices(Xs, k, rng)].copy()
+    centroids = X[kmeans_pp_indices(X, k, rng)]
 
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     iterations = 0
     for _ in range(max_iterations):
-        new_labels, d2 = _assign(Xs, centroids)
-        new_labels = _fix_empty_clusters(Xs, centroids, new_labels, d2, k)
+        new_labels, d2 = _assign(X, centroids)
+        new_labels = _fix_empty_clusters(X, centroids, new_labels, d2, k)
         iterations += 1
         inertia = float(np.sum(d2))
         history.append(inertia)
@@ -146,19 +135,17 @@ def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansM
         labels = new_labels
         for j in range(k):
             member = labels == j
-            centroids[j] = Xs[member].mean(axis=0)
+            centroids[j] = X[member].mean(axis=0)
         if converged:
             break
 
-    out = np.empty(n, dtype=np.int64)
-    out[order] = labels
     return KMeansModel(
-        centroids=centroids, assignments=out, inertia_history=history,
+        centroids=centroids, assignments=labels, inertia_history=history,
         n_iterations=iterations,
     )
 
 
-def _fix_empty_clusters(Xs, centroids, labels, d2, k) -> np.ndarray:
+def _fix_empty_clusters(X, centroids, labels, d2, k) -> np.ndarray:
     """Move the farthest member of the largest cluster into each empty one."""
     counts = np.bincount(labels, minlength=k)
     for j in np.flatnonzero(counts == 0):
@@ -166,7 +153,7 @@ def _fix_empty_clusters(Xs, centroids, labels, d2, k) -> np.ndarray:
         members = np.flatnonzero(labels == donor)
         far = members[int(np.argmax(d2[members]))]
         labels[far] = j
-        centroids[j] = Xs[far]
+        centroids[j] = X[far]
         d2[far] = 0.0
         counts[donor] -= 1
         counts[j] += 1

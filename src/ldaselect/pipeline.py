@@ -149,7 +149,8 @@ class Runner:
         # Each manifest is read once: the stage keys hash the very bytes that
         # were parsed, so a manifest edited after this point cannot get the
         # old manifest's results cached under its new contents. This read is
-        # the one check that the manifest is a file.
+        # the one check that the manifest is a file. Every stage takes the
+        # utterances in id order, so no output depends on the lines' order.
         self.manifest_bytes: dict[str, bytes] = {}
         self.manifests: dict[str, corpus.Manifest] = {}
         for which in ("dev", "pool"):
@@ -163,6 +164,7 @@ class Runner:
             self.manifests[which] = corpus.parse_manifest(
                 self.manifest_bytes[which], path, role=which
             )
+            self.manifests[which].utterances.sort(key=lambda u: u.id)
         self.pool = self.manifests["pool"]
 
     @contextmanager

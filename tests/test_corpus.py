@@ -129,11 +129,13 @@ def test_read_manifest_bad_numbers(tmp_path):
     with pytest.raises(FormatError):
         read_manifest(p)
     # A NaN or infinite duration would make total_hours() NaN or infinite; an
-    # infinite fps would make every derived duration 0.
+    # infinite fps would make every derived duration 0. A frame count past
+    # float range derives an infinite duration.
     for text, line in [
         ("a\tf.aldf\t5\t2\tnan\tx\n", 1),
         ("a\tf.aldf\t5\t2\tinf\tx\n", 1),
         ("a\tf.aldf\t5\t2\t0.05\tx\n# fps=1e999\nb\tg.aldf\t5\t2\t\tx\n", 2),
+        (f"a\tf.aldf\t{10**400}\t2\t\tx\n", 1),
     ]:
         _write(p, text)
         with pytest.raises(FormatError, match=f"m.tsv:{line}: .* must be finite"):
@@ -220,6 +222,9 @@ def test_write_manifest_writes_what_read_manifest_reads_back_or_nothing(
     ("id", " #c", "it would read back as a comment"),
     ("num_frames", -1, "num_frames must be >= 0"),
     ("frame_dim", 0, "frame_dim must be >= 1"),
+    ("num_frames", 5.0, "num_frames must be an integer, got 5.0"),
+    ("frame_dim", 2.0, "frame_dim must be an integer, got 2.0"),
+    ("num_frames", True, "num_frames must be an integer, got True"),
     ("duration_s", -1.0, "duration_s must be finite and >= 0, got -1.0"),
     ("duration_s", float("nan"), "duration_s must be finite and >= 0, got nan"),
     ("id", "\udcff", "a text field is not UTF-8"),

@@ -56,18 +56,28 @@ def test_inertia_monotone_random():
         assert np.bincount(km.assignments, minlength=5).min() >= 1
 
 
-def test_determinism_and_order_independence():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((30, 3))
+def test_determinism():
+    X = np.random.default_rng(11).standard_normal((30, 3))
     km1 = train_kmeans(X, 4, seed=9)
     km2 = train_kmeans(X, 4, seed=9)
     assert np.array_equal(km1.centroids, km2.centroids)
     assert np.array_equal(km1.assignments, km2.assignments)
-    perm = rng.permutation(30)
-    km3 = train_kmeans(X[perm], 4, seed=9)
-    # same centroids in the same order; assignments permuted along with rows
-    assert np.array_equal(km3.centroids, km1.centroids)
-    assert np.array_equal(km3.assignments, km1.assignments[perm])
+
+
+def test_seeds_are_drawn_from_the_rows_in_the_order_given(monkeypatch):
+    """Lloyd's first step starts from the rows that the reference k-means++
+    draw picks from ``X`` itself: the rows are not reordered first."""
+    X = np.random.default_rng(12).standard_normal((40, 3))
+    assign, starts = kmeans_module._assign, []
+
+    def first_step(X, centroids):
+        starts.append(centroids.copy())
+        return assign(X, centroids)
+
+    monkeypatch.setattr(kmeans_module, "_assign", first_step)
+    train_kmeans(X, 5, seed=4, max_iterations=1)
+    want = ref_kmeans_pp_indices(X, 5, np.random.default_rng(4))
+    assert starts[0].tobytes() == X[want].tobytes()
 
 
 def test_centroid_mean_consistency():

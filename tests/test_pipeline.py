@@ -130,6 +130,65 @@ def test_identical_runs_in_fresh_work_dirs_agree(tmp_path, corpus_dir):
         ).read_bytes(), name
 
 
+def test_manifest_line_order_changes_no_output(tmp_path, corpus_dir):
+    """The runner takes each manifest's utterances in id order. With the
+    lines of both manifests permuted, every work-dir file of a run with the
+    text path on, and of ``random-select``, is byte-identical, except the
+    two that hold digests of the manifests' bytes."""
+    from ldaselect.cli import main
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    rng = np.random.default_rng(0)
+    for which in ("pool", "dev"):
+        header, *lines = (corpus / which / f"{which}.tsv").read_text("utf-8").splitlines(True)
+        (corpus / which / "permuted.tsv").write_text(
+            header + "".join(lines[i] for i in rng.permutation(len(lines))), "utf-8")
+    files = {}
+    for name in ("pool.tsv", "permuted.tsv"):
+        config = _config(corpus, tmp_path / name, text=True)
+        config.paths.pool_manifest = str(corpus / "pool" / name)
+        config.paths.dev_manifest = str(corpus / "dev" / name.replace("pool", "dev"))
+        run_pipeline(config)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            f"[paths]\npool_manifest = {config.paths.pool_manifest}\n"
+            f"dev_manifest = {config.paths.dev_manifest}\n"
+            f"work_dir = {config.paths.work_dir}\n", "utf-8")
+        assert main(["random-select", "--config", str(cfg), "--budget-hours", "0.001"]) == 0
+        files[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                       if p.name not in ("cache.json", "signatures.json")}
+    assert "random_selection.tsv" in files["pool.tsv"]
+    assert "selection_text.audit.tsv" in files["pool.tsv"]
+    assert files["permuted.tsv"] == files["pool.tsv"]
+
+
+def test_a_change_below_the_stored_precision_keeps_the_selection(tmp_path, monkeypatch):
+    """A 1e-9 relative change of every document weight can flip the last
+    stored digit of a dev posterior; k-means seeds from the rows in the
+    order given, so that does not reseed it and the selection stays."""
+    for role, per_domain, seed, prefix in (("pool", 12, 11, ""), ("dev", 6, 12, "dev_")):
+        spec = SynthSpec(3, per_domain, frames_range=(30, 50), role=role, id_prefix=prefix)
+        generate_synthetic_corpus(spec, seed=seed, out_dir=tmp_path / role)
+    tfidf = pipeline_module.docmodel.tfidf
+    audits = []
+    for scale in (1.0, 1 + 1e-9):
+        def scaled(bag, stats, scale=scale):
+            docs = tfidf(bag, stats)
+            return replace(docs, weights=docs.weights * scale)
+
+        monkeypatch.setattr(pipeline_module.docmodel, "tfidf", scaled)
+        config = _config(tmp_path, tmp_path / f"work{scale}")
+        config.quantizer.n_components = 4
+        config.lda.n_topics = 3
+        config.cluster.n_clusters = 4
+        config.selection.max_hours = 0.0015
+        audits.append(run_pipeline(config).selection)
+    assert len(audits[0].selected) < 36
+    assert [(s.utt_id, s.centroid, s.pass_index) for s in audits[1].selected] == [
+        (s.utt_id, s.centroid, s.pass_index) for s in audits[0].selected]
+
+
 def test_changed_input_invalidates_cache(tmp_path, corpus_dir):
     import shutil
 
@@ -773,7 +832,8 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatc
     """Each ``bags_*.adoc`` holds ``bag_of_words`` over the utterances' frame
     tokens, each utterance quantized on its own; a zero-frame utterance is an
     empty document. ``quantize`` scores each corpus in one block, and the
-    same bags come of blocks of 3 frames, which utterances straddle."""
+    same bags come of blocks of 3 frames, which utterances straddle. The
+    bags list the utterances in id order, whatever the manifest's order."""
     shutil.copytree(corpus_dir, tmp_path / "corpus")
     pool_path = tmp_path / "corpus" / "pool" / "pool.tsv"
     pool = read_manifest(pool_path)
@@ -795,6 +855,8 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatc
         calls.clear()
         assert run_pipeline(config, stages=["quantize"]).skipped == {"quantize": False}
         manifests = [read_manifest(getattr(config.paths, f"{w}_manifest")) for w in ("pool", "dev")]
+        for manifest in manifests:
+            manifest.utterances.sort(key=lambda u: u.id)
         frames = [sum(u.num_frames for u in m) for m in manifests]
         if block_values:
             assert calls == [n for f in frames for n in [3] * (f // 3) + [f % 3] * (f % 3 > 0)]
@@ -811,8 +873,8 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatc
             for i in range(len(expected)):
                 assert entries(bags, i) == entries(expected, i), (which, i)
         pool_bags = load_docs(tmp_path / work / "bags_pool.adoc")
-        assert pool_bags.ids[1] == "silent"
-        assert pool_bags.indptr[1] == pool_bags.indptr[2]
+        silent = pool_bags.ids.index("silent")
+        assert pool_bags.indptr[silent] == pool_bags.indptr[silent + 1]
 
 
 def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
