@@ -28,6 +28,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # frames EM trains on or a matrix holds.
 _BLOCK_CELLS = 1 << 16
 
+# Frames per component that k-means++ seeds on: the old 200K sample's ratio at
+# N=1024 (now 204,800), so seeding's cost follows N, not the training frames.
+_SEED_FRAMES_PER_COMPONENT = 200
+
 # Consecutive iterations a component may sit below the variance floor in
 # every dimension before training is abandoned as degenerate.
 _COLLAPSE_PATIENCE = 3
@@ -41,14 +45,12 @@ class GmmConfig:
     max_iterations: int = 50
     tol: float = 1e-5
     var_floor_scale: float = 1e-3
-    init_subsample: int = 200_000
 
 
 def validate_gmm_config(config: GmmConfig) -> None:
     """Range-check the EM settings, as :func:`train_gmm` needs them."""
     validate_seed(config.seed)
-    for name in ("max_iterations", "init_subsample"):
-        validate_count(getattr(config, name), name)
+    validate_count(config.max_iterations, "max_iterations")
     for name in ("tol", "var_floor_scale"):
         validate_positive(getattr(config, name), name)
 
@@ -167,15 +169,15 @@ def _column_moments(frames) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def _seed_means(frames, n_components: int, init_subsample: int, rng) -> np.ndarray:
+def _seed_means(frames, n_components: int, rng) -> np.ndarray:
     """Float64 k-means++ seed rows of ``frames``, drawn from a uniform
-    subsample of ``init_subsample`` rows when there are more frames. The
-    subsample is gathered dim-major, one column at a time: ``frames[idx]``
+    subsample of ``_SEED_FRAMES_PER_COMPONENT`` rows per component when there
+    are more frames, gathered dim-major one column at a time: ``frames[idx]``
     would come out row-major, and seeding would copy it again."""
     n, d = frames.shape
-    sub = frames
-    if n > init_subsample:
-        idx = rng.choice(n, size=init_subsample, replace=False)
+    sub, rows = frames, _SEED_FRAMES_PER_COMPONENT * n_components
+    if n > rows:
+        idx = rng.choice(n, size=rows, replace=False)
         sub = np.empty((idx.size, d), dtype=frames.dtype, order="F")
         for j in range(d):
             sub[:, j] = frames[idx, j]
@@ -208,10 +210,9 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     Dim-major (Fortran-ordered) frames, as :func:`corpus.sample_frames`
     returns them, are read in place: the global variance casts one
     contiguous column at a time, each E-step block copies contiguous rows,
-    and k-means++ seeding takes its columns without a copy. Beyond the
-    frames, only seeding grows with their number: it keeps three float64
-    vectors as long as its rows, and when ``n > init_subsample`` it seeds on
-    ``init_subsample`` rows gathered once, dim-major, in the frames' dtype.
+    and k-means++ seeding takes its columns without a copy. Seeding keeps
+    three float64 vectors as long as its rows: every frame, or, when there
+    are more, ``_SEED_FRAMES_PER_COMPONENT * n_components`` gathered once.
     Row-major frames train the same model, but seeding on all of them
     copies them transposed.
     """
@@ -234,19 +235,17 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     floor[floor <= 0] = floor[floor > 0].min()
 
     rng = np.random.default_rng(config.seed)
-    means = _seed_means(frames, n_components, config.init_subsample, rng)
+    means = _seed_means(frames, n_components, rng)
     variances = np.tile(np.maximum(global_var, floor), (n_components, 1))
     weights = np.full(n_components, 1.0 / n_components)
 
     e_step = _e_step(frames, global_mean, n_components)
     history: list[float] = []
     collapsed_runs = np.zeros(n_components, dtype=np.int64)
-    iterations = 0
     converged = False
     for _ in range(config.max_iterations):
         loglik, stats = e_step(_coefficients(weights, means, variances, global_mean))
         history.append(loglik)
-        iterations += 1
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
             if (cur - prev) / max(abs(prev), 1.0) < config.tol:
@@ -271,7 +270,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
 
     return GmmModel(
         n_components=n_components, weights=weights, means=means, variances=variances,
-        var_floor=floor, loglik_history=history, n_iterations=iterations,
+        var_floor=floor, loglik_history=history, n_iterations=len(history),
         converged=converged,
     )
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ldaselect import gmm as gmm_module
 from ldaselect import pipeline as pipeline_module
 from ldaselect.cli import main
 from ldaselect.corpus import read_manifest
@@ -635,6 +636,55 @@ def test_a_work_dir_of_spherical_era_cache_entries_reruns_only_the_cluster_stage
                        .replace(str(tmp_path / "cold"), str(tmp_path / "w")), encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_a_work_dir_of_init_subsample_era_cache_entries_reruns_train_gmm_and_what_it_feeds(
+    corpus_dir, tmp_path, caplog, capsys, monkeypatch
+):
+    """A text-enabled work dir written when k-means++ seeding sampled a fixed
+    ``init_subsample`` of 200,000 frames, that is every frame here, and
+    whose ``train-gmm`` entry holds a ``quantizer.init_subsample`` part: a
+    rerun runs ``train-gmm`` for the setting it no longer declares, then
+    exactly the stages with an input that the new seeding changed, and
+    leaves a cold run's files. A config that still sets the option exits 1."""
+    text = "[text]\nenabled = true\n"
+    cold = _write_config(corpus_dir, tmp_path / "cold", tmp_path / "cold.cfg", text)
+    assert main(["run", "--config", str(cold)]) == 0
+    work = tmp_path / "old"
+    old = _write_config(corpus_dir, work, tmp_path / "old.cfg", text)
+    with monkeypatch.context() as mp:  # 200,000 frames at n_components = 2
+        mp.setattr(gmm_module, "_SEED_FRAMES_PER_COMPONENT", 100_000)
+        assert main(["run", "--config", str(old)]) == 0
+    cache = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    cache["train-gmm"]["parts"]["quantizer.init_subsample"] = "200000"
+    (work / "cache.json").write_text(json.dumps(cache), encoding="utf-8")
+    changed = {p.name for p in (tmp_path / "cold").iterdir()
+               if (work / p.name).read_bytes() != p.read_bytes()}
+    changed -= {"cache.json", "signatures.json"}
+    assert "gmm.agmm" in changed
+
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="ldaselect.pipeline")
+    capsys.readouterr()
+    assert main(["run", "--config", str(old)]) == 0
+    running = {m.split()[1].rstrip(":"): set(m.split(": running (", 1)[1][:-1].split("; "))
+               for m in caplog.messages if ": running (" in m}
+    fed = {s: {f"input {o} changed" for o in changed if f"input {o}" in entry["parts"]}
+           for s, entry in cache.items()}
+    assert running == {"train-gmm": {"quantizer.init_subsample 200000 -> (undeclared)"}} | {
+        s: why for s, why in fed.items() if why}
+    assert capsys.readouterr().out.count(": ran\n") == len(running) < len(cache)
+    for path in (tmp_path / "cold").iterdir():
+        if path.name != "signatures.json":
+            assert (work / path.name).read_bytes() == path.read_bytes(), path.name
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cold.read_text(encoding="utf-8").replace(
+        "[quantizer]\n", "[quantizer]\ninit_subsample = 200000\n").replace(
+        str(tmp_path / "cold"), str(tmp_path / "w")), encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 1
+    assert "unknown key 'init_subsample' in section [quantizer]" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,6 @@ seed = 3
 max_iterations = 12
 tol = 1e-4
 var_floor_scale = 1e-2
-init_subsample = 5000
 max_train_frames = 20000
 
 [docmodel]
@@ -96,7 +96,6 @@ def test_full_file_round_trip(tmp_path):
     assert config.quantizer.max_iterations == 12
     assert config.quantizer.tol == pytest.approx(1e-4)
     assert config.quantizer.var_floor_scale == pytest.approx(1e-2)
-    assert config.quantizer.init_subsample == 5000
     assert config.quantizer.max_train_frames == 20000
     assert config.docmodel.text_vocab_cap == 64
     assert config.lda.n_topics == 4
@@ -173,7 +172,7 @@ SECTION_KEYS = {
     "paths": {"pool_manifest", "dev_manifest", "work_dir"},
     "quantizer": {
         "n_components", "seed", "max_iterations", "tol", "var_floor_scale",
-        "init_subsample", "max_train_frames",
+        "max_train_frames",
     },
     "docmodel": {"text_vocab_cap"},
     "lda": {
@@ -279,7 +278,7 @@ def test_validate_names_the_section_of_a_model_setting(tmp_path):
     """The quantizer and topic-model settings, and every seed, are checked by
     the model modules themselves; the message names the config key."""
     for section, key, value in [
-        ("quantizer", "var_floor_scale", 0.0), ("quantizer", "init_subsample", 0),
+        ("quantizer", "var_floor_scale", 0.0), ("quantizer", "max_iterations", 0),
         ("lda", "eta", 0.0), ("lda", "doc_max_iterations", 0),
         ("quantizer", "seed", -1), ("lda", "seed", 1.5), ("cluster", "seed", -1),
         ("cluster", "seed", 1.5),
@@ -288,6 +287,22 @@ def test_validate_names_the_section_of_a_model_setting(tmp_path):
         setattr(getattr(config, section), key, value)
         with pytest.raises(ValidationError, match=f"^{section}.{key} must be"):
             validate_config(config)
+
+
+def test_the_benchmark_workloads_configs_load_and_validate(tmp_path, monkeypatch):
+    """Each config body of ``perfbench/workloads.py``, as the benchmark
+    writes it after its ``[paths]`` section, loads and validates: a key that
+    the library drops while a workload still sets it fails here, not first
+    as a failed benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    pool, dev, work = _write_inputs(tmp_path)
+    for name, workload in WORKLOADS.items():
+        body = f"[paths]\npool_manifest = {pool}\ndev_manifest = {dev}\nwork_dir = {work}\n\n"
+        config = load_config(_write_config(tmp_path, body + workload.config.format(max_hours=1.5)))
+        validate_config(config)
+        assert config.selection.max_hours == 1.5, name
 
 
 def test_validate_paths(tmp_path):

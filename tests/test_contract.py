@@ -131,10 +131,6 @@ CASES = [
         lambda: train_gmm(_frames(), 2, GmmConfig(max_iterations=math.inf)), "max_iterations",
         id="train_gmm-max_iterations-inf",
     ),
-    pytest.param(
-        lambda: train_gmm(_frames(), 2, GmmConfig(init_subsample=2.5)), "init_subsample",
-        id="train_gmm-init_subsample-2.5",
-    ),
     pytest.param(lambda: train_kmeans(_frames(), 1.5), "k", id="train_kmeans-k-1.5"),
     pytest.param(
         lambda: train_kmeans(_frames(), 2, max_iterations=math.nan), "max_iterations",

@@ -110,7 +110,7 @@ def test_training_errors():
 
 @pytest.mark.parametrize("field, value", [
     ("var_floor_scale", 0.0), ("var_floor_scale", math.inf), ("tol", 0.0), ("tol", math.nan),
-    ("max_iterations", 0), ("init_subsample", 0), ("seed", -1), ("seed", 1.5),
+    ("max_iterations", 0), ("seed", -1), ("seed", 1.5),
 ])
 def test_train_gmm_refuses_settings_out_of_range(field, value):
     """Called directly, ``train_gmm`` refuses what ``validate_config`` does,
@@ -124,8 +124,13 @@ def test_train_gmm_refuses_settings_out_of_range(field, value):
 def _em_cases(draw):
     n_components = draw(st.integers(1, 4))
     rows = draw(st.integers(2, 7))
+    blocks = st.integers(n_components, 8)
+    if n_components <= 2:
+        # More frames than seeding samples, so the subsample is drawn too.
+        seeded = gmm_module._SEED_FRAMES_PER_COMPONENT * n_components
+        blocks |= st.integers(seeded // rows + 1, 2 * seeded // rows)
     # n is never a multiple of the block, so every E-step ends on a short block.
-    n = rows * draw(st.integers(n_components, 8)) + draw(st.integers(1, rows - 1))
+    n = rows * draw(blocks) + draw(st.integers(1, rows - 1))
     d = draw(st.integers(1, 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     # Offset clusters keep means and variances away from zero, where a
@@ -137,7 +142,6 @@ def _em_cases(draw):
         seed=draw(st.integers(0, 2**16)),
         max_iterations=draw(st.integers(1, 8)),
         tol=draw(st.sampled_from([1e-3, 1e-5, 1e-8])),
-        init_subsample=draw(st.integers(n_components, n + 5)),
     )
     return X, n_components, rows, config
 
@@ -148,7 +152,9 @@ def test_blocked_em_matches_full_batch_reference(case):
     X, n_components, rows, config = case
     try:
         expected = ref_train_gmm(
-            X, n_components, **dataclasses.asdict(config), collapse_patience=3
+            X, n_components, **dataclasses.asdict(config),
+            init_subsample=gmm_module._SEED_FRAMES_PER_COMPONENT * n_components,
+            collapse_patience=3,
         )
     except ValueError:
         expected = None
@@ -179,7 +185,8 @@ def test_one_m_step_matches_exact_moments_far_from_the_origin(offset):
     config = GmmConfig(seed=0, max_iterations=1)
     model = train_gmm(X, 1, config)
     _, _, ref_variances, _, _ = ref_train_gmm(
-        X, 1, **dataclasses.asdict(config), collapse_patience=3
+        X, 1, **dataclasses.asdict(config),
+        init_subsample=gmm_module._SEED_FRAMES_PER_COMPONENT, collapse_patience=3,
     )
     for j in range(X.shape[1]):
         col = [Fraction(v) for v in X[:, j].tolist()]
@@ -189,12 +196,14 @@ def test_one_m_step_matches_exact_moments_far_from_the_origin(offset):
             assert abs(Fraction(got) - var) <= Fraction(1e-14) * var
 
 
-def test_em_memory_stays_below_frames_by_components():
+@pytest.mark.parametrize("n_components", [128, 256])
+def test_em_memory_stays_below_frames_by_components(n_components):
     """The E-step works in blocks: its peak is far below one frames x
-    components float64 array (tracemalloc sees numpy's allocations)."""
-    n, n_components = 40_000, 256
+    components float64 array (tracemalloc sees numpy's allocations), with
+    seeding on a subsample (128 components) and on every frame (256)."""
+    n = 40_000
     X = np.random.default_rng(9).standard_normal((n, 4))
-    config = GmmConfig(seed=0, max_iterations=2, init_subsample=2_000)
+    config = GmmConfig(seed=0, max_iterations=2)
     tracemalloc.start()
     try:
         train_gmm(X, n_components, config)
@@ -204,33 +213,52 @@ def test_em_memory_stays_below_frames_by_components():
     assert peak < n * n_components * 8 / 4
 
 
-@pytest.mark.parametrize("init_subsample", [20_000, 60_001])
-def test_em_keeps_no_float64_copy_of_the_frames(init_subsample):
+@pytest.mark.parametrize("n_components, rows", [(8, 1_600), (200, 30_000)])
+def test_seeding_samples_200_frames_per_component(n_components, rows, monkeypatch):
+    """k-means++ seeds on a uniform subsample of 200 frames per component, or
+    on every frame when there are no more: its time and memory follow the
+    codebook size, not the number of frames EM trains on."""
+    X = np.random.default_rng(23).standard_normal((30_000, 2))
+    given_rows, seed_rows = [], gmm_module.kmeans_pp_indices
+
+    def recording(sub, k, rng):
+        given_rows.append(sub.shape[0])
+        return seed_rows(sub, k, rng)
+
+    monkeypatch.setattr(gmm_module, "kmeans_pp_indices", recording)
+    train_gmm(X, n_components, GmmConfig(seed=0, max_iterations=1))
+    assert given_rows == [rows]
+
+
+@pytest.mark.parametrize("n_components", [64, 300])
+def test_em_keeps_no_float64_copy_of_the_frames(n_components):
     """Float32 frames are not held again as (2d+1) float64 rows (216 B per
-    frame at dim 13): with seeding on a subsample and on every frame alike,
-    training allocates less than twice the frames' own bytes."""
+    frame at dim 13): with seeding on a subsample (64 components) and on
+    every frame (300) alike, training allocates less than twice the frames'
+    own bytes."""
     rng = np.random.default_rng(13)
     frames = (rng.standard_normal((60_000, 13)) + rng.integers(0, 4, (60_000, 1))).astype(
         np.float32
     )
-    config = GmmConfig(seed=0, max_iterations=2, init_subsample=init_subsample)
+    config = GmmConfig(seed=0, max_iterations=2)
     tracemalloc.start()
     try:
-        train_gmm(frames, 64, config)
+        train_gmm(frames, n_components, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * frames.nbytes
 
 
-@pytest.mark.parametrize("init_subsample", [20_000, 40_001])
-def test_seeding_reads_sampled_frames_in_place(tmp_path, init_subsample):
+@pytest.mark.parametrize("n_components", [100, 256])
+def test_seeding_reads_sampled_frames_in_place(tmp_path, n_components):
     """``sample_frames`` returns dim-major frames, and seeding reads them in
-    place: on every frame it allocates its three float64 distance vectors
-    and no transposed copy, and on a subsample only the one dim-major
-    gather. With 256 components an E-step block (512 KB of log-joint) weighs
-    less than seeding, so seeding sets the traced peak; a frame-sized copy
-    would add 2 MB, or 1 MB on the subsample, to it."""
+    place: on every frame (256 components) it allocates its three float64
+    distance vectors and no transposed copy, and on a subsample (100
+    components, 20,000 rows) only the one dim-major gather. An E-step block
+    (512 KB of log-joint) weighs less than seeding, so seeding sets the
+    traced peak; a frame-sized copy would add 2 MB, or 1 MB on the
+    subsample, to it."""
     n, d = 40_000, 13
     rng = np.random.default_rng(21)
     utts = []
@@ -239,32 +267,33 @@ def test_seeding_reads_sampled_frames_in_place(tmp_path, init_subsample):
         write_features(rng.standard_normal((n // 40, d)) + rng.integers(0, 4), path)
         utts.append(Utterance(f"u{i}", str(path), n // 40, d, 10.0, "x"))
     frames = sample_frames([Manifest(utts)], n, 0)
-    rows = min(n, init_subsample)
+    rows = min(n, 200 * n_components)
     seeding = 3 * rows * 8 + (rows * d * frames.itemsize if rows < n else 0)
-    config = GmmConfig(seed=0, max_iterations=1, init_subsample=init_subsample)
+    config = GmmConfig(seed=0, max_iterations=1)
     tracemalloc.start()
     try:
-        train_gmm(frames, 256, config)
+        train_gmm(frames, n_components, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert seeding < peak < seeding + frames.nbytes // 4
 
 
-@pytest.mark.parametrize("init_subsample", [300, 1001])
+@pytest.mark.parametrize("n", [1000, 600])
 @pytest.mark.parametrize("block_frames", [1, 7])
-def test_float32_frames_train_the_model_of_their_float64_cast(init_subsample, block_frames):
+def test_float32_frames_train_the_model_of_their_float64_cast(n, block_frames):
     """Every cast to float64 is exact, so float32 frames and their float64
     cast train bit-identical models, with 1-frame blocks and with blocks that
-    leave a short last block (1000 = 7 * 142 + 6), seeded on a subsample and
-    on every frame. The frames' memory layout changes only what is copied:
-    row-major and dim-major frames of either dtype train the same model."""
+    leave a short last block (1000 = 7 * 142 + 6, 600 = 7 * 85 + 5), seeded
+    on a subsample (1000 frames, 600 of them) and on every frame (600). The
+    frames' memory layout changes only what is copied: row-major and
+    dim-major frames of either dtype train the same model."""
     rng = np.random.default_rng(14)
     centers = rng.uniform(-4.0, 4.0, size=(3, 5))
-    frames = (centers[rng.integers(3, size=1000)] + rng.standard_normal((1000, 5))).astype(
+    frames = (centers[rng.integers(3, size=n)] + rng.standard_normal((n, 5))).astype(
         np.float32
     )
-    config = GmmConfig(seed=3, max_iterations=6, init_subsample=init_subsample)
+    config = GmmConfig(seed=3, max_iterations=6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gmm_module, "_BLOCK_CELLS", block_frames * 3)
         double = train_gmm(frames.astype(np.float64), 3, config)
