@@ -1,9 +1,9 @@
 """Pipeline configuration: a sectioned key = value file over typed dataclasses.
 
-Every hyperparameter of the full-scale recipe is surfaced with its default
-(token vocabulary 1024, 2048 latent domains, 512 clusters, distance threshold
-0.2); desk-scale runs override them in the config file. The command line
-overrides only the work dir and the seeds.
+Every setting defaults to the full-scale recipe (token vocabulary 1024,
+2048 latent domains, 512 clusters, distance threshold 0.2); desk-scale runs
+override them in the config file. The command line overrides only the work
+dir and the seeds.
 """
 
 import configparser
@@ -49,7 +49,6 @@ class LdaParams(LdaConfig):
 class ClusterConfig:
     n_clusters: int = 512
     seed: int = 0
-    max_iterations: int = 100
 
 
 @dataclass
@@ -136,8 +135,7 @@ def validate_config(config: PipelineConfig) -> None:
         except ValidationError as exc:
             raise ValidationError(f"{section}.{exc}") from None
     for name in ("quantizer.n_components", "quantizer.max_train_frames",
-                 "docmodel.text_vocab_cap", "lda.n_topics", "cluster.n_clusters",
-                 "cluster.max_iterations"):
+                 "docmodel.text_vocab_cap", "lda.n_topics", "cluster.n_clusters"):
         validate_count(reduce(getattr, name.split("."), config), name)
     if config.lda.train_source not in SOURCES:
         raise ValidationError(

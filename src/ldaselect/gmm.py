@@ -12,7 +12,7 @@ import numpy as np
 
 from . import container
 from .corpus import read_file
-from .errors import FormatError, ValidationError, validate_count, validate_positive, validate_seed
+from .errors import FormatError, ValidationError, validate_count, validate_seed
 from .kmeans import kmeans_pp_indices
 
 GMM_MAGIC = b"AGMM"
@@ -36,6 +36,10 @@ _SEED_FRAMES_PER_COMPONENT = 200
 # every dimension before training is abandoned as degenerate.
 _COLLAPSE_PATIENCE = 3
 
+# Relative log-likelihood gain that stops EM; variance floor / global variance.
+_TOL = 1e-5
+_VAR_FLOOR_SCALE = 1e-3
+
 
 @dataclass
 class GmmConfig:
@@ -43,16 +47,12 @@ class GmmConfig:
 
     seed: int = 0
     max_iterations: int = 50
-    tol: float = 1e-5
-    var_floor_scale: float = 1e-3
 
 
 def validate_gmm_config(config: GmmConfig) -> None:
     """Range-check the EM settings, as :func:`train_gmm` needs them."""
     validate_seed(config.seed)
     validate_count(config.max_iterations, "max_iterations")
-    for name in ("tol", "var_floor_scale"):
-        validate_positive(getattr(config, name), name)
 
 
 @dataclass
@@ -188,10 +188,10 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     """Fit a diagonal-covariance mixture by EM.
 
     Initialization is k-means++ seeding on a subsample; variances are floored
-    at ``var_floor_scale`` times the global per-dimension variance. The
+    at ``_VAR_FLOOR_SCALE`` times the global per-dimension variance. The
     recorded log-likelihood trace is non-decreasing up to floating-point
     tolerance; training stops when the relative improvement drops below
-    ``tol`` (``converged``) or after ``max_iterations``.
+    ``_TOL`` (``converged``) or after ``max_iterations``.
 
     The frames are not copied: the E-step walks them in the blocks of
     :func:`_log_joint_blocks`, ``_BLOCK_CELLS // n_components`` frames
@@ -231,7 +231,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
     global_mean, global_var = _column_moments(frames)
     if not np.any(global_var > 0):
         raise ValidationError("degenerate input: all frames are identical")
-    floor = config.var_floor_scale * global_var
+    floor = _VAR_FLOOR_SCALE * global_var
     floor[floor <= 0] = floor[floor > 0].min()
 
     rng = np.random.default_rng(config.seed)
@@ -248,7 +248,7 @@ def train_gmm(frames, n_components: int, config: GmmConfig | None = None) -> Gmm
         history.append(loglik)
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
-            if (cur - prev) / max(abs(prev), 1.0) < config.tol:
+            if (cur - prev) / max(abs(prev), 1.0) < _TOL:
                 converged = True
                 break
         nk = np.maximum(stats[:, 2 * d], 1e-300)

@@ -11,9 +11,10 @@ import numpy as np
 
 from .errors import ValidationError, validate_count, validate_seed
 
-# Lloyd's iteration also stops once an iteration improves the inertia by less
-# than this fraction.
+# Lloyd's iteration stops after _MAX_ITERATIONS, or once an iteration improves
+# the inertia by less than the fraction _TOL.
 _TOL = 1e-6
+_MAX_ITERATIONS = 100
 
 
 @dataclass
@@ -94,13 +95,13 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return labels, d2[np.arange(X.shape[0]), labels]
 
 
-def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansModel:
+def train_kmeans(X, k: int, seed: int = 0) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
-    Inertia is non-increasing across iterations; iteration stops when the
-    relative inertia improvement falls below ``_TOL`` or assignments stop
-    changing. Empty clusters are reseeded deterministically with the member
-    of the largest cluster farthest from its centroid.
+    Inertia is non-increasing across iterations; iteration stops after
+    ``_MAX_ITERATIONS``, on a relative inertia gain below ``_TOL`` or when
+    assignments stop changing. Empty clusters are reseeded deterministically
+    with the member of the largest cluster farthest from its centroid.
 
     The k-means++ seeds are drawn by position in ``X`` as given: permuting
     the rows can change the result, so callers fix the row order.
@@ -112,7 +113,6 @@ def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansM
     validate_count(k, "k")
     if k > n:
         raise ValidationError(f"cannot fit {k} clusters to {n} rows")
-    validate_count(max_iterations, "max_iterations")
     validate_seed(seed)
     if not np.all(np.isfinite(X)):
         raise ValidationError("k-means input contains NaN or Inf")
@@ -123,7 +123,7 @@ def train_kmeans(X, k: int, seed: int = 0, max_iterations: int = 100) -> KMeansM
     labels = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         new_labels, d2 = _assign(X, centroids)
         new_labels = _fix_empty_clusters(X, centroids, new_labels, d2, k)
         iterations += 1

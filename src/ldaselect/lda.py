@@ -77,17 +77,19 @@ _PSI_CAP = np.array(2.0 ** 500)
 # Elements per pass, so that the four scratch rows stay in cache.
 _PSI_CHUNK = 1 << 14
 
+# Relative objective gain that stops EM; topic-term prior of init, M-step, bound.
+_EM_TOL = 1e-5
+_ETA = 1e-2
+
 
 @dataclass
 class LdaConfig:
     """EM and per-document inference settings."""
 
     seed: int = 0
-    em_tol: float = 1e-5
     em_max_iterations: int = 60
     doc_tol: float = 1e-4
     doc_max_iterations: int = 100
-    eta: float = 1e-2
     alpha: float | None = None  # None: symmetric 50 / n_topics
 
 
@@ -95,8 +97,7 @@ def validate_lda_config(config: LdaConfig) -> None:
     """Range-check the EM and inference settings, as :func:`train_lda` needs
     them."""
     validate_seed(config.seed)
-    for name in ("em_tol", "doc_tol", "eta"):
-        validate_positive(getattr(config, name), name)
+    validate_positive(config.doc_tol, "doc_tol")
     for name in ("em_max_iterations", "doc_max_iterations"):
         validate_count(getattr(config, name), name)
     if config.alpha is not None:
@@ -371,8 +372,8 @@ def train_lda(
     """Variational EM: infer every document, then refit the topic-term table.
 
     The recorded objective is the sum of document bounds plus
-    ``eta * sum(log_beta)``, the smoothing prior matching the M-step's
-    additive ``eta``; it is non-decreasing across iterations. Gamma is
+    ``_ETA * sum(log_beta)``, the smoothing prior matching the M-step's
+    additive ``_ETA``; it is non-decreasing across iterations. Gamma is
     warm-started from the previous EM iteration. Deterministic given the
     seed. ``init_beta`` overrides the seeded random initialization with an
     explicit finite, non-negative table (rows are normalized) in which every
@@ -390,7 +391,7 @@ def train_lda(
 
     if init_beta is None:
         rng = np.random.default_rng(config.seed)
-        raw = config.eta + config.eta * rng.random((n_topics, vocab_size))
+        raw = _ETA + _ETA * rng.random((n_topics, vocab_size))
     else:
         raw = np.asarray(init_beta, dtype=np.float64)
         if not (raw.shape == (n_topics, vocab_size) and np.all(np.isfinite(raw) & (raw >= 0))
@@ -427,15 +428,15 @@ def train_lda(
                 alpha, gamma[rows], topics, block,
                 config.doc_tol, config.doc_max_iterations, on_sweep=collect,
             )
-        history.append(sum(bounds) + config.eta * float(model.log_beta.sum()))
+        history.append(sum(bounds) + _ETA * float(model.log_beta.sum()))
         iterations = it + 1
         if len(history) >= 2:
             prev, cur = history[-2], history[-1]
-            if (cur - prev) / max(abs(prev), 1e-12) < config.em_tol:
+            if (cur - prev) / max(abs(prev), 1e-12) < _EM_TOL:
                 break
         if it == config.em_max_iterations - 1:
             break
-        ss += config.eta
+        ss += _ETA
         model.log_beta = np.log(ss / ss.sum(axis=1, keepdims=True))
 
     model.bound_history = history
@@ -445,12 +446,13 @@ def train_lda(
 
 
 def extract_posteriors(
-    model: LdaModel, docs: DocBatch, tol: float = 1e-4, max_iters: int = 100
+    model: LdaModel, docs: DocBatch, tol: float = LdaConfig.doc_tol,
+    max_iters: int = LdaConfig.doc_max_iterations,
 ) -> tuple[Posteriors, np.ndarray]:
     """Converged gamma per document, in input order, and the sweeps each
     document took (0 for an empty one, whose gamma is alpha). ``tol`` and
-    ``max_iters`` are checked as the config's ``doc_*`` settings are, and the
-    documents must be over the model's vocabulary."""
+    ``max_iters`` default to and are checked as the config's ``doc_*``
+    settings, and the documents must be over the model's vocabulary."""
     validate_positive(tol, "tol")
     validate_count(max_iters, "max_iters")
     docs.check()

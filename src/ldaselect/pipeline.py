@@ -569,7 +569,7 @@ class Runner:
         if n_clusters > X.shape[0]:
             log.warning("clamping cluster count %d to %d vectors", n_clusters, X.shape[0])
             n_clusters = X.shape[0]
-        km = train_kmeans(X, n_clusters, seed=c.seed, max_iterations=c.max_iterations)
+        km = train_kmeans(X, n_clusters, seed=c.seed)
         lda.write_posteriors(
             lda.Posteriors([centroid_id(i) for i in range(n_clusters)], km.centroids),
             out_centroids,

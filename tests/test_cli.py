@@ -688,6 +688,64 @@ def test_a_work_dir_of_init_subsample_era_cache_entries_reruns_train_gmm_and_wha
     assert not (tmp_path / "w").exists()
 
 
+# The settings that became module constants, with the parts that a work dir
+# cached before then records for them, by the stages that declared them.
+_CONSTANT_ERA_PARTS = {
+    "train-gmm": {"quantizer.tol": "1e-05", "quantizer.var_floor_scale": "0.001"},
+    "train-lda": {"lda.em_tol": "1e-05", "lda.eta": "0.01"},
+    "text-train-lda": {"lda.em_tol": "1e-05", "lda.eta": "0.01"},
+    "cluster": {"cluster.max_iterations": "100"},
+    "text-cluster": {"cluster.max_iterations": "100"},
+}
+
+
+def test_a_work_dir_that_cached_the_settings_now_constants_reruns_only_their_stages(
+    corpus_dir, tmp_path, caplog, capsys
+):
+    """A text-enabled work dir whose cache entries still record
+    ``quantizer.tol``, ``quantizer.var_floor_scale``, ``lda.em_tol``,
+    ``lda.eta`` and ``cluster.max_iterations``, at the values their constants
+    keep: a rerun runs exactly the stages that declared them, each for the
+    settings it no longer declares, and leaves a cold run's files, cache
+    included. A config that still sets one of them exits 1."""
+    text = "[text]\nenabled = true\n"
+    cold = _write_config(corpus_dir, tmp_path / "cold", tmp_path / "cold.cfg", text)
+    assert main(["run", "--config", str(cold)]) == 0
+    work = tmp_path / "old"
+    old = _write_config(corpus_dir, work, tmp_path / "old.cfg", text)
+    assert main(["run", "--config", str(old)]) == 0
+    cache = json.loads((work / "cache.json").read_text(encoding="utf-8"))
+    for stage, parts in _CONSTANT_ERA_PARTS.items():
+        cache[stage]["parts"] |= parts
+    (work / "cache.json").write_text(json.dumps(cache), encoding="utf-8")
+
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="ldaselect.pipeline")
+    capsys.readouterr()
+    assert main(["run", "--config", str(old)]) == 0
+    running = {m.split()[1].rstrip(":"): set(m.split(": running (", 1)[1][:-1].split("; "))
+               for m in caplog.messages if ": running (" in m}
+    assert running == {
+        stage: {f"{p} {v} -> (undeclared)" for p, v in parts.items()}
+        for stage, parts in _CONSTANT_ERA_PARTS.items()
+    }
+    assert capsys.readouterr().out.count(": ran\n") == len(running) < len(cache)
+    for path in (tmp_path / "cold").iterdir():
+        if path.name != "signatures.json":
+            assert (work / path.name).read_bytes() == path.read_bytes(), path.name
+
+    settings = {p: v for parts in _CONSTANT_ERA_PARTS.values() for p, v in parts.items()}
+    for setting, value in settings.items():
+        section, key = setting.split(".")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cold.read_text(encoding="utf-8").replace(
+            f"[{section}]\n", f"[{section}]\n{key} = {value}\n").replace(
+            str(tmp_path / "cold"), str(tmp_path / "w")), encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+
 def test_version_and_bad_command():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,3 +1,4 @@
+import configparser
 import math
 import re
 from dataclasses import fields
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ldaselect.config import PipelineConfig, load_config, validate_config
+from ldaselect.cli import _load_pipeline_config, build_parser
+from ldaselect.config import _KEY_ALIASES, PipelineConfig, load_config, validate_config
 from ldaselect.errors import ValidationError
 from ldaselect.pipeline import Runner
 
@@ -19,8 +21,6 @@ work_dir = {work}
 n_components = 8
 seed = 3
 max_iterations = 12
-tol = 1e-4
-var_floor_scale = 1e-2
 max_train_frames = 20000
 
 [docmodel]
@@ -29,18 +29,15 @@ text_vocab_cap = 64
 [lda]
 n_topics = 4
 seed = 9
-em_tol = 1e-6
 em_max_iterations = 25
 doc_tol = 1e-5
 doc_max_iterations = 40
-eta = 0.02
 alpha = 0.1
 train_source = dev+pool
 
 [cluster]
 n_clusters = 6
 seed = 2
-max_iterations = 30
 
 [selection]
 lambda = 0.35
@@ -94,17 +91,13 @@ def test_full_file_round_trip(tmp_path):
     assert config.quantizer.n_components == 8
     assert config.quantizer.seed == 3
     assert config.quantizer.max_iterations == 12
-    assert config.quantizer.tol == pytest.approx(1e-4)
-    assert config.quantizer.var_floor_scale == pytest.approx(1e-2)
     assert config.quantizer.max_train_frames == 20000
     assert config.docmodel.text_vocab_cap == 64
     assert config.lda.n_topics == 4
     assert config.lda.seed == 9
-    assert config.lda.em_tol == pytest.approx(1e-6)
     assert config.lda.em_max_iterations == 25
     assert config.lda.doc_tol == pytest.approx(1e-5)
     assert config.lda.doc_max_iterations == 40
-    assert config.lda.eta == pytest.approx(0.02)
     assert config.lda.alpha == pytest.approx(0.1)
     assert config.lda.train_source == "dev+pool"
     assert config.selection.threshold == pytest.approx(0.35)
@@ -170,16 +163,13 @@ def test_default_section_is_an_unknown_section(tmp_path, rest):
 
 SECTION_KEYS = {
     "paths": {"pool_manifest", "dev_manifest", "work_dir"},
-    "quantizer": {
-        "n_components", "seed", "max_iterations", "tol", "var_floor_scale",
-        "max_train_frames",
-    },
+    "quantizer": {"n_components", "seed", "max_iterations", "max_train_frames"},
     "docmodel": {"text_vocab_cap"},
     "lda": {
-        "n_topics", "seed", "em_tol", "em_max_iterations", "doc_tol",
-        "doc_max_iterations", "eta", "alpha", "train_source",
+        "n_topics", "seed", "em_max_iterations", "doc_tol", "doc_max_iterations",
+        "alpha", "train_source",
     },
-    "cluster": {"n_clusters", "seed", "max_iterations"},
+    "cluster": {"n_clusters", "seed"},
     "selection": {"threshold", "max_hours"},
     "text": {"enabled"},
 }
@@ -202,7 +192,7 @@ def test_each_section_accepts_exactly_its_keys(tmp_path):
 def test_bad_values_rejected(tmp_path):
     for body in (
         "[lda]\nn_topics = four\n",
-        "[quantizer]\ntol = fast\n",
+        "[lda]\ndoc_tol = fast\n",
         "broken, no section header\n",
     ):
         path = _write_config(tmp_path, body)
@@ -245,10 +235,8 @@ def test_union_idf_source_rejected_naming_dev_plus_pool(tmp_path):
 def test_validate_ranges(tmp_path):
     cases = [
         ("quantizer", "n_components", 0),
-        ("quantizer", "tol", 0.0),
         ("docmodel", "text_vocab_cap", 0),
         ("lda", "n_topics", 0),
-        ("lda", "eta", -0.1),
         ("lda", "alpha", 0.0),
         ("lda", "train_source", "all"),
         ("cluster", "n_clusters", 0),
@@ -261,8 +249,7 @@ def test_validate_ranges(tmp_path):
     cases += [
         (section, key, value)
         for section, key in [
-            ("quantizer", "tol"), ("quantizer", "var_floor_scale"), ("lda", "em_tol"),
-            ("lda", "doc_tol"), ("lda", "eta"), ("lda", "alpha"), ("selection", "max_hours"),
+            ("lda", "doc_tol"), ("lda", "alpha"), ("selection", "max_hours"),
             ("selection", "threshold"),
         ]
         for value in (math.nan, math.inf)
@@ -278,8 +265,8 @@ def test_validate_names_the_section_of_a_model_setting(tmp_path):
     """The quantizer and topic-model settings, and every seed, are checked by
     the model modules themselves; the message names the config key."""
     for section, key, value in [
-        ("quantizer", "var_floor_scale", 0.0), ("quantizer", "max_iterations", 0),
-        ("lda", "eta", 0.0), ("lda", "doc_max_iterations", 0),
+        ("quantizer", "max_iterations", 0), ("lda", "doc_tol", 0.0),
+        ("lda", "doc_max_iterations", 0),
         ("quantizer", "seed", -1), ("lda", "seed", 1.5), ("cluster", "seed", -1),
         ("cluster", "seed", 1.5),
     ]:
@@ -303,6 +290,43 @@ def test_the_benchmark_workloads_configs_load_and_validate(tmp_path, monkeypatch
         config = load_config(_write_config(tmp_path, body + workload.config.format(max_hours=1.5)))
         validate_config(config)
         assert config.selection.max_hours == 1.5, name
+
+
+# Config fields that neither a benchmark workload nor a command-line flag
+# sets, each beside the ROADMAP item that decides its value or its fate.
+UNSET_BUT_KEPT = {
+    "lda.doc_tol": "items 8 and 20: the per-document stop rule",
+    "lda.doc_max_iterations": "items 8 and 20: the per-document sweep cap",
+    "docmodel.text_vocab_cap": "item 19: the joint acoustic and text vocabulary",
+}
+
+
+def _settings(config: PipelineConfig) -> dict:
+    """Every config field outside ``[paths]`` by dotted name, with its value."""
+    return {f"{s.name}.{f.name}": getattr(getattr(config, s.name), f.name)
+            for s in fields(config) if s.name != "paths"
+            for f in fields(getattr(config, s.name))}
+
+
+def test_every_config_field_is_set_by_a_workload_or_the_command_line(tmp_path, monkeypatch):
+    """A setting that nothing sets is a constant. Each config field outside
+    ``[paths]`` is set by a ``perfbench/workloads.py`` config body, or by
+    ``_load_pipeline_config`` from a flag, or is listed in ``UNSET_BUT_KEPT``;
+    a listed field that something does set fails too."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    set_by_workloads = set()
+    for workload in WORKLOADS.values():
+        parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+        parser.read_string(workload.config)
+        set_by_workloads |= {f"{section}.{_KEY_ALIASES.get((section, key), key)}"
+                             for section in parser.sections() for key in parser[section]}
+    path = _write_config(tmp_path, "")
+    args = build_parser().parse_args(["run", "--config", str(path), "--seed", "7"])
+    loaded, flagged = _settings(load_config(path)), _settings(_load_pipeline_config(args))
+    set_by_flags = {name for name, value in flagged.items() if value != loaded[name]}
+    assert set(loaded) - set_by_workloads - set_by_flags == set(UNSET_BUT_KEPT)
 
 
 def test_validate_paths(tmp_path):

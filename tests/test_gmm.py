@@ -109,7 +109,6 @@ def test_training_errors():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("var_floor_scale", 0.0), ("var_floor_scale", math.inf), ("tol", 0.0), ("tol", math.nan),
     ("max_iterations", 0), ("seed", -1), ("seed", 1.5),
 ])
 def test_train_gmm_refuses_settings_out_of_range(field, value):
@@ -138,21 +137,18 @@ def _em_cases(draw):
     centers = rng.uniform(3.0, 8.0, size=(draw(st.integers(1, 3)), d))
     X = centers[rng.integers(len(centers), size=n)] + rng.standard_normal((n, d))
     X = X.astype(draw(st.sampled_from([np.float32, np.float64])))
-    config = GmmConfig(
-        seed=draw(st.integers(0, 2**16)),
-        max_iterations=draw(st.integers(1, 8)),
-        tol=draw(st.sampled_from([1e-3, 1e-5, 1e-8])),
-    )
-    return X, n_components, rows, config
+    config = GmmConfig(seed=draw(st.integers(0, 2**16)), max_iterations=draw(st.integers(1, 8)))
+    return X, n_components, rows, config, draw(st.sampled_from([1e-3, 1e-5, 1e-8]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_em_cases())
 def test_blocked_em_matches_full_batch_reference(case):
-    X, n_components, rows, config = case
+    X, n_components, rows, config, tol = case
     try:
         expected = ref_train_gmm(
-            X, n_components, **dataclasses.asdict(config),
+            X, n_components, **dataclasses.asdict(config), tol=tol,
+            var_floor_scale=gmm_module._VAR_FLOOR_SCALE,
             init_subsample=gmm_module._SEED_FRAMES_PER_COMPONENT * n_components,
             collapse_patience=3,
         )
@@ -161,6 +157,7 @@ def test_blocked_em_matches_full_batch_reference(case):
     for block_rows in (1, rows):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gmm_module, "_BLOCK_CELLS", block_rows * n_components)
+            mp.setattr(gmm_module, "_TOL", tol)
             if expected is None:
                 with pytest.raises(ValidationError, match="collapsed"):
                     train_gmm(X, n_components, config)
@@ -185,7 +182,8 @@ def test_one_m_step_matches_exact_moments_far_from_the_origin(offset):
     config = GmmConfig(seed=0, max_iterations=1)
     model = train_gmm(X, 1, config)
     _, _, ref_variances, _, _ = ref_train_gmm(
-        X, 1, **dataclasses.asdict(config),
+        X, 1, **dataclasses.asdict(config), tol=gmm_module._TOL,
+        var_floor_scale=gmm_module._VAR_FLOOR_SCALE,
         init_subsample=gmm_module._SEED_FRAMES_PER_COMPONENT, collapse_patience=3,
     )
     for j in range(X.shape[1]):

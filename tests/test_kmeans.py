@@ -75,15 +75,17 @@ def test_seeds_are_drawn_from_the_rows_in_the_order_given(monkeypatch):
         return assign(X, centroids)
 
     monkeypatch.setattr(kmeans_module, "_assign", first_step)
-    train_kmeans(X, 5, seed=4, max_iterations=1)
+    monkeypatch.setattr(kmeans_module, "_MAX_ITERATIONS", 1)
+    train_kmeans(X, 5, seed=4)
     want = ref_kmeans_pp_indices(X, 5, np.random.default_rng(4))
     assert starts[0].tobytes() == X[want].tobytes()
 
 
-def test_centroid_mean_consistency():
+def test_centroid_mean_consistency(monkeypatch):
     rng = np.random.default_rng(13)
     X = rng.standard_normal((60, 2))
-    km = train_kmeans(X, 6, seed=0, max_iterations=200)
+    monkeypatch.setattr(kmeans_module, "_MAX_ITERATIONS", 200)
+    km = train_kmeans(X, 6, seed=0)
     for j in range(6):
         member = X[km.assignments == j]
         assert np.allclose(km.centroids[j], member.mean(axis=0), atol=1e-9)
@@ -102,13 +104,6 @@ def test_validation_errors():
     for seed in (-1, 1.5):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             train_kmeans(X, 2, seed=seed)
-
-
-def test_max_iterations_below_one_rejected():
-    """Without one Lloyd step there would be no assignment to return."""
-    X = np.random.default_rng(17).standard_normal((10, 2))
-    with pytest.raises(ValidationError, match="max_iterations"):
-        train_kmeans(X, 2, max_iterations=0)
 
 
 def test_seeding_indices_cover_spread_points():

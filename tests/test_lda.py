@@ -192,13 +192,12 @@ def test_single_topic_beta_closed_form():
     rng = np.random.default_rng(8)
     v = 9
     docs = DocBatch.concat(_random_doc(rng, v, uid=f"d{i}") for i in range(12))
-    config = LdaConfig(seed=0, eta=0.01)
-    model = train_lda(docs, 1, config)
+    model = train_lda(docs, 1, LdaConfig(seed=0))
     ss = np.zeros(v)
     for i in range(len(docs)):
         for t, w in doc_entries(docs, i):
             ss[t] += w
-    expected = (ss + config.eta) / (ss + config.eta).sum()
+    expected = (ss + lda_module._ETA) / (ss + lda_module._ETA).sum()
     assert np.allclose(np.exp(model.log_beta[0]), expected, rtol=1e-10)
 
 
@@ -232,7 +231,6 @@ def test_all_empty_corpus_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("eta", 0.0), ("eta", -1.0), ("eta", math.nan), ("em_tol", 0.0), ("em_tol", math.inf),
     ("doc_tol", -1e-4), ("doc_tol", math.nan), ("em_max_iterations", 0),
     ("doc_max_iterations", 0), ("alpha", 0.0), ("seed", -1), ("seed", 1.5),
 ])
@@ -330,14 +328,14 @@ def _reference_train(docs, k, v, config, init_beta):
                 total += trace[-1].bounds[0]
                 phi = ref_phi(trace[-1].gamma0[0], doc_entries(doc), model.log_beta.tolist())
                 np.add.at(ss.T, doc.terms, doc.weights[:, None] * np.array(phi))
-        total += config.eta * float(model.log_beta.sum())
+        total += lda_module._ETA * float(model.log_beta.sum())
         history.append(total)
         if len(history) >= 2:
-            if (history[-1] - history[-2]) / max(abs(history[-2]), 1e-12) < config.em_tol:
+            if (history[-1] - history[-2]) / max(abs(history[-2]), 1e-12) < lda_module._EM_TOL:
                 break
         if it == config.em_max_iterations - 1:
             break
-        ss += config.eta
+        ss += lda_module._ETA
         model.log_beta = np.log(ss / ss.sum(axis=1, keepdims=True))
     return history, model.log_beta, sweeps
 
@@ -551,7 +549,7 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     with np.errstate(divide="ignore"):
         model = LdaModel(n_topics=2, vocab_size=3, alpha=np.full(2, 1e-3),
                          log_beta=np.log(beta))
-    config = LdaConfig(alpha=1e-3, eta=0.01, em_max_iterations=2)
+    config = LdaConfig(alpha=1e-3, em_max_iterations=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         posts, sweeps = extract_posteriors(model, doc)
@@ -569,7 +567,7 @@ def test_underflowing_phinorm_takes_the_log_space_path():
     assert trace[-1].bounds[0] == pytest.approx(_oracle_bound(model, doc, trace[-1]), rel=1e-10)
     # The expected counts of the first E-step: terms 0 and 1 in topic 0, term 2
     # (from its log-space phi) in topic 1.
-    ss = np.array([[50.0, 50.0, 0.0], [0.0, 0.0, 1e-6]]) + config.eta
+    ss = np.array([[50.0, 50.0, 0.0], [0.0, 0.0, 1e-6]]) + lda_module._ETA
     np.testing.assert_allclose(
         trained.log_beta, np.log(ss / ss.sum(axis=1, keepdims=True)), rtol=1e-10
     )

@@ -43,7 +43,8 @@ from ldaselect.report import compare, report
 from batches import entries
 from synth import SynthSpec, generate_synthetic_corpus
 from ldaselect.selection import (
-    SelectedUtterance, SelectionResult, random_select, read_audit, select, union_combine,
+    SelectedUtterance, SelectionResult, random_select, rank_pool, read_audit, select,
+    union_combine,
 )
 
 ACOUSTIC_ARTIFACTS = [
@@ -877,6 +878,40 @@ def test_bags_are_bags_of_words_of_frame_tokens(tmp_path, corpus_dir, monkeypatc
         assert pool_bags.indptr[silent] == pool_bags.indptr[silent + 1]
 
 
+def test_an_empty_pool_document_is_ranked_and_selected_like_any_other(tmp_path, corpus_dir):
+    """A zero-frame pool utterance is an empty document, whose posterior row
+    is the prior alpha. Selection takes it as any other row: its distance to
+    each centroid c is 1 - cos(alpha, c), two equal empty rows tie by id, and
+    a threshold that admits every distance selects them too."""
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    pool_path = tmp_path / "corpus" / "pool" / "pool.tsv"
+    pool = read_manifest(pool_path)
+    dim = pool.utterances[0].frame_dim
+    write_features(np.zeros((0, dim)), tmp_path / "corpus" / "pool" / "silent.aldf")
+    for at, uid in ((1, "silent_b"), (4, "silent_a")):
+        pool.utterances.insert(at, Utterance(uid, "silent.aldf", 0, dim, 0.5, "domain0"))
+    write_manifest(pool, pool_path)
+    config = _config(tmp_path / "corpus", tmp_path / "work")
+    config.selection.threshold = 1.0
+    result = run_pipeline(config)
+    work = tmp_path / "work"
+
+    alpha = load_lda(work / "lda.alda").alpha
+    posts = read_posteriors(work / "post_pool.tsv")
+    empty = [posts.ids.index(uid) for uid in ("silent_a", "silent_b")]
+    for row in empty:
+        assert np.array_equal(posts.gamma[row], alpha)
+    centroids = read_posteriors(work / "centroids.tsv").gamma
+    ranking = rank_pool(posts, read_manifest(pool_path), centroids)
+    for c, centroid in enumerate(centroids):
+        want = 1.0 - alpha @ centroid / (np.linalg.norm(alpha) * np.linalg.norm(centroid))
+        at = [ranking.order[c].tolist().index(row) for row in empty]
+        assert at[1] == at[0] + 1
+        assert ranking.dists[c, at[0]] == ranking.dists[c, at[1]]
+        assert ranking.dists[c, at[0]] == pytest.approx(want, rel=0, abs=1e-12)
+    assert sorted(result.selection.ids()) == sorted(posts.ids)
+
+
 def test_text_stages_rejected_when_text_path_is_off(tmp_path, corpus_dir):
     config = _config(corpus_dir, tmp_path / "work")
     with pytest.raises(
@@ -1540,19 +1575,17 @@ def test_new_sweep_on_a_settled_work_dir_opens_its_inputs_once(
 # it than ``_config(..., text=True)`` sets. The fixture's frames form two far
 # apart clusters, and EM from GMM seed 0 reaches their mixture's fixed point
 # in three M-steps: seed 1 ends on it bit for bit, seed 3 with the components
-# swapped, and only fewer M-steps (``max_iterations``, ``tol``) stop short.
+# swapped, and only fewer M-steps (``max_iterations``) stop short.
 PERTURBED = {
     "quantizer": {
-        "seed": 3, "max_iterations": 2, "tol": 0.1, "var_floor_scale": 0.1,
-        "n_components": 3, "max_train_frames": 500,
+        "seed": 3, "max_iterations": 2, "n_components": 3, "max_train_frames": 500,
     },
     "docmodel": {"text_vocab_cap": 8},
     "lda": {
-        "seed": 1, "em_tol": 0.5, "em_max_iterations": 1, "doc_tol": 1e-2,
-        "doc_max_iterations": 3, "eta": 0.5, "alpha": 0.5, "n_topics": 3,
-        "train_source": "dev+pool",
+        "seed": 1, "em_max_iterations": 1, "doc_tol": 1e-2, "doc_max_iterations": 3,
+        "alpha": 0.5, "n_topics": 3, "train_source": "dev+pool",
     },
-    "cluster": {"n_clusters": 3, "seed": 1, "max_iterations": 1},
+    "cluster": {"n_clusters": 3, "seed": 1},
     "selection": {"threshold": 1.0, "max_hours": 0.001},
     "text": {"enabled": False},
 }
