@@ -23,6 +23,7 @@ import re
 import stat
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +115,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
     fps = 100.0
     utterances: list[Utterance] = []
     seen: dict[str, int] = {}
-    lines = io.StringIO(decode_text(data, path), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(_lines(data, path), start=1):
         if not line.strip():
             continue
         if _is_comment(line):
@@ -137,6 +136,36 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
         seen[utt.id] = lineno
         utterances.append(utt)
     return Manifest(utterances, role=role, fps=fps)
+
+
+def listed_files(data: bytes, path, transcripts: bool = False) -> list[str | None]:
+    """The feature (or transcript) file of each utterance line of ``data``,
+    the bytes of the manifest file ``path``, in id order, from a scan that
+    builds no record: each line's raw path field, a relative one joined to
+    the manifest's directory made absolute with ``/``, an absolute one as
+    written, and None for a line that lists no transcript. For a manifest
+    that :func:`parse_manifest` accepts, each names the file that the
+    record's ``feature_file`` (or ``transcript_file``) opens, except where
+    pathlib drops part of the path (a trailing ``/``, say)."""
+    base = f"{Path(path).parent.absolute()}/"
+    col = 6 if transcripts else 1
+    rows = [line.split("\t", col + 1) for line in _lines(data, path)
+            if line.strip() and not _is_comment(line)]
+    rows.sort(key=itemgetter(0))
+    listed = []
+    for fields in rows:
+        p = fields[col] if len(fields) > col else ""
+        listed.append((p if p[0] == "/" else base + p) if p else None)
+    return listed
+
+
+def _lines(data: bytes, path) -> list[str]:
+    """The lines of ``data``, the bytes of the manifest file ``path``, split
+    at universal newlines, line ``n`` at index ``n - 1``: the one split of
+    :func:`parse_manifest` and :func:`listed_files`. Both skip the blank
+    lines and those that :func:`_is_comment` finds."""
+    text = decode_text(data, path)
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _resolver(base: Path):

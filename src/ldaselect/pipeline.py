@@ -11,8 +11,11 @@ rerun logs the parts that changed.
 
 Digests of settled corpus parts and work-dir files are kept in the work
 dir's :mod:`signatures` record, so a rerun takes them from it while the files'
-stat signatures stay. A stage that runs reads its corpus parts from their
-contents again, and a record that contents contradict is discarded.
+stat signatures stay; the paths it stats come from a scan of each manifest's
+lines, and a manifest is parsed only when a stage or command first needs its
+utterances, so a cached rerun parses none. A stage that runs reads its corpus
+parts from their contents again, and a record that contents contradict is
+discarded.
 """
 
 import errno
@@ -146,26 +149,39 @@ class Runner:
         self.work = Path(config.paths.work_dir)
         self.cache_path = self.work / "cache.json"
         self.record_path = self.work / "signatures.json"
-        # Each manifest is read once: the stage keys hash the very bytes that
-        # were parsed, so a manifest edited after this point cannot get the
-        # old manifest's results cached under its new contents. This read is
-        # the one check that the manifest is a file. Every stage takes the
-        # utterances in id order, so no output depends on the lines' order.
+        # Each manifest is read once, here, and parsed only when a stage or
+        # command first needs its utterances (``manifests``): the stage keys
+        # hash the very bytes that are parsed, so a manifest edited after
+        # this point cannot get the old manifest's results cached under its
+        # new contents. This read is the one check that the manifest is a file.
         self.manifest_bytes: dict[str, bytes] = {}
-        self.manifests: dict[str, corpus.Manifest] = {}
+        self._manifest_paths: dict[str, Path] = {}
         for which in ("dev", "pool"):
-            path = Path(getattr(config.paths, f"{which}_manifest"))
+            path = self._manifest_paths[which] = Path(getattr(config.paths, f"{which}_manifest"))
             try:
                 self.manifest_bytes[which] = corpus.read_file(path)
             except OSError as exc:
                 if exc.errno not in _NOT_A_FILE:
                     raise
                 raise ValidationError(f"paths.{which}_manifest: {exc.strerror}: {path}") from None
-            self.manifests[which] = corpus.parse_manifest(
-                self.manifest_bytes[which], path, role=which
-            )
-            self.manifests[which].utterances.sort(key=lambda u: u.id)
-        self.pool = self.manifests["pool"]
+        self._manifest_hashes: dict = {}
+
+    @cached_property
+    def manifests(self) -> dict[str, corpus.Manifest]:
+        """The dev and pool manifests, parsed on first use, once per runner,
+        from the bytes read at construction: a malformed one raises
+        FormatError then. Every stage takes the utterances in id order, so no
+        output depends on the lines' order. A cached rerun parses neither."""
+        manifests = {}
+        for which, data in self.manifest_bytes.items():
+            manifests[which] = corpus.parse_manifest(data, self._manifest_paths[which], role=which)
+            manifests[which].utterances.sort(key=lambda u: u.id)
+        return manifests
+
+    @property
+    def pool(self) -> corpus.Manifest:
+        """The pool manifest of :attr:`manifests`."""
+        return self.manifests["pool"]
 
     @contextmanager
     def owned(self):
@@ -237,8 +253,8 @@ class Runner:
             return self._digests[part]
         which, what = part.split()
         if what == "dir":
-            manifest = getattr(self.config.paths, f"{which}_manifest")
-            digest = hashlib.sha256(str(Path(manifest).parent.absolute()).encode()).hexdigest()
+            parent = self._manifest_paths[which].parent.absolute()
+            digest = hashlib.sha256(str(parent).encode()).hexdigest()
         elif what == "manifest":
             digest = self._manifest_hash(which).hexdigest()
         else:
@@ -248,23 +264,25 @@ class Runner:
         return digest
 
     def _manifest_hash(self, which: str):
-        """A sha256 fed the manifest's length and bytes, for more to follow."""
-        data = self.manifest_bytes[which]
-        h = hashlib.sha256(len(data).to_bytes(8, "little"))
-        h.update(data)
-        return h
-
-    def _listed(self, which: str, what: str) -> list[str | None]:
-        """The feature (or transcript) file of each utterance of ``which``."""
-        if what == "transcripts":
-            return [utt.transcript_file for utt in self.manifests[which]]
-        return [utt.feature_file for utt in self.manifests[which]]
+        """A sha256 fed the manifest's length and bytes, for more to follow:
+        a copy of the one fed once per runner."""
+        if which not in self._manifest_hashes:
+            data = self.manifest_bytes[which]
+            h = self._manifest_hashes[which] = hashlib.sha256(len(data).to_bytes(8, "little"))
+            h.update(data)
+        return self._manifest_hashes[which].copy()
 
     def _corpus_signature(self, which: str, what: str) -> str:
         """The signature of a corpus part: the manifest's bytes and the stat
-        fields of each file listed, from one ``stat`` each, no file opened."""
+        fields of each file listed, from one ``stat`` each, no file opened and
+        no record built: :func:`corpus.listed_files` scans the paths. It
+        vouches for a digest only when it equals the signature that
+        :meth:`_hash_corpus` took from the files the parsed records open, so a
+        path that the scan spells otherwise only sends the part back to its
+        contents."""
         fields = []
-        for p in self._listed(which, what):
+        data, path = self.manifest_bytes[which], self._manifest_paths[which]
+        for p in corpus.listed_files(data, path, what == "transcripts"):
             try:
                 st = os.stat(p) if p else None
             except OSError:
@@ -286,7 +304,8 @@ class Runner:
         transcripts = what == "transcripts"
         if transcripts:
             kept = self._transcripts[which] = []
-        for utt, p in zip(self.manifests[which], self._listed(which, what)):
+        for utt in self.manifests[which]:
+            p = utt.transcript_file if transcripts else utt.feature_file
             h.update(utt.id.encode())
             data = st = None
             if p:

@@ -154,6 +154,44 @@ def test_undecodable_text_and_malformed_audit_header_are_clean_errors(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["fields", "frames", "duplicate", "bytes"])
+def test_a_manifest_made_malformed_after_a_cached_run_exits_two(
+    edit, corpus_dir, tmp_path, capsys, settle
+):
+    """A settled cached run parses no manifest, yet a pool manifest edited
+    into a malformed one is refused by the next ``run`` or ``sweep-lambda``,
+    exit 2 naming the file and line, as a cold run refuses it."""
+    settle(True)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    cfg = _write_config(corpus, tmp_path / "work", tmp_path / "run.cfg")
+    commands = [["run", "--config", str(cfg)],
+                ["sweep-lambda", "--config", str(cfg), "--lambdas", "0.5,1.0"]]
+    for argv in commands:
+        assert main(argv) == 0
+    path = corpus / "pool" / "pool.tsv"
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[2].split(b"\t")  # line 3, after the fps header
+    if edit == "fields":
+        lines[2] = b"\t".join(fields[:5])
+        message = f"{path}:3: expected 6 or 7 tab-separated fields, got 5"
+    elif edit == "frames":
+        lines[2] = b"\t".join([*fields[:2], b"many", *fields[3:]])
+        message = f"{path}:3: num_frames is not an integer: 'many'"
+    elif edit == "duplicate":
+        first = lines[1].split(b"\t")[0]
+        lines[2] = b"\t".join([first, *fields[1:]])
+        message = f"{path}: duplicate utterance id '{first.decode()}' (lines 2 and 3)"
+    else:
+        lines[2] = b"\xff" + lines[2]
+        message = f"{path}:3: not UTF-8 text"
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_exit_code_two_for_missing_artifacts(config_path, capsys):
     assert main(["run", "--config", str(config_path), "--stages", "select"]) == 2
     assert "earlier stages" in capsys.readouterr().err

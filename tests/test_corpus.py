@@ -11,6 +11,7 @@ from ldaselect.corpus import (
     Manifest,
     Utterance,
     feature_blocks,
+    listed_files,
     parse_manifest,
     read_file,
     read_features,
@@ -291,6 +292,88 @@ def test_manifest_paths_resolve_as_one_pathlib_join_each(base, paths):
     for utt, (feat, text) in zip(manifest, paths):
         assert utt.feature_file == str(parent / feat)
         assert utt.transcript_file == (str(parent / text) if text else None)
+
+
+# The files a scanned manifest lists, by their path below the manifest's
+# directory ``<root>/m``: one beside it, two below and one above.
+_LISTED = (("f0",), ("d", "f1"), ("d", "e", "f2"), ("..", "f3"))
+
+
+@st.composite
+def _spelling(draw, parts: tuple[str, ...]) -> str:
+    """The path ``parts`` spelled with ``.`` components and ``..`` detours (up
+    and back into the directory just entered) put in, and separators doubled."""
+    out = []
+    for i, part in enumerate(parts):
+        out += ["."] * draw(st.integers(0, 1))
+        if i and parts[i - 1] != ".." and draw(st.booleans()):
+            out += ["..", parts[i - 1]]
+        out.append(part)
+    return out[0] + "".join(draw(st.sampled_from(["/", "//"])) + p for p in out[1:])
+
+
+@st.composite
+def _listed_path(draw, root: Path) -> str:
+    """A path to one of the ``_LISTED`` files: relative to ``<root>/m``, or
+    absolute, rooted at ``/`` or ``//``."""
+    parts = draw(st.sampled_from(_LISTED))
+    if draw(st.booleans()):
+        return draw(_spelling(parts))
+    absolute = (root / "m").joinpath(*parts).resolve().parts[1:]
+    return draw(st.sampled_from(["/", "//"])) + draw(_spelling(absolute))
+
+
+@st.composite
+def _scanned_manifest(draw, root: Path) -> bytes:
+    """Manifest bytes that :func:`parse_manifest` accepts, listing ``_LISTED``
+    files under ids in no order: 6- and 7-field lines, empty transcript and
+    duration fields, comments, ``# fps=`` headers, blank lines and LF, CRLF
+    and CR line ends."""
+    ids = draw(st.lists(st.text("abxyz09_", min_size=1, max_size=3), unique=True, max_size=8))
+    lines = []
+    for utt_id in ids:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", "#", "# fps=50"]), max_size=2))
+        fields = [utt_id, draw(_listed_path(root)), "3", "2",
+                  draw(st.sampled_from(["", "0.5"])), "dom"]
+        transcript = draw(st.one_of(st.none(), st.just(""), _listed_path(root)))
+        if transcript is not None:
+            fields.append(transcript)
+        lines.append("\t".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+@pytest.mark.parametrize("named", ["absolute", "relative"])
+def test_the_scan_stats_the_files_the_parsed_records_open(named, tmp_path, monkeypatch):
+    """For a manifest that :func:`parse_manifest` accepts, :func:`listed_files`
+    lists, in id order, the very files (by ``os.stat`` identity) that the
+    records' ``feature_file`` and ``transcript_file`` open, however the paths
+    are spelled: ``..``, ``./``, ``//``, absolute, or no transcript."""
+    root = tmp_path / "root"
+    for parts in _LISTED:
+        path = (root / "m").joinpath(*parts)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"")
+    monkeypatch.chdir(root)
+    manifest = root / "m" / "m.tsv" if named == "absolute" else Path("m") / "m.tsv"
+
+    def identity(p):
+        if p is None:
+            return None
+        st = os.stat(p)
+        return st.st_dev, st.st_ino
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_scanned_manifest(root))
+    def check(data):
+        records = sorted(parse_manifest(data, manifest), key=lambda u: u.id)
+        for transcripts in (False, True):
+            opened = [u.transcript_file if transcripts else u.feature_file for u in records]
+            scanned = listed_files(data, manifest, transcripts)
+            assert list(map(identity, scanned)) == list(map(identity, opened))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,35 @@ def _manifests(config, n: int) -> dict:
     return {Path(config.paths.dev_manifest): n, Path(config.paths.pool_manifest): n}
 
 
+def _count_corpus_reads(monkeypatch, work) -> Counter:
+    """A count, by path, of the files that ``corpus.read_file_stat`` reads
+    from now on outside the work dir ``work``, whose files are counted
+    elsewhere."""
+    reads = Counter()
+    real_read = pipeline_module.corpus.read_file_stat
+
+    def counting_read(path):
+        if Path(path).parent != work:
+            reads[path] += 1
+        return real_read(path)
+
+    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
+    return reads
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """A count, by id, of the utterance records built from now on."""
+    built = Counter()
+    real_post_init = Utterance.__post_init__
+
+    def counting_post_init(utt):
+        built[utt.id] += 1
+        real_post_init(utt)
+
+    monkeypatch.setattr(Utterance, "__post_init__", counting_post_init)
+    return built
+
+
 def _config(corpus_dir, work_dir, text=False) -> PipelineConfig:
     config = PipelineConfig()
     config.paths.pool_manifest = str(corpus_dir / "pool" / "pool.tsv")
@@ -266,38 +295,78 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     """A cached ``run_pipeline`` and a k-threshold ``sweep_lambda`` build two
     runners. Each reads each manifest once, and every feature file once,
     unless the signature record vouches for the settled files, and then
-    neither reads any; each builds each utterance once, when it parses the
-    manifests. The sweep's runner, the one that writes selections, builds
-    each pool utterance's selection-manifest row once more, however many
+    neither reads any. A runner builds each utterance once if it parses the
+    manifests: for the contents pass, or for a stage that runs. Settled, the
+    cached run's runner parses neither, and the sweep's parses both for its
+    stage. The sweep's runner, the one that writes selections, builds each
+    pool utterance's selection-manifest row once more, however many
     selections it writes."""
     settle(settled)
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
     pool = read_manifest(config.paths.pool_manifest)
     dev = read_manifest(config.paths.dev_manifest)
-    reads = Counter()
-    real_read = pipeline_module.corpus.read_file_stat
-
-    def counting_read(path):  # corpus files; the work dir's are counted elsewhere
-        if Path(path).parent != tmp_path / "work":
-            reads[path] += 1
-        return real_read(path)
-
-    built = Counter()
-    real_post_init = Utterance.__post_init__
-
-    def counting_post_init(utt):
-        built[utt.id] += 1
-        real_post_init(utt)
-
-    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
-    monkeypatch.setattr(Utterance, "__post_init__", counting_post_init)
+    reads = _count_corpus_reads(monkeypatch, tmp_path / "work")
+    built = _count_builds(monkeypatch)
     assert all(run_pipeline(config).skipped.values())
     rows = sweep_lambda(config, [1.0 - 0.1 * i for i in range(k)])
     assert rows[0]["selected"] == len(pool)
     assert reads == _manifests(config, 2) | (
         {} if settled else {u.feature_file: 2 for m in (dev, pool) for u in m})
-    assert built == {u.id: 2 for u in dev} | {u.id: 3 for u in pool}
+    parses = 1 if settled else 2
+    assert built == {u.id: parses for u in dev} | {u.id: parses + 1 for u in pool}
+
+
+def test_settled_cached_run_and_sweep_parse_no_manifest(tmp_path, corpus_dir, monkeypatch, settle):
+    """Once a run and a sweep have settled, a cached ``run_pipeline`` and the
+    same ``sweep_lambda`` skip every stage from the signature record and the
+    scanned paths alone: no manifest is parsed and no utterance built."""
+    settle(True)
+    config = _config(corpus_dir, tmp_path / "work", text=True)
+    lambdas = [0.9, 0.95, 1.0]
+    run_pipeline(config)
+    rows = sweep_lambda(config, lambdas)
+    parses = []
+    real_parse = pipeline_module.corpus.parse_manifest
+
+    def counting_parse(data, path, role="pool"):
+        parses.append(path)
+        return real_parse(data, path, role)
+
+    monkeypatch.setattr(pipeline_module.corpus, "parse_manifest", counting_parse)
+    built = _count_builds(monkeypatch)
+    assert all(run_pipeline(config).skipped.values())
+    assert sweep_lambda(config, lambdas) == rows
+    assert parses == [] and built == {}
+
+
+def test_a_path_the_scan_spells_otherwise_falls_back_to_contents(
+    tmp_path, corpus_dir, monkeypatch, settle
+):
+    """A feature path ending in ``/`` opens the file without it, as pathlib
+    drops the slash, but the scan's ``stat`` of it fails: a settled cached
+    rerun then hashes that part from contents, and only that part, skips
+    every stage and leaves every output as a cold run writes it."""
+    settle(True)
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    pool_tsv = tmp_path / "corpus" / "pool" / "pool.tsv"
+    lines = pool_tsv.read_text(encoding="utf-8").splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if not line.startswith("#"):
+            fields = line.split("\t")
+            fields[1] += "/"
+            lines[i] = "\t".join(fields)
+    pool_tsv.write_text("".join(lines), encoding="utf-8")
+    pool = read_manifest(pool_tsv)
+    assert all(u.feature_path.endswith("/") and Path(u.feature_file).is_file() for u in pool)
+    config = _config(tmp_path / "corpus", tmp_path / "work")
+    run_pipeline(config)
+    reads = _count_corpus_reads(monkeypatch, tmp_path / "work")
+    assert all(run_pipeline(config).skipped.values())
+    assert reads == _manifests(config, 1) | {u.feature_file: 1 for u in pool}
+    run_pipeline(_config(tmp_path / "corpus", tmp_path / "cold"))
+    for name in [*ACOUSTIC_ARTIFACTS, "cache.json"]:
+        assert (tmp_path / "work" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
 def test_cold_text_run_reads_features_three_times_and_transcripts_once(
@@ -309,14 +378,7 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
     digest read, and no later stage holds them."""
     config = _config(corpus_dir, tmp_path / "work", text=True)
     utts = [u for w in ("dev", "pool") for u in read_manifest(getattr(config.paths, f"{w}_manifest"))]
-    reads = Counter()
-    real_read = pipeline_module.corpus.read_file_stat
-
-    def counting_read(path):  # corpus files; the work dir's are counted elsewhere
-        if Path(path).parent != tmp_path / "work":
-            reads[path] += 1
-        return real_read(path)
-
+    reads = _count_corpus_reads(monkeypatch, tmp_path / "work")
     held = {}
     real_run_stage = Runner._run_stage
 
@@ -324,7 +386,6 @@ def test_cold_text_run_reads_features_three_times_and_transcripts_once(
         real_run_stage(runner, name, stage)
         held[name] = sorted(runner._transcripts)
 
-    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
     monkeypatch.setattr(Runner, "_run_stage", recording_run_stage)
     assert not any(run_pipeline(config).skipped.values())
     assert reads == ({u.feature_file: 3 for u in utts} | {u.transcript_file: 1 for u in utts}
@@ -1533,15 +1594,7 @@ def test_new_vocabulary_cap_rereads_each_settled_transcript_once(
     config = _config(corpus_dir, tmp_path / "work", text=True)
     _settled_work_dir(config, settle)
     config.docmodel.text_vocab_cap = 8
-    reads = Counter()
-    real_read = pipeline_module.corpus.read_file_stat
-
-    def counting_read(path):
-        if Path(path).parent != tmp_path / "work":
-            reads[path] += 1
-        return real_read(path)
-
-    monkeypatch.setattr(pipeline_module.corpus, "read_file_stat", counting_read)
+    reads = _count_corpus_reads(monkeypatch, tmp_path / "work")
     result = run_pipeline(config)
     monkeypatch.undo()
     assert result.skipped["text-tfidf"] is False
