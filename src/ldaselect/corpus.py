@@ -22,6 +22,7 @@ import os
 import re
 import stat
 import struct
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -38,15 +39,19 @@ _FEATURE_HEADER = struct.Struct("<4sIQI")
 ROLES = ("pool", "dev", "test")
 
 
-@dataclass
+@dataclass(slots=True)
 class Utterance:
     """One selectable unit of speech data.
 
-    ``feature_path`` and ``transcript_path`` are stored exactly as written in
-    the manifest. ``feature_file`` and ``transcript_file`` are where the files
-    are opened: :func:`parse_manifest` resolves relative paths once, against
-    the manifest's directory made absolute. An utterance built in code opens
-    its paths as written. They take no part in equality.
+    ``feature_path`` and ``transcript_path`` are stored once, exactly as
+    written in the manifest. ``feature_file`` and ``transcript_file`` are
+    where the files are opened, resolved on each access: a record that
+    :func:`parse_manifest` built resolves a relative path against the
+    manifest's directory made absolute, through the manifest's one
+    resolver; an utterance built in code opens its paths as written. The
+    resolver takes no part in equality or ``repr``, and a pickle or
+    ``copy.copy`` keeps it. ``dataclasses.replace`` builds a record without
+    it, which opens its (new) paths as written.
     """
 
     id: str
@@ -56,14 +61,17 @@ class Utterance:
     duration_s: float
     domain_tag: str
     transcript_path: str | None = None
-    feature_file: str = field(default="", compare=False, repr=False)
-    transcript_file: str | None = field(default=None, compare=False, repr=False)
+    _resolver: "_Resolver | None" = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.feature_file:
-            self.feature_file = self.feature_path
-        if self.transcript_file is None:
-            self.transcript_file = self.transcript_path
+    @property
+    def feature_file(self) -> str:
+        r = self._resolver
+        return self.feature_path if r is None else r.resolve(self.feature_path)
+
+    @property
+    def transcript_file(self) -> str | None:
+        r, p = self._resolver, self.transcript_path
+        return p if r is None or not p else r.resolve(p)
 
 
 @dataclass
@@ -108,10 +116,11 @@ def read_manifest(path, role: str = "pool") -> Manifest:
 def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
     """Parse the bytes ``data`` of the manifest file ``path`` (which names it in
     errors), as :func:`read_manifest` does: a caller that hashes the bytes it
-    parsed keys exactly this manifest. Relative feature and transcript paths
-    resolve here, once, against the manifest's directory made absolute."""
+    parsed keys exactly this manifest. Each record keeps its paths as written
+    and this manifest's resolver, which resolves a relative path against the
+    manifest's directory made absolute when the record's file is opened."""
     path = Path(path)
-    resolve = _resolver(path.parent.absolute())
+    resolver = _Resolver(path.parent.absolute())
     fps = 100.0
     utterances: list[Utterance] = []
     seen: dict[str, int] = {}
@@ -125,9 +134,7 @@ def parse_manifest(data: bytes, path, role: str = "pool") -> Manifest:
                     raise FormatError(f"{path}:{lineno}: fps must be positive")
             continue
         utt = _parse_manifest_line(line, path, lineno, fps)
-        utt.feature_file = resolve(utt.feature_path)
-        if utt.transcript_path:
-            utt.transcript_file = resolve(utt.transcript_path)
+        utt._resolver = resolver
         if utt.id in seen:
             raise FormatError(
                 f"{path}: duplicate utterance id '{utt.id}' "
@@ -168,28 +175,31 @@ def _lines(data: bytes, path) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _resolver(base: Path):
-    """``p -> str(base / p)``, with one pathlib join per distinct directory
-    prefix of ``p`` rather than one per path: the last component is appended
-    to the resolved prefix. A path ending in ``/``, ``.`` or ``..``, which
-    pathlib would drop or keep as a component of its own, takes the full join."""
-    prefixes: dict[str, str] = {}
+class _Resolver:
+    """``resolve(p) == str(base / p)``, with one pathlib join per distinct
+    directory prefix of ``p`` rather than one per path: the last component is
+    appended to the resolved prefix. A path ending in ``/``, ``.`` or ``..``,
+    which pathlib would drop or keep as a component of its own, takes the
+    full join. One resolver serves every record of a manifest."""
 
-    def resolve(p: str) -> str:
-        cut = p.rfind("/") + 1
-        name = p[cut:]
+    __slots__ = ("base", "prefixes")
+
+    def __init__(self, base: Path):
+        self.base = base
+        self.prefixes: dict[str, str] = {}
+
+    def resolve(self, p: str) -> str:
+        head, sep, name = p.rpartition("/")
         if name in ("", ".", ".."):
-            return str(base / p)
-        head = p[:cut]
-        prefix = prefixes.get(head)
+            return str(self.base / p)
+        head += sep
+        prefix = self.prefixes.get(head)
         if prefix is None:
-            prefix = str(base / head)
+            prefix = str(self.base / head)
             if not prefix.endswith("/"):  # only the roots "/" and "//" do
                 prefix += "/"
-            prefixes[head] = prefix
+            self.prefixes[head] = prefix
         return prefix + name
-
-    return resolve
 
 
 def _is_comment(line: str) -> bool:
@@ -233,8 +243,8 @@ def _parse_manifest_line(line: str, path: Path, lineno: int, fps: float) -> Utte
                       else _parse_float(fields[4], path, lineno, "duration_s"))
     except OverflowError:  # a frame count past float range: refused as infinite
         duration_s = math.inf
-    utt = Utterance(fields[0], fields[1], num_frames, frame_dim, duration_s, fields[5],
-                    fields[6] if len(fields) == 7 and fields[6] else None)
+    utt = Utterance(fields[0], fields[1], num_frames, frame_dim, duration_s,
+                    sys.intern(fields[5]), fields[6] if len(fields) == 7 and fields[6] else None)
     if error := _utterance_error(utt):
         raise FormatError(f"{path}:{lineno}: {error}")
     return utt

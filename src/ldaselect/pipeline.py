@@ -136,6 +136,11 @@ def _log_selection(label: str, result: SelectionResult, pool_size: int) -> None:
 
 @dataclass
 class PipelineResult:
+    """The run's final selection, parsed back from ``selection.audit.tsv``,
+    and whether the cache let each stage it ran skip. The audit records no
+    stop reason, so ``selection.stop_reason`` is always None: the ``select``
+    stage's log line says why the greedy loop stopped."""
+
     selection: SelectionResult
     skipped: dict[str, bool] = field(default_factory=dict)
 
@@ -150,7 +155,7 @@ class Runner:
         self.cache_path = self.work / "cache.json"
         self.record_path = self.work / "signatures.json"
         # Each manifest is read once, here, and parsed only when a stage or
-        # command first needs its utterances (``manifests``): the stage keys
+        # command first needs its utterances (``manifest``): the stage keys
         # hash the very bytes that are parsed, so a manifest edited after
         # this point cannot get the old manifest's results cached under its
         # new contents. This read is the one check that the manifest is a file.
@@ -165,23 +170,25 @@ class Runner:
                     raise
                 raise ValidationError(f"paths.{which}_manifest: {exc.strerror}: {path}") from None
         self._manifest_hashes: dict = {}
+        self._manifests: dict[str, corpus.Manifest] = {}
 
-    @cached_property
-    def manifests(self) -> dict[str, corpus.Manifest]:
-        """The dev and pool manifests, parsed on first use, once per runner,
-        from the bytes read at construction: a malformed one raises
+    def manifest(self, which: str) -> corpus.Manifest:
+        """The ``dev`` or ``pool`` manifest, parsed on its first use, once per
+        runner, from the bytes read at construction: a malformed one raises
         FormatError then. Every stage takes the utterances in id order, so no
-        output depends on the lines' order. A cached rerun parses neither."""
-        manifests = {}
-        for which, data in self.manifest_bytes.items():
-            manifests[which] = corpus.parse_manifest(data, self._manifest_paths[which], role=which)
-            manifests[which].utterances.sort(key=lambda u: u.id)
-        return manifests
+        output depends on the lines' order. A cached rerun parses neither, and
+        a stage or command that needs only the pool parses only the pool."""
+        if which not in self._manifests:
+            m = corpus.parse_manifest(self.manifest_bytes[which], self._manifest_paths[which],
+                                      role=which)
+            m.utterances.sort(key=lambda u: u.id)
+            self._manifests[which] = m
+        return self._manifests[which]
 
     @property
     def pool(self) -> corpus.Manifest:
-        """The pool manifest of :attr:`manifests`."""
-        return self.manifests["pool"]
+        """The pool manifest of :meth:`manifest`."""
+        return self.manifest("pool")
 
     @contextmanager
     def owned(self):
@@ -304,7 +311,7 @@ class Runner:
         transcripts = what == "transcripts"
         if transcripts:
             kept = self._transcripts[which] = []
-        for utt in self.manifests[which]:
+        for utt in self.manifest(which):
             p = utt.transcript_file if transcripts else utt.feature_file
             h.update(utt.id.encode())
             data = st = None
@@ -493,7 +500,7 @@ class Runner:
     def _train_gmm(self, out_model: Path) -> None:
         q = self.config.quantizer
         X = corpus.sample_frames(
-            [self.manifests["dev"], self.pool], q.max_train_frames, q.seed
+            [self.manifest("dev"), self.pool], q.max_train_frames, q.seed
         )
         model = gmm.train_gmm(X, q.n_components, q)
         h = model.loglik_history
@@ -512,7 +519,7 @@ class Runner:
         block at a time, then counted into one bag per utterance of its
         manifest frame count (none for a manifest that lists no utterance)."""
         model = gmm.load_gmm(model_path)
-        for manifest, out in ((self.pool, out_pool), (self.manifests["dev"], out_dev)):
+        for manifest, out in ((self.pool, out_pool), (self.manifest("dev"), out_dev)):
             tokens = np.concatenate([np.zeros(0, dtype=np.int64)] + [
                 gmm.quantize(model, block)
                 for _, block in corpus.feature_blocks(manifest.utterances, model.frame_dim)
@@ -537,8 +544,8 @@ class Runner:
         bytes that the stage's digest pass read."""
         tokens = {
             w: [docmodel.normalize_tokens(corpus.transcript_text(u, data))
-                for u, data in zip(m, self._transcripts[w])]
-            for w, m in self.manifests.items()
+                for u, data in zip(self.manifest(w), self._transcripts[w])]
+            for w in ("dev", "pool")
         }
         vocab = docmodel.build_text_vocab(
             tokens["dev"] + tokens["pool"], self.config.docmodel.text_vocab_cap
@@ -550,7 +557,7 @@ class Runner:
                 fh.write(f"{tok}\t{i}\n")
         bags = {
             which: docmodel.bag_of_words(
-                self.manifests[which].ids(),
+                self.manifest(which).ids(),
                 [docmodel.token_ids(doc, vocab) for doc in tokens[which]],
                 len(vocab),
             )
@@ -667,7 +674,8 @@ class Runner:
     def _run_chain(self, chain: dict[str, Stage], result: str) -> bytes | None:
         """Run (or cache-skip) each stage of ``chain`` in order, inside
         ``owned()``, and return the bytes of the work-dir file ``result`` (None
-        if there is none); then save the signature record. If
+        if there is none); then save the signature record if the run changed
+        it or found none to read. If
         contents contradict the record, discard it and check the chain again
         from contents. Log how the digests were taken."""
         try:
@@ -681,7 +689,8 @@ class Runner:
                 self._digests.clear()
                 self._sigs.discard()
                 data = self._run_stages(chain, result)  # trusts nothing, so cannot raise it
-            _write_json(self.record_path, self._sigs.entries)
+            if self._sigs.entries != self._sigs.saved:
+                _write_json(self.record_path, self._sigs.entries)
             return data
         finally:
             log.info("%s", self._sigs.summary())

@@ -33,7 +33,7 @@ class SelectionConfig:
     max_hours: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectedUtterance:
     utt_id: str
     centroid: str

@@ -6,9 +6,10 @@ the signature of the file stat it was taken under. While the signature
 stays, a later run takes the recorded digest without opening the file. An
 entry is recorded only once its files have settled (``SETTLE_NS``), so that
 any later change of a file changes its signature. A file hashed before it
-settled keeps its name with ``UNSETTLED``'s fields, of the same length, and
-every run rewrites the record: so the bytes a run writes depend on which
-files it hashed, not on how old they were.
+settled keeps its name with ``UNSETTLED``'s fields, of the same length, so
+the record's bytes depend on which files were hashed, not on how old they
+were. A run writes the record only when it changed an entry, or found no
+readable record: a settled cached run leaves the file as it was.
 """
 
 import hashlib
@@ -76,12 +77,13 @@ class Contradicted(Exception):
 
 
 class Record:
-    """One run's view of the record: its ``entries`` as read and as the run
-    updates them, the names whose digest the run took from the record
-    (``trusted``), and how it took each digest (``how``): ``signature``, or
-    why it read the contents."""
+    """One run's view of the record: its ``entries`` as read (``saved``) and
+    as the run updates them, the names whose digest the run took from the
+    record (``trusted``), and how it took each digest (``how``):
+    ``signature``, or why it read the contents."""
 
     def __init__(self, entries: dict | None):
+        self.saved = entries  # as the file holds them; None if absent or unreadable
         self.entries: dict[str, dict[str, str]] = dict(entries or {})
         self.trusted: set[str] = set()
         self.how: dict[str, str] = {}

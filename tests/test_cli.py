@@ -361,6 +361,42 @@ def test_random_select_and_combine(config_path, tmp_path, capsys):
     assert set(combined.ids()) == set(greedy.ids()) | set(rand.ids())
 
 
+def test_stages_and_commands_that_read_only_the_pool_parse_only_the_pool(
+    corpus_dir, tmp_path, monkeypatch, settle, capsys
+):
+    """The select, sweep, combine and report stages, and the random-select,
+    combine, report and compare commands, read only the pool's utterances:
+    over a settled work dir, each parses the pool manifest once and the dev
+    manifest never."""
+    settle(True)
+    work = tmp_path / "work"
+    text = "\n[text]\nenabled = true\n"
+    config = str(_write_config(corpus_dir, work, tmp_path / "run.cfg", extra=text))
+    relaxed = str(_write_config(corpus_dir, work, tmp_path / "relaxed.cfg", extra=text, lam=0.3))
+    assert main(["run", "--config", config]) == 0
+    capsys.readouterr()
+    roles = []
+    parse = pipeline_module.corpus.parse_manifest
+    monkeypatch.setattr(pipeline_module.corpus, "parse_manifest",
+                        lambda data, path, role: roles.append(role) or parse(data, path, role))
+    audit = str(work / "selection.audit.tsv")
+    for argv, ran in [
+        (["run", "--config", relaxed], ["select", "text-select", "combine", "report"]),
+        (["sweep-lambda", "--config", config, "--lambdas", "0.2,0.4"], []),
+        (["random-select", "--config", config, "--budget-hours", "0.002"], []),
+        (["combine", "--config", config, "--a", audit, "--b", audit], []),
+        (["report", "--config", config], []),
+        (["compare", "--config", config, "--selection", f"g={audit}",
+          "--target-domain", "domain0"], []),
+    ]:
+        roles.clear()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if line.endswith(": ran")] == ran
+        assert roles == ["pool"], argv[0]
+    assert (work / "sweep_summary.tsv").is_file()  # the sweep stage ran, as no earlier one did
+
+
 def _tree(root: Path) -> dict[str, tuple[bytes, int]]:
     return {str(p): (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
 

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import gc
 import os
+import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +266,49 @@ def test_manifest_paths_resolve_once_against_its_absolute_directory(tmp_path, mo
     # the written manifest ignore where the files resolved to.
     assert a == Utterance("a", "feat/a.aldf", 1, 1, 0.01, "x", "../t/a.txt")
     assert Utterance("c", "c.aldf", 1, 1, 0.01, "x", "c.txt").transcript_file == "c.txt"
+
+
+def test_a_parsed_record_keeps_where_its_files_resolve_through_pickle_and_copy(tmp_path):
+    """A pickle or ``copy.copy`` of a parsed record opens the files the record
+    opens, and equality ignores where they resolve; ``dataclasses.replace``
+    builds a record that opens its new paths as written."""
+    manifest = parse_manifest(b"a\tfeat/a.aldf\t1\t1\t0.01\tx\t../t/a.txt\n", tmp_path / "m.tsv")
+    (a,) = manifest
+    files = (str(tmp_path / "feat" / "a.aldf"), str(tmp_path / ".." / "t" / "a.txt"))
+    assert (a.feature_file, a.transcript_file) == files
+    (unpickled,) = pickle.loads(pickle.dumps(manifest))
+    for b in (unpickled, copy.copy(a)):
+        assert b == a and (b.feature_file, b.transcript_file) == files
+    written = Utterance("a", "feat/a.aldf", 1, 1, 0.01, "x", "../t/a.txt")
+    assert written == a and (written.feature_file, written.transcript_file) == (
+        "feat/a.aldf", "../t/a.txt")
+    moved = dataclasses.replace(a, feature_path="g/b.aldf", transcript_path="b.txt")
+    assert (moved.feature_file, moved.transcript_file) == ("g/b.aldf", "b.txt")
+    assert dataclasses.replace(a).feature_file == "feat/a.aldf"
+
+
+def test_a_parsed_manifest_holds_at_most_400_bytes_per_utterance():
+    """A record keeps each path once, as written, and shares its domain tag
+    and its manifest's resolver: 10,000 parsed lines with transcripts hold at
+    most 400 B per utterance, the list and each record's strings and numbers
+    included (tracemalloc)."""
+    n = 10_000
+    lines = [
+        f"pool_{i:07d}\tfeatures/d{i % 100:02d}/pool_{i:07d}.aldf\t{300 + i}\t40\t"
+        f"{(300 + i) / 100}\tdomain{i % 4}\ttranscripts/d{i % 100:02d}/pool_{i:07d}.txt"
+        for i in range(n)
+    ]
+    data = ("\n".join(lines) + "\n").encode()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        manifest = parse_manifest(data, "/srv/corpus/pool.tsv")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(manifest) == n
+    assert held <= 400 * n, f"{held / n:.0f} B per utterance"
 
 
 _MANIFEST_BASES = [

@@ -94,13 +94,13 @@ def _count_corpus_reads(monkeypatch, work) -> Counter:
 def _count_builds(monkeypatch) -> Counter:
     """A count, by id, of the utterance records built from now on."""
     built = Counter()
-    real_post_init = Utterance.__post_init__
+    real_init = Utterance.__init__
 
-    def counting_post_init(utt):
+    def counting_init(utt, *args, **kwargs):
+        real_init(utt, *args, **kwargs)
         built[utt.id] += 1
-        real_post_init(utt)
 
-    monkeypatch.setattr(Utterance, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Utterance, "__init__", counting_init)
     return built
 
 
@@ -297,10 +297,10 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     unless the signature record vouches for the settled files, and then
     neither reads any. A runner builds each utterance once if it parses the
     manifests: for the contents pass, or for a stage that runs. Settled, the
-    cached run's runner parses neither, and the sweep's parses both for its
-    stage. The sweep's runner, the one that writes selections, builds each
-    pool utterance's selection-manifest row once more, however many
-    selections it writes."""
+    cached run's runner parses neither, and the sweep's parses only the pool,
+    which is all its stage reads. The sweep's runner, the one that writes
+    selections, builds each pool utterance's selection-manifest row once
+    more, however many selections it writes."""
     settle(settled)
     config = _config(corpus_dir, tmp_path / "work")
     run_pipeline(config)
@@ -314,7 +314,8 @@ def test_cached_run_and_sweep_read_each_input_once_per_runner(
     assert reads == _manifests(config, 2) | (
         {} if settled else {u.feature_file: 2 for m in (dev, pool) for u in m})
     parses = 1 if settled else 2
-    assert built == {u.id: parses for u in dev} | {u.id: parses + 1 for u in pool}
+    assert built == ({} if settled else {u.id: 2 for u in dev}) | {
+        u.id: parses + 1 for u in pool}
 
 
 def test_settled_cached_run_and_sweep_parse_no_manifest(tmp_path, corpus_dir, monkeypatch, settle):
@@ -652,8 +653,10 @@ def test_cached_run_opens_each_work_dir_file_at_most_once(
     selection the run returns is parsed from the bytes of
     ``selection.audit.tsv`` that were hashed. Once a run has recorded the
     settled artifacts' signatures, the next opens none but that selection,
-    the lock, the cache file and the record. Each run rewrites the record
-    once, through its temporary file."""
+    the lock, the cache file and the record. The first cached run adds the
+    artifacts it hashed to the record, so it rewrites the record once,
+    through its temporary file; the settled one changes no entry and leaves
+    the record unwritten."""
     for settled in (False, True):
         settle(settled)
         work = tmp_path / f"work-{settled}"
@@ -666,9 +669,9 @@ def test_cached_run_opens_each_work_dir_file_at_most_once(
         monkeypatch.undo()
         assert all(result.skipped.values())
         assert result.selection == read_audit(work / "selection.audit.tsv")
-        assert set(opens) == {"signatures.json.tmp"} | (
+        assert set(opens) == (
             {".lock", "cache.json", "signatures.json", "selection.audit.tsv"} if settled
-            else {p.name for p in work.iterdir()}
+            else {p.name for p in work.iterdir()} | {"signatures.json.tmp"}
         )
         assert set(opens.values()) == {1}
 
@@ -1453,8 +1456,10 @@ def test_cached_sweep_opens_each_work_dir_file_at_most_once(
     """A cached sweep hashes each file of its chain once, reads its rows from
     the summary it hashed, and parses no posteriors or centroids. Once a
     sweep has recorded the settled files' signatures, the next opens none but
-    the summary, the lock, the cache file and the record. Each sweep rewrites
-    the record once, through its temporary file."""
+    the summary, the lock, the cache file and the record. The first cached
+    sweep adds the files it hashed to the record, so it rewrites the record
+    once, through its temporary file; the settled one changes no entry and
+    leaves the record unwritten."""
     for settled in (False, True):
         settle(settled)
         work = tmp_path / f"work-{settled}"
@@ -1468,9 +1473,9 @@ def test_cached_sweep_opens_each_work_dir_file_at_most_once(
         assert sweep_lambda(config, [0.3, 0.6]) == rows
         monkeypatch.undo()
         assert parsed == []
-        assert set(opens) == {"signatures.json.tmp"} | (
+        assert set(opens) == (
             {".lock", "cache.json", "signatures.json", "sweep_summary.tsv"} if settled
-            else {p.name for p in work.iterdir()}
+            else {p.name for p in work.iterdir()} | {"signatures.json.tmp"}
         )
         assert set(opens.values()) == {1}
 
@@ -1570,8 +1575,8 @@ def test_signature_record_that_contents_contradict_is_discarded(
 
 def test_signature_record_size_does_not_depend_on_settling(tmp_path, corpus_dir, settle):
     """A file hashed before it settled keeps its name in the record, with
-    fields of a settled entry's length, and every run rewrites the record:
-    the same runs write a record of the same size, settled or not."""
+    fields of a settled entry's length: the same runs leave a record of the
+    same size, settled or not."""
     sizes = {}
     for settled in (False, True):
         settle(settled)
@@ -1582,6 +1587,38 @@ def test_signature_record_size_does_not_depend_on_settling(tmp_path, corpus_dir,
             step(config)
             sizes[settled].append(record.stat().st_size)
     assert sizes[False] == sizes[True]
+
+
+def test_a_run_that_changes_no_entry_leaves_the_record_unwritten(tmp_path, corpus_dir, settle):
+    """A settled cached run and sweep change no entry of the signature record,
+    so the file keeps its inode and mtime. A run that hashes a file whose
+    signature moved rewrites it, and a run that finds none writes the entries
+    it took from contents."""
+    work = tmp_path / "work"
+    config = _config(corpus_dir, work)
+    _settled_work_dir(config, settle)
+    for _ in range(2):  # the second records the files the first wrote
+        sweep_lambda(config, [0.3, 0.6])
+    record = work / "signatures.json"
+
+    def stamp() -> tuple[int, int]:
+        st = record.stat()
+        return st.st_ino, st.st_mtime_ns
+
+    settled = stamp()
+    assert all(run_pipeline(config).skipped.values())
+    sweep_lambda(config, [0.3, 0.6])
+    assert stamp() == settled
+    old = json.loads(record.read_bytes())["report.txt"]
+    os.utime(work / "report.txt", ns=(0, 0))
+    assert all(run_pipeline(config).skipped.values())
+    assert stamp() != settled
+    new = json.loads(record.read_bytes())["report.txt"]
+    assert new["digest"] == old["digest"] and new["signature"] != old["signature"]
+    written = json.loads(record.read_bytes())
+    record.unlink()
+    assert all(run_pipeline(config).skipped.values())
+    assert json.loads(record.read_bytes()).items() <= written.items()
 
 
 def test_new_vocabulary_cap_rereads_each_settled_transcript_once(
